@@ -67,151 +67,24 @@ type metrics = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Machine-readable results: every measured cell is appended to an
-   in-memory log and dumped as BENCH_results.json at the end of the run,
-   so plots and regression checks don't have to scrape the tables. *)
+(* Machine-readable results: every measured cell of every target is one
+   row — a bench name plus an ordered list of typed fields — appended to
+   an in-memory log and dumped as BENCH_results.json at the end of the
+   run, so plots and regression checks don't have to scrape the tables. *)
 
-type row = {
-  row_bench : string;
-  row_cell : string;
-  row_method : string;
-  row_engine : string;  (** ["scalar"] or ["batch"] — the executor used *)
-  row_domains : int;
-  row_scale : int;
-  row_wall_s : float;
-  row_response_s : float;
-  row_cpu_s : float;
-  row_ios : int;
-  row_fuzzy_ops : int;
-  row_answer_size : int;
-  row_checksum : string;
-      (** order-independent digest of the answer multiset — tuple values and
-          IEEE-754 degree bits — so batch-vs-scalar and parallel-vs-sequential
-          cells can be asserted bit-identical from the JSON alone *)
-  mutable row_io_overhead : float;
-      (** #IOs of this cell / #IOs of the same workload at domains = 1
-          (1.0 when no baseline applies); the parallel engine's private
-          buffer pools re-read boundary pages, and this ratio makes that
-          cost explicit (see the [scaling] bench). *)
-}
+type field =
+  | Int of int
+  | Fixed of int * float  (** printed with this many decimals *)
+  | Float of float  (** printed with [%g] *)
+  | Text of string
+  | Flag of bool
+  | Json of string  (** a ready-made JSON value, emitted verbatim *)
+
+type row = { bench : string; fields : (string * field) list }
 
 let results : row list ref = ref []
-
-(* One row per (client count) cell of the closed-loop server load bench.
-   Latencies are exact percentiles over every completed query in the cell
-   (not histogram-bucket approximations). *)
-type load_row = {
-  l_clients : int;
-  l_workers : int;
-  l_domains : int;
-  l_engine : string;
-  l_queries : int;  (** completed with a verified-correct answer *)
-  l_wrong : int;  (** completed but answer differed from sequential truth *)
-  l_overloaded : int;  (** admission rejections (retried) *)
-  l_qps : float;
-  l_p50_ms : float;
-  l_p99_ms : float;
-  l_duration_s : float;
-}
-
-let load_results : load_row list ref = ref []
-
-(* One row per (fault seed, fault probability) cell of the chaos bench.
-   [c_ok] queries completed with an answer bit-identical to the fault-free
-   sequential engine; [c_leaked] is [accepted - (completed + cancelled +
-   failed + failed_transient)] read from the daemon after a full drain, so
-   0 proves no worker swallowed a query. *)
-type chaos_row = {
-  c_engine : string;
-  c_fault_seed : int;
-  c_prob : float;  (** per-I/O-site injection probability of the cell *)
-  c_spec : string;  (** the armed fault spec, [Fault.spec_to_string] form *)
-  c_ok : int;
-  c_wrong : int;
-  c_retryable : int;  (** client exhausted its retries on [Retryable] *)
-  c_failed : int;
-  c_cancelled : int;
-  c_overloaded : int;  (** terminal [Overloaded] after client retries *)
-  c_injected : int;  (** faults the planes actually fired *)
-  c_retries : int;  (** server-side backoff retries *)
-  c_respawns : int;
-  c_breaker_opened : int;
-  c_shed : int;  (** admissions shed by the open breaker *)
-  c_leaked : int;
-  c_duration_s : float;
-}
-
-let chaos_results : chaos_row list ref = ref []
-
-(* One row per (sync mode, thread count) cell of the WAL commit-throughput
-   bench. [w_fsyncs] against [w_commits] shows the group-commit batching
-   factor. *)
-type wal_row = {
-  w_mode : string;  (** ["always"] | ["group"] | ["never"] *)
-  w_threads : int;
-  w_commits : int;
-  w_fsyncs : int;
-  w_qps : float;
-  w_duration_s : float;
-}
-
-let wal_results : wal_row list ref = ref []
-
-(* One row per measured restart of the recovery bench: WAL length in,
-   recovery time out. *)
-type recovery_row = {
-  r_cell : string;
-  r_wal_records : int;
-  r_replayed : int;
-  r_pages_redone : int;
-  r_wal_bytes : int;
-  r_clean : bool;
-  r_ms : float;
-}
-
-let recovery_results : recovery_row list ref = ref []
-
-(* One row per fault seed of the crash-recovery chaos harness: a forked
-   fsqld-style writer SIGKILLed mid-workload, then recovered. [rc_match]
-   asserts the recovered relation is bit-identical (order-independent
-   checksum) to the same committed prefix rebuilt in-memory;
-   [rc_torn_undetected] counts manifest-live pages that fail trailer
-   validation after recovery (must be 0). *)
-type rchaos_row = {
-  rc_seed : int;
-  rc_kill_after_s : float;
-  rc_committed_batches : int;  (** child's last durably-acked batch *)
-  rc_recovered_tuples : int;
-  rc_checksum : string;
-  rc_match : bool;
-  rc_torn_undetected : int;
-  rc_recover_ms : float;
-}
-
-let rchaos_results : rchaos_row list ref = ref []
-
-(* One row per seed of the WAL-shipping failover chaos harness: a forked
-   primary streams its log to an in-process replica and is SIGKILLed
-   mid-load; the replica is promoted and must hold a bit-identical
-   committed prefix covering every batch the primary acknowledged only
-   after the replica acked it (semi-sync). [f_fenced_sender] /
-   [f_fenced_replica] count both directions of the epoch fence firing in
-   the zombie drill (each must be >= 1). *)
-type failover_row = {
-  f_seed : int;
-  f_kill_after_s : float;
-  f_acked_batches : int;  (** batches acked only after replica apply *)
-  f_recovered_tuples : int;  (** tuples served by the promoted replica *)
-  f_checksum : string;
-  f_match : bool;
-  f_epoch : int;  (** epoch after promotion (must be 2) *)
-  f_fenced_sender : int;
-  f_fenced_replica : int;
-  f_queries_ok : int;  (** client queries answered across the failover *)
-  f_duration_s : float;
-}
-
-let failover_results : failover_row list ref = ref []
+let record bench fields = results := { bench; fields } :: !results
+let field row key = List.assoc_opt key row.fields
 
 (* Run-wide metrics registry: one observation per measured cell. The
    summary is printed (and dumped as JSON) at the end of the bench run. *)
@@ -244,18 +117,29 @@ let checksum_of_rows rows =
     rows;
   Printf.sprintf "%016Lx" !acc
 
-(* Rows received over the wire carry the same printed values and degree
-   bits the engine produced, so [checksum_of_rows] on a client's answer
-   equals [answer_checksum] on the relation — the telemetry bench uses
-   that to compare daemon-served answers against engine cells. *)
-let answer_checksum rel =
+(* An answer as (printed values, IEEE-754 degree bits) rows. Rows received
+   over the wire carry the same printed values and degree bits the engine
+   produced, so [checksum_of_rows (wire_rows rows)] on a client's answer
+   equals [answer_checksum] on the relation — the telemetry bench and the
+   failover chaos source compare daemon-served answers that way. *)
+let relation_rows rel =
   let rows = ref [] in
   Relation.iter rel (fun t ->
       rows :=
         ( Array.to_list (Array.map Value.to_string t.Ftuple.values),
           Int64.bits_of_float (Ftuple.degree t) )
         :: !rows);
-  checksum_of_rows !rows
+  !rows
+
+let wire_rows rows =
+  List.map
+    (fun (r : Server.Client.row) -> (r.values, Int64.bits_of_float r.degree))
+    rows
+
+let answer_checksum rel = checksum_of_rows (relation_rows rel)
+
+(* Normal form for exact answer comparison: rows sorted, degrees as bits. *)
+let normal_rows rows = List.sort compare rows
 
 let engines = [ "scalar"; "batch" ]
 
@@ -273,126 +157,70 @@ let json_escape s =
     s;
   Buffer.contents buf
 
+let field_json = function
+  | Int i -> string_of_int i
+  | Fixed (decimals, x) -> Printf.sprintf "%.*f" decimals x
+  | Float x -> Printf.sprintf "%g" x
+  | Text s -> "\"" ^ json_escape s ^ "\""
+  | Flag b -> string_of_bool b
+  | Json j -> j
+
+let json_object fields =
+  "{"
+  ^ String.concat ", "
+      (List.map
+         (fun (k, v) -> Printf.sprintf "\"%s\": %s" (json_escape k) (field_json v))
+         fields)
+  ^ "}"
+
+(* A JSON array with one element per line, indented [indent] spaces. *)
+let json_lines ~indent items =
+  let pad = String.make indent ' ' in
+  match items with
+  | [] -> "[\n" ^ pad ^ "]"
+  | _ ->
+      "[\n"
+      ^ String.concat ",\n" (List.map (fun s -> pad ^ "  " ^ s) items)
+      ^ "\n" ^ pad ^ "]"
+
 let write_results path =
-  let oc = open_out path in
   let rows = List.rev !results in
-  let loads = List.rev !load_results in
-  let chaos = List.rev !chaos_results in
-  let wals = List.rev !wal_results in
-  let recoveries = List.rev !recovery_results in
-  let rchaos = List.rev !rchaos_results in
-  let failovers = List.rev !failover_results in
-  (* Every emitted row — measurement, load, chaos — must carry a valid
-     engine tag; regression tooling groups on it, so fail loudly here
-     rather than emit an untagged row. *)
+  (* Every row that carries an engine tag must carry a valid one;
+     regression tooling groups on it, so fail loudly here rather than emit
+     a mistagged row. *)
   List.iter
     (fun r ->
-      if not (List.mem r.row_engine engines) then
-        invalid_arg ("write_results: bad engine tag " ^ r.row_engine))
+      match field r "engine" with
+      | Some (Text e) when not (List.mem e engines) ->
+          invalid_arg ("write_results: bad engine tag " ^ e)
+      | _ -> ())
     rows;
-  List.iter
-    (fun l ->
-      if not (List.mem l.l_engine engines) then
-        invalid_arg ("write_results: bad engine tag " ^ l.l_engine))
-    loads;
-  List.iter
-    (fun c ->
-      if not (List.mem c.c_engine engines) then
-        invalid_arg ("write_results: bad engine tag " ^ c.c_engine))
-    chaos;
-  let total =
-    List.length rows + List.length loads + List.length chaos
-    + List.length wals + List.length recoveries + List.length rchaos
-    + List.length failovers
-  in
-  let emitted = ref 0 in
-  let sep () =
-    incr emitted;
-    if !emitted = total then "" else ","
-  in
-  output_string oc "[\n";
-  List.iter
-    (fun r ->
-      Printf.fprintf oc
-        "  {\"bench\": \"%s\", \"cell\": \"%s\", \"method\": \"%s\", \
-         \"engine\": \"%s\", \"domains\": %d, \"scale\": %d, \"wall_s\": \
-         %.6f, \"response_s\": %.6f, \"cpu_s\": %.6f, \"ios\": %d, \
-         \"fuzzy_ops\": %d, \"answer_size\": %d, \"checksum\": \"%s\", \
-         \"io_overhead\": %.4f}%s\n"
-        (json_escape r.row_bench) (json_escape r.row_cell)
-        (json_escape r.row_method) (json_escape r.row_engine) r.row_domains
-        r.row_scale r.row_wall_s r.row_response_s r.row_cpu_s r.row_ios
-        r.row_fuzzy_ops r.row_answer_size (json_escape r.row_checksum)
-        r.row_io_overhead (sep ()))
-    rows;
-  List.iter
-    (fun l ->
-      Printf.fprintf oc
-        "  {\"bench\": \"load\", \"engine\": \"%s\", \"clients\": %d, \
-         \"workers\": %d, \"domains\": %d, \"queries\": %d, \"wrong\": %d, \
-         \"overloaded\": %d, \"qps\": %.2f, \"p50_ms\": %.3f, \"p99_ms\": \
-         %.3f, \"duration_s\": %.3f}%s\n"
-        (json_escape l.l_engine) l.l_clients l.l_workers l.l_domains
-        l.l_queries l.l_wrong l.l_overloaded l.l_qps l.l_p50_ms l.l_p99_ms
-        l.l_duration_s (sep ()))
-    loads;
-  List.iter
-    (fun c ->
-      Printf.fprintf oc
-        "  {\"bench\": \"chaos\", \"engine\": \"%s\", \"fault_seed\": %d, \
-         \"prob\": %g, \"spec\": \"%s\", \"ok\": %d, \"wrong\": %d, \"retryable\": %d, \"failed\": \
-         %d, \"cancelled\": %d, \"overloaded\": %d, \"injected\": %d, \
-         \"retries\": %d, \"respawns\": %d, \"breaker_opened\": %d, \
-         \"shed\": %d, \"leaked_workers\": %d, \"duration_s\": %.3f}%s\n"
-        (json_escape c.c_engine) c.c_fault_seed c.c_prob (json_escape c.c_spec)
-        c.c_ok c.c_wrong
-        c.c_retryable c.c_failed c.c_cancelled c.c_overloaded c.c_injected
-        c.c_retries c.c_respawns c.c_breaker_opened c.c_shed c.c_leaked
-        c.c_duration_s (sep ()))
-    chaos;
-  List.iter
-    (fun w ->
-      Printf.fprintf oc
-        "  {\"bench\": \"wal\", \"mode\": \"%s\", \"threads\": %d, \
-         \"commits\": %d, \"fsyncs\": %d, \"commit_qps\": %.1f, \
-         \"duration_s\": %.3f}%s\n"
-        (json_escape w.w_mode) w.w_threads w.w_commits w.w_fsyncs w.w_qps
-        w.w_duration_s (sep ()))
-    wals;
-  List.iter
-    (fun r ->
-      Printf.fprintf oc
-        "  {\"bench\": \"recovery\", \"cell\": \"%s\", \"wal_records\": %d, \
-         \"replayed\": %d, \"pages_redone\": %d, \"wal_bytes\": %d, \
-         \"clean\": %b, \"recovery_ms\": %.3f}%s\n"
-        (json_escape r.r_cell) r.r_wal_records r.r_replayed r.r_pages_redone
-        r.r_wal_bytes r.r_clean r.r_ms (sep ()))
-    recoveries;
-  List.iter
-    (fun c ->
-      Printf.fprintf oc
-        "  {\"bench\": \"recovery_chaos\", \"fault_seed\": %d, \
-         \"kill_after_s\": %.3f, \"committed_batches\": %d, \
-         \"recovered_tuples\": %d, \"checksum\": \"%s\", \"match\": %b, \
-         \"torn_undetected\": %d, \"recovery_ms\": %.3f}%s\n"
-        c.rc_seed c.rc_kill_after_s c.rc_committed_batches
-        c.rc_recovered_tuples (json_escape c.rc_checksum) c.rc_match
-        c.rc_torn_undetected c.rc_recover_ms (sep ()))
-    rchaos;
-  List.iter
-    (fun f ->
-      Printf.fprintf oc
-        "  {\"bench\": \"failover_chaos\", \"fault_seed\": %d, \
-         \"kill_after_s\": %.3f, \"acked_batches\": %d, \
-         \"recovered_tuples\": %d, \"checksum\": \"%s\", \"match\": %b, \
-         \"epoch\": %d, \"fenced_sender\": %d, \"fenced_replica\": %d, \
-         \"queries_ok\": %d, \"duration_s\": %.3f}%s\n"
-        f.f_seed f.f_kill_after_s f.f_acked_batches f.f_recovered_tuples
-        (json_escape f.f_checksum) f.f_match f.f_epoch f.f_fenced_sender
-        f.f_fenced_replica f.f_queries_ok f.f_duration_s (sep ()))
-    failovers;
-  output_string oc "]\n";
+  let oc = open_out path in
+  output_string oc
+    (json_lines ~indent:0
+       (List.map (fun r -> json_object (("bench", Text r.bench) :: r.fields)) rows));
+  output_string oc "\n";
   close_out oc
+
+(* One engine-measurement row (the Section 9 cells, and the batch,
+   kernels and telemetry benches). [io_overhead] is #IOs of this cell /
+   #IOs of the same workload at domains = 1; it starts at 1.0 and the
+   [scaling] bench stamps the real ratio once its baseline is known (the
+   parallel engine's private buffer pools re-read boundary pages, and this
+   ratio makes that cost explicit). [checksum] is the order-independent
+   answer digest, so batch-vs-scalar and parallel-vs-sequential cells can
+   be asserted bit-identical from the JSON alone. *)
+let record_measurement ~bench ~cell ~method_ ~engine ~domains ~scale ~wall
+    ~response ~cpu ~ios ~fuzzy_ops ~answer_size ~checksum =
+  record bench
+    [
+      ("cell", Text cell); ("method", Text method_); ("engine", Text engine);
+      ("domains", Int domains); ("scale", Int scale);
+      ("wall_s", Fixed (6, wall)); ("response_s", Fixed (6, response));
+      ("cpu_s", Fixed (6, cpu)); ("ios", Int ios); ("fuzzy_ops", Int fuzzy_ops);
+      ("answer_size", Int answer_size); ("checksum", Text checksum);
+      ("io_overhead", Fixed (4, 1.0));
+    ]
 
 (* The canonical type J query of the experiments (Section 9 uses type J to
    illustrate): correlated IN subquery joining on the fuzzy attribute X. *)
@@ -456,27 +284,12 @@ let run_cell ?(bench = "adhoc") ?(cell = "") ?trace cfg ~outer ~inner method_ =
       answer_size = Relation.cardinality answer;
     }
   in
-  results :=
-    {
-      row_bench = bench;
-      row_cell = cell;
-      row_method = method_name method_;
-      row_engine =
-        (match method_ with
-        | Merge_join when cfg.batch -> "batch"
-        | _ -> "scalar");
-      row_domains = (match method_ with Merge_join -> cfg.domains | Nested_loop -> 1);
-      row_scale = cfg.scale;
-      row_wall_s = m.wall;
-      row_response_s = m.response;
-      row_cpu_s = m.cpu;
-      row_ios = m.ios;
-      row_fuzzy_ops = m.fuzzy_ops;
-      row_answer_size = m.answer_size;
-      row_checksum = answer_checksum answer;
-      row_io_overhead = 1.0;
-    }
-    :: !results;
+  record_measurement ~bench ~cell ~method_:(method_name method_)
+    ~engine:(match method_ with Merge_join when cfg.batch -> "batch" | _ -> "scalar")
+    ~domains:(match method_ with Merge_join -> cfg.domains | Nested_loop -> 1)
+    ~scale:cfg.scale ~wall:m.wall ~response:m.response ~cpu:m.cpu ~ios:m.ios
+    ~fuzzy_ops:m.fuzzy_ops ~answer_size:m.answer_size
+    ~checksum:(answer_checksum answer);
   Storage.Metrics.incr (Storage.Metrics.counter metrics "cells");
   Storage.Metrics.incr
     (Storage.Metrics.counter metrics
@@ -500,11 +313,21 @@ let run_cell ?(bench = "adhoc") ?(cell = "") ?trace cfg ~outer ~inner method_ =
    once its domains = 1 baseline is known; reps of a cell share it, page
    counts being deterministic). *)
 let record_io_overhead ~bench ~domains ratio =
-  List.iter
-    (fun r ->
-      if r.row_bench = bench && r.row_domains = domains then
-        r.row_io_overhead <- ratio)
-    !results
+  results :=
+    List.map
+      (fun r ->
+        if r.bench = bench && field r "domains" = Some (Int domains) then
+          {
+            r with
+            fields =
+              List.map
+                (function
+                  | "io_overhead", _ -> ("io_overhead", Fixed (4, ratio))
+                  | f -> f)
+                r.fields;
+          }
+        else r)
+      !results
 
 (* Scratch data directories for the durable-storage benches. *)
 let temp_dir_counter = ref 0
@@ -533,3 +356,68 @@ let str_seconds s =
   else Printf.sprintf "%.3f" s
 
 let hr ppf width = Format.fprintf ppf "%s@." (String.make width '-')
+
+let section title = Format.printf "@.==== %s ====@." title
+let note fmt = Format.printf fmt
+
+(* Index of the first occurrence of [sub] in [s]. *)
+let find_sub ~sub s =
+  let n = String.length s and m = String.length sub in
+  let rec go i =
+    if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1)
+  in
+  go 0
+
+let contains ~sub s = find_sub ~sub s <> None
+
+(* One query per nesting shape of the paper (plus a chain), all over the
+   generated R/S/T of [Server.Demo.load_nested]: the mix of the [load]
+   bench and the [chaos] fault source. *)
+let shapes =
+  [
+    ("N", "SELECT R.ID FROM R WHERE R.Y IN (SELECT S.Z FROM S WHERE S.V >= 20)");
+    ("J", "SELECT R.ID FROM R WHERE R.Y IN (SELECT S.Z FROM S WHERE S.V <= R.U)");
+    ( "JX",
+      "SELECT R.ID FROM R WHERE R.Y NOT IN (SELECT S.Z FROM S WHERE S.V >= \
+       R.U)" );
+    ( "JA",
+      "SELECT R.ID FROM R WHERE R.Y >= (SELECT MAX(S.Z) FROM S WHERE S.V = \
+       R.U)" );
+    ( "JALL",
+      "SELECT R.ID FROM R WHERE R.Y <= ALL (SELECT S.Z FROM S WHERE S.V = \
+       R.U)" );
+    ( "chain",
+      "SELECT R.ID FROM R WHERE R.Y IN (SELECT S.Z FROM S WHERE S.Z IN \
+       (SELECT T.W FROM T))" );
+  ]
+
+(* Ground truth for [shapes]: the fault-free sequential engine over the
+   same loader, as normal-form rows per shape name. *)
+let expected_answers setup =
+  let env = Storage.Env.create () in
+  let catalog = Catalog.create env in
+  setup env catalog;
+  List.map
+    (fun (name, sql) ->
+      let q = Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper sql in
+      (name, normal_rows (relation_rows (Unnest.Planner.run q))))
+    shapes
+
+(* Replace [path] atomically with [n]: tmp + fsync + rename, so a reader
+   (or a SIGKILL) sees either the old value or the new one. *)
+let write_int_durably path n =
+  let tmp = path ^ ".tmp" in
+  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let s = string_of_int n ^ "\n" in
+  ignore (Unix.write_substring fd s 0 (String.length s));
+  Unix.fsync fd;
+  Unix.close fd;
+  Unix.rename tmp path
+
+let read_int path =
+  match open_in path with
+  | ic ->
+      let n = try int_of_string (String.trim (input_line ic)) with _ -> 0 in
+      close_in ic;
+      n
+  | exception Sys_error _ -> 0

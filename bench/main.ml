@@ -6,12 +6,13 @@
     [--trace PATH]] where targets are any of [table1 table2 table3 table4
     fig3 fig1 ablation chain sort scaling load chaos micro batch kernels
     telemetry wal recovery failover all] (default: all). [wal] measures WAL
-    commit throughput per sync mode and redo-restart time vs log length;
-    [recovery] is the SIGKILL crash-recovery chaos harness (see
-    {!Recovery_chaos}); [failover] is the HA chaos harness — SIGKILL the
-    primary mid-load, promote the WAL-shipped replica, prove zero
-    acked-commit loss, bit-identical committed prefixes, and epoch
-    fencing (see {!Failover_chaos}). [--batch] runs every merge-join cell on the
+    commit throughput per sync mode and redo-restart time vs log length.
+    [chaos], [recovery] and [failover] are the three fault sources of the
+    chaos driver: fault planes under the serving path ([--seed] picks the
+    fault seeds, [--queries] the per-cell query count), SIGKILL of a
+    durable writer then recovery, and SIGKILL of a semi-sync primary then
+    replica promotion and fencing. One verdict checks them all and a FAIL
+    makes the run exit non-zero; see {!Chaos}. [--batch] runs every merge-join cell on the
     vectorized columnar engine (rows are tagged ["engine": "batch"] in
     [BENCH_results.json]); the [batch] target measures that engine against
     the scalar one head-to-head, and [kernels] times the three vectorized
@@ -21,10 +22,7 @@
     that). The [load] target runs closed-loop clients against an in-process
     fsqld ([--clients] is a comma list of client counts, [--domains] sets the
     worker count) and reports throughput and exact p50/p99 latency per client
-    count. The [chaos] target reruns the serving path under deterministic
-    fault injection ([--seed] picks the fault seeds, [--queries] the per-cell
-    query count) and checks bit-identical answers and balanced books; see
-    {!Chaos}.
+    count.
     [--full] runs at the paper's absolute sizes (slow); the default scales
     every size by 8, which preserves all relation-size : buffer-size ratios.
     [--domains N] runs the merge-join cells on an N-domain task pool (the
@@ -33,9 +31,6 @@
 
 open Frepro
 open Harness
-
-let section title = Format.printf "@.==== %s ====@." title
-let note fmt = Format.printf fmt
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: equal relation sizes, 128 B tuples, fan-out C = 7.         *)
@@ -474,61 +469,13 @@ let scaling cfg =
 let load_clients = ref [ 1; 2; 4; 8 ]
 let load_duration = 1.5
 
-(* One query per nesting shape of the paper (plus a chain), all over the
-   generated R/S/T of [Server.Demo.load_nested] — deterministic in the
-   seed, so the sequential engine provides exact expected answers. *)
-let load_shapes =
-  [
-    ("N", "SELECT R.ID FROM R WHERE R.Y IN (SELECT S.Z FROM S WHERE S.V >= 20)");
-    ("J", "SELECT R.ID FROM R WHERE R.Y IN (SELECT S.Z FROM S WHERE S.V <= R.U)");
-    ( "JX",
-      "SELECT R.ID FROM R WHERE R.Y NOT IN (SELECT S.Z FROM S WHERE S.V >= \
-       R.U)" );
-    ( "JA",
-      "SELECT R.ID FROM R WHERE R.Y >= (SELECT MAX(S.Z) FROM S WHERE S.V = \
-       R.U)" );
-    ( "JALL",
-      "SELECT R.ID FROM R WHERE R.Y <= ALL (SELECT S.Z FROM S WHERE S.V = \
-       R.U)" );
-    ( "chain",
-      "SELECT R.ID FROM R WHERE R.Y IN (SELECT S.Z FROM S WHERE S.Z IN \
-       (SELECT T.W FROM T))" );
-  ]
-
-(* Normal form for answer comparison: rows sorted, degrees as IEEE-754
-   bits (the wire carries them as bits, so equality is exact). *)
-let normal_rows rows = List.sort compare rows
-
-let normal_of_relation rel =
-  let arity = Relational.Schema.arity (Relational.Relation.schema rel) in
-  let rows = ref [] in
-  Relational.Relation.iter rel (fun t ->
-      rows :=
-        ( List.init arity (fun i ->
-              Relational.Value.to_string (Relational.Ftuple.value t i)),
-          Int64.bits_of_float (Relational.Ftuple.degree t) )
-        :: !rows);
-  normal_rows !rows
-
 let load_bench cfg =
   section "Server load - closed-loop clients vs an in-process fsqld";
   note "clients loop over the nesting shapes (N J JX JA JALL chain); every@.";
   note "answer is checked against the sequential engine, exact degrees@.";
   note "(workers = --domains = %d parallel queries)@.@." cfg.domains;
   let setup = Server.Demo.server_setup ~seed:cfg.seed () in
-  (* Sequential ground truth, same loader, same seed. *)
-  let env = Storage.Env.create () in
-  let catalog = Relational.Catalog.create env in
-  setup env catalog;
-  let expected =
-    List.map
-      (fun (name, sql) ->
-        let q =
-          Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper sql
-        in
-        (name, normal_of_relation (Unnest.Planner.run q)))
-      load_shapes
-  in
+  let expected = expected_answers setup in
   let max_clients = List.fold_left Int.max 1 !load_clients in
   let daemon =
     Server.Daemon.start ~workers:cfg.domains ~batch:cfg.batch
@@ -551,19 +498,13 @@ let load_bench cfg =
         let mine = ref [] in
         let i = ref idx in
         while Unix.gettimeofday () < stop_at do
-          let name, sql = List.nth load_shapes (!i mod List.length load_shapes) in
+          let name, sql = List.nth shapes (!i mod List.length shapes) in
           incr i;
           let t0 = Unix.gettimeofday () in
           match Server.Client.query client sql with
           | Server.Client.Answer { rows; _ } ->
-              let got =
-                normal_rows
-                  (List.map
-                     (fun (r : Server.Client.row) ->
-                       (r.values, Int64.bits_of_float r.degree))
-                     rows)
-              in
-              if got <> List.assoc name expected then Atomic.incr wrong;
+              if normal_rows (wire_rows rows) <> List.assoc name expected then
+                Atomic.incr wrong;
               Atomic.incr completed;
               mine := (Unix.gettimeofday () -. t0) :: !mine
           | Server.Client.Overloaded ->
@@ -600,21 +541,18 @@ let load_bench cfg =
       let p50 = 1000.0 *. pct 0.50 and p99 = 1000.0 *. pct 0.99 in
       Format.printf "%-8d | %8d | %8.1f | %9.2f | %9.2f | %6d | %10d@." c
         queries qps p50 p99 (Atomic.get wrong) (Atomic.get overloaded);
-      Harness.load_results :=
-        {
-          Harness.l_clients = c;
-          l_workers = cfg.domains;
-          l_domains = 1;
-          l_engine = (if cfg.batch then "batch" else "scalar");
-          l_queries = queries;
-          l_wrong = Atomic.get wrong;
-          l_overloaded = Atomic.get overloaded;
-          l_qps = qps;
-          l_p50_ms = p50;
-          l_p99_ms = p99;
-          l_duration_s = duration;
-        }
-        :: !Harness.load_results)
+      (* [queries] answered; [wrong] answers that differ from the sequential
+         truth, or failed; [overloaded] admission rejections (retried);
+         latencies are exact percentiles over every answered query. *)
+      record "load"
+        [
+          ("engine", Text (if cfg.batch then "batch" else "scalar"));
+          ("clients", Int c); ("workers", Int cfg.domains); ("domains", Int 1);
+          ("queries", Int queries); ("wrong", Int (Atomic.get wrong));
+          ("overloaded", Int (Atomic.get overloaded)); ("qps", Fixed (2, qps));
+          ("p50_ms", Fixed (3, p50)); ("p99_ms", Fixed (3, p99));
+          ("duration_s", Fixed (3, duration));
+        ])
     !load_clients;
   Server.Daemon.stop daemon
 
@@ -746,7 +684,7 @@ let batch_bench cfg =
   show "batch" b;
   let checksums =
     List.filter_map
-      (fun r -> if r.row_bench = "batch" then Some r.row_checksum else None)
+      (fun r -> if r.bench = "batch" then field r "checksum" else None)
       !results
   in
   let identical =
@@ -764,11 +702,6 @@ let batch_bench cfg =
 (* windowed metrics and the trace ring are always on). CI asserts the  *)
 (* on/off wall ratio <= 1.05 and checksum equality from the JSON rows. *)
 (* ------------------------------------------------------------------ *)
-
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
 
 let telemetry_bench cfg =
   section "Telemetry overhead - batch cell through fsqld, off vs on";
@@ -805,12 +738,7 @@ let telemetry_bench cfg =
       | Server.Client.Answer { rows; _ } ->
           let dt = Unix.gettimeofday () -. t0 in
           if dt < !best then best := dt;
-          checksum :=
-            Harness.checksum_of_rows
-              (List.map
-                 (fun (r : Server.Client.row) ->
-                   (r.values, Int64.bits_of_float r.degree))
-                 rows)
+          checksum := checksum_of_rows (wire_rows rows)
       | _ -> failwith "telemetry bench: query did not complete"
     done;
     if on then begin
@@ -823,7 +751,7 @@ let telemetry_bench cfg =
           if status <> 200 then failwith "telemetry bench: /metrics not 200";
           List.iter
             (fun needle ->
-              if not (contains_sub body needle) then
+              if not (contains ~sub:needle body) then
                 failwith ("telemetry bench: /metrics missing " ^ needle))
             [
               "# TYPE fsqld_requests_completed counter";
@@ -831,7 +759,7 @@ let telemetry_bench cfg =
               "fsqld_queue_depth";
             ];
           let hstatus, hbody = Server.Telemetry.Http.get ~port:p "/healthz" in
-          if hstatus <> 200 || not (contains_sub hbody "\"status\":\"ok\"")
+          if hstatus <> 200 || not (contains ~sub:"\"status\":\"ok\"" hbody)
           then failwith "telemetry bench: /healthz not healthy"
       | None -> failwith "telemetry bench: metrics port did not bind");
       match Server.Daemon.query_log_written daemon with
@@ -846,24 +774,10 @@ let telemetry_bench cfg =
     Server.Client.close client;
     Server.Daemon.stop daemon;
     Option.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) qlog;
-    results :=
-      {
-        row_bench = "telemetry";
-        row_cell = (if on then "on" else "off");
-        row_method = "daemon";
-        row_engine = "batch";
-        row_domains = 1;
-        row_scale = cfg.scale;
-        row_wall_s = !best;
-        row_response_s = !best;
-        row_cpu_s = 0.0;
-        row_ios = 0;
-        row_fuzzy_ops = 0;
-        row_answer_size = 0;
-        row_checksum = !checksum;
-        row_io_overhead = 1.0;
-      }
-      :: !results;
+    record_measurement ~bench:"telemetry" ~cell:(if on then "on" else "off")
+      ~method_:"daemon" ~engine:"batch" ~domains:1 ~scale:cfg.scale ~wall:!best
+      ~response:!best ~cpu:0.0 ~ios:0 ~fuzzy_ops:0 ~answer_size:0
+      ~checksum:!checksum;
     (!best, !checksum)
   in
   let off_wall, off_sum = run_config ~on:false in
@@ -891,24 +805,9 @@ let kernels cfg =
   let rng = Random.State.make [| cfg.seed; 97 |] in
   let n = 200_000 in
   let record cell engine rows secs =
-    results :=
-      {
-        row_bench = "kernels";
-        row_cell = cell;
-        row_method = "kernel";
-        row_engine = engine;
-        row_domains = 1;
-        row_scale = cfg.scale;
-        row_wall_s = secs;
-        row_response_s = secs;
-        row_cpu_s = secs;
-        row_ios = 0;
-        row_fuzzy_ops = rows;
-        row_answer_size = rows;
-        row_checksum = "";
-        row_io_overhead = 1.0;
-      }
-      :: !results;
+    record_measurement ~bench:"kernels" ~cell ~method_:"kernel" ~engine
+      ~domains:1 ~scale:cfg.scale ~wall:secs ~response:secs ~cpu:secs ~ios:0
+      ~fuzzy_ops:rows ~answer_size:rows ~checksum:"";
     Format.printf "  %-24s %-8s %12.2f M rows/s@." cell engine
       (float_of_int rows /. Float.max 1e-9 secs /. 1e6)
   in
@@ -1022,14 +921,14 @@ let all_targets =
     ("table1", table1); ("table2", table2); ("table3", table3);
     ("table4", table4); ("fig3", fig3); ("fig1", fig1); ("ablation", ablation);
     ("chain", chain_bench); ("sort", sort_bench); ("scaling", scaling);
-    ("load", load_bench); ("chaos", Chaos.run); ("micro", micro);
-    ("batch", batch_bench); ("kernels", kernels);
+    ("load", load_bench); ("chaos", Chaos.run Chaos.Fault_plane);
+    ("micro", micro); ("batch", batch_bench); ("kernels", kernels);
     ("telemetry", telemetry_bench); ("wal", Wal_bench.run);
-    ("recovery", Recovery_chaos.run);
-    ("failover", Failover_chaos.run);
+    ("recovery", Chaos.run Chaos.Crash); ("failover", Chaos.run Chaos.Failover);
   ]
 
 let () =
+  Chaos.serve_as_victim Sys.argv;
   let cfg = ref default_config in
   let targets = ref [] in
   let trace_path = ref None in
@@ -1108,14 +1007,8 @@ let () =
   List.iter (fun t -> (List.assoc t all_targets) !cfg) chosen;
   Option.iter (trace_run !cfg) !trace_path;
   write_results "BENCH_results.json";
-  Format.printf "@.wrote BENCH_results.json (%d cells)@."
-    (List.length !Harness.results
-    + List.length !Harness.load_results
-    + List.length !Harness.chaos_results
-    + List.length !Harness.wal_results
-    + List.length !Harness.recovery_results
-    + List.length !Harness.rchaos_results
-    + List.length !Harness.failover_results);
-  if !Harness.results <> [] then (
+  Format.printf "@.wrote BENCH_results.json (%d cells)@." (List.length !results);
+  if Storage.Metrics.counters metrics <> [] then (
     section "Run metrics";
-    Format.printf "%a" Storage.Metrics.pp Harness.metrics)
+    Format.printf "%a" Storage.Metrics.pp metrics);
+  if !Chaos.verdict_failed then exit 1

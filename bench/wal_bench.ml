@@ -14,9 +14,6 @@ open Frepro
 open Frepro.Storage
 open Harness
 
-let section title = Format.printf "@.==== %s ====@." title
-let note fmt = Format.printf fmt
-
 let commit_cell ~mode ~threads ~total =
   with_temp_dir (fun dir ->
       Unix.mkdir dir 0o755;
@@ -39,14 +36,14 @@ let commit_cell ~mode ~threads ~total =
       let duration = Unix.gettimeofday () -. t0 in
       let commits = Wal.commits wal and fsyncs = Wal.fsyncs wal in
       Wal.close wal;
-      {
-        w_mode = Wal.sync_mode_name mode;
-        w_threads = threads;
-        w_commits = commits;
-        w_fsyncs = fsyncs;
-        w_qps = float_of_int commits /. Float.max 1e-9 duration;
-        w_duration_s = duration;
-      })
+      let qps = float_of_int commits /. Float.max 1e-9 duration in
+      record "wal"
+        [
+          ("mode", Text (Wal.sync_mode_name mode)); ("threads", Int threads);
+          ("commits", Int commits); ("fsyncs", Int fsyncs);
+          ("commit_qps", Fixed (1, qps)); ("duration_s", Fixed (3, duration));
+        ];
+      (qps, fsyncs, commits))
 
 let bench_schema =
   Relational.Schema.make ~name:"W"
@@ -86,15 +83,18 @@ let recovery_cell ~seed n =
       if recovered <> n then
         failwith
           (Printf.sprintf "recovery bench: recovered %d of %d tuples" recovered n);
-      {
-        r_cell = Printf.sprintf "%d-tuples" n;
-        r_wal_records = report.Recovery.wal_records;
-        r_replayed = report.Recovery.replayed;
-        r_pages_redone = report.Recovery.pages_redone;
-        r_wal_bytes = wal_bytes;
-        r_clean = report.Recovery.clean;
-        r_ms = ms;
-      })
+      let cell = Printf.sprintf "%d-tuples" n in
+      record "recovery"
+        [
+          ("cell", Text cell); ("wal_records", Int report.Recovery.wal_records);
+          ("replayed", Int report.Recovery.replayed);
+          ("pages_redone", Int report.Recovery.pages_redone);
+          ("wal_bytes", Int wal_bytes); ("clean", Flag report.Recovery.clean);
+          ("recovery_ms", Fixed (3, ms));
+        ];
+      Format.printf "%-14s | %10d | %10d | %8d | %10d | %12.2f@." cell
+        wal_bytes report.Recovery.wal_records report.Recovery.pages_redone
+        report.Recovery.replayed ms)
 
 let run (cfg : Harness.config) =
   section "WAL - commit throughput per sync mode and committer count";
@@ -108,12 +108,10 @@ let run (cfg : Harness.config) =
     (fun mode ->
       List.iter
         (fun threads ->
-          let row = commit_cell ~mode ~threads ~total in
-          wal_results := row :: !wal_results;
-          Format.printf "%-8s | %8d | %10.0f | %8d | %12.3f@." row.w_mode
-            row.w_threads row.w_qps row.w_fsyncs
-            (float_of_int row.w_fsyncs
-            /. Float.max 1.0 (float_of_int row.w_commits)))
+          let qps, fsyncs, commits = commit_cell ~mode ~threads ~total in
+          Format.printf "%-8s | %8d | %10.0f | %8d | %12.3f@."
+            (Wal.sync_mode_name mode) threads qps fsyncs
+            (float_of_int fsyncs /. Float.max 1.0 (float_of_int commits)))
         [ 1; 4; 8 ])
     [ Wal.Always; Wal.Group; Wal.Never ];
   section "Recovery - redo restart time vs log length";
@@ -124,10 +122,5 @@ let run (cfg : Harness.config) =
     "wal bytes" "records" "pages" "replayed" "recover (ms)";
   hr Format.std_formatter 78;
   List.iter
-    (fun n ->
-      let row = recovery_cell ~seed:cfg.seed n in
-      recovery_results := row :: !recovery_results;
-      Format.printf "%-14s | %10d | %10d | %8d | %10d | %12.2f@." row.r_cell
-        row.r_wal_bytes row.r_wal_records row.r_pages_redone row.r_replayed
-        row.r_ms)
+    (fun n -> recovery_cell ~seed:cfg.seed n)
     [ 200; 1000; 5000; 20000 ]
