@@ -138,6 +138,20 @@ let wire_rows rows =
 
 let answer_checksum rel = checksum_of_rows (relation_rows rel)
 
+(* The process's peak resident set (VmHWM) in MB; 0 where /proc is absent. *)
+let peak_rss_mb () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> 0
+  | ic ->
+      let rec scan () =
+        match input_line ic with
+        | line when String.starts_with ~prefix:"VmHWM:" line ->
+            Scanf.sscanf line "VmHWM: %d kB" (fun kb -> kb / 1024)
+        | _ -> scan ()
+        | exception End_of_file -> 0
+      in
+      Fun.protect ~finally:(fun () -> close_in ic) scan
+
 (* Normal form for exact answer comparison: rows sorted, degrees as bits. *)
 let normal_rows rows = List.sort compare rows
 

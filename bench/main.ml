@@ -343,8 +343,37 @@ let sort_bench cfg =
 (* Chain queries (Section 8): naive vs merge cascade vs DP ordering.   *)
 (* ------------------------------------------------------------------ *)
 
+(* chain-memory: the serving mix's 3-block chain over [Server.Demo]'s
+   R/S/T at 800/800/400 rows, default [mem_pages]. It runs first so the
+   process's peak RSS (VmHWM) is this query's, not a later cell's; CI
+   bounds it and compares the checksum across [--domains]. *)
+let chain_memory cfg =
+  let env = Storage.Env.create () in
+  let catalog = Relational.Catalog.create env in
+  Server.Demo.load_nested ~n_r:800 ~n_s:800 ~n_t:400 env catalog;
+  let q =
+    Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper
+      (List.assoc "chain" shapes)
+  in
+  let t0 = Unix.gettimeofday () in
+  let answer = Unnest.Planner.run ~domains:cfg.domains q in
+  let wall = Unix.gettimeofday () -. t0 in
+  let rss = peak_rss_mb () in
+  let rows = Relational.Relation.cardinality answer in
+  let checksum = answer_checksum answer in
+  Format.printf
+    "chain-memory 800 x 800 x 400: %s s, peak RSS %d MB, %d rows, checksum %s@.@."
+    (str_seconds wall) rss rows checksum;
+  record "chain-memory"
+    [
+      ("cell", Text "800x800x400"); ("domains", Int cfg.domains);
+      ("wall_s", Fixed (6, wall)); ("peak_rss_mb", Int rss);
+      ("answer_size", Int rows); ("checksum", Text checksum);
+    ]
+
 let chain_bench cfg =
   section "Chain queries (Section 8) - 3-block nesting, skewed block sizes";
+  chain_memory cfg;
   note "paper: response O(sum n_i log n_i) unnested vs O(prod n_i) nested;@.";
   note "Section 8 also suggests DP join ordering to minimise intermediates@.@.";
   let sql =

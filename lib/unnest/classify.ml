@@ -206,6 +206,9 @@ let rec as_chain_blocks (q : Bound.query) ~level =
         let out_attr =
           match q.Bound.select with
           | [ Bound.Col r ] when r.Bound.up = 0 -> Some r.Bound.attr_idx
+          (* The top block exports nothing: its answer columns, any number
+             of them, become [top_select]. *)
+          | _ when level = 0 -> Some 0
           | _ -> None
         in
         match (subqueries, out_attr) with

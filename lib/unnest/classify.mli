@@ -51,7 +51,9 @@ type two_level = {
 type chain_block = {
   rel : Relational.Relation.t;
   p_local : Fuzzysql.Bound.pred list;
-  out_attr : int;  (** X_k: attribute exported to the parent block *)
+  out_attr : int;
+      (** X_k: attribute exported to the parent block (unused for the top
+          block, whose answer columns are [top_select]) *)
   link_attr : int option;  (** Y_k: compared with the child's X_{k+1} *)
   corr : corr list;  (** correlation predicates to enclosing blocks *)
 }

@@ -102,10 +102,20 @@ let chain_text buf (c : Classify.chain) =
     (String.concat " -> " (List.map (fun (b : Classify.chain_block) ->
          Schema.name (Relation.schema b.Classify.rel)) c.Classify.blocks));
   add "  join order (interval DP over estimated intermediate sizes):\n";
-  add "    start with %s" (name order.Chain_order.start);
-  List.iter (fun b -> add ", then join %s" (name b)) order.Chain_order.steps;
-  add "\n    estimated total intermediate tuples: %.0f\n"
+  add "    start with %s\n" (name order.Chain_order.start);
+  List.iter
+    (fun { Chain_order.block; carried; semi_join } ->
+      add "    %s %s, carry %s\n"
+        (if semi_join then "semi-join" else "join")
+        (name block)
+        (String.concat ", "
+           (List.map
+              (fun (b, a) -> name b ^ "." ^ attr_name blocks.(b).Classify.rel a)
+              carried)))
+    (Chain_order.cascade c order);
+  add "    estimated total intermediate tuples: %.0f\n"
     order.Chain_order.estimated_cost;
+  add "  each step keeps only the carried attributes, max-deduplicated\n";
   add "  rewritten flat query (Theorem 8.1):\n    %s\n" (Rewrite_sql.chain c)
 
 let explain (q : Fuzzysql.Bound.query) : string =

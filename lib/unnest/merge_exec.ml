@@ -13,9 +13,9 @@
     - type JA      (Theorem 6.1): the pipelined T1 / T2 / JA' cascade —
       aggregate each outer tuple's window group, compare, project, including
       the COUNT left-outer-join branch;
-    - chain queries (Theorem 8.1): a cascade of merge-joins, outermost block
-      first, correlation predicates evaluated as residuals on the
-      accumulated intermediate tuples.
+    - chain queries (Theorem 8.1): a cascade of merge-joins, correlation
+      predicates evaluated as residuals on the accumulated intermediate
+      tuples, each step projected onto its live attributes and max-folded.
 
     Prerequisite: the sweep needs one equality predicate linking outer and
     inner (the IN attribute pair or an equality correlation). [Not_unnestable]
@@ -33,6 +33,19 @@ module Vmap = Map.Make (struct
   type t = Value.t
 
   let compare = Value.compare_structural
+end)
+
+module Vals_map = Map.Make (struct
+  type t = Value.t array
+
+  let compare a b =
+    let n = Array.length a in
+    let rec go i =
+      if i >= n then 0
+      else
+        match Value.compare_structural a.(i) b.(i) with 0 -> go (i + 1) | c -> c
+    in
+    go 0
 end)
 
 let residual_degree stats (corr : Classify.corr list) r s =
@@ -443,8 +456,8 @@ let run_chain ?(name = "answer") ?order ?pool ?trace ?cancel ?(batch = false)
   let blocks_arr = Array.of_list blocks in
   let k = Array.length blocks_arr in
   if k = 0 then invalid_arg "Merge_exec.run_chain: no blocks";
-  let stats_of rel = (Relation.env rel).Storage.Env.stats in
-  let stats = stats_of blocks_arr.(0).Classify.rel in
+  let env = Relation.env blocks_arr.(0).Classify.rel in
+  let stats = env.Storage.Env.stats in
   (* Every owned intermediate (block reductions, join cascade steps) goes
      through [temps] so a cancellation at any point of the cascade frees
      them all; cascade steps that are superseded are destroyed early to
@@ -471,47 +484,65 @@ let run_chain ?(name = "answer") ?order ?pool ?trace ?cancel ?(batch = false)
               r))
       blocks_arr
   in
-  let { Chain_order.start; steps; _ } =
-    match order with
-    | Some o -> o
-    | None -> Chain_order.left_to_right k
+  let order =
+    match order with Some o -> o | None -> Chain_order.left_to_right k
+  in
+  let cascade = Chain_order.cascade chain order in
+  let start = order.Chain_order.start in
+  let schema_of b = Relation.schema blocks_arr.(b).Classify.rel in
+  (* Intermediate attributes are qualified by relation and block index, so
+     blocks over the same relation stay distinct. *)
+  let attr_of (blk, a) =
+    let n, ty = (Schema.attrs (schema_of blk)).(a) in
+    (Printf.sprintf "%s%d.%s" (Schema.name (schema_of blk)) blk n, ty)
   in
   (* Grow a contiguous interval of blocks with merge-joins, applying each
-     correlation predicate as soon as both of its endpoints are present in
-     the accumulated intermediate tuples. [offsets.(b)] is block [b]'s
-     attribute offset inside the intermediate; -1 while absent. *)
-  let offsets = Array.make k (-1) in
-  offsets.(start) <- 0;
-  let lo = ref start and hi = ref start in
-  let arity b = Schema.arity (Relation.schema blocks_arr.(b).Classify.rel) in
+     correlation predicate as soon as both of its endpoints are present.
+     Each step keeps only the live attributes ({!Chain_order.cascade}) and
+     max-folds tuples that agree on them: a later degree is a min over the
+     kept attributes, and max_i min(d_i, f(x)) = min(max_i d_i, f(x)) holds
+     exactly in floating point, so the answer is unchanged. [pos] maps a
+     (block, attribute) pair to its position in the accumulated relation,
+     which starts as the whole start block. *)
+  let layout_pos layout =
+    let h = Hashtbl.create 16 in
+    List.iteri (fun i ba -> Hashtbl.replace h ba i) layout;
+    Hashtbl.find h
+  in
+  let pos =
+    ref (layout_pos (List.init (Schema.arity (schema_of start)) (fun a -> (start, a))))
+  in
   let acc = ref reduced.(start) in
   let acc_owned = ref false in
-  let acc_arity = ref (arity start) in
-  let in_set b = offsets.(b) >= 0 in
-  let add_block b =
+  let lo = ref start and hi = ref start in
+  let add_block { Chain_order.block = b; carried; semi_join } =
     Storage.Cancel.check cancel;
-    if b <> !lo - 1 && b <> !hi + 1 then
-      invalid_arg "Merge_exec.run_chain: order step not adjacent to the set";
-    let new_rel = reduced.(b) in
+    let pos_r = !pos in
+    let blk_b = blocks_arr.(b) in
+    let link = function
+      | Some y -> y
+      | None -> invalid_arg "Merge_exec.run_chain: missing link attribute"
+    in
     (* The equality linking block [b] to the set: the link between b and
        b+1 when extending left, between b-1 and b when extending right. *)
     let outer_attr, inner_attr =
       if b = !hi + 1 then
-        match blocks_arr.(b - 1).Classify.link_attr with
-        | Some y -> (offsets.(b - 1) + y, blocks_arr.(b).Classify.out_attr)
-        | None -> invalid_arg "Merge_exec.run_chain: missing link attribute"
+        ( pos_r (b - 1, link blocks_arr.(b - 1).Classify.link_attr),
+          blk_b.Classify.out_attr )
       else
-        match blocks_arr.(b).Classify.link_attr with
-        | Some y -> (offsets.(b + 1) + blocks_arr.(b + 1).Classify.out_attr, y)
-        | None -> invalid_arg "Merge_exec.run_chain: missing link attribute"
+        ( pos_r (b + 1, blocks_arr.(b + 1).Classify.out_attr),
+          link blk_b.Classify.link_attr )
     in
+    let in_set blk = !lo <= blk && blk <= !hi in
     (* Correlation predicates that become applicable now: those of block [b]
        whose target is already present, and those of present blocks whose
        target is [b]. *)
     let of_new =
-      List.filter
-        (fun (c : Classify.corr) -> in_set (b - c.Classify.up))
-        blocks_arr.(b).Classify.corr
+      List.filter_map
+        (fun (c : Classify.corr) ->
+          let t = b - c.Classify.up in
+          if in_set t then Some (c, pos_r (t, c.Classify.outer_attr)) else None)
+        blk_b.Classify.corr
     in
     let onto_new =
       List.concat
@@ -519,53 +550,112 @@ let run_chain ?(name = "answer") ?order ?pool ?trace ?cancel ?(batch = false)
              if in_set blk then
                List.filter_map
                  (fun (c : Classify.corr) ->
-                   if blk - c.Classify.up = b then Some (blk, c) else None)
+                   if blk - c.Classify.up = b then
+                     Some (c, pos_r (blk, c.Classify.local_attr))
+                   else None)
                  blocks_arr.(blk).Classify.corr
              else []))
     in
     let residual r s =
       let d1 =
         List.fold_left
-          (fun acc (c : Classify.corr) ->
+          (fun acc ((c : Classify.corr), p) ->
             Storage.Iostats.record_fuzzy_op stats;
             Degree.conj acc
               (Value.compare_degree c.Classify.op
                  (Ftuple.value s c.Classify.local_attr)
-                 (Ftuple.value r (offsets.(b - c.Classify.up) + c.Classify.outer_attr))))
+                 (Ftuple.value r p)))
           Degree.one of_new
       in
       List.fold_left
-        (fun acc (blk, (c : Classify.corr)) ->
+        (fun acc ((c : Classify.corr), p) ->
           Storage.Iostats.record_fuzzy_op stats;
           Degree.conj acc
-            (Value.compare_degree c.Classify.op
-               (Ftuple.value r (offsets.(blk) + c.Classify.local_attr))
+            (Value.compare_degree c.Classify.op (Ftuple.value r p)
                (Ftuple.value s c.Classify.outer_attr)))
         d1 onto_new
     in
-    let joined =
-      Join_merge.join_eq ?pool ?trace ?cancel ~batch ~outer:!acc
-        ~inner:new_rel ~outer_attr ~inner_attr ~mem_pages ~residual ()
-    in
-    temps := joined :: !temps;
-    if !acc_owned then begin
-      let old = !acc in
-      temps := List.filter (fun r -> r != old) !temps;
-      Relation.destroy old
-    end;
-    acc := joined;
-    acc_owned := true;
-    offsets.(b) <- !acc_arity;
-    acc_arity := !acc_arity + arity b;
-    if b < !lo then lo := b;
-    if b > !hi then hi := b
+    (* [carried] lists the accumulated side's attributes first, then
+       block [b]'s. *)
+    let from_r, from_s = List.partition (fun (blk, _) -> blk <> b) carried in
+    let r_pos = Array.of_list (List.map pos_r from_r) in
+    let s_attrs = Array.of_list (List.map snd from_s) in
+    let step = if semi_join then "semi-join" else "join" in
+    Trace.with_span trace ~stats (step ^ " " ^ Schema.name (schema_of b)) (fun () ->
+        let out =
+          Relation.create env (Schema.make ~name:"join" (List.map attr_of carried))
+        in
+        temps := out :: !temps;
+        let sorted_r =
+          Join_merge.sort_by ?pool ?trace ?cancel ~batch !acc ~attr:outer_attr
+            ~mem_pages
+        in
+        temps := sorted_r :: !temps;
+        let sorted_s =
+          Join_merge.sort_by ?pool ?trace ?cancel ~batch reduced.(b)
+            ~attr:inner_attr ~mem_pages
+        in
+        temps := sorted_s :: !temps;
+        (* Per outer tuple, one max per distinct projection of the window
+           onto block [b]'s carried attributes; a semi-join step has the
+           empty projection, so it emits at most one tuple per [r]. *)
+        let window = ref Vals_map.empty in
+        let pair r s d_eq =
+          if Degree.positive d_eq then begin
+            let d =
+              Degree.conj_list
+                [ Ftuple.degree r; Ftuple.degree s; d_eq; residual r s ]
+            in
+            if Degree.positive d then
+              window :=
+                Vals_map.update
+                  (Array.map (Ftuple.value s) s_attrs)
+                  (function None -> Some d | Some d' -> Some (Degree.disj d d'))
+                  !window
+          end
+        in
+        let emit r =
+          if not (Vals_map.is_empty !window) then begin
+            let r_vals = Array.map (Ftuple.value r) r_pos in
+            Vals_map.iter
+              (fun s_vals d ->
+                Relation.insert out (Ftuple.make (Array.append r_vals s_vals) d))
+              !window;
+            window := Vals_map.empty
+          end
+        in
+        Join_merge.sweep_sorted ?pool ?trace ?cancel ~batch ~outer:sorted_r
+          ~inner:sorted_s ~outer_attr ~inner_attr ~mem_pages
+          ~f_batch:(fun ob i ~inner:ib ~idx ~n ~d_eq ->
+            let r = Batch.row ob i in
+            for j = 0 to n - 1 do
+              pair r (Batch.row ib idx.(j)) d_eq.(j)
+            done;
+            emit r)
+          ~f:(fun r rng ->
+            List.iter (fun (s, d_eq) -> pair r s d_eq) rng;
+            emit r)
+          ();
+        let folded = Algebra.dedup_max out in
+        temps := folded :: !temps;
+        Trace.set_rows trace (Relation.cardinality folded);
+        let dead =
+          [ out; sorted_r; sorted_s ] @ if !acc_owned then [ !acc ] else []
+        in
+        List.iter Relation.destroy dead;
+        temps := List.filter (fun t -> not (List.memq t dead)) !temps;
+        acc := folded;
+        acc_owned := true);
+    pos := layout_pos carried;
+    lo := Int.min !lo b;
+    hi := Int.max !hi b
   in
-  List.iter add_block steps;
+  List.iter add_block cascade;
   let out =
     Trace.with_span trace ~stats "project" (fun () ->
         let out =
           Algebra.project_positions ~name !acc
-            (List.map (fun p -> offsets.(0) + p) top_select)
+            (List.map (fun p -> !pos (0, p)) top_select)
         in
         Trace.set_rows trace (Relation.cardinality out);
         out)

@@ -15,7 +15,8 @@
     - EXISTS / NOT EXISTS: fuzzy semi- / anti-joins;
     - chain queries (Theorem 8.1): a cascade of merge-joins growing a
       contiguous block interval in a configurable order, correlation
-      predicates applied as soon as both endpoints are available. *)
+      predicates applied as soon as both endpoints are available, each
+      step carrying only the attributes later steps still read. *)
 
 exception Not_unnestable of string
 (** Raised when no equality predicate links outer and inner (quantified,
@@ -49,7 +50,19 @@ val run_chain :
   Relational.Relation.t
 (** Default order: left-to-right (outermost block first). The order's steps
     must each be adjacent to the already-joined interval
-    ([Invalid_argument] otherwise). [?pool], [?trace] and [?cancel] as for
-    {!run} (spans: reduce block-i, one join subtree per step, project; the
-    cancel token is additionally polled before each cascade step, and the
-    cascade's intermediates are freed on cancellation). *)
+    ([Invalid_argument] otherwise). Each step sorts the accumulated relation
+    and the new block on their link attributes, sweeps them once, and keeps
+    only the live attributes ({!Chain_order.cascade}): the answer columns,
+    the link attribute towards each block not joined yet, and the joined
+    endpoint of each correlation predicate still missing a block. Tuples
+    that agree on those are max-folded per outer tuple and then across the
+    step ({!Relational.Algebra.dedup_max}); a step whose new block adds no
+    live attribute is a fuzzy semi-join, at most one tuple per accumulated
+    tuple. Later degrees read only live attributes and
+    [max_i min(d_i, f(x)) = min(max_i d_i, f(x))] holds exactly in floating
+    point, so answers and degree bits equal the unprojected cascade's.
+    [?pool], [?batch], [?trace] and [?cancel] as for {!run}. Spans:
+    [reduce block-i], then per step a [join B] or [semi-join B] span (rows =
+    the folded intermediate) wrapping its two sorts and its sweep, then
+    [project]. The cancel token is additionally polled before each cascade
+    step, and the cascade's intermediates are freed on cancellation. *)

@@ -70,6 +70,7 @@ let make_db spec =
   ignore (rel "R" spec.n_r [ "Y"; "U" ]);
   ignore (rel "S" spec.n_s [ "Z"; "V" ]);
   ignore (rel "T" spec.n_t [ "W"; "P" ]);
+  ignore (rel "Q" spec.n_t [ "X"; "B" ]);
   catalog
 
 (* ---------- query templates ---------- *)
@@ -174,6 +175,77 @@ let make_prop name kind ?discrete_ok () =
   QCheck.Test.make ~count:60 ~name (arb_spec ?discrete_ok ())
     (check_three_ways kind)
 
+(* ---------- the projected chain cascade, every join order ---------- *)
+
+(* A 4-block chain with a two-attribute answer and a correlation predicate
+   that skips a level (block 3 -> block 1), so every step of every order
+   carries a different set of live attributes. *)
+let chain4_sql rng =
+  Printf.sprintf
+    "SELECT R.ID, R.U FROM R WHERE R.Y IN (SELECT S.Z FROM S WHERE S.V %s R.U \
+     AND S.Z IN (SELECT T.W FROM T WHERE T.P %s S.V AND T.W IN (SELECT Q.X \
+     FROM Q WHERE Q.B %s S.V)))%s"
+    (pick rng [| "="; "<="; ">=" |])
+    (pick rng [| "="; "<="; ">=" |])
+    (pick rng [| "<="; ">=" |])
+    (maybe rng (Printf.sprintf " WITH D >= 0.%d" (1 + Random.State.int rng 8)))
+
+(* Every connected left-deep order of a K-block chain: a start block, then
+   any interleaving of the left and right extensions (2^(K-1) orders). *)
+let growth_orders k =
+  let rec grow lo hi =
+    let left = if lo > 0 then List.map (List.cons (lo - 1)) (grow (lo - 1) hi) else [] in
+    let right =
+      if hi < k - 1 then List.map (List.cons (hi + 1)) (grow lo (hi + 1)) else []
+    in
+    if lo = 0 && hi = k - 1 then [ [] ] else left @ right
+  in
+  List.concat_map
+    (fun start ->
+      List.map
+        (fun steps -> { Unnest.Chain_order.start; steps; estimated_cost = nan })
+        (grow start start))
+    (List.init k Fun.id)
+
+(* Degrees as IEEE-754 bits: max and min never round, so the projected
+   cascade must reproduce the interpreter's degrees exactly, not within
+   [Degree.equal]'s tolerance. *)
+let answer_bits rel =
+  List.map
+    (fun (vs, d) -> (vs, Int64.bits_of_float d))
+    (Test_util.answer_of_relation rel)
+
+let check_chain_orders spec =
+  let catalog = make_db spec in
+  let sql = chain4_sql (Random.State.make [| spec.seed + 23 |]) in
+  let q = Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper sql in
+  let chain =
+    match Unnest.Classify.classify q with
+    | Unnest.Classify.Chain_query c -> c
+    | other ->
+        QCheck.Test.fail_reportf "%s classified as %s" sql
+          (Unnest.Classify.to_string other)
+  in
+  let naive = answer_bits (Unnest.Naive_eval.query q) in
+  let orders = growth_orders 4 in
+  if List.length orders <> 8 then
+    QCheck.Test.fail_reportf "expected 8 growth orders, got %d" (List.length orders);
+  List.iter
+    (fun (order : Unnest.Chain_order.order) ->
+      let got =
+        answer_bits (Unnest.Merge_exec.run_chain ~order chain ~mem_pages:8)
+      in
+      let same (v1, d1) (v2, d2) =
+        Array.length v1 = Array.length v2 && Array.for_all2 Value.equal v1 v2 && d1 = d2
+      in
+      if not (List.length got = List.length naive && List.for_all2 same got naive) then
+        QCheck.Test.fail_reportf "order start %d, steps [%s] differs from naive for %s"
+          order.start
+          (String.concat "; " (List.map string_of_int order.steps))
+          sql)
+    orders;
+  true
+
 let props =
   [
     make_prop "Theorem 4.1: type N unnesting" `N ();
@@ -184,6 +256,9 @@ let props =
     (* SUM/AVG cannot mix discrete and continuous operands. *)
     make_prop "Theorem 6.1: type JA unnesting" `JA ~discrete_ok:false ();
     make_prop "Theorem 8.1: chain unnesting" `Chain ();
+    QCheck.Test.make ~count:60
+      ~name:"Theorem 8.1: 4-block chain, every growth order, degree bits"
+      (arb_spec ()) check_chain_orders;
     make_prop "EXISTS / NOT EXISTS semi- and anti-join unnesting" `Exists ();
     (* uncorrelated aggregates use SUM/AVG, which cannot mix discrete and
        continuous operands *)

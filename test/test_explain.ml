@@ -118,8 +118,11 @@ let golden_tests =
            only\n\
           \  blocks: F -> M -> G\n\
           \  join order (interval DP over estimated intermediate sizes):\n\
-          \    start with M, then join G, then join F\n\
+          \    start with M\n\
+          \    join G, carry M.AGE, M.INCOME, G.INCOME\n\
+          \    join F, carry F.ID\n\
           \    estimated total intermediate tuples: 0\n\
+          \  each step keeps only the carried attributes, max-deduplicated\n\
           \  rewritten flat query (Theorem 8.1):\n\
           \    SELECT F.ID FROM F, M, G WHERE p1 AND F.INCOME = M.INCOME AND \
            M.ID = G.ID AND M.AGE = F.AGE AND G.AGE = M.AGE AND G.INCOME = \

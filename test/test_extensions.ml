@@ -302,6 +302,58 @@ let chain_tests =
                  false
                with Invalid_argument _ -> true)
         | _ -> Alcotest.fail "expected a chain");
+    tc "a semi-join step emits no more tuples than it consumes" `Quick (fun () ->
+        let env = Test_util.fresh_env () in
+        let catalog = Catalog.create env in
+        Server.Demo.load_nested ~seed:11 env catalog;
+        let q =
+          Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper
+            "SELECT R.ID FROM R WHERE R.Y IN (SELECT S.Z FROM S WHERE S.Z IN \
+             (SELECT T.W FROM T))"
+        in
+        match Unnest.Classify.classify q with
+        | Unnest.Classify.Chain_query chain ->
+            let card b =
+              Relation.cardinality
+                (List.nth chain.Unnest.Classify.blocks b).Unnest.Classify.rel
+            in
+            (* Left to right, T adds no live attribute: R.ID is the answer
+               and nothing reads T's columns. *)
+            Alcotest.(check (list bool))
+              "left-to-right step kinds" [ false; true ]
+              (List.map
+                 (fun (st : Unnest.Chain_order.step) -> st.Unnest.Chain_order.semi_join)
+                 (Unnest.Chain_order.cascade chain
+                    (Unnest.Chain_order.left_to_right 3)));
+            let semi_joins = ref 0 in
+            List.iter
+              (fun (start, steps) ->
+                let order =
+                  { Unnest.Chain_order.start; steps; estimated_cost = nan }
+                in
+                let trace = Storage.Trace.create () in
+                ignore
+                  (Unnest.Merge_exec.run_chain ~trace ~order chain ~mem_pages:16);
+                (* The cascade's step spans in execution order, each with
+                   the row count of the relation it produced. *)
+                let rows = ref (card start) in
+                Storage.Trace.iter_spans trace (fun sp ->
+                    let name = Storage.Trace.span_name sp in
+                    let semi = String.starts_with ~prefix:"semi-join " name in
+                    if semi || String.starts_with ~prefix:"join " name then begin
+                      let out = Option.get (Storage.Trace.span_rows sp) in
+                      if semi then begin
+                        incr semi_joins;
+                        if out > !rows then
+                          Alcotest.failf "order from %d: %s emitted %d rows from %d"
+                            start name out !rows
+                      end;
+                      rows := out
+                    end))
+              [ (0, [ 1; 2 ]); (1, [ 0; 2 ]); (1, [ 2; 0 ]); (2, [ 1; 0 ]) ];
+            Alcotest.(check bool)
+              "some order has a semi-join step" true (!semi_joins > 0)
+        | _ -> Alcotest.fail "expected a chain");
     tc "DP prefers starting from the small end" `Quick (fun () ->
         let env = Test_util.fresh_env () in
         (* Block sizes 200 - 200 - 5: joining T (tiny) early shrinks every

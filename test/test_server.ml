@@ -315,6 +315,30 @@ let expected_answers () =
 let slow_sql = "SELECT R.ID FROM R WHERE R.Y > SOME (SELECT S.Z FROM S WHERE S.V <= R.U)"
 let slow_setup = Server.Demo.server_setup ~seed:3 ~n_r:2000 ~n_s:2000 ()
 
+(* Every simulated disk operation of a worker sleeps 50 ms. The slow query
+   performs a few dozen of them, so it runs for seconds instead of ~0.3 s
+   and is provably still executing when a cancel sent a few client round
+   trips after its admission arrives. *)
+let stalled_disk =
+  [
+    {
+      Storage.Fault.kind = Storage.Fault.Latency;
+      trigger = Storage.Fault.Every 1;
+      severity = Storage.Fault.Transient;
+      delay_s = 0.05;
+    };
+  ]
+
+let show_reply = function
+  | None -> "no reply"
+  | Some (Server.Client.Answer { rows; _ }) ->
+      Printf.sprintf "Answer (%d rows)" (List.length rows)
+  | Some (Server.Client.Failed m) -> "Failed: " ^ m
+  | Some (Server.Client.Retryable m) -> "Retryable: " ^ m
+  | Some Server.Client.Overloaded -> "Overloaded"
+  | Some (Server.Client.Rejected { code; _ }) -> "Rejected " ^ code
+  | Some (Server.Client.Cancelled m) -> "Cancelled: " ^ m
+
 let daemon_tests =
   [
     tc "concurrent clients match the sequential engine bit-for-bit" `Slow
@@ -387,7 +411,8 @@ let daemon_tests =
     tc "queue overflow returns Overloaded; explicit cancel unwinds" `Slow
       (fun () ->
         let daemon =
-          Server.Daemon.start ~workers:1 ~queue_capacity:1 ~setup:slow_setup ()
+          Server.Daemon.start ~workers:1 ~queue_capacity:1
+            ~fault_spec:stalled_disk ~setup:slow_setup ()
         in
         let port = Server.Daemon.port daemon in
         let a = Server.Client.connect ~port () in
@@ -422,7 +447,9 @@ let daemon_tests =
             Alcotest.(check bool)
               "reasons mention the client" true
               (contains ra "client" && contains rb "client")
-        | _ -> Alcotest.fail "expected both slow queries cancelled");
+        | ra, rb ->
+            Alcotest.failf "expected both slow queries cancelled; A: %s, B: %s"
+              (show_reply ra) (show_reply rb));
         List.iter Server.Client.close [ a; b; c ];
         Server.Daemon.stop daemon);
     tc "every request produces a trace with queue-wait/plan/exec" `Quick
