@@ -7,10 +7,16 @@ let select ?name r ~pred =
     | None -> Relation.schema r
   in
   let out = Relation.create (Relation.env r) schema in
-  Relation.iter r (fun tup ->
-      let d = Degree.conj (Ftuple.degree tup) (pred tup) in
-      if Degree.positive d then Relation.insert out (Ftuple.with_degree tup d));
-  out
+  (* [pred] may raise (a cancellation poll): free the partial copy. *)
+  match
+    Relation.iter r (fun tup ->
+        let d = Degree.conj (Ftuple.degree tup) (pred tup) in
+        if Degree.positive d then Relation.insert out (Ftuple.with_degree tup d))
+  with
+  | () -> out
+  | exception e ->
+      Relation.destroy out;
+      raise e
 
 module Tuple_map = Map.Make (struct
   type t = Ftuple.t

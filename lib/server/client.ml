@@ -71,6 +71,7 @@ let connect ?(host = "127.0.0.1") ?timeout_ms ~port () =
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
+  Wire.set_nodelay fd;
   {
     fd;
     wlock = Mutex.create ();

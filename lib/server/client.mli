@@ -37,7 +37,7 @@ val connect : ?host:string -> ?timeout_ms:int -> port:int -> unit -> t
     the deadline instead of hanging for the kernel's SYN-retry budget
     (minutes). Ignores SIGPIPE process-wide so a vanished server
     surfaces as {!Wire.Connection_closed} instead of killing the
-    process. *)
+    process. The socket has [TCP_NODELAY] set ({!Wire.set_nodelay}). *)
 
 val of_addr : ?timeout_ms:int -> string -> t
 (** ["HOST:PORT"]. [Invalid_argument] on a malformed address. *)

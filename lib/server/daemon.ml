@@ -753,6 +753,7 @@ let accept_loop t =
     | fd, _addr ->
         if t.draining then Unix.close fd (* the stop wake-up; exit *)
         else begin
+          Wire.set_nodelay fd;
           let conn =
             { fd; lock = Mutex.create (); busy = false; current = None;
               alive = true }

@@ -39,6 +39,7 @@
 
 module Wal = Storage.Wal
 module Wal_stream = Storage.Wal_stream
+module Eventcount = Storage.Eventcount
 module Recovery = Storage.Recovery
 module Real_disk = Storage.Real_disk
 
@@ -116,6 +117,52 @@ let chunk_bytes = 1 lsl 20
 let batch_bytes = 256 * 1024
 let heartbeat_s = 0.2
 
+(* Every wait in this module blocks on an {!Eventcount} that the awaited
+   event notifies: a commit, an ack, an applied batch, a stop. OCaml's
+   [Condition] has no timed wait, so heartbeats and waiter deadlines come
+   from a ticker instead: one thread per Sender / Replica that notifies
+   its eventcounts every [heartbeat_s], started on first use and joined
+   by its owner's [stop]. A waiter re-checks its deadline on each tick,
+   so it overshoots by at most [heartbeat_s], and gives up once the
+   ticker has stopped. *)
+module Ticker = struct
+  type t = {
+    lock : Mutex.t;
+    targets : Eventcount.t list;
+    mutable thread : Thread.t option;
+    mutable stopped : bool;
+  }
+
+  let create targets =
+    { lock = Mutex.create (); targets; thread = None; stopped = false }
+
+  let stopped t = with_lock t.lock (fun () -> t.stopped)
+
+  let rec run t =
+    Thread.delay heartbeat_s;
+    if not (stopped t) then begin
+      List.iter Eventcount.notify t.targets;
+      run t
+    end
+
+  let ensure t =
+    with_lock t.lock (fun () ->
+        if t.thread = None && not t.stopped then
+          t.thread <- Some (Thread.create run t))
+
+  (* The last notify lets every waiter see [stopped]. *)
+  let stop t =
+    let thread =
+      with_lock t.lock (fun () ->
+          t.stopped <- true;
+          let th = t.thread in
+          t.thread <- None;
+          th)
+    in
+    List.iter Eventcount.notify t.targets;
+    Option.iter Thread.join thread
+end
+
 (* The stream id names the log {e file generation}: a checkpoint
    rewrites the log via tmp+rename, resetting every LSN, so a subscriber
    must never splice offsets across generations. Deriving the id from
@@ -161,6 +208,8 @@ module Sender = struct
             is proof this sender is a zombie *)
     mutable snapshots_sent : int;
     mutable stopped : bool;
+    events : Eventcount.t;  (** notified by acks, ticks and {!stop} *)
+    ticker : Ticker.t;
     mutable listen_fd : Unix.file_descr option;
     mutable conns : Unix.file_descr list;
         (** accepted replication connections — shut down on {!stop} so
@@ -174,24 +223,22 @@ module Sender = struct
     | Static { static_epoch; _ } -> static_epoch
 
   (* The shippable end: a commit boundary whose bytes are visible in the
-     file. [committed_end] can briefly exceed [written_lsn] mid-commit
-     (records buffered, fsync pending); wait the gap out rather than
-     shipping a non-boundary prefix. *)
+     file ({!Wal.shippable_end}). *)
   let shippable_end t =
     match t.source with
     | Static { static_end; _ } -> static_end
-    | Live wal ->
-        let rec settle tries =
-          let c = Wal.committed_end wal in
-          if Wal.written_lsn wal >= c || tries > 500 then c
-          else begin
-            Unix.sleepf 0.002;
-            settle (tries + 1)
-          end
-        in
-        settle 0
+    | Live wal -> Wal.shippable_end wal
+
+  (* What an idle tail waits on: the log's commit signal for a live
+     primary; a static log never grows, so only ticks and stops. *)
+  let tail_events t =
+    match t.source with Live wal -> Wal.shipped wal | Static _ -> t.events
 
   let make ~wal_path ~data_path ~page_size ~source =
+    let events = Eventcount.create () in
+    let ticks =
+      match source with Live wal -> [ events; Wal.shipped wal ] | Static _ -> [ events ]
+    in
     {
       wal_path;
       data_path;
@@ -203,6 +250,8 @@ module Sender = struct
       fenced = 0;
       snapshots_sent = 0;
       stopped = false;
+      events;
+      ticker = Ticker.create ticks;
       listen_fd = None;
       conns = [];
       threads = [];
@@ -337,47 +386,45 @@ module Sender = struct
 
   and tail t sub ~pos =
     let cur = Wal_stream.Cursor.open_at ~path:t.wal_path ~pos in
+    let events = tail_events t in
     let restart =
       Fun.protect
         ~finally:(fun () -> Wal_stream.Cursor.close cur)
         (fun () ->
           let last_sent = ref (Unix.gettimeofday ()) in
+          let send_wal ~pos ~e data =
+            sub.sub_send
+              (Wire.Rep_wal
+                 { epoch = epoch t; start_lsn = pos; primary_end = e; data });
+            last_sent := Unix.gettimeofday ()
+          in
           let rec loop pos =
+            (* Read the count before looking, so an event that lands
+               after the checks still ends the wait below. *)
+            let seen = Eventcount.current events in
             if t.stopped || not sub.sub_alive then false
             else if Wal_stream.Cursor.rotated cur then true
             else begin
               let e = shippable_end t in
-              if pos < e then begin
-                let data = Wal_stream.Cursor.read cur ~upto:e ~max:batch_bytes in
-                let n = Bytes.length data in
-                if n = 0 then begin
-                  (* written_lsn advanced but the kernel shows less than
-                     we expected — only possible across a rotation *)
-                  Unix.sleepf 0.005;
-                  Wal_stream.Cursor.rotated cur
-                end
-                else begin
-                  sub.sub_send
-                    (Wire.Rep_wal
-                       {
-                         epoch = epoch t;
-                         start_lsn = pos;
-                         primary_end = e;
-                         data = Bytes.unsafe_to_string data;
-                       });
-                  last_sent := Unix.gettimeofday ();
-                  loop (pos + n)
-                end
+              let data =
+                if pos < e then Wal_stream.Cursor.read cur ~upto:e ~max:batch_bytes
+                else Bytes.empty
+              in
+              let n = Bytes.length data in
+              if n > 0 then begin
+                send_wal ~pos ~e (Bytes.unsafe_to_string data);
+                loop (pos + n)
               end
               else begin
-                let now = Unix.gettimeofday () in
-                if now -. !last_sent >= heartbeat_s then begin
-                  sub.sub_send
-                    (Wire.Rep_wal
-                       { epoch = epoch t; start_lsn = pos; primary_end = e; data = "" });
-                  last_sent := now
-                end;
-                Unix.sleepf 0.01;
+                (* Idle — or the file shows less than the boundary, which
+                   only happens across a rotation. Either way the next
+                   commit, rotation or tick wakes us. A tick finding the
+                   stream quiet for half a period sends a heartbeat, so an
+                   idle replica hears from us every [heartbeat_s]. *)
+                if pos >= e && Unix.gettimeofday () -. !last_sent >= heartbeat_s /. 2.
+                then
+                  send_wal ~pos ~e "";
+                Eventcount.await events ~seen;
                 loop pos
               end
             end
@@ -427,6 +474,7 @@ module Sender = struct
           ()
       in
       with_lock t.lock (fun () -> t.threads <- th :: t.threads);
+      Ticker.ensure t.ticker;
       Some sub.sub_id
     end
 
@@ -434,7 +482,8 @@ module Sender = struct
     with_lock t.lock (fun () ->
         match Hashtbl.find_opt t.subs id with
         | Some sub -> if applied_lsn > sub.sub_acked then sub.sub_acked <- applied_lsn
-        | None -> ())
+        | None -> ());
+    Eventcount.notify t.events
 
   let drop t ~id =
     with_lock t.lock (fun () ->
@@ -442,7 +491,9 @@ module Sender = struct
         | Some sub ->
             sub.sub_alive <- false;
             Hashtbl.remove t.subs id
-        | None -> ())
+        | None -> ());
+    (* the dropped subscriber's tail may be parked idle *)
+    Eventcount.notify (tail_events t)
 
   let connected t =
     with_lock t.lock (fun () ->
@@ -482,12 +533,14 @@ module Sender = struct
      progress only after this returns, which is what makes
      "zero acknowledged-commit loss" a theorem rather than a race. *)
   let wait_applied t ~lsn ~timeout_s =
+    Ticker.ensure t.ticker;
     let deadline = Unix.gettimeofday () +. timeout_s in
     let rec go () =
+      let seen = Eventcount.current t.events in
       if max_acked t >= lsn then true
       else if Unix.gettimeofday () >= deadline || t.stopped then false
       else begin
-        Unix.sleepf 0.002;
+        Eventcount.await t.events ~seen;
         go ()
       end
     in
@@ -535,6 +588,7 @@ module Sender = struct
         if not t.stopped then
           match Unix.accept fd with
           | cfd, _ ->
+              Wire.set_nodelay cfd;
               with_lock t.lock (fun () -> t.conns <- cfd :: t.conns);
               let th = Thread.create conn_loop cfd in
               with_lock t.lock (fun () -> t.threads <- th :: t.threads);
@@ -561,6 +615,8 @@ module Sender = struct
     | None -> ());
     let subs = with_lock t.lock (fun () -> Hashtbl.fold (fun _ s acc -> s :: acc) t.subs []) in
     List.iter (fun s -> s.sub_alive <- false) subs;
+    (* Its last notify wakes idle tails and [wait_applied] callers. *)
+    Ticker.stop t.ticker;
     (* Unblock reader threads parked on idle replicas: without this a
        stop racing a quiet subscriber would deadlock the join below. *)
     let conns = with_lock t.lock (fun () -> t.conns) in
@@ -604,6 +660,8 @@ module Replica = struct
     mutable stream : int64;  (** last stream generation tailed *)
     mutable stopping : bool;
     mutable promoted : bool;
+    events : Eventcount.t;  (** notified per applied batch, promotion, stop *)
+    ticker : Ticker.t;
     mutable client : Client.t option;
     mutable thread : Thread.t option;
     mutable disk : Real_disk.t option;  (** writable apply handle *)
@@ -628,6 +686,7 @@ module Replica = struct
               invalid_arg
                 ("Replication.Replica.create: bad port in " ^ primary))
     in
+    let events = Eventcount.create () in
     {
       dir;
       host;
@@ -647,6 +706,8 @@ module Replica = struct
       stream = 0L;
       stopping = false;
       promoted = false;
+      events;
+      ticker = Ticker.create [ events ];
       client = None;
       thread = None;
       disk = None;
@@ -737,7 +798,8 @@ module Replica = struct
     with_lock t.lock (fun () ->
         t.applied <- d.Wal_stream.Tail.new_end;
         t.generation <- t.generation + 1;
-        t.synced <- true)
+        t.synced <- true);
+    Eventcount.notify t.events
 
   (* Snapshot reception state: the two .sync files being filled. *)
   type snap = {
@@ -785,7 +847,8 @@ module Replica = struct
     with_lock t.lock (fun () ->
         t.generation <- t.generation + 1;
         t.synced <- true;
-        t.snapshots <- t.snapshots + 1)
+        t.snapshots <- t.snapshots + 1);
+    Eventcount.notify t.events
 
   let send_ack t fd =
     let epoch, applied = with_lock t.lock (fun () -> (t.epoch, t.applied)) in
@@ -955,12 +1018,15 @@ module Replica = struct
     | None -> t.thread <- Some (Thread.create applier t)
 
   let wait_synced ?(timeout_s = 30.0) t =
+    Ticker.ensure t.ticker;
     let deadline = Unix.gettimeofday () +. timeout_s in
     let rec go () =
+      let seen = Eventcount.current t.events in
       if with_lock t.lock (fun () -> t.synced) then true
-      else if Unix.gettimeofday () >= deadline then false
+      else if Unix.gettimeofday () >= deadline || Ticker.stopped t.ticker then
+        false
       else begin
-        Unix.sleepf 0.01;
+        Eventcount.await t.events ~seen;
         go ()
       end
     in
@@ -1029,6 +1095,7 @@ module Replica = struct
           t.promoted <- true;
           t.synced <- true;
           t.generation <- t.generation + 1);
+      Eventcount.notify t.events;
       new_epoch
     end
 
@@ -1036,5 +1103,6 @@ module Replica = struct
 
   let stop t =
     stop_applier t;
+    Ticker.stop t.ticker;
     Rw.with_write t.rw (fun () -> close_handles t)
 end

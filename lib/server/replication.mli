@@ -15,7 +15,15 @@
     ([Rep_fence] — the sender is the zombie); an applier rejects any
     hello or log batch carrying an {e older} one. A deposed primary can
     therefore never feed bytes past a promotion, even where its log
-    bytes would parse at identical offsets. *)
+    bytes would parse at identical offsets.
+
+    Waiting: nothing here polls with sleeps. An idle tail blocks until
+    the primary's log signals a commit or rotation
+    ({!Storage.Wal.shipped}); {!Sender.wait_applied} until an ack
+    arrives; {!Replica.wait_synced} until a batch is applied. Heartbeats
+    and deadlines come from one ticker thread per {!Sender} and
+    {!Replica} that wakes its waiters every [heartbeat_s] (0.2 s), so a
+    deadline is honoured to within one tick. *)
 
 (** A writer-preference readers/writer lock. Replica query workers hold
     the read side while the applier (and promotion) takes the write
@@ -76,7 +84,7 @@ module Sender : sig
 
   val shippable_end : t -> int
   (** The latest commit boundary whose bytes are visible in the log
-      file — what tails stream up to. *)
+      file ({!Storage.Wal.shippable_end}) — what tails stream up to. *)
 
   val connected : t -> int
   (** Live subscriber count. *)
@@ -93,7 +101,9 @@ module Sender : sig
 
   val wait_applied : t -> lsn:int -> timeout_s:float -> bool
   (** Semi-synchronous commit: block until some subscriber has acked
-      (applied + fsynced) through [lsn], or the timeout passes. *)
+      (applied + fsynced) through [lsn] — woken by the ack itself — or
+      the timeout passes, or the sender stops. [false] on timeout,
+      returned at most one ticker period (0.2 s) after [timeout_s]. *)
 
   val listen : ?host:string -> port:int -> t -> int
   (** Start a minimal replication-only accept loop (subscribe/ack
@@ -102,7 +112,8 @@ module Sender : sig
       bound port is returned. *)
 
   val stop : t -> unit
-  (** Stop the listener and all streaming threads; joins them. *)
+  (** Stop the listener, the ticker and all streaming threads; joins
+      them. Releases every blocked {!wait_applied}. *)
 end
 
 (** Replica side: catch up (snapshot or local recovery), tail the log,
@@ -123,7 +134,9 @@ module Replica : sig
 
   val wait_synced : ?timeout_s:float -> t -> bool
   (** Block until the first catch-up completes (local state reflects
-      some committed prefix of the primary). *)
+      some committed prefix of the primary): woken by the applied batch
+      or snapshot. [false] once [timeout_s] (default 30) has passed —
+      noticed within one ticker period — or after {!stop}. *)
 
   val with_read : t -> (unit -> 'a) -> 'a
   (** Run [f] under the read side of the replica's lock: the applier
@@ -145,7 +158,8 @@ module Replica : sig
 
   val stale_ms : t -> float
   (** Milliseconds since the replica last observed itself caught up
-      (heartbeats refresh this every ~200 ms while connected and idle);
+      (heartbeats refresh this every ~200 ms while connected and idle:
+      one per ticker period);
       [infinity] before the first catch-up, [0.0] after promotion. The
       daemon's max-staleness admission check compares against this. *)
 
@@ -165,5 +179,6 @@ module Replica : sig
       to serve as primary. *)
 
   val stop : t -> unit
-  (** Stop the applier thread and close local handles. *)
+  (** Stop the applier and ticker threads and close local handles;
+      releases a blocked {!wait_synced}. *)
 end

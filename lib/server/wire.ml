@@ -126,6 +126,13 @@ let read_exact fd buf off len =
   in
   go off len
 
+(* Each message is one write, so Nagle's algorithm has nothing to
+   coalesce: it only holds a small reply frame back until the peer's
+   delayed ACK (~40 ms). Best effort — a socket that is already dead
+   fails on its first read or write instead. *)
+let set_nodelay fd =
+  try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
+
 let write_frame fd payload =
   let n = String.length payload in
   (* One buffer, one write-loop: header and payload never interleave with

@@ -146,6 +146,15 @@ type reply =
           — whoever received this is fenced *)
   | Promoted of { epoch : int }  (** answer to [Promote] *)
 
+val set_nodelay : Unix.file_descr -> unit
+(** Disable Nagle's algorithm ([TCP_NODELAY]) on a connected TCP socket.
+    Every data socket gets it — the daemon's accepted connections,
+    {!Client.connect} (which also carries a replica's link to its
+    primary) and the replication sender's accepted connections. Frames
+    are written whole, so without it a small reply waits for the peer's
+    delayed ACK. The bytes on the wire are unchanged. Errors are
+    ignored. *)
+
 val max_frame : int
 (** Frames above this size (64 MB) raise {!Protocol_error} on read. *)
 

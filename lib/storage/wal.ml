@@ -71,6 +71,10 @@ type t = {
   mutable written_lsn : int;  (** bytes handed to the kernel *)
   mutable durable_lsn : int;  (** bytes known fsynced *)
   mutable committed_end : int;  (** LSN of the last commit/checkpoint *)
+  mutable shippable : int;
+      (** the last commit boundary handed to the kernel: readable through
+          an independent fd *)
+  shipped : Eventcount.t;  (** notified when [shippable] moves *)
   mutable syncing : bool;  (** a group-commit leader is in fsync *)
   (* counters for the wal bench and tests *)
   mutable commits : int;
@@ -405,7 +409,15 @@ let rec write_all fd buf pos len =
     write_all fd buf (pos + n) (len - n)
   end
 
-(* Hand the buffered tail to the kernel (no fsync). Caller holds the lock. *)
+let set_shippable_locked t lsn =
+  if t.shippable <> lsn then begin
+    t.shippable <- lsn;
+    Eventcount.notify t.shipped
+  end
+
+(* Hand the buffered tail to the kernel (no fsync). Caller holds the lock.
+   Afterwards everything appended is written, so the last commit boundary
+   is shippable. *)
 let write_out_locked t =
   if Buffer.length t.buf > 0 then begin
     if t.readonly then raise (Read_only "write");
@@ -413,7 +425,8 @@ let write_out_locked t =
     write_all (fd_exn t "write") data 0 (Bytes.length data);
     Buffer.clear t.buf;
     t.written_lsn <- t.next_lsn
-  end
+  end;
+  set_shippable_locked t t.committed_end
 
 let fsync_fd t =
   Unix.fsync (fd_exn t "fsync");
@@ -603,7 +616,8 @@ let checkpoint t =
       t.next_lsn <- Bytes.length data;
       t.written_lsn <- t.next_lsn;
       t.durable_lsn <- t.next_lsn;
-      t.committed_end <- t.next_lsn)
+      t.committed_end <- t.next_lsn;
+      set_shippable_locked t t.next_lsn)
 
 (* ------------------------------------------------------------------ *)
 (* Opening *)
@@ -628,6 +642,8 @@ let make ~path ~mode ~readonly ~fd =
     written_lsn = header_size;
     durable_lsn = header_size;
     committed_end = header_size;
+    shippable = header_size;
+    shipped = Eventcount.create ();
     syncing = false;
     commits = 0;
     fsyncs = 0;
@@ -668,6 +684,7 @@ let open_existing ~path ~mode ~readonly =
   t.written_lsn <- s.scan_valid_end;
   t.durable_lsn <- s.scan_valid_end;
   t.committed_end <- s.scan_valid_end;
+  t.shippable <- s.scan_valid_end;
   t
 
 let close t =
@@ -711,11 +728,13 @@ let epoch t =
   Mutex.unlock t.lock;
   e
 
-let written_lsn t =
+let shippable_end t =
   Mutex.lock t.lock;
-  let l = t.written_lsn in
+  let l = t.shippable in
   Mutex.unlock t.lock;
   l
+
+let shipped t = t.shipped
 
 (* Record an epoch bump (promotion). The caller follows with {!commit} so
    the log stays clean-ended; the new epoch is also carried by every

@@ -195,11 +195,16 @@ val epoch : t -> int
 (** Replication epoch in force — the maximum over every [Epoch] and
     [Checkpoint] record seen (0 when the log predates replication). *)
 
-val written_lsn : t -> int
-(** Bytes handed to the kernel — the prefix of the file that is safe to
-    read through an independent fd (buffered records are not yet
-    visible there). The WAL sender ships
-    [min (committed_end t) (written_lsn t)]. *)
+val shippable_end : t -> int
+(** The last commit boundary whose bytes have been handed to the kernel,
+    so an independent fd reads them. {!committed_end} runs ahead of it
+    while a group-commit follower's records wait in the buffer for the
+    next leader's write-out. The WAL sender ships up to here. *)
+
+val shipped : t -> Eventcount.t
+(** Notified whenever {!shippable_end} moves: a commit's write-out, or
+    the log rotation of a {!checkpoint}. The WAL sender's idle tail waits
+    on it instead of polling. *)
 
 val log_epoch : t -> int -> unit
 (** Append an [Epoch] record (promotion). The caller should {!commit}

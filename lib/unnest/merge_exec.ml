@@ -159,7 +159,6 @@ let run ?(name = "answer") ?pool ?trace ?cancel ?(batch = false)
     Schema.make ~name
       (List.map (fun i -> (Schema.attrs (Relation.schema outer)).(i)) select)
   in
-  let out = Relation.create env out_schema in
   (* Reduction: only tuples satisfying p1 / p2 positively are sorted
      (their satisfaction degrees are folded into the tuple degrees). With no
      local predicates the base relation is used directly — no copy. The WITH
@@ -193,12 +192,16 @@ let run ?(name = "answer") ?pool ?trace ?cancel ?(batch = false)
         Trace.set_rows trace (Relation.cardinality deduped);
         deduped)
   in
-  (* Reductions and sorted temporaries are destroyed through [temps] so a
-     cancellation raised anywhere in the pipeline (reduce, sort, sweep)
-     still frees them — a server worker's environment outlives the query. *)
+  (* Every relation the run creates except the answer — the pre-dedup
+     output, reductions, sorted temporaries — is destroyed through [temps],
+     on success and when a cancellation is raised anywhere in the pipeline
+     (reduce, sort, sweep): a server worker's environment outlives the
+     query. *)
   let temps = ref [] in
   Fun.protect ~finally:(fun () -> List.iter Relation.destroy !temps)
   @@ fun () ->
+  let out = Relation.create env out_schema in
+  temps := [ out ];
   let outer', outer_owned = traced_reduce "outer" outer p1 ~prune in
   if outer_owned then temps := outer' :: !temps;
   let inner', inner_owned =

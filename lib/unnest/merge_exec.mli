@@ -41,7 +41,11 @@ val run :
     With [?cancel], the reduction predicates, sort comparators, and sweep
     loops poll the token; on {!Storage.Cancel.Cancelled} every owned
     intermediate (reductions, sorted temporaries) is destroyed before the
-    exception escapes, so a server worker's environment stays clean. *)
+    exception escapes, so a server worker's environment stays clean.
+
+    Ownership: the returned answer is the run's only live temporary and
+    the caller owns it; the pre-dedup output and, under [WITH], the
+    unfiltered answer are destroyed before [run] returns. *)
 
 val run_chain :
   ?name:string -> ?order:Chain_order.order -> ?pool:Storage.Task_pool.t ->
@@ -65,4 +69,5 @@ val run_chain :
     [reduce block-i], then per step a [join B] or [semi-join B] span (rows =
     the folded intermediate) wrapping its two sorts and its sweep, then
     [project]. The cancel token is additionally polled before each cascade
-    step, and the cascade's intermediates are freed on cancellation. *)
+    step, and the cascade's intermediates are freed on cancellation.
+    Ownership as for {!run}: only the answer stays live. *)

@@ -314,6 +314,7 @@ let query ?(name = "answer") ?trace (q : Bound.query) : Relation.t =
         rows
   in
   let raw = Relation.of_list env schema tuples in
+  Fun.protect ~finally:(fun () -> Relation.destroy raw) @@ fun () ->
   let deduped =
     Trace.with_span trace ~stats "dedup" (fun () ->
         let deduped = Algebra.dedup_max raw in

@@ -43,7 +43,10 @@ let run ?(name = "answer") ?trace ?cancel (shape : Classify.two_level)
     Schema.make ~name
       (List.map (fun i -> (Schema.attrs (Relation.schema outer)).(i)) select)
   in
+  (* [out] holds the answer before max-dedup; it is freed on every exit,
+     the deduplicated copy is what the caller owns. *)
   let out = Relation.create env out_schema in
+  Fun.protect ~finally:(fun () -> Relation.destroy out) @@ fun () ->
   let emit r d =
     if Degree.positive d then
       Relation.insert out

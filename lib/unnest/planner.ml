@@ -29,11 +29,12 @@ let default_mem_pages = 256 (* 2 MB of 8 KB pages, the paper's buffer *)
 
 (* ORDER BY D [DESC|ASC] and LIMIT k: rank the answer by membership degree
    and keep the top k. Ties break on the value vectors so results are
-   deterministic. *)
+   deterministic. The ranked copy replaces (and frees) [answer]. *)
 let rank_and_limit answer ~order ~limit =
   match (order, limit) with
   | None, None -> answer
   | _ ->
+      Fun.protect ~finally:(fun () -> Relation.destroy answer) @@ fun () ->
       let tuples = Relation.to_list answer in
       let sorted =
         match order with
@@ -77,6 +78,9 @@ let run_unranked ?(name = "answer") ?(strategy = Auto)
       match Flatten.flatten_outer q with
       | None -> fallback ()
       | Some q' -> (
+          (* The materialised product is a temporary of this run. *)
+          let product = snd (List.hd q'.Fuzzysql.Bound.from) in
+          Fun.protect ~finally:(fun () -> Relation.destroy product) @@ fun () ->
           match Classify.classify q' with
           | Classify.Two_level two -> (
               try

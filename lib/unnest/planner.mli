@@ -53,7 +53,17 @@ val run :
     executors: a deadline or an explicit {!Storage.Cancel.cancel} unwinds
     the query with {!Storage.Cancel.Cancelled} within one poll period,
     destroying every owned intermediate on the way out. The fuzzy SQL
-    server uses this for per-query deadlines and client cancellation. *)
+    server uses this for per-query deadlines and client cancellation.
+
+    Ownership: the answer is the one temporary relation a run leaves
+    live, and the caller owns it (free it with
+    {!Relational.Relation.destroy}). Every other relation the run
+    creates — reductions, sorted copies, the pre-dedup output, a
+    flattened outer product, the unranked answer under [ORDER BY D] /
+    [LIMIT], the unfiltered answer under [WITH] — has been destroyed
+    when [run] returns, and when it raises. So a worker that destroys
+    each answer keeps [Storage.Disk.live_pages] of its temporary disk
+    flat however many queries it serves. *)
 
 val run_string :
   ?name:string -> ?strategy:strategy -> ?mem_pages:int -> ?chain_dp:bool ->

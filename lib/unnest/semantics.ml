@@ -33,12 +33,14 @@ let local_degree stats (tuple : Ftuple.t) preds =
       | _ -> invalid_arg "Semantics.local_degree: predicate has a subquery")
     Degree.one preds
 
-(** Apply the WITH clause to a materialised answer. *)
+(** Apply the WITH clause to a materialised answer; a filtered copy
+    replaces (and frees) [rel]. *)
 let apply_threshold rel = function
   | None -> rel
   | Some { Fuzzysql.Ast.strict; value } ->
-      Algebra.select rel ~pred:(fun tup ->
-          let d = Ftuple.degree tup in
-          if (strict && d > value) || ((not strict) && d >= value) then
-            Degree.one
-          else Degree.zero)
+      Fun.protect ~finally:(fun () -> Relation.destroy rel) (fun () ->
+          Algebra.select rel ~pred:(fun tup ->
+              let d = Ftuple.degree tup in
+              if (strict && d > value) || ((not strict) && d >= value) then
+                Degree.one
+              else Degree.zero))

@@ -24,4 +24,6 @@ val local_degree :
 val apply_threshold :
   Relational.Relation.t -> Fuzzysql.Ast.threshold option ->
   Relational.Relation.t
-(** Materialise the WITH clause on an answer relation. *)
+(** Materialise the WITH clause on an answer relation the caller owns.
+    Without a threshold [rel] itself is returned; with one, the filtered
+    copy is returned and [rel] is destroyed, also when the copy fails. *)

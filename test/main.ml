@@ -6,4 +6,4 @@ let () =
    @ Test_frontend.suites @ Test_explain.suites @ Test_observability.suites
    @ Test_server.suites @ Test_telemetry.suites @ Test_fault.suites
    @ Test_batch.suites @ Test_check.suites @ Test_recovery.suites
-   @ Test_replication.suites)
+   @ Test_replication.suites @ Test_temps.suites)

@@ -571,9 +571,164 @@ let wire_tests =
           (dt >= 0.25 && dt < 3.0));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Event-driven waits: woken by the event, bounded by the ticker *)
+
+let heartbeat_s = 0.2
+
+(* A primary with one committed batch and its sender (no listener). *)
+let with_sender f =
+  with_dir (fun pdir ->
+      let env = open_primary pdir in
+      let rel = Relation.create ~durable:true env schema in
+      List.iter (Relation.insert rel) (batch ~seed:3 ~start:0 10);
+      Env.commit env;
+      let sender = Replication.Sender.create ~env in
+      let lsn = Wal.committed_end (Option.get (Env.wal env)) in
+      Fun.protect
+        ~finally:(fun () ->
+          Replication.Sender.stop sender;
+          Env.crash env)
+        (fun () -> f sender lsn))
+
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let v = f () in
+  (v, Unix.gettimeofday () -. t0)
+
+let wakeup_tests =
+  [
+    tc "wait_applied times out within one tick of its deadline" `Quick
+      (fun () ->
+        with_sender (fun sender lsn ->
+            let ok, dt =
+              timed (fun () ->
+                  Replication.Sender.wait_applied sender ~lsn ~timeout_s:0.3)
+            in
+            Alcotest.(check bool) "no replica acked" false ok;
+            Alcotest.(check bool)
+              (Printf.sprintf "returned after %.3f s, in [0.3, 0.3 + tick]" dt)
+              true
+              (dt >= 0.3 && dt <= 0.3 +. heartbeat_s +. 0.1)));
+    tc "wait_applied wakes within 100 ms of a covering ack" `Quick (fun () ->
+        with_sender (fun sender lsn ->
+            (* A subscriber whose stream goes nowhere: only its acks
+               matter here. *)
+            let id =
+              match
+                Replication.Sender.serve sender
+                  ~epoch:(Replication.Sender.epoch sender) ~stream_id:0L
+                  ~from_lsn:0 ~send:ignore
+              with
+              | Some id -> id
+              | None -> Alcotest.fail "subscriber fenced"
+            in
+            let acked_at = ref 0.0 in
+            let acker =
+              Thread.create
+                (fun () ->
+                  Thread.delay 0.25;
+                  Replication.Sender.ack sender ~id ~applied_lsn:(lsn - 1);
+                  Thread.delay 0.05;
+                  acked_at := Unix.gettimeofday ();
+                  Replication.Sender.ack sender ~id ~applied_lsn:lsn)
+                ()
+            in
+            let ok = Replication.Sender.wait_applied sender ~lsn ~timeout_s:10.0 in
+            let returned_at = Unix.gettimeofday () in
+            Thread.join acker;
+            Alcotest.(check bool) "the covering ack is seen" true ok;
+            let lag = returned_at -. !acked_at in
+            Alcotest.(check bool)
+              (Printf.sprintf "woke %.1f ms after the ack" (lag *. 1000.))
+              true (lag < 0.1)));
+    tc "Sender.stop releases a blocked wait_applied" `Quick (fun () ->
+        with_dir (fun pdir ->
+            let env = open_primary pdir in
+            let sender = Replication.Sender.create ~env in
+            let result = ref None in
+            let waiter =
+              Thread.create
+                (fun () ->
+                  result :=
+                    Some
+                      (timed (fun () ->
+                           Replication.Sender.wait_applied sender
+                             ~lsn:max_int ~timeout_s:60.0)))
+                ()
+            in
+            Thread.delay 0.1;
+            Replication.Sender.stop sender;
+            Thread.join waiter;
+            Env.crash env;
+            match !result with
+            | Some (ok, dt) ->
+                Alcotest.(check bool) "no ack" false ok;
+                Alcotest.(check bool)
+                  (Printf.sprintf "released after %.3f s" dt)
+                  true (dt < 1.0)
+            | None -> Alcotest.fail "waiter did not finish"));
+    tc "wait_synced returns after the first applied batch; stop releases it"
+      `Quick (fun () ->
+        with_dir2 (fun pdir rdir ->
+            let env = open_primary pdir in
+            let rel = Relation.create ~durable:true env schema in
+            List.iter (Relation.insert rel) (batch ~seed:5 ~start:0 10);
+            Env.commit env;
+            let sender = Replication.Sender.create ~env in
+            let port = Replication.Sender.listen ~port:0 sender in
+            let replica =
+              Replication.Replica.create ~dir:rdir ~primary:(addr_of port) ()
+            in
+            Replication.Replica.start replica;
+            let ok, dt =
+              timed (fun () ->
+                  Replication.Replica.wait_synced ~timeout_s:30.0 replica)
+            in
+            Alcotest.(check bool) "synced" true ok;
+            Alcotest.(check bool)
+              (Printf.sprintf "returned after %.3f s" dt) true (dt < 10.0);
+            Alcotest.(check bool) "a batch was applied" true
+              (Replication.Replica.generation replica >= 1);
+            Replication.Replica.stop replica;
+            Replication.Sender.stop sender;
+            Env.crash env;
+            (* A replica whose primary never answers: the deadline holds
+               to within a tick, and stop releases a blocked waiter. *)
+            let lonely = Replication.Replica.create ~dir:rdir ~primary:"127.0.0.1:1" () in
+            let ok, dt =
+              timed (fun () -> Replication.Replica.wait_synced ~timeout_s:0.3 lonely)
+            in
+            Alcotest.(check bool) "never synced" false ok;
+            Alcotest.(check bool)
+              (Printf.sprintf "timed out after %.3f s" dt)
+              true
+              (dt >= 0.3 && dt <= 0.3 +. heartbeat_s +. 0.1);
+            let result = ref None in
+            let waiter =
+              Thread.create
+                (fun () ->
+                  result :=
+                    Some
+                      (timed (fun () ->
+                           Replication.Replica.wait_synced ~timeout_s:60.0 lonely)))
+                ()
+            in
+            Thread.delay 0.1;
+            Replication.Replica.stop lonely;
+            Thread.join waiter;
+            match !result with
+            | Some (ok, dt) ->
+                Alcotest.(check bool) "released, not synced" false ok;
+                Alcotest.(check bool)
+                  (Printf.sprintf "released after %.3f s" dt) true (dt < 1.0)
+            | None -> Alcotest.fail "waiter did not finish"));
+  ]
+
 let suites =
   [
     ("replication.wal-stream", wal_stream_tests);
     ("replication.e2e", e2e_tests);
     ("replication.wire", wire_tests);
+    ("replication.wakeups", wakeup_tests);
   ]

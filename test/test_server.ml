@@ -563,9 +563,37 @@ let daemon_tests =
             | _ -> Alcotest.fail "server answered after stop")));
   ]
 
+(* Every data socket runs without Nagle: a small reply frame would
+   otherwise wait for the peer's delayed ACK. *)
+let nodelay_tests =
+  [
+    tc "Client.connect and Wire.set_nodelay set TCP_NODELAY" `Quick
+      (fun () ->
+        let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Fun.protect ~finally:(fun () -> close_noerr lfd) @@ fun () ->
+        Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+        Unix.listen lfd 1;
+        let port =
+          match Unix.getsockname lfd with
+          | Unix.ADDR_INET (_, p) -> p
+          | _ -> Alcotest.fail "not an inet socket"
+        in
+        let c = Server.Client.connect ~port () in
+        Fun.protect ~finally:(fun () -> Server.Client.close c) @@ fun () ->
+        Alcotest.(check bool) "client socket" true
+          (Unix.getsockopt (Server.Client.fd c) Unix.TCP_NODELAY);
+        let afd, _ = Unix.accept lfd in
+        Fun.protect ~finally:(fun () -> close_noerr afd) @@ fun () ->
+        Alcotest.(check bool) "accepted socket starts with Nagle on" false
+          (Unix.getsockopt afd Unix.TCP_NODELAY);
+        Server.Wire.set_nodelay afd;
+        Alcotest.(check bool) "accepted socket after the helper" true
+          (Unix.getsockopt afd Unix.TCP_NODELAY));
+  ]
+
 let suites =
   [
-    ("server wire", wire_tests);
+    ("server wire", wire_tests @ nodelay_tests);
     ("server queue", queue_tests);
     ("server daemon", daemon_tests);
   ]
