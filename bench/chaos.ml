@@ -212,7 +212,7 @@ let log_request_ids path =
                (fun stop -> String.sub line start (stop - start))
                (String.index_from_opt line start '"')))
 
-let plane_cell ~batch ~expected ~setup ~fault_seed ~prob tl =
+let plane_cell ~expected ~setup ~fault_seed ~prob tl =
   let spec_s = spec_string prob in
   let spec =
     match Fault.parse_spec spec_s with
@@ -225,7 +225,7 @@ let plane_cell ~batch ~expected ~setup ~fault_seed ~prob tl =
   let qlog = Filename.temp_file "fsqld_chaos_qlog" ".jsonl" in
   let ring_capacity = (!queries * client_retry.Server.Retry.max_attempts) + 64 in
   let daemon =
-    Server.Daemon.start ~workers ~queue_capacity:32 ~retry:server_retry ~batch
+    Server.Daemon.start ~workers ~queue_capacity:32 ~retry:server_retry
       ~breaker:(breaker ()) ~fault_spec:spec ~fault_seed ~query_log:qlog
       ~trace_ring_capacity:ring_capacity ~setup ()
   in
@@ -293,7 +293,6 @@ let plane_cell ~batch ~expected ~setup ~fault_seed ~prob tl =
   {
     row =
       [
-        ("engine", Text (if batch then "batch" else "scalar"));
         ("fault_seed", Int fault_seed); ("prob", Float prob); ("spec", Text spec_s);
         ("ok", Int (Atomic.get ok)); ("wrong", Int (Atomic.get wrong));
         ("retryable", Int (Atomic.get retryable)); ("failed", Int (Atomic.get failed));
@@ -629,7 +628,7 @@ let run source (cfg : Harness.config) =
             (fun fault_seed ->
               List.map
                 (fun prob ->
-                  plane_cell ~batch:cfg.batch ~expected ~setup ~fault_seed ~prob)
+                  plane_cell ~expected ~setup ~fault_seed ~prob)
                 probs)
             seeds )
     | Crash ->

@@ -24,7 +24,6 @@ type config = {
   io_latency : float;  (** seconds per page transfer (1995 disk ~ 20 ms) *)
   seed : int;
   domains : int;  (** merge-join execution parallelism (1 = sequential) *)
-  batch : bool;  (** vectorized columnar merge-join engine *)
 }
 
 (* Calibration of [io_latency]: the paper's SPARC/IPC spent ~7.8 us per
@@ -36,7 +35,7 @@ type config = {
    speedup => 0.5 ms); pass [--io-latency 0.02] for the period-accurate
    disk. *)
 let default_config =
-  { scale = 4; io_latency = 0.0005; seed = 42; domains = 1; batch = false }
+  { scale = 4; io_latency = 0.0005; seed = 42; domains = 1 }
 
 (* The paper's buffer: 2 MB of 8 KB pages, scaled. *)
 let mem_pages cfg = Int.max 8 (256 / cfg.scale)
@@ -92,10 +91,10 @@ let metrics = Storage.Metrics.create ()
 
 (* Order-independent answer digest: each tuple hashes to a 64-bit value
    (MD5 over its printed attribute values and the raw IEEE-754 bits of its
-   degree) and the tuple hashes are combined with addition, so two engines
+   degree) and the tuple hashes are combined with addition, so two runs
    producing the same multiset of answers — possibly in different tie
-   orders after their sorts — get the same checksum, and any flipped degree
-   bit changes it. *)
+   orders after their sorts, e.g. at different domain counts — get the
+   same checksum, and any flipped degree bit changes it. *)
 let checksum_of_rows rows =
   let acc = ref 0L in
   List.iter
@@ -155,8 +154,6 @@ let peak_rss_mb () =
 (* Normal form for exact answer comparison: rows sorted, degrees as bits. *)
 let normal_rows rows = List.sort compare rows
 
-let engines = [ "scalar"; "batch" ]
-
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
   String.iter
@@ -199,16 +196,6 @@ let json_lines ~indent items =
 
 let write_results path =
   let rows = List.rev !results in
-  (* Every row that carries an engine tag must carry a valid one;
-     regression tooling groups on it, so fail loudly here rather than emit
-     a mistagged row. *)
-  List.iter
-    (fun r ->
-      match field r "engine" with
-      | Some (Text e) when not (List.mem e engines) ->
-          invalid_arg ("write_results: bad engine tag " ^ e)
-      | _ -> ())
-    rows;
   let oc = open_out path in
   output_string oc
     (json_lines ~indent:0
@@ -216,19 +203,19 @@ let write_results path =
   output_string oc "\n";
   close_out oc
 
-(* One engine-measurement row (the Section 9 cells, and the batch,
-   kernels and telemetry benches). [io_overhead] is #IOs of this cell /
+(* One engine-measurement row (the Section 9 cells, and the kernels and
+   telemetry benches). [io_overhead] is #IOs of this cell /
    #IOs of the same workload at domains = 1; it starts at 1.0 and the
    [scaling] bench stamps the real ratio once its baseline is known (the
    parallel engine's private buffer pools re-read boundary pages, and this
    ratio makes that cost explicit). [checksum] is the order-independent
-   answer digest, so batch-vs-scalar and parallel-vs-sequential cells can
-   be asserted bit-identical from the JSON alone. *)
-let record_measurement ~bench ~cell ~method_ ~engine ~domains ~scale ~wall
+   answer digest, so parallel-vs-sequential cells can be asserted
+   bit-identical from the JSON alone. *)
+let record_measurement ~bench ~cell ~method_ ~domains ~scale ~wall
     ~response ~cpu ~ios ~fuzzy_ops ~answer_size ~checksum =
   record bench
     [
-      ("cell", Text cell); ("method", Text method_); ("engine", Text engine);
+      ("cell", Text cell); ("method", Text method_);
       ("domains", Int domains); ("scale", Int scale);
       ("wall_s", Fixed (6, wall)); ("response_s", Fixed (6, response));
       ("cpu_s", Fixed (6, cpu)); ("ios", Int ios); ("fuzzy_ops", Int fuzzy_ops);
@@ -270,11 +257,9 @@ let run_cell ?(bench = "adhoc") ?(cell = "") ?trace cfg ~outer ~inner method_ =
         | Merge_join ->
             if cfg.domains > 1 then
               Storage.Task_pool.with_pool ~domains:cfg.domains (fun pool ->
-                  Unnest.Merge_exec.run ~pool ?trace ~batch:cfg.batch shape
+                  Unnest.Merge_exec.run ~pool ?trace shape
                     ~mem_pages:(mem_pages cfg))
-            else
-              Unnest.Merge_exec.run ?trace ~batch:cfg.batch shape
-                ~mem_pages:(mem_pages cfg))
+            else Unnest.Merge_exec.run ?trace shape ~mem_pages:(mem_pages cfg))
   in
   let wall = Unix.gettimeofday () -. wall_start in
   let cpu = Storage.Iostats.cpu_seconds stats in
@@ -299,7 +284,6 @@ let run_cell ?(bench = "adhoc") ?(cell = "") ?trace cfg ~outer ~inner method_ =
     }
   in
   record_measurement ~bench ~cell ~method_:(method_name method_)
-    ~engine:(match method_ with Merge_join when cfg.batch -> "batch" | _ -> "scalar")
     ~domains:(match method_ with Merge_join -> cfg.domains | Nested_loop -> 1)
     ~scale:cfg.scale ~wall:m.wall ~response:m.response ~cpu:m.cpu ~ios:m.ios
     ~fuzzy_ops:m.fuzzy_ops ~answer_size:m.answer_size

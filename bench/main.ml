@@ -2,9 +2,9 @@
     membership-function figures and an ablation study.
 
     Usage: [bench/main.exe [targets] [--full] [--scale N] [--io-latency S]
-    [--seed N] [--domains N] [--batch] [--clients L] [--queries N]
+    [--seed N] [--domains N] [--clients L] [--queries N]
     [--trace PATH]] where targets are any of [table1 table2 table3 table4
-    fig3 fig1 ablation chain sort scaling load chaos micro batch kernels
+    fig3 fig1 ablation chain sort scaling load chaos micro kernels
     telemetry wal recovery failover all] (default: all). [wal] measures WAL
     commit throughput per sync mode and redo-restart time vs log length.
     [chaos], [recovery] and [failover] are the three fault sources of the
@@ -12,11 +12,8 @@
     fault seeds, [--queries] the per-cell query count), SIGKILL of a
     durable writer then recovery, and SIGKILL of a semi-sync primary then
     replica promotion and fencing. One verdict checks them all and a FAIL
-    makes the run exit non-zero; see {!Chaos}. [--batch] runs every merge-join cell on the
-    vectorized columnar engine (rows are tagged ["engine": "batch"] in
-    [BENCH_results.json]); the [batch] target measures that engine against
-    the scalar one head-to-head, and [kernels] times the three vectorized
-    inner loops standalone. [--trace PATH]
+    makes the run exit non-zero; see {!Chaos}. [kernels] times the
+    vectorized inner loops standalone. [--trace PATH]
     additionally runs the 3-block chain query under the span collector and
     writes a Chrome trace_event file to PATH (bare [--trace PATH] runs only
     that). The [load] target runs closed-loop clients against an in-process
@@ -507,7 +504,7 @@ let load_bench cfg =
   let expected = expected_answers setup in
   let max_clients = List.fold_left Int.max 1 !load_clients in
   let daemon =
-    Server.Daemon.start ~workers:cfg.domains ~batch:cfg.batch
+    Server.Daemon.start ~workers:cfg.domains
       ~queue_capacity:(max_clients + cfg.domains) ~setup ()
   in
   let port = Server.Daemon.port daemon in
@@ -575,7 +572,6 @@ let load_bench cfg =
          latencies are exact percentiles over every answered query. *)
       record "load"
         [
-          ("engine", Text (if cfg.batch then "batch" else "scalar"));
           ("clients", Int c); ("workers", Int cfg.domains); ("domains", Int 1);
           ("queries", Int queries); ("wrong", Int (Atomic.get wrong));
           ("overloaded", Int (Atomic.get overloaded)); ("qps", Fixed (2, qps));
@@ -672,69 +668,15 @@ let micro _cfg =
     results
 
 (* ------------------------------------------------------------------ *)
-(* Batch: the vectorized columnar executor against the scalar engine   *)
-(* on the Table 1 workload, sequential (domains = 1), best of three.   *)
-(* CI asserts the speedup and checksum equality from the JSON rows.    *)
-(* ------------------------------------------------------------------ *)
-
-let batch_bench cfg =
-  section "Batch - vectorized columnar executor vs scalar (Table 1 workload)";
-  note "same type J query, same data, domains 1; wall is the best of three@.";
-  note "reps; answers must be bit-identical (order-independent checksum in@.";
-  note "BENCH_results.json)@.@.";
-  (* 16 MB per side: the extra external-merge pass makes the cell
-     sort-dominated like the paper's Table 1, which is exactly where the
-     decorated columnar sort pays off. *)
-  let spec = spec_of ~paper_mb:16 ~tuple_bytes:128 ~fanout:7.0 cfg in
-  let best_of engine batch =
-    List.fold_left
-      (fun best rep ->
-        let m =
-          run_cell ~bench:"batch"
-            ~cell:(Printf.sprintf "%s-rep%d" engine rep)
-            { cfg with domains = 1; batch }
-            ~outer:spec ~inner:spec Merge_join
-        in
-        match best with Some b when b.wall <= m.wall -> Some b | _ -> Some m)
-      None [ 1; 2; 3 ]
-    |> Option.get
-  in
-  Format.printf "%-8s | %12s | %9s | %9s | %10s | %12s | %10s@." "engine"
-    "wall (s)" "sort (s)" "merge (s)" "#IOs" "fuzzy ops" "answers";
-  hr Format.std_formatter 84;
-  let show engine m =
-    Format.printf "%-8s | %12s | %9s | %9s | %10d | %12d | %10d@." engine
-      (str_seconds m.wall) (str_seconds m.sort_s) (str_seconds m.merge_s)
-      m.ios m.fuzzy_ops m.answer_size
-  in
-  let s = best_of "scalar" false in
-  show "scalar" s;
-  let b = best_of "batch" true in
-  show "batch" b;
-  let checksums =
-    List.filter_map
-      (fun r -> if r.bench = "batch" then field r "checksum" else None)
-      !results
-  in
-  let identical =
-    match checksums with [] -> false | c :: cs -> List.for_all (( = ) c) cs
-  in
-  note "@.speedup (scalar wall / batch wall): %.2fx; checksums %s@."
-    (s.wall /. Float.max 1e-9 b.wall)
-    (if identical then "identical across all reps and engines"
-     else "DIFFER - the engines disagree");
-  if not identical then failwith "batch bench: engine checksums differ"
-
-(* ------------------------------------------------------------------ *)
-(* Telemetry overhead: the batch Table-1 cell served by an in-process  *)
+(* Telemetry overhead: the 16 MB Table-1 cell served by an in-process  *)
 (* fsqld, telemetry fully off vs fully on (metrics port + query log;   *)
 (* windowed metrics and the trace ring are always on). CI asserts the  *)
 (* on/off wall ratio <= 1.05 and checksum equality from the JSON rows. *)
 (* ------------------------------------------------------------------ *)
 
 let telemetry_bench cfg =
-  section "Telemetry overhead - batch cell through fsqld, off vs on";
-  note "same 16MB-side type J cell as the batch bench, served by a@.";
+  section "Telemetry overhead - 16MB cell through fsqld, off vs on";
+  note "a 16MB-side type J cell (Table 1 workload), served by a@.";
   note "1-worker daemon; 'on' adds --metrics-port + --query-log (windowed@.";
   note "metrics and the trace ring run in both). Wall is the best of 5@.";
   note "client-observed reps; answers must be bit-identical@.@.";
@@ -752,8 +694,7 @@ let telemetry_bench cfg =
       if on then Some (Filename.temp_file "fsqld_qlog" ".jsonl") else None
     in
     let daemon =
-      Server.Daemon.start ~workers:1 ~domains:1 ~batch:true
-        ~mem_pages:(mem_pages cfg)
+      Server.Daemon.start ~workers:1 ~domains:1 ~mem_pages:(mem_pages cfg)
         ?metrics_port:(if on then Some 0 else None)
         ?query_log:qlog ~setup ()
     in
@@ -804,7 +745,7 @@ let telemetry_bench cfg =
     Server.Daemon.stop daemon;
     Option.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) qlog;
     record_measurement ~bench:"telemetry" ~cell:(if on then "on" else "off")
-      ~method_:"daemon" ~engine:"batch" ~domains:1 ~scale:cfg.scale ~wall:!best
+      ~method_:"daemon" ~domains:1 ~scale:cfg.scale ~wall:!best
       ~response:!best ~cpu:0.0 ~ios:0 ~fuzzy_ops:0 ~answer_size:0
       ~checksum:!checksum;
     (!best, !checksum)
@@ -822,22 +763,22 @@ let telemetry_bench cfg =
     failwith "telemetry bench: answers differ with telemetry on"
 
 (* ------------------------------------------------------------------ *)
-(* Kernels: the three batch inner loops standalone, scalar vs          *)
-(* vectorized, in rows (elements) per second.                          *)
+(* Kernels: the engine's vectorized inner loops standalone (two of     *)
+(* them against their scalar loops), in rows (elements) per second.    *)
 (* ------------------------------------------------------------------ *)
 
 let kernels cfg =
   section "Kernels - scalar vs vectorized inner loops (rows/sec)";
-  note "the three loops the batch executor vectorizes: trapezoid@.";
+  note "the three loops the merge-join engine vectorizes: trapezoid@.";
   note "membership over a column, min/max degree combination, and the@.";
   note "merge-join window sweep over sorted runs@.@.";
   let rng = Random.State.make [| cfg.seed; 97 |] in
   let n = 200_000 in
-  let record cell engine rows secs =
-    record_measurement ~bench:"kernels" ~cell ~method_:"kernel" ~engine
-      ~domains:1 ~scale:cfg.scale ~wall:secs ~response:secs ~cpu:secs ~ios:0
-      ~fuzzy_ops:rows ~answer_size:rows ~checksum:"";
-    Format.printf "  %-24s %-8s %12.2f M rows/s@." cell engine
+  let record cell variant rows secs =
+    record_measurement ~bench:"kernels" ~cell:(cell ^ "/" ^ variant)
+      ~method_:"kernel" ~domains:1 ~scale:cfg.scale ~wall:secs ~response:secs
+      ~cpu:secs ~ios:0 ~fuzzy_ops:rows ~answer_size:rows ~checksum:"";
+    Format.printf "  %-24s %-10s %12.2f M rows/s@." cell variant
       (float_of_int rows /. Float.max 1e-9 secs /. 1e6)
   in
   (* best of five: the minimum is the standard estimator of the undisturbed
@@ -871,7 +812,7 @@ let kernels cfg =
           Relational.Batch_kernels.mem_into tr ~xs ~n ~dst
         done)
   in
-  record "membership" "batch" (reps * n) b;
+  record "membership" "vectorized" (reps * n) b;
   (* 2. min/max t-norm / co-norm passes *)
   let src = Array.init n (fun _ -> Random.State.float rng 1.0) in
   let acc = Array.init n (fun _ -> Random.State.float rng 1.0) in
@@ -900,9 +841,10 @@ let kernels cfg =
           sink := Relational.Batch_kernels.disj_reduce ~xs:acc ~n
         done)
   in
-  record "tnorm-pass" "batch" (reps * n) b;
+  record "tnorm-pass" "vectorized" (reps * n) b;
   ignore !sink;
-  (* 3. the window sweep over ⪯-sorted runs (includes batch decode) *)
+  (* 3. the window sweep over ⪯-sorted runs (includes the streamed
+     decode of both inputs) *)
   let env = Storage.Env.create ~pool_pages:(mem_pages cfg) () in
   let spec = spec_of ~paper_mb:2 ~tuple_bytes:128 ~fanout:7.0 cfg in
   let r, s_rel =
@@ -915,33 +857,20 @@ let kernels cfg =
     Relational.Join_merge.sort_by s_rel ~attr:1 ~mem_pages:(mem_pages cfg)
   in
   let pairs = ref 0 in
-  let sweep batch =
-    (* the batch side consumes the window through the vectorized emitter,
-       like the IN / NOT IN handlers do; the scalar side walks rng lists *)
-    let f_batch =
-      if batch then
-        Some
-          (fun _ _ ~inner:_ ~idx:_ ~n ~d_eq:_ -> pairs := !pairs + n)
-      else None
-    in
+  (* the window is consumed through the vectorized emitter, like the
+     IN / NOT IN handlers do *)
+  let secs =
     time (fun () ->
         pairs := 0;
-        Relational.Join_merge.sweep_sorted ~batch ?f_batch ~outer:sorted_r
-          ~inner:sorted_s ~outer_attr:1 ~inner_attr:1
-          ~mem_pages:(mem_pages cfg)
-          ~f:(fun _ rng -> pairs := !pairs + List.length rng)
+        Relational.Join_merge.sweep_sorted ~outer:sorted_r ~inner:sorted_s
+          ~outer_attr:1 ~inner_attr:1 ~mem_pages:(mem_pages cfg)
+          ~f_batch:(fun _ _ ~inner:_ ~idx:_ ~n ~d_eq:_ -> pairs := !pairs + n)
+          ~f:(fun _ _ -> ())
           ())
   in
   let rows = Relational.Relation.cardinality sorted_r in
-  let s = sweep false in
-  record "window-sweep" "scalar" rows s;
-  let scalar_pairs = !pairs in
-  let b = sweep true in
-  record "window-sweep" "batch" rows b;
-  if !pairs <> scalar_pairs then
-    failwith "kernels: sweep pair counts differ between engines";
-  note "@.(window sweep examined %d pairs per engine over %d outer rows)@."
-    scalar_pairs rows
+  record "window-sweep" "vectorized" rows secs;
+  note "@.(window sweep examined %d pairs over %d outer rows)@." !pairs rows
 
 (* ------------------------------------------------------------------ *)
 
@@ -951,7 +880,7 @@ let all_targets =
     ("table4", table4); ("fig3", fig3); ("fig1", fig1); ("ablation", ablation);
     ("chain", chain_bench); ("sort", sort_bench); ("scaling", scaling);
     ("load", load_bench); ("chaos", Chaos.run Chaos.Fault_plane);
-    ("micro", micro); ("batch", batch_bench); ("kernels", kernels);
+    ("micro", micro); ("kernels", kernels);
     ("telemetry", telemetry_bench); ("wal", Wal_bench.run);
     ("recovery", Chaos.run Chaos.Crash); ("failover", Chaos.run Chaos.Failover);
   ]
@@ -977,9 +906,6 @@ let () =
         parse rest
     | "--seed" :: n :: rest ->
         cfg := { !cfg with seed = int_of_string n };
-        parse rest
-    | "--batch" :: rest ->
-        cfg := { !cfg with batch = true };
         parse rest
     | "--domains" :: n :: rest -> (
         match int_of_string_opt n with
@@ -1030,9 +956,8 @@ let () =
   in
   Format.printf
     "Nested Fuzzy SQL reproduction - Section 9 experiments (scale 1/%d, \
-     io_latency %gms, buffer %d pages, domains %d, engine %s)@."
-    !cfg.scale (!cfg.io_latency *. 1000.0) (mem_pages !cfg) !cfg.domains
-    (if !cfg.batch then "batch" else "scalar");
+     io_latency %gms, buffer %d pages, domains %d)@."
+    !cfg.scale (!cfg.io_latency *. 1000.0) (mem_pages !cfg) !cfg.domains;
   List.iter (fun t -> (List.assoc t all_targets) !cfg) chosen;
   Option.iter (trace_run !cfg) !trace_path;
   write_results "BENCH_results.json";

@@ -8,9 +8,9 @@
     \terms       list linguistic terms \shape SQL;  classify without running
     \strategy X  naive|nl|merge|auto   \timing      toggle timing
     \domains N   execution parallelism \help        this help
-    \batch on|off  columnar engine     \analyze SQL; run + per-operator
-    \trace PATH|off  Chrome trace of                 actual stats
-                  each query to PATH   \check SQL;  static analysis only
+    \analyze SQL; run + per-operator  \check SQL;  static analysis only
+                  actual stats
+    \trace PATH|off  Chrome trace of each query to PATH
     \q           quit
     v}
     Invalid statements print rustc-style caret diagnostics with stable
@@ -18,8 +18,7 @@
     (always-empty predicates, unsatisfiable threshold cuts, contradictory
     conjunctions, nested-loop-only shapes) without running the query.
 
-    Start with [fsql --domains N] to set the initial parallelism (and
-    [--batch] to start on the vectorized columnar engine),
+    Start with [fsql --domains N] to set the initial parallelism,
     [fsql --check FILE] to batch-lint every ';'-terminated statement in
     FILE against the demo catalog (exit 1 when any statement has an
     error), or [fsql --connect HOST:PORT] to run statements against a
@@ -41,7 +40,6 @@ type state = {
   mutable strategy : Unnest.Planner.strategy;
   mutable timing : bool;
   mutable domains : int;
-  mutable batch : bool;
   mutable trace_file : string option;
 }
 
@@ -69,7 +67,6 @@ let help () =
     \  \\explain SQL; show the evaluation plan and estimates\n\
     \  \\strategy X   naive | nl | merge | auto\n\
     \  \\domains N    merge-join execution parallelism (1 = sequential)\n\
-    \  \\batch on|off vectorized columnar merge-join engine (same answers)\n\
     \  \\analyze SQL; run a query and print per-operator actual\n\
     \                time / I/O / rows vs estimates\n\
     \  \\trace PATH   write a Chrome trace of each query to PATH\n\
@@ -115,8 +112,8 @@ let run_sql st sql =
         let trace = Option.map (fun _ -> Storage.Trace.create ()) st.trace_file in
         let t0 = Unix.gettimeofday () in
         let answer =
-          Unnest.Planner.run ~strategy:st.strategy ~domains:st.domains
-            ~batch:st.batch ?trace q
+          Unnest.Planner.run ~strategy:st.strategy ~domains:st.domains ?trace
+            q
         in
         let dt = Unix.gettimeofday () -. t0 in
         (match (st.trace_file, trace) with
@@ -179,15 +176,6 @@ let meta st line =
           st.domains <- d;
           Format.printf "domains set to %d@." d
       | _ -> Format.printf "domains must be a positive integer@.")
-  | [ "\\batch" ] ->
-      Format.printf "batch: %s@." (if st.batch then "on" else "off")
-  | [ "\\batch"; "on" ] ->
-      st.batch <- true;
-      Format.printf "batch on (vectorized columnar engine)@."
-  | [ "\\batch"; "off" ] ->
-      st.batch <- false;
-      Format.printf "batch off (scalar engine)@."
-  | [ "\\batch"; _ ] -> Format.printf "usage: \\batch on|off@."
   | [ "\\save"; dir ] ->
       Relational.Persist.save_catalog st.catalog ~dir;
       Format.printf "saved %d relation(s) to %s@."
@@ -535,7 +523,6 @@ let remote_repl addr ~domains =
 
 let () =
   let domains = ref None in
-  let batch = ref false in
   let connect = ref None in
   let lint = ref None in
   let rec parse_args = function
@@ -551,9 +538,6 @@ let () =
     | [ "--domains" ] ->
         prerr_endline "fsql: --domains expects a positive integer";
         exit 2
-    | "--batch" :: rest ->
-        batch := true;
-        parse_args rest
     | "--connect" :: addr :: rest ->
         connect := Some addr;
         parse_args rest
@@ -569,7 +553,7 @@ let () =
     | arg :: _ ->
         prerr_endline
           ("fsql: unknown argument " ^ arg
-         ^ " (usage: fsql [--domains N] [--batch] [--connect HOST:PORT] \
+         ^ " (usage: fsql [--domains N] [--connect HOST:PORT] \
             [--check FILE])");
         exit 2
   in
@@ -591,7 +575,6 @@ let () =
       strategy = Unnest.Planner.Auto;
       timing = true;
       domains = !domains;
-      batch = !batch;
       trace_file = None;
     }
   in

@@ -6,7 +6,7 @@
 
     {v
     fsqld [--host H] [--port P] [--workers N] [--queue N] [--domains N]
-          [--batch] [--deadline-ms MS] [--seed N] [--trace DIR]
+          [--deadline-ms MS] [--seed N] [--trace DIR]
           [--fault-spec SPEC] [--fault-seed N] [--metrics-port P]
           [--query-log FILE] [--slow-ms MS] [--trace-ring N]
           [--data-dir DIR] [--wal-sync always|group|never]
@@ -24,8 +24,7 @@
 
     [--workers] is the number of queries executing in parallel (each on
     its own domain with a private storage environment); [--domains] is
-    the per-query merge-join parallelism. [--batch] runs every query on
-    the vectorized columnar engine (identical answers and degrees). [--deadline-ms] sets a default
+    the per-query merge-join parallelism. [--deadline-ms] sets a default
     deadline for clients that do not send one. [--trace DIR] writes one
     Chrome trace file per request to [DIR/req-N.json]. [--fault-spec]
     arms deterministic fault injection on every worker's storage (syntax
@@ -58,7 +57,7 @@ open Frepro
 let usage =
   "usage: fsqld [--host H] [--port P] [--workers N] [--queue N] [--domains \
    N]\n\
-  \             [--batch] [--deadline-ms MS] [--seed N] [--trace DIR]\n\
+  \             [--deadline-ms MS] [--seed N] [--trace DIR]\n\
   \             [--fault-spec SPEC] [--fault-seed N] [--metrics-port P]\n\
   \             [--query-log FILE] [--slow-ms MS] [--trace-ring N]\n\
   \             [--data-dir DIR] [--wal-sync always|group|never]\n\
@@ -70,7 +69,6 @@ let () =
   let workers = ref 2 in
   let queue = ref 16 in
   let domains = ref 1 in
-  let batch = ref false in
   let deadline_ms = ref 0 in
   let seed = ref 11 in
   let trace_dir = ref None in
@@ -105,9 +103,6 @@ let () =
     | "--queue" :: n :: rest -> parse (int_arg "--queue" n (( := ) queue) rest)
     | "--domains" :: n :: rest ->
         parse (int_arg "--domains" n (( := ) domains) rest)
-    | "--batch" :: rest ->
-        batch := true;
-        parse rest
     | "--deadline-ms" :: n :: rest ->
         parse (int_arg "--deadline-ms" n (( := ) deadline_ms) rest)
     | "--seed" :: n :: rest -> parse (int_arg "--seed" n (( := ) seed) rest)
@@ -262,7 +257,7 @@ let () =
       ~queue_capacity:!queue
       ?default_deadline_ms:
         (if !deadline_ms > 0 then Some !deadline_ms else None)
-      ~domains:!domains ~batch:!batch ?on_trace ?fault_spec:!fault_spec
+      ~domains:!domains ?on_trace ?fault_spec:!fault_spec
       ~fault_seed:!fault_seed ?metrics_port:!metrics_port
       ?query_log:!query_log
       ?slow_ms:(if !slow_ms > 0.0 then Some !slow_ms else None)
@@ -270,7 +265,7 @@ let () =
       ?max_staleness_ms:!max_staleness_ms ~setup ()
   in
   Printf.printf
-    "fsqld: listening on %s:%d (workers=%d, queue=%d, domains=%d%s%s%s%s%s)\n%!"
+    "fsqld: listening on %s:%d (workers=%d, queue=%d, domains=%d%s%s%s%s)\n%!"
     !host
     (Server.Daemon.port daemon)
     (Server.Daemon.workers daemon)
@@ -283,7 +278,6 @@ let () =
           | Some p -> ", replica-of=" ^ p
           | None -> ", primary")
     | None -> "")
-    (if !batch then ", batch" else "")
     (if !deadline_ms > 0 then Printf.sprintf ", deadline=%dms" !deadline_ms
      else "")
     (match !trace_dir with Some d -> ", trace=" ^ d | None -> "")

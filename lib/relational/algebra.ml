@@ -24,18 +24,19 @@ module Tuple_map = Map.Make (struct
   let compare = Ftuple.compare_values
 end)
 
-let dedup_into_map tuples =
-  List.fold_left
-    (fun m tup ->
-      Tuple_map.update tup
-        (function
-          | None -> Some tup
-          | Some prev ->
-              Some
-                (Ftuple.with_degree prev
-                   (Degree.disj (Ftuple.degree prev) (Ftuple.degree tup))))
-        m)
-    Tuple_map.empty tuples
+(* Max-degree dedup by value vector, folded straight off the relation:
+   no intermediate tuple list. *)
+let add_max m tup =
+  Tuple_map.update tup
+    (function
+      | None -> Some tup
+      | Some prev ->
+          Some
+            (Ftuple.with_degree prev
+               (Degree.disj (Ftuple.degree prev) (Ftuple.degree tup))))
+    m
+
+let dedup_into_map r = Relation.fold r ~init:Tuple_map.empty ~f:add_max
 
 let of_map ?name env schema m =
   let schema =
@@ -46,8 +47,7 @@ let of_map ?name env schema m =
   out
 
 let dedup_max ?name r =
-  of_map ?name (Relation.env r) (Relation.schema r)
-    (dedup_into_map (Relation.to_list r))
+  of_map ?name (Relation.env r) (Relation.schema r) (dedup_into_map r)
 
 let project_positions ?name r positions =
   let schema = Relation.schema r in
@@ -55,10 +55,11 @@ let project_positions ?name r positions =
   let out_schema =
     Schema.make ~name:(Option.value name ~default:(Schema.name schema)) attrs
   in
-  let projected =
-    List.map (fun tup -> Ftuple.project tup positions) (Relation.to_list r)
+  let m =
+    Relation.fold r ~init:Tuple_map.empty ~f:(fun m tup ->
+        add_max m (Ftuple.project tup positions))
   in
-  of_map (Relation.env r) out_schema (dedup_into_map projected)
+  of_map (Relation.env r) out_schema m
 
 let project ?name r ~attrs =
   let schema = Relation.schema r in
@@ -79,7 +80,7 @@ let union_max ?name r s =
   if Schema.arity (Relation.schema r) <> Schema.arity (Relation.schema s) then
     invalid_arg "Algebra.union_max: arity mismatch";
   of_map ?name (Relation.env r) (Relation.schema r)
-    (dedup_into_map (Relation.to_list r @ Relation.to_list s))
+    (Relation.fold s ~init:(dedup_into_map r) ~f:add_max)
 
 let check_same_arity op r s =
   if Schema.arity (Relation.schema r) <> Schema.arity (Relation.schema s) then
@@ -87,7 +88,7 @@ let check_same_arity op r s =
 
 let intersect_min ?name r s =
   check_same_arity "intersect_min" r s;
-  let s_map = dedup_into_map (Relation.to_list s) in
+  let s_map = dedup_into_map s in
   let m =
     Tuple_map.filter_map
       (fun key tup ->
@@ -96,13 +97,13 @@ let intersect_min ?name r s =
             let d = Degree.conj (Ftuple.degree tup) (Ftuple.degree other) in
             if Degree.positive d then Some (Ftuple.with_degree tup d) else None
         | None -> None)
-      (dedup_into_map (Relation.to_list r))
+      (dedup_into_map r)
   in
   of_map ?name (Relation.env r) (Relation.schema r) m
 
 let difference ?name r s =
   check_same_arity "difference" r s;
-  let s_map = dedup_into_map (Relation.to_list s) in
+  let s_map = dedup_into_map s in
   let m =
     Tuple_map.filter_map
       (fun key tup ->
@@ -113,7 +114,7 @@ let difference ?name r s =
         in
         let d = Degree.conj (Ftuple.degree tup) (Degree.neg d_s) in
         if Degree.positive d then Some (Ftuple.with_degree tup d) else None)
-      (dedup_into_map (Relation.to_list r))
+      (dedup_into_map r)
   in
   of_map ?name (Relation.env r) (Relation.schema r) m
 

@@ -2,12 +2,13 @@
 
     Each kernel replicates the boxed path's IEEE-754 arithmetic exactly —
     same expressions, same branch structure as {!Fuzzy.Trapezoid} /
-    {!Fuzzy.Fuzzy_compare} on trapezoid operands — so the batch engine's
-    degrees are bit-identical to the scalar engine's (a qcheck property).
+    {!Fuzzy.Fuzzy_compare} on trapezoid operands — so the merge-join
+    engine's degrees are bit-identical to the boxed path's (a qcheck
+    property).
     The three hot loops of the merge pipeline use them: fuzzy predicate
     evaluation ({!mem_into}, {!cmp_at}), t-norm / co-norm degree combination
     ({!conj_into}, {!disj_reduce}), and the window sweep's per-pair equality
-    degrees ({!cmp_at} from [Join_merge.sweep_batch]). *)
+    degrees ({!cmp_at} from [Join_merge.sweep_sorted]). *)
 
 open Fuzzy
 

@@ -3,16 +3,16 @@ open Fuzzy
 
 let interval_key ~attr r = Value.support (Ftuple.value (Codec.decode r) attr)
 
-let sort_by ?pool ?trace ?cancel ?(batch = false) rel ~attr ~mem_pages =
+let sort_by ?pool ?trace ?cancel rel ~attr ~mem_pages =
   let env = Relation.env rel in
   Buffer_pool.flush (Heap_file.pool (Relation.file rel));
   let name = "sort " ^ Schema.name (Relation.schema rel) in
   Trace.with_span trace ~stats:env.Env.stats ~pool:env.Env.pool name
     (fun () ->
-      (* Cancellation rides the comparator: the external sorter calls it
-         O(n log n) times spread across run formation and every merge pass,
-         so a long spilling sort unwinds within a poll period of the deadline
-         without the sorter itself knowing about tokens. *)
+      (* Both sorters are decorated: the key is decoded once per record per
+         phase, not twice per comparison. The parallel one polls
+         cancellation through its comparator, the columnar one once per
+         batch of records. *)
       let sorted =
         match pool with
         | Some p when Task_pool.domains p > 1 ->
@@ -22,26 +22,13 @@ let sort_by ?pool ?trace ?cancel ?(batch = false) rel ~attr ~mem_pages =
             in
             External_sort.sort_keyed ~pool:p ?trace (Relation.file rel)
               ~key:(interval_key ~attr) ~compare_key ~mem_pages
-        | _ when batch ->
-            (* Columnar decorated sort: the key is decoded once per record
-               per phase into unboxed float columns instead of twice per
-               comparison; cancellation is polled per batch inside the
-               sorter. *)
+        | _ ->
             let key r =
               let i = interval_key ~attr r in
               (Interval.lo i, Interval.hi i)
             in
             External_sort.sort_support ?trace ?cancel (Relation.file rel)
               ~key ~mem_pages
-        | _ ->
-            let compare_records r1 r2 =
-              Cancel.check cancel;
-              let v1 = Ftuple.value (Codec.decode r1) attr
-              and v2 = Ftuple.value (Codec.decode r2) attr in
-              Interval.compare_lex (Value.support v1) (Value.support v2)
-            in
-            External_sort.sort ?trace (Relation.file rel)
-              ~compare:compare_records ~mem_pages
       in
       let out =
         Relation.of_file ?pad_to:(Relation.pad_to rel) env
@@ -50,89 +37,41 @@ let sort_by ?pool ?trace ?cancel ?(batch = false) rel ~attr ~mem_pages =
       Trace.set_rows trace (Relation.cardinality out);
       out)
 
-(* The window sweep of Section 3, abstracted over the tuple sources so the
-   sequential (cursor-backed) and parallel (array-backed, one per partition)
-   paths share the exact same comparison / fuzzy-op behaviour. *)
-let sweep_core ?cancel ~stats ~next_outer ~peek_inner ~advance_inner
-    ~outer_attr ~inner_attr ~f () =
-  (* Window entries: inner tuple with the support of its join value. *)
-  let window = ref [] in
-  let rec next_r () =
-    Cancel.check cancel;
-    match next_outer () with
-    | None -> ()
-    | Some r ->
-        let ri = Value.support (Ftuple.value r outer_attr) in
-        let b_r = Interval.lo ri and e_r = Interval.hi ri in
-        (* Drop window tuples ending before b(r.X): since outer support
-           starts are non-decreasing, they cannot join this or any later
-           outer tuple. *)
-        window :=
-          List.filter
-            (fun (_, si) ->
-              Iostats.record_comparison stats;
-              Interval.hi si >= b_r)
-            !window;
-        (* Extend the window while the next inner tuple begins no later
-           than e(r.X); later inner tuples begin after e(r.X) and
-           terminate the scan for r. *)
-        let rec extend () =
-          match peek_inner () with
-          | Some s ->
-              let si = Value.support (Ftuple.value s inner_attr) in
-              Iostats.record_comparison stats;
-              if Interval.lo si <= e_r then begin
-                advance_inner ();
-                if Interval.hi si >= b_r then window := !window @ [ (s, si) ];
-                extend ()
-              end
-          | None -> ()
-        in
-        extend ();
-        let rng =
-          List.map
-            (fun (s, si) ->
-              Iostats.record_comparison stats;
-              if Interval.overlaps ri si then begin
-                Iostats.record_fuzzy_op stats;
-                ( s,
-                  Value.compare_degree Fuzzy_compare.Eq
-                    (Ftuple.value r outer_attr)
-                    (Ftuple.value s inner_attr) )
-              end
-              else (s, Degree.zero))
-            !window
-        in
-        f r rng;
-        next_r ()
-  in
-  next_r ()
+(* The window sweep of Section 3 over unboxed support and parameter
+   columns. Both inputs arrive in chunks from [next_outer] / [next_inner]
+   ([[||]] at the end). The outer side is swept one chunk at a time. The
+   inner side is a sliding buffer: a batch holding the window's members
+   followed by the last chunk read ahead. When the sweep needs an inner row
+   past the buffer, {!Batch.carry} builds a fresh batch from the window and
+   the next chunk, so rows the window evicted (or never admitted) are
+   dropped and the rows kept decoded are the window plus one chunk, however
+   long the inputs are.
 
-(* The columnar window sweep: bit-identical to [sweep_core] — same window
-   membership, same comparison / fuzzy-op accounting (bulk-charged per
-   outer tuple), same per-pair degree arithmetic (the trapezoid fast path
-   of [Batch_kernels.cmp_at] replicates the boxed float operations exactly;
-   string / discrete operands fall back to [Value.compare_degree]) — but
-   runs over unboxed support and parameter columns. The window is a
-   selection vector of inner row indices reused across outer tuples, and
-   cancellation is polled once per [Batch.batch_rows] outer rows instead of
-   per tuple; with [?trace] each such chunk records a [batch] child span
-   carrying its row count. [emit r_i ~idx ~n ~d_eq] is called once per
-   outer row with the window indices [idx.(0 .. n-1)] (in the scalar
-   window's insertion order) and their equality degrees; the arrays are
-   reused, so handlers must not retain them. *)
-let sweep_batch ?cancel ?trace ~stats ~outer_b ~inner_b ~outer_attr
+   Accounting per outer row r: one comparison per window member to evict
+   it (it ends before b(r.X)), one per inner row looked at to extend the
+   window (including the terminating one, which begins after e(r.X)), one
+   per window member for the pair degree, and one fuzzy op per pair whose
+   supports overlap. The pair degree takes the trapezoid fast path of
+   [Batch_kernels.cmp_at], which replicates the boxed float operations
+   exactly; string / discrete operands fall back to [Value.compare_degree].
+   Cancellation is polled once per outer chunk and once per inner refill;
+   with [?trace] each outer chunk records a [batch] child span carrying its
+   row count.
+
+   [emit ob i ~inner ~idx ~n ~d_eq] is called once per outer row [i] of
+   chunk [ob], with the window as indices [idx.(0 .. n-1)] into the current
+   inner buffer [inner] (in insertion order) and their equality degrees.
+   The arrays are reused, so handlers must not retain them. *)
+let sweep_chunks ?cancel ?trace ~stats ~next_outer ~next_inner ~outer_attr
     ~inner_attr ~emit () =
-  let n_out = Batch.length outer_b and n_in = Batch.length inner_b in
-  let ocol = Batch.col outer_b outer_attr
-  and icol = Batch.col inner_b inner_attr in
-  let o_lo = ocol.Batch.lo and o_hi = ocol.Batch.hi in
-  let i_lo = icol.Batch.lo and i_hi = icol.Batch.hi in
-  let cap = ref (Int.max 16 (Int.min 1024 (Int.max 1 n_in))) in
+  let buf = ref (Batch.of_rows [||]) in
+  let icol = ref (Batch.col !buf inner_attr) in
+  let next_inner_row = ref 0 in
+  let inner_done = ref false in
+  let cap = ref 16 in
   let win = ref (Array.make !cap 0) in
   let deq = ref (Array.make !cap 0.0) in
   let win_n = ref 0 in
-  let next_inner = ref 0 in
   let ensure n =
     if n > !cap then begin
       let cap' = Int.max n (2 * !cap) in
@@ -143,75 +82,137 @@ let sweep_batch ?cancel ?trace ~stats ~outer_b ~inner_b ~outer_attr
       cap := cap'
     end
   in
-  let chunk_start = ref 0 in
-  while !chunk_start < n_out do
+  (* Whether inner row [!next_inner_row] exists, reading the next chunk
+     into a fresh buffer when the current one is used up. *)
+  let inner_available () =
+    !next_inner_row < Batch.length !buf
+    || (not !inner_done)
+       &&
+       (Cancel.check cancel;
+        match next_inner () with
+        | [||] ->
+            inner_done := true;
+            false
+        | rows ->
+            let b = Batch.carry !buf ~idx:!win ~n:!win_n rows in
+            for j = 0 to !win_n - 1 do
+              !win.(j) <- j
+            done;
+            buf := b;
+            icol := Batch.col b inner_attr;
+            next_inner_row := !win_n;
+            true)
+  in
+  let rec chunks () =
     Cancel.check cancel;
-    let chunk_end = Int.min n_out (!chunk_start + Batch.batch_rows) in
-    Trace.with_span trace ~stats "batch" (fun () ->
-        for i = !chunk_start to chunk_end - 1 do
-          let b_r = Array.unsafe_get o_lo i
-          and e_r = Array.unsafe_get o_hi i in
-          (* 1. Evict window members ending before b(r.X); one comparison
-             is charged per member, like the scalar filter. *)
-          let w = !win in
-          let wn = !win_n in
-          let k = ref 0 in
-          for j = 0 to wn - 1 do
-            let s = Array.unsafe_get w j in
-            if Array.unsafe_get i_hi s >= b_r then begin
-              Array.unsafe_set w !k s;
-              incr k
-            end
-          done;
-          Iostats.record_comparisons stats wn;
-          win_n := !k;
-          (* 2. Extend while the next inner row begins no later than
-             e(r.X); the terminating peek charges one comparison, matching
-             the scalar extend loop. *)
-          let continue = ref true in
-          while !continue && !next_inner < n_in do
-            Iostats.record_comparison stats;
-            let s = !next_inner in
-            if Array.unsafe_get i_lo s <= e_r then begin
-              if Array.unsafe_get i_hi s >= b_r then begin
-                ensure (!win_n + 1);
-                !win.(!win_n) <- s;
-                incr win_n
-              end;
-              incr next_inner
-            end
-            else continue := false
-          done;
-          (* 3. Per-pair equality degree over the window: one comparison
-             per member, one fuzzy op per overlapping pair. *)
-          let w = !win and dq = !deq in
-          let wn = !win_n in
-          let r_ok = Batch.ok ocol i in
-          let fuzz = ref 0 in
-          for j = 0 to wn - 1 do
-            let s = Array.unsafe_get w j in
-            if
-              b_r <= Array.unsafe_get i_hi s
-              && Array.unsafe_get i_lo s <= e_r
-            then begin
-              incr fuzz;
-              Array.unsafe_set dq j
-                (if r_ok && Batch.ok icol s then
-                   Batch_kernels.cmp_at Fuzzy_compare.Eq ocol i icol s
-                 else
-                   Value.compare_degree Fuzzy_compare.Eq
-                     (Ftuple.value (Batch.row outer_b i) outer_attr)
-                     (Ftuple.value (Batch.row inner_b s) inner_attr))
-            end
-            else Array.unsafe_set dq j 0.0
-          done;
-          Iostats.record_comparisons stats wn;
-          Iostats.record_fuzzy_ops stats !fuzz;
-          emit i ~idx:w ~n:wn ~d_eq:dq
-        done;
-        Trace.set_rows trace (chunk_end - !chunk_start));
-    chunk_start := chunk_end
-  done
+    match next_outer () with
+    | [||] -> ()
+    | rows ->
+        let outer_b = Batch.of_rows rows in
+        let ocol = Batch.col outer_b outer_attr in
+        let o_lo = ocol.Batch.lo and o_hi = ocol.Batch.hi in
+        Trace.with_span trace ~stats "batch" (fun () ->
+            for i = 0 to Array.length rows - 1 do
+              let b_r = Array.unsafe_get o_lo i
+              and e_r = Array.unsafe_get o_hi i in
+              (* 1. Evict window members ending before b(r.X). *)
+              let i_hi = !icol.Batch.hi in
+              let w = !win in
+              let wn = !win_n in
+              let k = ref 0 in
+              for j = 0 to wn - 1 do
+                let s = Array.unsafe_get w j in
+                if Array.unsafe_get i_hi s >= b_r then begin
+                  Array.unsafe_set w !k s;
+                  incr k
+                end
+              done;
+              Iostats.record_comparisons stats wn;
+              win_n := !k;
+              (* 2. Extend while the next inner row begins no later than
+                 e(r.X). *)
+              let continue = ref true in
+              while !continue && inner_available () do
+                Iostats.record_comparison stats;
+                let s = !next_inner_row in
+                let ic = !icol in
+                if Array.unsafe_get ic.Batch.lo s <= e_r then begin
+                  if Array.unsafe_get ic.Batch.hi s >= b_r then begin
+                    ensure (!win_n + 1);
+                    !win.(!win_n) <- s;
+                    incr win_n
+                  end;
+                  incr next_inner_row
+                end
+                else continue := false
+              done;
+              (* 3. Per-pair equality degree over the window. *)
+              let inner_b = !buf and ic = !icol in
+              let i_lo = ic.Batch.lo and i_hi = ic.Batch.hi in
+              let w = !win and dq = !deq in
+              let wn = !win_n in
+              let r_ok = Batch.ok ocol i in
+              let fuzz = ref 0 in
+              for j = 0 to wn - 1 do
+                let s = Array.unsafe_get w j in
+                if
+                  b_r <= Array.unsafe_get i_hi s
+                  && Array.unsafe_get i_lo s <= e_r
+                then begin
+                  incr fuzz;
+                  Array.unsafe_set dq j
+                    (if r_ok && Batch.ok ic s then
+                       Batch_kernels.cmp_at Fuzzy_compare.Eq ocol i ic s
+                     else
+                       Value.compare_degree Fuzzy_compare.Eq
+                         (Ftuple.value rows.(i) outer_attr)
+                         (Ftuple.value (Batch.row inner_b s) inner_attr))
+                end
+                else Array.unsafe_set dq j 0.0
+              done;
+              Iostats.record_comparisons stats wn;
+              Iostats.record_fuzzy_ops stats !fuzz;
+              emit outer_b i ~inner:inner_b ~idx:w ~n:wn ~d_eq:dq
+            done;
+            Trace.set_rows trace (Array.length rows));
+        chunks ()
+  in
+  chunks ()
+
+(* Chunk sources for {!sweep_chunks}. A cursor chunk holds up to
+   [Batch.batch_rows] rows; with [~page_bound] it also stops at the end of
+   the page its first row came from, so the inner side never reads a page
+   before the sweep needs one of its rows and reads exactly the pages a
+   tuple-at-a-time sweep would. *)
+let cursor_chunks ?(page_bound = false) c () =
+  match Relation.Cursor.next c with
+  | None -> [||]
+  | Some first ->
+      let limit =
+        if page_bound then
+          1 + Int.min (Batch.batch_rows - 1) (Relation.Cursor.buffered c)
+        else Batch.batch_rows
+      in
+      let rows = Array.make limit first in
+      let rec fill k =
+        if k >= limit then k
+        else
+          match Relation.Cursor.next c with
+          | None -> k
+          | Some t ->
+              rows.(k) <- t;
+              fill (k + 1)
+      in
+      let n = fill 1 in
+      if n = limit then rows else Array.sub rows 0 n
+
+let array_chunks a =
+  let pos = ref 0 in
+  fun () ->
+    let n = Int.min Batch.batch_rows (Array.length a - !pos) in
+    let chunk = Array.sub a !pos n in
+    pos := !pos + n;
+    chunk
 
 (* Cut the outer tuples into [domains] contiguous slices of the sorted order
    and pair each with the inner tuples that can reach it: s can join some r
@@ -261,26 +262,26 @@ let scan_decoded ?cancel rel ~pool ~attr =
   go ();
   Array.of_list (List.rev !acc)
 
-(* Bridge a [sweep_batch] emission to the scalar [f r rng] callback: the
-   window's selection vector materialises as the same insertion-ordered
-   [rng] list the scalar sweep builds. *)
-let emit_to_f ~outer_b ~inner_b ~f i ~idx ~n ~d_eq =
+(* Bridge a {!sweep_chunks} emission to the [f r rng] callback: the
+   window's selection vector materialises as an insertion-ordered [rng]
+   list. *)
+let emit_to_f ~f ob i ~inner ~idx ~n ~d_eq =
   let rec build j =
-    if j >= n then [] else (Batch.row inner_b idx.(j), d_eq.(j)) :: build (j + 1)
+    if j >= n then [] else (Batch.row inner idx.(j), d_eq.(j)) :: build (j + 1)
   in
-  f (Batch.row outer_b i) (build 0)
+  f (Batch.row ob i) (build 0)
 
-let sweep_sorted ?pool ?trace ?cancel ?(batch = false) ?f_batch ~outer ~inner
-    ~outer_attr ~inner_attr ~mem_pages ~f () =
+let sweep_sorted ?pool ?trace ?cancel ?f_batch ~outer ~inner ~outer_attr
+    ~inner_attr ~mem_pages ~f () =
   let env = Relation.env outer in
   let stats = env.Env.stats in
   Buffer_pool.flush (Heap_file.pool (Relation.file outer));
   Buffer_pool.flush (Heap_file.pool (Relation.file inner));
-  (* Each relation is read strictly once in sorted order; the window of
-     candidate inner tuples is kept decoded in memory, so the merge phase
-     only needs scan buffers: the memory budget is split between the two
-     scoped cursor pools, each over its own file's backend (durable
-     relations and temporary intermediates may live on different disks). *)
+  (* Each relation is read strictly once in sorted order; only the window
+     and the chunks in flight are kept decoded, so the merge phase needs
+     just scan buffers: the memory budget is split between the two scoped
+     cursor pools, each over its own file's backend (durable relations and
+     temporary intermediates may live on different disks). *)
   let capacity = Int.max 1 (mem_pages / 2) in
   Iostats.timed stats Iostats.Merge (fun () ->
       let outer_pool =
@@ -295,11 +296,10 @@ let sweep_sorted ?pool ?trace ?cancel ?(batch = false) ?f_batch ~outer ~inner
              sorted relations (decoding each tuple once and counting the
              same one-scan-each page reads as the sequential sweep), cuts
              them with {!partition_sweep}, and each pool job runs the
-             sequential window algorithm on its own slice pair with private
-             stats. [f] is then applied on the coordinator in global outer
-             sort order — partition results concatenate in slice order —
-             so answer tuples and degrees are identical to the sequential
-             sweep. *)
+             window sweep on its own slice pair with private stats. [f] is
+             then applied on the coordinator in global outer sort order —
+             partition results concatenate in slice order — so answer
+             tuples and degrees are identical to the sequential sweep. *)
           let outs =
             Trace.with_span trace ~stats ~pool:outer_pool "scan outer"
               (fun () ->
@@ -329,35 +329,10 @@ let sweep_sorted ?pool ?trace ?cancel ?(batch = false) ?f_batch ~outer ~inner
                 Trace.with_span jtrace ~stats:pstats "sweep" (fun () ->
                     let results = ref [] in
                     let collect r rng = results := (r, rng) :: !results in
-                    (if batch then begin
-                       (* Columnar partition sweep: each job builds one
-                          batch per slice and bridges emissions to the same
-                          (r, rng) lists as the scalar jobs, so the
-                          coordinator's [f] pass is engine-independent. *)
-                       let ob = Batch.of_rows (Array.map fst o_slice) in
-                       let ib = Batch.of_rows (Array.map fst i_slice) in
-                       sweep_batch ?cancel ?trace:jtrace ~stats:pstats
-                         ~outer_b:ob ~inner_b:ib ~outer_attr ~inner_attr
-                         ~emit:
-                           (emit_to_f ~outer_b:ob ~inner_b:ib ~f:collect)
-                         ()
-                     end
-                     else
-                       let oi = ref 0 and ii = ref 0 in
-                       sweep_core ?cancel ~stats:pstats
-                         ~next_outer:(fun () ->
-                           if !oi < Array.length o_slice then begin
-                             let t = fst o_slice.(!oi) in
-                             incr oi;
-                             Some t
-                           end
-                           else None)
-                         ~peek_inner:(fun () ->
-                           if !ii < Array.length i_slice then
-                             Some (fst i_slice.(!ii))
-                           else None)
-                         ~advance_inner:(fun () -> incr ii)
-                         ~outer_attr ~inner_attr ~f:collect ());
+                    sweep_chunks ?cancel ?trace:jtrace ~stats:pstats
+                      ~next_outer:(array_chunks (Array.map fst o_slice))
+                      ~next_inner:(array_chunks (Array.map fst i_slice))
+                      ~outer_attr ~inner_attr ~emit:(emit_to_f ~f:collect) ();
                     Trace.set_rows jtrace (Array.length o_slice);
                     (List.rev !results, pstats)))
               (Array.to_list parts)
@@ -369,43 +344,25 @@ let sweep_sorted ?pool ?trace ?cancel ?(batch = false) ?f_batch ~outer ~inner
                   Iostats.add_into stats pstats;
                   List.iter (fun (r, rng) -> f r rng) results)
                 batches)
-      | _ when batch ->
-          (* Sequential columnar sweep: both sorted inputs are decoded once
-             into batches (columns extracted lazily per attribute), then the
-             window runs over unboxed support columns. Handlers with a
-             vectorized form supply [f_batch]; others get the scalar [f]
-             through the bridging emitter. *)
-          let scan which rel spool =
-            Trace.with_span trace ~stats ~pool:spool ("scan " ^ which)
-              (fun () ->
-                let b = Batch.of_relation ?cancel ~pool:spool rel in
-                Trace.set_rows trace (Batch.length b);
-                b)
-          in
-          let outer_b = scan "outer" outer outer_pool in
-          let inner_b = scan "inner" inner inner_pool in
-          Trace.with_span trace ~stats "sweep" (fun () ->
-              let emit =
-                match f_batch with
-                | Some fb ->
-                    fun i ~idx ~n ~d_eq ->
-                      fb outer_b i ~inner:inner_b ~idx ~n ~d_eq
-                | None -> emit_to_f ~outer_b ~inner_b ~f
-              in
-              sweep_batch ?cancel ?trace ~stats ~outer_b ~inner_b ~outer_attr
-                ~inner_attr ~emit ();
-              Trace.set_rows trace (Batch.length outer_b))
       | _ ->
+          (* Sequential streaming sweep: handlers with a vectorized form
+             supply [f_batch]; others get [f] through the bridging
+             emitter. *)
           Trace.with_span trace ~stats ~pool:outer_pool "sweep" (fun () ->
-              let rc = Relation.Cursor.of_relation ~pool:outer_pool outer in
-              let sc = Relation.Cursor.of_relation ~pool:inner_pool inner in
-              sweep_core ?cancel ~stats
-                ~next_outer:(fun () -> Relation.Cursor.next rc)
-                ~peek_inner:(fun () -> Relation.Cursor.peek sc)
-                ~advance_inner:(fun () -> ignore (Relation.Cursor.next sc))
-                ~outer_attr ~inner_attr ~f ()))
+              let emit =
+                match f_batch with Some fb -> fb | None -> emit_to_f ~f
+              in
+              sweep_chunks ?cancel ?trace ~stats
+                ~next_outer:
+                  (cursor_chunks
+                     (Relation.Cursor.of_relation ~pool:outer_pool outer))
+                ~next_inner:
+                  (cursor_chunks ~page_bound:true
+                     (Relation.Cursor.of_relation ~pool:inner_pool inner))
+                ~outer_attr ~inner_attr ~emit ();
+              Trace.set_rows trace (Relation.cardinality outer)))
 
-let join_with_rng ?name ?pool ?trace ?cancel ?(batch = false) ~outer ~inner
+let join_with_rng ?name ?pool ?trace ?cancel ~outer ~inner
     ~outer_attr ~inner_attr ~mem_pages ?residual ~rng_degree () =
   let env = Relation.env outer in
   let out_schema =
@@ -426,12 +383,12 @@ let join_with_rng ?name ?pool ?trace ?cancel ?(batch = false) ~outer ~inner
         ~finally:(fun () -> List.iter Relation.destroy !temps)
         (fun () ->
           let sorted_r =
-            sort_by ?pool ?trace ?cancel ~batch outer ~attr:outer_attr
+            sort_by ?pool ?trace ?cancel outer ~attr:outer_attr
               ~mem_pages
           in
           temps := sorted_r :: !temps;
           let sorted_s =
-            sort_by ?pool ?trace ?cancel ~batch inner ~attr:inner_attr
+            sort_by ?pool ?trace ?cancel inner ~attr:inner_attr
               ~mem_pages
           in
           temps := sorted_s :: !temps;
@@ -449,26 +406,26 @@ let join_with_rng ?name ?pool ?trace ?cancel ?(batch = false) ~outer ~inner
                 Relation.insert out (Ftuple.concat r s d)
             end
           in
-          (* Batch fast path: same per-pair evaluation, but straight off the
-             window's selection vector — no [rng] list is built. *)
+          (* Straight off the window's selection vector — no [rng] list is
+             built on the sequential path. *)
           let f_batch ob i ~inner:ib ~idx ~n ~d_eq =
             let r = Batch.row ob i in
             for j = 0 to n - 1 do
               pair r (Batch.row ib idx.(j)) d_eq.(j)
             done
           in
-          sweep_sorted ?pool ?trace ?cancel ~batch ~f_batch ~outer:sorted_r
+          sweep_sorted ?pool ?trace ?cancel ~f_batch ~outer:sorted_r
             ~inner:sorted_s ~outer_attr ~inner_attr ~mem_pages ()
             ~f:(fun r rng -> List.iter (fun (s, d_eq) -> pair r s d_eq) rng));
       Trace.set_rows trace (Relation.cardinality out);
       out)
 
-let join_eq ?name ?pool ?trace ?cancel ?batch ~outer ~inner ~outer_attr
-    ~inner_attr ~mem_pages ?residual () =
-  join_with_rng ?name ?pool ?trace ?cancel ?batch ~outer ~inner ~outer_attr
+let join_eq ?name ?pool ?trace ?cancel ~outer ~inner ~outer_attr ~inner_attr
+    ~mem_pages ?residual () =
+  join_with_rng ?name ?pool ?trace ?cancel ~outer ~inner ~outer_attr
     ~inner_attr ~mem_pages ?residual ~rng_degree:(fun _ _ d -> d) ()
 
-let with_indicator ?name ?pool ?trace ?cancel ?batch ~outer ~inner ~outer_attr
+let with_indicator ?name ?pool ?trace ?cancel ~outer ~inner ~outer_attr
     ~inner_attr ~mem_pages ?residual () =
   let indicator r s d_exact =
     (* Fuzzy-equality indicator (Zhang & Wang [42]): overlapping cores mean
@@ -489,5 +446,5 @@ let with_indicator ?name ?pool ?trace ?cancel ?batch ~outer ~inner ~outer_attr
         else d_exact
     | _ -> d_exact
   in
-  join_with_rng ?name ?pool ?trace ?cancel ?batch ~outer ~inner ~outer_attr
+  join_with_rng ?name ?pool ?trace ?cancel ~outer ~inner ~outer_attr
     ~inner_attr ~mem_pages ?residual ~rng_degree:indicator ()

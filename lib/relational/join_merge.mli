@@ -20,40 +20,24 @@
     degrees are identical either way.
 
     Every entry point also takes an optional [?cancel] token
-    ({!Storage.Cancel}): the sort comparators and the per-outer-tuple sweep
-    loop poll it, so a deadline or client cancellation unwinds with
+    ({!Storage.Cancel}): the sorters and the sweep poll it, so a deadline or client cancellation unwinds with
     {!Storage.Cancel.Cancelled} within one poll period. The sorted
     temporaries of {!join_eq}/{!with_indicator} are destroyed on that path
     too. [None] costs one branch per poll site. *)
 
 val sort_by :
   ?pool:Storage.Task_pool.t -> ?trace:Storage.Trace.t ->
-  ?cancel:Storage.Cancel.t -> ?batch:bool ->
+  ?cancel:Storage.Cancel.t ->
   Relation.t -> attr:int -> mem_pages:int -> Relation.t
 (** Sort a relation by the Definition 3.1 order of the given attribute using
     the external sorter (accounted to the [Sort] phase). The result is a
     temporary relation owned by the caller. With [?trace], a
-    ["sort <relation>"] span wraps the sorter's own spans. With
-    [~batch:true] (and no multi-domain pool, which already decorates) the
-    sequential columnar {!Storage.External_sort.sort_support} is used: keys
-    are decoded once per record into float columns instead of twice per
-    comparison; the key order is identical, only equal-key ties may land in
-    a different order. *)
-
-val sweep_batch :
-  ?cancel:Storage.Cancel.t -> ?trace:Storage.Trace.t ->
-  stats:Storage.Iostats.t -> outer_b:Batch.t -> inner_b:Batch.t ->
-  outer_attr:int -> inner_attr:int ->
-  emit:(int -> idx:int array -> n:int -> d_eq:float array -> unit) ->
-  unit -> unit
-(** The columnar window sweep over ⪯-sorted batches: bit-identical window
-    membership, comparison / fuzzy-op accounting and per-pair degrees to
-    the scalar sweep, with the window kept as a reused selection vector of
-    inner row indices. [emit r_i ~idx ~n ~d_eq] fires once per outer row;
-    the arrays are reused across rows and must not be retained.
-    Cancellation is polled once per {!Batch.batch_rows} outer rows; with
-    [?trace] each such chunk records a [batch] child span. Exposed for the
-    kernel micro-bench and the bit-identity tests. *)
+    ["sort <relation>"] span wraps the sorter's own spans. The sort is
+    decorated: sequentially {!Storage.External_sort.sort_support} decodes
+    each record's key once into float columns, and with a multi-domain pool
+    {!Storage.External_sort.sort_keyed} does the same per slice. The key
+    order is that of Definition 3.1; records with equal keys may land in
+    either order. *)
 
 val partition_sweep :
   domains:int ->
@@ -71,7 +55,7 @@ val partition_sweep :
 
 val sweep_sorted :
   ?pool:Storage.Task_pool.t -> ?trace:Storage.Trace.t ->
-  ?cancel:Storage.Cancel.t -> ?batch:bool ->
+  ?cancel:Storage.Cancel.t ->
   ?f_batch:
     (Batch.t -> int -> inner:Batch.t -> idx:int array -> n:int ->
      d_eq:float array -> unit) ->
@@ -81,28 +65,42 @@ val sweep_sorted :
 (** Merge phase over relations already sorted on the join attributes:
     [f r rng] is called once per outer tuple in sort order, where [rng] lists
     the window tuples paired with their equality degrees [d(r.X = s.X)]
-    (0 for dangling tuples). Every examined pair counts one fuzzy op;
-    accounted to the [Merge] phase. The two scoped cursor pools are sized
-    from [mem_pages] ([mem_pages / 2] pages each). With a multi-domain
-    [?pool], partitions sweep in parallel on private stats (phase-tagged
-    [Merge], merged after the batch joins) and [f] still runs on the
-    caller's domain in global outer sort order. With [?trace], the
-    sequential path records one [sweep] span; the parallel path records
-    [scan outer]/[scan inner] spans, one [sweep-k]/[sweep] span per
-    partition on its own lane, and an [emit] span for the callback pass.
+    (0 for dangling tuples). Every examined pair with overlapping supports
+    counts one fuzzy op; accounted to the [Merge] phase. The two scoped
+    cursor pools are sized from [mem_pages] ([mem_pages / 2] pages each).
 
-    With [~batch:true] the sweep runs columnar ({!sweep_batch}) over
-    batches decoded once per input — identical answers, degrees and
-    operation counts. A handler with a vectorized form can supply
-    [?f_batch], called with the window's selection vector instead of an
-    [rng] list (sequential path only; the parallel path always bridges
-    partition results to [f] on the coordinator). Without [?f_batch] the
-    scalar [f] receives the same insertion-ordered [rng] lists either
-    way. *)
+    The sweep is columnar: window bounds and pair degrees are computed over
+    unboxed columns ({!Batch}, {!Batch_kernels}). It streams both inputs.
+    The outer relation is read in chunks of at most {!Batch.batch_rows}
+    rows. The inner relation is read one page at a time into a sliding
+    buffer that holds the window's members plus the page read last; rows
+    the window evicts are dropped at the next read. So the rows kept
+    decoded number at most the largest window plus 2 x {!Batch.batch_rows},
+    whatever the input sizes, and each relation is read once, page for
+    page as a tuple-at-a-time sweep would read it. Cancellation is polled
+    once per outer chunk and once per inner read; with [?trace] the sweep
+    records a [sweep] span with one [batch] child per outer chunk.
+
+    A handler with a vectorized form can supply [?f_batch]: it is called
+    instead of [f] as [f_batch ob i ~inner ~idx ~n ~d_eq] for outer row [i]
+    of chunk [ob], with the window as indices [idx.(0 .. n-1)] into the
+    inner buffer [inner], in insertion order. The arrays are reused across
+    calls and must not be retained. Each outer chunk and each inner refill
+    is a fresh {!Batch.t}, so caching per-batch data under the batches'
+    physical identity is safe.
+
+    With a multi-domain [?pool], both sorted inputs are decoded whole,
+    range-partitioned ({!partition_sweep}), and each partition is swept on
+    a pool job with private stats (phase-tagged [Merge], merged after the
+    jobs join); [f] — never [f_batch] — then runs on the caller's domain in
+    global outer sort order. With [?trace] that path records [scan outer]
+    / [scan inner] spans, one [sweep-k]/[sweep] span per partition on its
+    own lane, and an [emit] span for the callback pass. Answer tuples,
+    degrees and operation counts are the same on both paths. *)
 
 val join_eq :
   ?name:string -> ?pool:Storage.Task_pool.t -> ?trace:Storage.Trace.t ->
-  ?cancel:Storage.Cancel.t -> ?batch:bool ->
+  ?cancel:Storage.Cancel.t ->
   outer:Relation.t -> inner:Relation.t -> outer_attr:int ->
   inner_attr:int -> mem_pages:int ->
   ?residual:(Ftuple.t -> Ftuple.t -> Fuzzy.Degree.t) -> unit -> Relation.t
@@ -112,7 +110,7 @@ val join_eq :
 
 val with_indicator :
   ?name:string -> ?pool:Storage.Task_pool.t -> ?trace:Storage.Trace.t ->
-  ?cancel:Storage.Cancel.t -> ?batch:bool ->
+  ?cancel:Storage.Cancel.t ->
   outer:Relation.t -> inner:Relation.t -> outer_attr:int ->
   inner_attr:int -> mem_pages:int ->
   ?residual:(Ftuple.t -> Ftuple.t -> Fuzzy.Degree.t) -> unit -> Relation.t

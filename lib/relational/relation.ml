@@ -120,6 +120,7 @@ module Cursor = struct
   let peek c = Option.map Codec.decode (Heap_file.Cursor.peek c)
   let next c = Option.map Codec.decode (Heap_file.Cursor.next c)
   let pos = Heap_file.Cursor.pos
+  let buffered = Heap_file.Cursor.buffered
   let seek = Heap_file.Cursor.seek
 end
 

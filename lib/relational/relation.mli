@@ -61,6 +61,9 @@ module Cursor : sig
   val next : t -> Ftuple.t option
   val pos : t -> int
   val seek : t -> int -> unit
+
+  val buffered : t -> int
+  (** Rows left on the page last read; reading them costs no page I/O. *)
 end
 
 val pp : Format.formatter -> t -> unit

@@ -42,7 +42,6 @@ type t = {
   host : string;
   n_workers : int;
   query_domains : int;
-  query_batch : bool;
   default_deadline_ms : int option;
   mem_pages : int;
   terms : Fuzzy.Term.t;
@@ -292,7 +291,7 @@ let handle_job t ~env ~check ~plane ~rng job =
     Trace.with_span tr ~stats "exec" (fun () ->
         let answer =
           Unnest.Planner.run ~mem_pages:t.mem_pages ~domains:job.job_domains
-            ~batch:t.query_batch ~trace:job.trace ~cancel:job.cancel q
+            ~trace:job.trace ~cancel:job.cancel q
         in
         Fun.protect
           ~finally:(fun () -> Relation.destroy answer)
@@ -422,7 +421,6 @@ let handle_job t ~env ~check ~plane ~rng job =
           Telemetry.Query_log.ts = now;
           request_id = job.request_id;
           shape = Telemetry.normalize_sql job.sql;
-          engine = (if t.query_batch then "batch" else "scalar");
           queue_wait_s;
           exec_s;
           page_reads = Storage.Iostats.page_reads stats - reads0;
@@ -586,7 +584,6 @@ let admit t conn ~request_id ~deadline_ms ~domains sql =
                   Telemetry.Query_log.ts = now;
                   request_id;
                   shape = Telemetry.normalize_sql sql;
-                  engine = (if t.query_batch then "batch" else "scalar");
                   queue_wait_s = 0.;
                   exec_s = 0.;
                   page_reads = 0;
@@ -776,7 +773,7 @@ let resolve host =
 
 let start ?(host = "127.0.0.1") ?(port = 0) ?(workers = 2)
     ?(queue_capacity = 16) ?default_deadline_ms ?(domains = 1)
-    ?(batch = false) ?(mem_pages = Unnest.Planner.default_mem_pages)
+    ?(mem_pages = Unnest.Planner.default_mem_pages)
     ?(terms = Fuzzy.Term.paper) ?on_trace ?(retry = Retry.default) ?breaker
     ?fault_spec ?(fault_seed = 0) ?metrics_port ?query_log ?slow_ms
     ?(trace_ring_capacity = 64) ?make_env ?sender ?replica ?max_staleness_ms
@@ -823,7 +820,6 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(workers = 2)
       host;
       n_workers = workers;
       query_domains = domains;
-      query_batch = batch;
       default_deadline_ms;
       mem_pages;
       terms;

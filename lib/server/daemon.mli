@@ -104,7 +104,6 @@ val start :
   ?queue_capacity:int ->
   ?default_deadline_ms:int ->
   ?domains:int ->
-  ?batch:bool ->
   ?mem_pages:int ->
   ?terms:Fuzzy.Term.t ->
   ?on_trace:(Storage.Trace.t -> unit) ->
@@ -127,9 +126,7 @@ val start :
     host ["127.0.0.1"], port [0] (ephemeral — read it back with {!port}),
     [workers = 2], [queue_capacity = 16], no default deadline,
     [domains = 1] (per-query merge-join parallelism on a pool the query
-    creates privately), [batch = false] (set to run every query on the
-    vectorized columnar engine — same answers and degree bits, see
-    {!Unnest.Planner.run}), [mem_pages = Unnest.Planner.default_mem_pages],
+    creates privately), [mem_pages = Unnest.Planner.default_mem_pages],
     the paper's term vocabulary, [retry = Retry.default], a default
     {!Breaker.create}, no fault injection, [fault_seed = 0]. [~setup]
     runs once per worker on the worker's own domain (and again on each

@@ -209,7 +209,6 @@ module Query_log = struct
     ts : float;
     request_id : string;
     shape : string;
-    engine : string;
     queue_wait_s : float;
     exec_s : float;
     page_reads : int;
@@ -266,14 +265,13 @@ module Query_log = struct
 
   let render r =
     Printf.sprintf
-      "{\"ts\":%.6f,\"request_id\":\"%s\",\"shape\":\"%s\",\"engine\":\"%s\",\
+      "{\"ts\":%.6f,\"request_id\":\"%s\",\"shape\":\"%s\",\
        \"queue_wait_s\":%.6f,\"exec_s\":%.6f,\"page_reads\":%d,\
        \"page_writes\":%d,\"comparisons\":%d,\"fuzzy_ops\":%d,\"rows\":%d,\
        \"retries\":%d,\"outcome\":\"%s\"}"
-      r.ts (json_escape r.request_id) (json_escape r.shape)
-      (json_escape r.engine) r.queue_wait_s r.exec_s r.page_reads
-      r.page_writes r.comparisons r.fuzzy_ops r.rows r.retries
-      (json_escape r.outcome)
+      r.ts (json_escape r.request_id) (json_escape r.shape) r.queue_wait_s
+      r.exec_s r.page_reads r.page_writes r.comparisons r.fuzzy_ops r.rows
+      r.retries (json_escape r.outcome)
 
   let rotate t =
     (* fsync the outgoing file before it becomes [.1]: rotation must not

@@ -70,7 +70,6 @@ module Query_log : sig
     ts : float;  (** completion time, [Unix.gettimeofday] *)
     request_id : string;
     shape : string;  (** {!normalize_sql} of the statement *)
-    engine : string;  (** ["scalar"] or ["batch"] *)
     queue_wait_s : float;
     exec_s : float;
     page_reads : int;

@@ -54,10 +54,13 @@ end
    when an exception (injected fault, cancellation, ...) aborts the sort:
    partially-written runs are destroyed before the exception propagates,
    so [Sim_disk.live_pages] returns to its pre-sort baseline. *)
-let write_run env records =
+(* A run of the [n] records [record_at 0 .. n-1], in that order. *)
+let write_run env n record_at =
   let run = Heap_file.create env in
   try
-    Array.iter (fun r -> Heap_file.append run r) records;
+    for k = 0 to n - 1 do
+      Heap_file.append run (record_at k)
+    done;
     run
   with e ->
     Heap_file.destroy run;
@@ -77,7 +80,7 @@ let make_runs ?cancel env input ~compare ~mem_pages =
     if !batch <> [] then begin
       let arr = Array.of_list (List.rev !batch) in
       Array.sort counted arr;
-      runs := write_run env arr :: !runs;
+      runs := write_run env (Array.length arr) (Array.get arr) :: !runs;
       batch := [];
       batch_bytes := 0
     end
@@ -373,7 +376,7 @@ let sort_keyed ~pool ?trace ?cancel input ~key ~compare_key ~mem_pages =
           out))
 
 (* ------------------------------------------------------------------ *)
-(* Sequential columnar decorated sort (the batch engine's sort path).
+(* Sequential columnar decorated sort (the merge-join engine's sort).
 
    The sequential [sort] decodes both records on every comparison — the
    dominant cost of the merge-join pipeline. Here run formation decodes
@@ -418,7 +421,9 @@ let sort_support ?trace ?cancel input ~key ~mem_pages =
                   let c = Float.compare klo.(i) klo.(j) in
                   if c <> 0 then c else Float.compare khi.(i) khi.(j))
                 idx;
-              let run = write_run env (Array.map (fun i -> arr.(i)) idx) in
+              (* Written straight off the permutation: no permuted copy
+                 of the records. *)
+              let run = write_run env n (fun k -> arr.(idx.(k))) in
               runs := run :: !runs;
               live := run :: !live;
               batch := [];

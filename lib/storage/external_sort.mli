@@ -70,11 +70,11 @@ val merge_runs :
 val sort_support :
   ?trace:Trace.t -> ?cancel:Cancel.t -> Heap_file.t ->
   key:(bytes -> float * float) -> mem_pages:int -> Heap_file.t
-(** Sequential columnar decorated sort, the batch engine's counterpart of
-    {!sort}: run formation decodes each record's [(support lo, support hi)]
-    key exactly once into unboxed float columns and sorts an index
-    permutation over them (runs are produced directly from the columns), so
-    the comparator never touches record bytes; the k-way merge decorates
+(** Sequential columnar decorated sort, the merge-join engine's
+    counterpart of {!sort}: run formation decodes each record's
+    [(support lo, support hi)] key exactly once into unboxed float columns
+    and sorts an index permutation over them (runs are produced directly
+    from the columns), so the comparator never touches record bytes; the k-way merge decorates
     cursor heads the same way and compares floats lexicographically. The
     record multiset and key order are identical to {!sort} with the
     corresponding record comparator — only equal-key ties may land in a

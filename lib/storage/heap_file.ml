@@ -240,6 +240,9 @@ module Cursor = struct
 
   let pos c = c.abs
 
+  let buffered c =
+    if c.cache_page = c.page_i then Array.length c.cache - c.rec_i else 0
+
   let seek c target =
     let target = Int.max 0 (Int.min target c.file.nrecords) in
     let rec locate page remaining =

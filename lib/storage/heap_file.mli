@@ -90,6 +90,10 @@ module Cursor : sig
   val pos : t -> int
   (** Zero-based index of the current record. *)
 
+  val buffered : t -> int
+  (** Records left on the page the cursor last read: that many more
+      {!next} calls cost no page read. *)
+
   val seek : t -> int -> unit
   (** Reposition to the given record index (clamped to [0, num_records]). *)
 

@@ -25,9 +25,9 @@ val record_comparison : t -> unit
 
 val record_fuzzy_ops : t -> int -> unit
 val record_comparisons : t -> int -> unit
-(** Bulk variants used by the batch kernels: one call charges a whole
-    column pass, so the counters stay comparable with the scalar engine
-    without a field increment inside the hot loop. *)
+(** Bulk variants used by the merge-join sweep: one call charges a whole
+    window pass, so the counters equal a per-pair count without a field
+    increment inside the hot loop. *)
 
 val page_reads : t -> int
 val page_writes : t -> int

@@ -150,8 +150,8 @@ let is_constant_inner = function
   | Classify.Agg_link _ | Classify.Quant_link _ ->
       false
 
-let run ?(name = "answer") ?pool ?trace ?cancel ?(batch = false)
-    (shape : Classify.two_level) ~mem_pages : Relation.t =
+let run ?(name = "answer") ?pool ?trace ?cancel (shape : Classify.two_level)
+    ~mem_pages : Relation.t =
   let { Classify.select; outer; inner; p1; p2; link; threshold } = shape in
   let env = Relation.env outer in
   let stats = env.Storage.Env.stats in
@@ -367,16 +367,17 @@ let run ?(name = "answer") ?pool ?trace ?cancel ?(batch = false)
                     project_insert out select r
                       (Degree.conj (Ftuple.degree r) d_link) ))
   in
-  (* Vectorized batch handlers for the IN / NOT IN sweeps: the same max of
-     min(mu_s, d_eq, d_corr) as the scalar closures (same branch on
-     positive d_eq, same fuzzy-op counts), evaluated straight off the
-     window's selection vector with the correlation residuals going through
-     the trapezoid kernels where both operands are columnar. The remaining
-     link types bridge to their scalar closures through the emitter. *)
+  (* Vectorized handlers for the IN / NOT IN sweeps: the same max of
+     min(mu_s, d_eq, d_corr) as the closures above (same branch on positive
+     d_eq, same fuzzy-op counts), evaluated straight off the window's
+     selection vector with the correlation residuals going through the
+     trapezoid kernels where both operands are columnar. The remaining link
+     types bridge to their closures through the emitter. *)
   let in_batch ~negated corr =
-    (* The correlation columns depend only on the batches, which stay the
-       same across every outer row of a sweep: extract them once per batch
-       pair instead of once per window pair. *)
+    (* The correlation columns depend only on the batches: extract them
+       once per (outer chunk, inner buffer) pair instead of once per window
+       pair. The sweep builds a fresh batch per chunk and per refill, so
+       physical identity is a sound cache key. *)
     let cached = ref None in
     fun ob i ~inner:ib ~idx ~n ~d_eq ->
       let cols =
@@ -396,9 +397,9 @@ let run ?(name = "answer") ?pool ?trace ?cancel ?(batch = false)
       let r = Batch.row ob i in
       let deg = Batch.degrees ib in
       (* [Degree.conj]/[disj] are Float.min/max; inlining them keeps the
-         exact operation sequence (and bits) of the scalar fold while
-         cutting two call layers per window pair. The fuzzy-op counter is
-         charged in bulk after the loop — same total as the scalar path. *)
+         exact operation sequence (and bits) of the list fold while cutting
+         two call layers per window pair. The fuzzy-op counter is charged in
+         bulk after the loop — same total as the list fold. *)
       let m = ref Degree.zero in
       let fz = ref 0 in
       for j = 0 to n - 1 do
@@ -429,31 +430,27 @@ let run ?(name = "answer") ?pool ?trace ?cancel ?(batch = false)
       project_insert out select r (Degree.conj (Ftuple.degree r) d_link)
   in
   let f_batch =
-    if not batch then None
-    else
-      match link with
-      | Classify.In_link { corr; _ } -> Some (in_batch ~negated:false corr)
-      | Classify.Not_in_link { corr; _ } -> Some (in_batch ~negated:true corr)
-      | _ -> None
+    match link with
+    | Classify.In_link { corr; _ } -> Some (in_batch ~negated:false corr)
+    | Classify.Not_in_link { corr; _ } -> Some (in_batch ~negated:true corr)
+    | _ -> None
   in
   let sorted_r =
-    Join_merge.sort_by ?pool ?trace ?cancel ~batch outer' ~attr:sweep_y
-      ~mem_pages
+    Join_merge.sort_by ?pool ?trace ?cancel outer' ~attr:sweep_y ~mem_pages
   in
   temps := sorted_r :: !temps;
   let sorted_s =
-    Join_merge.sort_by ?pool ?trace ?cancel ~batch inner' ~attr:sweep_z
-      ~mem_pages
+    Join_merge.sort_by ?pool ?trace ?cancel inner' ~attr:sweep_z ~mem_pages
   in
   temps := sorted_s :: !temps;
-  Join_merge.sweep_sorted ?pool ?trace ?cancel ~batch ?f_batch
-    ~outer:sorted_r ~inner:sorted_s ~outer_attr:sweep_y ~inner_attr:sweep_z
-    ~mem_pages ~f:handle_r ();
+  Join_merge.sweep_sorted ?pool ?trace ?cancel ?f_batch ~outer:sorted_r
+    ~inner:sorted_s ~outer_attr:sweep_y ~inner_attr:sweep_z ~mem_pages
+    ~f:handle_r ();
   let deduped = dedup_project out in
   Semantics.apply_threshold deduped threshold
   end
 
-let run_chain ?(name = "answer") ?order ?pool ?trace ?cancel ?(batch = false)
+let run_chain ?(name = "answer") ?order ?pool ?trace ?cancel
     (chain : Classify.chain) ~mem_pages : Relation.t =
   let { Classify.blocks; top_select; chain_threshold } = chain in
   let blocks_arr = Array.of_list blocks in
@@ -590,13 +587,13 @@ let run_chain ?(name = "answer") ?order ?pool ?trace ?cancel ?(batch = false)
         in
         temps := out :: !temps;
         let sorted_r =
-          Join_merge.sort_by ?pool ?trace ?cancel ~batch !acc ~attr:outer_attr
+          Join_merge.sort_by ?pool ?trace ?cancel !acc ~attr:outer_attr
             ~mem_pages
         in
         temps := sorted_r :: !temps;
         let sorted_s =
-          Join_merge.sort_by ?pool ?trace ?cancel ~batch reduced.(b)
-            ~attr:inner_attr ~mem_pages
+          Join_merge.sort_by ?pool ?trace ?cancel reduced.(b) ~attr:inner_attr
+            ~mem_pages
         in
         temps := sorted_s :: !temps;
         (* Per outer tuple, one max per distinct projection of the window
@@ -627,7 +624,7 @@ let run_chain ?(name = "answer") ?order ?pool ?trace ?cancel ?(batch = false)
             window := Vals_map.empty
           end
         in
-        Join_merge.sweep_sorted ?pool ?trace ?cancel ~batch ~outer:sorted_r
+        Join_merge.sweep_sorted ?pool ?trace ?cancel ~outer:sorted_r
           ~inner:sorted_s ~outer_attr ~inner_attr ~mem_pages
           ~f_batch:(fun ob i ~inner:ib ~idx ~n ~d_eq ->
             let r = Batch.row ob i in

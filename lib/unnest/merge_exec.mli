@@ -25,17 +25,15 @@ exception Not_unnestable of string
 
 val run :
   ?name:string -> ?pool:Storage.Task_pool.t -> ?trace:Storage.Trace.t ->
-  ?cancel:Storage.Cancel.t -> ?batch:bool ->
+  ?cancel:Storage.Cancel.t ->
   Classify.two_level -> mem_pages:int -> Relational.Relation.t
-(** With a multi-domain [?pool], the sorts and the sweep run domain-parallel
-    (see {!Relational.Join_merge}); answers and degrees are identical to the
-    sequential run. With [~batch:true] the sorts and the sweep run columnar
-    (decorated sort, {!Relational.Join_merge.sweep_batch}): IN / NOT IN
-    windows are evaluated by vectorized handlers over the selection vector,
-    the other link types bridge to their scalar closures; answers, IEEE-754
-    degree bits and operation counts are again identical, and batch composes
-    with [?pool], [?trace] (per-batch spans) and [?cancel] (polled per
-    batch). With [?trace], one span per operator is recorded
+(** The sorts are decorated and the sweep is the streaming columnar one of
+    {!Relational.Join_merge.sweep_sorted}: IN / NOT IN windows are
+    evaluated by vectorized handlers over the window's selection vector,
+    the other link types through per-tuple closures over [rng] lists. With
+    a multi-domain [?pool], the sorts and the sweep run domain-parallel;
+    answers and IEEE-754 degree bits are identical to the sequential run.
+    With [?trace], one span per operator is recorded
     (reduce, sort/run-formation/k-way-merge, sweep, dedup — or
     constant-inner for uncorrelated subqueries); [None] costs nothing.
     With [?cancel], the reduction predicates, sort comparators, and sweep
@@ -49,7 +47,7 @@ val run :
 
 val run_chain :
   ?name:string -> ?order:Chain_order.order -> ?pool:Storage.Task_pool.t ->
-  ?trace:Storage.Trace.t -> ?cancel:Storage.Cancel.t -> ?batch:bool ->
+  ?trace:Storage.Trace.t -> ?cancel:Storage.Cancel.t ->
   Classify.chain -> mem_pages:int ->
   Relational.Relation.t
 (** Default order: left-to-right (outermost block first). The order's steps
@@ -65,7 +63,7 @@ val run_chain :
     tuple. Later degrees read only live attributes and
     [max_i min(d_i, f(x)) = min(max_i d_i, f(x))] holds exactly in floating
     point, so answers and degree bits equal the unprojected cascade's.
-    [?pool], [?batch], [?trace] and [?cancel] as for {!run}. Spans:
+    [?pool], [?trace] and [?cancel] as for {!run}. Spans:
     [reduce block-i], then per step a [join B] or [semi-join B] span (rows =
     the folded intermediate) wrapping its two sorts and its sweep, then
     [project]. The cancel token is additionally polled before each cascade

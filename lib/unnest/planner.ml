@@ -62,8 +62,8 @@ let rank_and_limit answer ~order ~limit =
       Relation.of_list (Relation.env answer) (Relation.schema answer) truncated
 
 let run_unranked ?(name = "answer") ?(strategy = Auto)
-    ?(mem_pages = default_mem_pages) ?(chain_dp = true) ?(domains = 1)
-    ?(batch = false) ?trace ?cancel (q : Fuzzysql.Bound.query) : Relation.t =
+    ?(mem_pages = default_mem_pages) ?(chain_dp = true) ?(domains = 1) ?trace
+    ?cancel (q : Fuzzysql.Bound.query) : Relation.t =
   if domains < 1 then invalid_arg "Planner.run: domains < 1";
   Storage.Cancel.check cancel;
   let shape = Classify.classify q in
@@ -84,14 +84,14 @@ let run_unranked ?(name = "answer") ?(strategy = Auto)
           match Classify.classify q' with
           | Classify.Two_level two -> (
               try
-                Merge_exec.run ~name ?pool ?trace ?cancel ~batch two
+                Merge_exec.run ~name ?pool ?trace ?cancel two
                   ~mem_pages
               with Merge_exec.Not_unnestable _ ->
                 Nl_exec.run ~name ?trace ?cancel two ~mem_pages)
           | Classify.Chain_query chain -> (
               try
                 Merge_exec.run_chain ~name ?order:(chain_order chain) ?pool
-                  ?trace ?cancel ~batch chain ~mem_pages
+                  ?trace ?cancel chain ~mem_pages
               with Merge_exec.Not_unnestable _ -> fallback ())
           | Classify.Flat | Classify.General -> fallback ())
     in
@@ -103,23 +103,23 @@ let run_unranked ?(name = "answer") ?(strategy = Auto)
       ->
         Naive_eval.query ~name ?trace q
     | Unnest_merge, Classify.Two_level shape ->
-        Merge_exec.run ~name ?pool ?trace ?cancel ~batch shape ~mem_pages
+        Merge_exec.run ~name ?pool ?trace ?cancel shape ~mem_pages
     | Unnest_merge, Classify.Chain_query chain ->
         Merge_exec.run_chain ~name ?order:(chain_order chain) ?pool ?trace
-          ?cancel ~batch chain ~mem_pages
+          ?cancel chain ~mem_pages
     | Unnest_merge, Classify.Flat -> Naive_eval.query ~name ?trace q
     | Unnest_merge, Classify.General ->
         try_flattened ~fallback:(fun () ->
             raise
               (Unsupported "query shape cannot be unnested; use Auto or Naive"))
     | Auto, Classify.Two_level two -> (
-        try Merge_exec.run ~name ?pool ?trace ?cancel ~batch two ~mem_pages
+        try Merge_exec.run ~name ?pool ?trace ?cancel two ~mem_pages
         with Merge_exec.Not_unnestable _ ->
           Nl_exec.run ~name ?trace ?cancel two ~mem_pages)
     | Auto, Classify.Chain_query chain -> (
         try
           Merge_exec.run_chain ~name ?order:(chain_order chain) ?pool ?trace
-            ?cancel ~batch chain ~mem_pages
+            ?cancel chain ~mem_pages
         with Merge_exec.Not_unnestable _ -> Naive_eval.query ~name ?trace q)
     | Auto, Classify.Flat -> Naive_eval.query ~name ?trace q
     | Auto, Classify.General ->
@@ -144,16 +144,15 @@ let run_unranked ?(name = "answer") ?(strategy = Auto)
   else
     Storage.Task_pool.with_pool ~domains (fun pool -> exec (Some pool))
 
-let run ?name ?strategy ?mem_pages ?chain_dp ?domains ?batch ?trace ?cancel
+let run ?name ?strategy ?mem_pages ?chain_dp ?domains ?trace ?cancel
     (q : Fuzzysql.Bound.query) : Relation.t =
   let answer =
-    run_unranked ?name ?strategy ?mem_pages ?chain_dp ?domains ?batch ?trace
-      ?cancel q
+    run_unranked ?name ?strategy ?mem_pages ?chain_dp ?domains ?trace ?cancel q
   in
   rank_and_limit answer ~order:q.Fuzzysql.Bound.order_by_d
     ~limit:q.Fuzzysql.Bound.limit
 
-let run_string ?name ?strategy ?mem_pages ?chain_dp ?domains ?batch ?trace
-    ?cancel ~catalog ~terms sql =
-  run ?name ?strategy ?mem_pages ?chain_dp ?domains ?batch ?trace ?cancel
+let run_string ?name ?strategy ?mem_pages ?chain_dp ?domains ?trace ?cancel
+    ~catalog ~terms sql =
+  run ?name ?strategy ?mem_pages ?chain_dp ?domains ?trace ?cancel
     (Fuzzysql.Analyzer.bind_string ~catalog ~terms sql)

@@ -22,7 +22,7 @@ val default_mem_pages : int
 
 val run :
   ?name:string -> ?strategy:strategy -> ?mem_pages:int -> ?chain_dp:bool ->
-  ?domains:int -> ?batch:bool -> ?trace:Storage.Trace.t ->
+  ?domains:int -> ?trace:Storage.Trace.t ->
   ?cancel:Storage.Cancel.t ->
   Fuzzysql.Bound.query -> Relational.Relation.t
 (** [chain_dp] (default true) selects the chain join order with the
@@ -35,14 +35,11 @@ val run :
     constructs a pool and is exactly the sequential engine; any value
     returns identical answer tuples and membership degrees.
 
-    [batch] (default false) switches the merge-join engine to the
-    vectorized columnar executor: decorated columnar sorts
-    ({!Storage.External_sort.sort_support}) and the batch window sweep
-    ({!Relational.Join_merge.sweep_batch}) over unboxed trapezoid and
-    degree columns. Answer tuples and IEEE-754 degree bits are identical
-    to the scalar engine for every strategy and shape; batch composes with
-    [domains], [trace] and [cancel] (polled per batch of 1024 rows). The
-    nested-loop and naive methods ignore it.
+    The merge-join engine is columnar: decorated sorts
+    ({!Storage.External_sort.sort_support}) and a window sweep that
+    streams both sorted inputs over unboxed trapezoid and degree columns
+    ({!Relational.Join_merge.sweep_sorted}), keeping only the window and
+    the chunks in flight decoded.
 
     [trace] (default off, costing nothing) collects one hierarchical span
     per plan operator under a root [query] span — see {!Storage.Trace} and
@@ -67,7 +64,7 @@ val run :
 
 val run_string :
   ?name:string -> ?strategy:strategy -> ?mem_pages:int -> ?chain_dp:bool ->
-  ?domains:int -> ?batch:bool -> ?trace:Storage.Trace.t ->
+  ?domains:int -> ?trace:Storage.Trace.t ->
   ?cancel:Storage.Cancel.t ->
   catalog:Relational.Catalog.t ->
   terms:Fuzzy.Term.t -> string -> Relational.Relation.t

@@ -1,11 +1,15 @@
-(** Bit-identity of the vectorized columnar executor.
+(** Exactness of the columnar merge-join engine.
 
-    The batch engine's contract is exact: same answer tuples, same IEEE-754
-    membership-degree bits as the scalar engine, for every query shape, at
-    any domain count. These properties check the contract at both levels —
-    the trapezoid kernels against the boxed [Value.compare_degree] path,
-    and whole plans ([Planner.run ~batch:true]) against the scalar run
-    across every unnestable shape, sequential and domain-parallel. *)
+    The engine's contract is exact: same answer tuples and the same
+    IEEE-754 membership-degree bits as the nested semantics, for every
+    query shape, at any domain count. These properties check it at three
+    levels: the trapezoid kernels against the boxed [Value.compare_degree]
+    path; the streaming sweep against a nested-loop enumeration of the
+    overlapping pairs; and whole plans ([Planner.run], sequential and
+    domain-parallel) against the [Naive_eval] interpreter across every
+    unnestable shape, with string and discrete join operands, which take
+    the boxed fallback. A last test bounds the rows the sweep keeps
+    decoded. *)
 
 open Frepro
 open Frepro.Relational
@@ -115,10 +119,10 @@ let tnorm_prop =
         (Array.init n Fun.id)
       && bits (Batch_kernels.disj_reduce ~xs:acc ~n) = bits expect_max)
 
-(* ---------- whole-plan bit identity across shapes ---------- *)
+(* ---------- whole plans against the interpreter ---------- *)
 
 (* Exact answers: printed values plus raw degree bits, as a sorted multiset
-   (the engines may emit tie rows in different orders after their sorts). *)
+   (tie rows may come out of the sorts in either order). *)
 let answer_bits rel =
   Relation.to_list rel
   |> List.map (fun t ->
@@ -132,99 +136,168 @@ let pp_bits ppf ans =
       Format.fprintf ppf "(%s | %Lx)@ " (String.concat ", " vs) d)
     ans
 
-let check_engines kind spec =
-  let catalog = Test_equivalence.make_db spec in
-  let rng = Random.State.make [| spec.Test_equivalence.seed + 29 |] in
-  let sql = Test_equivalence.template rng kind in
+(* [Planner.run] at 1 and 4 domains must reproduce the interpreter's
+   answer bit for bit: min / max never round. *)
+let check_oracle catalog sql =
   let q = Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper sql in
-  let scalar = Unnest.Planner.run ~mem_pages:8 q in
-  let batch1 = Unnest.Planner.run ~mem_pages:8 ~batch:true q in
-  let batch4 = Unnest.Planner.run ~mem_pages:8 ~batch:true ~domains:4 q in
-  let a = answer_bits scalar
-  and b1 = answer_bits batch1
-  and b4 = answer_bits batch4 in
-  if a <> b1 then
-    QCheck.Test.fail_reportf
-      "scalar <> batch (domains 1) for %s@.scalar: %a@.batch: %a" sql pp_bits
-      a pp_bits b1;
-  if a <> b4 then
-    QCheck.Test.fail_reportf
-      "scalar <> batch (domains 4) for %s@.scalar: %a@.batch: %a" sql pp_bits
-      a pp_bits b4;
+  let naive = answer_bits (Unnest.Naive_eval.query q) in
+  List.iter
+    (fun domains ->
+      let got = answer_bits (Unnest.Planner.run ~mem_pages:8 ~domains q) in
+      if got <> naive then
+        QCheck.Test.fail_reportf
+          "naive <> merge-join (domains %d) for %s@.naive: %a@.merge: %a"
+          domains sql pp_bits naive pp_bits got)
+    [ 1; 4 ];
   true
 
-let engine_prop name kind ?discrete_ok () =
+let shape_prop name kind ?discrete_ok () =
   QCheck.Test.make ~count:40 ~name
     (Test_equivalence.arb_spec ?discrete_ok ())
-    (check_engines kind)
+    (fun spec ->
+      let rng = Random.State.make [| spec.Test_equivalence.seed + 29 |] in
+      check_oracle (Test_equivalence.make_db spec)
+        (Test_equivalence.template rng kind))
 
-let engine_props =
+(* String join operands: the sweep windows them on their hashed point
+   support and takes the boxed [Value.compare_degree] for every pair. *)
+let string_db seed ~n_r ~n_s =
+  let env = Test_util.fresh_env () in
+  let catalog = Catalog.create env in
+  let rng = Random.State.make [| seed |] in
+  let names = [| "ann"; "bob"; "cy"; "dee"; "eve" |] in
+  let rel name n (key, other) =
+    let schema =
+      Schema.make ~name
+        [ ("ID", Schema.TNum); (key, Schema.TStr); (other, Schema.TNum) ]
+    in
+    Catalog.add catalog
+      (Relation.of_list env schema
+         (List.init n (fun i ->
+              Test_util.tuple
+                [
+                  Value.Int i;
+                  Value.Str (names.(Random.State.int rng (Array.length names)));
+                  Test_equivalence.rand_value rng ~discrete_ok:true;
+                ]
+                (Test_equivalence.rand_degree rng))))
+  in
+  rel "R" n_r ("N", "U");
+  rel "S" n_s ("N", "V");
+  catalog
+
+let string_prop =
+  QCheck.Test.make ~count:40 ~name:"string join operands = naive bits"
+    QCheck.(triple (int_bound 1_000_000) (int_bound 30) (int_bound 30))
+    (fun (seed, n_r, n_s) ->
+      let catalog = string_db seed ~n_r ~n_s in
+      List.for_all (check_oracle catalog)
+        [
+          "SELECT R.ID FROM R WHERE R.N IN (SELECT S.N FROM S WHERE S.V <= \
+           R.U)";
+          "SELECT R.ID FROM R WHERE R.N NOT IN (SELECT S.N FROM S WHERE S.V \
+           >= R.U)";
+          "SELECT R.ID FROM R WHERE EXISTS (SELECT S.ID FROM S WHERE S.N = \
+           R.N AND S.V <= R.U)";
+        ])
+
+let shape_props =
   [
-    engine_prop "batch = scalar bits: type N" `N ();
-    engine_prop "batch = scalar bits: type J" `J ();
-    engine_prop "batch = scalar bits: type JX" `JX ();
-    engine_prop "batch = scalar bits: type JALL" `JALL ();
-    engine_prop "batch = scalar bits: type JSOME" `JSOME ();
-    engine_prop "batch = scalar bits: type JA" `JA ~discrete_ok:false ();
-    engine_prop "batch = scalar bits: chain" `Chain ();
-    engine_prop "batch = scalar bits: EXISTS" `Exists ();
+    shape_prop "merge-join = naive bits: type N" `N ();
+    shape_prop "merge-join = naive bits: type J" `J ();
+    shape_prop "merge-join = naive bits: type JX" `JX ();
+    shape_prop "merge-join = naive bits: type JALL" `JALL ();
+    shape_prop "merge-join = naive bits: type JSOME" `JSOME ();
+    shape_prop "merge-join = naive bits: type JA" `JA ~discrete_ok:false ();
+    shape_prop "merge-join = naive bits: chain" `Chain ();
+    shape_prop "merge-join = naive bits: EXISTS" `Exists ();
+    string_prop;
   ]
 
-(* ---------- deterministic regressions ---------- *)
+(* ---------- the sweep and the sort ---------- *)
 
 let tc = Alcotest.test_case
 
-let regression_cases =
+let id t = Value.to_string (Ftuple.value t 0)
+
+(* Every (r, s) pair with a positive equality degree, enumerated by a
+   nested loop over the unsorted inputs: the windows the sweep emits must
+   hold exactly these pairs with exactly these degree bits. *)
+let positive_pairs r s ~attr =
+  List.concat_map
+    (fun rt ->
+      List.filter_map
+        (fun st ->
+          let d =
+            Value.compare_degree Fuzzy.Fuzzy_compare.Eq (Ftuple.value rt attr)
+              (Ftuple.value st attr)
+          in
+          if d > 0.0 then Some (id rt, id st, bits d) else None)
+        (Relation.to_list s))
+    (Relation.to_list r)
+  |> List.sort compare
+
+let sweep_cases =
   [
-    tc "sweep_sorted ~batch bridges identical rng lists" `Quick (fun () ->
+    tc "sweep_sorted windows hold exactly the overlapping pairs" `Quick
+      (fun () ->
         let env = Test_util.fresh_env () in
         let spec = { Workload.Gen.default_spec with n = 500; groups = 70 } in
-        let r, s =
-          Workload.Gen.join_pair env ~seed:5 ~outer:spec ~inner:spec
-        in
+        let r, s = Workload.Gen.join_pair env ~seed:5 ~outer:spec ~inner:spec in
+        let expect = positive_pairs r s ~attr:1 in
         let sorted_r = Join_merge.sort_by r ~attr:1 ~mem_pages:8 in
         let sorted_s = Join_merge.sort_by s ~attr:1 ~mem_pages:8 in
-        let collect batch =
-          let acc = ref [] in
-          Join_merge.sweep_sorted ~batch ~outer:sorted_r ~inner:sorted_s
+        let sweep ~vectorized =
+          let acc = ref [] and outers = ref 0 in
+          let add rt st d =
+            if d > 0.0 then acc := (id rt, id st, bits d) :: !acc
+          in
+          let f_batch ob i ~inner ~idx ~n ~d_eq =
+            incr outers;
+            for j = 0 to n - 1 do
+              add (Batch.row ob i) (Batch.row inner idx.(j)) d_eq.(j)
+            done
+          in
+          let f_batch = if vectorized then Some f_batch else None in
+          Join_merge.sweep_sorted ?f_batch ~outer:sorted_r ~inner:sorted_s
             ~outer_attr:1 ~inner_attr:1 ~mem_pages:8
-            ~f:(fun t rng ->
-              acc :=
-                ( Value.to_string (Ftuple.value t 0),
-                  List.map
-                    (fun (s, d) ->
-                      (Value.to_string (Ftuple.value s 0), bits d))
-                    rng )
-                :: !acc)
+            ~f:(fun rt rng ->
+              incr outers;
+              List.iter (fun (st, d) -> add rt st d) rng)
             ();
+          Alcotest.(check int) "one emission per outer tuple"
+            (Relation.cardinality r) !outers;
           List.sort compare !acc
         in
-        let a = collect false and b = collect true in
-        Alcotest.(check int) "same emission count" (List.length a)
-          (List.length b);
-        if a <> b then Alcotest.fail "scalar and batch rng lists differ");
-    tc "sort_support: same key order as the scalar sort" `Quick (fun () ->
+        if sweep ~vectorized:false <> expect then
+          Alcotest.fail "rng lists: wrong pairs";
+        if sweep ~vectorized:true <> expect then
+          Alcotest.fail "selection vectors: wrong pairs");
+    tc "sort_by: Definition 3.1 order, same tuples, at 1 and 2 domains"
+      `Quick (fun () ->
         let env = Test_util.fresh_env () in
         let spec = { Workload.Gen.default_spec with n = 700; groups = 50 } in
-        let r =
-          Workload.Gen.relation env ~seed:9 ~name:"R" spec
-        in
+        let r = Workload.Gen.relation env ~seed:9 ~name:"R" spec in
         let keys rel =
-          List.map
-            (fun t -> Value.support (Ftuple.value t 1))
-            (Relation.to_list rel)
+          List.map (fun t -> Value.support (Ftuple.value t 1)) (Relation.to_list rel)
         in
-        let scalar = Join_merge.sort_by r ~attr:1 ~mem_pages:8 in
-        let batch = Join_merge.sort_by ~batch:true r ~attr:1 ~mem_pages:8 in
-        let ks = keys scalar and kb = keys batch in
-        Alcotest.(check int) "same length" (List.length ks) (List.length kb);
-        List.iter2
-          (fun a b ->
-            if Fuzzy.Interval.compare_lex a b <> 0 then
-              Alcotest.failf "key order diverges: %a vs %a" Fuzzy.Interval.pp
-                a Fuzzy.Interval.pp b)
-          ks kb);
-    tc "batch engine composes with cancellation" `Quick (fun () ->
+        let ids rel = List.sort compare (List.map id (Relation.to_list rel)) in
+        let check sorted =
+          Alcotest.(check (list string)) "same tuples" (ids r) (ids sorted);
+          let rec ordered = function
+            | a :: (b :: _ as rest) ->
+                if Fuzzy.Interval.compare_lex a b > 0 then
+                  Alcotest.failf "out of order: %a before %a" Fuzzy.Interval.pp
+                    a Fuzzy.Interval.pp b;
+                ordered rest
+            | _ -> ()
+          in
+          ordered (keys sorted)
+        in
+        check (Join_merge.sort_by r ~attr:1 ~mem_pages:8);
+        Storage.Task_pool.with_pool ~domains:2 (fun pool ->
+            check (Join_merge.sort_by ~pool r ~attr:1 ~mem_pages:8)));
+    tc "the engine composes with cancellation" `Quick (fun () ->
         let spec =
           {
             Test_equivalence.seed = 3;
@@ -242,15 +315,74 @@ let regression_cases =
         in
         let cancel = Storage.Cancel.create () in
         Storage.Cancel.cancel cancel ~reason:"test";
-        (match Unnest.Planner.run ~batch:true ~cancel q with
+        (match Unnest.Planner.run ~cancel q with
         | _ -> Alcotest.fail "expected Cancelled"
         | exception Storage.Cancel.Cancelled _ -> ());
-        (* and a live token lets it complete *)
+        (* and a live token lets it complete with the exact answer *)
         let cancel = Storage.Cancel.create () in
-        let a = Unnest.Planner.run ~batch:true ~cancel q in
-        let b = Unnest.Planner.run q in
-        Alcotest.(check int) "same cardinality" (Relation.cardinality b)
-          (Relation.cardinality a));
+        let a = answer_bits (Unnest.Planner.run ~cancel q) in
+        if a <> answer_bits (Unnest.Naive_eval.query q) then
+          Alcotest.fail "answer differs from the interpreter");
+    tc "the sweep reads inner pages only as far as the outer side reaches"
+      `Quick (fun () ->
+        (* 10 outer rows on X = 0..9 against 200 inner rows on X = 0..199,
+           a few rows per page: the sweep needs inner rows 0..10 (row 10
+           ends the last outer row's window), so it must read their pages
+           and no further page of the inner relation. *)
+        let env = Test_util.fresh_env () in
+        let schema name =
+          Schema.make ~name [ ("ID", Schema.TNum); ("X", Schema.TNum) ]
+        in
+        let rel name n =
+          Relation.of_list ~pad_to:2048 env (schema name)
+            (List.init n (fun i ->
+                 Test_util.tuple [ Value.Int i; Value.crisp_num (float_of_int i) ] 1.0))
+        in
+        let sorted_r = Join_merge.sort_by (rel "R" 10) ~attr:1 ~mem_pages:8 in
+        let sorted_s = Join_merge.sort_by (rel "S" 200) ~attr:1 ~mem_pages:8 in
+        (* Pages a tuple-at-a-time reader loads for inner rows 0..10. *)
+        let c = Relation.Cursor.of_relation sorted_s in
+        let needed = ref 0 in
+        for _ = 0 to 10 do
+          if Relation.Cursor.buffered c = 0 then incr needed;
+          ignore (Relation.Cursor.next c)
+        done;
+        let stats = env.Storage.Env.stats in
+        let before = Storage.Iostats.page_reads stats in
+        Join_merge.sweep_sorted ~outer:sorted_r ~inner:sorted_s ~outer_attr:1
+          ~inner_attr:1 ~mem_pages:8 ~f:(fun _ _ -> ()) ();
+        Alcotest.(check bool) "inner spans several pages" true
+          (Relation.num_pages sorted_s > !needed + 2);
+        Alcotest.(check int) "outer pages + the inner pages needed"
+          (Relation.num_pages sorted_r + !needed)
+          (Storage.Iostats.page_reads stats - before));
+    tc "the sweep keeps at most the window plus two chunks decoded" `Quick
+      (fun () ->
+        let env = Test_util.fresh_env () in
+        let spec = { Workload.Gen.default_spec with n = 50_000; groups = 5_000 } in
+        let r, s = Workload.Gen.join_pair env ~seed:7 ~outer:spec ~inner:spec in
+        let sorted_r = Join_merge.sort_by r ~attr:1 ~mem_pages:8 in
+        let sorted_s = Join_merge.sort_by s ~attr:1 ~mem_pages:8 in
+        let max_window = ref 0 and max_inner = ref 0 and max_outer = ref 0 in
+        let outers = ref 0 in
+        Join_merge.sweep_sorted ~outer:sorted_r ~inner:sorted_s ~outer_attr:1
+          ~inner_attr:1 ~mem_pages:8 ~f:(fun _ _ -> ())
+          ~f_batch:(fun ob _ ~inner ~idx:_ ~n ~d_eq:_ ->
+            incr outers;
+            max_window := Int.max !max_window n;
+            max_inner := Int.max !max_inner (Batch.length inner);
+            max_outer := Int.max !max_outer (Batch.length ob))
+          ();
+        Alcotest.(check int) "every outer row swept" 50_000 !outers;
+        Alcotest.(check bool)
+          (Printf.sprintf "inner buffer %d <= window %d + 2 x %d" !max_inner
+             !max_window Batch.batch_rows)
+          true
+          (!max_inner <= !max_window + (2 * Batch.batch_rows));
+        Alcotest.(check bool)
+          (Printf.sprintf "outer chunk %d <= %d" !max_outer Batch.batch_rows)
+          true
+          (!max_outer <= Batch.batch_rows));
   ]
 
 let suites =
@@ -258,6 +390,6 @@ let suites =
     ( "batch.kernels",
       List.map QCheck_alcotest.to_alcotest
         [ kernel_cmp_prop; kernel_crisp_prop; mem_prop; tnorm_prop ] );
-    ("batch.engines", List.map QCheck_alcotest.to_alcotest engine_props);
-    ("batch.regressions", regression_cases);
+    ("batch.engines", List.map QCheck_alcotest.to_alcotest shape_props);
+    ("batch.regressions", sweep_cases);
   ]

@@ -151,7 +151,6 @@ let mk_record ?(exec_s = 0.01) ?(id = "abc") () =
     Server.Telemetry.Query_log.ts = 1700000000.0;
     request_id = id;
     shape = "SELECT R.ID FROM R WHERE R.X >= ?";
-    engine = "batch";
     queue_wait_s = 0.001;
     exec_s;
     page_reads = 12;
@@ -200,7 +199,6 @@ let query_log_tests =
               [
                 "\"request_id\":\"req-1\"";
                 "\"shape\":\"SELECT R.ID FROM R WHERE R.X >= ?\"";
-                "\"engine\":\"batch\"";
                 "\"queue_wait_s\":";
                 "\"exec_s\":";
                 "\"page_reads\":12";
