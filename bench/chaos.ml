@@ -34,7 +34,8 @@
     - query-log records = accepted, and the log's request IDs = the trace
       ring's (every logged request has exactly one span tree);
     - epoch 2 after promotion, and the fence firing in both directions;
-    - zero undetected torn pages after recovery.
+    - zero undetected torn pages after recovery, and in the promoted
+      replica's directory after failover.
 
     Each source prints one [chaos verdict: PASS|FAIL] line; a FAIL makes
     the bench exit non-zero once every target has run. Every cell is one
@@ -435,6 +436,16 @@ let prefix_violations ~seed ~acked ~recovered ~checksum =
 
 let all_zero violations = List.for_all (fun (_, n) -> n = 0) violations
 
+(* Pages of a recovered durable environment whose checksum does not
+   verify against the log; -1 when it has no log or no real disk to
+   check. *)
+let undetected_torn env =
+  match (Env.wal env, Disk.as_real env.Env.disk) with
+  | Some wal, Some disk -> List.length (Recovery.verify_pages wal disk)
+  | _ -> -1
+
+let torn_violations torn = [ (Torn_pages, if torn < 0 then 1 else torn) ]
+
 let crash_cell ~seed tl =
   with_temp_dir (fun dir ->
       let kill_after, acked =
@@ -445,11 +456,7 @@ let crash_cell ~seed tl =
       let t0 = Unix.gettimeofday () in
       let env = Env.open_durable ~dir () in
       let recover_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
-      let torn =
-        match (Env.wal env, Disk.as_real env.Env.disk) with
-        | Some wal, Some disk -> List.length (Recovery.verify_pages wal disk)
-        | _ -> -1
-      in
+      let torn = undetected_torn env in
       let recovered, checksum =
         match Relational.Catalog.find (Relational.Catalog.load_durable env) "C" with
         | Some rel -> (Relational.Relation.cardinality rel, answer_checksum rel)
@@ -467,7 +474,7 @@ let crash_cell ~seed tl =
             ("checksum", Text checksum); ("match", Flag (all_zero prefix));
             ("torn_undetected", Int torn); ("recovery_ms", Fixed (3, recover_ms));
           ];
-        violations = prefix @ [ (Torn_pages, if torn < 0 then 1 else torn) ];
+        violations = prefix @ torn_violations torn;
       })
 
 let addr_of port = "127.0.0.1:" ^ string_of_int port
@@ -572,6 +579,11 @@ let failover_cell ~seed tl =
   Server.Daemon.stop daemon;
   Option.iter Replication.Sender.stop (Server.Daemon.sender daemon);
   Replication.Replica.stop replica;
+  let torn =
+    let env = Env.open_durable ~dir:rdir () in
+    Fun.protect ~finally:(fun () -> Env.close env) (fun () -> undetected_torn env)
+  in
+  event tl "promoted replica's directory: %d torn pages undetected" torn;
   let prefix = prefix_violations ~seed ~acked ~recovered ~checksum in
   {
     row =
@@ -581,6 +593,7 @@ let failover_cell ~seed tl =
         ("checksum", Text checksum); ("match", Flag (all_zero prefix));
         ("epoch", Int epoch); ("fenced_sender", Int fenced_sender);
         ("fenced_replica", Int fenced_replica); ("queries_ok", Int !queries_ok);
+        ("torn_undetected", Int torn);
         ("duration_s", Fixed (3, Unix.gettimeofday () -. tl.t0));
       ];
     violations =
@@ -591,7 +604,8 @@ let failover_cell ~seed tl =
             + Bool.to_int (not epoch_in_metrics)
             + Bool.to_int (fenced_sender < 1)
             + Bool.to_int (fenced_replica < 1) );
-        ];
+        ]
+      @ torn_violations torn;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -656,13 +670,15 @@ let run source (cfg : Harness.config) =
             "and acks each only after the replica applied it (semi-sync); it is";
             "SIGKILLed mid-load, the replica is promoted over the wire, and";
             "clients re-pointed; checks zero acked-commit loss, a bit-identical";
-            "committed prefix, and both directions of the epoch fence";
+            "committed prefix, both directions of the epoch fence, and zero";
+            "undetected torn pages in the promoted replica's directory";
           ],
           kill_header,
           "failover_chaos",
           [
             "fault_seed"; "kill_after_s"; "acked_batches"; "recovered_tuples";
             "epoch"; "fenced_sender"; "fenced_replica"; "match";
+            "torn_undetected";
           ],
           List.map (fun seed -> failover_cell ~seed) seeds )
   in

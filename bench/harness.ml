@@ -23,7 +23,6 @@ type config = {
   scale : int;  (** divide paper sizes by this (1 = paper scale) *)
   io_latency : float;  (** seconds per page transfer (1995 disk ~ 20 ms) *)
   seed : int;
-  domains : int;  (** merge-join execution parallelism (1 = sequential) *)
 }
 
 (* Calibration of [io_latency]: the paper's SPARC/IPC spent ~7.8 us per
@@ -35,7 +34,7 @@ type config = {
    speedup => 0.5 ms); pass [--io-latency 0.02] for the period-accurate
    disk. *)
 let default_config =
-  { scale = 4; io_latency = 0.0005; seed = 42; domains = 1 }
+  { scale = 4; io_latency = 0.0005; seed = 42 }
 
 (* The paper's buffer: 2 MB of 8 KB pages, scaled. *)
 let mem_pages cfg = Int.max 8 (256 / cfg.scale)
@@ -57,8 +56,6 @@ type metrics = {
   response : float;  (** seconds: cpu + io * latency *)
   cpu : float;
   wall : float;  (** actual wall-clock seconds of the evaluation *)
-  sort_s : float;  (** coordinator wall seconds in the Sort phase *)
-  merge_s : float;  (** coordinator wall seconds in the Merge phase *)
   ios : int;
   sort_share : float;  (** fraction of response spent sorting *)
   fuzzy_ops : int;
@@ -83,7 +80,6 @@ type row = { bench : string; fields : (string * field) list }
 
 let results : row list ref = ref []
 let record bench fields = results := { bench; fields } :: !results
-let field row key = List.assoc_opt key row.fields
 
 (* Run-wide metrics registry: one observation per measured cell. The
    summary is printed (and dumped as JSON) at the end of the bench run. *)
@@ -204,23 +200,17 @@ let write_results path =
   close_out oc
 
 (* One engine-measurement row (the Section 9 cells, and the kernels and
-   telemetry benches). [io_overhead] is #IOs of this cell /
-   #IOs of the same workload at domains = 1; it starts at 1.0 and the
-   [scaling] bench stamps the real ratio once its baseline is known (the
-   parallel engine's private buffer pools re-read boundary pages, and this
-   ratio makes that cost explicit). [checksum] is the order-independent
-   answer digest, so parallel-vs-sequential cells can be asserted
-   bit-identical from the JSON alone. *)
-let record_measurement ~bench ~cell ~method_ ~domains ~scale ~wall
-    ~response ~cpu ~ios ~fuzzy_ops ~answer_size ~checksum =
+   telemetry benches). [checksum] is the order-independent answer digest,
+   so cells of two builds can be asserted bit-identical from the JSON
+   alone. *)
+let record_measurement ~bench ~cell ~method_ ~scale ~wall ~response ~cpu ~ios
+    ~fuzzy_ops ~answer_size ~checksum =
   record bench
     [
-      ("cell", Text cell); ("method", Text method_);
-      ("domains", Int domains); ("scale", Int scale);
+      ("cell", Text cell); ("method", Text method_); ("scale", Int scale);
       ("wall_s", Fixed (6, wall)); ("response_s", Fixed (6, response));
       ("cpu_s", Fixed (6, cpu)); ("ios", Int ios); ("fuzzy_ops", Int fuzzy_ops);
       ("answer_size", Int answer_size); ("checksum", Text checksum);
-      ("io_overhead", Fixed (4, 1.0));
     ]
 
 (* The canonical type J query of the experiments (Section 9 uses type J to
@@ -255,11 +245,7 @@ let run_cell ?(bench = "adhoc") ?(cell = "") ?trace cfg ~outer ~inner method_ =
         | Nested_loop ->
             Unnest.Nl_exec.run ?trace shape ~mem_pages:(mem_pages cfg)
         | Merge_join ->
-            if cfg.domains > 1 then
-              Storage.Task_pool.with_pool ~domains:cfg.domains (fun pool ->
-                  Unnest.Merge_exec.run ~pool ?trace shape
-                    ~mem_pages:(mem_pages cfg))
-            else Unnest.Merge_exec.run ?trace shape ~mem_pages:(mem_pages cfg))
+            Unnest.Merge_exec.run ?trace shape ~mem_pages:(mem_pages cfg))
   in
   let wall = Unix.gettimeofday () -. wall_start in
   let cpu = Storage.Iostats.cpu_seconds stats in
@@ -275,8 +261,6 @@ let run_cell ?(bench = "adhoc") ?(cell = "") ?trace cfg ~outer ~inner method_ =
       response;
       cpu;
       wall;
-      sort_s = Storage.Iostats.phase_seconds stats Storage.Iostats.Sort;
-      merge_s = Storage.Iostats.phase_seconds stats Storage.Iostats.Merge;
       ios;
       sort_share = (if response > 0.0 then sort_time /. response else 0.0);
       fuzzy_ops = Storage.Iostats.fuzzy_ops stats;
@@ -284,7 +268,6 @@ let run_cell ?(bench = "adhoc") ?(cell = "") ?trace cfg ~outer ~inner method_ =
     }
   in
   record_measurement ~bench ~cell ~method_:(method_name method_)
-    ~domains:(match method_ with Merge_join -> cfg.domains | Nested_loop -> 1)
     ~scale:cfg.scale ~wall:m.wall ~response:m.response ~cpu:m.cpu ~ios:m.ios
     ~fuzzy_ops:m.fuzzy_ops ~answer_size:m.answer_size
     ~checksum:(answer_checksum answer);
@@ -305,27 +288,6 @@ let run_cell ?(bench = "adhoc") ?(cell = "") ?trace cfg ~outer ~inner method_ =
     (Storage.Metrics.histogram metrics "answer_size")
     (float_of_int m.answer_size);
   m
-
-(* Stamp the parallel-I/O-overhead ratio onto the recorded rows of one
-   bench at a given domain count (the [scaling] bench computes the ratio
-   once its domains = 1 baseline is known; reps of a cell share it, page
-   counts being deterministic). *)
-let record_io_overhead ~bench ~domains ratio =
-  results :=
-    List.map
-      (fun r ->
-        if r.bench = bench && field r "domains" = Some (Int domains) then
-          {
-            r with
-            fields =
-              List.map
-                (function
-                  | "io_overhead", _ -> ("io_overhead", Fixed (4, ratio))
-                  | f -> f)
-                r.fields;
-          }
-        else r)
-      !results
 
 (* Scratch data directories for the durable-storage benches. *)
 let temp_dir_counter = ref 0

@@ -2,9 +2,9 @@
     membership-function figures and an ablation study.
 
     Usage: [bench/main.exe [targets] [--full] [--scale N] [--io-latency S]
-    [--seed N] [--domains N] [--clients L] [--queries N]
+    [--seed N] [--clients L] [--queries N]
     [--trace PATH]] where targets are any of [table1 table2 table3 table4
-    fig3 fig1 ablation chain sort scaling load chaos micro kernels
+    fig3 fig1 ablation chain sort load chaos micro kernels
     telemetry wal recovery failover all] (default: all). [wal] measures WAL
     commit throughput per sync mode and redo-restart time vs log length.
     [chaos], [recovery] and [failover] are the three fault sources of the
@@ -17,14 +17,12 @@
     additionally runs the 3-block chain query under the span collector and
     writes a Chrome trace_event file to PATH (bare [--trace PATH] runs only
     that). The [load] target runs closed-loop clients against an in-process
-    fsqld ([--clients] is a comma list of client counts, [--domains] sets the
-    worker count) and reports throughput and exact p50/p99 latency per client
-    count.
+    fsqld with the daemon's default two workers ([--clients] is a comma list
+    of client counts) and reports throughput and exact p50/p99 latency per
+    client count.
     [--full] runs at the paper's absolute sizes (slow); the default scales
     every size by 8, which preserves all relation-size : buffer-size ratios.
-    [--domains N] runs the merge-join cells on an N-domain task pool (the
-    answers are identical; see the [scaling] target). Every measured cell is
-    also dumped to [BENCH_results.json]. *)
+    Every measured cell is also dumped to [BENCH_results.json]. *)
 
 open Frepro
 open Harness
@@ -343,8 +341,8 @@ let sort_bench cfg =
 (* chain-memory: the serving mix's 3-block chain over [Server.Demo]'s
    R/S/T at 800/800/400 rows, default [mem_pages]. It runs first so the
    process's peak RSS (VmHWM) is this query's, not a later cell's; CI
-   bounds it and compares the checksum across [--domains]. *)
-let chain_memory cfg =
+   bounds it and pins the checksum. *)
+let chain_memory () =
   let env = Storage.Env.create () in
   let catalog = Relational.Catalog.create env in
   Server.Demo.load_nested ~n_r:800 ~n_s:800 ~n_t:400 env catalog;
@@ -353,7 +351,7 @@ let chain_memory cfg =
       (List.assoc "chain" shapes)
   in
   let t0 = Unix.gettimeofday () in
-  let answer = Unnest.Planner.run ~domains:cfg.domains q in
+  let answer = Unnest.Planner.run q in
   let wall = Unix.gettimeofday () -. t0 in
   let rss = peak_rss_mb () in
   let rows = Relational.Relation.cardinality answer in
@@ -363,14 +361,14 @@ let chain_memory cfg =
     (str_seconds wall) rss rows checksum;
   record "chain-memory"
     [
-      ("cell", Text "800x800x400"); ("domains", Int cfg.domains);
+      ("cell", Text "800x800x400");
       ("wall_s", Fixed (6, wall)); ("peak_rss_mb", Int rss);
       ("answer_size", Int rows); ("checksum", Text checksum);
     ]
 
 let chain_bench cfg =
   section "Chain queries (Section 8) - 3-block nesting, skewed block sizes";
-  chain_memory cfg;
+  chain_memory ();
   note "paper: response O(sum n_i log n_i) unnested vs O(prod n_i) nested;@.";
   note "Section 8 also suggests DP join ordering to minimise intermediates@.@.";
   let sql =
@@ -419,76 +417,6 @@ let chain_bench cfg =
     [ (200, 200, 200); (2000, 2000, 50); (4000, 4000, 25) ]
 
 (* ------------------------------------------------------------------ *)
-(* Multicore scaling: the Table 1 micro workload at 1, 2 and 4 domains. *)
-(* ------------------------------------------------------------------ *)
-
-let scaling cfg =
-  section "Scaling - merge-join wall time vs --domains (Table 1 workload)";
-  note "same query, same answer; the parallel engine range-partitions the@.";
-  note "sweep and sorts runs on separate domains (plus key decoration)@.@.";
-  let spec = spec_of ~paper_mb:8 ~tuple_bytes:128 ~fanout:7.0 cfg in
-  let domain_counts =
-    if cfg.domains > 1 then [ 1; cfg.domains ] else [ 1; 2; 4 ]
-  in
-  Format.printf "%-10s | %12s | %9s | %9s | %12s | %10s | %8s | %10s | %8s@."
-    "domains" "wall (s)" "sort (s)" "merge (s)" "response (s)" "#IOs"
-    "io-ovh" "answers" "speedup";
-  hr Format.std_formatter 108;
-  let base_wall = ref None and base_ios = ref None in
-  List.iter
-    (fun d ->
-      (* Best of three: wall clock on a shared machine is noisy, and the
-         minimum is the standard estimator of the undisturbed run. *)
-      let m =
-        List.fold_left
-          (fun best rep ->
-            let m =
-              run_cell ~bench:"scaling"
-                ~cell:(Printf.sprintf "domains-%d-rep%d" d rep)
-                { cfg with domains = d }
-                ~outer:spec ~inner:spec Merge_join
-            in
-            match best with
-            | Some b when b.wall <= m.wall -> Some b
-            | _ -> Some m)
-          None [ 1; 2; 3 ]
-        |> Option.get
-      in
-      let speedup =
-        match !base_wall with
-        | None ->
-            base_wall := Some m.wall;
-            1.0
-        | Some w -> w /. Float.max 1e-9 m.wall
-      in
-      (* Parallel I/O overhead: each domain sorts into a private buffer
-         pool and the partitioned sweep replicates boundary pages, so
-         total page transfers grow with the domain count even though wall
-         time shrinks. The ratio against the sequential run makes the
-         trade explicit (it also lands in BENCH_results.json). *)
-      let io_overhead =
-        match !base_ios with
-        | None ->
-            base_ios := Some m.ios;
-            1.0
-        | Some b -> float_of_int m.ios /. Float.max 1.0 (float_of_int b)
-      in
-      record_io_overhead ~bench:"scaling" ~domains:d io_overhead;
-      Format.printf
-        "%-10d | %12s | %9s | %9s | %12s | %10d | %7.2fx | %10d | %7.2fx@." d
-        (str_seconds m.wall) (str_seconds m.sort_s) (str_seconds m.merge_s)
-        (str_seconds m.response) m.ios io_overhead m.answer_size speedup)
-    domain_counts;
-  match (!base_ios, List.rev domain_counts) with
-  | Some b, last :: _ when last > 1 ->
-      note
-        "@.(the parallel engine trades extra page transfers - private sort@.";
-      note
-        " pools and replicated sweep boundaries - for wall-clock speedup;@.";
-      note " sequential baseline: %d I/Os)@." b
-  | _ -> ()
-
-(* ------------------------------------------------------------------ *)
 (* Server load: closed-loop clients against an in-process fsqld.       *)
 (* ------------------------------------------------------------------ *)
 
@@ -498,15 +426,15 @@ let load_duration = 1.5
 let load_bench cfg =
   section "Server load - closed-loop clients vs an in-process fsqld";
   note "clients loop over the nesting shapes (N J JX JA JALL chain); every@.";
-  note "answer is checked against the sequential engine, exact degrees@.";
-  note "(workers = --domains = %d parallel queries)@.@." cfg.domains;
+  note "answer is checked against the in-process engine, exact degrees@.";
   let setup = Server.Demo.server_setup ~seed:cfg.seed () in
   let expected = expected_answers setup in
   let max_clients = List.fold_left Int.max 1 !load_clients in
   let daemon =
-    Server.Daemon.start ~workers:cfg.domains
-      ~queue_capacity:(max_clients + cfg.domains) ~setup ()
+    Server.Daemon.start ~queue_capacity:(max_clients + 2) ~setup ()
   in
+  let workers = Server.Daemon.workers daemon in
+  note "(workers = %d parallel queries)@.@." workers;
   let port = Server.Daemon.port daemon in
   Format.printf "%-8s | %8s | %8s | %9s | %9s | %6s | %10s@." "clients"
     "queries" "qps" "p50 (ms)" "p99 (ms)" "wrong" "overloaded";
@@ -572,7 +500,7 @@ let load_bench cfg =
          latencies are exact percentiles over every answered query. *)
       record "load"
         [
-          ("clients", Int c); ("workers", Int cfg.domains); ("domains", Int 1);
+          ("clients", Int c); ("workers", Int workers);
           ("queries", Int queries); ("wrong", Int (Atomic.get wrong));
           ("overloaded", Int (Atomic.get overloaded)); ("qps", Fixed (2, qps));
           ("p50_ms", Fixed (3, p50)); ("p99_ms", Fixed (3, p99));
@@ -584,8 +512,7 @@ let load_bench cfg =
 (* ------------------------------------------------------------------ *)
 (* --trace PATH: run the 3-block chain query once under a trace         *)
 (* collector and dump a Chrome trace_event file (chrome://tracing or    *)
-(* https://ui.perfetto.dev). With --domains N the parallel lanes show   *)
-(* up as separate threads. CI uses this as its trace smoke test.        *)
+(* https://ui.perfetto.dev). CI uses this as its trace smoke test.      *)
 (* ------------------------------------------------------------------ *)
 
 let trace_run cfg path =
@@ -607,15 +534,13 @@ let trace_run cfg path =
   let q = Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper sql in
   let trace = Storage.Trace.create () in
   let answer =
-    Unnest.Planner.run ~mem_pages:(mem_pages cfg) ~domains:cfg.domains ~trace q
+    Unnest.Planner.run ~mem_pages:(mem_pages cfg) ~trace q
   in
   Storage.Trace.write_chrome trace ~path;
   note "query: %s@." sql;
   note "answer rows: %d@." (Relational.Relation.cardinality answer);
-  note "wrote %s (%d spans, domains %d) - open in chrome://tracing@."
-    path
+  note "wrote %s (%d spans) - open in chrome://tracing@." path
     (Storage.Trace.span_count trace)
-    cfg.domains
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the kernel operations.                 *)
@@ -694,7 +619,7 @@ let telemetry_bench cfg =
       if on then Some (Filename.temp_file "fsqld_qlog" ".jsonl") else None
     in
     let daemon =
-      Server.Daemon.start ~workers:1 ~domains:1 ~mem_pages:(mem_pages cfg)
+      Server.Daemon.start ~workers:1 ~mem_pages:(mem_pages cfg)
         ?metrics_port:(if on then Some 0 else None)
         ?query_log:qlog ~setup ()
     in
@@ -745,7 +670,7 @@ let telemetry_bench cfg =
     Server.Daemon.stop daemon;
     Option.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) qlog;
     record_measurement ~bench:"telemetry" ~cell:(if on then "on" else "off")
-      ~method_:"daemon" ~domains:1 ~scale:cfg.scale ~wall:!best
+      ~method_:"daemon" ~scale:cfg.scale ~wall:!best
       ~response:!best ~cpu:0.0 ~ios:0 ~fuzzy_ops:0 ~answer_size:0
       ~checksum:!checksum;
     (!best, !checksum)
@@ -776,7 +701,7 @@ let kernels cfg =
   let n = 200_000 in
   let record cell variant rows secs =
     record_measurement ~bench:"kernels" ~cell:(cell ^ "/" ^ variant)
-      ~method_:"kernel" ~domains:1 ~scale:cfg.scale ~wall:secs ~response:secs
+      ~method_:"kernel" ~scale:cfg.scale ~wall:secs ~response:secs
       ~cpu:secs ~ios:0 ~fuzzy_ops:rows ~answer_size:rows ~checksum:"";
     Format.printf "  %-24s %-10s %12.2f M rows/s@." cell variant
       (float_of_int rows /. Float.max 1e-9 secs /. 1e6)
@@ -857,15 +782,14 @@ let kernels cfg =
     Relational.Join_merge.sort_by s_rel ~attr:1 ~mem_pages:(mem_pages cfg)
   in
   let pairs = ref 0 in
-  (* the window is consumed through the vectorized emitter, like the
-     IN / NOT IN handlers do *)
+  (* the window is consumed off its selection vector, like the IN / NOT IN
+     handlers do *)
   let secs =
     time (fun () ->
         pairs := 0;
         Relational.Join_merge.sweep_sorted ~outer:sorted_r ~inner:sorted_s
           ~outer_attr:1 ~inner_attr:1 ~mem_pages:(mem_pages cfg)
-          ~f_batch:(fun _ _ ~inner:_ ~idx:_ ~n ~d_eq:_ -> pairs := !pairs + n)
-          ~f:(fun _ _ -> ())
+          ~emit:(fun _ _ ~inner:_ ~idx:_ ~n ~d_eq:_ -> pairs := !pairs + n)
           ())
   in
   let rows = Relational.Relation.cardinality sorted_r in
@@ -878,7 +802,7 @@ let all_targets =
   [
     ("table1", table1); ("table2", table2); ("table3", table3);
     ("table4", table4); ("fig3", fig3); ("fig1", fig1); ("ablation", ablation);
-    ("chain", chain_bench); ("sort", sort_bench); ("scaling", scaling);
+    ("chain", chain_bench); ("sort", sort_bench);
     ("load", load_bench); ("chaos", Chaos.run Chaos.Fault_plane);
     ("micro", micro); ("kernels", kernels);
     ("telemetry", telemetry_bench); ("wal", Wal_bench.run);
@@ -907,14 +831,6 @@ let () =
     | "--seed" :: n :: rest ->
         cfg := { !cfg with seed = int_of_string n };
         parse rest
-    | "--domains" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some d when d >= 1 ->
-            cfg := { !cfg with domains = d };
-            parse rest
-        | _ ->
-            Format.eprintf "--domains expects a positive integer@.";
-            exit 2)
     | "--queries" :: n :: rest -> (
         match int_of_string_opt n with
         | Some q when q >= 1 ->
@@ -956,8 +872,8 @@ let () =
   in
   Format.printf
     "Nested Fuzzy SQL reproduction - Section 9 experiments (scale 1/%d, \
-     io_latency %gms, buffer %d pages, domains %d)@."
-    !cfg.scale (!cfg.io_latency *. 1000.0) (mem_pages !cfg) !cfg.domains;
+     io_latency %gms, buffer %d pages)@."
+    !cfg.scale (!cfg.io_latency *. 1000.0) (mem_pages !cfg);
   List.iter (fun t -> (List.assoc t all_targets) !cfg) chosen;
   Option.iter (trace_run !cfg) !trace_path;
   write_results "BENCH_results.json";

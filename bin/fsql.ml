@@ -7,7 +7,7 @@
     \d           list relations        \d NAME      print a relation
     \terms       list linguistic terms \shape SQL;  classify without running
     \strategy X  naive|nl|merge|auto   \timing      toggle timing
-    \domains N   execution parallelism \help        this help
+    \help        this help
     \analyze SQL; run + per-operator  \check SQL;  static analysis only
                   actual stats
     \trace PATH|off  Chrome trace of each query to PATH
@@ -18,12 +18,11 @@
     (always-empty predicates, unsatisfiable threshold cuts, contradictory
     conjunctions, nested-loop-only shapes) without running the query.
 
-    Start with [fsql --domains N] to set the initial parallelism,
-    [fsql --check FILE] to batch-lint every ';'-terminated statement in
+    Start with [fsql --check FILE] to batch-lint every ';'-terminated statement in
     FILE against the demo catalog (exit 1 when any statement has an
     error), or [fsql --connect HOST:PORT] to run statements against a
     remote fsqld instead of the in-process engine (meta commands: \q
-    \help \timing \domains \deadline \retry \metrics \top \trace). Every
+    \help \timing \deadline \retry \metrics \top \trace). Every
     remote query carries a client-generated request ID; failures print
     it, [\trace ID] fetches that request's server-side Chrome trace, and
     [\top] shows the server's live windowed metrics. *)
@@ -39,7 +38,6 @@ type state = {
           relation's loaded domains *)
   mutable strategy : Unnest.Planner.strategy;
   mutable timing : bool;
-  mutable domains : int;
   mutable trace_file : string option;
 }
 
@@ -66,7 +64,6 @@ let help () =
     \                contradictions, nested-loop-only shapes)\n\
     \  \\explain SQL; show the evaluation plan and estimates\n\
     \  \\strategy X   naive | nl | merge | auto\n\
-    \  \\domains N    merge-join execution parallelism (1 = sequential)\n\
     \  \\analyze SQL; run a query and print per-operator actual\n\
     \                time / I/O / rows vs estimates\n\
     \  \\trace PATH   write a Chrome trace of each query to PATH\n\
@@ -112,8 +109,7 @@ let run_sql st sql =
         let trace = Option.map (fun _ -> Storage.Trace.create ()) st.trace_file in
         let t0 = Unix.gettimeofday () in
         let answer =
-          Unnest.Planner.run ~strategy:st.strategy ~domains:st.domains ?trace
-            q
+          Unnest.Planner.run ~strategy:st.strategy ?trace q
         in
         let dt = Unix.gettimeofday () -. t0 in
         (match (st.trace_file, trace) with
@@ -169,13 +165,6 @@ let meta st line =
           Format.printf "strategy set to %s@."
             (Unnest.Planner.strategy_to_string strat)
       | None -> Format.printf "unknown strategy %s (naive|nl|merge|auto)@." s)
-  | [ "\\domains" ] -> Format.printf "domains: %d@." st.domains
-  | [ "\\domains"; n ] -> (
-      match int_of_string_opt n with
-      | Some d when d >= 1 ->
-          st.domains <- d;
-          Format.printf "domains set to %d@." d
-      | _ -> Format.printf "domains must be a positive integer@.")
   | [ "\\save"; dir ] ->
       Relational.Persist.save_catalog st.catalog ~dir;
       Format.printf "saved %d relation(s) to %s@."
@@ -221,7 +210,7 @@ let meta st line =
       | Ok q -> (
           try
             let a =
-              Unnest.Explain.analyze ~strategy:st.strategy ~domains:st.domains q
+              Unnest.Explain.analyze ~strategy:st.strategy q
             in
             print_string a.Unnest.Explain.text;
             match st.trace_file with
@@ -319,7 +308,6 @@ let check_file path =
 type remote_state = {
   client : Server.Client.t;
   mutable r_timing : bool;
-  mutable r_domains : int; (* 0 = use the server's configured parallelism *)
   mutable r_deadline_ms : int; (* 0 = use the server's default deadline *)
   mutable r_retries : int; (* 0 = no client-side retry *)
 }
@@ -327,7 +315,6 @@ type remote_state = {
 let remote_help () =
   print_string
     "statements end with ';' and run on the remote fsqld. Meta commands:\n\
-    \  \\domains N    per-query parallelism (0 = server default)\n\
     \  \\deadline MS  per-query deadline in milliseconds (0 = server default)\n\
     \  \\retry N      retry overloaded/transient replies up to N extra times\n\
     \                with backoff (0 = off)\n\
@@ -350,8 +337,7 @@ let remote_sql st sql =
     else None
   in
   match
-    Server.Client.query ~deadline_ms:st.r_deadline_ms ~domains:st.r_domains
-      ?retry st.client sql
+    Server.Client.query ~deadline_ms:st.r_deadline_ms ?retry st.client sql
   with
   | Server.Client.Answer { columns; rows; server_elapsed_s = _ } ->
       let dt = Unix.gettimeofday () -. t0 in
@@ -398,14 +384,6 @@ let remote_meta st line =
   | [ "\\timing" ] ->
       st.r_timing <- not st.r_timing;
       Format.printf "timing %s@." (if st.r_timing then "on" else "off")
-  | [ "\\domains" ] ->
-      Format.printf "domains: %d (0 = server default)@." st.r_domains
-  | [ "\\domains"; n ] -> (
-      match int_of_string_opt n with
-      | Some d when d >= 0 ->
-          st.r_domains <- d;
-          Format.printf "domains set to %d@." d
-      | _ -> Format.printf "domains must be a non-negative integer@.")
   | [ "\\deadline" ] ->
       Format.printf "deadline: %d ms (0 = server default)@." st.r_deadline_ms
   | [ "\\deadline"; n ] -> (
@@ -465,7 +443,7 @@ let remote_meta st line =
   | _ ->
       Format.printf "unknown meta command in --connect mode (try \\help)@."
 
-let remote_repl addr ~domains =
+let remote_repl addr =
   let client =
     (* Bounded connect: an unreachable server fails in 5 s instead of
        hanging for the kernel's SYN-retry budget. *)
@@ -482,8 +460,7 @@ let remote_repl addr ~domains =
         exit 2
   in
   let st =
-    { client; r_timing = true; r_domains = domains; r_deadline_ms = 0;
-      r_retries = 0 }
+    { client; r_timing = true; r_deadline_ms = 0; r_retries = 0 }
   in
   let interactive = Unix.isatty Unix.stdin in
   if interactive then
@@ -522,22 +499,10 @@ let remote_repl addr ~domains =
   if interactive then print_endline "bye"
 
 let () =
-  let domains = ref None in
   let connect = ref None in
   let lint = ref None in
   let rec parse_args = function
     | [] -> ()
-    | "--domains" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some d when d >= 1 ->
-            domains := Some d;
-            parse_args rest
-        | _ ->
-            prerr_endline "fsql: --domains expects a positive integer";
-            exit 2)
-    | [ "--domains" ] ->
-        prerr_endline "fsql: --domains expects a positive integer";
-        exit 2
     | "--connect" :: addr :: rest ->
         connect := Some addr;
         parse_args rest
@@ -553,17 +518,14 @@ let () =
     | arg :: _ ->
         prerr_endline
           ("fsql: unknown argument " ^ arg
-         ^ " (usage: fsql [--domains N] [--connect HOST:PORT] \
-            [--check FILE])");
+         ^ " (usage: fsql [--connect HOST:PORT] [--check FILE])");
         exit 2
   in
   parse_args (List.tl (Array.to_list Sys.argv));
   match (!lint, !connect) with
   | Some file, _ -> check_file file
-  | None, Some addr ->
-      remote_repl addr ~domains:(Option.value ~default:0 !domains)
+  | None, Some addr -> remote_repl addr
   | None, None ->
-  let domains = ref (Option.value ~default:1 !domains) in
   let env = Storage.Env.create () in
   let catalog = Catalog.create env in
   load_demo env catalog;
@@ -574,7 +536,6 @@ let () =
       check = Fuzzysql.Check.ctx ~catalog ~terms:Fuzzy.Term.paper;
       strategy = Unnest.Planner.Auto;
       timing = true;
-      domains = !domains;
       trace_file = None;
     }
   in

@@ -5,7 +5,7 @@
     Connect with [fsql --connect HOST:PORT].
 
     {v
-    fsqld [--host H] [--port P] [--workers N] [--queue N] [--domains N]
+    fsqld [--host H] [--port P] [--workers N] [--queue N]
           [--deadline-ms MS] [--seed N] [--trace DIR]
           [--fault-spec SPEC] [--fault-seed N] [--metrics-port P]
           [--query-log FILE] [--slow-ms MS] [--trace-ring N]
@@ -23,8 +23,8 @@
     that initial load (default [group]).
 
     [--workers] is the number of queries executing in parallel (each on
-    its own domain with a private storage environment); [--domains] is
-    the per-query merge-join parallelism. [--deadline-ms] sets a default
+    its own domain with a private storage environment; a query runs on
+    one worker). [--deadline-ms] sets a default
     deadline for clients that do not send one. [--trace DIR] writes one
     Chrome trace file per request to [DIR/req-N.json]. [--fault-spec]
     arms deterministic fault injection on every worker's storage (syntax
@@ -55,8 +55,7 @@
 open Frepro
 
 let usage =
-  "usage: fsqld [--host H] [--port P] [--workers N] [--queue N] [--domains \
-   N]\n\
+  "usage: fsqld [--host H] [--port P] [--workers N] [--queue N]\n\
   \             [--deadline-ms MS] [--seed N] [--trace DIR]\n\
   \             [--fault-spec SPEC] [--fault-seed N] [--metrics-port P]\n\
   \             [--query-log FILE] [--slow-ms MS] [--trace-ring N]\n\
@@ -68,7 +67,6 @@ let () =
   let port = ref 5499 in
   let workers = ref 2 in
   let queue = ref 16 in
-  let domains = ref 1 in
   let deadline_ms = ref 0 in
   let seed = ref 11 in
   let trace_dir = ref None in
@@ -101,8 +99,6 @@ let () =
     | "--workers" :: n :: rest ->
         parse (int_arg "--workers" n (( := ) workers) rest)
     | "--queue" :: n :: rest -> parse (int_arg "--queue" n (( := ) queue) rest)
-    | "--domains" :: n :: rest ->
-        parse (int_arg "--domains" n (( := ) domains) rest)
     | "--deadline-ms" :: n :: rest ->
         parse (int_arg "--deadline-ms" n (( := ) deadline_ms) rest)
     | "--seed" :: n :: rest -> parse (int_arg "--seed" n (( := ) seed) rest)
@@ -257,7 +253,7 @@ let () =
       ~queue_capacity:!queue
       ?default_deadline_ms:
         (if !deadline_ms > 0 then Some !deadline_ms else None)
-      ~domains:!domains ?on_trace ?fault_spec:!fault_spec
+      ?on_trace ?fault_spec:!fault_spec
       ~fault_seed:!fault_seed ?metrics_port:!metrics_port
       ?query_log:!query_log
       ?slow_ms:(if !slow_ms > 0.0 then Some !slow_ms else None)
@@ -265,11 +261,11 @@ let () =
       ?max_staleness_ms:!max_staleness_ms ~setup ()
   in
   Printf.printf
-    "fsqld: listening on %s:%d (workers=%d, queue=%d, domains=%d%s%s%s%s)\n%!"
+    "fsqld: listening on %s:%d (workers=%d, queue=%d%s%s%s%s)\n%!"
     !host
     (Server.Daemon.port daemon)
     (Server.Daemon.workers daemon)
-    !queue !domains
+    !queue
     (match !data_dir with
     | Some d ->
         Printf.sprintf ", data-dir=%s wal-sync=%s%s" d

@@ -3,32 +3,22 @@ open Fuzzy
 
 let interval_key ~attr r = Value.support (Ftuple.value (Codec.decode r) attr)
 
-let sort_by ?pool ?trace ?cancel rel ~attr ~mem_pages =
+let sort_by ?trace ?cancel rel ~attr ~mem_pages =
   let env = Relation.env rel in
   Buffer_pool.flush (Heap_file.pool (Relation.file rel));
   let name = "sort " ^ Schema.name (Relation.schema rel) in
   Trace.with_span trace ~stats:env.Env.stats ~pool:env.Env.pool name
     (fun () ->
-      (* Both sorters are decorated: the key is decoded once per record per
-         phase, not twice per comparison. The parallel one polls
-         cancellation through its comparator, the columnar one once per
-         batch of records. *)
+      (* Decorated: the key is decoded once per record per phase, not twice
+         per comparison; cancellation is polled once per batch of
+         records. *)
+      let key r =
+        let i = interval_key ~attr r in
+        (Interval.lo i, Interval.hi i)
+      in
       let sorted =
-        match pool with
-        | Some p when Task_pool.domains p > 1 ->
-            let compare_key a b =
-              Cancel.check cancel;
-              Interval.compare_lex a b
-            in
-            External_sort.sort_keyed ~pool:p ?trace (Relation.file rel)
-              ~key:(interval_key ~attr) ~compare_key ~mem_pages
-        | _ ->
-            let key r =
-              let i = interval_key ~attr r in
-              (Interval.lo i, Interval.hi i)
-            in
-            External_sort.sort_support ?trace ?cancel (Relation.file rel)
-              ~key ~mem_pages
+        External_sort.sort_support ?trace ?cancel (Relation.file rel) ~key
+          ~mem_pages
       in
       let out =
         Relation.of_file ?pad_to:(Relation.pad_to rel) env
@@ -206,73 +196,21 @@ let cursor_chunks ?(page_bound = false) c () =
       let n = fill 1 in
       if n = limit then rows else Array.sub rows 0 n
 
-let array_chunks a =
-  let pos = ref 0 in
-  fun () ->
-    let n = Int.min Batch.batch_rows (Array.length a - !pos) in
-    let chunk = Array.sub a !pos n in
-    pos := !pos + n;
-    chunk
+type emit =
+  Batch.t -> int -> inner:Batch.t -> idx:int array -> n:int ->
+  d_eq:float array -> unit
 
-(* Cut the outer tuples into [domains] contiguous slices of the sorted order
-   and pair each with the inner tuples that can reach it: s can join some r
-   of a slice only if lo(s) <= max hi(r) and hi(s) >= min lo(r) over the
-   slice (min lo is the first tuple's, the sort is lexicographic on
-   (lo, hi); max hi needs a fold — hi is not monotone). Inner tuples whose
-   support straddles a cut point are replicated into every slice they can
-   reach, so no window is ever split: each slice's sweep sees a superset of
-   its overlap pairs, and non-overlapping extras contribute degree 0 exactly
-   like the dangling tuples of the sequential sweep. *)
-let partition_sweep ~domains outs ins =
-  let n = Array.length outs in
-  let p = Int.max 1 (Int.min domains (Int.max 1 n)) in
-  Array.init p (fun k ->
-      let start = k * n / p and stop = (k + 1) * n / p in
-      let o_slice = Array.sub outs start (stop - start) in
-      if Array.length o_slice = 0 then (o_slice, [||])
-      else begin
-        let b_k = Interval.lo (snd o_slice.(0)) in
-        let max_hi =
-          Array.fold_left
-            (fun acc (_, i) -> Float.max acc (Interval.hi i))
-            Float.neg_infinity o_slice
-        in
-        let sel = ref [] in
-        (try
-           Array.iter
-             (fun (s, si) ->
-               if Interval.lo si > max_hi then raise Exit
-               else if Interval.hi si >= b_k then sel := (s, si) :: !sel)
-             ins
-         with Exit -> ());
-        (o_slice, Array.of_list (List.rev !sel))
-      end)
-
-let scan_decoded ?cancel rel ~pool ~attr =
-  let acc = ref [] in
-  let c = Relation.Cursor.of_relation ~pool rel in
-  let rec go () =
-    Cancel.check cancel;
-    match Relation.Cursor.next c with
-    | None -> ()
-    | Some t ->
-        acc := (t, Value.support (Ftuple.value t attr)) :: !acc;
-        go ()
-  in
-  go ();
-  Array.of_list (List.rev !acc)
-
-(* Bridge a {!sweep_chunks} emission to the [f r rng] callback: the
-   window's selection vector materialises as an insertion-ordered [rng]
-   list. *)
-let emit_to_f ~f ob i ~inner ~idx ~n ~d_eq =
+(* For handlers with no form over the selection vector: the window
+   materialises as an insertion-ordered [rng] list. *)
+let emit_to_f ~f : emit =
+ fun ob i ~inner ~idx ~n ~d_eq ->
   let rec build j =
     if j >= n then [] else (Batch.row inner idx.(j), d_eq.(j)) :: build (j + 1)
   in
   f (Batch.row ob i) (build 0)
 
-let sweep_sorted ?pool ?trace ?cancel ?f_batch ~outer ~inner ~outer_attr
-    ~inner_attr ~mem_pages ~f () =
+let sweep_sorted ?trace ?cancel ~outer ~inner ~outer_attr ~inner_attr
+    ~mem_pages ~emit () =
   let env = Relation.env outer in
   let stats = env.Env.stats in
   Buffer_pool.flush (Heap_file.pool (Relation.file outer));
@@ -290,79 +228,18 @@ let sweep_sorted ?pool ?trace ?cancel ?f_batch ~outer ~inner ~outer_attr
       let inner_pool =
         Buffer_pool.create (Heap_file.disk (Relation.file inner)) ~capacity
       in
-      match pool with
-      | Some p when Task_pool.domains p > 1 ->
-          (* Partitioned parallel sweep: the coordinator materialises both
-             sorted relations (decoding each tuple once and counting the
-             same one-scan-each page reads as the sequential sweep), cuts
-             them with {!partition_sweep}, and each pool job runs the
-             window sweep on its own slice pair with private stats. [f] is
-             then applied on the coordinator in global outer sort order —
-             partition results concatenate in slice order — so answer
-             tuples and degrees are identical to the sequential sweep. *)
-          let outs =
-            Trace.with_span trace ~stats ~pool:outer_pool "scan outer"
-              (fun () ->
-                let outs =
-                  scan_decoded ?cancel outer ~pool:outer_pool ~attr:outer_attr
-                in
-                Trace.set_rows trace (Array.length outs);
-                outs)
-          in
-          let ins =
-            Trace.with_span trace ~stats ~pool:inner_pool "scan inner"
-              (fun () ->
-                let ins =
-                  scan_decoded ?cancel inner ~pool:inner_pool ~attr:inner_attr
-                in
-                Trace.set_rows trace (Array.length ins);
-                ins)
-          in
-          let parts = partition_sweep ~domains:(Task_pool.domains p) outs ins in
-          let jobs =
-            List.map
-              (fun (o_slice, i_slice) jtrace ->
-                let pstats = Iostats.create () in
-                (* Sweep work must count as [Merge] in the merged totals,
-                   matching the sequential sweep's phase attribution. *)
-                Iostats.set_phase pstats (Some Iostats.Merge);
-                Trace.with_span jtrace ~stats:pstats "sweep" (fun () ->
-                    let results = ref [] in
-                    let collect r rng = results := (r, rng) :: !results in
-                    sweep_chunks ?cancel ?trace:jtrace ~stats:pstats
-                      ~next_outer:(array_chunks (Array.map fst o_slice))
-                      ~next_inner:(array_chunks (Array.map fst i_slice))
-                      ~outer_attr ~inner_attr ~emit:(emit_to_f ~f:collect) ();
-                    Trace.set_rows jtrace (Array.length o_slice);
-                    (List.rev !results, pstats)))
-              (Array.to_list parts)
-          in
-          let batches = Task_pool.run_list_traced ?trace ~label:"sweep" p jobs in
-          Trace.with_span trace ~stats "emit" (fun () ->
-              List.iter
-                (fun (results, pstats) ->
-                  Iostats.add_into stats pstats;
-                  List.iter (fun (r, rng) -> f r rng) results)
-                batches)
-      | _ ->
-          (* Sequential streaming sweep: handlers with a vectorized form
-             supply [f_batch]; others get [f] through the bridging
-             emitter. *)
-          Trace.with_span trace ~stats ~pool:outer_pool "sweep" (fun () ->
-              let emit =
-                match f_batch with Some fb -> fb | None -> emit_to_f ~f
-              in
-              sweep_chunks ?cancel ?trace ~stats
-                ~next_outer:
-                  (cursor_chunks
-                     (Relation.Cursor.of_relation ~pool:outer_pool outer))
-                ~next_inner:
-                  (cursor_chunks ~page_bound:true
-                     (Relation.Cursor.of_relation ~pool:inner_pool inner))
-                ~outer_attr ~inner_attr ~emit ();
-              Trace.set_rows trace (Relation.cardinality outer)))
+      Trace.with_span trace ~stats ~pool:outer_pool "sweep" (fun () ->
+          sweep_chunks ?cancel ?trace ~stats
+            ~next_outer:
+              (cursor_chunks
+                 (Relation.Cursor.of_relation ~buffer_pool:outer_pool outer))
+            ~next_inner:
+              (cursor_chunks ~page_bound:true
+                 (Relation.Cursor.of_relation ~buffer_pool:inner_pool inner))
+            ~outer_attr ~inner_attr ~emit ();
+          Trace.set_rows trace (Relation.cardinality outer)))
 
-let join_with_rng ?name ?pool ?trace ?cancel ~outer ~inner
+let join_with_rng ?name ?trace ?cancel ~outer ~inner
     ~outer_attr ~inner_attr ~mem_pages ?residual ~rng_degree () =
   let env = Relation.env outer in
   let out_schema =
@@ -383,13 +260,11 @@ let join_with_rng ?name ?pool ?trace ?cancel ~outer ~inner
         ~finally:(fun () -> List.iter Relation.destroy !temps)
         (fun () ->
           let sorted_r =
-            sort_by ?pool ?trace ?cancel outer ~attr:outer_attr
-              ~mem_pages
+            sort_by ?trace ?cancel outer ~attr:outer_attr ~mem_pages
           in
           temps := sorted_r :: !temps;
           let sorted_s =
-            sort_by ?pool ?trace ?cancel inner ~attr:inner_attr
-              ~mem_pages
+            sort_by ?trace ?cancel inner ~attr:inner_attr ~mem_pages
           in
           temps := sorted_s :: !temps;
           let pair r s d_eq =
@@ -406,26 +281,25 @@ let join_with_rng ?name ?pool ?trace ?cancel ~outer ~inner
                 Relation.insert out (Ftuple.concat r s d)
             end
           in
-          (* Straight off the window's selection vector — no [rng] list is
-             built on the sequential path. *)
-          let f_batch ob i ~inner:ib ~idx ~n ~d_eq =
+          (* Straight off the window's selection vector: no [rng] list is
+             built. *)
+          let emit ob i ~inner:ib ~idx ~n ~d_eq =
             let r = Batch.row ob i in
             for j = 0 to n - 1 do
               pair r (Batch.row ib idx.(j)) d_eq.(j)
             done
           in
-          sweep_sorted ?pool ?trace ?cancel ~f_batch ~outer:sorted_r
-            ~inner:sorted_s ~outer_attr ~inner_attr ~mem_pages ()
-            ~f:(fun r rng -> List.iter (fun (s, d_eq) -> pair r s d_eq) rng));
+          sweep_sorted ?trace ?cancel ~outer:sorted_r ~inner:sorted_s
+            ~outer_attr ~inner_attr ~mem_pages ~emit ());
       Trace.set_rows trace (Relation.cardinality out);
       out)
 
-let join_eq ?name ?pool ?trace ?cancel ~outer ~inner ~outer_attr ~inner_attr
+let join_eq ?name ?trace ?cancel ~outer ~inner ~outer_attr ~inner_attr
     ~mem_pages ?residual () =
-  join_with_rng ?name ?pool ?trace ?cancel ~outer ~inner ~outer_attr
+  join_with_rng ?name ?trace ?cancel ~outer ~inner ~outer_attr
     ~inner_attr ~mem_pages ?residual ~rng_degree:(fun _ _ d -> d) ()
 
-let with_indicator ?name ?pool ?trace ?cancel ~outer ~inner ~outer_attr
+let with_indicator ?name ?trace ?cancel ~outer ~inner ~outer_attr
     ~inner_attr ~mem_pages ?residual () =
   let indicator r s d_exact =
     (* Fuzzy-equality indicator (Zhang & Wang [42]): overlapping cores mean
@@ -446,5 +320,5 @@ let with_indicator ?name ?pool ?trace ?cancel ~outer ~inner ~outer_attr
         else d_exact
     | _ -> d_exact
   in
-  join_with_rng ?name ?pool ?trace ?cancel ~outer ~inner ~outer_attr
+  join_with_rng ?name ?trace ?cancel ~outer ~inner ~outer_attr
     ~inner_attr ~mem_pages ?residual ~rng_degree:indicator ()

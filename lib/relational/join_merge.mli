@@ -12,62 +12,49 @@
     describes. Each relation is read once after sorting, giving the
     O(n_R log n_R + n_S log n_S) response time of Section 3.
 
-    Every entry point takes an optional [?pool]. With no pool — or a pool of
-    one domain — execution is exactly the sequential algorithm above. With
-    [Task_pool.domains pool > 1], sorting uses the domain-parallel
-    {!Storage.External_sort.sort_keyed} and the sweep is range-partitioned
-    across domains (see {!partition_sweep}); answer tuples and membership
-    degrees are identical either way.
-
-    Every entry point also takes an optional [?cancel] token
+    Every entry point takes an optional [?cancel] token
     ({!Storage.Cancel}): the sorters and the sweep poll it, so a deadline or client cancellation unwinds with
     {!Storage.Cancel.Cancelled} within one poll period. The sorted
     temporaries of {!join_eq}/{!with_indicator} are destroyed on that path
     too. [None] costs one branch per poll site. *)
 
 val sort_by :
-  ?pool:Storage.Task_pool.t -> ?trace:Storage.Trace.t ->
-  ?cancel:Storage.Cancel.t ->
+  ?trace:Storage.Trace.t -> ?cancel:Storage.Cancel.t ->
   Relation.t -> attr:int -> mem_pages:int -> Relation.t
 (** Sort a relation by the Definition 3.1 order of the given attribute using
     the external sorter (accounted to the [Sort] phase). The result is a
     temporary relation owned by the caller. With [?trace], a
     ["sort <relation>"] span wraps the sorter's own spans. The sort is
-    decorated: sequentially {!Storage.External_sort.sort_support} decodes
-    each record's key once into float columns, and with a multi-domain pool
-    {!Storage.External_sort.sort_keyed} does the same per slice. The key
-    order is that of Definition 3.1; records with equal keys may land in
-    either order. *)
+    decorated: {!Storage.External_sort.sort_support} decodes each record's
+    key once into float columns. The key order is that of Definition 3.1;
+    records with equal keys may land in either order. *)
 
-val partition_sweep :
-  domains:int ->
-  ('a * Fuzzy.Interval.t) array ->
-  ('b * Fuzzy.Interval.t) array ->
-  (('a * Fuzzy.Interval.t) array * ('b * Fuzzy.Interval.t) array) array
-(** Range-partition a sorted outer/inner pair for the parallel sweep. The
-    outer tuples (paired with their join-attribute supports, in Definition
-    3.1 order) are cut into [domains] contiguous slices; each slice is paired
-    with every inner tuple whose support window can overlap some outer tuple
-    of the slice, i.e. [lo(s) <= max hi(r)] and [hi(s) >= min lo(r)] over the
-    slice. Inner tuples whose window straddles a cut point are replicated
-    into every slice they can reach, so no sweep window is ever split across
-    a partition boundary. Pure; exposed for the replication unit test. *)
+type emit =
+  Batch.t -> int -> inner:Batch.t -> idx:int array -> n:int ->
+  d_eq:float array -> unit
+(** A sweep handler: [emit ob i ~inner ~idx ~n ~d_eq] receives outer row [i]
+    of chunk [ob] with its window as indices [idx.(0 .. n-1)] into the inner
+    buffer [inner], in insertion order, and their equality degrees
+    [d_eq.(0 .. n-1)] (0 for dangling tuples). The arrays are reused across
+    calls and must not be retained. Each outer chunk and each inner refill
+    is a fresh {!Batch.t}, so caching per-batch data under the batches'
+    physical identity is safe. *)
+
+val emit_to_f : f:(Ftuple.t -> (Ftuple.t * Fuzzy.Degree.t) list -> unit) -> emit
+(** The handler that calls [f r rng] with the outer tuple and its window as
+    an insertion-ordered list of [(tuple, d(r.X = s.X))] pairs, for
+    handlers with no form over the selection vector. *)
 
 val sweep_sorted :
-  ?pool:Storage.Task_pool.t -> ?trace:Storage.Trace.t ->
-  ?cancel:Storage.Cancel.t ->
-  ?f_batch:
-    (Batch.t -> int -> inner:Batch.t -> idx:int array -> n:int ->
-     d_eq:float array -> unit) ->
+  ?trace:Storage.Trace.t -> ?cancel:Storage.Cancel.t ->
   outer:Relation.t -> inner:Relation.t -> outer_attr:int -> inner_attr:int ->
-  mem_pages:int ->
-  f:(Ftuple.t -> (Ftuple.t * Fuzzy.Degree.t) list -> unit) -> unit -> unit
+  mem_pages:int -> emit:emit -> unit -> unit
 (** Merge phase over relations already sorted on the join attributes:
-    [f r rng] is called once per outer tuple in sort order, where [rng] lists
-    the window tuples paired with their equality degrees [d(r.X = s.X)]
-    (0 for dangling tuples). Every examined pair with overlapping supports
-    counts one fuzzy op; accounted to the [Merge] phase. The two scoped
-    cursor pools are sized from [mem_pages] ([mem_pages / 2] pages each).
+    [emit] is called once per outer tuple in sort order with the window
+    tuples and their equality degrees [d(r.X = s.X)]. Every examined pair
+    with overlapping supports counts one fuzzy op; accounted to the [Merge]
+    phase. The two scoped cursor pools are sized from [mem_pages]
+    ([mem_pages / 2] pages each).
 
     The sweep is columnar: window bounds and pair degrees are computed over
     unboxed columns ({!Batch}, {!Batch_kernels}). It streams both inputs.
@@ -79,28 +66,10 @@ val sweep_sorted :
     whatever the input sizes, and each relation is read once, page for
     page as a tuple-at-a-time sweep would read it. Cancellation is polled
     once per outer chunk and once per inner read; with [?trace] the sweep
-    records a [sweep] span with one [batch] child per outer chunk.
-
-    A handler with a vectorized form can supply [?f_batch]: it is called
-    instead of [f] as [f_batch ob i ~inner ~idx ~n ~d_eq] for outer row [i]
-    of chunk [ob], with the window as indices [idx.(0 .. n-1)] into the
-    inner buffer [inner], in insertion order. The arrays are reused across
-    calls and must not be retained. Each outer chunk and each inner refill
-    is a fresh {!Batch.t}, so caching per-batch data under the batches'
-    physical identity is safe.
-
-    With a multi-domain [?pool], both sorted inputs are decoded whole,
-    range-partitioned ({!partition_sweep}), and each partition is swept on
-    a pool job with private stats (phase-tagged [Merge], merged after the
-    jobs join); [f] — never [f_batch] — then runs on the caller's domain in
-    global outer sort order. With [?trace] that path records [scan outer]
-    / [scan inner] spans, one [sweep-k]/[sweep] span per partition on its
-    own lane, and an [emit] span for the callback pass. Answer tuples,
-    degrees and operation counts are the same on both paths. *)
+    records a [sweep] span with one [batch] child per outer chunk. *)
 
 val join_eq :
-  ?name:string -> ?pool:Storage.Task_pool.t -> ?trace:Storage.Trace.t ->
-  ?cancel:Storage.Cancel.t ->
+  ?name:string -> ?trace:Storage.Trace.t -> ?cancel:Storage.Cancel.t ->
   outer:Relation.t -> inner:Relation.t -> outer_attr:int ->
   inner_attr:int -> mem_pages:int ->
   ?residual:(Ftuple.t -> Ftuple.t -> Fuzzy.Degree.t) -> unit -> Relation.t
@@ -109,8 +78,7 @@ val join_eq :
     Temporary sorted files are destroyed before returning. *)
 
 val with_indicator :
-  ?name:string -> ?pool:Storage.Task_pool.t -> ?trace:Storage.Trace.t ->
-  ?cancel:Storage.Cancel.t ->
+  ?name:string -> ?trace:Storage.Trace.t -> ?cancel:Storage.Cancel.t ->
   outer:Relation.t -> inner:Relation.t -> outer_attr:int ->
   inner_attr:int -> mem_pages:int ->
   ?residual:(Ftuple.t -> Ftuple.t -> Fuzzy.Degree.t) -> unit -> Relation.t

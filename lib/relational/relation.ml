@@ -116,7 +116,10 @@ module Cursor = struct
   type relation = t
   type t = Heap_file.Cursor.t
 
-  let of_relation ?pool r = Heap_file.Cursor.of_file ?pool r.file
+  let of_relation ?buffer_pool r =
+    match buffer_pool with
+    | Some pool -> Heap_file.Cursor.of_file ~pool r.file
+    | None -> Heap_file.Cursor.of_file r.file
   let peek c = Option.map Codec.decode (Heap_file.Cursor.peek c)
   let next c = Option.map Codec.decode (Heap_file.Cursor.next c)
   let pos = Heap_file.Cursor.pos

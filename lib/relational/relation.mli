@@ -56,7 +56,7 @@ module Cursor : sig
   type relation = t
   type t
 
-  val of_relation : ?pool:Storage.Buffer_pool.t -> relation -> t
+  val of_relation : ?buffer_pool:Storage.Buffer_pool.t -> relation -> t
   val peek : t -> Ftuple.t option
   val next : t -> Ftuple.t option
   val pos : t -> int

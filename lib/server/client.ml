@@ -101,14 +101,14 @@ let write t req =
       Mutex.unlock t.wlock;
       raise e)
 
-let query_once ?(deadline_ms = 0) ?(domains = 0) t sql =
+let query_once ?(deadline_ms = 0) t sql =
   (* Fresh ID per attempt: each server-side span tree (and query-log
      record) then corresponds to exactly one wire-level attempt, so a
      retried query never aliases its failed predecessor in the trace
      ring. *)
   let request_id = Telemetry.gen_request_id t.rng in
   t.last_request_id <- request_id;
-  write t (Wire.Query { request_id; deadline_ms; domains; sql });
+  write t (Wire.Query { request_id; deadline_ms; domains = 0; sql });
   let columns = ref [] in
   let rows = ref [] in
   let rec read () =
@@ -140,15 +140,15 @@ let query_once ?(deadline_ms = 0) ?(domains = 0) t sql =
 
 let last_request_id t = t.last_request_id
 
-let query ?deadline_ms ?domains ?retry t sql =
+let query ?deadline_ms ?retry t sql =
   match retry with
-  | None -> query_once ?deadline_ms ?domains t sql
+  | None -> query_once ?deadline_ms t sql
   | Some policy ->
       (* Queries are read-only, so resending after [Overloaded] or
          [Retryable] is always safe; back off between attempts so a
          struggling server gets air. *)
       let rec go attempt =
-        match query_once ?deadline_ms ?domains t sql with
+        match query_once ?deadline_ms t sql with
         | (Overloaded | Retryable _) as r ->
             if attempt >= policy.Retry.max_attempts then r
             else begin

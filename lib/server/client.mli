@@ -43,12 +43,9 @@ val of_addr : ?timeout_ms:int -> string -> t
 (** ["HOST:PORT"]. [Invalid_argument] on a malformed address. *)
 
 val query :
-  ?deadline_ms:int -> ?domains:int -> ?retry:Retry.policy -> t -> string ->
-  reply
+  ?deadline_ms:int -> ?retry:Retry.policy -> t -> string -> reply
 (** Send one statement and block for the full reply. [deadline_ms = 0]
-    (default) defers to the server's default deadline, if any;
-    [domains = 0] (default) defers to the server's configured per-query
-    parallelism. With [?retry], a terminal [Overloaded] or [Retryable]
+    (default) defers to the server's default deadline, if any. With [?retry], a terminal [Overloaded] or [Retryable]
     reply is retried with exponential backoff + jitter, up to
     [max_attempts] total attempts — safe because queries are read-only;
     the last reply is returned if every attempt is shed. Raises

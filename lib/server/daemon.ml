@@ -27,7 +27,6 @@ type job = {
       (** client-generated, or server-assigned ([srv-] prefix) for rev-1
           clients — every span tree in the trace ring has exactly one *)
   sql : string;
-  job_domains : int;
   cancel : Cancel.t;
   enqueued_at : float;
   trace : Trace.t;
@@ -41,7 +40,6 @@ type t = {
   bound_port : int;
   host : string;
   n_workers : int;
-  query_domains : int;
   default_deadline_ms : int option;
   mem_pages : int;
   terms : Fuzzy.Term.t;
@@ -290,8 +288,8 @@ let handle_job t ~env ~check ~plane ~rng job =
     let stats = env.Storage.Env.stats in
     Trace.with_span tr ~stats "exec" (fun () ->
         let answer =
-          Unnest.Planner.run ~mem_pages:t.mem_pages ~domains:job.job_domains
-            ~trace:job.trace ~cancel:job.cancel q
+          Unnest.Planner.run ~mem_pages:t.mem_pages ~trace:job.trace
+            ~cancel:job.cancel q
         in
         Fun.protect
           ~finally:(fun () -> Relation.destroy answer)
@@ -531,7 +529,7 @@ let static_reject t sql =
   | { Fuzzysql.Diagnostic.code; _ } :: _ ->
       Some (code, Fuzzysql.Diagnostic.render_all ~source:sql diags)
 
-let admit t conn ~request_id ~deadline_ms ~domains sql =
+let admit t conn ~request_id ~deadline_ms sql =
   let now = Unix.gettimeofday () in
   let request_id =
     (* Rev-1 clients send no ID; assign one so the trace ring and query
@@ -610,7 +608,6 @@ let admit t conn ~request_id ~deadline_ms ~domains sql =
             {
               request_id;
               sql;
-              job_domains = (if domains >= 1 then domains else t.query_domains);
               cancel;
               enqueued_at = now;
               trace = Trace.create ();
@@ -675,8 +672,8 @@ let conn_loop t conn =
   (try
      let rec loop () =
        (match Wire.read_request conn.fd with
-       | Wire.Query { request_id; deadline_ms; domains; sql } ->
-           admit t conn ~request_id ~deadline_ms ~domains sql
+       | Wire.Query { request_id; deadline_ms; domains = _; sql } ->
+           admit t conn ~request_id ~deadline_ms sql
        | Wire.Cancel -> (
            match with_lock conn.lock (fun () -> conn.current) with
            | Some c -> Cancel.cancel ~reason:"cancelled by client" c
@@ -772,14 +769,13 @@ let resolve host =
     with Not_found -> invalid_arg ("Daemon.start: unknown host " ^ host))
 
 let start ?(host = "127.0.0.1") ?(port = 0) ?(workers = 2)
-    ?(queue_capacity = 16) ?default_deadline_ms ?(domains = 1)
+    ?(queue_capacity = 16) ?default_deadline_ms
     ?(mem_pages = Unnest.Planner.default_mem_pages)
     ?(terms = Fuzzy.Term.paper) ?on_trace ?(retry = Retry.default) ?breaker
     ?fault_spec ?(fault_seed = 0) ?metrics_port ?query_log ?slow_ms
     ?(trace_ring_capacity = 64) ?make_env ?sender ?replica ?max_staleness_ms
     ~setup () =
   if workers < 1 then invalid_arg "Daemon.start: workers < 1";
-  if domains < 1 then invalid_arg "Daemon.start: domains < 1";
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -819,7 +815,6 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(workers = 2)
       bound_port;
       host;
       n_workers = workers;
-      query_domains = domains;
       default_deadline_ms;
       mem_pages;
       terms;

@@ -10,7 +10,9 @@
     [Overloaded] when the queue is full — producers never block) and
     picked up by one of a fixed set of {e worker domains}, which are run
     as long-lived jobs on a {!Storage.Task_pool} so queries execute in
-    parallel, not merely concurrently. The worker materialises the
+    parallel, not merely concurrently. Each query runs on the one worker
+    that picked it up; parallelism is across queries, not within one.
+    The worker materialises the
     answer, then streams it ([Header], [Row]s, [Done]) to the client's
     socket.
 
@@ -103,7 +105,6 @@ val start :
   ?workers:int ->
   ?queue_capacity:int ->
   ?default_deadline_ms:int ->
-  ?domains:int ->
   ?mem_pages:int ->
   ?terms:Fuzzy.Term.t ->
   ?on_trace:(Storage.Trace.t -> unit) ->
@@ -125,8 +126,7 @@ val start :
 (** Bind, listen, spawn the workers, and return immediately. Defaults:
     host ["127.0.0.1"], port [0] (ephemeral — read it back with {!port}),
     [workers = 2], [queue_capacity = 16], no default deadline,
-    [domains = 1] (per-query merge-join parallelism on a pool the query
-    creates privately), [mem_pages = Unnest.Planner.default_mem_pages],
+    [mem_pages = Unnest.Planner.default_mem_pages],
     the paper's term vocabulary, [retry = Retry.default], a default
     {!Breaker.create}, no fault injection, [fault_seed = 0]. [~setup]
     runs once per worker on the worker's own domain (and again on each

@@ -81,8 +81,10 @@ type request =
       (** [request_id = ""] means the client did not supply one (rev-1
           client, or a rev-2 client opting out) and the server assigns
           one; [deadline_ms = 0] means no client deadline (the server
-          default, if any, still applies); [domains = 0] means the
-          server's configured per-query parallelism. *)
+          default, if any, still applies). [domains] is kept so frames
+          of every revision encode and decode byte for byte as before;
+          {!Client} always sends 0 and the daemon ignores the field (a
+          query runs on one worker domain). *)
   | Cancel
   | Metrics
   | Trace_get of string

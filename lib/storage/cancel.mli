@@ -10,10 +10,7 @@
     enough for per-tuple call sites.
 
     Tokens may be cancelled from any domain or thread; the computation
-    observes the flag at its next check and unwinds with {!Cancelled}. Under
-    a multi-domain {!Task_pool} batch every parallel job polls the same
-    token, and {!Task_pool.run_list} re-raises the exception on the
-    coordinator once the batch has joined. *)
+    observes the flag at its next check and unwinds with {!Cancelled}. *)
 
 type t
 

@@ -219,166 +219,9 @@ let merge_runs ?cancel env runs ~compare =
     raise e
 
 (* ------------------------------------------------------------------ *)
-(* Domain-parallel sort.
+(* Columnar decorated sort (the merge-join engine's sort).
 
-   Run formation is the CPU-heavy half of the external sort (the record
-   comparator decodes tuples), so it is the part handed to the domain pool:
-   the coordinator chops the input scan into slices of [budget / domains]
-   bytes and each job sorts one slice and writes it as a run into a
-   domain-private environment — its own simulated disk, buffer pool and
-   stats record — so no storage structure is shared between domains. The
-   parallel engine also decorates: the sort key is decoded once per record
-   per phase instead of twice per comparison, which is what makes
-   [--domains N] pay off even on machines with few cores. Runs are then
-   combined by the same k-way heap merge as the sequential sort (multi-pass
-   when the fan-in is exceeded), reading each run through its private pool;
-   the final pass writes into the caller's environment. Private stats are
-   merged into the shared record with [Iostats.add_into] after the
-   coordinator has joined the batch, so counter totals are exact; worker
-   page transfers land in the [Other] phase bucket (only the coordinator
-   runs inside [Iostats.timed], keeping the response-time model
-   wall-clock-shaped). *)
-
-let sort_keyed ~pool ?trace ?cancel input ~key ~compare_key ~mem_pages =
-  if mem_pages < 3 then invalid_arg "External_sort.sort_keyed: mem_pages < 3";
-  let env = Heap_file.env input in
-  let stats = env.Env.stats in
-  let page_size = Env.page_size env in
-  Iostats.timed stats Iostats.Sort (fun () ->
-      let budget = mem_pages * page_size in
-      let p = Task_pool.domains pool in
-      let total_bytes = Int.max 1 (Heap_file.num_pages input * page_size) in
-      let slice_budget = Int.max page_size (Int.min budget total_bytes / p) in
-      (* Chop the input scan into slices; the scan itself stays on the
-         coordinator (the shared buffer pool is not domain-safe). *)
-      let batches = ref [] and cur = ref [] and cur_bytes = ref 0 in
-      let cut () =
-        if !cur <> [] then begin
-          batches := Array.of_list (List.rev !cur) :: !batches;
-          cur := [];
-          cur_bytes := 0
-        end
-      in
-      Heap_file.iter input (fun r ->
-          Cancel.check cancel;
-          cur := r :: !cur;
-          cur_bytes := !cur_bytes + Bytes.length r + 2;
-          if !cur_bytes >= slice_budget then cut ());
-      cut ();
-      let jobs =
-        List.rev_map
-          (fun batch jtrace ->
-            let penv =
-              Env.create ~page_size
-                ~pool_pages:(Int.max 1 (mem_pages / p))
-                ()
-            in
-            let pstats = penv.Env.stats in
-            (* Phase-tag the private record: the run-writing I/O below must
-               count as [Sort] in the merged totals, not [Other]. *)
-            Iostats.set_phase pstats (Some Iostats.Sort);
-            Trace.with_span jtrace ~stats:pstats "run-formation" (fun () ->
-                let keyed = Array.map (fun r -> (key r, r)) batch in
-                Array.sort
-                  (fun (k1, _) (k2, _) ->
-                    Iostats.record_comparison pstats;
-                    compare_key k1 k2)
-                  keyed;
-                let run = Heap_file.create penv in
-                Array.iter (fun (_, r) -> Heap_file.append run r) keyed;
-                Buffer_pool.flush penv.Env.pool;
-                Trace.set_rows jtrace (Array.length batch);
-                (run, penv)))
-          !batches
-      in
-      let runs_envs = Task_pool.run_list_traced ?trace ~label:"sort" pool jobs in
-      (* Fold the run-formation I/O into the shared record now and reset the
-         private records (re-tagging their phase): what accumulates on them
-         afterwards is exactly the merge phase's run reads, so the final
-         merge below — and the k-way-merge trace span around it — charges
-         the merge's cross-environment I/O accurately. Totals are identical
-         to a single end-of-sort merge. *)
-      List.iter
-        (fun (_, pe) ->
-          Iostats.add_into stats pe.Env.stats;
-          Iostats.reset pe.Env.stats;
-          Iostats.set_phase pe.Env.stats (Some Iostats.Sort))
-        runs_envs;
-      let private_envs = ref (List.map snd runs_envs) in
-      (* Decorated k-way merge: the head key is decoded once per record
-         pulled, and heap comparisons compare keys only. *)
-      let merge_keyed out_env runs =
-        (* Destroy the partial output on abort so no pages leak into
-           [out_env] — which on the final pass is the caller's shared
-           environment (intermediate runs live in private environments
-           that are discarded wholesale). *)
-        let out = Heap_file.create out_env in
-        try
-          let le (k1, _, _) (k2, _, _) =
-            Iostats.record_comparison stats;
-            compare_key k1 k2 <= 0
-          in
-          let heap = Heap.create le in
-          List.iter
-            (fun run ->
-              let c = Heap_file.Cursor.of_file run in
-              match Heap_file.Cursor.next c with
-              | Some r -> Heap.push heap (key r, r, c)
-              | None -> ())
-            runs;
-          while not (Heap.is_empty heap) do
-            Cancel.check cancel;
-            let _, r, c = Heap.pop heap in
-            Heap_file.append out r;
-            match Heap_file.Cursor.next c with
-            | Some r' -> Heap.push heap (key r', r', c)
-            | None -> ()
-          done;
-          List.iter Heap_file.destroy runs;
-          out
-        with e ->
-          Heap_file.destroy out;
-          raise e
-      in
-      let fan_in = mem_pages - 1 in
-      (* Intermediate passes write to a scratch private environment; only
-         the final pass writes into the caller's (shared) environment, so
-         the returned file's pages always live on the shared disk. *)
-      let rec merge_all runs =
-        if List.length runs <= fan_in then merge_keyed env runs
-        else begin
-          let scratch =
-            Env.create ~page_size ~pool_pages:(Int.max 1 (mem_pages / 2)) ()
-          in
-          (* Intermediate merge passes write through the scratch record:
-             that I/O is sort work too. *)
-          Iostats.set_phase scratch.Env.stats (Some Iostats.Sort);
-          private_envs := scratch :: !private_envs;
-          let rec take k acc = function
-            | rest when k = 0 -> (List.rev acc, rest)
-            | [] -> (List.rev acc, [])
-            | r :: rest -> take (k - 1) (r :: acc) rest
-          in
-          let rec pass acc = function
-            | [] -> List.rev acc
-            | runs ->
-                let group, rest = take fan_in [] runs in
-                pass (merge_keyed scratch group :: acc) rest
-          in
-          merge_all (pass [] runs)
-        end
-      in
-      Trace.with_span trace ~stats "k-way-merge" (fun () ->
-          let out = merge_all (List.map fst runs_envs) in
-          List.iter
-            (fun pe -> Iostats.add_into stats pe.Env.stats)
-            !private_envs;
-          out))
-
-(* ------------------------------------------------------------------ *)
-(* Sequential columnar decorated sort (the merge-join engine's sort).
-
-   The sequential [sort] decodes both records on every comparison — the
+   The record-comparator [sort] decodes both records on every comparison — the
    dominant cost of the merge-join pipeline. Here run formation decodes
    each record's sort key exactly once into two unboxed float columns
    (support lo / hi) and sorts an index permutation over them, so the
@@ -386,7 +229,7 @@ let sort_keyed ~pool ?trace ?cancel input ~key ~compare_key ~mem_pages =
    cursor head the same way. Cancellation is polled once per batch of
    records rather than per comparison. The record multiset and key order
    are identical to [sort] with the corresponding record comparator; only
-   ties may land in a different order (exactly like [sort_keyed]). *)
+   ties may land in a different order. *)
 
 let batch_poll = 1024
 

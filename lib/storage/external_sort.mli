@@ -32,25 +32,6 @@ val sort :
     freed back to the disk before the exception propagates, so
     [Sim_disk.live_pages] returns to its pre-sort baseline. *)
 
-val sort_keyed :
-  pool:Task_pool.t -> ?trace:Trace.t -> ?cancel:Cancel.t -> Heap_file.t ->
-  key:(bytes -> 'k) -> compare_key:('k -> 'k -> int) -> mem_pages:int ->
-  Heap_file.t
-(** Domain-parallel variant: the input scan is chopped into slices of
-    [mem_pages * page_size / domains] bytes and each pool job sorts one
-    slice with a private buffer pool (and private stats, merged into the
-    input environment's record once the batch joins), then the k-way heap
-    merge combines the runs on the coordinator. The sort key is decoded
-    once per record per phase ([key]), and only keys are compared
-    ([compare_key]) — the decoration that, together with the domain
-    parallelism, makes this path faster than {!sort}. The returned file
-    lives in the input's environment, like {!sort}; the record multiset and
-    key order are identical to {!sort} with the corresponding record
-    comparator (the order of records with equal keys may differ). With
-    [?trace], each pool job records a [sort-i]/[run-formation] span on its
-    own lane (carrying the job's private I/O deltas, phase-tagged [Sort])
-    and the coordinator records the [k-way-merge] span. *)
-
 val initial_runs :
   ?cancel:Cancel.t -> run_strategy -> Heap_file.t ->
   compare:(bytes -> bytes -> int) -> mem_pages:int -> Heap_file.t list
@@ -70,7 +51,7 @@ val merge_runs :
 val sort_support :
   ?trace:Trace.t -> ?cancel:Cancel.t -> Heap_file.t ->
   key:(bytes -> float * float) -> mem_pages:int -> Heap_file.t
-(** Sequential columnar decorated sort, the merge-join engine's
+(** Columnar decorated sort, the merge-join engine's
     counterpart of {!sort}: run formation decodes each record's
     [(support lo, support hi)] key exactly once into unboxed float columns
     and sorts an index permutation over them (runs are produced directly
@@ -78,6 +59,6 @@ val sort_support :
     cursor heads the same way and compares floats lexicographically. The
     record multiset and key order are identical to {!sort} with the
     corresponding record comparator — only equal-key ties may land in a
-    different order, like {!sort_keyed}. Cancellation is polled once per
+    different order. Cancellation is polled once per
     batch of records (1024) rather than per comparison; abort safety and
     trace spans ([run-formation], [k-way-merge]) as for {!sort}. *)

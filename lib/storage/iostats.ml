@@ -48,8 +48,6 @@ let reset t =
   t.other_io <- 0;
   t.active <- None
 
-let set_phase t phase = t.active <- phase
-
 let charge_phase_io t =
   match t.active with
   | Some Sort -> t.sort_io <- t.sort_io + 1
@@ -117,20 +115,6 @@ let phase_seconds t = function
 
 let response_time t ~io_latency =
   cpu_seconds t +. (float_of_int (total_ios t) *. io_latency)
-
-let add_into acc t =
-  acc.reads <- acc.reads + t.reads;
-  acc.writes <- acc.writes + t.writes;
-  acc.fuzzy <- acc.fuzzy + t.fuzzy;
-  acc.compares <- acc.compares + t.compares;
-  acc.sort_s <- acc.sort_s +. t.sort_s;
-  acc.merge_s <- acc.merge_s +. t.merge_s;
-  acc.join_s <- acc.join_s +. t.join_s;
-  acc.other_s <- acc.other_s +. t.other_s;
-  acc.sort_io <- acc.sort_io + t.sort_io;
-  acc.merge_io <- acc.merge_io + t.merge_io;
-  acc.join_io <- acc.join_io + t.join_io;
-  acc.other_io <- acc.other_io + t.other_io
 
 let pp ppf t =
   Format.fprintf ppf

@@ -39,17 +39,6 @@ val timed : t -> phase -> (unit -> 'a) -> 'a
 (** Accumulates wall-clock of [f] into the phase's CPU bucket. Nested calls
     attribute time to the innermost phase only. *)
 
-val set_phase : t -> phase option -> unit
-(** Tag the record so subsequent page transfers are charged to the given
-    phase's I/O bucket {e without} starting a timer. This is how a
-    {!Task_pool} job's private record attributes its I/O correctly: the
-    parallel sort sets [Some Sort] on each worker's record (and on the
-    sorter's scratch environments), the parallel sweep sets [Some Merge],
-    so after {!add_into} the shared record's per-phase I/O counts match the
-    sequential engine's instead of landing in [Other]. Do not use on a
-    record that is inside a {!timed} call — [timed] restores its own phase
-    on exit. *)
-
 val cpu_seconds : t -> float
 (** Total across phases. *)
 
@@ -61,18 +50,5 @@ val phase_ios : t -> phase -> int
 
 val response_time : t -> io_latency:float -> float
 (** [cpu_seconds + total_ios * io_latency]. *)
-
-val add_into : t -> t -> unit
-(** [add_into acc t] accumulates [t]'s counters and timers into [acc].
-
-    A record is single-threaded: concurrent [record_*] calls on one [t]
-    race. The parallel operators therefore give every {!Task_pool} job a
-    private record and merge it into the shared one with this function
-    after the batch joins — counter totals stay exact, and since jobs never
-    run inside [timed], the shared record's phase timers remain the
-    coordinator's wall clock. Each job's private record is phase-tagged
-    with {!set_phase} so worker page transfers are charged to the phase
-    that caused them (parallel sort I/O counts as [Sort], parallel sweep
-    I/O as [Merge]) rather than all landing in [Other]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,5 +1,4 @@
 type t = {
-  domains : int;
   mutable workers : unit Domain.t array;
   queue : (unit -> unit) Queue.t;
   lock : Mutex.t;
@@ -7,8 +6,6 @@ type t = {
   batch_done : Condition.t;
   mutable shutting_down : bool;
 }
-
-let domains t = t.domains
 
 (* Workers block on [work_available]; a [None] wakeup with [shutting_down]
    set is the exit signal. Jobs never raise: {!run_list} wraps them. *)
@@ -39,7 +36,6 @@ let create ~domains =
   if domains < 1 then invalid_arg "Task_pool.create: domains < 1";
   let pool =
     {
-      domains;
       workers = [||];
       queue = Queue.create ();
       lock = Mutex.create ();
@@ -52,9 +48,8 @@ let create ~domains =
      domains only add stop-the-world minor-GC synchronisation (every
      collection must context-switch through all of them), which on a machine
      with fewer cores than [domains] costs far more than the parallelism
-     returns. The pool keeps its requested width — [run_list] callers still
-     partition their work [domains] ways — and the coordinator executes
-     whatever the capped worker set does not pick up. *)
+     returns. The coordinator executes whatever the capped worker set does
+     not pick up. *)
   let hw = Int.max 1 (Domain.recommended_domain_count ()) in
   let spawned = Int.min (domains - 1) (hw - 1) in
   pool.workers <-
@@ -113,34 +108,6 @@ let run_list pool jobs =
          results)
   end
 
-(* Traced batches: each job gets a forked collector (lane = job index + 1;
-   lane 0 is the coordinator) wrapped in one span, and the forks are grafted
-   back under the caller's open span after the batch joins. With [?trace]
-   absent this is [run_list] with every job applied to [None] — no
-   allocation beyond the closure list. *)
-let run_list_traced ?trace ?(label = "task") pool jobs =
-  match trace with
-  | None -> run_list pool (List.map (fun job () -> job None) jobs)
-  | Some tr ->
-      let forks =
-        Array.init (List.length jobs) (fun i -> Trace.fork tr ~lane:(i + 1))
-      in
-      let wrapped =
-        List.mapi
-          (fun i job () ->
-            let ft = Some forks.(i) in
-            Trace.with_span ft
-              (Printf.sprintf "%s-%d" label i)
-              (fun () -> job ft))
-          jobs
-      in
-      let results = run_list pool wrapped in
-      Array.iter (fun ft -> Trace.graft tr ft) forks;
-      results
-
-let map_array pool ~f arr =
-  Array.of_list (run_list pool (List.map (fun x () -> f x) (Array.to_list arr)))
-
 let shutdown pool =
   Mutex.lock pool.lock;
   pool.shutting_down <- true;
@@ -148,14 +115,3 @@ let shutdown pool =
   Mutex.unlock pool.lock;
   Array.iter Domain.join pool.workers;
   pool.workers <- [||]
-
-let with_pool ~domains f =
-  let pool = create ~domains in
-  match f pool with
-  | v ->
-      shutdown pool;
-      v
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      shutdown pool;
-      Printexc.raise_with_backtrace e bt

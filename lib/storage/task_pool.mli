@@ -1,4 +1,4 @@
-(** A fixed-size pool of OCaml 5 domains for data-parallel query execution.
+(** A fixed-size pool of OCaml 5 domains, the daemon's query workers.
 
     The pool owns [domains - 1] worker domains; the submitting (coordinator)
     domain participates in every batch, so a pool of size 1 spawns no domains
@@ -7,14 +7,9 @@
     returns the results in submission order, re-raising the first exception
     (if any) on the coordinator.
 
-    Sharing discipline: jobs must not touch the shared environment's buffer
-    pool, simulated disk, or {!Iostats} record — those structures are
-    single-threaded by design. The parallel operators built on this pool
-    (run formation in {!External_sort}, the partitioned merge-join sweep)
-    hand each job a private environment / private stats record and merge the
-    counters into the shared record with {!Iostats.add_into} once
-    {!run_list} has returned.
-
+    Sharing discipline: the buffer pool, simulated disk, {!Iostats} record
+    and {!Trace} collector are single-threaded, so a job must use only
+    structures it owns (the daemon gives each worker its own environment).
     The pool is not reentrant: jobs must not themselves call {!run_list} on
     the pool that is executing them. *)
 
@@ -24,36 +19,13 @@ val create : domains:int -> t
 (** Spawn at most [domains - 1] worker domains ([Invalid_argument] if
     [domains < 1]). The actual number of spawned domains is additionally
     capped at [Domain.recommended_domain_count () - 1]: running more domains
-    than cores only adds stop-the-world GC synchronisation cost. The pool's
-    logical width {!domains} is unaffected by the cap — callers still
-    partition work [domains] ways and the coordinator absorbs the excess. *)
-
-val domains : t -> int
-(** The parallelism degree the pool was created with (>= 1). *)
+    than cores only adds stop-the-world GC synchronisation cost. Jobs the
+    capped worker set does not pick up run on the coordinator. *)
 
 val run_list : t -> (unit -> 'a) list -> 'a list
 (** Execute the jobs, coordinator included, and return their results in
     order. If any job raised, the first exception (in job order) is
     re-raised after all jobs have completed. *)
 
-val run_list_traced :
-  ?trace:Trace.t -> ?label:string -> t ->
-  (Trace.t option -> 'a) list -> 'a list
-(** {!run_list} with per-job tracing: job [i] receives a {!Trace.fork}ed
-    collector (lane [i + 1]; the coordinator's spans stay on lane 0) whose
-    open root span is [label-i], so every pool job shows as one span tagged
-    with its lane in the trace; nested spans the job opens (with its private
-    stats record) attach underneath. The forks are grafted back under the
-    caller's innermost open span after the batch joins. With [?trace]
-    absent, jobs receive [None] and behaviour is exactly {!run_list}. *)
-
-val map_array : t -> f:('a -> 'b) -> 'a array -> 'b array
-(** [map_array pool ~f arr] is [Array.map f arr] with the elements processed
-    by the pool, one job per element. *)
-
 val shutdown : t -> unit
 (** Join the worker domains. Idempotent; the pool must be idle. *)
-
-val with_pool : domains:int -> (t -> 'a) -> 'a
-(** [with_pool ~domains f] runs [f] with a fresh pool and shuts it down
-    afterwards, also on exceptions. *)

@@ -1,6 +1,5 @@
 type span = {
   name : string;
-  lane : int;
   start_s : float;
   mutable dur_s : float;
   mutable reads : int;
@@ -16,31 +15,23 @@ type span = {
 
 type t = {
   t0 : float;
-  lane : int;
   mutable stack : span list;  (** open spans, innermost first *)
   mutable rev_roots : span list;
 }
 
 let now () = Unix.gettimeofday ()
 
-let make_with_t0 ~t0 ~lane = { t0; lane; stack = []; rev_roots = [] }
-let create () = make_with_t0 ~t0:(now ()) ~lane:0
-let fork t ~lane = make_with_t0 ~t0:t.t0 ~lane
+let create () = { t0 = now (); stack = []; rev_roots = [] }
 
 let attach t sp =
   match t.stack with
   | parent :: _ -> parent.rev_children <- sp :: parent.rev_children
   | [] -> t.rev_roots <- sp :: t.rev_roots
 
-let graft t child =
-  List.iter (attach t) (List.rev child.rev_roots);
-  child.rev_roots <- []
-
-let open_span t ?lane ?stats ?pool name =
+let open_span t ?stats ?pool name =
   let sp =
     {
       name;
-      lane = (match lane with Some l -> l | None -> t.lane);
       start_s = now () -. t.t0;
       dur_s = 0.0;
       reads = (match stats with Some s -> -Iostats.page_reads s | None -> 0);
@@ -82,11 +73,11 @@ let close_span t ?stats ?pool sp =
   | top :: rest when top == sp -> t.stack <- rest
   | _ -> invalid_arg "Trace.close_span: span is not innermost"
 
-let with_span trace ?lane ?stats ?pool name f =
+let with_span trace ?stats ?pool name f =
   match trace with
   | None -> f ()
   | Some t -> (
-      let sp = open_span t ?lane ?stats ?pool name in
+      let sp = open_span t ?stats ?pool name in
       match f () with
       | v ->
           close_span t ?stats ?pool sp;
@@ -99,14 +90,13 @@ let with_span trace ?lane ?stats ?pool name f =
    admission layer before any worker ran code for it) attached under the
    innermost open span. [start_s] is absolute wall-clock time; counters are
    zero. *)
-let add_timed_span trace ?lane name ~start_s ~dur_s =
+let add_timed_span trace name ~start_s ~dur_s =
   match trace with
   | None -> ()
   | Some t ->
       let sp =
         {
           name;
-          lane = (match lane with Some l -> l | None -> t.lane);
           start_s = start_s -. t.t0;
           dur_s;
           reads = 0;
@@ -135,7 +125,6 @@ let set_est_rows trace e = annotate trace (fun sp -> sp.est_rows <- e)
 
 let roots t = List.rev t.rev_roots
 let span_name sp = sp.name
-let span_lane (sp : span) = sp.lane
 let span_children sp = List.rev sp.rev_children
 let span_duration sp = sp.dur_s
 let span_ios sp = sp.reads + sp.writes
@@ -183,8 +172,7 @@ let span_line buf sp =
     if sp.rows > 0 && sp.est_rows > 0.0 then
       add " (x%.2f)" (Float.max sp.est_rows (float_of_int sp.rows)
                       /. Float.min sp.est_rows (float_of_int sp.rows))
-  end;
-  if sp.lane > 0 then add "  [lane %d]" sp.lane
+  end
 
 let pp_tree ppf t =
   let buf = Buffer.create 1024 in
@@ -235,9 +223,9 @@ let to_json t =
   let buf = Buffer.create 2048 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let rec go sp =
-    add "{\"name\": \"%s\", \"lane\": %d, \"start_s\": %.6f, \"dur_s\": %.6f, \
+    add "{\"name\": \"%s\", \"lane\": 0, \"start_s\": %.6f, \"dur_s\": %.6f, \
          \"args\": "
-      (json_escape sp.name) sp.lane sp.start_s sp.dur_s;
+      (json_escape sp.name) sp.start_s sp.dur_s;
     span_args_json buf sp;
     add ", \"children\": [";
     List.iteri
@@ -257,34 +245,23 @@ let to_json t =
   Buffer.contents buf
 
 (* Chrome trace_event format: an array of complete ("ph": "X") events with
-   microsecond timestamps, one thread lane per trace lane, loadable in
-   chrome://tracing and Perfetto. *)
+   microsecond timestamps on one thread, loadable in chrome://tracing and
+   Perfetto. *)
 let to_chrome_json t =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "[\n";
-  let first = ref true in
-  let sep () =
-    if !first then first := false else add ",\n"
-  in
-  let lanes = Hashtbl.create 8 in
-  iter_spans t (fun sp -> Hashtbl.replace lanes sp.lane ());
-  let lane_list = List.sort Int.compare (Hashtbl.fold (fun l () acc -> l :: acc) lanes []) in
-  List.iter
-    (fun lane ->
-      sep ();
-      add
-        "  {\"ph\": \"M\", \"pid\": 1, \"tid\": %d, \"name\": \
-         \"thread_name\", \"args\": {\"name\": \"%s\"}}"
-        lane
-        (if lane = 0 then "coordinator" else Printf.sprintf "domain %d" lane))
-    lane_list;
+  (* A trace with spans opens with the thread's metadata event, so every
+     span event that follows starts with its separator. *)
+  if t.rev_roots <> [] then
+    add
+      "  {\"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"name\": \
+       \"thread_name\", \"args\": {\"name\": \"coordinator\"}}";
   iter_spans t (fun sp ->
-      sep ();
       add
-        "  {\"ph\": \"X\", \"pid\": 1, \"tid\": %d, \"name\": \"%s\", \
+        ",\n  {\"ph\": \"X\", \"pid\": 1, \"tid\": 0, \"name\": \"%s\", \
          \"ts\": %.3f, \"dur\": %.3f, \"args\": "
-        sp.lane (json_escape sp.name)
+        (json_escape sp.name)
         (1e6 *. sp.start_s)
         (1e6 *. sp.dur_s);
       span_args_json buf sp;

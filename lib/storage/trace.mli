@@ -1,8 +1,7 @@
 (** Execution tracing: hierarchical spans over the query engine.
 
     A trace is a tree of {e spans}, one per plan operator execution (scan,
-    reduce, sort run-formation, k-way merge, sweep, join, dedup, ...) plus
-    one per {!Task_pool} job, tagged with a lane (domain/partition) id. Each
+    reduce, sort run-formation, k-way merge, sweep, join, dedup, ...). Each
     span carries wall-clock start/duration and a delta snapshot of the
     {!Iostats} counters (page reads/writes, tuple comparisons, fuzzy-library
     calls) — and optionally {!Buffer_pool} hit/miss deltas and output /
@@ -14,29 +13,18 @@
     bench numbers are unchanged.
 
     Concurrency discipline mirrors {!Iostats}: a collector is
-    single-threaded. Parallel operators {!fork} a child collector per pool
-    job (sharing the parent's time origin, tagged with the job's lane) and
-    {!graft} it back under the coordinator's open span once the batch has
-    joined. *)
+    single-threaded, and one query runs on one domain. *)
 
 type t
-(** A span collector (single-threaded; see {!fork} for worker domains). *)
+(** A span collector (single-threaded). *)
 
 type span
 
 val create : unit -> t
 (** A fresh collector; its creation time is the trace's time origin. *)
 
-val fork : t -> lane:int -> t
-(** A detached collector sharing [t]'s time origin, for one parallel job.
-    Spans opened on the fork default to [lane]. Must be {!graft}ed back. *)
-
-val graft : t -> t -> unit
-(** [graft t child] re-parents [child]'s root spans under [t]'s innermost
-    open span (or as roots). Call on the coordinator after the batch joins. *)
-
 val with_span :
-  t option -> ?lane:int -> ?stats:Iostats.t -> ?pool:Buffer_pool.t ->
+  t option -> ?stats:Iostats.t -> ?pool:Buffer_pool.t ->
   string -> (unit -> 'a) -> 'a
 (** [with_span trace name f] runs [f] inside a span. With [trace = None]
     this is exactly [f ()] — no allocation. [?stats] snapshots the Iostats
@@ -45,7 +33,7 @@ val with_span :
     and the exception re-raised). *)
 
 val add_timed_span :
-  t option -> ?lane:int -> string -> start_s:float -> dur_s:float -> unit
+  t option -> string -> start_s:float -> dur_s:float -> unit
 (** Attach a pre-measured span (no counter deltas) under the innermost open
     span. [start_s] is an absolute [Unix.gettimeofday] instant — it is
     rebased onto the trace's time origin, so a span timed before the
@@ -63,7 +51,6 @@ val set_est_rows : t option -> float -> unit
 
 val roots : t -> span list
 val span_name : span -> string
-val span_lane : span -> int
 val span_children : span -> span list
 val span_duration : span -> float
 val span_ios : span -> int
@@ -87,14 +74,15 @@ val span_count : t -> int
 
 val pp_tree : Format.formatter -> t -> unit
 (** Human-readable tree: per-span time, I/Os, comparisons, fuzzy ops, cache
-    hits, rows, estimate error, lane. *)
+    hits, rows, estimate error. *)
 
 val to_json : t -> string
-(** Hierarchical JSON of the span tree. *)
+(** Hierarchical JSON of the span tree. Every span carries ["lane": 0], a
+    field kept so the format matches earlier traces. *)
 
 val to_chrome_json : t -> string
-(** Chrome [trace_event] JSON (an array of ["ph": "X"] complete events, one
-    thread per lane) — loads in [chrome://tracing] and Perfetto; the
-    parallel sweep/sort lanes appear as separate tracks. *)
+(** Chrome [trace_event] JSON (an array of ["ph": "X"] complete events on
+    one thread, [tid] 0, named "coordinator") — loads in [chrome://tracing]
+    and Perfetto. *)
 
 val write_chrome : t -> path:string -> unit

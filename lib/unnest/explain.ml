@@ -178,9 +178,7 @@ let annotate_estimates trace (shape : Classify.t) =
           and hz = Histogram.build t.Classify.inner ~attr:z in
           let est = Histogram.estimate_eq_join hy hz in
           (* The sweep emits one callback per outer tuple; the estimated
-             matching pairs bound what the callbacks fold over. In the
-             parallel plan each partition's sweep span gets the global
-             estimate (partition-local estimates are not computed). *)
+             matching pairs bound what the callbacks fold over. *)
           set_on "sweep" est;
           set_on "query" (float_of_int (Relation.cardinality t.Classify.outer))
       | None -> ())
@@ -189,12 +187,12 @@ let annotate_estimates trace (shape : Classify.t) =
       set_on "query" order.Chain_order.estimated_cost
   | Classify.Flat | Classify.General -> ()
 
-let analyze ?name ?strategy ?mem_pages ?chain_dp ?domains
+let analyze ?name ?strategy ?mem_pages ?chain_dp
     (q : Fuzzysql.Bound.query) : analysis =
   let module Trace = Storage.Trace in
   let trace = Trace.create () in
   let answer =
-    Planner.run ?name ?strategy ?mem_pages ?chain_dp ?domains ~trace q
+    Planner.run ?name ?strategy ?mem_pages ?chain_dp ~trace q
   in
   annotate_estimates trace (Classify.classify q);
   let buf = Buffer.create 1024 in

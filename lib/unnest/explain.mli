@@ -18,7 +18,7 @@ type analysis = {
 
 val analyze :
   ?name:string -> ?strategy:Planner.strategy -> ?mem_pages:int ->
-  ?chain_dp:bool -> ?domains:int -> Fuzzysql.Bound.query -> analysis
+  ?chain_dp:bool -> Fuzzysql.Bound.query -> analysis
 (** Run the query under a fresh trace collector (same options as
     {!Planner.run}), then annotate the operator spans with the planner's
     cardinality estimates. Estimates are computed after the run so the

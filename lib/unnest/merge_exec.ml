@@ -150,7 +150,7 @@ let is_constant_inner = function
   | Classify.Agg_link _ | Classify.Quant_link _ ->
       false
 
-let run ?(name = "answer") ?pool ?trace ?cancel (shape : Classify.two_level)
+let run ?(name = "answer") ?trace ?cancel (shape : Classify.two_level)
     ~mem_pages : Relation.t =
   let { Classify.select; outer; inner; p1; p2; link; threshold } = shape in
   let env = Relation.env outer in
@@ -216,163 +216,13 @@ let run ?(name = "answer") ?pool ?trace ?cancel (shape : Classify.two_level)
     Semantics.apply_threshold deduped threshold
   end
   else begin
-  (* Pick the sweep equality and the per-pair term evaluation. *)
-  let sweep_y, sweep_z, handle_r =
-    match link with
-    | Classify.In_link { y; z; corr } ->
-        ( y, z,
-          fun (r : Ftuple.t) rng ->
-            let m =
-              List.fold_left
-                (fun acc (s, d_eq) ->
-                  if Degree.positive d_eq then
-                    Degree.disj acc
-                      (Degree.conj_list
-                         [ Ftuple.degree s; d_eq; residual_degree stats corr r s ])
-                  else acc)
-                Degree.zero rng
-            in
-            project_insert out select r (Degree.conj (Ftuple.degree r) m) )
-    | Classify.Not_in_link { y; z; corr } ->
-        ( y, z,
-          fun r rng ->
-            (* min over all s of 1 - min(mu_s, d_eq, d_corr); s outside the
-               window has d_eq = 0, contributing the neutral 1. *)
-            let m =
-              List.fold_left
-                (fun acc (s, d_eq) ->
-                  Degree.disj acc
-                    (Degree.conj_list
-                       [ Ftuple.degree s; d_eq; residual_degree stats corr r s ]))
-                Degree.zero rng
-            in
-            project_insert out select r
-              (Degree.conj (Ftuple.degree r) (Degree.neg m)) )
-    | Classify.Quant_link { y; op; quant; z; corr } -> (
-        match split_eq_corr corr with
-        | None ->
-            raise
-              (Not_unnestable
-                 "quantified subquery without an equality correlation \
-                  predicate")
-        | Some (eq, rest) ->
-            ( eq.Classify.outer_attr, eq.Classify.local_attr,
-              fun r rng ->
-                let m =
-                  List.fold_left
-                    (fun acc (s, d_eq) ->
-                      if Degree.positive d_eq then begin
-                        Storage.Iostats.record_fuzzy_op stats;
-                        let d_cmp =
-                          Value.compare_degree op (Ftuple.value r y)
-                            (Ftuple.value s z)
-                        in
-                        let inner_term =
-                          match quant with
-                          | Ast.All -> Degree.neg d_cmp
-                          | Ast.Some_ -> d_cmp
-                        in
-                        Degree.disj acc
-                          (Degree.conj_list
-                             [
-                               Ftuple.degree s; d_eq;
-                               residual_degree stats rest r s; inner_term;
-                             ])
-                      end
-                      else acc)
-                    Degree.zero rng
-                in
-                let d_link =
-                  match quant with
-                  | Ast.All -> Degree.neg m
-                  | Ast.Some_ -> m
-                in
-                project_insert out select r
-                  (Degree.conj (Ftuple.degree r) d_link) ))
-    | Classify.Exists_link { negated; corr } -> (
-        match split_eq_corr corr with
-        | None ->
-            raise
-              (Not_unnestable
-                 "EXISTS subquery without an equality correlation predicate")
-        | Some (eq, rest) ->
-            (* Fuzzy semi-join (anti-join when negated): d(EXISTS) is the max
-               over the window of min(mu_s, d_eq, d_rest); tuples outside the
-               window have d_eq = 0 and cannot raise the max. *)
-            ( eq.Classify.outer_attr, eq.Classify.local_attr,
-              fun r rng ->
-                let m =
-                  List.fold_left
-                    (fun acc (s, d_eq) ->
-                      if Degree.positive d_eq then
-                        Degree.disj acc
-                          (Degree.conj_list
-                             [
-                               Ftuple.degree s; d_eq;
-                               residual_degree stats rest r s;
-                             ])
-                      else acc)
-                    Degree.zero rng
-                in
-                let d_link = if negated then Degree.neg m else m in
-                project_insert out select r
-                  (Degree.conj (Ftuple.degree r) d_link) ))
-    | Classify.Agg_link { y; op1; agg; z; corr } -> (
-        match split_eq_corr corr with
-        | None ->
-            raise
-              (Not_unnestable
-                 "aggregate subquery without an equality correlation \
-                  predicate")
-        | Some (eq, rest) ->
-            ( eq.Classify.outer_attr, eq.Classify.local_attr,
-              fun r rng ->
-                (* T'(u): the fuzzy value set of the group for u = r.U. *)
-                let set =
-                  List.fold_left
-                    (fun m (s, d_eq) ->
-                      let d =
-                        Degree.conj_list
-                          [
-                            Ftuple.degree s; d_eq;
-                            residual_degree stats rest r s;
-                          ]
-                      in
-                      if Degree.positive d then
-                        Vmap.update (Ftuple.value s z)
-                          (function
-                            | None -> Some d
-                            | Some d' -> Some (Degree.disj d d'))
-                          m
-                      else m)
-                    Vmap.empty rng
-                in
-                let vs = List.map fst (Vmap.bindings set) in
-                let result =
-                  match (Aggregate.apply agg vs, agg) with
-                  | (Some _ as res), _ -> res
-                  | None, Aggregate.Count ->
-                      (* COUNT over an empty group: the left outer join branch
-                         of Query COUNT' compares with 0. *)
-                      Some (Value.Int 0)
-                  | None, _ -> None
-                in
-                match result with
-                | None -> ()
-                | Some a ->
-                    Storage.Iostats.record_fuzzy_op stats;
-                    let d_link =
-                      Value.compare_degree op1 (Ftuple.value r y) a
-                    in
-                    project_insert out select r
-                      (Degree.conj (Ftuple.degree r) d_link) ))
-  in
-  (* Vectorized handlers for the IN / NOT IN sweeps: the same max of
-     min(mu_s, d_eq, d_corr) as the closures above (same branch on positive
-     d_eq, same fuzzy-op counts), evaluated straight off the window's
-     selection vector with the correlation residuals going through the
-     trapezoid kernels where both operands are columnar. The remaining link
-     types bridge to their closures through the emitter. *)
+  (* The IN / NOT IN handlers: the max over the window of
+     min(mu_s, d_eq, d_corr), negated for NOT IN (inner tuples outside the
+     window have d_eq = 0 and contribute the neutral 1), folded straight
+     off the window's selection vector with the correlation residuals
+     going through the trapezoid kernels where both operands are
+     columnar. The other link types fold the window as an [rng] list
+     through {!Join_merge.emit_to_f}. *)
   let in_batch ~negated corr =
     (* The correlation columns depend only on the batches: extract them
        once per (outer chunk, inner buffer) pair instead of once per window
@@ -429,28 +279,145 @@ let run ?(name = "answer") ?pool ?trace ?cancel (shape : Classify.two_level)
       let d_link = if negated then Degree.neg !m else !m in
       project_insert out select r (Degree.conj (Ftuple.degree r) d_link)
   in
-  let f_batch =
+  (* Pick the sweep equality and the per-pair term evaluation. *)
+  let sweep_y, sweep_z, emit =
     match link with
-    | Classify.In_link { corr; _ } -> Some (in_batch ~negated:false corr)
-    | Classify.Not_in_link { corr; _ } -> Some (in_batch ~negated:true corr)
-    | _ -> None
+    | Classify.In_link { y; z; corr } -> (y, z, in_batch ~negated:false corr)
+    | Classify.Not_in_link { y; z; corr } -> (y, z, in_batch ~negated:true corr)
+    | Classify.Quant_link { y; op; quant; z; corr } -> (
+        match split_eq_corr corr with
+        | None ->
+            raise
+              (Not_unnestable
+                 "quantified subquery without an equality correlation \
+                  predicate")
+        | Some (eq, rest) ->
+            ( eq.Classify.outer_attr, eq.Classify.local_attr,
+              Join_merge.emit_to_f ~f:(fun r rng ->
+                let m =
+                  List.fold_left
+                    (fun acc (s, d_eq) ->
+                      if Degree.positive d_eq then begin
+                        Storage.Iostats.record_fuzzy_op stats;
+                        let d_cmp =
+                          Value.compare_degree op (Ftuple.value r y)
+                            (Ftuple.value s z)
+                        in
+                        let inner_term =
+                          match quant with
+                          | Ast.All -> Degree.neg d_cmp
+                          | Ast.Some_ -> d_cmp
+                        in
+                        Degree.disj acc
+                          (Degree.conj_list
+                             [
+                               Ftuple.degree s; d_eq;
+                               residual_degree stats rest r s; inner_term;
+                             ])
+                      end
+                      else acc)
+                    Degree.zero rng
+                in
+                let d_link =
+                  match quant with
+                  | Ast.All -> Degree.neg m
+                  | Ast.Some_ -> m
+                in
+                project_insert out select r
+                  (Degree.conj (Ftuple.degree r) d_link)) ))
+    | Classify.Exists_link { negated; corr } -> (
+        match split_eq_corr corr with
+        | None ->
+            raise
+              (Not_unnestable
+                 "EXISTS subquery without an equality correlation predicate")
+        | Some (eq, rest) ->
+            (* Fuzzy semi-join (anti-join when negated): d(EXISTS) is the max
+               over the window of min(mu_s, d_eq, d_rest); tuples outside the
+               window have d_eq = 0 and cannot raise the max. *)
+            ( eq.Classify.outer_attr, eq.Classify.local_attr,
+              Join_merge.emit_to_f ~f:(fun r rng ->
+                let m =
+                  List.fold_left
+                    (fun acc (s, d_eq) ->
+                      if Degree.positive d_eq then
+                        Degree.disj acc
+                          (Degree.conj_list
+                             [
+                               Ftuple.degree s; d_eq;
+                               residual_degree stats rest r s;
+                             ])
+                      else acc)
+                    Degree.zero rng
+                in
+                let d_link = if negated then Degree.neg m else m in
+                project_insert out select r
+                  (Degree.conj (Ftuple.degree r) d_link)) ))
+    | Classify.Agg_link { y; op1; agg; z; corr } -> (
+        match split_eq_corr corr with
+        | None ->
+            raise
+              (Not_unnestable
+                 "aggregate subquery without an equality correlation \
+                  predicate")
+        | Some (eq, rest) ->
+            ( eq.Classify.outer_attr, eq.Classify.local_attr,
+              Join_merge.emit_to_f ~f:(fun r rng ->
+                (* T'(u): the fuzzy value set of the group for u = r.U. *)
+                let set =
+                  List.fold_left
+                    (fun m (s, d_eq) ->
+                      let d =
+                        Degree.conj_list
+                          [
+                            Ftuple.degree s; d_eq;
+                            residual_degree stats rest r s;
+                          ]
+                      in
+                      if Degree.positive d then
+                        Vmap.update (Ftuple.value s z)
+                          (function
+                            | None -> Some d
+                            | Some d' -> Some (Degree.disj d d'))
+                          m
+                      else m)
+                    Vmap.empty rng
+                in
+                let vs = List.map fst (Vmap.bindings set) in
+                let result =
+                  match (Aggregate.apply agg vs, agg) with
+                  | (Some _ as res), _ -> res
+                  | None, Aggregate.Count ->
+                      (* COUNT over an empty group: the left outer join branch
+                         of Query COUNT' compares with 0. *)
+                      Some (Value.Int 0)
+                  | None, _ -> None
+                in
+                match result with
+                | None -> ()
+                | Some a ->
+                    Storage.Iostats.record_fuzzy_op stats;
+                    let d_link =
+                      Value.compare_degree op1 (Ftuple.value r y) a
+                    in
+                    project_insert out select r
+                      (Degree.conj (Ftuple.degree r) d_link)) ))
   in
   let sorted_r =
-    Join_merge.sort_by ?pool ?trace ?cancel outer' ~attr:sweep_y ~mem_pages
+    Join_merge.sort_by ?trace ?cancel outer' ~attr:sweep_y ~mem_pages
   in
   temps := sorted_r :: !temps;
   let sorted_s =
-    Join_merge.sort_by ?pool ?trace ?cancel inner' ~attr:sweep_z ~mem_pages
+    Join_merge.sort_by ?trace ?cancel inner' ~attr:sweep_z ~mem_pages
   in
   temps := sorted_s :: !temps;
-  Join_merge.sweep_sorted ?pool ?trace ?cancel ?f_batch ~outer:sorted_r
-    ~inner:sorted_s ~outer_attr:sweep_y ~inner_attr:sweep_z ~mem_pages
-    ~f:handle_r ();
+  Join_merge.sweep_sorted ?trace ?cancel ~outer:sorted_r ~inner:sorted_s
+    ~outer_attr:sweep_y ~inner_attr:sweep_z ~mem_pages ~emit ();
   let deduped = dedup_project out in
   Semantics.apply_threshold deduped threshold
   end
 
-let run_chain ?(name = "answer") ?order ?pool ?trace ?cancel
+let run_chain ?(name = "answer") ?order ?trace ?cancel
     (chain : Classify.chain) ~mem_pages : Relation.t =
   let { Classify.blocks; top_select; chain_threshold } = chain in
   let blocks_arr = Array.of_list blocks in
@@ -587,12 +554,12 @@ let run_chain ?(name = "answer") ?order ?pool ?trace ?cancel
         in
         temps := out :: !temps;
         let sorted_r =
-          Join_merge.sort_by ?pool ?trace ?cancel !acc ~attr:outer_attr
+          Join_merge.sort_by ?trace ?cancel !acc ~attr:outer_attr
             ~mem_pages
         in
         temps := sorted_r :: !temps;
         let sorted_s =
-          Join_merge.sort_by ?pool ?trace ?cancel reduced.(b) ~attr:inner_attr
+          Join_merge.sort_by ?trace ?cancel reduced.(b) ~attr:inner_attr
             ~mem_pages
         in
         temps := sorted_s :: !temps;
@@ -614,7 +581,7 @@ let run_chain ?(name = "answer") ?order ?pool ?trace ?cancel
                   !window
           end
         in
-        let emit r =
+        let flush r =
           if not (Vals_map.is_empty !window) then begin
             let r_vals = Array.map (Ftuple.value r) r_pos in
             Vals_map.iter
@@ -624,17 +591,14 @@ let run_chain ?(name = "answer") ?order ?pool ?trace ?cancel
             window := Vals_map.empty
           end
         in
-        Join_merge.sweep_sorted ?pool ?trace ?cancel ~outer:sorted_r
+        Join_merge.sweep_sorted ?trace ?cancel ~outer:sorted_r
           ~inner:sorted_s ~outer_attr ~inner_attr ~mem_pages
-          ~f_batch:(fun ob i ~inner:ib ~idx ~n ~d_eq ->
+          ~emit:(fun ob i ~inner:ib ~idx ~n ~d_eq ->
             let r = Batch.row ob i in
             for j = 0 to n - 1 do
               pair r (Batch.row ib idx.(j)) d_eq.(j)
             done;
-            emit r)
-          ~f:(fun r rng ->
-            List.iter (fun (s, d_eq) -> pair r s d_eq) rng;
-            emit r)
+            flush r)
           ();
         let folded = Algebra.dedup_max out in
         temps := folded :: !temps;

@@ -24,16 +24,13 @@ exception Not_unnestable of string
     planner falls back to the nested-loop method. *)
 
 val run :
-  ?name:string -> ?pool:Storage.Task_pool.t -> ?trace:Storage.Trace.t ->
-  ?cancel:Storage.Cancel.t ->
+  ?name:string -> ?trace:Storage.Trace.t -> ?cancel:Storage.Cancel.t ->
   Classify.two_level -> mem_pages:int -> Relational.Relation.t
 (** The sorts are decorated and the sweep is the streaming columnar one of
     {!Relational.Join_merge.sweep_sorted}: IN / NOT IN windows are
     evaluated by vectorized handlers over the window's selection vector,
-    the other link types through per-tuple closures over [rng] lists. With
-    a multi-domain [?pool], the sorts and the sweep run domain-parallel;
-    answers and IEEE-754 degree bits are identical to the sequential run.
-    With [?trace], one span per operator is recorded
+    the other link types through per-tuple closures over [rng] lists
+    ({!Relational.Join_merge.emit_to_f}). With [?trace], one span per operator is recorded
     (reduce, sort/run-formation/k-way-merge, sweep, dedup — or
     constant-inner for uncorrelated subqueries); [None] costs nothing.
     With [?cancel], the reduction predicates, sort comparators, and sweep
@@ -46,8 +43,8 @@ val run :
     unfiltered answer are destroyed before [run] returns. *)
 
 val run_chain :
-  ?name:string -> ?order:Chain_order.order -> ?pool:Storage.Task_pool.t ->
-  ?trace:Storage.Trace.t -> ?cancel:Storage.Cancel.t ->
+  ?name:string -> ?order:Chain_order.order -> ?trace:Storage.Trace.t ->
+  ?cancel:Storage.Cancel.t ->
   Classify.chain -> mem_pages:int ->
   Relational.Relation.t
 (** Default order: left-to-right (outermost block first). The order's steps
@@ -63,7 +60,7 @@ val run_chain :
     tuple. Later degrees read only live attributes and
     [max_i min(d_i, f(x)) = min(max_i d_i, f(x))] holds exactly in floating
     point, so answers and degree bits equal the unprojected cascade's.
-    [?pool], [?trace] and [?cancel] as for {!run}. Spans:
+    [?trace] and [?cancel] as for {!run}. Spans:
     [reduce block-i], then per step a [join B] or [semi-join B] span (rows =
     the folded intermediate) wrapping its two sorts and its sweep, then
     [project]. The cancel token is additionally polled before each cascade

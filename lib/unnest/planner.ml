@@ -62,97 +62,72 @@ let rank_and_limit answer ~order ~limit =
       Relation.of_list (Relation.env answer) (Relation.schema answer) truncated
 
 let run_unranked ?(name = "answer") ?(strategy = Auto)
-    ?(mem_pages = default_mem_pages) ?(chain_dp = true) ?(domains = 1) ?trace
-    ?cancel (q : Fuzzysql.Bound.query) : Relation.t =
-  if domains < 1 then invalid_arg "Planner.run: domains < 1";
+    ?(mem_pages = default_mem_pages) ?(chain_dp = true) ?trace ?cancel
+    (q : Fuzzysql.Bound.query) : Relation.t =
   Storage.Cancel.check cancel;
   let shape = Classify.classify q in
-  let chain_order chain =
-    if chain_dp then Some (Chain_order.plan chain) else None
+  let naive () = Naive_eval.query ~name ?trace q in
+  let unsupported () =
+    raise (Unsupported "query shape cannot be unnested; use Auto or Naive")
   in
-  let exec pool =
-    (* Multi-relation outer blocks become unnestable after the outer FROM
-       product is materialised (see {!Flatten}); [fallback] runs when the
-       rewrite does not apply or does not help. *)
-    let try_flattened ~fallback =
-      match Flatten.flatten_outer q with
-      | None -> fallback ()
-      | Some q' -> (
-          (* The materialised product is a temporary of this run. *)
-          let product = snd (List.hd q'.Fuzzysql.Bound.from) in
-          Fun.protect ~finally:(fun () -> Relation.destroy product) @@ fun () ->
-          match Classify.classify q' with
-          | Classify.Two_level two -> (
-              try
-                Merge_exec.run ~name ?pool ?trace ?cancel two
-                  ~mem_pages
-              with Merge_exec.Not_unnestable _ ->
-                Nl_exec.run ~name ?trace ?cancel two ~mem_pages)
-          | Classify.Chain_query chain -> (
-              try
-                Merge_exec.run_chain ~name ?order:(chain_order chain) ?pool
-                  ?trace ?cancel chain ~mem_pages
-              with Merge_exec.Not_unnestable _ -> fallback ())
-          | Classify.Flat | Classify.General -> fallback ())
-    in
+  (* One merge-join attempt per unnestable shape. A 2-level shape with no
+     equality to sweep on falls back to the nested-loop method; anything
+     else that cannot be unnested runs [fallback]. *)
+  let unnest ~fallback = function
+    | Classify.Two_level two -> (
+        try Merge_exec.run ~name ?trace ?cancel two ~mem_pages
+        with Merge_exec.Not_unnestable _ ->
+          Nl_exec.run ~name ?trace ?cancel two ~mem_pages)
+    | Classify.Chain_query chain -> (
+        let order = if chain_dp then Some (Chain_order.plan chain) else None in
+        try Merge_exec.run_chain ~name ?order ?trace ?cancel chain ~mem_pages
+        with Merge_exec.Not_unnestable _ -> fallback ())
+    | Classify.Flat | Classify.General -> fallback ()
+  in
+  (* Multi-relation outer blocks become unnestable after the outer FROM
+     product is materialised (see {!Flatten}); [fallback] runs when the
+     rewrite does not apply or does not help. *)
+  let try_flattened ~fallback =
+    match Flatten.flatten_outer q with
+    | None -> fallback ()
+    | Some q' ->
+        (* The materialised product is a temporary of this run. *)
+        let product = snd (List.hd q'.Fuzzysql.Bound.from) in
+        Fun.protect ~finally:(fun () -> Relation.destroy product) @@ fun () ->
+        unnest ~fallback (Classify.classify q')
+  in
+  let exec () =
     match (strategy, shape) with
-    | Naive, _ -> Naive_eval.query ~name ?trace q
+    | Naive, _ -> naive ()
     | Nested_loop, Classify.Two_level shape ->
         Nl_exec.run ~name ?trace ?cancel shape ~mem_pages
     | Nested_loop, (Classify.Flat | Classify.General | Classify.Chain_query _)
       ->
-        Naive_eval.query ~name ?trace q
-    | Unnest_merge, Classify.Two_level shape ->
-        Merge_exec.run ~name ?pool ?trace ?cancel shape ~mem_pages
-    | Unnest_merge, Classify.Chain_query chain ->
-        Merge_exec.run_chain ~name ?order:(chain_order chain) ?pool ?trace
-          ?cancel chain ~mem_pages
-    | Unnest_merge, Classify.Flat -> Naive_eval.query ~name ?trace q
-    | Unnest_merge, Classify.General ->
-        try_flattened ~fallback:(fun () ->
-            raise
-              (Unsupported "query shape cannot be unnested; use Auto or Naive"))
-    | Auto, Classify.Two_level two -> (
-        try Merge_exec.run ~name ?pool ?trace ?cancel two ~mem_pages
-        with Merge_exec.Not_unnestable _ ->
-          Nl_exec.run ~name ?trace ?cancel two ~mem_pages)
-    | Auto, Classify.Chain_query chain -> (
-        try
-          Merge_exec.run_chain ~name ?order:(chain_order chain) ?pool ?trace
-            ?cancel chain ~mem_pages
-        with Merge_exec.Not_unnestable _ -> Naive_eval.query ~name ?trace q)
-    | Auto, Classify.Flat -> Naive_eval.query ~name ?trace q
-    | Auto, Classify.General ->
-        try_flattened ~fallback:(fun () -> Naive_eval.query ~name ?trace q)
+        naive ()
+    | (Auto | Unnest_merge), Classify.Flat -> naive ()
+    | Auto, Classify.General -> try_flattened ~fallback:naive
+    | Auto, shape -> unnest ~fallback:naive shape
+    | Unnest_merge, Classify.General -> try_flattened ~fallback:unsupported
+    | Unnest_merge, shape -> unnest ~fallback:unsupported shape
   in
-  let exec pool =
-    (* One root span per query, carrying the whole run's Iostats delta and
-       the answer cardinality; the executors' operator spans nest inside. *)
-    match q.Fuzzysql.Bound.from with
-    | (_, rel) :: _ ->
-        let stats = (Relation.env rel).Storage.Env.stats in
-        Storage.Trace.with_span trace ~stats "query" (fun () ->
-            let answer = exec pool in
-            Storage.Trace.set_rows trace (Relation.cardinality answer);
-            answer)
-    | [] -> exec pool
-  in
-  (* [domains = 1] never constructs a pool: it is exactly the sequential
-     engine. The pool lives for one query — spawn cost is amortised across
-     all the sorts and sweeps of the plan. *)
-  if domains = 1 then exec None
-  else
-    Storage.Task_pool.with_pool ~domains (fun pool -> exec (Some pool))
+  (* One root span per query, carrying the whole run's Iostats delta and
+     the answer cardinality; the executors' operator spans nest inside. *)
+  match q.Fuzzysql.Bound.from with
+  | (_, rel) :: _ ->
+      let stats = (Relation.env rel).Storage.Env.stats in
+      Storage.Trace.with_span trace ~stats "query" (fun () ->
+          let answer = exec () in
+          Storage.Trace.set_rows trace (Relation.cardinality answer);
+          answer)
+  | [] -> exec ()
 
-let run ?name ?strategy ?mem_pages ?chain_dp ?domains ?trace ?cancel
+let run ?name ?strategy ?mem_pages ?chain_dp ?trace ?cancel
     (q : Fuzzysql.Bound.query) : Relation.t =
-  let answer =
-    run_unranked ?name ?strategy ?mem_pages ?chain_dp ?domains ?trace ?cancel q
-  in
+  let answer = run_unranked ?name ?strategy ?mem_pages ?chain_dp ?trace ?cancel q in
   rank_and_limit answer ~order:q.Fuzzysql.Bound.order_by_d
     ~limit:q.Fuzzysql.Bound.limit
 
-let run_string ?name ?strategy ?mem_pages ?chain_dp ?domains ?trace ?cancel
-    ~catalog ~terms sql =
-  run ?name ?strategy ?mem_pages ?chain_dp ?domains ?trace ?cancel
+let run_string ?name ?strategy ?mem_pages ?chain_dp ?trace ?cancel ~catalog
+    ~terms sql =
+  run ?name ?strategy ?mem_pages ?chain_dp ?trace ?cancel
     (Fuzzysql.Analyzer.bind_string ~catalog ~terms sql)

@@ -4,7 +4,10 @@
     it, falling back to the nested-loop method (for 2-level shapes without an
     equality to sweep on) and finally to the naive interpreter — mirroring
     the paper's conclusion that unnested evaluation dominates whenever it
-    applies. *)
+    applies. [Unnest_merge] makes the same merge-join attempt with the same
+    nested-loop fallback for 2-level shapes, but raises {!Unsupported} where
+    [Auto] would fall back to the naive interpreter. Flat queries run on the
+    naive interpreter under both. *)
 
 type strategy =
   | Auto
@@ -22,24 +25,17 @@ val default_mem_pages : int
 
 val run :
   ?name:string -> ?strategy:strategy -> ?mem_pages:int -> ?chain_dp:bool ->
-  ?domains:int -> ?trace:Storage.Trace.t ->
-  ?cancel:Storage.Cancel.t ->
+  ?trace:Storage.Trace.t -> ?cancel:Storage.Cancel.t ->
   Fuzzysql.Bound.query -> Relational.Relation.t
 (** [chain_dp] (default true) selects the chain join order with the
     dynamic-programming search of {!Chain_order}; false uses the syntactic
     left-to-right order.
 
-    [domains] (default 1) sets the execution parallelism of the merge-join
-    engine: a {!Storage.Task_pool} of that many domains is created for the
-    query and the sorts and sweeps run domain-parallel. [domains = 1] never
-    constructs a pool and is exactly the sequential engine; any value
-    returns identical answer tuples and membership degrees.
-
-    The merge-join engine is columnar: decorated sorts
-    ({!Storage.External_sort.sort_support}) and a window sweep that
-    streams both sorted inputs over unboxed trapezoid and degree columns
-    ({!Relational.Join_merge.sweep_sorted}), keeping only the window and
-    the chunks in flight decoded.
+    A query runs on the calling domain. The merge-join engine is
+    columnar: decorated sorts ({!Storage.External_sort.sort_support}) and
+    a window sweep that streams both sorted inputs over unboxed trapezoid
+    and degree columns ({!Relational.Join_merge.sweep_sorted}), keeping
+    only the window and the chunks in flight decoded.
 
     [trace] (default off, costing nothing) collects one hierarchical span
     per plan operator under a root [query] span — see {!Storage.Trace} and
@@ -64,8 +60,7 @@ val run :
 
 val run_string :
   ?name:string -> ?strategy:strategy -> ?mem_pages:int -> ?chain_dp:bool ->
-  ?domains:int -> ?trace:Storage.Trace.t ->
-  ?cancel:Storage.Cancel.t ->
+  ?trace:Storage.Trace.t -> ?cancel:Storage.Cancel.t ->
   catalog:Relational.Catalog.t ->
   terms:Fuzzy.Term.t -> string -> Relational.Relation.t
 (** Parse, bind, and run. *)

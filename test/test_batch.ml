@@ -2,14 +2,14 @@
 
     The engine's contract is exact: same answer tuples and the same
     IEEE-754 membership-degree bits as the nested semantics, for every
-    query shape, at any domain count. These properties check it at three
-    levels: the trapezoid kernels against the boxed [Value.compare_degree]
-    path; the streaming sweep against a nested-loop enumeration of the
-    overlapping pairs; and whole plans ([Planner.run], sequential and
-    domain-parallel) against the [Naive_eval] interpreter across every
-    unnestable shape, with string and discrete join operands, which take
-    the boxed fallback. A last test bounds the rows the sweep keeps
-    decoded. *)
+    query shape. These properties check it at three levels: the trapezoid
+    kernels against the boxed [Value.compare_degree] path; the streaming
+    sweep against a nested-loop enumeration of the overlapping pairs; and
+    whole plans ([Planner.run]) against the [Naive_eval] interpreter
+    across every unnestable shape, with string and discrete join operands,
+    which take the boxed fallback. A test bounds the rows the sweep keeps
+    decoded, and the last ones repeat the plan checks on relations that
+    span several sweep chunks. *)
 
 open Frepro
 open Frepro.Relational
@@ -136,28 +136,26 @@ let pp_bits ppf ans =
       Format.fprintf ppf "(%s | %Lx)@ " (String.concat ", " vs) d)
     ans
 
-(* [Planner.run] at 1 and 4 domains must reproduce the interpreter's
-   answer bit for bit: min / max never round. *)
+(* [Planner.run] must reproduce the interpreter's answer bit for bit:
+   min / max never round. *)
 let check_oracle catalog sql =
   let q = Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper sql in
   let naive = answer_bits (Unnest.Naive_eval.query q) in
-  List.iter
-    (fun domains ->
-      let got = answer_bits (Unnest.Planner.run ~mem_pages:8 ~domains q) in
-      if got <> naive then
-        QCheck.Test.fail_reportf
-          "naive <> merge-join (domains %d) for %s@.naive: %a@.merge: %a"
-          domains sql pp_bits naive pp_bits got)
-    [ 1; 4 ];
+  let got = answer_bits (Unnest.Planner.run ~mem_pages:8 q) in
+  if got <> naive then
+    QCheck.Test.fail_reportf "naive <> merge-join for %s@.naive: %a@.merge: %a"
+      sql pp_bits naive pp_bits got;
   true
+
+let check_shape kind spec =
+  let rng = Random.State.make [| spec.Test_equivalence.seed + 29 |] in
+  check_oracle (Test_equivalence.make_db spec)
+    (Test_equivalence.template rng kind)
 
 let shape_prop name kind ?discrete_ok () =
   QCheck.Test.make ~count:40 ~name
     (Test_equivalence.arb_spec ?discrete_ok ())
-    (fun spec ->
-      let rng = Random.State.make [| spec.Test_equivalence.seed + 29 |] in
-      check_oracle (Test_equivalence.make_db spec)
-        (Test_equivalence.template rng kind))
+    (check_shape kind)
 
 (* String join operands: the sweep windows them on their hashed point
    support and takes the boxed [Value.compare_degree] for every pair. *)
@@ -247,33 +245,34 @@ let sweep_cases =
         let expect = positive_pairs r s ~attr:1 in
         let sorted_r = Join_merge.sort_by r ~attr:1 ~mem_pages:8 in
         let sorted_s = Join_merge.sort_by s ~attr:1 ~mem_pages:8 in
-        let sweep ~vectorized =
+        (* Once off the selection vector, once through the [rng] lists of
+           [emit_to_f]. *)
+        let sweep ~lists =
           let acc = ref [] and outers = ref 0 in
           let add rt st d =
             if d > 0.0 then acc := (id rt, id st, bits d) :: !acc
           in
-          let f_batch ob i ~inner ~idx ~n ~d_eq =
-            incr outers;
-            for j = 0 to n - 1 do
-              add (Batch.row ob i) (Batch.row inner idx.(j)) d_eq.(j)
-            done
-          in
-          let f_batch = if vectorized then Some f_batch else None in
-          Join_merge.sweep_sorted ?f_batch ~outer:sorted_r ~inner:sorted_s
-            ~outer_attr:1 ~inner_attr:1 ~mem_pages:8
-            ~f:(fun rt rng ->
+          let emit =
+            if lists then
+              Join_merge.emit_to_f ~f:(fun rt rng ->
+                  incr outers;
+                  List.iter (fun (st, d) -> add rt st d) rng)
+            else fun ob i ~inner ~idx ~n ~d_eq ->
               incr outers;
-              List.iter (fun (st, d) -> add rt st d) rng)
-            ();
+              for j = 0 to n - 1 do
+                add (Batch.row ob i) (Batch.row inner idx.(j)) d_eq.(j)
+              done
+          in
+          Join_merge.sweep_sorted ~outer:sorted_r ~inner:sorted_s
+            ~outer_attr:1 ~inner_attr:1 ~mem_pages:8 ~emit ();
           Alcotest.(check int) "one emission per outer tuple"
             (Relation.cardinality r) !outers;
           List.sort compare !acc
         in
-        if sweep ~vectorized:false <> expect then
-          Alcotest.fail "rng lists: wrong pairs";
-        if sweep ~vectorized:true <> expect then
-          Alcotest.fail "selection vectors: wrong pairs");
-    tc "sort_by: Definition 3.1 order, same tuples, at 1 and 2 domains"
+        if sweep ~lists:false <> expect then
+          Alcotest.fail "selection vectors: wrong pairs";
+        if sweep ~lists:true <> expect then Alcotest.fail "rng lists: wrong pairs");
+    tc "sort_by: Definition 3.1 order, same tuples"
       `Quick (fun () ->
         let env = Test_util.fresh_env () in
         let spec = { Workload.Gen.default_spec with n = 700; groups = 50 } in
@@ -294,9 +293,7 @@ let sweep_cases =
           in
           ordered (keys sorted)
         in
-        check (Join_merge.sort_by r ~attr:1 ~mem_pages:8);
-        Storage.Task_pool.with_pool ~domains:2 (fun pool ->
-            check (Join_merge.sort_by ~pool r ~attr:1 ~mem_pages:8)));
+        check (Join_merge.sort_by r ~attr:1 ~mem_pages:8));
     tc "the engine composes with cancellation" `Quick (fun () ->
         let spec =
           {
@@ -350,7 +347,9 @@ let sweep_cases =
         let stats = env.Storage.Env.stats in
         let before = Storage.Iostats.page_reads stats in
         Join_merge.sweep_sorted ~outer:sorted_r ~inner:sorted_s ~outer_attr:1
-          ~inner_attr:1 ~mem_pages:8 ~f:(fun _ _ -> ()) ();
+          ~inner_attr:1 ~mem_pages:8
+          ~emit:(fun _ _ ~inner:_ ~idx:_ ~n:_ ~d_eq:_ -> ())
+          ();
         Alcotest.(check bool) "inner spans several pages" true
           (Relation.num_pages sorted_s > !needed + 2);
         Alcotest.(check int) "outer pages + the inner pages needed"
@@ -366,8 +365,8 @@ let sweep_cases =
         let max_window = ref 0 and max_inner = ref 0 and max_outer = ref 0 in
         let outers = ref 0 in
         Join_merge.sweep_sorted ~outer:sorted_r ~inner:sorted_s ~outer_attr:1
-          ~inner_attr:1 ~mem_pages:8 ~f:(fun _ _ -> ())
-          ~f_batch:(fun ob _ ~inner ~idx:_ ~n ~d_eq:_ ->
+          ~inner_attr:1 ~mem_pages:8
+          ~emit:(fun ob _ ~inner ~idx:_ ~n ~d_eq:_ ->
             incr outers;
             max_window := Int.max !max_window n;
             max_inner := Int.max !max_inner (Batch.length inner);
@@ -385,6 +384,82 @@ let sweep_cases =
           (!max_outer <= Batch.batch_rows));
   ]
 
+(* ---------- chunk boundaries ---------- *)
+
+(* The shape properties above draw at most 20 rows per relation, so every
+   sweep fits in one outer chunk and one inner buffer. These draw R and S
+   past [Batch.batch_rows]: the sweep cuts the outer side into several
+   chunks and carries the inner buffer forward mid-window. *)
+let arb_chunked_spec ?(discrete_ok = true) () =
+  let n = QCheck.Gen.int_range (Batch.batch_rows + 1) ((2 * Batch.batch_rows) + 40) in
+  QCheck.make ~print:Test_equivalence.pp_spec
+    QCheck.Gen.(
+      map3
+        (fun seed (n_r, n_s) n_t ->
+          { Test_equivalence.seed; n_r; n_s; n_t; discrete_ok })
+        (int_bound 1_000_000) (pair n n) (int_bound 20))
+
+let chunked_prop name kind ?discrete_ok () =
+  QCheck.Test.make ~count:4 ~name (arb_chunked_spec ?discrete_ok ())
+    (check_shape kind)
+
+(* One wide inner row sorts near the front and overlaps every outer row:
+   it must stay in every window while the buffer slides hundreds of rows
+   past it, and rows it pins in between must not leak into a window. *)
+let wide_row_case =
+  tc "a wide inner row stays in every window as the buffer slides" `Quick
+    (fun () ->
+      let env = Test_util.fresh_env () in
+      let schema name =
+        Schema.make ~name [ ("ID", Schema.TNum); ("X", Schema.TNum) ]
+      in
+      let crisp i = Value.crisp_num (float_of_int i) in
+      let n_outer = 3 * Batch.batch_rows in
+      let r =
+        Relation.of_list env (schema "R")
+          (List.init n_outer (fun i -> Test_util.tuple [ Value.Int i; crisp i ] 1.0))
+      in
+      let wide =
+        Value.Fuzzy
+          (Fuzzy.Possibility.trap
+             (Fuzzy.Trapezoid.make (-1.0) 10.0 (float_of_int n_outer) 1e6))
+      in
+      let s =
+        Relation.of_list env (schema "S")
+          (Test_util.tuple [ Value.Int (-1); wide ] 1.0
+          :: List.init (2 * n_outer) (fun i ->
+                 Test_util.tuple [ Value.Int i; crisp (i / 2) ] 1.0))
+      in
+      let expect = positive_pairs r s ~attr:1 in
+      let sorted_r = Join_merge.sort_by r ~attr:1 ~mem_pages:8 in
+      let sorted_s = Join_merge.sort_by s ~attr:1 ~mem_pages:8 in
+      let acc = ref [] and with_wide = ref 0 in
+      Join_merge.sweep_sorted ~outer:sorted_r ~inner:sorted_s ~outer_attr:1
+        ~inner_attr:1 ~mem_pages:8
+        ~emit:(fun ob i ~inner ~idx ~n ~d_eq ->
+          let rt = Batch.row ob i in
+          for j = 0 to n - 1 do
+            let st = Batch.row inner idx.(j) in
+            if id st = "-1" then incr with_wide;
+            if d_eq.(j) > 0.0 then acc := (id rt, id st, bits d_eq.(j)) :: !acc
+          done)
+        ();
+      Alcotest.(check int) "wide row in every window" n_outer !with_wide;
+      if List.sort compare !acc <> expect then
+        Alcotest.fail "windows differ from the nested-loop pairs")
+
+let chunk_cases =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      chunked_prop "chunk boundaries: type N = naive bits" `N ();
+      chunked_prop "chunk boundaries: type J = naive bits" `J ();
+      chunked_prop "chunk boundaries: type JX = naive bits" `JX ();
+      chunked_prop "chunk boundaries: type JA = naive bits" `JA ~discrete_ok:false ();
+      chunked_prop "chunk boundaries: type JALL = naive bits" `JALL ();
+      chunked_prop "chunk boundaries: chain = naive bits" `Chain ();
+    ]
+  @ [ wide_row_case ]
+
 let suites =
   [
     ( "batch.kernels",
@@ -392,4 +467,5 @@ let suites =
         [ kernel_cmp_prop; kernel_crisp_prop; mem_prop; tnorm_prop ] );
     ("batch.engines", List.map QCheck_alcotest.to_alcotest shape_props);
     ("batch.regressions", sweep_cases);
+    ("batch.chunks", chunk_cases);
   ]

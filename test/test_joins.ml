@@ -176,7 +176,7 @@ let merge_io_linear =
       Storage.Buffer_pool.flush env.Storage.Env.pool;
       Storage.Iostats.reset env.Storage.Env.stats;
       Join_merge.sweep_sorted ~outer:sorted_r ~inner:sorted_s ~outer_attr:1
-        ~inner_attr:1 ~mem_pages:16 ~f:(fun _ _ -> ()) ();
+        ~inner_attr:1 ~mem_pages:16 ~emit:(fun _ _ ~inner:_ ~idx:_ ~n:_ ~d_eq:_ -> ()) ();
       let expected = Relation.num_pages sorted_r + Relation.num_pages sorted_s in
       Alcotest.(check int) "reads = b_R + b_S" expected
         (Storage.Iostats.page_reads env.Storage.Env.stats))
@@ -216,96 +216,6 @@ let fanout_sanity =
         true
         (c > 5.0 && c < 11.0))
 
-(* ---------- parallel execution ---------- *)
-
-(* The degree-equivalence contract of the multicore engine: for every query
-   type the planner parallelises, running with domains in {1, 2, 4} must
-   return the same answer tuples AND the same membership degrees (domains = 1
-   is by construction the sequential engine). *)
-let check_parallel kind spec =
-  let catalog = Test_equivalence.make_db spec in
-  let rng = Random.State.make [| spec.Test_equivalence.seed + 17 |] in
-  let sql = Test_equivalence.template rng kind in
-  let q = Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper sql in
-  let answer d =
-    Test_util.answer_of_relation (Unnest.Planner.run ~mem_pages:8 ~domains:d q)
-  in
-  let seq = answer 1 in
-  List.for_all
-    (fun d ->
-      let par = answer d in
-      if not (Test_util.answers_equal seq par) then
-        QCheck.Test.fail_reportf
-          "domains=1 <> domains=%d for %s@.seq: %a@.par: %a" d sql
-          Test_util.pp_answer seq Test_util.pp_answer par
-      else true)
-    [ 2; 4 ]
-
-let parallel_props =
-  List.map
-    (fun (name, kind, discrete_ok) ->
-      QCheck.Test.make ~count:25
-        ~name:(Printf.sprintf "parallel degrees: %s with domains {1,2,4}" name)
-        (Test_equivalence.arb_spec ~discrete_ok ())
-        (check_parallel kind))
-    [
-      ("type N", `N, true); ("type J", `J, true); ("type JX", `JX, true);
-      ("type JA", `JA, false); ("type JALL", `JALL, true);
-      ("chain", `Chain, true);
-    ]
-
-let partition_replication =
-  tc "partition_sweep replicates boundary-straddling windows" `Quick (fun () ->
-      let iv = Fuzzy.Interval.make in
-      (* Four outer tuples cut into two slices of two; the wide inner
-         window [0, 100] overlaps every outer support and must appear in
-         both partitions, the narrow ones only where they can join. *)
-      let outs = [| (0, iv 0. 10.); (1, iv 5. 15.); (2, iv 20. 30.); (3, iv 25. 40.) |] in
-      let ins =
-        [| ("low", iv 0. 8.); ("wide", iv 0. 100.); ("cut", iv 12. 22.);
-           ("high", iv 26. 35.) |]
-      in
-      let parts = Join_merge.partition_sweep ~domains:2 outs ins in
-      Alcotest.(check int) "two partitions" 2 (Array.length parts);
-      let names (_, slice) = List.map fst (Array.to_list slice) in
-      let outer_ids (slice, _) = List.map fst (Array.to_list slice) in
-      Alcotest.(check (list int)) "first outer slice" [ 0; 1 ] (outer_ids parts.(0));
-      Alcotest.(check (list int)) "second outer slice" [ 2; 3 ] (outer_ids parts.(1));
-      (* slice 0 covers supports up to hi = 15: "high" (lo 26) is excluded,
-         "cut" straddles in via lo 12 <= 15. *)
-      Alcotest.(check (list string)) "inner for slice 0"
-        [ "low"; "wide"; "cut" ] (names parts.(0));
-      (* slice 1 starts at lo = 20: "low" (hi 8) is excluded; "wide" and
-         "cut" straddle the boundary and are replicated. *)
-      Alcotest.(check (list string)) "inner for slice 1"
-        [ "wide"; "cut"; "high" ] (names parts.(1));
-      (* A sweep over each partition must find exactly the overlapping pairs
-         of the sequential sweep: count them both ways. *)
-      let seq_pairs =
-        Array.fold_left
-          (fun acc (_, ri) ->
-            acc
-            + Array.fold_left
-                (fun a (_, si) -> if Fuzzy.Interval.overlaps ri si then a + 1 else a)
-                0 ins)
-          0 outs
-      in
-      let par_pairs =
-        Array.fold_left
-          (fun acc (o_slice, i_slice) ->
-            acc
-            + Array.fold_left
-                (fun a (_, ri) ->
-                  a
-                  + Array.fold_left
-                      (fun b (_, si) ->
-                        if Fuzzy.Interval.overlaps ri si then b + 1 else b)
-                      0 i_slice)
-                0 o_slice)
-          0 parts
-      in
-      Alcotest.(check int) "overlap pairs preserved" seq_pairs par_pairs)
-
 let suites =
   [
     ( "joins.equivalence",
@@ -313,7 +223,4 @@ let suites =
         [ prop_merge_equals_nl; prop_indicator_equals_plain ]
       @ [ hand_case; dangling_window_case; residual_case; empty_inputs ] );
     ("joins.io", [ nl_io_formula; merge_io_linear; sorted_order_check; fanout_sanity ]);
-    ( "joins.parallel",
-      List.map QCheck_alcotest.to_alcotest parallel_props
-      @ [ partition_replication ] );
   ]

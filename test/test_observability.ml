@@ -1,6 +1,6 @@
 (** Tests for the observability layer: the {!Storage.Trace} span collector
-    (nesting, counter deltas, exporters, parallel fork/graft), the
-    phase-attribution of parallel worker I/O, and {!Storage.Metrics}. *)
+    (nesting, counter deltas, exporters), the per-phase I/O attribution of
+    {!Storage.Iostats} and {!Storage.Metrics}. *)
 
 open Frepro
 open Frepro.Relational
@@ -13,7 +13,7 @@ let contains hay needle =
   go 0
 
 (* The Table 1 workload at a size that spills the external sort. *)
-let traced_run ?(domains = 1) ?trace () =
+let traced_run ?trace () =
   let env = Storage.Env.create ~pool_pages:8 () in
   let spec = { Workload.Gen.default_spec with n = 600; groups = 85 } in
   let r, s = Workload.Gen.join_pair env ~seed:7 ~outer:spec ~inner:spec in
@@ -24,7 +24,7 @@ let traced_run ?(domains = 1) ?trace () =
     Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper
       "SELECT R.ID FROM R WHERE R.X IN (SELECT S.X FROM S WHERE S.W <= R.W)"
   in
-  let answer = Unnest.Planner.run ~mem_pages:8 ~domains ?trace q in
+  let answer = Unnest.Planner.run ~mem_pages:8 ?trace q in
   (env, answer)
 
 let span_names trace =
@@ -110,23 +110,18 @@ let trace_tests =
             if contains (Storage.Trace.span_name sp) "sort" then
               sort_ios := !sort_ios + Storage.Trace.span_ios sp);
         Alcotest.(check bool) "sort spans record I/O" true (!sort_ios > 0));
-    tc "parallel run forks lanes and grafts under the coordinator" `Quick
+    tc "tracing leaves the answer and the counters unchanged" `Quick
       (fun () ->
-        let t = Storage.Trace.create () in
-        let _env, _answer = traced_run ~domains:2 ~trace:t () in
-        let lanes = ref [] in
-        Storage.Trace.iter_spans t (fun sp ->
-            let l = Storage.Trace.span_lane sp in
-            if not (List.mem l !lanes) then lanes := l :: !lanes);
-        Alcotest.(check bool) "worker lanes appear" true
-          (List.exists (fun l -> l > 0) !lanes);
-        (* grafting keeps a single root: everything hangs off "query" *)
-        Alcotest.(check int) "single root" 1
-          (List.length (Storage.Trace.roots t)));
-    tc "parallel answer equals sequential answer" `Quick (fun () ->
-        let _e1, a1 = traced_run () in
-        let _e2, a2 = traced_run ~domains:2 () in
-        Test_util.check_same_answer "domains=2 = domains=1" a1 a2);
+        let e1, a1 = traced_run () in
+        let e2, a2 = traced_run ~trace:(Storage.Trace.create ()) () in
+        Test_util.check_same_answer "traced = untraced" a1 a2;
+        let s1 = e1.Storage.Env.stats and s2 = e2.Storage.Env.stats in
+        Alcotest.(check int) "page I/Os" (Storage.Iostats.total_ios s1)
+          (Storage.Iostats.total_ios s2);
+        Alcotest.(check int) "comparisons" (Storage.Iostats.comparisons s1)
+          (Storage.Iostats.comparisons s2);
+        Alcotest.(check int) "fuzzy ops" (Storage.Iostats.fuzzy_ops s1)
+          (Storage.Iostats.fuzzy_ops s2));
   ]
 
 let exporter_tests =
@@ -154,10 +149,27 @@ let exporter_tests =
               (contains json needle))
           [ {json|"name": "parent"|json}; {json|"name": "kid"|json};
             {json|"children"|json} ]);
+    tc "to_json writes lane 0 on every span" `Quick (fun () ->
+        let t = Storage.Trace.create () in
+        let _env, _answer = traced_run ~trace:t () in
+        let json = Storage.Trace.to_json t in
+        let needle = {json|"lane": |json} in
+        let n = String.length needle in
+        let rec lanes i acc =
+          if i + n > String.length json then List.rev acc
+          else if String.sub json i n = needle then
+            lanes (i + n) (json.[i + n] :: acc)
+          else lanes (i + 1) acc
+        in
+        let found = lanes 0 [] in
+        Alcotest.(check int) "one lane field per span"
+          (Storage.Trace.span_count t) (List.length found);
+        Alcotest.(check bool) "every lane is 0" true
+          (List.for_all (fun c -> c = '0') found));
     tc "chrome export emits one complete event per span + thread names"
       `Quick (fun () ->
         let t = Storage.Trace.create () in
-        let _env, _answer = traced_run ~domains:2 ~trace:t () in
+        let _env, _answer = traced_run ~trace:t () in
         let json = Storage.Trace.to_chrome_json t in
         let count needle =
           let n = String.length needle in
@@ -174,40 +186,36 @@ let exporter_tests =
         Alcotest.(check bool) "thread metadata present" true
           (contains json {json|"thread_name"|json});
         Alcotest.(check bool) "coordinator lane named" true
-          (contains json "coordinator"));
+          (contains json
+             {json|{"ph": "M", "pid": 1, "tid": 0, "name": "thread_name", "args": {"name": "coordinator"}}|json});
+        Alcotest.(check int) "every event on thread 0"
+          (Storage.Trace.span_count t + 1)
+          (count {json|"tid": 0,|json}));
   ]
+
+(* The per-phase buckets that the bench and the repository benchmark report
+   ([phase_ios]/[phase_seconds]) on a plan that spills its sorts. *)
+let all_phases =
+  Storage.Iostats.[ Sort; Merge; Join; Other ]
 
 let phase_tests =
   [
-    tc "parallel sort I/O is charged to the Sort phase" `Quick (fun () ->
-        let env, _answer = traced_run ~domains:2 () in
+    tc "sort I/O is charged to the Sort phase" `Quick (fun () ->
+        let env, _answer = traced_run () in
         let stats = env.Storage.Env.stats in
         Alcotest.(check bool) "sort-phase I/O > 0" true
           (Storage.Iostats.phase_ios stats Storage.Iostats.Sort > 0);
-        (* without the worker-record tagging these transfers land in Other *)
         Alcotest.(check bool) "sort-phase I/O dominates Other" true
           (Storage.Iostats.phase_ios stats Storage.Iostats.Sort
           > Storage.Iostats.phase_ios stats Storage.Iostats.Other));
-    tc "parallel and sequential runs agree on per-phase I/O totals" `Quick
-      (fun () ->
-        let e1, _ = traced_run () and e2, _ = traced_run ~domains:2 () in
-        let s1 = e1.Storage.Env.stats and s2 = e2.Storage.Env.stats in
-        (* the parallel engine does extra transfers (private pools), but
-           whatever it does must be attributed: Sort + Merge + Join + Other
-           = total on both sides *)
-        let covered s =
-          List.fold_left
-            (fun acc p -> acc + Storage.Iostats.phase_ios s p)
-            0
-            [
-              Storage.Iostats.Sort; Storage.Iostats.Merge;
-              Storage.Iostats.Join; Storage.Iostats.Other;
-            ]
-        in
-        Alcotest.(check int) "sequential phases cover the total"
-          (Storage.Iostats.total_ios s1) (covered s1);
-        Alcotest.(check int) "parallel phases cover the total"
-          (Storage.Iostats.total_ios s2) (covered s2));
+    tc "per-phase I/O sums to the run's total" `Quick (fun () ->
+        let env, _answer = traced_run () in
+        let s = env.Storage.Env.stats in
+        Alcotest.(check int) "Sort + Merge + Join + Other = total"
+          (Storage.Iostats.total_ios s)
+          (List.fold_left
+             (fun acc p -> acc + Storage.Iostats.phase_ios s p)
+             0 all_phases));
   ]
 
 let metrics_tests =

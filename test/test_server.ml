@@ -339,6 +339,43 @@ let show_reply = function
   | Some (Server.Client.Rejected { code; _ }) -> "Rejected " ^ code
   | Some (Server.Client.Cancelled m) -> "Cancelled: " ^ m
 
+(* A rev-2 ['q'] query frame crafted byte by byte (tag, u32-length-prefixed
+   request ID, u32 deadline, u32 domains, u32-length-prefixed SQL) and sent
+   on a raw socket; returns the answer rows as (values, degree bits),
+   sorted. *)
+let raw_rev2_query ~port ~domains sql =
+  let u32 buf n =
+    Buffer.add_char buf (Char.chr ((n lsr 24) land 0xff));
+    Buffer.add_char buf (Char.chr ((n lsr 16) land 0xff));
+    Buffer.add_char buf (Char.chr ((n lsr 8) land 0xff));
+    Buffer.add_char buf (Char.chr (n land 0xff))
+  in
+  let payload = Buffer.create 128 in
+  Buffer.add_char payload 'q';
+  let request_id = Printf.sprintf "raw-domains-%d" domains in
+  u32 payload (String.length request_id);
+  Buffer.add_string payload request_id;
+  u32 payload 0;
+  u32 payload domains;
+  u32 payload (String.length sql);
+  Buffer.add_string payload sql;
+  let frame = Buffer.create 128 in
+  u32 frame (Buffer.length payload);
+  Buffer.add_buffer frame payload;
+  let raw = Buffer.to_bytes frame in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> close_noerr fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  assert (Unix.write fd raw 0 (Bytes.length raw) = Bytes.length raw);
+  let rec read rows =
+    match Server.Wire.read_reply fd with
+    | Server.Wire.Header _ -> read rows
+    | Server.Wire.Row { degree_bits; values } -> read ((values, degree_bits) :: rows)
+    | Server.Wire.Done _ -> List.sort compare rows
+    | _ -> Alcotest.failf "unexpected reply to the domains=%d frame" domains
+  in
+  read []
+
 let daemon_tests =
   [
     tc "concurrent clients match the sequential engine bit-for-bit" `Slow
@@ -561,6 +598,21 @@ let daemon_tests =
             | exception _ -> Server.Client.close c
             | Server.Client.Failed _ -> Server.Client.close c
             | _ -> Alcotest.fail "server answered after stop")));
+    tc "a rev-2 frame's domains field does not change the answer" `Quick
+      (fun () ->
+        let daemon = Server.Daemon.start ~workers:1 ~setup () in
+        Fun.protect ~finally:(fun () -> Server.Daemon.stop daemon) @@ fun () ->
+        let port = Server.Daemon.port daemon in
+        List.iter
+          (fun name ->
+            let sql = List.assoc name shapes in
+            let zero = raw_rev2_query ~port ~domains:0 sql in
+            let four = raw_rev2_query ~port ~domains:4 sql in
+            Alcotest.(check bool) (name ^ ": answer is not empty") true (zero <> []);
+            Alcotest.(check bool)
+              (name ^ ": same rows and degree bits at domains 0 and 4")
+              true (zero = four))
+          [ "J"; "chain" ]);
   ]
 
 (* Every data socket runs without Nagle: a small reply frame would
