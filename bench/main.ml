@@ -768,31 +768,32 @@ let kernels cfg =
   in
   record "tnorm-pass" "vectorized" (reps * n) b;
   ignore !sink;
-  (* 3. the window sweep over ⪯-sorted runs (includes the streamed
-     decode of both inputs) *)
+  (* 3. the window sweep of the pipelined merge-join: the [Merge] phase
+     time of a sort-and-sweep, which excludes sorting and the pulls of
+     the sorted inputs (they are charged to [Sort]) *)
   let env = Storage.Env.create ~pool_pages:(mem_pages cfg) () in
   let spec = spec_of ~paper_mb:2 ~tuple_bytes:128 ~fanout:7.0 cfg in
   let r, s_rel =
     Workload.Gen.join_pair env ~seed:cfg.seed ~outer:spec ~inner:spec
   in
-  let sorted_r =
-    Relational.Join_merge.sort_by r ~attr:1 ~mem_pages:(mem_pages cfg)
-  in
-  let sorted_s =
-    Relational.Join_merge.sort_by s_rel ~attr:1 ~mem_pages:(mem_pages cfg)
-  in
+  let stats = env.Storage.Env.stats in
   let pairs = ref 0 in
   (* the window is consumed off its selection vector, like the IN / NOT IN
      handlers do *)
-  let secs =
-    time (fun () ->
-        pairs := 0;
-        Relational.Join_merge.sweep_sorted ~outer:sorted_r ~inner:sorted_s
-          ~outer_attr:1 ~inner_attr:1 ~mem_pages:(mem_pages cfg)
-          ~emit:(fun _ _ ~inner:_ ~idx:_ ~n ~d_eq:_ -> pairs := !pairs + n)
-          ())
+  let sweep_s () =
+    let before = Storage.Iostats.phase_seconds stats Storage.Iostats.Merge in
+    pairs := 0;
+    Relational.Join_merge.sort_sweep ~outer:r ~inner:s_rel ~outer_attr:1
+      ~inner_attr:1 ~mem_pages:(mem_pages cfg)
+      ~emit:(fun _ _ ~inner:_ ~idx:_ ~n ~d_eq:_ -> pairs := !pairs + n)
+      ();
+    Storage.Iostats.phase_seconds stats Storage.Iostats.Merge -. before
   in
-  let rows = Relational.Relation.cardinality sorted_r in
+  let secs =
+    List.fold_left (fun best _ -> Float.min best (sweep_s ())) infinity
+      [ 1; 2; 3; 4; 5 ]
+  in
+  let rows = Relational.Relation.cardinality r in
   record "window-sweep" "vectorized" rows secs;
   note "@.(window sweep examined %d pairs over %d outer rows)@." !pairs rows
 

@@ -16,9 +16,34 @@ val project : ?name:string -> Relation.t -> attrs:string list -> Relation.t
     [Invalid_argument] on unknown attribute names. *)
 
 val project_positions : ?name:string -> Relation.t -> int list -> Relation.t
+(** Projection onto attribute positions, max-folded ({!Max_fold}). *)
+
+(** The max-fold behind every duplicate elimination here: one
+    accumulator per query, fed straight off the operator that produces
+    the tuples, so no pre-dedup relation is written. Tuples equal under
+    {!Ftuple.compare_values} collapse into the first one added, carrying
+    the max degree of the group. The answer is written in
+    [compare_values] order; [LIMIT] without [ORDER BY] and wire row order
+    depend on it. Memory stays within about twice the distinct tuples.
+    An accumulator is a plain value with no shared state: concurrent
+    queries each use their own. *)
+module Max_fold : sig
+  type t
+
+  val create : unit -> t
+
+  val add : t -> Ftuple.t -> unit
+  (** The caller drops tuples of degree 0 (they are not members). *)
+
+  val to_relation : ?name:string -> t -> Storage.Env.t -> Schema.t -> Relation.t
+  (** Write the folded tuples, in [compare_values] order, into a new
+      temporary relation (renamed by [?name]). The accumulator may keep
+      being fed afterwards. *)
+end
 
 val dedup_max : ?name:string -> Relation.t -> Relation.t
-(** Collapse tuples with identical value vectors, keeping the max degree. *)
+(** Collapse tuples with identical value vectors, keeping the max degree
+    ({!Max_fold} over the relation). *)
 
 val union_max : ?name:string -> Relation.t -> Relation.t -> Relation.t
 (** Fuzzy union: max degree per value vector. Schemas must have equal

@@ -8,7 +8,7 @@
     The three hot loops of the merge pipeline use them: fuzzy predicate
     evaluation ({!mem_into}, {!cmp_at}), t-norm / co-norm degree combination
     ({!conj_into}, {!disj_reduce}), and the window sweep's per-pair equality
-    degrees ({!cmp_at} from [Join_merge.sweep_sorted]). *)
+    degrees ({!cmp_at} from [Join_merge.sort_sweep]). *)
 
 open Fuzzy
 

@@ -45,11 +45,14 @@ let add_value b = function
               buf_add_f64 b d)
             pts)
 
-let encode ?pad_to t =
-  let b = Buffer.create 64 in
+let encode_into b t =
   buf_add_u16 b (Array.length t.Ftuple.values);
   Array.iter (add_value b) t.Ftuple.values;
-  buf_add_f64 b t.Ftuple.degree;
+  buf_add_f64 b t.Ftuple.degree
+
+let encode ?pad_to t =
+  let b = Buffer.create 64 in
+  encode_into b t;
   let natural = Buffer.length b in
   (match pad_to with
   | Some target when target < natural ->
@@ -65,8 +68,8 @@ let encoded_size t = Bytes.length (encode t)
 let get_u16 buf off = Bytes.get_uint8 buf off lor (Bytes.get_uint8 buf (off + 1) lsl 8)
 let get_f64 buf off = Int64.float_of_bits (Bytes.get_int64_le buf off)
 
-let decode buf =
-  let off = ref 0 in
+let decode_at buf pos =
+  let off = ref pos in
   let u16 () =
     let v = get_u16 buf !off in
     off := !off + 2;
@@ -116,3 +119,52 @@ let decode buf =
   done;
   let degree = f64 () in
   Ftuple.make values degree
+
+let decode buf = decode_at buf 0
+
+(* The support of value [attr], read in place: the values before it are
+   skipped by their tags and lengths, and nothing but the interval is
+   built. Each branch computes exactly what [decode] followed by
+   [Value.support] computes for records [encode] wrote. *)
+let support_at_pos buf ~pos attr =
+  let rec skip off i =
+    if i = 0 then off
+    else
+      let off' =
+        match Bytes.get_uint8 buf off with
+        | 0 -> off + 9
+        | 1 -> off + 3 + get_u16 buf (off + 1)
+        | 2 -> off + 9
+        | 3 -> off + 33
+        | 4 -> off + 3 + (16 * get_u16 buf (off + 1))
+        | t -> invalid_arg (Printf.sprintf "Codec.support_at: bad tag %d" t)
+      in
+      skip off' (i - 1)
+  in
+  if attr < 0 || attr >= get_u16 buf pos then
+    invalid_arg "Codec.support_at: attribute out of range";
+  let off = skip (pos + 2) attr in
+  match Bytes.get_uint8 buf off with
+  | 0 ->
+      Interval.point
+        (float_of_int (Int64.to_int (Bytes.get_int64_le buf (off + 1))))
+  | 1 ->
+      let s = Bytes.sub_string buf (off + 3) (get_u16 buf (off + 1)) in
+      Interval.point (float_of_int (Hashtbl.hash s))
+  | 2 -> Interval.point (get_f64 buf (off + 1))
+  | 3 -> Interval.make (get_f64 buf (off + 1)) (get_f64 buf (off + 25))
+  | 4 ->
+      (* [Possibility.discrete] keeps only the positive-degree points. *)
+      let lo = ref infinity and hi = ref neg_infinity in
+      for k = 0 to get_u16 buf (off + 1) - 1 do
+        let p = off + 3 + (16 * k) in
+        if get_f64 buf (p + 8) > 0.0 then begin
+          let v = get_f64 buf p in
+          lo := Float.min !lo v;
+          hi := Float.max !hi v
+        end
+      done;
+      Interval.make !lo !hi
+  | t -> invalid_arg (Printf.sprintf "Codec.support_at: bad tag %d" t)
+
+let support_at buf attr = support_at_pos buf ~pos:0 attr

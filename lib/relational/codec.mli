@@ -11,5 +11,22 @@ val encode : ?pad_to:int -> Ftuple.t -> bytes
 
 val decode : bytes -> Ftuple.t
 
+val encode_into : Buffer.t -> Ftuple.t -> unit
+(** Append the unpadded encoding ([encode ?pad_to:None]); its last 8
+    bytes are the degree. *)
+
+val decode_at : bytes -> int -> Ftuple.t
+(** [decode_at buf pos] decodes the tuple encoded at offset [pos]. *)
+
 val encoded_size : Ftuple.t -> int
 (** Size of [encode ?pad_to:None]. *)
+
+val support_at : bytes -> int -> Fuzzy.Interval.t
+(** [support_at buf attr] is [Value.support (Ftuple.value (decode buf) attr)],
+    bit for bit, for every record {!encode} produces, read in place: the
+    values before [attr] are skipped and only the interval is allocated.
+    The merge-join's sort reads its key with it. *)
+
+val support_at_pos : bytes -> pos:int -> int -> Fuzzy.Interval.t
+(** [support_at_pos buf ~pos attr]: {!support_at} of the record encoded
+    at offset [pos] of [buf] (a record in place on its page). *)

@@ -15,7 +15,7 @@ val concat : t -> t -> Fuzzy.Degree.t -> t
 
 val project : t -> int list -> t
 (** Keep the listed positions (in order); the degree is preserved — duplicate
-    elimination with max happens in {!Algebra.dedup_max}. *)
+    elimination with max happens in {!Algebra.Max_fold}. *)
 
 val values_equal : t -> t -> bool
 (** Structural equality of the value vectors, ignoring degrees (the notion of

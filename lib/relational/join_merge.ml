@@ -1,32 +1,6 @@
 open Storage
 open Fuzzy
 
-let interval_key ~attr r = Value.support (Ftuple.value (Codec.decode r) attr)
-
-let sort_by ?trace ?cancel rel ~attr ~mem_pages =
-  let env = Relation.env rel in
-  Buffer_pool.flush (Heap_file.pool (Relation.file rel));
-  let name = "sort " ^ Schema.name (Relation.schema rel) in
-  Trace.with_span trace ~stats:env.Env.stats ~pool:env.Env.pool name
-    (fun () ->
-      (* Decorated: the key is decoded once per record per phase, not twice
-         per comparison; cancellation is polled once per batch of
-         records. *)
-      let key r =
-        let i = interval_key ~attr r in
-        (Interval.lo i, Interval.hi i)
-      in
-      let sorted =
-        External_sort.sort_support ?trace ?cancel (Relation.file rel) ~key
-          ~mem_pages
-      in
-      let out =
-        Relation.of_file ?pad_to:(Relation.pad_to rel) env
-          (Relation.schema rel) sorted
-      in
-      Trace.set_rows trace (Relation.cardinality out);
-      out)
-
 (* The window sweep of Section 3 over unboxed support and parameter
    columns. Both inputs arrive in chunks from [next_outer] / [next_inner]
    ([[||]] at the end). The outer side is swept one chunk at a time. The
@@ -169,75 +143,43 @@ let sweep_chunks ?cancel ?trace ~stats ~next_outer ~next_inner ~outer_attr
   in
   chunks ()
 
-(* Chunk sources for {!sweep_chunks}. A cursor chunk holds up to
-   [Batch.batch_rows] rows; with [~page_bound] it also stops at the end of
-   the page its first row came from, so the inner side never reads a page
-   before the sweep needs one of its rows and reads exactly the pages a
-   tuple-at-a-time sweep would. *)
-let cursor_chunks ?(page_bound = false) c () =
-  match Relation.Cursor.next c with
-  | None -> [||]
-  | Some first ->
-      let limit =
-        if page_bound then
-          1 + Int.min (Batch.batch_rows - 1) (Relation.Cursor.buffered c)
-        else Batch.batch_rows
-      in
-      let rows = Array.make limit first in
-      let rec fill k =
-        if k >= limit then k
-        else
-          match Relation.Cursor.next c with
-          | None -> k
-          | Some t ->
-              rows.(k) <- t;
-              fill (k + 1)
-      in
-      let n = fill 1 in
-      if n = limit then rows else Array.sub rows 0 n
-
 type emit =
   Batch.t -> int -> inner:Batch.t -> idx:int array -> n:int ->
   d_eq:float array -> unit
 
-(* For handlers with no form over the selection vector: the window
-   materialises as an insertion-ordered [rng] list. *)
-let emit_to_f ~f : emit =
- fun ob i ~inner ~idx ~n ~d_eq ->
-  let rec build j =
-    if j >= n then [] else (Batch.row inner idx.(j), d_eq.(j)) :: build (j + 1)
-  in
-  f (Batch.row ob i) (build 0)
-
-let sweep_sorted ?trace ?cancel ~outer ~inner ~outer_attr ~inner_attr
+let sort_sweep ?trace ?cancel ~outer ~inner ~outer_attr ~inner_attr
     ~mem_pages ~emit () =
   let env = Relation.env outer in
   let stats = env.Env.stats in
-  Buffer_pool.flush (Heap_file.pool (Relation.file outer));
-  Buffer_pool.flush (Heap_file.pool (Relation.file inner));
-  (* Each relation is read strictly once in sorted order; only the window
-     and the chunks in flight are kept decoded, so the merge phase needs
-     just scan buffers: the memory budget is split between the two scoped
-     cursor pools, each over its own file's backend (durable relations and
-     temporary intermediates may live on different disks). *)
-  let capacity = Int.max 1 (mem_pages / 2) in
-  Iostats.timed stats Iostats.Merge (fun () ->
-      let outer_pool =
-        Buffer_pool.create (Heap_file.disk (Relation.file outer)) ~capacity
-      in
-      let inner_pool =
-        Buffer_pool.create (Heap_file.disk (Relation.file inner)) ~capacity
-      in
-      Trace.with_span trace ~stats ~pool:outer_pool "sweep" (fun () ->
-          sweep_chunks ?cancel ?trace ~stats
-            ~next_outer:
-              (cursor_chunks
-                 (Relation.Cursor.of_relation ~buffer_pool:outer_pool outer))
-            ~next_inner:
-              (cursor_chunks ~page_bound:true
-                 (Relation.Cursor.of_relation ~buffer_pool:inner_pool inner))
-            ~outer_attr ~inner_attr ~emit ();
-          Trace.set_rows trace (Relation.cardinality outer)))
+  let spec rel attr =
+    {
+      External_sort.name = "sort " ^ Schema.name (Relation.schema rel);
+      file = Relation.file rel;
+      key = (fun page pos -> Codec.support_at_pos page ~pos attr);
+    }
+  in
+  External_sort.with_sorted ?trace ?cancel ~mem_pages
+    ~decode:(fun page pos _ -> Codec.decode_at page pos)
+    (spec outer outer_attr) (spec inner inner_attr) (fun so si ->
+      (* The pulls time themselves as [Sort], so [Merge] keeps the sweep's
+         own time. The inner side is pulled page-bound: the sweep never
+         makes a run cursor read a page before it needs a row there. *)
+      Iostats.timed stats Iostats.Merge (fun () ->
+          Trace.with_span trace ~stats "sweep" (fun () ->
+              let rows = ref 0 in
+              sweep_chunks ?cancel ?trace ~stats
+                ~next_outer:(fun () ->
+                  let c =
+                    External_sort.pull so ~max:Batch.batch_rows ~page_bound:false
+                  in
+                  rows := !rows + Array.length c;
+                  c)
+                ~next_inner:(fun () ->
+                  External_sort.pull si ~max:Batch.batch_rows ~page_bound:true)
+                ~outer_attr ~inner_attr ~emit ();
+              External_sort.add_merge_span trace so;
+              External_sort.add_merge_span trace si;
+              Trace.set_rows trace !rows)))
 
 let join_with_rng ?name ?trace ?cancel ~outer ~inner
     ~outer_attr ~inner_attr ~mem_pages ?residual ~rng_degree () =
@@ -251,46 +193,34 @@ let join_with_rng ?name ?trace ?cancel ~outer ~inner
     ("join " ^ Schema.name out_schema)
     (fun () ->
       let out = Relation.create env out_schema in
-      (* The sorted temporaries must not outlive the join even when the
-         sweep unwinds with [Cancel.Cancelled]: a server worker's
-         environment lives for many queries, and cancelled queries must not
-         leak their intermediate files. *)
-      let temps = ref [] in
-      Fun.protect
-        ~finally:(fun () -> List.iter Relation.destroy !temps)
-        (fun () ->
-          let sorted_r =
-            sort_by ?trace ?cancel outer ~attr:outer_attr ~mem_pages
+      let pair r s d_eq =
+        let d_eq = rng_degree r s d_eq in
+        if Degree.positive d_eq then begin
+          let d_res =
+            match residual with None -> Degree.one | Some f -> f r s
           in
-          temps := sorted_r :: !temps;
-          let sorted_s =
-            sort_by ?trace ?cancel inner ~attr:inner_attr ~mem_pages
+          let d =
+            Degree.conj_list [ Ftuple.degree r; Ftuple.degree s; d_eq; d_res ]
           in
-          temps := sorted_s :: !temps;
-          let pair r s d_eq =
-            let d_eq = rng_degree r s d_eq in
-            if Degree.positive d_eq then begin
-              let d_res =
-                match residual with None -> Degree.one | Some f -> f r s
-              in
-              let d =
-                Degree.conj_list
-                  [ Ftuple.degree r; Ftuple.degree s; d_eq; d_res ]
-              in
-              if Degree.positive d then
-                Relation.insert out (Ftuple.concat r s d)
-            end
-          in
-          (* Straight off the window's selection vector: no [rng] list is
-             built. *)
-          let emit ob i ~inner:ib ~idx ~n ~d_eq =
-            let r = Batch.row ob i in
-            for j = 0 to n - 1 do
-              pair r (Batch.row ib idx.(j)) d_eq.(j)
-            done
-          in
-          sweep_sorted ?trace ?cancel ~outer:sorted_r ~inner:sorted_s
-            ~outer_attr ~inner_attr ~mem_pages ~emit ());
+          if Degree.positive d then Relation.insert out (Ftuple.concat r s d)
+        end
+      in
+      (* Straight off the window's selection vector: no [rng] list is
+         built. The output is freed if the join is cancelled. *)
+      let emit ob i ~inner:ib ~idx ~n ~d_eq =
+        let r = Batch.row ob i in
+        for j = 0 to n - 1 do
+          pair r (Batch.row ib idx.(j)) d_eq.(j)
+        done
+      in
+      (match
+         sort_sweep ?trace ?cancel ~outer ~inner ~outer_attr ~inner_attr
+           ~mem_pages ~emit ()
+       with
+      | () -> ()
+      | exception e ->
+          Relation.destroy out;
+          raise e);
       Trace.set_rows trace (Relation.cardinality out);
       out)
 
@@ -304,7 +234,7 @@ let with_indicator ?name ?trace ?cancel ~outer ~inner ~outer_attr
   let indicator r s d_exact =
     (* Fuzzy-equality indicator (Zhang & Wang [42]): overlapping cores mean
        degree 1, disjoint supports mean degree 0; only the remaining pairs
-       need the exact intersection height, which [sweep_sorted] already
+       need the exact intersection height, which the sweep already
        computed as [d_exact]. The classification is still performed here so
        the identical-result property is tested, while a production system
        would skip the exact computation. *)

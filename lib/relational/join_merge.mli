@@ -14,20 +14,9 @@
 
     Every entry point takes an optional [?cancel] token
     ({!Storage.Cancel}): the sorters and the sweep poll it, so a deadline or client cancellation unwinds with
-    {!Storage.Cancel.Cancelled} within one poll period. The sorted
-    temporaries of {!join_eq}/{!with_indicator} are destroyed on that path
-    too. [None] costs one branch per poll site. *)
-
-val sort_by :
-  ?trace:Storage.Trace.t -> ?cancel:Storage.Cancel.t ->
-  Relation.t -> attr:int -> mem_pages:int -> Relation.t
-(** Sort a relation by the Definition 3.1 order of the given attribute using
-    the external sorter (accounted to the [Sort] phase). The result is a
-    temporary relation owned by the caller. With [?trace], a
-    ["sort <relation>"] span wraps the sorter's own spans. The sort is
-    decorated: {!Storage.External_sort.sort_support} decodes each record's
-    key once into float columns. The key order is that of Definition 3.1;
-    records with equal keys may land in either order. *)
+    {!Storage.Cancel.Cancelled} within one poll period. The sort's run
+    files, and the output of {!join_eq}/{!with_indicator}, are destroyed
+    on that path too. [None] costs one branch per poll site. *)
 
 type emit =
   Batch.t -> int -> inner:Batch.t -> idx:int array -> n:int ->
@@ -40,33 +29,36 @@ type emit =
     is a fresh {!Batch.t}, so caching per-batch data under the batches'
     physical identity is safe. *)
 
-val emit_to_f : f:(Ftuple.t -> (Ftuple.t * Fuzzy.Degree.t) list -> unit) -> emit
-(** The handler that calls [f r rng] with the outer tuple and its window as
-    an insertion-ordered list of [(tuple, d(r.X = s.X))] pairs, for
-    handlers with no form over the selection vector. *)
-
-val sweep_sorted :
+val sort_sweep :
   ?trace:Storage.Trace.t -> ?cancel:Storage.Cancel.t ->
   outer:Relation.t -> inner:Relation.t -> outer_attr:int -> inner_attr:int ->
   mem_pages:int -> emit:emit -> unit -> unit
-(** Merge phase over relations already sorted on the join attributes:
-    [emit] is called once per outer tuple in sort order with the window
-    tuples and their equality degrees [d(r.X = s.X)]. Every examined pair
-    with overlapping supports counts one fuzzy op; accounted to the [Merge]
-    phase. The two scoped cursor pools are sized from [mem_pages]
-    ([mem_pages / 2] pages each).
+(** The merge-join as one pipeline: sort both relations by the Definition
+    3.1 order of their join attributes and sweep them, calling [emit] once
+    per outer tuple in sort order with its window and the equality degrees
+    [d(r.X = s.X)]. No sorted file is written: the sort
+    ({!Storage.External_sort.with_sorted}, [mem_pages] shared by both
+    inputs' final merges) streams its last merge pass into the sweep, and
+    each record is decoded once, as it leaves the merge. The key is read
+    in place ({!Codec.support_at}). Records with equal keys may reach the
+    sweep in either order.
 
     The sweep is columnar: window bounds and pair degrees are computed over
-    unboxed columns ({!Batch}, {!Batch_kernels}). It streams both inputs.
-    The outer relation is read in chunks of at most {!Batch.batch_rows}
-    rows. The inner relation is read one page at a time into a sliding
-    buffer that holds the window's members plus the page read last; rows
-    the window evicts are dropped at the next read. So the rows kept
-    decoded number at most the largest window plus 2 x {!Batch.batch_rows},
-    whatever the input sizes, and each relation is read once, page for
-    page as a tuple-at-a-time sweep would read it. Cancellation is polled
-    once per outer chunk and once per inner read; with [?trace] the sweep
-    records a [sweep] span with one [batch] child per outer chunk. *)
+    unboxed columns ({!Batch}, {!Batch_kernels}). The outer side is pulled
+    in chunks of at most {!Batch.batch_rows} rows. The inner side is pulled
+    page-bound into a sliding buffer that holds the window's members plus
+    the chunk read last; rows the window evicts are dropped at the next
+    pull. So the rows kept decoded number at most the largest window plus
+    2 x {!Batch.batch_rows}, whatever the input sizes. Every examined pair
+    with overlapping supports counts one fuzzy op.
+
+    Accounting: sorting and every pull to the [Sort] phase, the sweep's
+    own work to the [Merge] phase. Cancellation is polled once per outer
+    chunk and once per inner pull, and by the sort; every run file is
+    freed on any exit. With [?trace]: a ["sort <relation>"] span per
+    input wrapping its [run-formation], and a [sweep] span with one
+    [batch] child per outer chunk and one [k-way-merge] child per input
+    carrying its final merge's summed pull time. *)
 
 val join_eq :
   ?name:string -> ?trace:Storage.Trace.t -> ?cancel:Storage.Cancel.t ->
@@ -74,8 +66,8 @@ val join_eq :
   inner_attr:int -> mem_pages:int ->
   ?residual:(Ftuple.t -> Ftuple.t -> Fuzzy.Degree.t) -> unit -> Relation.t
 (** Full extended merge-join: sort both inputs, sweep, and materialise
-    matches with degree [min(D_r, D_s, d(r.X = s.X), residual r s)].
-    Temporary sorted files are destroyed before returning. *)
+    matches with degree [min(D_r, D_s, d(r.X = s.X), residual r s)]
+    ({!sort_sweep}, then one insert per positive pair). *)
 
 val with_indicator :
   ?name:string -> ?trace:Storage.Trace.t -> ?cancel:Storage.Cancel.t ->

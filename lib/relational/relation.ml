@@ -112,21 +112,6 @@ let iter_via pool t f =
 
 let destroy t = Heap_file.destroy t.file
 
-module Cursor = struct
-  type relation = t
-  type t = Heap_file.Cursor.t
-
-  let of_relation ?buffer_pool r =
-    match buffer_pool with
-    | Some pool -> Heap_file.Cursor.of_file ~pool r.file
-    | None -> Heap_file.Cursor.of_file r.file
-  let peek c = Option.map Codec.decode (Heap_file.Cursor.peek c)
-  let next c = Option.map Codec.decode (Heap_file.Cursor.next c)
-  let pos = Heap_file.Cursor.pos
-  let buffered = Heap_file.Cursor.buffered
-  let seek = Heap_file.Cursor.seek
-end
-
 let pp ppf t =
   Format.fprintf ppf "%a@." Schema.pp t.schema;
   iter t (fun tup -> Format.fprintf ppf "  %a@." Ftuple.pp tup)

@@ -52,20 +52,6 @@ val iter_via : Storage.Buffer_pool.t -> t -> (Ftuple.t -> unit) -> unit
 
 val destroy : t -> unit
 
-module Cursor : sig
-  type relation = t
-  type t
-
-  val of_relation : ?buffer_pool:Storage.Buffer_pool.t -> relation -> t
-  val peek : t -> Ftuple.t option
-  val next : t -> Ftuple.t option
-  val pos : t -> int
-  val seek : t -> int -> unit
-
-  val buffered : t -> int
-  (** Rows left on the page last read; reading them costs no page I/O. *)
-end
-
 val pp : Format.formatter -> t -> unit
 (** Render as a table (for examples and debugging); degrees shown with four
     decimals. *)

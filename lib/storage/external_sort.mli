@@ -3,10 +3,12 @@
 
     Classic two-phase sort with a user-specified memory budget: run
     generation fills [mem_pages] buffer pages, sorts in memory and writes a
-    run; merging combines up to [mem_pages - 1] runs per pass until one
-    sorted file remains. All I/O flows through the environment's buffer pool
-    and statistics, and the whole call is accounted to the [Sort] phase, so
-    the Table 3 "sorting time" breakdown can be reproduced. *)
+    run; merging combines up to [mem_pages - 1] runs per pass. {!sort}
+    merges until one sorted file remains. {!with_sorted}, the merge-join's
+    sort, writes no sorted file: its last merge pass is a stream its
+    consumer pulls. All I/O flows through the environment's buffer pools
+    and statistics, and sorting is accounted to the [Sort] phase, so the
+    Table 3 "sorting time" breakdown can be reproduced. *)
 
 type run_strategy =
   | Load_sort
@@ -48,17 +50,64 @@ val merge_runs :
     output file is destroyed but the input runs are left alive for the
     caller to clean up. *)
 
-val sort_support :
-  ?trace:Trace.t -> ?cancel:Cancel.t -> Heap_file.t ->
-  key:(bytes -> float * float) -> mem_pages:int -> Heap_file.t
-(** Columnar decorated sort, the merge-join engine's
-    counterpart of {!sort}: run formation decodes each record's
-    [(support lo, support hi)] key exactly once into unboxed float columns
-    and sorts an index permutation over them (runs are produced directly
-    from the columns), so the comparator never touches record bytes; the k-way merge decorates
-    cursor heads the same way and compares floats lexicographically. The
-    record multiset and key order are identical to {!sort} with the
-    corresponding record comparator — only equal-key ties may land in a
-    different order. Cancellation is polled once per
-    batch of records (1024) rather than per comparison; abort safety and
-    trace spans ([run-formation], [k-way-merge]) as for {!sort}. *)
+type spec = {
+  name : string;  (** the span the input's run formation is recorded in *)
+  file : Heap_file.t;
+  key : bytes -> int -> Fuzzy.Interval.t;
+      (** [key page off]: the sort key, ordered by (lo, hi), of the
+          record at [off] of [page]; read without decoding the record *)
+}
+
+type 'a stream
+(** An input's last merge pass, pulled by its consumer in chunks of
+    decoded records in key order. *)
+
+val with_sorted :
+  ?trace:Trace.t -> ?cancel:Cancel.t -> mem_pages:int ->
+  decode:(bytes -> int -> int -> 'a) -> spec -> spec ->
+  ('a stream -> 'a stream -> 'b) -> 'b
+(** [with_sorted ~mem_pages ~decode outer inner f] sorts both inputs by
+    key and calls [f] with their sorted streams; the merge-join engine's
+    sort. No sorted file is written:
+    - Run formation reads each record's key once into unboxed float
+      columns and sorts an index permutation over them. An input that
+      fits in one run ([mem_pages] pages) stays in memory and no run file
+      is written for it, as long as the records both inputs keep in
+      memory stay within [mem_pages] pages; past that the held input is
+      written out as one run.
+    - The two final merges share [mem_pages]: an in-memory input costs
+      its pages, a spilled one a page per run cursor, read through a
+      scoped pool per input. Intermediate passes run only while the two
+      together exceed [mem_pages]; each merges just enough runs of the
+      input with more runs into one to fit.
+    - No record is copied out of its page ({!Heap_file.Slices}): a run
+      formation batch holds slices of its input pages, and the merges
+      read keys in place. Each record is decoded once
+      ([decode page off len]), as it leaves the final merge.
+    The record multiset and key order are those of {!sort} under the
+    matching record comparator; only equal-key ties may land in another
+    order. Comparisons are charged per comparator call as in {!sort}.
+
+    Accounting: run formation, intermediate passes and every {!pull} are
+    charged to the [Sort] phase (nested phases are exclusive, so a
+    consumer timing itself as [Merge] keeps only its own time). With
+    [?trace], each input's run formation is a [run-formation] span under
+    a span named by its [spec.name], and intermediate passes a
+    [k-way-merge] span; see {!add_merge_span} for the final merge.
+    Cancellation is polled once per 1024 records while forming and
+    merging runs; the consumer polls while pulling.
+
+    Exception safety: every run file is destroyed when [f] returns and
+    when anything raises ([Cancel.Cancelled], an injected {!Fault.Injected},
+    a fault in [f]), so [Sim_disk.live_pages] returns to its baseline.
+    The streams must not be used after [f] returns. *)
+
+val pull : 'a stream -> max:int -> page_bound:bool -> 'a array
+(** The next at most [max] records in key order ([[||]] at the end). With
+    [~page_bound:true] the chunk stops before a record whose pop would
+    make a run cursor read its next page, so a consumer that pulls only
+    what it needs reads no page ahead of that need. *)
+
+val add_merge_span : Trace.t option -> 'a stream -> unit
+(** Attach the stream's summed pull time as a [k-way-merge] span under
+    the innermost open span (nothing if it was never pulled). *)

@@ -76,9 +76,8 @@ let add_page t =
   t.npages <- t.npages + 1;
   t.tail_free <- header_size
 
-let append t record =
+let append_sub t record pos len =
   let page_size = Env.page_size t.env in
-  let len = Bytes.length record in
   if len + 2 + header_size > page_size then
     invalid_arg "Heap_file.append: record larger than a page";
   if len > 0xffff then invalid_arg "Heap_file.append: record longer than 65535";
@@ -96,18 +95,20 @@ let append t record =
            content if this is its first post-checkpoint touch. *)
         let data = Bytes.create (2 + len) in
         set_u16 data 0 len;
-        Bytes.blit record 0 data 2 len;
+        Bytes.blit record pos data 2 len;
         Some
           (Wal.log_heap_append wal ~page:pid ~off ~count ~data
              ~image:(fun () -> Bytes.copy (Buffer_pool.read t.pool pid)))
   in
   Buffer_pool.with_write ?lsn t.pool pid (fun data ->
       set_u16 data off len;
-      Bytes.blit record 0 data (off + 2) len;
+      Bytes.blit record pos data (off + 2) len;
       set_u16 data 0 count);
   t.recs_per_page.(pi) <- count;
   t.tail_free <- off + 2 + len;
   t.nrecords <- t.nrecords + 1
+
+let append t record = append_sub t record 0 (Bytes.length record)
 
 let num_records t = t.nrecords
 let num_pages t = t.npages
@@ -195,67 +196,51 @@ let open_durable env ~fid ~pages =
 
 let home_pool = pool
 
-module Cursor = struct
+module Slices = struct
   type file = t
 
   type t = {
     file : file;
     pool : Buffer_pool.t;
     mutable page_i : int;
-    mutable rec_i : int;  (** index within the cached page *)
-    mutable abs : int;
-    mutable cache : bytes array;  (** records of page [page_i] *)
-    mutable cache_page : int;  (** which page the cache holds, -1 if none *)
+    mutable page : bytes;
+    mutable left : int;  (** records on [page] after the current one *)
+    mutable next : int;  (** offset of the next record's length prefix *)
+    mutable off : int;
+    mutable len : int;
   }
 
   let of_file ?pool file =
-    let pool = Option.value pool ~default:(home_pool file) in
-    { file; pool; page_i = 0; rec_i = 0; abs = 0; cache = [||]; cache_page = -1 }
+    {
+      file;
+      pool = Option.value pool ~default:(home_pool file);
+      page_i = -1;
+      page = Bytes.empty;
+      left = 0;
+      next = 0;
+      off = 0;
+      len = 0;
+    }
 
-  let fill c =
-    if c.cache_page <> c.page_i && c.page_i < c.file.npages then begin
-      c.cache <- Array.of_list (page_records_via c.pool c.file c.page_i);
-      c.cache_page <- c.page_i
+  let rec advance c =
+    if c.left > 0 then begin
+      c.len <- get_u16 c.page c.next;
+      c.off <- c.next + 2;
+      c.next <- c.off + c.len;
+      c.left <- c.left - 1;
+      true
     end
-
-  let rec peek c =
-    if c.page_i >= c.file.npages then None
-    else begin
-      fill c;
-      if c.rec_i < Array.length c.cache then Some c.cache.(c.rec_i)
-      else begin
-        c.page_i <- c.page_i + 1;
-        c.rec_i <- 0;
-        peek c
-      end
+    else if c.page_i + 1 < c.file.npages then begin
+      c.page_i <- c.page_i + 1;
+      c.page <- Buffer_pool.read c.pool c.file.page_ids.(c.page_i);
+      c.left <- get_u16 c.page 0;
+      c.next <- header_size;
+      advance c
     end
+    else false
 
-  let next c =
-    match peek c with
-    | None -> None
-    | Some r ->
-        c.rec_i <- c.rec_i + 1;
-        c.abs <- c.abs + 1;
-        Some r
-
-  let pos c = c.abs
-
-  let buffered c =
-    if c.cache_page = c.page_i then Array.length c.cache - c.rec_i else 0
-
-  let seek c target =
-    let target = Int.max 0 (Int.min target c.file.nrecords) in
-    let rec locate page remaining =
-      if page >= c.file.npages then (page, 0)
-      else
-        let n = c.file.recs_per_page.(page) in
-        if remaining < n then (page, remaining) else locate (page + 1) (remaining - n)
-    in
-    let page, rec_i = locate 0 target in
-    c.page_i <- page;
-    c.rec_i <- rec_i;
-    c.abs <- target
-
-  let page_index c =
-    match peek c with None -> None | Some _ -> Some c.page_i
+  let page c = c.page
+  let off c = c.off
+  let len c = c.len
+  let buffered c = c.left
 end

@@ -51,6 +51,10 @@ val append : t -> bytes -> unit
 (** Raises [Invalid_argument] if the record cannot fit in a page. On
     durable files the append is logged before the page is touched. *)
 
+val append_sub : t -> bytes -> int -> int -> unit
+(** [append_sub t buf pos len] appends the record [buf.(pos .. pos+len-1)]
+    as {!append} would. *)
+
 val num_records : t -> int
 val num_pages : t -> int
 
@@ -73,30 +77,30 @@ val destroy : t -> unit
 (** Return the file's pages to its disk's free list; logs the file's
     destruction first when durable. *)
 
-module Cursor : sig
+(** A scan that copies no record: each record is a slice of the page it
+    sits on, as the pool holds it. The external sort reads records this
+    way, so a record costs no allocation until it is decoded. The page
+    must not be mutated, and the file must not be appended to while the
+    scan runs. *)
+module Slices : sig
   type file = t
   type t
 
   val of_file : ?pool:Buffer_pool.t -> file -> t
-  (** Cursor positioned at the first record; reads through [pool] when given
+  (** Positioned before the first record; reads through [pool] when given
       (default: the file's home pool). *)
 
-  val peek : t -> bytes option
-  (** Current record, or [None] at end of file. *)
+  val advance : t -> bool
+  (** Move to the next record; [false] at the end of the file. *)
 
-  val next : t -> bytes option
-  (** Current record, advancing the cursor past it. *)
+  val page : t -> bytes
+  (** The current record's page. It stays valid after the scan moves on. *)
 
-  val pos : t -> int
-  (** Zero-based index of the current record. *)
+  val off : t -> int
+  val len : t -> int
+  (** The current record is [page t] from [off t], [len t] bytes long. *)
 
   val buffered : t -> int
-  (** Records left on the page the cursor last read: that many more
-      {!next} calls cost no page read. *)
-
-  val seek : t -> int -> unit
-  (** Reposition to the given record index (clamped to [0, num_records]). *)
-
-  val page_index : t -> int option
-  (** Page holding the current record. *)
+  (** Records left on the current page after the current one: that many
+      more {!advance} calls cost no page read. *)
 end

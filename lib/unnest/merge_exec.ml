@@ -68,10 +68,11 @@ let split_eq_corr corr =
   in
   go [] corr
 
-let project_insert out select r d =
+(* One answer tuple, straight into the query's max-fold: [select] holds
+   the projected positions. *)
+let project_insert acc select r d =
   if Degree.positive d then
-    Relation.insert out
-      (Ftuple.make (Array.of_list (List.map (fun p -> Ftuple.value r p) select)) d)
+    Algebra.Max_fold.add acc (Ftuple.make (Array.map (Ftuple.value r) select) d)
 
 (* "Notice that if no join predicate exists in the inner block, the inner
    block produces the same single value for every tuple of R and no
@@ -79,7 +80,7 @@ let project_insert out select r d =
    and EXISTS subqueries the temporary relation T is computed once: the
    aggregate / EXISTS link degree is then a constant, and quantifiers only
    need one pass of R' against the duplicate-eliminated T. *)
-let run_constant_inner ~stats ~out ~select ~outer' ~inner' link =
+let run_constant_inner ~stats ~acc ~select ~outer' ~inner' link =
   let module Vm = Vmap in
   (* T: the fuzzy value set of the whole (reduced) inner relation. *)
   let collect z =
@@ -99,7 +100,7 @@ let run_constant_inner ~stats ~out ~select ~outer' ~inner' link =
       in
       let d_link = if negated then Degree.neg m else m in
       Relation.iter outer' (fun r ->
-          project_insert out select r (Degree.conj (Ftuple.degree r) d_link))
+          project_insert acc select r (Degree.conj (Ftuple.degree r) d_link))
   | Classify.Agg_link { y; op1; agg; z; corr = [] } ->
       let t = collect z in
       let vs = List.map fst (Vm.bindings t) in
@@ -115,7 +116,7 @@ let run_constant_inner ~stats ~out ~select ~outer' ~inner' link =
           Relation.iter outer' (fun r ->
               Storage.Iostats.record_fuzzy_op stats;
               let d_link = Value.compare_degree op1 (Ftuple.value r y) a in
-              project_insert out select r
+              project_insert acc select r
                 (Degree.conj (Ftuple.degree r) d_link)))
   | Classify.Quant_link { y; op; quant; z; corr = [] } ->
       let t = Vm.bindings (collect z) in
@@ -136,7 +137,7 @@ let run_constant_inner ~stats ~out ~select ~outer' ~inner' link =
           let d_link =
             match quant with Ast.All -> Degree.neg m | Ast.Some_ -> m
           in
-          project_insert out select r (Degree.conj (Ftuple.degree r) d_link))
+          project_insert acc select r (Degree.conj (Ftuple.degree r) d_link))
   | Classify.In_link _ | Classify.Not_in_link _ | Classify.Exists_link _
   | Classify.Agg_link _ | Classify.Quant_link _ ->
       invalid_arg "run_constant_inner: link is not constant-inner"
@@ -150,6 +151,35 @@ let is_constant_inner = function
   | Classify.Agg_link _ | Classify.Quant_link _ ->
       false
 
+(* The per-window fold of each link type, straight off the window's
+   selection vector: [r] is outer row [i] of chunk [ob], the window is
+   [idx.(0 .. n-1)] into [ib] with equality degrees [d_eq]. Each fold
+   visits the window in insertion order and keeps the operation order
+   (and so the degree bits and fuzzy-op counts) of a fold over the
+   window as a list. *)
+
+(* The max over the window of min(mu_s, d_eq, d_rest), over the pairs
+   with a positive d_eq: EXISTS, and the ALL / SOME quantifiers with
+   [term] the quantified comparison. *)
+let window_max ~stats ~rest ~term r ~inner:ib ~idx ~n ~d_eq =
+  let m = ref Degree.zero in
+  for j = 0 to n - 1 do
+    let dq = Array.unsafe_get d_eq j in
+    if Degree.positive dq then begin
+      let s = Batch.row ib (Array.unsafe_get idx j) in
+      let t = term s in
+      let d =
+        Degree.conj
+          (Degree.conj
+             (Degree.conj (Degree.conj Degree.one (Ftuple.degree s)) dq)
+             (residual_degree stats rest r s))
+          t
+      in
+      m := Degree.disj !m d
+    end
+  done;
+  !m
+
 let run ?(name = "answer") ?trace ?cancel (shape : Classify.two_level)
     ~mem_pages : Relation.t =
   let { Classify.select; outer; inner; p1; p2; link; threshold } = shape in
@@ -159,6 +189,7 @@ let run ?(name = "answer") ?trace ?cancel (shape : Classify.two_level)
     Schema.make ~name
       (List.map (fun i -> (Schema.attrs (Relation.schema outer)).(i)) select)
   in
+  let select = Array.of_list select in
   (* Reduction: only tuples satisfying p1 / p2 positively are sorted
      (their satisfaction degrees are folded into the tuple degrees). With no
      local predicates the base relation is used directly — no copy. The WITH
@@ -186,22 +217,22 @@ let run ?(name = "answer") ?trace ?cancel (shape : Classify.two_level)
           Trace.set_rows trace (Relation.cardinality (fst r));
           r)
   in
-  let dedup_project rel =
+  (* The answer is max-folded as it is produced; [dedup] only writes it. *)
+  let acc = Algebra.Max_fold.create () in
+  let dedup_project () =
     Trace.with_span trace ~stats "dedup" (fun () ->
-        let deduped = Algebra.dedup_max ~name rel in
+        let deduped = Algebra.Max_fold.to_relation acc env out_schema in
         Trace.set_rows trace (Relation.cardinality deduped);
         deduped)
   in
-  (* Every relation the run creates except the answer — the pre-dedup
-     output, reductions, sorted temporaries — is destroyed through [temps],
-     on success and when a cancellation is raised anywhere in the pipeline
-     (reduce, sort, sweep): a server worker's environment outlives the
-     query. *)
+  (* Every relation the run creates except the answer — the reductions
+     and, under [WITH], the unfiltered answer — is destroyed through
+     [temps], on success and when a cancellation is raised anywhere in the
+     pipeline (reduce, sort, sweep): a server worker's environment
+     outlives the query. The sort frees its own run files. *)
   let temps = ref [] in
   Fun.protect ~finally:(fun () -> List.iter Relation.destroy !temps)
   @@ fun () ->
-  let out = Relation.create env out_schema in
-  temps := [ out ];
   let outer', outer_owned = traced_reduce "outer" outer p1 ~prune in
   if outer_owned then temps := outer' :: !temps;
   let inner', inner_owned =
@@ -210,46 +241,46 @@ let run ?(name = "answer") ?trace ?cancel (shape : Classify.two_level)
   if inner_owned then temps := inner' :: !temps;
   if is_constant_inner link then begin
     Trace.with_span trace ~stats "constant-inner" (fun () ->
-        run_constant_inner ~stats ~out ~select ~outer' ~inner' link;
-        Trace.set_rows trace (Relation.cardinality out));
-    let deduped = dedup_project out in
-    Semantics.apply_threshold deduped threshold
+        run_constant_inner ~stats ~acc ~select ~outer' ~inner' link);
+    Semantics.apply_threshold (dedup_project ()) threshold
   end
   else begin
-  (* The IN / NOT IN handlers: the max over the window of
+  (* The IN / NOT IN handler: the max over the window of
      min(mu_s, d_eq, d_corr), negated for NOT IN (inner tuples outside the
-     window have d_eq = 0 and contribute the neutral 1), folded straight
-     off the window's selection vector with the correlation residuals
-     going through the trapezoid kernels where both operands are
-     columnar. The other link types fold the window as an [rng] list
-     through {!Join_merge.emit_to_f}. *)
+     window have d_eq = 0 and contribute the neutral 1), with the
+     correlation residuals going through the trapezoid kernels where both
+     operands are columnar. *)
   let in_batch ~negated corr =
+    let corr = Array.of_list corr in
+    let nc = Array.length corr in
+    let ops = Array.map (fun (c : Classify.corr) -> c.Classify.op) corr in
     (* The correlation columns depend only on the batches: extract them
        once per (outer chunk, inner buffer) pair instead of once per window
        pair. The sweep builds a fresh batch per chunk and per refill, so
        physical identity is a sound cache key. *)
-    let cached = ref None in
+    let no_batch = Batch.of_rows [||] in
+    let cached_ob = ref no_batch and cached_ib = ref no_batch in
+    let us = ref [||] and vs = ref [||] in
     fun ob i ~inner:ib ~idx ~n ~d_eq ->
-      let cols =
-        match !cached with
-        | Some (ob', ib', cols) when ob' == ob && ib' == ib -> cols
-        | _ ->
-            let cols =
-              List.map
-                (fun (c : Classify.corr) ->
-                  (c, Batch.col ib c.Classify.local_attr,
-                   Batch.col ob c.Classify.outer_attr))
-                corr
-            in
-            cached := Some (ob, ib, cols);
-            cols
-      in
+      if not (!cached_ob == ob && !cached_ib == ib) then begin
+        us :=
+          Array.map
+            (fun (c : Classify.corr) -> Batch.col ib c.Classify.local_attr)
+            corr;
+        vs :=
+          Array.map
+            (fun (c : Classify.corr) -> Batch.col ob c.Classify.outer_attr)
+            corr;
+        cached_ob := ob;
+        cached_ib := ib
+      end;
+      let us = !us and vs = !vs in
       let r = Batch.row ob i in
       let deg = Batch.degrees ib in
       (* [Degree.conj]/[disj] are Float.min/max; inlining them keeps the
-         exact operation sequence (and bits) of the list fold while cutting
-         two call layers per window pair. The fuzzy-op counter is charged in
-         bulk after the loop — same total as the list fold. *)
+         exact operation sequence (and bits) of a fold over the window
+         while the loops allocate nothing. The fuzzy-op counter is charged
+         in bulk after the loop, the same total as per pair. *)
       let m = ref Degree.zero in
       let fz = ref 0 in
       for j = 0 to n - 1 do
@@ -259,162 +290,116 @@ let run ?(name = "answer") ?trace ?cancel (shape : Classify.two_level)
           let d =
             ref (Float.min (Float.min Degree.one (Array.unsafe_get deg s_i)) dq)
           in
-          List.iter
-            (fun ((c : Classify.corr), u, v) ->
-              incr fz;
-              let dd =
-                if Batch.ok u s_i && Batch.ok v i then
-                  Batch_kernels.cmp_at c.Classify.op u s_i v i
-                else
-                  Value.compare_degree c.Classify.op
-                    (Ftuple.value (Batch.row ib s_i) c.Classify.local_attr)
-                    (Ftuple.value r c.Classify.outer_attr)
-              in
-              d := Float.min !d dd)
-            cols;
+          for c = 0 to nc - 1 do
+            let u = Array.unsafe_get us c and v = Array.unsafe_get vs c in
+            let op = Array.unsafe_get ops c in
+            let dd =
+              if Batch.ok u s_i && Batch.ok v i then
+                Batch_kernels.cmp_at op u s_i v i
+              else
+                let cr = Array.unsafe_get corr c in
+                Value.compare_degree op
+                  (Ftuple.value (Batch.row ib s_i) cr.Classify.local_attr)
+                  (Ftuple.value r cr.Classify.outer_attr)
+            in
+            d := Float.min !d dd
+          done;
+          fz := !fz + nc;
           m := Float.max !m !d
         end
       done;
       if !fz > 0 then Storage.Iostats.record_fuzzy_ops stats !fz;
       let d_link = if negated then Degree.neg !m else !m in
-      project_insert out select r (Degree.conj (Ftuple.degree r) d_link)
+      project_insert acc select r (Degree.conj (Ftuple.degree r) d_link)
   in
-  (* Pick the sweep equality and the per-pair term evaluation. *)
-  let sweep_y, sweep_z, emit =
+  let need_eq what corr =
+    match split_eq_corr corr with
+    | Some eq_rest -> eq_rest
+    | None ->
+        raise
+          (Not_unnestable
+             (what ^ " subquery without an equality correlation predicate"))
+  in
+  (* Pick the sweep equality and the window handler. *)
+  let sweep_y, sweep_z, (emit : Join_merge.emit) =
     match link with
     | Classify.In_link { y; z; corr } -> (y, z, in_batch ~negated:false corr)
     | Classify.Not_in_link { y; z; corr } -> (y, z, in_batch ~negated:true corr)
-    | Classify.Quant_link { y; op; quant; z; corr } -> (
-        match split_eq_corr corr with
-        | None ->
-            raise
-              (Not_unnestable
-                 "quantified subquery without an equality correlation \
-                  predicate")
-        | Some (eq, rest) ->
-            ( eq.Classify.outer_attr, eq.Classify.local_attr,
-              Join_merge.emit_to_f ~f:(fun r rng ->
-                let m =
-                  List.fold_left
-                    (fun acc (s, d_eq) ->
-                      if Degree.positive d_eq then begin
-                        Storage.Iostats.record_fuzzy_op stats;
-                        let d_cmp =
-                          Value.compare_degree op (Ftuple.value r y)
-                            (Ftuple.value s z)
-                        in
-                        let inner_term =
-                          match quant with
-                          | Ast.All -> Degree.neg d_cmp
-                          | Ast.Some_ -> d_cmp
-                        in
-                        Degree.disj acc
-                          (Degree.conj_list
-                             [
-                               Ftuple.degree s; d_eq;
-                               residual_degree stats rest r s; inner_term;
-                             ])
-                      end
-                      else acc)
-                    Degree.zero rng
-                in
-                let d_link =
-                  match quant with
-                  | Ast.All -> Degree.neg m
-                  | Ast.Some_ -> m
-                in
-                project_insert out select r
-                  (Degree.conj (Ftuple.degree r) d_link)) ))
-    | Classify.Exists_link { negated; corr } -> (
-        match split_eq_corr corr with
-        | None ->
-            raise
-              (Not_unnestable
-                 "EXISTS subquery without an equality correlation predicate")
-        | Some (eq, rest) ->
-            (* Fuzzy semi-join (anti-join when negated): d(EXISTS) is the max
-               over the window of min(mu_s, d_eq, d_rest); tuples outside the
-               window have d_eq = 0 and cannot raise the max. *)
-            ( eq.Classify.outer_attr, eq.Classify.local_attr,
-              Join_merge.emit_to_f ~f:(fun r rng ->
-                let m =
-                  List.fold_left
-                    (fun acc (s, d_eq) ->
-                      if Degree.positive d_eq then
-                        Degree.disj acc
-                          (Degree.conj_list
-                             [
-                               Ftuple.degree s; d_eq;
-                               residual_degree stats rest r s;
-                             ])
-                      else acc)
-                    Degree.zero rng
-                in
-                let d_link = if negated then Degree.neg m else m in
-                project_insert out select r
-                  (Degree.conj (Ftuple.degree r) d_link)) ))
-    | Classify.Agg_link { y; op1; agg; z; corr } -> (
-        match split_eq_corr corr with
-        | None ->
-            raise
-              (Not_unnestable
-                 "aggregate subquery without an equality correlation \
-                  predicate")
-        | Some (eq, rest) ->
-            ( eq.Classify.outer_attr, eq.Classify.local_attr,
-              Join_merge.emit_to_f ~f:(fun r rng ->
-                (* T'(u): the fuzzy value set of the group for u = r.U. *)
-                let set =
-                  List.fold_left
-                    (fun m (s, d_eq) ->
-                      let d =
-                        Degree.conj_list
-                          [
-                            Ftuple.degree s; d_eq;
-                            residual_degree stats rest r s;
-                          ]
-                      in
-                      if Degree.positive d then
-                        Vmap.update (Ftuple.value s z)
-                          (function
-                            | None -> Some d
-                            | Some d' -> Some (Degree.disj d d'))
-                          m
-                      else m)
-                    Vmap.empty rng
-                in
-                let vs = List.map fst (Vmap.bindings set) in
-                let result =
-                  match (Aggregate.apply agg vs, agg) with
-                  | (Some _ as res), _ -> res
-                  | None, Aggregate.Count ->
-                      (* COUNT over an empty group: the left outer join branch
-                         of Query COUNT' compares with 0. *)
-                      Some (Value.Int 0)
-                  | None, _ -> None
-                in
-                match result with
-                | None -> ()
-                | Some a ->
-                    Storage.Iostats.record_fuzzy_op stats;
-                    let d_link =
-                      Value.compare_degree op1 (Ftuple.value r y) a
-                    in
-                    project_insert out select r
-                      (Degree.conj (Ftuple.degree r) d_link)) ))
+    | Classify.Quant_link { y; op; quant; z; corr } ->
+        let eq, rest = need_eq "quantified" corr in
+        ( eq.Classify.outer_attr, eq.Classify.local_attr,
+          fun ob i ~inner ~idx ~n ~d_eq ->
+            let r = Batch.row ob i in
+            let ry = Ftuple.value r y in
+            let term s =
+              Storage.Iostats.record_fuzzy_op stats;
+              let d_cmp = Value.compare_degree op ry (Ftuple.value s z) in
+              match quant with Ast.All -> Degree.neg d_cmp | Ast.Some_ -> d_cmp
+            in
+            let m = window_max ~stats ~rest ~term r ~inner ~idx ~n ~d_eq in
+            let d_link =
+              match quant with Ast.All -> Degree.neg m | Ast.Some_ -> m
+            in
+            project_insert acc select r (Degree.conj (Ftuple.degree r) d_link) )
+    | Classify.Exists_link { negated; corr } ->
+        (* Fuzzy semi-join (anti-join when negated): d(EXISTS) is the max
+           over the window of min(mu_s, d_eq, d_rest); tuples outside the
+           window have d_eq = 0 and cannot raise the max. *)
+        let eq, rest = need_eq "EXISTS" corr in
+        ( eq.Classify.outer_attr, eq.Classify.local_attr,
+          fun ob i ~inner ~idx ~n ~d_eq ->
+            let r = Batch.row ob i in
+            let m =
+              window_max ~stats ~rest ~term:(fun _ -> Degree.one) r ~inner ~idx
+                ~n ~d_eq
+            in
+            let d_link = if negated then Degree.neg m else m in
+            project_insert acc select r (Degree.conj (Ftuple.degree r) d_link) )
+    | Classify.Agg_link { y; op1; agg; z; corr } ->
+        let eq, rest = need_eq "aggregate" corr in
+        ( eq.Classify.outer_attr, eq.Classify.local_attr,
+          fun ob i ~inner:ib ~idx ~n ~d_eq ->
+            let r = Batch.row ob i in
+            (* T'(u): the fuzzy value set of the group for u = r.U; every
+               window member is weighed, dangling ones included. *)
+            let set = ref Vmap.empty in
+            for j = 0 to n - 1 do
+              let s = Batch.row ib (Array.unsafe_get idx j) in
+              let d =
+                Degree.conj
+                  (Degree.conj
+                     (Degree.conj Degree.one (Ftuple.degree s))
+                     (Array.unsafe_get d_eq j))
+                  (residual_degree stats rest r s)
+              in
+              if Degree.positive d then
+                set :=
+                  Vmap.update (Ftuple.value s z)
+                    (function
+                      | None -> Some d | Some d' -> Some (Degree.disj d d'))
+                    !set
+            done;
+            let vs = List.map fst (Vmap.bindings !set) in
+            let result =
+              match (Aggregate.apply agg vs, agg) with
+              | (Some _ as res), _ -> res
+              | None, Aggregate.Count ->
+                  (* COUNT over an empty group: the left outer join branch
+                     of Query COUNT' compares with 0. *)
+                  Some (Value.Int 0)
+              | None, _ -> None
+            in
+            match result with
+            | None -> ()
+            | Some a ->
+                Storage.Iostats.record_fuzzy_op stats;
+                let d_link = Value.compare_degree op1 (Ftuple.value r y) a in
+                project_insert acc select r
+                  (Degree.conj (Ftuple.degree r) d_link) )
   in
-  let sorted_r =
-    Join_merge.sort_by ?trace ?cancel outer' ~attr:sweep_y ~mem_pages
-  in
-  temps := sorted_r :: !temps;
-  let sorted_s =
-    Join_merge.sort_by ?trace ?cancel inner' ~attr:sweep_z ~mem_pages
-  in
-  temps := sorted_s :: !temps;
-  Join_merge.sweep_sorted ?trace ?cancel ~outer:sorted_r ~inner:sorted_s
+  Join_merge.sort_sweep ?trace ?cancel ~outer:outer' ~inner:inner'
     ~outer_attr:sweep_y ~inner_attr:sweep_z ~mem_pages ~emit ();
-  let deduped = dedup_project out in
-  Semantics.apply_threshold deduped threshold
+  Semantics.apply_threshold (dedup_project ()) threshold
   end
 
 let run_chain ?(name = "answer") ?order ?trace ?cancel
@@ -549,23 +534,11 @@ let run_chain ?(name = "answer") ?order ?trace ?cancel
     let s_attrs = Array.of_list (List.map snd from_s) in
     let step = if semi_join then "semi-join" else "join" in
     Trace.with_span trace ~stats (step ^ " " ^ Schema.name (schema_of b)) (fun () ->
-        let out =
-          Relation.create env (Schema.make ~name:"join" (List.map attr_of carried))
-        in
-        temps := out :: !temps;
-        let sorted_r =
-          Join_merge.sort_by ?trace ?cancel !acc ~attr:outer_attr
-            ~mem_pages
-        in
-        temps := sorted_r :: !temps;
-        let sorted_s =
-          Join_merge.sort_by ?trace ?cancel reduced.(b) ~attr:inner_attr
-            ~mem_pages
-        in
-        temps := sorted_s :: !temps;
         (* Per outer tuple, one max per distinct projection of the window
-           onto block [b]'s carried attributes; a semi-join step has the
-           empty projection, so it emits at most one tuple per [r]. *)
+           onto block [b]'s carried attributes, then one max-fold across
+           the step; a semi-join step has the empty projection, so it
+           emits at most one tuple per [r]. *)
+        let fold = Algebra.Max_fold.create () in
         let window = ref Vals_map.empty in
         let pair r s d_eq =
           if Degree.positive d_eq then begin
@@ -586,13 +559,13 @@ let run_chain ?(name = "answer") ?order ?trace ?cancel
             let r_vals = Array.map (Ftuple.value r) r_pos in
             Vals_map.iter
               (fun s_vals d ->
-                Relation.insert out (Ftuple.make (Array.append r_vals s_vals) d))
+                Algebra.Max_fold.add fold (Ftuple.make (Array.append r_vals s_vals) d))
               !window;
             window := Vals_map.empty
           end
         in
-        Join_merge.sweep_sorted ?trace ?cancel ~outer:sorted_r
-          ~inner:sorted_s ~outer_attr ~inner_attr ~mem_pages
+        Join_merge.sort_sweep ?trace ?cancel ~outer:!acc ~inner:reduced.(b)
+          ~outer_attr ~inner_attr ~mem_pages
           ~emit:(fun ob i ~inner:ib ~idx ~n ~d_eq ->
             let r = Batch.row ob i in
             for j = 0 to n - 1 do
@@ -600,14 +573,16 @@ let run_chain ?(name = "answer") ?order ?trace ?cancel
             done;
             flush r)
           ();
-        let folded = Algebra.dedup_max out in
+        let folded =
+          Algebra.Max_fold.to_relation fold env
+            (Schema.make ~name:"join" (List.map attr_of carried))
+        in
         temps := folded :: !temps;
         Trace.set_rows trace (Relation.cardinality folded);
-        let dead =
-          [ out; sorted_r; sorted_s ] @ if !acc_owned then [ !acc ] else []
-        in
-        List.iter Relation.destroy dead;
-        temps := List.filter (fun t -> not (List.memq t dead)) !temps;
+        if !acc_owned then begin
+          Relation.destroy !acc;
+          temps := List.filter (fun t -> t != !acc) !temps
+        end;
         acc := folded;
         acc_owned := true);
     pos := layout_pos carried;

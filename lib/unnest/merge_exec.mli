@@ -26,21 +26,23 @@ exception Not_unnestable of string
 val run :
   ?name:string -> ?trace:Storage.Trace.t -> ?cancel:Storage.Cancel.t ->
   Classify.two_level -> mem_pages:int -> Relational.Relation.t
-(** The sorts are decorated and the sweep is the streaming columnar one of
-    {!Relational.Join_merge.sweep_sorted}: IN / NOT IN windows are
-    evaluated by vectorized handlers over the window's selection vector,
-    the other link types through per-tuple closures over [rng] lists
-    ({!Relational.Join_merge.emit_to_f}). With [?trace], one span per operator is recorded
-    (reduce, sort/run-formation/k-way-merge, sweep, dedup — or
+(** One pipeline, sort -> sweep -> max-fold
+    ({!Relational.Join_merge.sort_sweep}): the sorts stream their last
+    merge pass into the columnar sweep, every link type folds its window
+    straight off the window's selection vector, and each answer tuple goes
+    straight into the query's {!Relational.Algebra.Max_fold}, which writes
+    the answer once. No sorted file and no pre-dedup relation is written.
+    With [?trace], one span per operator is recorded (reduce,
+    sort/run-formation, sweep with its k-way-merge children, dedup — or
     constant-inner for uncorrelated subqueries); [None] costs nothing.
-    With [?cancel], the reduction predicates, sort comparators, and sweep
-    loops poll the token; on {!Storage.Cancel.Cancelled} every owned
-    intermediate (reductions, sorted temporaries) is destroyed before the
-    exception escapes, so a server worker's environment stays clean.
+    With [?cancel], the reduction predicates, the sort and the sweep poll
+    the token; on {!Storage.Cancel.Cancelled} every owned intermediate
+    (reductions, sort runs) is destroyed before the exception escapes, so
+    a server worker's environment stays clean.
 
     Ownership: the returned answer is the run's only live temporary and
-    the caller owns it; the pre-dedup output and, under [WITH], the
-    unfiltered answer are destroyed before [run] returns. *)
+    the caller owns it; under [WITH] the unfiltered answer is destroyed
+    before [run] returns. *)
 
 val run_chain :
   ?name:string -> ?order:Chain_order.order -> ?trace:Storage.Trace.t ->
@@ -55,7 +57,7 @@ val run_chain :
     the link attribute towards each block not joined yet, and the joined
     endpoint of each correlation predicate still missing a block. Tuples
     that agree on those are max-folded per outer tuple and then across the
-    step ({!Relational.Algebra.dedup_max}); a step whose new block adds no
+    step ({!Relational.Algebra.Max_fold}, fed off the sweep); a step whose new block adds no
     live attribute is a fuzzy semi-join, at most one tuple per accumulated
     tuple. Later degrees read only live attributes and
     [max_i min(d_i, f(x)) = min(max_i d_i, f(x))] holds exactly in floating

@@ -43,16 +43,14 @@ let run ?(name = "answer") ?trace ?cancel (shape : Classify.two_level)
     Schema.make ~name
       (List.map (fun i -> (Schema.attrs (Relation.schema outer)).(i)) select)
   in
-  (* [out] holds the answer before max-dedup; it is freed on every exit,
-     the deduplicated copy is what the caller owns. *)
-  let out = Relation.create env out_schema in
-  Fun.protect ~finally:(fun () -> Relation.destroy out) @@ fun () ->
+  (* The answer is max-folded as it is produced: no pre-dedup relation. *)
+  let acc = Algebra.Max_fold.create () and emitted = ref 0 in
+  let select = Array.of_list select in
   let emit r d =
-    if Degree.positive d then
-      Relation.insert out
-        (Ftuple.make
-           (Array.of_list (List.map (fun p -> Ftuple.value r p) select))
-           d)
+    if Degree.positive d then begin
+      incr emitted;
+      Algebra.Max_fold.add acc (Ftuple.make (Array.map (Ftuple.value r) select) d)
+    end
   in
   Trace.with_span trace ~stats ~pool:env.Storage.Env.pool "nested-loop"
     (fun () ->
@@ -196,10 +194,10 @@ let run ?(name = "answer") ?trace ?cancel (shape : Classify.two_level)
           if Degree.positive d1.(i) then
             emit r (Degree.conj d1.(i) (finalize i r)))
         block);
-      Trace.set_rows trace (Relation.cardinality out));
+      Trace.set_rows trace !emitted);
   let deduped =
     Trace.with_span trace ~stats "dedup" (fun () ->
-        let deduped = Algebra.dedup_max ~name out in
+        let deduped = Algebra.Max_fold.to_relation acc env out_schema in
         Trace.set_rows trace (Relation.cardinality deduped);
         deduped)
   in

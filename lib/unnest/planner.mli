@@ -32,10 +32,11 @@ val run :
     left-to-right order.
 
     A query runs on the calling domain. The merge-join engine is
-    columnar: decorated sorts ({!Storage.External_sort.sort_support}) and
-    a window sweep that streams both sorted inputs over unboxed trapezoid
-    and degree columns ({!Relational.Join_merge.sweep_sorted}), keeping
-    only the window and the chunks in flight decoded.
+    one pipeline ({!Relational.Join_merge.sort_sweep}): decorated sorts
+    whose last merge passes stream into a window sweep over unboxed
+    trapezoid and degree columns, keeping only the window and the chunks
+    in flight decoded, and a max-fold of the answer straight off the
+    sweep.
 
     [trace] (default off, costing nothing) collects one hierarchical span
     per plan operator under a root [query] span — see {!Storage.Trace} and
@@ -51,8 +52,8 @@ val run :
     Ownership: the answer is the one temporary relation a run leaves
     live, and the caller owns it (free it with
     {!Relational.Relation.destroy}). Every other relation the run
-    creates — reductions, sorted copies, the pre-dedup output, a
-    flattened outer product, the unranked answer under [ORDER BY D] /
+    creates — reductions, sort runs, chain steps, a flattened outer
+    product, the unranked answer under [ORDER BY D] /
     [LIMIT], the unfiltered answer under [WITH] — has been destroyed
     when [run] returns, and when it raises. So a worker that destroys
     each answer keeps [Storage.Disk.live_pages] of its temporary disk

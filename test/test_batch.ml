@@ -237,63 +237,66 @@ let positive_pairs r s ~attr =
 
 let sweep_cases =
   [
-    tc "sweep_sorted windows hold exactly the overlapping pairs" `Quick
+    tc "sort_sweep windows hold exactly the overlapping pairs" `Quick
       (fun () ->
         let env = Test_util.fresh_env () in
         let spec = { Workload.Gen.default_spec with n = 500; groups = 70 } in
         let r, s = Workload.Gen.join_pair env ~seed:5 ~outer:spec ~inner:spec in
         let expect = positive_pairs r s ~attr:1 in
-        let sorted_r = Join_merge.sort_by r ~attr:1 ~mem_pages:8 in
-        let sorted_s = Join_merge.sort_by s ~attr:1 ~mem_pages:8 in
-        (* Once off the selection vector, once through the [rng] lists of
-           [emit_to_f]. *)
-        let sweep ~lists =
-          let acc = ref [] and outers = ref 0 in
-          let add rt st d =
-            if d > 0.0 then acc := (id rt, id st, bits d) :: !acc
-          in
-          let emit =
-            if lists then
-              Join_merge.emit_to_f ~f:(fun rt rng ->
-                  incr outers;
-                  List.iter (fun (st, d) -> add rt st d) rng)
-            else fun ob i ~inner ~idx ~n ~d_eq ->
-              incr outers;
-              for j = 0 to n - 1 do
-                add (Batch.row ob i) (Batch.row inner idx.(j)) d_eq.(j)
-              done
-          in
-          Join_merge.sweep_sorted ~outer:sorted_r ~inner:sorted_s
-            ~outer_attr:1 ~inner_attr:1 ~mem_pages:8 ~emit ();
-          Alcotest.(check int) "one emission per outer tuple"
-            (Relation.cardinality r) !outers;
-          List.sort compare !acc
-        in
-        if sweep ~lists:false <> expect then
-          Alcotest.fail "selection vectors: wrong pairs";
-        if sweep ~lists:true <> expect then Alcotest.fail "rng lists: wrong pairs");
-    tc "sort_by: Definition 3.1 order, same tuples"
+        let acc = ref [] and outers = ref 0 in
+        Join_merge.sort_sweep ~outer:r ~inner:s ~outer_attr:1 ~inner_attr:1
+          ~mem_pages:8
+          ~emit:(fun ob i ~inner ~idx ~n ~d_eq ->
+            incr outers;
+            for j = 0 to n - 1 do
+              let d = d_eq.(j) in
+              if d > 0.0 then
+                acc :=
+                  (id (Batch.row ob i), id (Batch.row inner idx.(j)), bits d)
+                  :: !acc
+            done)
+          ();
+        Alcotest.(check int) "one emission per outer tuple"
+          (Relation.cardinality r) !outers;
+        if List.sort compare !acc <> expect then
+          Alcotest.fail "selection vectors: wrong pairs");
+    tc "sort_sweep: Definition 3.1 order, same tuples"
       `Quick (fun () ->
         let env = Test_util.fresh_env () in
         let spec = { Workload.Gen.default_spec with n = 700; groups = 50 } in
         let r = Workload.Gen.relation env ~seed:9 ~name:"R" spec in
-        let keys rel =
-          List.map (fun t -> Value.support (Ftuple.value t 1)) (Relation.to_list rel)
-        in
+        let s = Workload.Gen.relation env ~seed:10 ~name:"S" spec in
         let ids rel = List.sort compare (List.map id (Relation.to_list rel)) in
-        let check sorted =
-          Alcotest.(check (list string)) "same tuples" (ids r) (ids sorted);
-          let rec ordered = function
+        (* Both sides in the order the sweep meets them: each outer row
+           once, each inner row when it first enters a window. *)
+        let outer = ref [] and inner = ref [] and seen = Hashtbl.create 64 in
+        Join_merge.sort_sweep ~outer:r ~inner:s ~outer_attr:1 ~inner_attr:1
+          ~mem_pages:8
+          ~emit:(fun ob i ~inner:ib ~idx ~n ~d_eq:_ ->
+            outer := Batch.row ob i :: !outer;
+            for j = 0 to n - 1 do
+              let t = Batch.row ib idx.(j) in
+              if not (Hashtbl.mem seen (id t)) then begin
+                Hashtbl.add seen (id t) ();
+                inner := t :: !inner
+              end
+            done)
+          ();
+        let ordered what rows =
+          let rec go = function
             | a :: (b :: _ as rest) ->
                 if Fuzzy.Interval.compare_lex a b > 0 then
-                  Alcotest.failf "out of order: %a before %a" Fuzzy.Interval.pp
-                    a Fuzzy.Interval.pp b;
-                ordered rest
+                  Alcotest.failf "%s out of order: %a before %a" what
+                    Fuzzy.Interval.pp a Fuzzy.Interval.pp b;
+                go rest
             | _ -> ()
           in
-          ordered (keys sorted)
+          go (List.rev_map (fun t -> Value.support (Ftuple.value t 1)) rows)
         in
-        check (Join_merge.sort_by r ~attr:1 ~mem_pages:8));
+        Alcotest.(check (list string)) "same outer tuples" (ids r)
+          (List.sort compare (List.map id !outer));
+        ordered "outer" !outer;
+        ordered "inner" !inner);
     tc "the engine composes with cancellation" `Quick (fun () ->
         let spec =
           {
@@ -320,52 +323,56 @@ let sweep_cases =
         let a = answer_bits (Unnest.Planner.run ~cancel q) in
         if a <> answer_bits (Unnest.Naive_eval.query q) then
           Alcotest.fail "answer differs from the interpreter");
-    tc "the sweep reads inner pages only as far as the outer side reaches"
+    tc "the final merge reads inner run pages only as far as the outer side reaches"
       `Quick (fun () ->
         (* 10 outer rows on X = 0..9 against 200 inner rows on X = 0..199,
-           a few rows per page: the sweep needs inner rows 0..10 (row 10
-           ends the last outer row's window), so it must read their pages
-           and no further page of the inner relation. *)
+           one row per page. With 32 pages of memory the inner side forms
+           4 runs of 64 rows in input order, so rows 0..10 — row 10 ends
+           the last outer row's window — all sit in the first run; the
+           outer side, held in memory until the inner batch fills the
+           budget, is written out as one 10-page run. Writing a run page
+           costs one read too (the pool loads a fresh page before the
+           first append to it). The final merges read the outer run, the
+           pages of the inner rows the sweep pulls plus the next one (the
+           merge holds each run's next row as its head), and the head page
+           of every other inner run; the other 184 inner run pages are
+           never read. *)
         let env = Test_util.fresh_env () in
         let schema name =
           Schema.make ~name [ ("ID", Schema.TNum); ("X", Schema.TNum) ]
         in
         let rel name n =
-          Relation.of_list ~pad_to:2048 env (schema name)
+          Relation.of_list ~pad_to:4096 env (schema name)
             (List.init n (fun i ->
                  Test_util.tuple [ Value.Int i; Value.crisp_num (float_of_int i) ] 1.0))
         in
-        let sorted_r = Join_merge.sort_by (rel "R" 10) ~attr:1 ~mem_pages:8 in
-        let sorted_s = Join_merge.sort_by (rel "S" 200) ~attr:1 ~mem_pages:8 in
-        (* Pages a tuple-at-a-time reader loads for inner rows 0..10. *)
-        let c = Relation.Cursor.of_relation sorted_s in
-        let needed = ref 0 in
-        for _ = 0 to 10 do
-          if Relation.Cursor.buffered c = 0 then incr needed;
-          ignore (Relation.Cursor.next c)
-        done;
+        let r = rel "R" 10 and s = rel "S" 200 in
         let stats = env.Storage.Env.stats in
-        let before = Storage.Iostats.page_reads stats in
-        Join_merge.sweep_sorted ~outer:sorted_r ~inner:sorted_s ~outer_attr:1
-          ~inner_attr:1 ~mem_pages:8
+        Storage.Buffer_pool.drop env.Storage.Env.pool;
+        Storage.Iostats.reset stats;
+        Join_merge.sort_sweep ~outer:r ~inner:s ~outer_attr:1 ~inner_attr:1
+          ~mem_pages:32
           ~emit:(fun _ _ ~inner:_ ~idx:_ ~n:_ ~d_eq:_ -> ())
           ();
-        Alcotest.(check bool) "inner spans several pages" true
-          (Relation.num_pages sorted_s > !needed + 2);
-        Alcotest.(check int) "outer pages + the inner pages needed"
-          (Relation.num_pages sorted_r + !needed)
-          (Storage.Iostats.page_reads stats - before));
+        let inputs = Relation.num_pages r + Relation.num_pages s in
+        Alcotest.(check int) "one row per page" 210 inputs;
+        Alcotest.(check int) "every row is written to a run" 210
+          (Storage.Iostats.page_writes stats);
+        (* One load per run page written; then the outer run, the pages of
+           inner rows 0..11 in the first run, and the head page of each of
+           the 3 other runs. *)
+        Alcotest.(check int) "inputs + the run pages needed"
+          (inputs + 210 + 10 + 12 + 3)
+          (Storage.Iostats.page_reads stats));
     tc "the sweep keeps at most the window plus two chunks decoded" `Quick
       (fun () ->
         let env = Test_util.fresh_env () in
         let spec = { Workload.Gen.default_spec with n = 50_000; groups = 5_000 } in
         let r, s = Workload.Gen.join_pair env ~seed:7 ~outer:spec ~inner:spec in
-        let sorted_r = Join_merge.sort_by r ~attr:1 ~mem_pages:8 in
-        let sorted_s = Join_merge.sort_by s ~attr:1 ~mem_pages:8 in
         let max_window = ref 0 and max_inner = ref 0 and max_outer = ref 0 in
         let outers = ref 0 in
-        Join_merge.sweep_sorted ~outer:sorted_r ~inner:sorted_s ~outer_attr:1
-          ~inner_attr:1 ~mem_pages:8
+        Join_merge.sort_sweep ~outer:r ~inner:s ~outer_attr:1 ~inner_attr:1
+          ~mem_pages:8
           ~emit:(fun ob _ ~inner ~idx:_ ~n ~d_eq:_ ->
             incr outers;
             max_window := Int.max !max_window n;
@@ -431,11 +438,9 @@ let wide_row_case =
                  Test_util.tuple [ Value.Int i; crisp (i / 2) ] 1.0))
       in
       let expect = positive_pairs r s ~attr:1 in
-      let sorted_r = Join_merge.sort_by r ~attr:1 ~mem_pages:8 in
-      let sorted_s = Join_merge.sort_by s ~attr:1 ~mem_pages:8 in
       let acc = ref [] and with_wide = ref 0 in
-      Join_merge.sweep_sorted ~outer:sorted_r ~inner:sorted_s ~outer_attr:1
-        ~inner_attr:1 ~mem_pages:8
+      Join_merge.sort_sweep ~outer:r ~inner:s ~outer_attr:1 ~inner_attr:1
+        ~mem_pages:8
         ~emit:(fun ob i ~inner ~idx ~n ~d_eq ->
           let rt = Batch.row ob i in
           for j = 0 to n - 1 do
@@ -460,6 +465,149 @@ let chunk_cases =
     ]
   @ [ wide_row_case ]
 
+(* ---------- answer order, shared budget, abort safety ---------- *)
+
+(* The answer relation in its own row order: the max-fold writes it in
+   [Ftuple.compare_values] order, which [LIMIT] without [ORDER BY] and the
+   wire's row order expose, so the merge-join must match the interpreter
+   row for row, not just as a set. The answer leads with R.Y so the order
+   depends on fuzzy values, not only on integer ids. *)
+let ordered_bits rel =
+  Relation.to_list rel
+  |> List.map (fun t ->
+         ( Array.to_list (Array.map Value.to_string t.Ftuple.values),
+           Int64.bits_of_float (Ftuple.degree t) ))
+
+let check_order catalog sql =
+  let bind sql =
+    Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper sql
+  in
+  let naive = ordered_bits (Unnest.Naive_eval.query (bind sql)) in
+  let got = ordered_bits (Unnest.Planner.run ~mem_pages:8 (bind sql)) in
+  if got <> naive then
+    QCheck.Test.fail_reportf "row order differs for %s@.naive: %a@.merge: %a"
+      sql pp_bits naive pp_bits got;
+  let k = 3 in
+  let limited = ordered_bits (Unnest.Planner.run ~mem_pages:8 (bind (sql ^ " LIMIT 3"))) in
+  if limited <> List.filteri (fun i _ -> i < k) naive then
+    QCheck.Test.fail_reportf "LIMIT %d is not the naive prefix for %s" k sql;
+  true
+
+let order_prop name kind ?discrete_ok () =
+  QCheck.Test.make ~count:25 ~name (Test_equivalence.arb_spec ?discrete_ok ())
+    (fun spec ->
+      let rng = Random.State.make [| spec.Test_equivalence.seed + 31 |] in
+      let sql = Test_equivalence.template rng kind in
+      let prefix = "SELECT R.ID FROM R WHERE" in
+      let n = String.length prefix in
+      assert (String.sub sql 0 n = prefix);
+      let sql = "SELECT R.Y, R.ID FROM R WHERE" ^ String.sub sql n (String.length sql - n) in
+      check_order (Test_equivalence.make_db spec) sql)
+
+let order_props =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      order_prop "answer order = naive order: type N" `N ();
+      order_prop "answer order = naive order: type J" `J ();
+      order_prop "answer order = naive order: type JX" `JX ();
+      order_prop "answer order = naive order: type JA" `JA ~discrete_ok:false ();
+      order_prop "answer order = naive order: type JALL" `JALL ();
+      order_prop "answer order = naive order: EXISTS" `Exists ();
+      order_prop "answer order = naive order: chain" `Chain ();
+    ]
+
+(* A type J query over two relations of 1000 x 128 B tuples: with 3 pages
+   of memory each side forms several runs, more than the 3 cursor pages
+   both final merges share, so the sort runs intermediate passes. *)
+let budget_db () =
+  let env = Test_util.fresh_env () in
+  let spec =
+    { Workload.Gen.default_spec with n = 1000; tuple_bytes = 128; groups = 140 }
+  in
+  let r, s = Workload.Gen.join_pair env ~seed:3 ~outer:spec ~inner:spec in
+  let catalog = Catalog.create env in
+  Catalog.add catalog r;
+  Catalog.add catalog s;
+  (env, catalog)
+
+let type_j_sql = "SELECT R.ID FROM R WHERE R.X IN (SELECT S.X FROM S WHERE S.W <= R.W)"
+
+let budget_cases =
+  [
+    tc "k_R + k_S > mem_pages: intermediate passes give the naive bits" `Quick
+      (fun () ->
+        let _env, catalog = budget_db () in
+        let q = Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper type_j_sql in
+        let trace = Storage.Trace.create () in
+        let got = ordered_bits (Unnest.Planner.run ~trace ~mem_pages:3 q) in
+        let merges = ref 0 in
+        Storage.Trace.iter_spans trace (fun sp ->
+            if Storage.Trace.span_name sp = "k-way-merge" then incr merges);
+        (* one per final merge, plus at least one intermediate pass *)
+        Alcotest.(check bool) "intermediate passes ran" true (!merges > 2);
+        if got <> ordered_bits (Unnest.Naive_eval.query q) then
+          Alcotest.fail "answer differs from the interpreter");
+  ]
+
+(* An abort while the final merges stream into the sweep frees every run
+   page: the token is cancelled, or a read fault armed, from inside the
+   sweep's first emission, so the next poll or run-page read raises. *)
+let abort_mid_merge arm =
+  let env, catalog = budget_db () in
+  let q = Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper type_j_sql in
+  let r = Option.get (Catalog.find catalog "R")
+  and s = Option.get (Catalog.find catalog "S") in
+  let live () = Storage.Disk.live_pages env.Storage.Env.disk in
+  let baseline = live () in
+  let cancel = Storage.Cancel.create () in
+  let armed = ref false in
+  let raised =
+    match
+      Join_merge.sort_sweep ~cancel ~outer:r ~inner:s ~outer_attr:1
+        ~inner_attr:1 ~mem_pages:8
+        ~emit:(fun _ _ ~inner:_ ~idx:_ ~n:_ ~d_eq:_ ->
+          if not !armed then begin
+            armed := true;
+            Alcotest.(check bool) "runs are live mid-merge" true (live () > baseline);
+            arm env cancel
+          end)
+        ()
+    with
+    | () -> None
+    | exception e -> Some e
+  in
+  Storage.Env.set_fault env None;
+  Alcotest.(check int) "live pages back at baseline" baseline (live ());
+  (* and the engine still answers exactly afterwards *)
+  if
+    ordered_bits (Unnest.Planner.run ~mem_pages:8 q)
+    <> ordered_bits (Unnest.Naive_eval.query q)
+  then Alcotest.fail "answer differs after the abort";
+  raised
+
+let abort_cases =
+  [
+    tc "Cancel during the streamed final merge frees every run" `Quick
+      (fun () ->
+        match
+          abort_mid_merge (fun _ cancel ->
+              Storage.Cancel.cancel cancel ~reason:"test")
+        with
+        | Some (Storage.Cancel.Cancelled _) -> ()
+        | _ -> Alcotest.fail "expected Cancelled");
+    tc "a read fault during the streamed final merge frees every run" `Quick
+      (fun () ->
+        match
+          abort_mid_merge (fun env _ ->
+              match Storage.Fault.parse_spec "read:nth=1" with
+              | Ok spec -> Storage.Env.set_fault env (Some (Storage.Fault.create spec))
+              | Error m -> Alcotest.fail m)
+        with
+        | Some (Storage.Fault.Injected _) -> ()
+        | Some e -> Alcotest.failf "unexpected %s" (Printexc.to_string e)
+        | None -> Alcotest.fail "expected an injected fault");
+  ]
+
 let suites =
   [
     ( "batch.kernels",
@@ -468,4 +616,5 @@ let suites =
     ("batch.engines", List.map QCheck_alcotest.to_alcotest shape_props);
     ("batch.regressions", sweep_cases);
     ("batch.chunks", chunk_cases);
+    ("batch.pipeline", order_props @ budget_cases @ abort_cases);
   ]

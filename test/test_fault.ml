@@ -369,10 +369,10 @@ let breaker_tests =
 
 let setup = Server.Demo.server_setup ~seed:11 ()
 
-(* The J shape reads ~10 disk pages per fresh-environment execution (sort
-   temporaries), so read-site schedules fire during it; a bare projection
-   of T reads only 2, which makes it a safe probe query against schedules
-   with a higher trigger. *)
+(* On a fresh environment the J shape reads one disk page (its answer's
+   first page) and writes none: its sort streams into the sweep and keeps
+   these small inputs in memory, so it writes no temporaries. A bare
+   projection of T reads 2 pages and writes 1. *)
 let j_sql = "SELECT R.ID FROM R WHERE R.Y IN (SELECT S.Z FROM S WHERE S.V <= R.U)"
 let t_sql = "SELECT T.ID FROM T"
 
@@ -423,7 +423,7 @@ let daemon_fault_tests =
       (fun () ->
         let daemon =
           Server.Daemon.start ~workers:1 ~retry:fast_retry
-            ~fault_spec:(fspec "read:nth=2") ~fault_seed:7 ~setup ()
+            ~fault_spec:(fspec "read:nth=1") ~fault_seed:7 ~setup ()
         in
         let client = Server.Client.connect ~port:(Server.Daemon.port daemon) () in
         (match Server.Client.query client j_sql with
@@ -508,25 +508,26 @@ let daemon_fault_tests =
           (Server.Daemon.counter_value daemon "requests_cancelled"));
     tc "fatal fault answers Error, respawns the worker, keeps serving" `Quick
       (fun () ->
-        (* nth=3: the J query reads ~10 pages on a fresh environment, so
-           it trips the fault; the T projection reads only 2, so it stays
-           under the trigger of the respawned (restarted) schedule. *)
+        (* write:nth=1: the T projection writes a page on a fresh
+           environment, so it trips the fault; the J query writes none, so
+           it stays under the trigger of the respawned (restarted)
+           schedule. *)
         let daemon =
           Server.Daemon.start ~workers:1 ~retry:fast_retry
-            ~fault_spec:(fspec "read:nth=3:fatal") ~setup ()
+            ~fault_spec:(fspec "write:nth=1:fatal") ~setup ()
         in
         let client = Server.Client.connect ~port:(Server.Daemon.port daemon) () in
-        (match Server.Client.query client j_sql with
+        (match Server.Client.query client t_sql with
         | Server.Client.Failed m ->
             Alcotest.(check bool) "names the fatal fault" true (contains m "fatal")
         | _ -> Alcotest.fail "expected Failed on the fatal fault");
         (* The respawned plane restarts its schedule, so the probe query
-           must do zero disk reads — a bare projection of T does. *)
-        (match Server.Client.query client t_sql with
+           must do zero disk writes — the J query does. *)
+        (match Server.Client.query client j_sql with
         | Server.Client.Answer { rows; _ } ->
             Alcotest.(check bool)
               "respawned worker serves correct answers" true
-              (normal_of_answer rows = expected_answer t_sql)
+              (normal_of_answer rows = expected_answer j_sql)
         | _ -> Alcotest.fail "expected an answer from the respawned worker");
         Server.Client.close client;
         Server.Daemon.stop daemon;

@@ -111,6 +111,128 @@ let prop_codec_padding =
       Bytes.length padded = natural + 64
       && Ftuple.values_equal t (Codec.decode padded))
 
+(* The merge-join's sort reads its key with [Codec.support_at]: it must be
+   the support of the decoded value to the bit, for every value kind and
+   with or without padding. *)
+let arb_key_value =
+  QCheck.make ~print:Value.to_string
+    QCheck.Gen.(
+      frequency
+        [
+          (4, QCheck.gen arb_value);
+          ( 1,
+            map Value.crisp_num
+              (oneof
+                 [ float_bound_inclusive 100.; return (-0.0); return 0.0; return (-3.5) ]) );
+        ])
+
+let prop_support_at =
+  QCheck.Test.make ~count:500 ~name:"Codec.support_at = support of the decoded value, bitwise"
+    QCheck.(pair (list_of_size (Gen.int_range 1 6) arb_key_value) bool)
+    (fun (vs, pad) ->
+      let t = Ftuple.make (Array.of_list vs) 0.5 in
+      let buf =
+        if pad then Codec.encode ~pad_to:(Codec.encoded_size t + 32) t
+        else Codec.encode t
+      in
+      let decoded = Codec.decode buf in
+      let bits = Int64.bits_of_float in
+      List.for_all
+        (fun a ->
+          let got = Codec.support_at buf a
+          and want = Value.support (Ftuple.value decoded a) in
+          bits (Fuzzy.Interval.lo got) = bits (Fuzzy.Interval.lo want)
+          && bits (Fuzzy.Interval.hi got) = bits (Fuzzy.Interval.hi want))
+        (List.init (List.length vs) Fun.id))
+
+(* The max-fold against a direct reading of its contract: the first tuple
+   of each [compare_values] class represents it, with the class's max
+   degree, and classes come out in [compare_values] order. *)
+let reference_fold tuples =
+  let groups = ref [] in
+  List.iter
+    (fun t ->
+      if
+        not
+          (List.exists
+             (fun (rep, d) ->
+               if Ftuple.compare_values !rep t = 0 then begin
+                 d := Fuzzy.Degree.disj !d (Ftuple.degree t);
+                 true
+               end
+               else false)
+             !groups)
+      then groups := !groups @ [ (ref t, ref (Ftuple.degree t)) ])
+    tuples;
+  List.stable_sort
+    (fun (a, _) (b, _) -> Ftuple.compare_values a b)
+    (List.map (fun (rep, d) -> (!rep, !d)) !groups)
+  |> List.map (fun (t, d) -> (Array.map Value.to_string t.Ftuple.values, Int64.bits_of_float d))
+
+let fold_relation tuples =
+  let env = Test_util.fresh_env () in
+  let acc = Algebra.Max_fold.create () in
+  List.iter (Algebra.Max_fold.add acc) tuples;
+  let schema = Schema.make ~name:"F" [ ("K", Schema.TNum); ("L", Schema.TNum) ] in
+  Relation.to_list (Algebra.Max_fold.to_relation acc env schema)
+
+let ordered_rows rows =
+  List.map (fun t -> (Array.map Value.to_string t.Ftuple.values, Int64.bits_of_float (Ftuple.degree t))) rows
+
+let arb_fold_input =
+  let open QCheck.Gen in
+  let value =
+    oneof
+      [
+        map (fun i -> Value.Int i) (int_range 0 4);
+        map (fun i -> Value.crisp_num (float_of_int i)) (int_range 0 4);
+        return (Value.crisp_num (-0.0));
+        map (fun s -> Value.Str s) (oneofl [ "a"; "b" ]);
+        return (Value.Fuzzy (Fuzzy.Possibility.trap (Fuzzy.Trapezoid.make 1. 2. 3. 4.)));
+      ]
+  in
+  let tuple =
+    map3
+      (fun a b d -> Ftuple.make [| a; b |] (0.01 +. (0.99 *. d)))
+      value value (float_bound_inclusive 1.0)
+  in
+  QCheck.make ~print:(fun l -> string_of_int (List.length l))
+    (list_size (int_range 0 3000) tuple)
+
+let prop_max_fold =
+  QCheck.Test.make ~count:30 ~name:"Max_fold = reference fold: representatives, degree bits, order"
+    arb_fold_input (fun tuples ->
+      ordered_rows (fold_relation tuples) = reference_fold tuples)
+
+let fold_tests =
+  [
+    tc "Max_fold: Int 3 and crisp 3.0 are one key, the first is kept" `Quick
+      (fun () ->
+        let rows first second =
+          fold_relation
+            [ Ftuple.make [| first; Value.Int 0 |] 0.2; Ftuple.make [| second; Value.Int 0 |] 0.9 ]
+        in
+        (match rows (Value.Int 3) (Value.crisp_num 3.0) with
+        | [ t ] ->
+            Alcotest.(check bool) "Int kept" true (Ftuple.value t 0 = Value.Int 3);
+            Alcotest.(check (float 0.0)) "max degree" 0.9 (Ftuple.degree t)
+        | l -> Alcotest.failf "expected one row, got %d" (List.length l));
+        match rows (Value.crisp_num 3.0) (Value.Int 3) with
+        | [ t ] ->
+            Alcotest.(check bool) "crisp kept" true
+              (match Ftuple.value t 0 with Value.Fuzzy _ -> true | _ -> false)
+        | l -> Alcotest.failf "expected one row, got %d" (List.length l));
+    tc "Max_fold: -0.0 and 0.0 fold as compare_values says" `Quick (fun () ->
+        let neg = Ftuple.make [| Value.crisp_num (-0.0); Value.Int 0 |] 0.3
+        and pos = Ftuple.make [| Value.crisp_num 0.0; Value.Int 0 |] 0.6 in
+        let same = Ftuple.compare_values neg pos = 0 in
+        Alcotest.(check int) "rows" (if same then 1 else 2)
+          (List.length (fold_relation [ neg; pos ]));
+        Alcotest.(check bool) "dedup_max agrees" true
+          (ordered_rows (fold_relation [ neg; pos ])
+           = reference_fold [ neg; pos ]));
+  ]
+
 let codec_tests =
   [
     tc "pad_to smaller than encoding rejected" `Quick (fun () ->
@@ -249,9 +371,11 @@ let suites =
     ("relational.value", value_tests);
     ("relational.schema", schema_tests);
     ( "relational.codec",
-      List.map QCheck_alcotest.to_alcotest [ prop_codec_roundtrip; prop_codec_padding ]
+      List.map QCheck_alcotest.to_alcotest
+        [ prop_codec_roundtrip; prop_codec_padding; prop_support_at ]
       @ codec_tests );
     ("relational.relation", relation_tests);
     ("relational.algebra", algebra_tests);
+    ("relational.max_fold", QCheck_alcotest.to_alcotest prop_max_fold :: fold_tests);
     ("relational.aggregate", aggregate_tests);
   ]

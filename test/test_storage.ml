@@ -96,22 +96,23 @@ let heap_tests =
         Alcotest.(check bool) "raises" true
           (try Heap_file.append f (Bytes.make 100 'x'); false
            with Invalid_argument _ -> true));
-    tc "cursor peek/next/seek" `Quick (fun () ->
+    tc "slices: records in order, in place on their pages" `Quick (fun () ->
         let env = Env.create ~page_size:64 ~pool_pages:8 () in
         let f = Heap_file.create env in
         for i = 0 to 19 do
           Heap_file.append f (Bytes.of_string (Printf.sprintf "%02d" i))
         done;
-        let c = Heap_file.Cursor.of_file f in
-        Alcotest.(check (option bytes)) "peek first" (Some (Bytes.of_string "00"))
-          (Heap_file.Cursor.peek c);
-        ignore (Heap_file.Cursor.next c);
-        Alcotest.(check int) "pos" 1 (Heap_file.Cursor.pos c);
-        Heap_file.Cursor.seek c 15;
-        Alcotest.(check (option bytes)) "after seek" (Some (Bytes.of_string "15"))
-          (Heap_file.Cursor.next c);
-        Heap_file.Cursor.seek c 20;
-        Alcotest.(check (option bytes)) "end" None (Heap_file.Cursor.next c));
+        let c = Heap_file.Slices.of_file f in
+        let seen = ref [] in
+        while Heap_file.Slices.advance c do
+          seen :=
+            Bytes.sub_string (Heap_file.Slices.page c) (Heap_file.Slices.off c)
+              (Heap_file.Slices.len c)
+            :: !seen
+        done;
+        Alcotest.(check (list string)) "every record, in order"
+          (List.init 20 (Printf.sprintf "%02d")) (List.rev !seen);
+        Alcotest.(check bool) "stays at the end" false (Heap_file.Slices.advance c));
     tc "destroy returns pages for reuse" `Quick (fun () ->
         let env = Env.create ~page_size:64 ~pool_pages:8 () in
         let f = Heap_file.create env in
@@ -257,41 +258,67 @@ let prop_merge_heap =
       in
       out = expected)
 
-(* [sort_support] must return the records of [sort] under the matching
-   record comparator in the same key order; only equal-key ties may land
-   differently, so keys are compared in order and records as multisets.
-   The tag after the key makes tied records distinct. *)
+(* [with_sorted] must stream the records of [sort] under the matching
+   record comparator in the same key order, for both inputs at once; only
+   equal-key ties may land differently, so keys are compared in order and
+   records as multisets. The tag after the key makes tied records
+   distinct. With 64-byte pages and 4 pages of memory, inputs range from
+   empty through in-memory to more runs than the shared budget holds. *)
 let prop_sort_support =
-  QCheck.Test.make ~count:60 ~name:"sort_support = sort: same records, same key order"
-    QCheck.(pair (int_bound 10_000) (int_bound 400))
-    (fun (seed, n) ->
+  QCheck.Test.make ~count:60 ~name:"with_sorted = sort: same records, same key order"
+    QCheck.(triple (int_bound 10_000) (int_bound 400) (int_bound 60))
+    (fun (seed, n, m) ->
       let rng = Random.State.make [| seed |] in
-      let input =
+      let gen n =
         List.init n (fun tag ->
             let lo = Random.State.int rng 60 in
             Bytes.of_string
               (Printf.sprintf "%03d %03d %04d" lo (lo + Random.State.int rng 20) tag))
       in
+      let input = gen n and other = gen m in
       let key r =
         (float_of_string (Bytes.sub_string r 0 3), float_of_string (Bytes.sub_string r 4 3))
       in
-      let sorted sort =
-        let env = Env.create ~page_size:64 ~pool_pages:8 () in
+      let ikey page off =
+        let lo, hi = key (Bytes.sub page off 12) in
+        Fuzzy.Interval.make lo hi
+      in
+      let env () = Env.create ~page_size:64 ~pool_pages:8 () in
+      let file env records =
         let f = Heap_file.create env in
-        List.iter (Heap_file.append f) input;
+        List.iter (Heap_file.append f) records;
+        f
+      in
+      let by_record records =
+        let env = env () in
         let out = ref [] in
-        Heap_file.iter (sort f) (fun r -> out := r :: !out);
+        Heap_file.iter
+          (External_sort.sort (file env records)
+             ~compare:(fun a b -> compare (key a) (key b))
+             ~mem_pages:4)
+          (fun r -> out := r :: !out);
         List.rev !out
       in
-      let by_record =
-        sorted (fun f ->
-            External_sort.sort f
-              ~compare:(fun a b -> compare (key a) (key b))
-              ~mem_pages:4)
+      let rec drain s acc =
+        match External_sort.pull s ~max:7 ~page_bound:(n mod 2 = 0) with
+        | [||] -> List.rev acc
+        | rows -> drain s (List.rev_append (Array.to_list rows) acc)
       in
-      let by_support = sorted (fun f -> External_sort.sort_support f ~key ~mem_pages:4) in
-      List.map key by_support = List.map key by_record
-      && List.sort Bytes.compare by_support = List.sort Bytes.compare input)
+      let env = env () in
+      let spec name f = { External_sort.name; file = f; key = ikey } in
+      let live = Disk.live_pages env.Env.disk in
+      let a = file env input and b = file env other in
+      let sa, sb =
+        External_sort.with_sorted ~mem_pages:4 ~decode:Bytes.sub (spec "a" a)
+          (spec "b" b) (fun sa sb -> (drain sa [], drain sb []))
+      in
+      Heap_file.destroy a;
+      Heap_file.destroy b;
+      let same streamed records =
+        List.map key streamed = List.map key (by_record records)
+        && List.sort Bytes.compare streamed = List.sort Bytes.compare records
+      in
+      same sa input && same sb other && Disk.live_pages env.Env.disk = live)
 
 let with_pool ~domains f =
   let pool = Task_pool.create ~domains in
@@ -369,28 +396,40 @@ let prop_pool_model =
         pages;
       true)
 
-let prop_cursor_seek =
-  QCheck.Test.make ~count:100 ~name:"cursor seek agrees with sequential scan"
-    QCheck.(pair (int_bound 10_000) (int_bound 200))
-    (fun (seed, n) ->
-      let n = n + 1 in
+(* A slice scan returns what [Heap_file.iter] returns, and [buffered] is
+   0 exactly before the advances that read a page. *)
+let prop_slices =
+  QCheck.Test.make ~count:100 ~name:"slices scan = iter; buffered predicts page reads"
+    QCheck.(pair (int_bound 200) (int_bound 12))
+    (fun (n, w) ->
       let env = Env.create ~page_size:64 ~pool_pages:8 () in
       let f = Heap_file.create env in
       for i = 0 to n - 1 do
-        Heap_file.append f (Bytes.of_string (Printf.sprintf "%05d" i))
+        Heap_file.append f (Bytes.of_string (Printf.sprintf "%0*d" (w + 1) i))
       done;
-      let c = Heap_file.Cursor.of_file f in
-      let rng = Random.State.make [| seed |] in
-      let ok = ref true in
-      for _ = 1 to 20 do
-        let target = Random.State.int rng (n + 2) in
-        Heap_file.Cursor.seek c target;
-        (match Heap_file.Cursor.next c with
-        | Some r ->
-            if int_of_string (Bytes.to_string r) <> Int.min target n then ok := false
-        | None -> if target < n then ok := false)
-      done;
-      !ok)
+      let expected = Heap_file.fold f ~init:[] ~f:(fun acc r -> Bytes.to_string r :: acc) in
+      (* A one-frame pool: every new page is a read. *)
+      Buffer_pool.flush env.Env.pool;
+      let pool = Buffer_pool.create env.Env.disk ~capacity:1 in
+      let c = Heap_file.Slices.of_file ~pool f in
+      let stats = env.Env.stats in
+      let ok = ref true and got = ref [] and first = ref true in
+      let reads () = Iostats.page_reads stats in
+      let rec go () =
+        let predicted = !first || Heap_file.Slices.buffered c = 0 in
+        let before = reads () in
+        if Heap_file.Slices.advance c then begin
+          if (reads () > before) <> predicted then ok := false;
+          first := false;
+          got :=
+            Bytes.sub_string (Heap_file.Slices.page c) (Heap_file.Slices.off c)
+              (Heap_file.Slices.len c)
+            :: !got;
+          go ()
+        end
+      in
+      go ();
+      !ok && !got = expected)
 
 let stats_tests =
   [
@@ -429,7 +468,7 @@ let suites =
   [
     ("storage.disk", disk_tests);
     ("storage.pool", pool_tests @ [ QCheck_alcotest.to_alcotest prop_pool_model ]);
-    ("storage.heap", heap_tests @ [ QCheck_alcotest.to_alcotest prop_cursor_seek ]);
+    ("storage.heap", heap_tests @ [ QCheck_alcotest.to_alcotest prop_slices ]);
     ( "storage.sort",
       sort_tests
       @ List.map QCheck_alcotest.to_alcotest [ prop_merge_heap; prop_sort_support ] );
