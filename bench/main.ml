@@ -4,7 +4,7 @@
     Usage: [bench/main.exe [targets] [--full] [--scale N] [--io-latency S]
     [--seed N] [--clients L] [--queries N]
     [--trace PATH]] where targets are any of [table1 table2 table3 table4
-    fig3 fig1 ablation chain sort load chaos micro kernels
+    fig3 fig1 ablation chain load chaos micro kernels
     telemetry wal recovery failover all] (default: all). [wal] measures WAL
     commit throughput per sync mode and redo-restart time vs log length.
     [chaos], [recovery] and [failover] are the three fault sources of the
@@ -287,52 +287,6 @@ let ablation cfg =
   Format.printf "  %-28s %10s s@." "blocked nested loop" (str_seconds nl_t);
   Format.printf "  %-28s %10s s@." "unnest + merge-join" (str_seconds mj_t);
   Format.printf "  %-28s %10s s  (join only)@." "merge-join + indicator" (str_seconds ind_t)
-
-(* ------------------------------------------------------------------ *)
-(* External sort: load-sort vs replacement-selection run formation.    *)
-(* ------------------------------------------------------------------ *)
-
-let sort_bench cfg =
-  section "Sort ablation - run formation under scarce memory";
-  note "replacement selection (Knuth) forms ~2x longer runs on random input,@.";
-  note "saving a merge pass when runs exceed the fan-in (cf. Opt-Tech Sort)@.@.";
-  let spec = spec_of ~paper_mb:8 ~tuple_bytes:128 ~fanout:7.0 cfg in
-  Format.printf "%-28s | %8s | %10s | %12s@." "strategy (mem = 4 pages)" "runs"
-    "total I/Os" "response (s)";
-  hr Format.std_formatter 70;
-  List.iter
-    (fun (label, strategy) ->
-      let env = Storage.Env.create ~pool_pages:(mem_pages cfg) () in
-      let rel = Workload.Gen.relation env ~seed:cfg.seed ~name:"R" spec in
-      let compare_records r1 r2 =
-        let v1 = Relational.Ftuple.value (Relational.Codec.decode r1) 1 in
-        let v2 = Relational.Ftuple.value (Relational.Codec.decode r2) 1 in
-        Fuzzy.Interval.compare_lex (Relational.Value.support v1)
-          (Relational.Value.support v2)
-      in
-      let file = Relational.Relation.file rel in
-      let runs =
-        Storage.External_sort.initial_runs strategy file
-          ~compare:compare_records ~mem_pages:4
-      in
-      let n_runs = List.length runs in
-      List.iter Storage.Heap_file.destroy runs;
-      Storage.Env.reset_stats env;
-      let sorted =
-        Storage.External_sort.sort ~run_strategy:strategy file
-          ~compare:compare_records ~mem_pages:4
-      in
-      ignore sorted;
-      let stats = env.Storage.Env.stats in
-      let response =
-        Storage.Iostats.cpu_seconds stats
-        +. (float_of_int (Storage.Iostats.total_ios stats) *. cfg.io_latency)
-      in
-      Format.printf "%-28s | %8d | %10d | %12s@." label n_runs
-        (Storage.Iostats.total_ios stats)
-        (str_seconds response))
-    [ ("load-sort", Storage.External_sort.Load_sort);
-      ("replacement selection", Storage.External_sort.Replacement_selection) ]
 
 (* ------------------------------------------------------------------ *)
 (* Chain queries (Section 8): naive vs merge cascade vs DP ordering.   *)
@@ -803,7 +757,7 @@ let all_targets =
   [
     ("table1", table1); ("table2", table2); ("table3", table3);
     ("table4", table4); ("fig3", fig3); ("fig1", fig1); ("ablation", ablation);
-    ("chain", chain_bench); ("sort", sort_bench);
+    ("chain", chain_bench);
     ("load", load_bench); ("chaos", Chaos.run Chaos.Fault_plane);
     ("micro", micro); ("kernels", kernels);
     ("telemetry", telemetry_bench); ("wal", Wal_bench.run);

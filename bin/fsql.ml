@@ -1,8 +1,9 @@
 (** fsql — an interactive Fuzzy SQL shell over the reproduction engine.
 
     Starts with the paper's dating-service database loaded (relations F and
-    M) plus a generated pair R / S for experimentation. Statements end with
-    [;]. Meta commands:
+    M) plus a generated pair R / S for experimentation, held in memory for
+    the session; durable data lives in [fsqld --data-dir], reached with
+    [--connect]. Statements end with [;]. Meta commands:
     {v
     \d           list relations        \d NAME      print a relation
     \terms       list linguistic terms \shape SQL;  classify without running
@@ -33,9 +34,7 @@ open Frepro.Relational
 type state = {
   catalog : Catalog.t;
   terms : Fuzzy.Term.t;
-  mutable check : Fuzzysql.Check.ctx;
-      (** rebuilt after [\load] so the satisfiability checks see the new
-          relation's loaded domains *)
+  check : Fuzzysql.Check.ctx;
   mutable strategy : Unnest.Planner.strategy;
   mutable timing : bool;
   mutable trace_file : string option;
@@ -68,8 +67,6 @@ let help () =
     \                time / I/O / rows vs estimates\n\
     \  \\trace PATH   write a Chrome trace of each query to PATH\n\
     \                (load in chrome://tracing or Perfetto); \\trace off\n\
-    \  \\save DIR     save all relations to DIR/<name>.frel\n\
-    \  \\load PATH    load a saved relation\n\
     \  \\timing       toggle per-query timing\n\
     \  \\help         this help\n\
     \  \\q            quit\n\
@@ -165,23 +162,6 @@ let meta st line =
           Format.printf "strategy set to %s@."
             (Unnest.Planner.strategy_to_string strat)
       | None -> Format.printf "unknown strategy %s (naive|nl|merge|auto)@." s)
-  | [ "\\save"; dir ] ->
-      Relational.Persist.save_catalog st.catalog ~dir;
-      Format.printf "saved %d relation(s) to %s@."
-        (List.length (Catalog.names st.catalog))
-        dir
-  | [ "\\load"; path ] -> (
-      try
-        let rel = Relational.Persist.load (Catalog.env st.catalog) ~path in
-        Catalog.add st.catalog rel;
-        (* The satisfiability checks compare predicate supports against
-           each relation's loaded domain; refresh it for the new data. *)
-        st.check <- Fuzzysql.Check.ctx ~catalog:st.catalog ~terms:st.terms;
-        Format.printf "loaded %a (%d tuples)@." Schema.pp (Relation.schema rel)
-          (Relation.cardinality rel)
-      with
-      | Relational.Persist.Format_error msg -> Format.printf "load failed: %s@." msg
-      | Sys_error msg -> Format.printf "load failed: %s@." msg)
   | [ "\\timing" ] ->
       st.timing <- not st.timing;
       Format.printf "timing %s@." (if st.timing then "on" else "off")

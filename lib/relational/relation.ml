@@ -8,8 +8,7 @@ type t = {
 }
 
 (* Catalog metadata blob for durable relations, stored in the WAL's
-   manifest ([Define] records): schema name, pad_to, typed attributes.
-   Same shape as the Persist .frel header, encoded into bytes. *)
+   manifest ([Define] records): schema name, pad_to, typed attributes. *)
 let encode_meta schema pad_to =
   let b = Buffer.create 64 in
   let u16 v =

@@ -54,240 +54,20 @@ module Heap = struct
     top
 end
 
-(* Every run builder below frees its temporary pages back to the disk
-   when an exception (injected fault, cancellation, ...) aborts the sort:
-   partially-written runs are destroyed before the exception propagates,
-   so [Sim_disk.live_pages] returns to its pre-sort baseline. *)
-(* A run of the [n] records [record_at 0 .. n-1], in that order. *)
-let write_run env n record_at =
-  let run = Heap_file.create env in
-  try
-    for k = 0 to n - 1 do
-      Heap_file.append run (record_at k)
-    done;
-    run
-  with e ->
-    Heap_file.destroy run;
-    raise e
-
-let make_runs ?cancel env input ~compare ~mem_pages =
-  let stats = env.Env.stats in
-  let budget = mem_pages * Env.page_size env in
-  let counted a b =
-    Iostats.record_comparison stats;
-    compare a b
-  in
-  let runs = ref [] in
-  let batch = ref [] in
-  let batch_bytes = ref 0 in
-  let flush () =
-    if !batch <> [] then begin
-      let arr = Array.of_list (List.rev !batch) in
-      Array.sort counted arr;
-      runs := write_run env (Array.length arr) (Array.get arr) :: !runs;
-      batch := [];
-      batch_bytes := 0
-    end
-  in
-  try
-    Heap_file.iter input (fun r ->
-        Cancel.check cancel;
-        batch := r :: !batch;
-        batch_bytes := !batch_bytes + Bytes.length r + 2;
-        if !batch_bytes >= budget then flush ());
-    flush ();
-    List.rev !runs
-  with e ->
-    List.iter Heap_file.destroy !runs;
-    raise e
-
-(* The next record of a scan, copied out of its page. *)
-let next_record c =
-  if Heap_file.Slices.advance c then
-    Some
-      (Bytes.sub (Heap_file.Slices.page c) (Heap_file.Slices.off c)
-         (Heap_file.Slices.len c))
-  else None
-
-(* Replacement selection: keep a heap of records; pop the smallest that is
-   >= the last record written to the current run; records smaller than the
-   last output are frozen for the next run. On random input this doubles the
-   average run length (Knuth's snow-plough argument). *)
-let make_runs_replacement ?cancel env input ~compare ~mem_pages =
-  let stats = env.Env.stats in
-  let budget = mem_pages * Env.page_size env in
-  let counted_le a b =
-    Iostats.record_comparison stats;
-    compare a b <= 0
-  in
-  let heap = Heap.create counted_le in
-  let frozen = ref [] in
-  let frozen_bytes = ref 0 in
-  let in_memory = ref 0 in
-  let cursor = Heap_file.Slices.of_file input in
-  let refill () =
-    let continue = ref true in
-    while !in_memory + !frozen_bytes < budget && !continue do
-      match next_record cursor with
-      | Some r ->
-          Heap.push heap r;
-          in_memory := !in_memory + Bytes.length r + 2
-      | None -> continue := false
-    done
-  in
-  let runs = ref [] in
-  let current = ref None in
-  try
-    refill ();
-    while not (Heap.is_empty heap) do
-    let run = Heap_file.create env in
-    current := Some run;
-    let last = ref None in
-    while not (Heap.is_empty heap) do
-      Cancel.check cancel;
-      let r = Heap.pop heap in
-      in_memory := !in_memory - (Bytes.length r + 2);
-      (match !last with
-      | Some prev when compare r prev < 0 ->
-          (* Should not happen: candidates below [last] are frozen before
-             they are pushed. *)
-          assert false
-      | _ -> ());
-      Heap_file.append run r;
-      last := Some r;
-      (* Admit the next input record: into the heap if it can still join
-         this run, frozen otherwise. *)
-      match next_record cursor with
-      | Some next ->
-          Iostats.record_comparison stats;
-          if compare next r >= 0 then begin
-            Heap.push heap next;
-            in_memory := !in_memory + Bytes.length next + 2
-          end
-          else begin
-            frozen := next :: !frozen;
-            frozen_bytes := !frozen_bytes + Bytes.length next + 2
-          end
-      | None -> ()
-    done;
-    runs := run :: !runs;
-    current := None;
-    (* Thaw the frozen records into the heap for the next run. *)
-    List.iter
-      (fun r ->
-        Heap.push heap r;
-        in_memory := !in_memory + Bytes.length r + 2)
-      !frozen;
-    frozen := [];
-    frozen_bytes := 0;
-    refill ()
-    done;
-    List.rev !runs
-  with e ->
-    Option.iter Heap_file.destroy !current;
-    List.iter Heap_file.destroy !runs;
-    raise e
-
-type run_strategy = Load_sort | Replacement_selection
-
-let initial_runs ?cancel strategy input ~compare ~mem_pages =
-  let env = Heap_file.env input in
-  match strategy with
-  | Load_sort -> make_runs ?cancel env input ~compare ~mem_pages
-  | Replacement_selection ->
-      make_runs_replacement ?cancel env input ~compare ~mem_pages
-
-(* On exception the freshly-created output file is destroyed but the input
-   runs are left alive: the caller owns them and cleans them up (see the
-   [live] tracking in [sort]). On success the input runs are destroyed. *)
-let merge_runs ?cancel env runs ~compare =
-  let stats = env.Env.stats in
-  let out = Heap_file.create env in
-  try
-    let le (r1, _) (r2, _) =
-      Iostats.record_comparison stats;
-      compare r1 r2 <= 0
-    in
-    let heap = Heap.create le in
-    List.iter
-      (fun run ->
-        let c = Heap_file.Slices.of_file run in
-        match next_record c with
-        | Some r -> Heap.push heap (r, c)
-        | None -> ())
-      runs;
-    while not (Heap.is_empty heap) do
-      Cancel.check cancel;
-      let r, c = Heap.pop heap in
-      Heap_file.append out r;
-      match next_record c with
-      | Some r' -> Heap.push heap (r', c)
-      | None -> ()
-    done;
-    List.iter Heap_file.destroy runs;
-    out
-  with e ->
-    Heap_file.destroy out;
-    raise e
-
-let sort ?(run_strategy = Load_sort) ?trace ?cancel input ~compare ~mem_pages =
-  if mem_pages < 3 then invalid_arg "External_sort.sort: mem_pages < 3";
-  let env = Heap_file.env input in
-  let stats = env.Env.stats in
-  Iostats.timed stats Iostats.Sort (fun () ->
-      (* Runs not yet consumed by a merge pass; destroyed if the sort is
-         aborted by an exception or a cancelled token, so no temp pages
-         leak (the builders clean their own partial output). *)
-      let live = ref [] in
-      let untrack f = live := List.filter (fun g -> g != f) !live in
-      try
-        let fan_in = mem_pages - 1 in
-        let rec merge_all = function
-          | [] -> Heap_file.create env
-          | [ only ] ->
-              untrack only;
-              only
-          | runs ->
-              let rec take k acc = function
-                | rest when k = 0 -> (List.rev acc, rest)
-                | [] -> (List.rev acc, [])
-                | r :: rest -> take (k - 1) (r :: acc) rest
-              in
-              let rec pass acc = function
-                | [] -> List.rev acc
-                | runs ->
-                    let group, rest = take fan_in [] runs in
-                    let out = merge_runs ?cancel env group ~compare in
-                    List.iter untrack group;
-                    live := out :: !live;
-                    pass (out :: acc) rest
-              in
-              merge_all (pass [] runs)
-        in
-        let runs =
-          Trace.with_span trace ~stats ~pool:env.Env.pool "run-formation"
-            (fun () -> initial_runs ?cancel run_strategy input ~compare ~mem_pages)
-        in
-        live := runs;
-        Trace.with_span trace ~stats ~pool:env.Env.pool "k-way-merge" (fun () ->
-            merge_all runs)
-      with e ->
-        List.iter Heap_file.destroy !live;
-        raise e)
-
 (* ------------------------------------------------------------------ *)
-(* The merge-join engine's sort: sorted streams.
+(* Sorted streams.
 
-   Runs are formed as by [sort], with the record's sort key (support lo,
-   support hi) read once into two unboxed float columns and an index
-   permutation sorted over them, so the comparator never touches record
-   bytes. Records are never copied out of their pages ({!Heap_file.Slices}):
-   a run-formation batch holds slices of its input pages, and the merges
-   read keys and decode records in place. The last merge pass is not
-   written: it is a pull stream that the consumer (the merge-join sweep)
-   reads in chunks, decoding each record exactly once as it leaves the
-   merge. Both inputs' final merges share the memory budget, one page per
-   run cursor. *)
+   Run formation reads each record's sort key (support lo, support hi)
+   once into two unboxed float columns and sorts an index permutation
+   over them, so the comparator never touches record bytes. Records are
+   never copied out of their pages ({!Heap_file.Slices}): a run-formation
+   batch holds slices of its input pages, and the merges read keys and
+   decode records in place. The last merge pass is not written: it is a
+   pull stream that the consumer (the merge-join sweep) reads in chunks,
+   decoding each record exactly once as it leaves the merge. Both inputs'
+   final merges share the memory budget, one page per run cursor. Every
+   run file is destroyed on return and on abort, so an injected fault or
+   a cancellation leaves [Disk.live_pages] at its baseline. *)
 
 type spec = {
   name : string;
@@ -510,6 +290,7 @@ let rows_next ~decode r =
         v)
 
 let pull s ~max ~page_bound =
+  if max < 1 then invalid_arg "External_sort.pull: max < 1";
   let t0 = Unix.gettimeofday () in
   if Float.is_nan s.first_s then s.first_s <- t0;
   let rows =

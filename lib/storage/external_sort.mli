@@ -3,52 +3,11 @@
 
     Classic two-phase sort with a user-specified memory budget: run
     generation fills [mem_pages] buffer pages, sorts in memory and writes a
-    run; merging combines up to [mem_pages - 1] runs per pass. {!sort}
-    merges until one sorted file remains. {!with_sorted}, the merge-join's
-    sort, writes no sorted file: its last merge pass is a stream its
-    consumer pulls. All I/O flows through the environment's buffer pools
-    and statistics, and sorting is accounted to the [Sort] phase, so the
-    Table 3 "sorting time" breakdown can be reproduced. *)
-
-type run_strategy =
-  | Load_sort
-      (** fill memory, sort, write a run: runs of ~[mem_pages] pages *)
-  | Replacement_selection
-      (** heap-based run formation: ~2x longer runs on random input, hence
-          fewer runs and fewer merge passes when memory is scarce *)
-
-val sort :
-  ?run_strategy:run_strategy -> ?trace:Trace.t -> ?cancel:Cancel.t ->
-  Heap_file.t -> compare:(bytes -> bytes -> int) -> mem_pages:int ->
-  Heap_file.t
-(** Returns a new heap file with the records in non-decreasing order;
-    intermediate runs are destroyed. The input file is left intact.
-    [mem_pages] must be >= 3 (one output page + two run pages). Default
-    strategy: [Load_sort]. With [?trace], a [run-formation] and a
-    [k-way-merge] span are recorded with their I/O and comparison deltas.
-    With [?cancel], the run-formation and merge loops poll the token.
-
-    Exception safety: if the sort is aborted — by [Cancel.Cancelled], an
-    injected {!Fault.Injected}, or any other exception (including ones
-    raised by [compare]) — every temporary run page already written is
-    freed back to the disk before the exception propagates, so
-    [Sim_disk.live_pages] returns to its pre-sort baseline. *)
-
-val initial_runs :
-  ?cancel:Cancel.t -> run_strategy -> Heap_file.t ->
-  compare:(bytes -> bytes -> int) -> mem_pages:int -> Heap_file.t list
-(** The run-formation phase alone (each returned file is sorted); exposed for
-    tests and the sort ablation bench. Caller destroys the runs. On abort,
-    partially-written runs are destroyed before the exception propagates. *)
-
-val merge_runs :
-  ?cancel:Cancel.t -> Env.t -> Heap_file.t list ->
-  compare:(bytes -> bytes -> int) -> Heap_file.t
-(** One k-way heap-merge pass over sorted runs, writing the merged file into
-    [env] and destroying the input runs; exposed for tests ({!sort} composes
-    it into as many passes as the fan-in requires). On abort the partial
-    output file is destroyed but the input runs are left alive for the
-    caller to clean up. *)
+    run; merging combines up to [mem_pages - 1] runs per pass. No sorted
+    file is written: the last merge pass is a stream its consumer (the
+    merge-join sweep) pulls. All I/O flows through the environment's buffer
+    pools and statistics, and sorting is accounted to the [Sort] phase, so
+    the Table 3 "sorting time" breakdown can be reproduced. *)
 
 type spec = {
   name : string;  (** the span the input's run formation is recorded in *)
@@ -84,9 +43,9 @@ val with_sorted :
       formation batch holds slices of its input pages, and the merges
       read keys in place. Each record is decoded once
       ([decode page off len]), as it leaves the final merge.
-    The record multiset and key order are those of {!sort} under the
-    matching record comparator; only equal-key ties may land in another
-    order. Comparisons are charged per comparator call as in {!sort}.
+    Each stream yields its input's record multiset in non-decreasing
+    (lo, hi) key order; equal-key ties carry no order. One comparison is
+    charged per comparator call.
 
     Accounting: run formation, intermediate passes and every {!pull} are
     charged to the [Sort] phase (nested phases are exclusive, so a
@@ -106,7 +65,8 @@ val pull : 'a stream -> max:int -> page_bound:bool -> 'a array
 (** The next at most [max] records in key order ([[||]] at the end). With
     [~page_bound:true] the chunk stops before a record whose pop would
     make a run cursor read its next page, so a consumer that pulls only
-    what it needs reads no page ahead of that need. *)
+    what it needs reads no page ahead of that need.
+    @raise Invalid_argument if [max < 1], before any record is taken. *)
 
 val add_merge_span : Trace.t option -> 'a stream -> unit
 (** Attach the stream's summed pull time as a [k-way-merge] span under

@@ -1,6 +1,6 @@
 (** Tests of the extensions beyond the paper's core: necessity degrees,
-    histogram estimation, chain join-order DP, EXPLAIN, band/interval joins,
-    threshold pushdown, and relation persistence. *)
+    histogram estimation, chain join-order DP, EXPLAIN, band/interval joins
+    and threshold pushdown. *)
 
 open Frepro
 open Frepro.Relational
@@ -49,86 +49,6 @@ let nec_leq_poss =
       else
         Fuzzy.Necessity.necessity op u v
         <= Fuzzy.Necessity.possibility op u v +. 1e-9)
-
-(* ---------- piecewise-linear membership functions ---------- *)
-
-let arb_trap =
-  QCheck.make
-    ~print:(Format.asprintf "%a" Fuzzy.Trapezoid.pp)
-    QCheck.Gen.(
-      map
-        (fun (a, b, c, d) ->
-          match List.sort Float.compare [ a; b; c; d ] with
-          | [ a; b; c; d ] -> Fuzzy.Trapezoid.make a b c d
-          | _ -> assert false)
-        (quad (float_bound_inclusive 100.) (float_bound_inclusive 100.)
-           (float_bound_inclusive 100.) (float_bound_inclusive 100.)))
-
-let close a b = Float.abs (a -. b) <= 1e-9
-
-let plf_props =
-  [
-    QCheck.Test.make ~count:300 ~name:"Plf sup_min = trapezoid eq_height"
-      (QCheck.pair arb_trap arb_trap) (fun (u, v) ->
-        close
-          (Fuzzy.Plf.sup_min (Fuzzy.Plf.of_trapezoid u) (Fuzzy.Plf.of_trapezoid v))
-          (Fuzzy.Trapezoid.eq_height u v));
-    QCheck.Test.make ~count:300 ~name:"Plf poss_ge = trapezoid ge_height"
-      (QCheck.pair arb_trap arb_trap) (fun (u, v) ->
-        close
-          (Fuzzy.Plf.poss_ge (Fuzzy.Plf.of_trapezoid u) (Fuzzy.Plf.of_trapezoid v))
-          (Fuzzy.Trapezoid.ge_height u v));
-    QCheck.Test.make ~count:300 ~name:"Plf mem = trapezoid mem at random points"
-      (QCheck.pair arb_trap (QCheck.float_bound_inclusive 100.0)) (fun (u, x) ->
-        close (Fuzzy.Plf.mem (Fuzzy.Plf.of_trapezoid u) x) (Fuzzy.Trapezoid.mem u x));
-    QCheck.Test.make ~count:200 ~name:"Plf power 2 is a concentration"
-      (QCheck.pair arb_trap (QCheck.float_bound_inclusive 100.0)) (fun (u, x) ->
-        let p = Fuzzy.Plf.of_trapezoid u in
-        let very = Fuzzy.Plf.power p 2.0 in
-        Fuzzy.Plf.mem very x <= Fuzzy.Plf.mem p x +. 1e-9);
-  ]
-
-let plf_tests =
-  [
-    tc "Plf basics: interpolation, support, height, core" `Quick (fun () ->
-        let open Fuzzy in
-        let p = Plf.of_breakpoints [ (0., 0.); (2., 0.5); (4., 1.0); (10., 0.) ] in
-        Test_util.check_degree "interp" 0.25 (Plf.mem p 1.0);
-        Test_util.check_degree "at breakpoint" 0.5 (Plf.mem p 2.0);
-        Test_util.check_degree "outside" 0.0 (Plf.mem p 11.0);
-        Test_util.(Alcotest.check interval) "support" (Interval.make 0. 10.) (Plf.support p);
-        Test_util.check_degree "height" 1.0 (Plf.height p);
-        Alcotest.(check (float 1e-9)) "core center" 4.0 (Plf.core_center p);
-        (* subnormal multi-modal shape *)
-        let bimodal =
-          Plf.of_breakpoints [ (0., 0.); (1., 0.8); (2., 0.1); (3., 0.8); (4., 0.) ]
-        in
-        Test_util.check_degree "bimodal height" 0.8 (Plf.height bimodal);
-        Alcotest.(check (float 1e-9)) "bimodal core center" 2.0
-          (Plf.core_center bimodal));
-    tc "Plf validation" `Quick (fun () ->
-        let bad pts =
-          try ignore (Fuzzy.Plf.of_breakpoints pts); false
-          with Invalid_argument _ -> true
-        in
-        Alcotest.(check bool) "empty" true (bad []);
-        Alcotest.(check bool) "non-increasing" true (bad [ (1., 0.5); (1., 0.6) ]);
-        Alcotest.(check bool) "ordinate > 1" true (bad [ (0., 1.5) ]);
-        Alcotest.(check bool) "all zero" true (bad [ (0., 0.); (1., 0.) ]));
-    tc "Plf transforms" `Quick (fun () ->
-        let open Fuzzy in
-        let p = Plf.of_breakpoints [ (0., 0.); (1., 1.); (2., 0.) ] in
-        let shifted = Plf.shift_x p 10.0 in
-        Test_util.check_degree "shift" 1.0 (Plf.mem shifted 11.0);
-        let scaled = Plf.scale_x p 2.0 in
-        Test_util.check_degree "scale" 1.0 (Plf.mem scaled 2.0);
-        let mirrored = Plf.scale_x p (-1.0) in
-        Test_util.check_degree "mirror" 1.0 (Plf.mem mirrored (-1.0));
-        (* exact hedge: power of the bimodal profile *)
-        let very = Plf.power p 2.0 in
-        Test_util.check_degree "power at peak" 1.0 (Plf.mem very 1.0);
-        Alcotest.(check bool) "power between" true (Plf.mem very 0.5 < 0.5 +. 1e-9));
-  ]
 
 (* ---------- linguistic hedges ---------- *)
 
@@ -478,56 +398,6 @@ let band_tests =
            with Invalid_argument _ -> true));
   ]
 
-(* ---------- persistence ---------- *)
-
-let persist_tests =
-  [
-    tc "save / load roundtrip preserves schema, tuples, degrees" `Quick (fun () ->
-        let env = Test_util.fresh_env () in
-        let catalog = Test_util.paper_db env in
-        let f = Option.get (Catalog.find catalog "F") in
-        let path = Filename.temp_file "frepro" ".frel" in
-        Persist.save f ~path;
-        let env2 = Test_util.fresh_env () in
-        let f2 = Persist.load env2 ~path in
-        Sys.remove path;
-        Alcotest.(check string) "schema name" "F" (Schema.name (Relation.schema f2));
-        Test_util.check_same_answer "tuples" f f2);
-    tc "catalog roundtrip through a directory" `Quick (fun () ->
-        let env = Test_util.fresh_env () in
-        let catalog = Test_util.paper_db env in
-        let dir = Filename.temp_file "frepro" ".d" in
-        Sys.remove dir;
-        Persist.save_catalog catalog ~dir;
-        let env2 = Test_util.fresh_env () in
-        let catalog2 = Persist.load_catalog env2 ~dir in
-        Alcotest.(check (list string)) "names" (Catalog.names catalog)
-          (Catalog.names catalog2);
-        (* loaded catalog answers the paper query identically *)
-        let q sql c = Fuzzysql.Analyzer.bind_string ~catalog:c ~terms:Fuzzy.Term.paper sql in
-        let sql =
-          "SELECT F.NAME FROM F WHERE F.AGE = 'medium young' AND F.INCOME IN \
-           (SELECT M.INCOME FROM M WHERE M.AGE = 'middle age')"
-        in
-        Test_util.check_same_answer "same answers"
-          (Unnest.Planner.run (q sql catalog))
-          (Unnest.Planner.run (q sql catalog2));
-        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-        Sys.rmdir dir);
-    tc "bad magic rejected" `Quick (fun () ->
-        let path = Filename.temp_file "frepro" ".frel" in
-        let oc = open_out path in
-        output_string oc "NOT A RELATION FILE AT ALL";
-        close_out oc;
-        let env = Test_util.fresh_env () in
-        Alcotest.(check bool) "raises" true
-          (try
-             ignore (Persist.load env ~path);
-             false
-           with Persist.Format_error _ -> true);
-        Sys.remove path);
-  ]
-
 (* ---------- outer-block flattening and paper-notation rewrites ---------- *)
 
 let flatten_tests =
@@ -630,12 +500,10 @@ let suites =
     ( "ext.necessity",
       [ nec_hand_cases; QCheck_alcotest.to_alcotest nec_leq_poss ] );
     ("ext.hedges", hedge_tests);
-    ("ext.plf", List.map QCheck_alcotest.to_alcotest plf_props @ plf_tests);
     ("ext.histogram", histogram_tests);
     ("ext.chain_order", chain_tests);
     ("ext.explain", explain_tests);
     ("ext.band_join", band_tests);
-    ("ext.persist", persist_tests);
     ("ext.flatten", flatten_tests);
     ("ext.pushdown", pushdown_tests);
   ]

@@ -186,70 +186,78 @@ let determinism_prop =
 (* ------------------------------------------------------------------ *)
 (* External sort never leaks run pages on abort *)
 
-let build_input env n =
-  let f = Heap_file.create env in
-  for i = 0 to n - 1 do
-    Heap_file.append f (Bytes.of_string (Printf.sprintf "rec-%04d-%020d" (n - i) i))
-  done;
-  f
+(* 300 records of 14 bytes at 256-byte pages: 6 runs against 3 pages of
+   memory, so the sort forms runs, then merges some in intermediate
+   passes. The input is flushed so every later write is the sort's. *)
+let sort_input () =
+  let env = Env.create ~page_size:256 ~pool_pages:8 () in
+  let records =
+    List.init 300 (fun i -> Test_util.sort_record ~lo:(300 - i) ~hi:(300 - i) ~tag:i)
+  in
+  let input = Test_util.heap_file env records in
+  Env.flush env;
+  (env, input)
+
+(* Page writes of a clean sort of [sort_input]: in run formation, and in
+   the intermediate passes ([k-way-merge] is the only root span not named
+   after an input). *)
+let sort_writes () =
+  let _, input = sort_input () in
+  let trace = Trace.create () in
+  ignore (Test_util.sort_file ~trace ~mem_pages:3 input);
+  List.fold_left
+    (fun (rf, mp) sp ->
+      if Trace.span_name sp = "k-way-merge" then (rf, mp + Trace.span_writes sp)
+      else (rf + Trace.span_writes sp, mp))
+    (0, 0) (Trace.roots trace)
+
+(* The sort of [sort_input] raises [expect] with the [arm]ed environment,
+   then the disk holds only the input again and the input still sorts. *)
+let sort_aborts ~arm ?cancel expect =
+  let env, input = sort_input () in
+  let baseline = Disk.live_pages env.Env.disk in
+  arm env;
+  (match Test_util.sort_file ?cancel ~mem_pages:3 input with
+  | _ -> Alcotest.fail "expected the sort to abort"
+  | exception e when expect e -> ());
+  Env.set_fault env None;
+  Alcotest.(check int) "live pages back to baseline" baseline
+    (Disk.live_pages env.Env.disk);
+  Alcotest.(check int) "records survived" 300
+    (List.length (Test_util.sort_file ~mem_pages:3 input));
+  Alcotest.(check int) "runs freed after a clean sort too" baseline
+    (Disk.live_pages env.Env.disk)
+
+let write_fault_at nth env =
+  Env.set_fault env (Some (Fault.create (fspec (Printf.sprintf "write:nth=%d" nth))))
+
+let is_write_fault = function
+  | Fault.Injected { kind = Fault.Write_fault; _ } -> true
+  | _ -> false
+
+(* A write fault at each of the writes [first .. last] in turn. *)
+let sort_aborts_at_each_write first last =
+  for nth = first to last do
+    sort_aborts ~arm:(write_fault_at nth) is_write_fault
+  done
 
 let sort_leak_tests =
   [
     tc "aborted sort frees its run pages (injected fault)" `Quick (fun () ->
-        let env = Env.create ~page_size:256 ~pool_pages:8 () in
-        let input = build_input env 300 in
-        let baseline = Disk.live_pages env.Env.disk in
-        Env.set_fault env (Some (Fault.create (fspec "write:nth=3")));
-        (try
-           ignore
-             (External_sort.sort input ~compare:Bytes.compare ~mem_pages:3);
-           Alcotest.fail "expected an injected write fault"
-         with Fault.Injected { kind = Fault.Write_fault; _ } -> ());
-        Env.set_fault env None;
-        Alcotest.(check int)
-          "live pages back to baseline" baseline
-          (Disk.live_pages env.Env.disk);
-        (* the input survived and the environment still works *)
-        let sorted =
-          External_sort.sort input ~compare:Bytes.compare ~mem_pages:3
-        in
-        Alcotest.(check int)
-          "records survived" 300 (Heap_file.num_records sorted);
-        Heap_file.destroy sorted;
-        Alcotest.(check int)
-          "output freed too" baseline
-          (Disk.live_pages env.Env.disk));
+        let rf, _ = sort_writes () in
+        Alcotest.(check bool) "run formation writes pages" true (rf >= 2);
+        sort_aborts_at_each_write 1 rf);
+    tc "aborted sort frees its run pages (injected fault, intermediate pass)"
+      `Quick (fun () ->
+        let rf, mp = sort_writes () in
+        Alcotest.(check bool) "the intermediate passes write pages" true (mp >= 2);
+        sort_aborts_at_each_write (rf + 1) (rf + mp));
     tc "aborted sort frees its run pages (cancellation)" `Quick (fun () ->
-        let env = Env.create ~page_size:256 ~pool_pages:8 () in
-        let input = build_input env 300 in
-        let baseline = Disk.live_pages env.Env.disk in
         let cancel = Cancel.create () in
         Cancel.cancel ~reason:"test" cancel;
-        (try
-           ignore
-             (External_sort.sort ~cancel input ~compare:Bytes.compare
-                ~mem_pages:3);
-           Alcotest.fail "expected Cancelled"
-         with Cancel.Cancelled _ -> ());
-        Alcotest.(check int)
-          "live pages back to baseline" baseline
-          (Disk.live_pages env.Env.disk));
-    tc "replacement-selection abort frees the in-progress run" `Quick
-      (fun () ->
-        let env = Env.create ~page_size:256 ~pool_pages:8 () in
-        let input = build_input env 300 in
-        let baseline = Disk.live_pages env.Env.disk in
-        Env.set_fault env (Some (Fault.create (fspec "write:nth=5")));
-        (try
-           ignore
-             (External_sort.sort ~run_strategy:External_sort.Replacement_selection
-                input ~compare:Bytes.compare ~mem_pages:3);
-           Alcotest.fail "expected an injected write fault"
-         with Fault.Injected _ -> ());
-        Env.set_fault env None;
-        Alcotest.(check int)
-          "live pages back to baseline" baseline
-          (Disk.live_pages env.Env.disk));
+        sort_aborts ~cancel ~arm:ignore (function
+          | Cancel.Cancelled _ -> true
+          | _ -> false));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -131,6 +131,18 @@ let arith_cases =
       Alcotest.(check bool) "negative scale mirrors" true
         (Trapezoid.equal n (Trapezoid.make (-8.) (-6.) (-4.) (-2.))))
 
+let make_validation_cases =
+  tc "make rejects unordered and NaN breakpoints" `Quick (fun () ->
+      let bad f = try ignore (f ()); false with Invalid_argument _ -> true in
+      Alcotest.(check bool) "a > b" true (bad (fun () -> Trapezoid.make 2. 1. 3. 4.));
+      Alcotest.(check bool) "b > c" true (bad (fun () -> Trapezoid.make 1. 3. 2. 4.));
+      Alcotest.(check bool) "c > d" true (bad (fun () -> Trapezoid.make 1. 2. 4. 3.));
+      Alcotest.(check bool) "NaN" true (bad (fun () -> Trapezoid.make 1. Float.nan 3. 4.));
+      Alcotest.(check bool) "negative spread" true
+        (bad (fun () -> Trapezoid.about 5. ~spread:(-1.)));
+      Alcotest.(check bool) "all equal is a crisp value" true
+        (Trapezoid.is_crisp (Trapezoid.make 3. 3. 3. 3.)))
+
 (* ---------- property tests: analytic vs oracle ---------- *)
 
 let trap_gen =
@@ -197,6 +209,98 @@ let prop_add_support =
            (Interval.hi (Trapezoid.support s))
            (Interval.hi (Trapezoid.support u) +. Interval.hi (Trapezoid.support v)))
 
+(* Membership read off the breakpoints (a,0) (b,1) (c,1) (d,0) by linear
+   interpolation; a vertical edge takes the larger of its two ends. *)
+let interpolated t x =
+  let s = Trapezoid.support t and k = Trapezoid.core t in
+  let pts =
+    [ (Interval.lo s, 0.0); (Interval.lo k, 1.0); (Interval.hi k, 1.0);
+      (Interval.hi s, 0.0) ]
+  in
+  let rec go acc = function
+    | (x1, y1) :: ((x2, y2) :: _ as rest) ->
+        let y =
+          if x < x1 || x > x2 then 0.0
+          else if y1 = y2 || x1 = x2 then Float.max y1 y2
+          else ((y1 *. (x2 -. x)) +. (y2 *. (x -. x1))) /. (x2 -. x1)
+        in
+        go (Float.max acc y) rest
+    | _ -> acc
+  in
+  go 0.0 pts
+
+(* Points on the breakpoints as well as between them. *)
+let arb_trap_point =
+  QCheck.make
+    ~print:(fun (t, x) -> Format.asprintf "%a at %g" Trapezoid.pp t x)
+    QCheck.Gen.(
+      trap_gen >>= fun t ->
+      let s = Trapezoid.support t and k = Trapezoid.core t in
+      map (fun x -> (t, x))
+        (oneof
+           [ float_bound_inclusive 100.0;
+             oneofl [ Interval.lo s; Interval.lo k; Interval.hi k; Interval.hi s ] ]))
+
+let prop_mem_interpolates =
+  QCheck.Test.make ~count:500 ~name:"mem = linear interpolation of the breakpoints"
+    arb_trap_point (fun (t, x) -> close (Trapezoid.mem t x) (interpolated t x))
+
+(* Integer breakpoints, points, offsets and factors keep shift and scale
+   exact, so membership moves with the axis bit for bit. *)
+let prop_shift_scale =
+  QCheck.Test.make ~count:300 ~name:"shift and scale move membership with the axis"
+    QCheck.(
+      quad
+        (quad (int_bound 50) (int_bound 50) (int_bound 50) (int_bound 50))
+        (int_range (-10) 110) (int_range (-20) 20) (int_range (-4) 4))
+    (fun ((a, b, c, d), x, off, k) ->
+      let t =
+        match List.sort compare [ a; b; c; d ] with
+        | [ a; b; c; d ] ->
+            Trapezoid.make (float a) (float b) (float c) (float d)
+        | _ -> assert false
+      in
+      let x = float x /. 2.0 and off = float off in
+      let k = float (if k = 0 then 1 else k) in
+      Trapezoid.mem (Trapezoid.shift t off) (x +. off) = Trapezoid.mem t x
+      && Trapezoid.mem (Trapezoid.scale t k) (x *. k) = Trapezoid.mem t x)
+
+let prop_hedges_bracket =
+  QCheck.Test.make ~count:300 ~name:"very concentrates and somewhat dilates"
+    arb_trap_point (fun (t, x) ->
+      let p = Possibility.trap t in
+      let mu h = Possibility.mem (Hedge.apply h p) x in
+      mu Hedge.Very <= Trapezoid.mem t x +. 1e-9
+      && Trapezoid.mem t x <= mu Hedge.Somewhat +. 1e-9)
+
+(* ---------- degrees: the min / max / 1 - d connectives ---------- *)
+
+let arb_degree = QCheck.float_bound_inclusive 1.0
+
+let prop_degree_lattice =
+  QCheck.Test.make ~count:500
+    ~name:"conj / disj: commutative, associative, idempotent, units"
+    (QCheck.triple arb_degree arb_degree arb_degree) (fun (a, b, c) ->
+      let open Degree in
+      conj a b = conj b a
+      && disj a b = disj b a
+      && conj a (conj b c) = conj (conj a b) c
+      && disj a (disj b c) = disj (disj a b) c
+      && conj a a = a && disj a a = a
+      && conj a one = a && disj a zero = a
+      && conj a zero = zero && disj a one = one
+      && conj_list [ a; b; c ] = conj a (conj b c)
+      && disj_list [ a; b; c ] = disj a (disj b c))
+
+let prop_degree_negation =
+  QCheck.Test.make ~count:500 ~name:"neg: involution and De Morgan"
+    (QCheck.pair arb_degree arb_degree) (fun (a, b) ->
+      let open Degree in
+      equal (neg (neg a)) a
+      && is_valid (neg a)
+      && neg (conj a b) = disj (neg a) (neg b)
+      && neg (disj a b) = conj (neg a) (neg b))
+
 let prop_alpha_cut_nested =
   QCheck.Test.make ~count:300 ~name:"alpha cuts are nested"
     (QCheck.pair arb_trap (QCheck.float_bound_inclusive 1.0)) (fun (t, a) ->
@@ -237,6 +341,25 @@ let discrete_invalid =
         (try ignore (Possibility.discrete [ (1.0, 0.0) ]); false
          with Invalid_argument _ -> true))
 
+let subnormal_cases =
+  tc "subnormal multi-modal discrete distribution" `Quick (fun () ->
+      let p =
+        Possibility.discrete [ (3.0, 0.8); (0.0, 0.3); (1.0, 0.8); (2.0, 0.1) ]
+      in
+      Test_util.check_degree "height" 0.8 (Possibility.height p);
+      Test_util.(Alcotest.check interval) "support" (Interval.make 0. 3.)
+        (Possibility.support p);
+      Alcotest.(check (float 1e-9)) "core start" 1.0 (Possibility.core_start p);
+      Alcotest.(check (float 1e-9)) "core center" 2.0 (Defuzz.core_center p);
+      Test_util.check_degree "between points" 0.0 (Possibility.mem p 1.5);
+      match Hedge.apply Hedge.Very p with
+      | Possibility.Discrete pts ->
+          Alcotest.(check (list (pair (float 0.0) (float 1e-12))))
+            "very squares each degree"
+            [ (0.0, 0.09); (1.0, 0.64); (2.0, 0.01); (3.0, 0.64) ]
+            pts
+      | q -> Alcotest.failf "very changed the shape: %a" Possibility.pp q)
+
 (* ---------- similarity relations ---------- *)
 
 let similarity_cases =
@@ -265,20 +388,6 @@ let defuzz_cases =
       Alcotest.(check (float 1e-9)) "discrete core center" 5.0 (Defuzz.core_center disc);
       Alcotest.(check (float 1e-9)) "crisp centroid" 7.0
         (Defuzz.centroid (Possibility.crisp 7.0)))
-
-(* ---------- tnorms ---------- *)
-
-let tnorm_cases =
-  tc "t-norm families" `Quick (fun () ->
-      List.iter
-        (fun t ->
-          Test_util.check_degree (t.Tnorm.name ^ " conj unit") 0.7 (t.Tnorm.conj 0.7 1.0);
-          Test_util.check_degree (t.Tnorm.name ^ " disj unit") 0.7 (t.Tnorm.disj 0.7 0.0);
-          Test_util.check_degree (t.Tnorm.name ^ " conj zero") 0.0 (t.Tnorm.conj 0.7 0.0))
-        [ Tnorm.zadeh; Tnorm.product; Tnorm.lukasiewicz ];
-      Test_util.check_degree "product conj" 0.35 (Tnorm.product.Tnorm.conj 0.7 0.5);
-      Test_util.check_degree "lukasiewicz conj" 0.2
-        (Tnorm.lukasiewicz.Tnorm.conj 0.7 0.5))
 
 (* ---------- fuzzy arithmetic on possibilities ---------- *)
 
@@ -353,16 +462,18 @@ let suites =
     ("fuzzy.interval", interval_tests);
     ( "fuzzy.trapezoid",
       [ mem_cases; crisp_cases; alpha_cut_cases; eq_height_cases;
-        ge_height_cases; arith_cases ] );
+        ge_height_cases; arith_cases; make_validation_cases ] );
     ( "fuzzy.properties",
       List.map QCheck_alcotest.to_alcotest
         [
           prop_eq_matches_oracle; prop_ge_matches_oracle; prop_eq_symmetric;
           prop_ge_le_dual; prop_total_order_covers; prop_eq_le_min_ge;
-          prop_add_support; prop_alpha_cut_nested;
+          prop_add_support; prop_alpha_cut_nested; prop_mem_interpolates;
+          prop_shift_scale; prop_hedges_bracket; prop_degree_lattice;
+          prop_degree_negation;
         ] );
     ( "fuzzy.distributions",
-      [ discrete_cases; discrete_invalid; similarity_cases; defuzz_cases;
-        tnorm_cases; poss_arith_cases ] );
+      [ discrete_cases; discrete_invalid; subnormal_cases; similarity_cases;
+        defuzz_cases; poss_arith_cases ] );
     ("fuzzy.terms", [ term_cases; term_lookup_cases; plot_cases ]);
   ]

@@ -653,10 +653,124 @@ let prop_checkpoint_crash_idempotent =
              so no stale tmp file survives. *)
           got = expected && not (Sys.file_exists (wal_path ^ ".tmp"))))
 
+(* ------------------------------------------------------------------ *)
+(* The durable catalog: relations with fuzzy values through a reopen *)
+
+(* The paper's F and M copied into a fresh durable environment under
+   [dir], closed cleanly; [f] gets the source catalog and the catalog
+   rebuilt from the reopened environment. *)
+let with_reopened_paper_db dir f =
+  let src = Test_util.paper_db (Test_util.fresh_env ()) in
+  let env = Env.open_durable ~dir ~page_size:512 ~pool_pages:16 () in
+  List.iter
+    (fun name ->
+      let rel = Option.get (Catalog.find src name) in
+      ignore
+        (Relation.of_list ?pad_to:(Relation.pad_to rel) ~durable:true env
+           (Relation.schema rel) (Relation.to_list rel)))
+    (Catalog.names src);
+  Env.close env;
+  let env2 = Env.open_durable ~dir () in
+  Fun.protect
+    ~finally:(fun () -> Env.close env2)
+    (fun () -> f src (Catalog.load_durable env2))
+
+let catalog_tests =
+  [
+    tc "paper relations reopen with schema, tuples and degrees" `Quick
+      (fun () ->
+        with_dir (fun dir ->
+            with_reopened_paper_db dir (fun src cat ->
+                Alcotest.(check (list string)) "names"
+                  (List.sort compare (Catalog.names src))
+                  (List.sort compare (Catalog.names cat));
+                List.iter
+                  (fun name ->
+                    let a = Option.get (Catalog.find src name)
+                    and b = Option.get (Catalog.find cat name) in
+                    Alcotest.(check string) "schema name"
+                      (Schema.name (Relation.schema a))
+                      (Schema.name (Relation.schema b));
+                    Alcotest.(check bool) "typed attributes" true
+                      (Schema.attrs (Relation.schema a)
+                      = Schema.attrs (Relation.schema b));
+                    Alcotest.(check bool) "durable" true (Relation.is_durable b);
+                    Test_util.check_same_answer name a b)
+                  (Catalog.names src))));
+    tc "reopened paper catalog answers the paper query identically" `Quick
+      (fun () ->
+        with_dir (fun dir ->
+            with_reopened_paper_db dir (fun src cat ->
+                let run c =
+                  Frepro.Unnest.Planner.run
+                    (Frepro.Fuzzysql.Analyzer.bind_string ~catalog:c
+                       ~terms:Frepro.Fuzzy.Term.paper
+                       "SELECT F.NAME FROM F WHERE F.AGE = 'medium young' AND \
+                        F.INCOME IN (SELECT M.INCOME FROM M WHERE M.AGE = \
+                        'middle age')")
+                in
+                let expected = run src in
+                Alcotest.(check bool) "the answer is not empty" true
+                  (Relation.cardinality expected > 0);
+                Test_util.check_same_answer "same answers" expected (run cat))));
+    tc "metadata keeps the schema name, attribute types and pad_to" `Quick
+      (fun () ->
+        with_dir (fun dir ->
+            let s =
+              Schema.make ~name:"P" [ ("N", Schema.TStr); ("V", Schema.TNum) ]
+            in
+            let env = Env.open_durable ~dir ~page_size:512 ~pool_pages:8 () in
+            ignore (Relation.create ~pad_to:48 ~durable:true env s);
+            ignore (Relation.create ~durable:true env (Schema.with_name s "Q"));
+            Env.close env;
+            let env2 = Env.open_durable ~dir () in
+            let cat = Catalog.load_durable env2 in
+            List.iter
+              (fun (name, pad_to) ->
+                match Catalog.find cat name with
+                | None -> Alcotest.failf "%s lost" name
+                | Some r ->
+                    Alcotest.(check bool) (name ^ " attributes") true
+                      (Schema.attrs (Relation.schema r) = Schema.attrs s);
+                    Alcotest.(check (option int)) (name ^ " pad_to") pad_to
+                      (Relation.pad_to r);
+                    Alcotest.(check int) (name ^ " empty") 0
+                      (Relation.cardinality r))
+              [ ("P", Some 48); ("Q", None) ];
+            Env.close env2));
+    tc "a corrupt metadata blob raises Bad_meta" `Quick (fun () ->
+        with_dir (fun dir ->
+            let env = Env.open_durable ~dir ~page_size:512 ~pool_pages:8 () in
+            ignore (Relation.create ~durable:true env schema);
+            let fid, meta, pages =
+              match Env.manifest env with
+              | [ entry ] -> entry
+              | l -> Alcotest.failf "%d manifest entries" (List.length l)
+            in
+            let open_with meta = Relation.open_durable env ~fid ~meta ~pages in
+            let rejects label meta =
+              Alcotest.(check bool) label true
+                (try
+                   ignore (open_with meta);
+                   false
+                 with Relation.Bad_meta _ -> true)
+            in
+            rejects "empty" Bytes.empty;
+            rejects "truncated" (Bytes.sub meta 0 (Bytes.length meta - 1));
+            let bad_tag = Bytes.copy meta in
+            Bytes.set_uint8 bad_tag (Bytes.length meta - 1) 7;
+            rejects "bad type tag" bad_tag;
+            let intact = Schema.attrs (Relation.schema (open_with meta)) in
+            Env.close env;
+            Alcotest.(check bool) "the intact blob decodes" true
+              (intact = Schema.attrs schema)));
+  ]
+
 let suites =
   [
     ("recovery.real-disk", real_disk_tests);
     ("recovery.env", env_tests);
+    ("recovery.catalog", catalog_tests);
     ("recovery.wal", wal_tests);
     ( "recovery.qcheck",
       [

@@ -126,199 +126,240 @@ let heap_tests =
           (Disk.num_pages env.Env.disk));
   ]
 
-let sort_record i = Bytes.of_string (Printf.sprintf "%06d" i)
+(* [n] records with keys drawn by [key i]: lo, then hi - lo. *)
+let keyed_records n key =
+  List.init n (fun tag ->
+      let lo, width = key tag in
+      Test_util.sort_record ~lo ~hi:(lo + width) ~tag)
+
+let random_records rng n ~lo_range ~width_range =
+  keyed_records n (fun _ ->
+      (Random.State.int rng lo_range, Random.State.int rng width_range))
+
+(* An intermediate pass ran: the [k-way-merge] span that [with_sorted]
+   records outside both inputs' run formation charged merge comparisons. *)
+let intermediate_pass_ran trace =
+  List.exists
+    (fun sp -> Trace.span_name sp = "k-way-merge" && Trace.span_compares sp > 0)
+    (Trace.roots trace)
 
 let sort_tests =
   [
     tc "external sort orders and preserves multiset" `Quick (fun () ->
         let env = Env.create ~page_size:128 ~pool_pages:16 () in
-        let f = Heap_file.create env in
         let rng = Random.State.make [| 42 |] in
-        let input = List.init 500 (fun _ -> Random.State.int rng 1000) in
-        List.iter (fun i -> Heap_file.append f (sort_record i)) input;
-        let sorted = External_sort.sort f ~compare:Bytes.compare ~mem_pages:3 in
-        let out = ref [] in
-        Heap_file.iter sorted (fun r -> out := Bytes.to_string r :: !out);
-        let out = List.rev !out in
-        Alcotest.(check int) "size" 500 (List.length out);
-        Alcotest.(check (list string)) "sorted & same multiset"
-          (List.sort compare (List.map (fun i -> Printf.sprintf "%06d" i) input))
-          out);
+        let input = random_records rng 500 ~lo_range:900 ~width_range:50 in
+        let sorted =
+          Test_util.sort_file ~mem_pages:3 (Test_util.heap_file env input)
+        in
+        Alcotest.(check int) "size" 500 (List.length sorted);
+        Alcotest.(check bool) "sorted & same multiset" true
+          (Test_util.sorted_like input sorted));
     tc "sort counts comparisons and I/O in the Sort phase" `Quick (fun () ->
         let env = Env.create ~page_size:128 ~pool_pages:16 () in
-        let f = Heap_file.create env in
-        for i = 0 to 199 do Heap_file.append f (sort_record (199 - i)) done;
+        let f =
+          Test_util.heap_file env (keyed_records 200 (fun i -> (199 - i, 0)))
+        in
+        Env.flush env;
         Iostats.reset env.Env.stats;
-        ignore (External_sort.sort f ~compare:Bytes.compare ~mem_pages:3);
+        ignore (Test_util.sort_file ~mem_pages:3 f);
+        let stats = env.Env.stats in
         Alcotest.(check bool) "comparisons counted" true
-          (Iostats.comparisons env.Env.stats > 0);
+          (Iostats.comparisons stats > 0);
+        Alcotest.(check bool) "I/O happened" true (Iostats.total_ios stats > 0);
+        Alcotest.(check int) "every I/O charged to Sort"
+          (Iostats.total_ios stats)
+          (Iostats.phase_ios stats Iostats.Sort);
         Alcotest.(check bool) "sort time attributed" true
-          (Iostats.phase_seconds env.Env.stats Iostats.Sort >= 0.0);
-        Alcotest.(check bool) "I/O happened" true (Iostats.total_ios env.Env.stats > 0));
+          (Iostats.phase_seconds stats Iostats.Sort > 0.0));
     tc "multi-pass merge with tiny memory" `Quick (fun () ->
         let env = Env.create ~page_size:64 ~pool_pages:8 () in
-        let f = Heap_file.create env in
-        for i = 0 to 299 do Heap_file.append f (sort_record ((i * 7919) mod 1000)) done;
-        let sorted = External_sort.sort f ~compare:Bytes.compare ~mem_pages:3 in
-        let prev = ref Bytes.empty in
-        let ok = ref true in
-        Heap_file.iter sorted (fun r ->
-            if Bytes.compare !prev r > 0 then ok := false;
-            prev := r);
-        Alcotest.(check bool) "nondecreasing" true !ok;
-        Alcotest.(check int) "size" 300 (Heap_file.num_records sorted));
+        let input = keyed_records 300 (fun i -> ((i * 7919) mod 900, i mod 3)) in
+        let trace = Trace.create () in
+        let sorted =
+          Test_util.sort_file ~trace ~mem_pages:3 (Test_util.heap_file env input)
+        in
+        Alcotest.(check bool) "intermediate pass ran" true
+          (intermediate_pass_ran trace);
+        Alcotest.(check int) "size" 300 (List.length sorted);
+        Alcotest.(check bool) "nondecreasing, same multiset" true
+          (Test_util.sorted_like input sorted));
     tc "mem_pages < 3 rejected" `Quick (fun () ->
         let env = Env.create () in
-        let f = Heap_file.create env in
         Alcotest.(check bool) "raises" true
-          (try ignore (External_sort.sort f ~compare:Bytes.compare ~mem_pages:2); false
+          (try
+             ignore (Test_util.sort_file ~mem_pages:2 (Heap_file.create env));
+             false
            with Invalid_argument _ -> true));
-    tc "replacement selection sorts correctly" `Quick (fun () ->
-        let env = Env.create ~page_size:64 ~pool_pages:8 () in
-        let f = Heap_file.create env in
-        let rng = Random.State.make [| 5 |] in
-        let input = List.init 400 (fun _ -> Random.State.int rng 1000) in
-        List.iter (fun i -> Heap_file.append f (sort_record i)) input;
-        let sorted =
-          External_sort.sort ~run_strategy:External_sort.Replacement_selection
-            f ~compare:Bytes.compare ~mem_pages:3
-        in
-        let out = ref [] in
-        Heap_file.iter sorted (fun r -> out := Bytes.to_string r :: !out);
-        Alcotest.(check (list string)) "sorted & same multiset"
-          (List.sort compare (List.map (fun i -> Printf.sprintf "%06d" i) input))
-          (List.rev !out));
-    tc "replacement selection produces longer runs on random input" `Quick
-      (fun () ->
-        let env = Env.create ~page_size:64 ~pool_pages:16 () in
-        let f = Heap_file.create env in
-        let rng = Random.State.make [| 6 |] in
-        for _ = 1 to 600 do
-          Heap_file.append f (sort_record (Random.State.int rng 100000))
-        done;
-        let count strategy =
-          let runs =
-            External_sort.initial_runs strategy f ~compare:Bytes.compare
-              ~mem_pages:3
-          in
-          let n = List.length runs in
-          List.iter Heap_file.destroy runs;
-          n
-        in
-        let load = count External_sort.Load_sort in
-        let replacement = count External_sort.Replacement_selection in
-        Alcotest.(check bool)
-          (Printf.sprintf "replacement %d < load %d runs" replacement load)
-          true (replacement < load));
-    tc "replacement selection on presorted input yields one run" `Quick
-      (fun () ->
-        let env = Env.create ~page_size:64 ~pool_pages:8 () in
-        let f = Heap_file.create env in
-        for i = 0 to 299 do Heap_file.append f (sort_record i) done;
-        let runs =
-          External_sort.initial_runs External_sort.Replacement_selection f
-            ~compare:Bytes.compare ~mem_pages:3
-        in
-        Alcotest.(check int) "single run" 1 (List.length runs);
-        List.iter Heap_file.destroy runs);
+    tc "pull ~max:0 rejected before a record is taken" `Quick (fun () ->
+        (* at 64-byte pages and 3 pages of memory, 10 records of 14 bytes
+           stay in memory and 300 spill into runs *)
+        List.iter
+          (fun (n, spilled) ->
+            let env = Env.create ~page_size:64 ~pool_pages:8 () in
+            let input = keyed_records n (fun i -> ((i * 37) mod 100, 1)) in
+            let f = Test_util.heap_file env input in
+            Env.flush env;
+            Iostats.reset env.Env.stats;
+            let raised, rest =
+              External_sort.with_sorted ~mem_pages:3 ~decode:Bytes.sub
+                (Test_util.sort_spec "f" f)
+                (Test_util.sort_spec "empty" (Heap_file.create env))
+                (fun s _ ->
+                  let raised =
+                    try
+                      ignore (External_sort.pull s ~max:0 ~page_bound:false);
+                      false
+                    with Invalid_argument _ -> true
+                  in
+                  (raised, Test_util.drain s))
+            in
+            let label = Printf.sprintf "%d records: %s" n in
+            Alcotest.(check bool) (label "spilled") spilled
+              (Iostats.page_writes env.Env.stats > 0);
+            Alcotest.(check bool) (label "raises") true raised;
+            Alcotest.(check bool) (label "none lost") true
+              (Test_util.sorted_like input rest))
+          [ (10, false); (300, true) ]);
   ]
 
-(* The k-way merge heap: any collection of sorted runs (duplicates included)
-   must merge into one globally sorted file with the exact input multiset. *)
-let prop_merge_heap =
-  QCheck.Test.make ~count:100 ~name:"k-way merge heap: sorted, multiset kept"
-    QCheck.(pair (int_bound 10_000) (list_of_size Gen.(int_range 0 8) (int_bound 60)))
-    (fun (seed, run_sizes) ->
-      let env = Env.create ~page_size:64 ~pool_pages:8 () in
-      let rng = Random.State.make [| seed |] in
-      (* Values from a small domain so duplicates appear within and across
-         runs. *)
-      let runs_data =
-        List.map
-          (fun n ->
-            List.sort compare (List.init n (fun _ -> Random.State.int rng 50)))
-          run_sizes
-      in
-      let runs =
-        List.map
-          (fun data ->
-            let f = Heap_file.create env in
-            List.iter (fun i -> Heap_file.append f (sort_record i)) data;
-            f)
-          runs_data
-      in
-      let merged = External_sort.merge_runs env runs ~compare:Bytes.compare in
-      let out = ref [] in
-      Heap_file.iter merged (fun r -> out := Bytes.to_string r :: !out);
-      let out = List.rev !out in
-      Heap_file.destroy merged;
-      let expected =
-        List.sort compare
-          (List.map (fun i -> Printf.sprintf "%06d" i) (List.concat runs_data))
-      in
-      out = expected)
+(* Sorted, reverse-sorted and single-key inputs at 64-byte pages: 300
+   records spill into several runs and, at 3 pages, take intermediate
+   passes. With distinct keys the output order is fixed. *)
+let shaped_tests =
+  let at_each_memory f = List.iter f [ 3; 4; 8 ] in
+  [
+    tc "presorted input comes out unchanged" `Quick (fun () ->
+        at_each_memory (fun mem_pages ->
+            let env = Env.create ~page_size:64 ~pool_pages:8 () in
+            let input = keyed_records 300 (fun i -> (i, i mod 5)) in
+            Alcotest.(check (list bytes))
+              (Printf.sprintf "%d pages" mem_pages)
+              input
+              (Test_util.sort_file ~mem_pages (Test_util.heap_file env input))));
+    tc "reverse-sorted input comes out reversed" `Quick (fun () ->
+        at_each_memory (fun mem_pages ->
+            let env = Env.create ~page_size:64 ~pool_pages:8 () in
+            let input = keyed_records 300 (fun i -> (299 - i, i mod 5)) in
+            Alcotest.(check (list bytes))
+              (Printf.sprintf "%d pages" mem_pages)
+              (List.rev input)
+              (Test_util.sort_file ~mem_pages (Test_util.heap_file env input))));
+    tc "one key for every record: all kept, run pages freed" `Quick (fun () ->
+        at_each_memory (fun mem_pages ->
+            let env = Env.create ~page_size:64 ~pool_pages:8 () in
+            let input = keyed_records 300 (fun _ -> (5, 5)) in
+            let f = Test_util.heap_file env input in
+            let live = Disk.live_pages env.Env.disk in
+            let sorted = Test_util.sort_file ~mem_pages f in
+            let label = Printf.sprintf "%d pages: %s" mem_pages in
+            Alcotest.(check int) (label "size") 300 (List.length sorted);
+            Alcotest.(check bool) (label "same multiset") true
+              (Test_util.sorted_like input sorted);
+            Alcotest.(check int) (label "live pages") live
+              (Disk.live_pages env.Env.disk)));
+    tc "inputs that fit in memory write no page" `Quick (fun () ->
+        (* 10 records of 16 bytes a side: 2 pages each of the 4 *)
+        let env = Env.create ~page_size:128 ~pool_pages:8 () in
+        let rng = Random.State.make [| 7 |] in
+        let a = random_records rng 10 ~lo_range:100 ~width_range:10
+        and b = random_records rng 10 ~lo_range:100 ~width_range:10 in
+        let fa = Test_util.heap_file env a and fb = Test_util.heap_file env b in
+        Env.flush env;
+        Iostats.reset env.Env.stats;
+        let trace = Trace.create () in
+        let sa, sb = Test_util.sort_files ~trace ~mem_pages:4 fa fb in
+        Alcotest.(check int) "no page written" 0
+          (Iostats.page_writes env.Env.stats);
+        Alcotest.(check bool) "no intermediate pass" false
+          (intermediate_pass_ran trace);
+        Alcotest.(check bool) "both sorted" true
+          (Test_util.sorted_like a sa && Test_util.sorted_like b sb));
+    tc "a page-bound pull reads at most one run page" `Quick (fun () ->
+        (* 300 records at 64-byte pages and 8 pages of memory: each input
+           is a few runs merged straight into its stream *)
+        let env = Env.create ~page_size:64 ~pool_pages:8 () in
+        let input = keyed_records 300 (fun i -> ((i * 7919) mod 900, i mod 3)) in
+        let fa = Test_util.heap_file env input
+        and fb = Test_util.heap_file env input in
+        let reads () = Iostats.page_reads env.Env.stats in
+        let bounded, unbounded, most, total, one_pull =
+          External_sort.with_sorted ~mem_pages:8 ~decode:Bytes.sub
+            (Test_util.sort_spec "a" fa) (Test_util.sort_spec "b" fb)
+            (fun sa sb ->
+              let most = ref 0 and total = ref 0 and acc = ref [] in
+              let rec go () =
+                let before = reads () in
+                match External_sort.pull sa ~max:50 ~page_bound:true with
+                | [||] -> ()
+                | rows ->
+                    let r = reads () - before in
+                    most := Int.max !most r;
+                    total := !total + r;
+                    acc := List.rev_append (Array.to_list rows) !acc;
+                    go ()
+              in
+              go ();
+              let before = reads () in
+              let all = External_sort.pull sb ~max:300 ~page_bound:false in
+              let one_pull = reads () - before in
+              (List.rev !acc, Array.to_list all, !most, !total, one_pull))
+        in
+        Alcotest.(check int) "at most one page per bounded pull" 1 most;
+        Alcotest.(check bool) "run pages were read while pulling" true (total > 1);
+        Alcotest.(check bool) "an unbounded pull reads ahead" true (one_pull > 1);
+        Alcotest.(check bool) "bounded order" true
+          (Test_util.sorted_like input bounded);
+        Alcotest.(check bool) "unbounded order" true
+          (Test_util.sorted_like input unbounded));
+  ]
 
-(* [with_sorted] must stream the records of [sort] under the matching
-   record comparator in the same key order, for both inputs at once; only
-   equal-key ties may land differently, so keys are compared in order and
-   records as multisets. The tag after the key makes tied records
-   distinct. With 64-byte pages and 4 pages of memory, inputs range from
-   empty through in-memory to more runs than the shared budget holds. *)
+(* Duplicate-heavy inputs (keys from a 10 x 3 domain) large enough for many
+   runs at 64-byte pages: with 3 pages of memory every input past a few
+   runs takes intermediate passes, which must keep the key order and the
+   multiset of both inputs. *)
+let prop_merge_passes =
+  QCheck.Test.make ~count:40
+    ~name:"with_sorted: intermediate passes keep order and multiset"
+    QCheck.(triple (int_bound 10_000) (int_range 60 400) (int_bound 200))
+    (fun (seed, n, m) ->
+      let rng = Random.State.make [| seed |] in
+      let input = random_records rng n ~lo_range:10 ~width_range:3
+      and other = random_records rng m ~lo_range:10 ~width_range:3 in
+      let env = Env.create ~page_size:64 ~pool_pages:8 () in
+      let a = Test_util.heap_file env input and b = Test_util.heap_file env other in
+      let live = Disk.live_pages env.Env.disk in
+      let trace = Trace.create () in
+      let sa, sb = Test_util.sort_files ~trace ~mem_pages:3 a b in
+      intermediate_pass_ran trace
+      && Test_util.sorted_like input sa
+      && Test_util.sorted_like other sb
+      && Disk.live_pages env.Env.disk = live)
+
+(* [with_sorted] must stream both inputs' records in the key order of an
+   in-memory stable sort; only equal-key ties may land differently, so
+   keys are compared in order and records as multisets. With 64-byte pages
+   and 4 pages of memory, inputs range from empty through in-memory to
+   more runs than the shared budget holds. *)
 let prop_sort_support =
-  QCheck.Test.make ~count:60 ~name:"with_sorted = sort: same records, same key order"
+  QCheck.Test.make ~count:60
+    ~name:"with_sorted = in-memory oracle: same records, same key order"
     QCheck.(triple (int_bound 10_000) (int_bound 400) (int_bound 60))
     (fun (seed, n, m) ->
       let rng = Random.State.make [| seed |] in
-      let gen n =
-        List.init n (fun tag ->
-            let lo = Random.State.int rng 60 in
-            Bytes.of_string
-              (Printf.sprintf "%03d %03d %04d" lo (lo + Random.State.int rng 20) tag))
-      in
-      let input = gen n and other = gen m in
-      let key r =
-        (float_of_string (Bytes.sub_string r 0 3), float_of_string (Bytes.sub_string r 4 3))
-      in
-      let ikey page off =
-        let lo, hi = key (Bytes.sub page off 12) in
-        Fuzzy.Interval.make lo hi
-      in
-      let env () = Env.create ~page_size:64 ~pool_pages:8 () in
-      let file env records =
-        let f = Heap_file.create env in
-        List.iter (Heap_file.append f) records;
-        f
-      in
-      let by_record records =
-        let env = env () in
-        let out = ref [] in
-        Heap_file.iter
-          (External_sort.sort (file env records)
-             ~compare:(fun a b -> compare (key a) (key b))
-             ~mem_pages:4)
-          (fun r -> out := r :: !out);
-        List.rev !out
-      in
-      let rec drain s acc =
-        match External_sort.pull s ~max:7 ~page_bound:(n mod 2 = 0) with
-        | [||] -> List.rev acc
-        | rows -> drain s (List.rev_append (Array.to_list rows) acc)
-      in
-      let env = env () in
-      let spec name f = { External_sort.name; file = f; key = ikey } in
+      let input = random_records rng n ~lo_range:60 ~width_range:20
+      and other = random_records rng m ~lo_range:60 ~width_range:20 in
+      let env = Env.create ~page_size:64 ~pool_pages:8 () in
       let live = Disk.live_pages env.Env.disk in
-      let a = file env input and b = file env other in
+      let a = Test_util.heap_file env input and b = Test_util.heap_file env other in
       let sa, sb =
-        External_sort.with_sorted ~mem_pages:4 ~decode:Bytes.sub (spec "a" a)
-          (spec "b" b) (fun sa sb -> (drain sa [], drain sb []))
+        Test_util.sort_files ~page_bound:(n mod 2 = 0) ~mem_pages:4 a b
       in
       Heap_file.destroy a;
       Heap_file.destroy b;
-      let same streamed records =
-        List.map key streamed = List.map key (by_record records)
-        && List.sort Bytes.compare streamed = List.sort Bytes.compare records
-      in
-      same sa input && same sb other && Disk.live_pages env.Env.disk = live)
+      Test_util.sorted_like input sa
+      && Test_util.sorted_like other sb
+      && Disk.live_pages env.Env.disk = live)
 
 let with_pool ~domains f =
   let pool = Task_pool.create ~domains in
@@ -470,8 +511,8 @@ let suites =
     ("storage.pool", pool_tests @ [ QCheck_alcotest.to_alcotest prop_pool_model ]);
     ("storage.heap", heap_tests @ [ QCheck_alcotest.to_alcotest prop_slices ]);
     ( "storage.sort",
-      sort_tests
-      @ List.map QCheck_alcotest.to_alcotest [ prop_merge_heap; prop_sort_support ] );
+      sort_tests @ shaped_tests
+      @ List.map QCheck_alcotest.to_alcotest [ prop_merge_passes; prop_sort_support ] );
     ("storage.pool_tasks", task_pool_tests);
     ("storage.stats", stats_tests);
   ]

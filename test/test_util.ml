@@ -100,3 +100,57 @@ let run_all_strategies q =
   ( Unnest.Naive_eval.query q,
     Unnest.Planner.run ~strategy:Unnest.Planner.Nested_loop q,
     Unnest.Planner.run ~strategy:Unnest.Planner.Auto q )
+
+(* ---------- the external sort ---------- *)
+
+(* A sort-test record ["LLL HHH TTTT"]: the key [lo, hi], then a tag that
+   tells tied records apart. *)
+let sort_record ~lo ~hi ~tag =
+  Bytes.of_string (Printf.sprintf "%03d %03d %04d" lo hi tag)
+
+let sort_record_key page off =
+  Fuzzy.Interval.make
+    (float_of_string (Bytes.sub_string page off 3))
+    (float_of_string (Bytes.sub_string page (off + 4) 3))
+
+let heap_file env records =
+  let f = Storage.Heap_file.create env in
+  List.iter (Storage.Heap_file.append f) records;
+  f
+
+let sort_spec name file =
+  { Storage.External_sort.name; file; key = sort_record_key }
+
+(* The rest of a sorted stream, pulled in chunks of at most [chunk]. *)
+let drain ?(chunk = 7) ?(page_bound = false) s =
+  let rec go acc =
+    match Storage.External_sort.pull s ~max:chunk ~page_bound with
+    | [||] -> List.rev acc
+    | rows -> go (List.rev_append (Array.to_list rows) acc)
+  in
+  go []
+
+(* [External_sort.with_sorted] over [outer] and [inner], both drained. *)
+let sort_files ?trace ?cancel ?page_bound ~mem_pages outer inner =
+  Storage.External_sort.with_sorted ?trace ?cancel ~mem_pages ~decode:Bytes.sub
+    (sort_spec "outer" outer) (sort_spec "inner" inner) (fun so si ->
+      let a = drain ?page_bound so in
+      (a, drain ?page_bound si))
+
+(* One input sorted alone: the other input is empty. *)
+let sort_file ?trace ?cancel ~mem_pages f =
+  let empty = Storage.Heap_file.create (Storage.Heap_file.env f) in
+  fst (sort_files ?trace ?cancel ~mem_pages f empty)
+
+let sort_key_pair r =
+  let k = sort_record_key r 0 in
+  (Fuzzy.Interval.lo k, Fuzzy.Interval.hi k)
+
+(* The in-memory oracle: [sorted] holds [records] in key order, its keys
+   those of [List.stable_sort] over [records] and its records the same
+   multiset (equal-key ties carry no order). *)
+let sorted_like records sorted =
+  List.map sort_key_pair sorted
+  = List.map sort_key_pair
+      (List.stable_sort (fun a b -> compare (sort_key_pair a) (sort_key_pair b)) records)
+  && List.sort Bytes.compare sorted = List.sort Bytes.compare records
