@@ -1,5 +1,6 @@
 type t = {
   fd : Unix.file_descr;
+  reader : Wire.reader;  (** every reply is read through it *)
   wlock : Mutex.t;  (** [cancel] may write while [query] reads *)
   rng : Random.State.t;  (** request IDs + jitter for the opt-in retry *)
   mutable last_request_id : string;
@@ -74,6 +75,7 @@ let connect ?(host = "127.0.0.1") ?timeout_ms ~port () =
   Wire.set_nodelay fd;
   {
     fd;
+    reader = Wire.reader fd;
     wlock = Mutex.create ();
     rng = Random.State.make_self_init ();
     last_request_id = "";
@@ -93,7 +95,7 @@ let of_addr ?timeout_ms addr =
             ?timeout_ms ~port ()
       | _ -> invalid_arg ("Client.of_addr: bad port in " ^ addr))
 
-let write t req =
+let send t req =
   Mutex.lock t.wlock;
   (match Wire.write_request t.fd req with
   | () -> Mutex.unlock t.wlock
@@ -108,11 +110,11 @@ let query_once ?(deadline_ms = 0) t sql =
      ring. *)
   let request_id = Telemetry.gen_request_id t.rng in
   t.last_request_id <- request_id;
-  write t (Wire.Query { request_id; deadline_ms; domains = 0; sql });
+  send t (Wire.Query { request_id; deadline_ms; domains = 0; sql });
   let columns = ref [] in
   let rows = ref [] in
   let rec read () =
-    match Wire.read_reply t.fd with
+    match Wire.read_reply t.reader with
     | Wire.Header cols ->
         columns := cols;
         read ()
@@ -159,33 +161,34 @@ let query ?deadline_ms ?retry t sql =
       in
       go 1
 
-let cancel t = write t Wire.Cancel
+let cancel t = send t Wire.Cancel
 
 let metrics_json t =
-  write t Wire.Metrics;
-  match Wire.read_reply t.fd with
+  send t Wire.Metrics;
+  match Wire.read_reply t.reader with
   | Wire.Metrics_json json -> json
   | _ -> raise (Wire.Protocol_error "expected a metrics frame")
 
 let trace_json t id =
-  write t (Wire.Trace_get id);
-  match Wire.read_reply t.fd with
+  send t (Wire.Trace_get id);
+  match Wire.read_reply t.reader with
   | Wire.Trace_json r -> r
   | _ -> raise (Wire.Protocol_error "expected a trace frame")
 
 let top_text t =
-  write t Wire.Top;
-  match Wire.read_reply t.fd with
+  send t Wire.Top;
+  match Wire.read_reply t.reader with
   | Wire.Top_text s -> s
   | _ -> raise (Wire.Protocol_error "expected a top frame")
 
 let promote t =
-  write t Wire.Promote;
-  match Wire.read_reply t.fd with
+  send t Wire.Promote;
+  match Wire.read_reply t.reader with
   | Wire.Promoted { epoch } -> Ok epoch
   | Wire.Error m -> Error m
   | _ -> raise (Wire.Protocol_error "expected a promoted frame")
 
+let recv t = Wire.read_reply t.reader
 let fd t = t.fd
 
 let close t =

@@ -81,9 +81,20 @@ val promote : t -> (int, string) result
     replication epoch. [Error _] when the peer is not a replica. Same
     concurrency rule as {!metrics_json}. *)
 
+val send : t -> Wire.request -> unit
+(** Write one request frame (serialised with {!cancel}). With {!recv},
+    how the replication applier drives its subscribe stream over a
+    client connection. *)
+
+val recv : t -> Wire.reply
+(** Read the next reply frame through the connection's buffered reader.
+    Do not call concurrently with {!query} on the same connection. *)
+
 val fd : t -> Unix.file_descr
-(** The underlying socket — the replication applier drives its
-    subscribe connection's frames directly. *)
+(** The underlying socket, for [Unix.shutdown] only (to unblock a
+    thread parked in {!recv}); reads and writes go through {!send} and
+    {!recv}, since the reader may already hold the next frame's
+    bytes. *)
 
 val close : t -> unit
 (** Close the socket; idempotent. *)

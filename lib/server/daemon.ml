@@ -16,7 +16,11 @@ let with_lock m f =
 
 type conn = {
   fd : Unix.file_descr;
-  lock : Mutex.t;  (** guards [fd] writes and the mutable fields *)
+  lock : Mutex.t;  (** guards [out], [fd] writes and the mutable fields *)
+  out : Wire.writer;
+      (** every frame to this client is encoded here and leaves on a
+          flush: an answer's header and rows wait for its terminal frame
+          (or for [flush_bytes]), so a small answer is one write *)
   mutable busy : bool;  (** a query admitted, terminal frame pending *)
   mutable current : Cancel.t option;
   mutable alive : bool;  (** false once the peer is gone: writes no-op *)
@@ -189,28 +193,50 @@ let healthz_json t =
 (* Frame writes are serialised per connection and silently dropped once
    the peer is gone — a disconnected client must not take its worker down
    (SIGPIPE is ignored at [start]; [Wire] surfaces the peer vanishing as
-   [Connection_closed]). *)
-let send conn reply =
-  with_lock conn.lock (fun () ->
-      if conn.alive then
-        try Wire.write_reply conn.fd reply
-        with Wire.Connection_closed | Unix.Unix_error _ -> conn.alive <- false)
+   [Connection_closed]). Call under [conn.lock]; a failed flush has
+   already emptied the buffer. *)
+let guarded conn f =
+  if conn.alive then
+    try f () with Wire.Connection_closed | Unix.Unix_error _ -> conn.alive <- false
+
+(* One frame, written together with anything already buffered. *)
+let write_now conn reply =
+  guarded conn (fun () ->
+      Wire.add_reply conn.out reply;
+      Wire.flush conn.out conn.fd)
+
+let send conn reply = with_lock conn.lock (fun () -> write_now conn reply)
 
 (* ------------------------------------------------------------------ *)
 (* Worker side *)
+
+(* An answer's header and rows are buffered, not written: the rest goes
+   out with the terminal frame, so an answer under [flush_bytes] costs
+   one write. Bigger answers are flushed as the buffer passes it, which
+   bounds the buffer. *)
+let flush_bytes = 64 * 1024
+
+let send_answer conn cols rows =
+  with_lock conn.lock (fun () ->
+      guarded conn (fun () ->
+          Wire.add_reply conn.out (Wire.Header cols);
+          List.iter
+            (fun (degree_bits, values) ->
+              Wire.add_reply conn.out (Wire.Row { degree_bits; values });
+              if Wire.pending conn.out >= flush_bytes then
+                Wire.flush conn.out conn.fd)
+            rows))
 
 (* The terminal frame of a request must be written in the same critical
    section that clears [busy]: a prompt client pipelines its next query
    right after reading the terminal frame, and if [busy] were cleared
    after the write the connection thread could reject that query as
-   still-in-flight. *)
+   still-in-flight. The write carries whatever rows are still buffered. *)
 let send_terminal conn reply =
   with_lock conn.lock (fun () ->
       conn.busy <- false;
       conn.current <- None;
-      if conn.alive then
-        try Wire.write_reply conn.fd reply
-        with Wire.Connection_closed | Unix.Unix_error _ -> conn.alive <- false)
+      write_now conn reply)
 
 (* Materialise the answer into wire rows. This reads relation pages
    through the buffer pool, so under fault injection it can fault — which
@@ -355,11 +381,7 @@ let handle_job t ~env ~check ~plane ~rng job =
         ~dur_s:(dequeued -. job.enqueued_at);
       match attempts 1 with
       | `Ok (cols, rows) ->
-          send job.conn (Wire.Header cols);
-          List.iter
-            (fun (degree_bits, values) ->
-              send job.conn (Wire.Row { degree_bits; values }))
-            rows;
+          Trace.with_span tr "emit" (fun () -> send_answer job.conn cols rows);
           let elapsed_s = Unix.gettimeofday () -. job.enqueued_at in
           answer_rows := List.length rows;
           count t "requests_completed";
@@ -643,7 +665,8 @@ let admit t conn ~request_id ~deadline_ms sql =
 let rep_send conn reply =
   with_lock conn.lock (fun () ->
       if not conn.alive then raise Wire.Connection_closed;
-      Wire.write_reply conn.fd reply)
+      Wire.add_reply conn.out reply;
+      Wire.flush conn.out conn.fd)
 
 (* Promotion is idempotent and serialised: bump the replica's epoch, then
    stand up a sender over the promoted directory so further replicas can
@@ -669,9 +692,10 @@ let promote t =
 
 let conn_loop t conn =
   let rep_sub = ref None in
+  let rd = Wire.reader conn.fd in
   (try
      let rec loop () =
-       (match Wire.read_request conn.fd with
+       (match Wire.read_request rd with
        | Wire.Query { request_id; deadline_ms; domains = _; sql } ->
            admit t conn ~request_id ~deadline_ms sql
        | Wire.Cancel -> (
@@ -749,8 +773,8 @@ let accept_loop t =
         else begin
           Wire.set_nodelay fd;
           let conn =
-            { fd; lock = Mutex.create (); busy = false; current = None;
-              alive = true }
+            { fd; lock = Mutex.create (); out = Wire.writer (); busy = false;
+              current = None; alive = true }
           in
           let th = Thread.create (conn_loop t) conn in
           with_lock t.conns_lock (fun () -> t.conns := (conn, th) :: !(t.conns));

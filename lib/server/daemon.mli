@@ -61,8 +61,11 @@
     {1 Observability}
 
     Every request carries one {!Storage.Trace} collector rooted at a
-    [request] span with [queue-wait] (timed at admission), [plan], and
-    [exec] children (the planner's own operator spans nest under [exec]);
+    [request] span with [queue-wait] (timed at admission), [plan], [exec]
+    and, for an answer, [emit] children (the planner's own operator spans
+    nest under [exec]; [emit] encodes the header and rows into the
+    connection's output buffer, which is written with the terminal frame
+    — one write for an answer under 64 KiB — after the trace is closed);
     injected faults add zero-width [fault ...] spans and each backoff a
     [retry-backoff] span. The [?on_trace] callback receives each
     completed trace — fsqld uses it to write Chrome trace files. A

@@ -563,10 +563,11 @@ module Sender = struct
     let conn_loop cfd =
       let wlock = Mutex.create () in
       let send r = with_lock wlock (fun () -> Wire.write_reply cfd r) in
+      let rd = Wire.reader cfd in
       let sub = ref None in
       (try
          while not t.stopped do
-           match Wire.read_request cfd with
+           match Wire.read_request rd with
            | Wire.Rep_subscribe { epoch; stream_id; from_lsn } ->
                sub := serve t ~epoch ~stream_id ~from_lsn ~send
            | Wire.Rep_ack { epoch = _; applied_lsn } -> (
@@ -850,9 +851,9 @@ module Replica = struct
         t.snapshots <- t.snapshots + 1);
     Eventcount.notify t.events
 
-  let send_ack t fd =
+  let send_ack t client =
     let epoch, applied = with_lock t.lock (fun () -> (t.epoch, t.applied)) in
-    Wire.write_request fd (Wire.Rep_ack { epoch; applied_lsn = applied })
+    Client.send client (Wire.Rep_ack { epoch; applied_lsn = applied })
 
   let note_progress t ~primary_end =
     with_lock t.lock (fun () ->
@@ -871,14 +872,13 @@ module Replica = struct
       Client.connect ~host:t.host ~timeout_ms:2000 ~port:t.port ()
     in
     t.client <- Some client;
-    let fd = Client.fd client in
     Fun.protect
       ~finally:(fun () ->
         t.client <- None;
         Client.close client)
       (fun () ->
         let epoch, stream = with_lock t.lock (fun () -> (t.epoch, t.stream)) in
-        Wire.write_request fd
+        Client.send client
           (Wire.Rep_subscribe
              { epoch; stream_id = stream; from_lsn = (if have_local then boundary else 0) });
         let mode = ref `Hello in
@@ -886,7 +886,7 @@ module Replica = struct
         let rec loop () =
           if t.stopping || t.promoted then ()
           else begin
-            (match Wire.read_reply fd with
+            (match Client.recv client with
             | Wire.Rep_fence { epoch = their_epoch } ->
                 with_lock t.lock (fun () ->
                     t.fenced_rejects <- t.fenced_rejects + 1);
@@ -960,7 +960,7 @@ module Replica = struct
                     finish_snapshot t s ~tail_start:start_lsn;
                     tail := Some (Wal_stream.Tail.create ~start_lsn);
                     mode := `Tail;
-                    send_ack t fd
+                    send_ack t client
                 | `Tail -> ()
                 | `Hello -> raise Resync);
                 (match !tail with
@@ -975,7 +975,7 @@ module Replica = struct
                       | Ok None -> ()
                       | Ok (Some d) ->
                           apply_batch t d;
-                          send_ack t fd
+                          send_ack t client
                     end);
                 note_progress t ~primary_end
             | _ -> raise Resync);

@@ -48,44 +48,85 @@ type reply =
 let max_frame = 64 * 1024 * 1024
 
 (* ------------------------------------------------------------------ *)
-(* Primitive encoders (big-endian) on a Buffer / decoders on a string. *)
+(* The output buffer: frames are encoded straight into one growable byte
+   buffer, each frame's length prefix patched in once its payload is
+   known, so a run of frames leaves in a single write. *)
 
-let add_u32 buf n =
+type writer = { mutable wbuf : Bytes.t; mutable wlen : int }
+
+(* Small: most writers carry one request frame. A connection's writer
+   grows to its usual answer once and keeps that. *)
+let writer_initial = 256
+
+(* A buffer that grew past this for one large frame (a snapshot chunk, a
+   metrics dump) is given back after its flush rather than kept for the
+   connection's lifetime. *)
+let writer_retain = 256 * 1024
+
+let writer () = { wbuf = Bytes.create writer_initial; wlen = 0 }
+let pending w = w.wlen
+
+let reserve w n =
+  let need = w.wlen + n in
+  if need > Bytes.length w.wbuf then begin
+    let b = Bytes.create (max need (2 * Bytes.length w.wbuf)) in
+    Bytes.blit w.wbuf 0 b 0 w.wlen;
+    w.wbuf <- b
+  end
+
+(* Primitive encoders (big-endian) on a writer / decoders on a string. *)
+
+let add_char w c =
+  reserve w 1;
+  Bytes.unsafe_set w.wbuf w.wlen c;
+  w.wlen <- w.wlen + 1
+
+let add_u32 w n =
   if n < 0 then invalid_arg "Wire.add_u32: negative";
-  Buffer.add_char buf (Char.chr ((n lsr 24) land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr (n land 0xff))
+  reserve w 4;
+  Bytes.set_int32_be w.wbuf w.wlen (Int32.of_int n);
+  w.wlen <- w.wlen + 4
 
-let add_u64 buf (n : int64) =
-  for shift = 7 downto 0 do
-    Buffer.add_char buf
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical n (8 * shift)) 0xFFL)))
-  done
+let add_u64 w (n : int64) =
+  reserve w 8;
+  Bytes.set_int64_be w.wbuf w.wlen n;
+  w.wlen <- w.wlen + 8
 
-let add_str buf s =
-  add_u32 buf (String.length s);
-  Buffer.add_string buf s
+let add_str w s =
+  let n = String.length s in
+  add_u32 w n;
+  reserve w n;
+  Bytes.blit_string s 0 w.wbuf w.wlen n;
+  w.wlen <- w.wlen + n
 
-let add_strs buf ss =
-  add_u32 buf (List.length ss);
-  List.iter (add_str buf) ss
+let add_strs w ss =
+  add_u32 w (List.length ss);
+  List.iter (add_str w) ss
+
+(* One frame: room for the length prefix, the payload, then the prefix
+   filled in. An encoder that raises (a negative length field) leaves no
+   partial frame behind. *)
+let framed w encode =
+  reserve w 4;
+  let at = w.wlen in
+  w.wlen <- at + 4;
+  match encode () with
+  | () -> Bytes.set_int32_be w.wbuf at (Int32.of_int (w.wlen - at - 4))
+  | exception e ->
+      w.wlen <- at;
+      raise e
 
 let get_u32 s pos =
   if !pos + 4 > String.length s then raise (Protocol_error "truncated u32");
-  let b i = Char.code s.[!pos + i] in
-  let v = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
+  let v = Int32.to_int (String.get_int32_be s !pos) land 0xFFFF_FFFF in
   pos := !pos + 4;
   v
 
 let get_u64 s pos =
   if !pos + 8 > String.length s then raise (Protocol_error "truncated u64");
-  let v = ref 0L in
-  for i = 0 to 7 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code s.[!pos + i]))
-  done;
+  let v = String.get_int64_be s !pos in
   pos := !pos + 8;
-  !v
+  v
 
 let get_str s pos =
   let n = get_u32 s pos in
@@ -99,11 +140,11 @@ let get_strs s pos =
   List.init n (fun _ -> get_str s pos)
 
 (* ------------------------------------------------------------------ *)
-(* Framing, directly over the file descriptor.
+(* Framing over the file descriptor.
 
-   Both loops restart on EINTR (a signal delivered mid-syscall must not
-   kill a session thread), and both map the peer vanishing — EOF or a
-   short read mid-frame, EPIPE/ECONNRESET on write — to the single
+   Every syscall loop restarts on EINTR (a signal delivered mid-syscall
+   must not kill a session thread), and the peer vanishing — EOF or a
+   short read mid-frame, EPIPE/ECONNRESET on write — maps to the single
    [Connection_closed] exception so callers have one case to handle. *)
 
 let rec write_all fd buf off len =
@@ -114,47 +155,79 @@ let rec write_all fd buf off len =
     | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
         raise Connection_closed
 
-let read_exact fd buf off len =
-  let rec go off len =
-    if len > 0 then
-      match Unix.read fd buf off len with
-      | 0 -> raise Connection_closed
-      | n -> go (off + n) (len - n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off len
-      | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
-          raise Connection_closed
-  in
-  go off len
+(* One [read] of whatever the kernel has, up to [len] bytes. *)
+let rec read_some fd buf off len =
+  match Unix.read fd buf off len with
+  | 0 -> raise Connection_closed
+  | n -> n
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_some fd buf off len
+  | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> raise Connection_closed
 
-(* Each message is one write, so Nagle's algorithm has nothing to
+(* Each flush is one write, so Nagle's algorithm has nothing to
    coalesce: it only holds a small reply frame back until the peer's
    delayed ACK (~40 ms). Best effort — a socket that is already dead
    fails on its first read or write instead. *)
 let set_nodelay fd =
   try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
 
-let write_frame fd payload =
-  let n = String.length payload in
-  (* One buffer, one write-loop: header and payload never interleave with
-     another thread's frame as long as callers serialise per-connection. *)
-  let b = Bytes.create (4 + n) in
-  Bytes.set b 0 (Char.chr ((n lsr 24) land 0xff));
-  Bytes.set b 1 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set b 2 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set b 3 (Char.chr (n land 0xff));
-  Bytes.blit_string payload 0 b 4 n;
-  write_all fd b 0 (4 + n)
+(* The buffer is emptied before the write, so a failed flush leaves no
+   stale frames behind for the next one. *)
+let flush w fd =
+  let b = w.wbuf and len = w.wlen in
+  w.wlen <- 0;
+  if Bytes.length b > writer_retain then w.wbuf <- Bytes.create writer_initial;
+  write_all fd b 0 len
 
-let read_frame fd =
-  let hdr = Bytes.create 4 in
-  read_exact fd hdr 0 4;
-  let b i = Char.code (Bytes.get hdr i) in
-  let n = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
+type reader = {
+  rfd : Unix.file_descr;
+  rbuf : Bytes.t;
+  mutable rpos : int;  (** first unread byte *)
+  mutable rlen : int;  (** end of the buffered bytes *)
+}
+
+let reader_size = 8192
+let reader fd = { rfd = fd; rbuf = Bytes.create reader_size; rpos = 0; rlen = 0 }
+
+(* Make at least [n <= reader_size] bytes available at [rpos], moving
+   the unread tail to the front first when they would not fit. *)
+let fill r n =
+  if r.rlen - r.rpos < n then begin
+    if r.rpos + n > reader_size then begin
+      Bytes.blit r.rbuf r.rpos r.rbuf 0 (r.rlen - r.rpos);
+      r.rlen <- r.rlen - r.rpos;
+      r.rpos <- 0
+    end;
+    while r.rlen - r.rpos < n do
+      r.rlen <- r.rlen + read_some r.rfd r.rbuf r.rlen (reader_size - r.rlen)
+    done
+  end
+
+let read_frame r =
+  fill r 4;
+  let n = Int32.to_int (Bytes.get_int32_be r.rbuf r.rpos) land 0xFFFF_FFFF in
   if n > max_frame then raise (Protocol_error "oversized frame");
   if n = 0 then raise (Protocol_error "empty frame");
-  let payload = Bytes.create n in
-  read_exact fd payload 0 n;
-  Bytes.unsafe_to_string payload
+  r.rpos <- r.rpos + 4;
+  if n <= reader_size then begin
+    fill r n;
+    let payload = Bytes.sub_string r.rbuf r.rpos n in
+    r.rpos <- r.rpos + n;
+    payload
+  end
+  else begin
+    (* Larger than the buffer: what is buffered starts the frame, the
+       rest is read straight into the frame's own bytes. *)
+    let payload = Bytes.create n in
+    let have = r.rlen - r.rpos in
+    Bytes.blit r.rbuf r.rpos payload 0 have;
+    r.rpos <- 0;
+    r.rlen <- 0;
+    let got = ref have in
+    while !got < n do
+      got := !got + read_some r.rfd payload !got (n - !got)
+    done;
+    Bytes.unsafe_to_string payload
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Messages *)
@@ -176,37 +249,36 @@ let read_frame fd =
    construction: rev 3 only introduces new tags, so every rev-2 frame
    encodes and decodes byte-identically under rev 3, and a rev-2 client
    that never sends the new tags cannot elicit one in response. *)
-let encode_request r =
-  let buf = Buffer.create 64 in
-  (match r with
+let add_request w r =
+  framed w @@ fun () ->
+  match r with
   | Query { request_id = ""; deadline_ms; domains; sql } ->
-      Buffer.add_char buf 'Q';
-      add_u32 buf deadline_ms;
-      add_u32 buf domains;
-      add_str buf sql
+      add_char w 'Q';
+      add_u32 w deadline_ms;
+      add_u32 w domains;
+      add_str w sql
   | Query { request_id; deadline_ms; domains; sql } ->
-      Buffer.add_char buf 'q';
-      add_str buf request_id;
-      add_u32 buf deadline_ms;
-      add_u32 buf domains;
-      add_str buf sql
-  | Cancel -> Buffer.add_char buf 'X'
-  | Metrics -> Buffer.add_char buf 'M'
+      add_char w 'q';
+      add_str w request_id;
+      add_u32 w deadline_ms;
+      add_u32 w domains;
+      add_str w sql
+  | Cancel -> add_char w 'X'
+  | Metrics -> add_char w 'M'
   | Trace_get id ->
-      Buffer.add_char buf 'G';
-      add_str buf id
-  | Top -> Buffer.add_char buf 'P'
+      add_char w 'G';
+      add_str w id
+  | Top -> add_char w 'P'
   | Rep_subscribe { epoch; stream_id; from_lsn } ->
-      Buffer.add_char buf 'r';
-      add_u32 buf epoch;
-      add_u64 buf stream_id;
-      add_u64 buf (Int64.of_int from_lsn)
+      add_char w 'r';
+      add_u32 w epoch;
+      add_u64 w stream_id;
+      add_u64 w (Int64.of_int from_lsn)
   | Rep_ack { epoch; applied_lsn } ->
-      Buffer.add_char buf 'a';
-      add_u32 buf epoch;
-      add_u64 buf (Int64.of_int applied_lsn)
-  | Promote -> Buffer.add_char buf 'U');
-  Buffer.contents buf
+      add_char w 'a';
+      add_u32 w epoch;
+      add_u64 w (Int64.of_int applied_lsn)
+  | Promote -> add_char w 'U'
 
 let decode_request payload =
   let pos = ref 1 in
@@ -238,70 +310,71 @@ let decode_request payload =
   | 'U' -> Promote
   | c -> raise (Protocol_error (Printf.sprintf "unknown request tag %C" c))
 
-let encode_reply r =
-  let buf = Buffer.create 128 in
-  (match r with
+let add_reply w r =
+  framed w @@ fun () ->
+  match r with
   | Header cols ->
-      Buffer.add_char buf 'H';
-      add_strs buf cols
+      add_char w 'H';
+      add_strs w cols
   | Row { degree_bits; values } ->
-      Buffer.add_char buf 'R';
-      add_u64 buf degree_bits;
-      add_strs buf values
+      add_char w 'R';
+      add_u64 w degree_bits;
+      add_strs w values
   | Done { rows; elapsed_s } ->
-      Buffer.add_char buf 'D';
-      add_u32 buf rows;
-      add_u64 buf (Int64.bits_of_float elapsed_s)
+      add_char w 'D';
+      add_u32 w rows;
+      add_u64 w (Int64.bits_of_float elapsed_s)
   | Error msg ->
-      Buffer.add_char buf 'E';
-      add_str buf msg
+      add_char w 'E';
+      add_str w msg
   | Retryable msg ->
-      Buffer.add_char buf 'T';
-      add_str buf msg
-  | Overloaded -> Buffer.add_char buf 'O'
+      add_char w 'T';
+      add_str w msg
+  | Overloaded -> add_char w 'O'
   | Rejected { code; diagnostics } ->
-      Buffer.add_char buf 'S';
-      add_str buf code;
-      add_str buf diagnostics
+      add_char w 'S';
+      add_str w code;
+      add_str w diagnostics
   | Cancelled reason ->
-      Buffer.add_char buf 'C';
-      add_str buf reason
+      add_char w 'C';
+      add_str w reason
   | Metrics_json json ->
-      Buffer.add_char buf 'J';
-      add_str buf json
-  | Trace_json None -> Buffer.add_string buf "F\x00"
+      add_char w 'J';
+      add_str w json
+  | Trace_json None -> add_char w 'F';
+      add_char w '\x00'
   | Trace_json (Some json) ->
-      Buffer.add_string buf "F\x01";
-      add_str buf json
+      add_char w 'F';
+      add_char w '\x01';
+      add_str w json
   | Top_text text ->
-      Buffer.add_char buf 'V';
-      add_str buf text
+      add_char w 'V';
+      add_str w text
   | Rep_hello { epoch; stream_id; page_size; snapshot; start_lsn; data_len } ->
-      Buffer.add_char buf 'h';
-      add_u32 buf epoch;
-      add_u64 buf stream_id;
-      add_u32 buf page_size;
-      Buffer.add_char buf (if snapshot then '\x01' else '\x00');
-      add_u64 buf (Int64.of_int start_lsn);
-      add_u64 buf (Int64.of_int data_len)
+      add_char w 'h';
+      add_u32 w epoch;
+      add_u64 w stream_id;
+      add_u32 w page_size;
+      add_char w (if snapshot then '\x01' else '\x00');
+      add_u64 w (Int64.of_int start_lsn);
+      add_u64 w (Int64.of_int data_len)
   | Rep_chunk { kind; off; data } ->
-      Buffer.add_char buf 'c';
-      Buffer.add_char buf (match kind with Data_chunk -> 'D' | Wal_chunk -> 'W');
-      add_u64 buf (Int64.of_int off);
-      add_str buf data
+      add_char w 'c';
+      add_char w (match kind with Data_chunk -> 'D' | Wal_chunk -> 'W');
+      add_u64 w (Int64.of_int off);
+      add_str w data
   | Rep_wal { epoch; start_lsn; primary_end; data } ->
-      Buffer.add_char buf 'w';
-      add_u32 buf epoch;
-      add_u64 buf (Int64.of_int start_lsn);
-      add_u64 buf (Int64.of_int primary_end);
-      add_str buf data
+      add_char w 'w';
+      add_u32 w epoch;
+      add_u64 w (Int64.of_int start_lsn);
+      add_u64 w (Int64.of_int primary_end);
+      add_str w data
   | Rep_fence { epoch } ->
-      Buffer.add_char buf 'f';
-      add_u32 buf epoch
+      add_char w 'f';
+      add_u32 w epoch
   | Promoted { epoch } ->
-      Buffer.add_char buf 'u';
-      add_u32 buf epoch);
-  Buffer.contents buf
+      add_char w 'u';
+      add_u32 w epoch
 
 let decode_reply payload =
   let pos = ref 1 in
@@ -373,7 +446,15 @@ let decode_reply payload =
   | 'u' -> Promoted { epoch = get_u32 payload pos }
   | c -> raise (Protocol_error (Printf.sprintf "unknown reply tag %C" c))
 
-let write_request fd r = write_frame fd (encode_request r)
-let write_reply fd r = write_frame fd (encode_reply r)
-let read_request fd = decode_request (read_frame fd)
-let read_reply fd = decode_reply (read_frame fd)
+let write_request fd r =
+  let w = writer () in
+  add_request w r;
+  flush w fd
+
+let write_reply fd r =
+  let w = writer () in
+  add_reply w r;
+  flush w fd
+
+let read_request r = decode_request (read_frame r)
+let read_reply r = decode_reply (read_frame r)

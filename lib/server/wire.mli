@@ -8,11 +8,17 @@
     the server computed — the equality notion of the unnesting theorems
     survives the network hop.
 
-    Frame I/O works directly on the file descriptor with EINTR-safe
-    read/write loops: a signal delivered mid-syscall restarts the
-    operation instead of killing the session thread, and a peer that
-    vanishes — clean EOF, a short read mid-frame, EPIPE or ECONNRESET —
-    raises the single {!Connection_closed} exception.
+    Frames are read through a per-socket {!reader}: an 8 KiB buffer
+    refilled by one [read] of whatever the kernel has, so a stream of
+    small frames costs one syscall per buffer, not two per frame. Frames
+    are written through a {!writer}: they are encoded straight into one
+    output buffer and leave in one [write] per {!flush}, so a whole
+    answer — header, rows and terminal frame — can go out in a single
+    syscall. The bytes on the wire are the same either way. Every
+    syscall loop is EINTR-safe (a signal delivered mid-syscall restarts
+    the operation instead of killing the session thread), and a peer
+    that vanishes — clean EOF, a short read mid-frame, EPIPE or
+    ECONNRESET — raises the single {!Connection_closed} exception.
 
     Requests (client to server): [Query] (request ID, deadline, per-query
     execution parallelism, SQL text), [Cancel] (cancel the in-flight query
@@ -152,24 +158,62 @@ val set_nodelay : Unix.file_descr -> unit
 (** Disable Nagle's algorithm ([TCP_NODELAY]) on a connected TCP socket.
     Every data socket gets it — the daemon's accepted connections,
     {!Client.connect} (which also carries a replica's link to its
-    primary) and the replication sender's accepted connections. Frames
-    are written whole, so without it a small reply waits for the peer's
+    primary) and the replication sender's accepted connections. Every
+    flush is one write, so without it a small reply waits for the peer's
     delayed ACK. The bytes on the wire are unchanged. Errors are
     ignored. *)
 
 val max_frame : int
 (** Frames above this size (64 MB) raise {!Protocol_error} on read. *)
 
+(** {1 Writing} *)
+
+type writer
+(** A growable output buffer of whole frames. Not thread-safe: a
+    connection's writer is used under that connection's write lock. *)
+
+val writer : unit -> writer
+(** An empty buffer (256 bytes to start; it grows as frames need and
+    gives back anything above 256 KiB at the next {!flush}). *)
+
+val add_reply : writer -> reply -> unit
+(** Encode one frame — length prefix and payload — at the end of the
+    buffer. The bytes equal the frame {!write_reply} would write. An
+    encoder that raises ([Invalid_argument] on a negative length field)
+    leaves the buffer as it was. *)
+
+val pending : writer -> int
+(** Bytes buffered and not yet flushed. *)
+
+val flush : writer -> Unix.file_descr -> unit
+(** Write every buffered frame in one EINTR-safe write loop (one
+    [write] syscall for up to 64 KiB) and empty the buffer — also when
+    the write fails with {!Connection_closed}. *)
+
 val write_request : Unix.file_descr -> request -> unit
-(** Encode, frame, write. The frame is built in one buffer and written
-    by a single EINTR-safe loop, so concurrent writers interleave only
-    if they share a connection without serialising. Raises
-    {!Connection_closed} if the peer is gone. *)
+(** One frame, one write: the frame is encoded into a fresh writer,
+    then {!flush}ed. Concurrent writers interleave only if they share a
+    connection without serialising. Raises {!Connection_closed} if the
+    peer is gone. *)
 
 val write_reply : Unix.file_descr -> reply -> unit
 
-val read_request : Unix.file_descr -> request
-(** Blocks for a full frame. Raises {!Connection_closed} on EOF or a
-    short read mid-frame, {!Protocol_error} on garbage. *)
+(** {1 Reading} *)
 
-val read_reply : Unix.file_descr -> reply
+type reader
+(** A socket's read side: an 8 KiB buffer and the unread bytes in it.
+    Every read of a socket must go through its one reader, since the
+    buffer may already hold the start of the next frame. Not
+    thread-safe. *)
+
+val reader : Unix.file_descr -> reader
+
+val read_request : reader -> request
+(** Blocks for a full frame. A frame that fits the buffer is served from
+    it (refilled by one [read] of whatever is available); a larger one
+    is read straight into its own bytes. The length prefix is checked
+    against {!max_frame} before anything is allocated. Raises
+    {!Connection_closed} on EOF or a short read mid-frame,
+    {!Protocol_error} on garbage. *)
+
+val read_reply : reader -> reply

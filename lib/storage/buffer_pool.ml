@@ -98,6 +98,28 @@ let load t page_id =
 
 let read t page_id = (load t page_id).data
 
+(* A freshly allocated page is zeroes on disk ([Disk.alloc]'s contract),
+   so the frame can start as zeroes too, clean, without a read. A frame
+   still cached under a recycled page id holds the previous owner's
+   bytes: it is zeroed in place (no allocation) and never written back.
+   Not a lookup: the hit and miss counters stay as they are. *)
+let install_fresh t page_id =
+  match Hashtbl.find_opt t.frames page_id with
+  | Some f when f.pins > 0 -> invalid_arg "Buffer_pool.install_fresh: page is pinned"
+  | Some f ->
+      Bytes.fill f.data 0 (Bytes.length f.data) '\000';
+      f.dirty <- false;
+      f.page_lsn <- 0;
+      touch t f
+  | None ->
+      if Hashtbl.length t.frames >= t.capacity then evict_one t ~for_page:page_id;
+      let f =
+        { page_id; data = Bytes.make (Disk.page_size t.disk) '\000'; dirty = false;
+          page_lsn = 0; pins = 0; last_use = 0 }
+      in
+      touch t f;
+      Hashtbl.replace t.frames page_id f
+
 let with_write ?lsn t page_id fn =
   let f = load t page_id in
   fn f.data;

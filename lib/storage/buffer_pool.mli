@@ -34,6 +34,15 @@ val wal : t -> Wal.t option
 val read : t -> int -> bytes
 (** The cached frame (do not mutate; use {!with_write} to modify). *)
 
+val install_fresh : t -> int -> unit
+(** [install_fresh t page] caches a zeroed, clean frame for a page that
+    {!Disk.alloc} has just returned (so it is zeroes on disk too),
+    without reading it: the first write to a new page costs no I/O. A
+    frame already cached under that id — the previous owner's, if the id
+    was freed and reallocated — is zeroed in place and marked clean, so
+    its old bytes are never written back. Otherwise it may evict like a
+    miss. [Invalid_argument] if the cached frame is pinned. *)
+
 val with_write : ?lsn:int -> t -> int -> (bytes -> unit) -> unit
 (** Mutate the page through the pool and mark the frame dirty. [?lsn]
     is the WAL position of the record describing this mutation; the

@@ -74,7 +74,11 @@ let add_page t =
   t.page_ids.(t.npages) <- id;
   t.recs_per_page.(t.npages) <- 0;
   t.npages <- t.npages + 1;
-  t.tail_free <- header_size
+  t.tail_free <- header_size;
+  (* Last: making room for the frame may write a victim back, and if that
+     write fails the page must already be on the file's list for
+     [destroy] to free. *)
+  Buffer_pool.install_fresh t.pool id
 
 let append_sub t record pos len =
   let page_size = Env.page_size t.env in

@@ -24,6 +24,31 @@
 
 type sync_mode = Always | Group | Never
 
+(* A set of page ids as a bitset indexed by page id: one bit per page of
+   the data file, grown on demand. *)
+module Page_set = struct
+  type t = { mutable bits : Bytes.t }
+
+  let create () = { bits = Bytes.make 64 '\000' }
+
+  let mem t page =
+    let i = page lsr 3 in
+    i < Bytes.length t.bits && Bytes.get_uint8 t.bits i land (1 lsl (page land 7)) <> 0
+
+  let add t page =
+    if page < 0 then invalid_arg "Wal.Page_set.add: negative page";
+    let i = page lsr 3 in
+    let n = Bytes.length t.bits in
+    if i >= n then begin
+      let b = Bytes.make (max (i + 1) (2 * n)) '\000' in
+      Bytes.blit t.bits 0 b 0 n;
+      t.bits <- b
+    end;
+    Bytes.set_uint8 t.bits i (Bytes.get_uint8 t.bits i lor (1 lsl (page land 7)))
+
+  let clear t = Bytes.fill t.bits 0 (Bytes.length t.bits) '\000'
+end
+
 let sync_mode_name = function
   | Always -> "always"
   | Group -> "group"
@@ -85,7 +110,7 @@ type t = {
   mutable next_fid : int;
   files : (int, int list ref) Hashtbl.t;  (** fid -> pages, reversed *)
   metas : (int, bytes) Hashtbl.t;
-  epoch_fresh : (int, unit) Hashtbl.t;
+  epoch_fresh : Page_set.t;
       (** pages allocated or imaged since the last checkpoint: no
           full-page image needed before their next delta *)
   mutable epoch : int;
@@ -342,8 +367,8 @@ let apply_manifest t = function
       let l = file_pages t fid in
       l := page :: !l;
       if fid >= t.next_fid then t.next_fid <- fid + 1;
-      Hashtbl.replace t.epoch_fresh page ()
-  | Page_image { page; _ } -> Hashtbl.replace t.epoch_fresh page ()
+      Page_set.add t.epoch_fresh page
+  | Page_image { page; _ } -> Page_set.add t.epoch_fresh page
   | Heap_append _ | Commit -> ()
   | Free { fid } ->
       Hashtbl.remove t.files fid;
@@ -355,7 +380,7 @@ let apply_manifest t = function
   | Checkpoint { next_fid; files; epoch } ->
       Hashtbl.reset t.files;
       Hashtbl.reset t.metas;
-      Hashtbl.reset t.epoch_fresh;
+      Page_set.clear t.epoch_fresh;
       t.next_fid <- next_fid;
       if epoch > t.epoch then t.epoch <- epoch;
       List.iter
@@ -538,7 +563,7 @@ let log_alloc t ~fid ~page = append t (Alloc { fid; page })
 
 let log_heap_append t ~page ~off ~count ~data ~image =
   Mutex.lock t.lock;
-  if Hashtbl.mem t.epoch_fresh page then
+  if Page_set.mem t.epoch_fresh page then
     Fun.protect
       ~finally:(fun () -> Mutex.unlock t.lock)
       (fun () -> append_locked t (Heap_append { page; off; count; data }))
@@ -560,7 +585,7 @@ let log_heap_append t ~page ~off ~count ~data ~image =
            The captured image is still the page's pre-append content
            (heap writers are single-threaded per file), so it is valid
            to log in either epoch. *)
-        if not (Hashtbl.mem t.epoch_fresh page) then
+        if not (Page_set.mem t.epoch_fresh page) then
           ignore (append_locked t (Page_image { page; data = img }));
         append_locked t (Heap_append { page; off; count; data }))
   end
@@ -612,7 +637,7 @@ let checkpoint t =
       t.fd <- Some (Unix.openfile t.path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644);
       t.fsyncs <- t.fsyncs + 1;
       Buffer.clear t.buf;
-      Hashtbl.reset t.epoch_fresh;
+      Page_set.clear t.epoch_fresh;
       t.next_lsn <- Bytes.length data;
       t.written_lsn <- t.next_lsn;
       t.durable_lsn <- t.next_lsn;
@@ -651,7 +676,7 @@ let make ~path ~mode ~readonly ~fd =
     next_fid = 0;
     files = Hashtbl.create 16;
     metas = Hashtbl.create 16;
-    epoch_fresh = Hashtbl.create 64;
+    epoch_fresh = Page_set.create ();
     epoch = 0;
   }
 
@@ -720,7 +745,7 @@ let durable_lsn t = t.durable_lsn
 let commits t = t.commits
 let fsyncs t = t.fsyncs
 let appended t = t.appended
-let is_fresh_page t page = Hashtbl.mem t.epoch_fresh page
+let is_fresh_page t page = Page_set.mem t.epoch_fresh page
 
 let epoch t =
   Mutex.lock t.lock;

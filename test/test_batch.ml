@@ -331,12 +331,11 @@ let sweep_cases =
            the last outer row's window — all sit in the first run; the
            outer side, held in memory until the inner batch fills the
            budget, is written out as one 10-page run. Writing a run page
-           costs one read too (the pool loads a fresh page before the
-           first append to it). The final merges read the outer run, the
-           pages of the inner rows the sweep pulls plus the next one (the
-           merge holds each run's next row as its head), and the head page
-           of every other inner run; the other 184 inner run pages are
-           never read. *)
+           costs no read (a fresh page starts as a zeroed frame). The
+           final merges read the outer run, the pages of the inner rows the
+           sweep pulls plus the next one (the merge holds each run's next
+           row as its head), and the head page of every other inner run;
+           the other 184 inner run pages are never read. *)
         let env = Test_util.fresh_env () in
         let schema name =
           Schema.make ~name [ ("ID", Schema.TNum); ("X", Schema.TNum) ]
@@ -358,11 +357,10 @@ let sweep_cases =
         Alcotest.(check int) "one row per page" 210 inputs;
         Alcotest.(check int) "every row is written to a run" 210
           (Storage.Iostats.page_writes stats);
-        (* One load per run page written; then the outer run, the pages of
-           inner rows 0..11 in the first run, and the head page of each of
-           the 3 other runs. *)
+        (* The outer run, the pages of inner rows 0..11 in the first run,
+           and the head page of each of the 3 other runs. *)
         Alcotest.(check int) "inputs + the run pages needed"
-          (inputs + 210 + 10 + 12 + 3)
+          (inputs + 10 + 12 + 3)
           (Storage.Iostats.page_reads stats));
     tc "the sweep keeps at most the window plus two chunks decoded" `Quick
       (fun () ->

@@ -377,10 +377,12 @@ let breaker_tests =
 
 let setup = Server.Demo.server_setup ~seed:11 ()
 
-(* On a fresh environment the J shape reads one disk page (its answer's
-   first page) and writes none: its sort streams into the sweep and keeps
-   these small inputs in memory, so it writes no temporaries. A bare
-   projection of T reads 2 pages and writes 1. *)
+(* On a fresh environment the J shape reads and writes no disk page: its
+   sort streams into the sweep and keeps these small inputs in memory, so
+   it writes no temporaries, and its answer's pages start as zeroed
+   frames. Its only storage operations are the allocations of its
+   answer's pages, so the transient-fault tests below trip on [alloc]. A
+   bare projection of T reads no page and writes 1. *)
 let j_sql = "SELECT R.ID FROM R WHERE R.Y IN (SELECT S.Z FROM S WHERE S.V <= R.U)"
 let t_sql = "SELECT T.ID FROM T"
 
@@ -431,7 +433,7 @@ let daemon_fault_tests =
       (fun () ->
         let daemon =
           Server.Daemon.start ~workers:1 ~retry:fast_retry
-            ~fault_spec:(fspec "read:nth=1") ~fault_seed:7 ~setup ()
+            ~fault_spec:(fspec "alloc:nth=1") ~fault_seed:7 ~setup ()
         in
         let client = Server.Client.connect ~port:(Server.Daemon.port daemon) () in
         (match Server.Client.query client j_sql with
@@ -450,7 +452,7 @@ let daemon_fault_tests =
           (c "requests_failed_transient"));
     tc "no retry starts when the deadline budget is below the backoff" `Quick
       (fun () ->
-        (* every read faults, and the policy's backoff (10 s) dwarfs the
+        (* every allocation faults, and the policy's backoff (10 s) dwarfs the
            150 ms deadline: the daemon must answer Retryable immediately
            instead of sleeping into a guaranteed deadline miss. *)
         let daemon =
@@ -458,7 +460,7 @@ let daemon_fault_tests =
             ~retry:
               { Server.Retry.max_attempts = 5; base_delay_s = 10.0;
                 max_delay_s = 10.0; jitter = 0.0 }
-            ~fault_spec:(fspec "read:p=1") ~setup ()
+            ~fault_spec:(fspec "alloc:p=1") ~setup ()
         in
         let client = Server.Client.connect ~port:(Server.Daemon.port daemon) () in
         let t0 = Unix.gettimeofday () in
@@ -485,7 +487,7 @@ let daemon_fault_tests =
             ~retry:
               { Server.Retry.max_attempts = 3; base_delay_s = 30.0;
                 max_delay_s = 30.0; jitter = 0.0 }
-            ~fault_spec:(fspec "read:p=1") ~setup ()
+            ~fault_spec:(fspec "alloc:p=1") ~setup ()
         in
         let client = Server.Client.connect ~port:(Server.Daemon.port daemon) () in
         let reply = ref None in
@@ -553,7 +555,7 @@ let daemon_fault_tests =
             ~breaker:
               (Server.Breaker.create ~window:8 ~threshold:0.5 ~min_samples:4
                  ~cooldown_s:30.0 ())
-            ~fault_spec:(fspec "read:p=1") ~setup ()
+            ~fault_spec:(fspec "alloc:p=1") ~setup ()
         in
         let client = Server.Client.connect ~port:(Server.Daemon.port daemon) () in
         for i = 1 to 4 do
@@ -580,7 +582,7 @@ let daemon_fault_tests =
             ~retry:
               { Server.Retry.max_attempts = 1; base_delay_s = 0.001;
                 max_delay_s = 0.001; jitter = 0.0 }
-            ~fault_spec:(fspec "read:nth=1") ~setup ()
+            ~fault_spec:(fspec "alloc:nth=1") ~setup ()
         in
         let client = Server.Client.connect ~port:(Server.Daemon.port daemon) () in
         (match Server.Client.query ~retry:fast_retry client j_sql with

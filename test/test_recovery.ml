@@ -428,6 +428,69 @@ let wal_tests =
   [ tc "group commit: concurrent committers all durable" `Quick group_commit_threads ]
 
 (* ------------------------------------------------------------------ *)
+(* qcheck: the fresh-page set against a Hashtbl model *)
+
+(* Random alloc / heap-append / checkpoint sequences over page ids that
+   mostly fall in the first few bytes of the set and sometimes far past
+   its end. After every step [Wal.is_fresh_page] must agree with the
+   model on every id touched so far (and on ids never touched), and a
+   reopen, which rebuilds the set from the log, must agree too. *)
+let prop_fresh_pages_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map (fun p -> `Alloc p) (int_bound 80));
+          (4, map (fun p -> `Append p) (int_bound 80));
+          (1, map (fun p -> `Alloc p) (int_range 1_000 20_000));
+          (1, return `Checkpoint);
+        ])
+  in
+  QCheck.Test.make ~count:60
+    ~name:"Wal fresh-page set = Hashtbl model over alloc/image/checkpoint"
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 120) op))
+    (fun ops ->
+      with_dir (fun dir ->
+          Unix.mkdir dir 0o755;
+          let path = Recovery.wal_path_of dir in
+          let wal = Wal.create ~path ~mode:Wal.Never in
+          let fid = Wal.new_file wal in
+          let model = Hashtbl.create 64 in
+          let agrees wal =
+            let probe = [ 0; 7; 8; 63; 64; 81; 999; 20_001; 1_000_000 ] in
+            List.for_all
+              (fun p -> Wal.is_fresh_page wal p = Hashtbl.mem model p)
+              (probe @ Hashtbl.fold (fun p () acc -> p :: acc) model [])
+          in
+          let ok =
+            List.for_all
+              (fun op ->
+                (match op with
+                | `Alloc page ->
+                    ignore (Wal.log_alloc wal ~fid ~page);
+                    Hashtbl.replace model page ()
+                | `Append page ->
+                    (* a page not fresh is imaged first; fresh either way *)
+                    ignore
+                      (Wal.log_heap_append wal ~page ~off:2 ~count:1
+                         ~data:(Bytes.make 4 'x')
+                         ~image:(fun () -> Bytes.make 64 '\000'));
+                    Hashtbl.replace model page ()
+                | `Checkpoint ->
+                    Wal.commit wal;
+                    Wal.checkpoint wal;
+                    Hashtbl.reset model);
+                agrees wal)
+              ops
+          in
+          Wal.commit wal;
+          Wal.close wal;
+          let reopened = Wal.open_existing ~path ~mode:Wal.Never ~readonly:true in
+          let ok = ok && agrees reopened in
+          Wal.close reopened;
+          ok))
+
+(* ------------------------------------------------------------------ *)
 (* qcheck: any single-byte corruption of a persisted page is detected *)
 
 let prop_corruption_detected =
@@ -778,5 +841,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_crash_offset_determinism;
         QCheck_alcotest.to_alcotest prop_torn_write_recovery;
         QCheck_alcotest.to_alcotest prop_checkpoint_crash_idempotent;
+        QCheck_alcotest.to_alcotest prop_fresh_pages_model;
       ] );
   ]

@@ -350,7 +350,7 @@ let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
 let roundtrip_request req =
   let r, w = Unix.pipe () in
   Server.Wire.write_request w req;
-  let got = Server.Wire.read_request r in
+  let got = Server.Wire.read_request (Server.Wire.reader r) in
   close_noerr w;
   close_noerr r;
   got
@@ -358,7 +358,7 @@ let roundtrip_request req =
 let roundtrip_reply reply =
   let r, w = Unix.pipe () in
   Server.Wire.write_reply w reply;
-  let got = Server.Wire.read_reply r in
+  let got = Server.Wire.read_reply (Server.Wire.reader r) in
   close_noerr w;
   close_noerr r;
   got

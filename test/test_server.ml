@@ -3,7 +3,7 @@
     concurrent clients get bit-identical answers to the sequential
     engine, deadlines and explicit cancels return [Cancelled] and free
     the worker, queue overflow returns [Overloaded], every request
-    produces a trace with queue-wait/plan/exec children, and shutdown
+    produces a trace with queue-wait/plan/exec/emit children, and shutdown
     drains cleanly. *)
 
 open Frepro
@@ -37,7 +37,7 @@ let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
 let roundtrip_request req =
   let r, w = Unix.pipe () in
   Server.Wire.write_request w req;
-  let got = Server.Wire.read_request r in
+  let got = Server.Wire.read_request (Server.Wire.reader r) in
   close_noerr w;
   close_noerr r;
   got
@@ -45,7 +45,7 @@ let roundtrip_request req =
 let roundtrip_reply reply =
   let r, w = Unix.pipe () in
   Server.Wire.write_reply w reply;
-  let got = Server.Wire.read_reply r in
+  let got = Server.Wire.read_reply (Server.Wire.reader r) in
   close_noerr w;
   close_noerr r;
   got
@@ -149,7 +149,7 @@ let wire_tests =
         assert (
           Unix.write w (Bytes.of_string raw) 0 (String.length raw)
           = String.length raw);
-        let got = Server.Wire.read_request r in
+        let got = Server.Wire.read_request (Server.Wire.reader r) in
         Alcotest.(check bool)
           "decodes with an empty request ID (server assigns)" true
           (got
@@ -177,7 +177,7 @@ let wire_tests =
         let hdr = Bytes.of_string "\xff\xff\xff\xff" in
         assert (Unix.write w hdr 0 4 = 4);
         (try
-           ignore (Server.Wire.read_reply r);
+           ignore (Server.Wire.read_reply (Server.Wire.reader r));
            Alcotest.fail "expected Protocol_error"
          with Server.Wire.Protocol_error _ -> ());
         close_noerr w;
@@ -188,7 +188,7 @@ let wire_tests =
         let r, w = Unix.pipe () in
         Unix.close w;
         (try
-           ignore (Server.Wire.read_reply r);
+           ignore (Server.Wire.read_reply (Server.Wire.reader r));
            Alcotest.fail "expected Connection_closed"
          with Server.Wire.Connection_closed -> ());
         close_noerr r;
@@ -197,7 +197,7 @@ let wire_tests =
         assert (Unix.write w (Bytes.of_string "\x00\x00") 0 2 = 2);
         Unix.close w;
         (try
-           ignore (Server.Wire.read_reply r);
+           ignore (Server.Wire.read_reply (Server.Wire.reader r));
            Alcotest.fail "expected Connection_closed"
          with Server.Wire.Connection_closed -> ());
         close_noerr r;
@@ -367,8 +367,9 @@ let raw_rev2_query ~port ~domains sql =
   Fun.protect ~finally:(fun () -> close_noerr fd) @@ fun () ->
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   assert (Unix.write fd raw 0 (Bytes.length raw) = Bytes.length raw);
+  let rd = Server.Wire.reader fd in
   let rec read rows =
-    match Server.Wire.read_reply fd with
+    match Server.Wire.read_reply rd with
     | Server.Wire.Header _ -> read rows
     | Server.Wire.Row { degree_bits; values } -> read ((values, degree_bits) :: rows)
     | Server.Wire.Done _ -> List.sort compare rows
@@ -489,7 +490,7 @@ let daemon_tests =
               (show_reply ra) (show_reply rb));
         List.iter Server.Client.close [ a; b; c ];
         Server.Daemon.stop daemon);
-    tc "every request produces a trace with queue-wait/plan/exec" `Quick
+    tc "every request produces a trace with queue-wait/plan/exec/emit" `Quick
       (fun () ->
         let traces = ref [] in
         let tlock = Mutex.create () in
@@ -521,7 +522,7 @@ let daemon_tests =
               (required ^ " span present")
               true
               (List.mem required !names))
-          [ "request"; "queue-wait"; "plan"; "exec" ];
+          [ "request"; "queue-wait"; "plan"; "exec"; "emit" ];
         Alcotest.(check bool)
           "engine operator spans nest under exec" true
           (List.mem "sort" !names || List.mem "sweep" !names);
@@ -598,6 +599,74 @@ let daemon_tests =
             | exception _ -> Server.Client.close c
             | Server.Client.Failed _ -> Server.Client.close c
             | _ -> Alcotest.fail "server answered after stop")));
+    tc "a 5,000-row answer arrives whole and in order; cancel still works" `Slow
+      (fun () ->
+        (* About 120 KB of rows: the daemon flushes its buffer once it
+           passes 64 KiB and sends the rest with [Done]. *)
+        let big_setup = Server.Demo.server_setup ~seed:3 ~n_r:2000 ~n_s:2000 ~n_t:5000 () in
+        let sql = "SELECT T.ID, T.W FROM T" in
+        let expected =
+          let env = Storage.Env.create () in
+          let catalog = Catalog.create env in
+          big_setup env catalog;
+          let answer =
+            Unnest.Planner.run
+              (Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper sql)
+          in
+          let rows = ref [] in
+          Relation.iter answer (fun t ->
+              rows :=
+                Server.Wire.Row
+                  {
+                    degree_bits = Int64.bits_of_float (Ftuple.degree t);
+                    values = List.init 2 (fun i -> Value.to_string (Ftuple.value t i));
+                  }
+                :: !rows);
+          List.rev !rows
+        in
+        Alcotest.(check int) "5,000 rows expected" 5000 (List.length expected);
+        let daemon = Server.Daemon.start ~workers:1 ~setup:big_setup () in
+        Fun.protect ~finally:(fun () -> Server.Daemon.stop daemon) @@ fun () ->
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Fun.protect ~finally:(fun () -> close_noerr fd) @@ fun () ->
+        Unix.connect fd
+          (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.Daemon.port daemon));
+        let rd = Server.Wire.reader fd in
+        let query sql =
+          Server.Wire.write_request fd
+            (Server.Wire.Query { request_id = ""; deadline_ms = 0; domains = 0; sql })
+        in
+        (* every frame up to and including the terminal one *)
+        let rec frames acc =
+          match Server.Wire.read_reply rd with
+          | (Server.Wire.Header _ | Server.Wire.Row _) as f -> frames (f :: acc)
+          | f -> List.rev (f :: acc)
+        in
+        query sql;
+        (match frames [] with
+        | Server.Wire.Header cols :: rest ->
+            Alcotest.(check (list string)) "header" [ "T.ID"; "T.W" ] cols;
+            let rows = List.filteri (fun i _ -> i < List.length rest - 1) rest in
+            Alcotest.(check int) "every row" 5000 (List.length rows);
+            Alcotest.(check bool) "rows in order, degree bits exact" true
+              (rows = expected);
+            (match List.nth rest (List.length rest - 1) with
+            | Server.Wire.Done { rows = 5000; _ } -> ()
+            | _ -> Alcotest.fail "expected Done { rows = 5000 } last")
+        | _ -> Alcotest.fail "expected the header first");
+        (* Mid-query cancel on the same connection: the nested loop runs
+           for seconds, so it is still executing when the cancel lands. *)
+        query slow_sql;
+        Thread.delay 0.05;
+        Server.Wire.write_request fd Server.Wire.Cancel;
+        (match frames [] with
+        | [ Server.Wire.Cancelled reason ] ->
+            Alcotest.(check bool) "cancelled by the client" true
+              (contains reason "client")
+        | fs -> Alcotest.failf "expected one Cancelled frame, got %d frames" (List.length fs));
+        (* and the connection still serves a whole answer *)
+        query sql;
+        Alcotest.(check int) "header + rows + Done" 5002 (List.length (frames [])));
     tc "a rev-2 frame's domains field does not change the answer" `Quick
       (fun () ->
         let daemon = Server.Daemon.start ~workers:1 ~setup () in
@@ -613,6 +682,177 @@ let daemon_tests =
               (name ^ ": same rows and degree bits at domains 0 and 4")
               true (zero = four))
           [ "J"; "chain" ]);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Buffered framing: the output buffer and the frame reader.           *)
+
+(* Every reply tag, a frame past the reader's 8 KiB buffer among them. *)
+let sample_replies =
+  [
+    Server.Wire.Header [ "NAME"; "AGE" ];
+    Server.Wire.Row
+      { degree_bits = Int64.bits_of_float 0.7000000000000001; values = [ "\"Ann\""; "35" ] };
+    Server.Wire.Row { degree_bits = 0L; values = [] };
+    Server.Wire.Done { rows = 2; elapsed_s = 0.0421 };
+    Server.Wire.Error "parse error: ...";
+    Server.Wire.Retryable "transient fault";
+    Server.Wire.Overloaded;
+    Server.Wire.Rejected { code = "FSQL002"; diagnostics = "error[FSQL002]" };
+    Server.Wire.Cancelled "deadline exceeded";
+    Server.Wire.Metrics_json (String.make 20_000 'm');
+    Server.Wire.Trace_json None;
+    Server.Wire.Trace_json (Some "{}");
+    Server.Wire.Top_text "fsqld top\n";
+    Server.Wire.Rep_hello
+      { epoch = 2; stream_id = 7L; page_size = 8192; snapshot = true; start_lsn = 16;
+        data_len = 4096 };
+    Server.Wire.Rep_chunk { kind = Server.Wire.Wal_chunk; off = 3; data = "abc" };
+    Server.Wire.Rep_wal { epoch = 2; start_lsn = 16; primary_end = 99; data = "" };
+    Server.Wire.Rep_fence { epoch = 3 };
+    Server.Wire.Promoted { epoch = 4 };
+  ]
+
+(* Everything [write] puts into a fresh socketpair, read back whole by a
+   second thread (a socket buffer holds less than a big frame). *)
+let bytes_written write =
+  let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let out = Buffer.create 4096 in
+  let drain =
+    Thread.create
+      (fun () ->
+        let b = Bytes.create 65536 in
+        let rec go () =
+          match Unix.read r b 0 65536 with
+          | 0 -> ()
+          | n ->
+              Buffer.add_subbytes out b 0 n;
+              go ()
+        in
+        go ())
+      ()
+  in
+  write w;
+  Unix.shutdown w Unix.SHUTDOWN_SEND;
+  Thread.join drain;
+  close_noerr w;
+  close_noerr r;
+  Buffer.contents out
+
+(* Decode every reply frame in [raw], fed to a reader through a
+   socketpair [chunk] bytes per write by a second thread. *)
+let replies_fed ~chunk raw n =
+  let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let feeder =
+    Thread.create
+      (fun () ->
+        let b = Bytes.of_string raw in
+        let rec go off =
+          if off < Bytes.length b then begin
+            let k = min chunk (Bytes.length b - off) in
+            let k = Unix.write w b off k in
+            go (off + k)
+          end
+        in
+        go 0;
+        Unix.shutdown w Unix.SHUTDOWN_SEND)
+      ()
+  in
+  let rd = Server.Wire.reader r in
+  let got = List.init n (fun _ -> Server.Wire.read_reply rd) in
+  let eof =
+    match Server.Wire.read_reply rd with
+    | _ -> false
+    | exception Server.Wire.Connection_closed -> true
+  in
+  Thread.join feeder;
+  close_noerr w;
+  close_noerr r;
+  (got, eof)
+
+let framing_tests =
+  [
+    tc "a coalesced reply sequence is the concatenation of per-frame writes"
+      `Quick (fun () ->
+        let coalesced =
+          bytes_written (fun fd ->
+              let w = Server.Wire.writer () in
+              List.iter (Server.Wire.add_reply w) sample_replies;
+              Server.Wire.flush w fd;
+              Alcotest.(check int) "flush empties the buffer" 0
+                (Server.Wire.pending w))
+        in
+        let per_frame =
+          bytes_written (fun fd -> List.iter (Server.Wire.write_reply fd) sample_replies)
+        in
+        Alcotest.(check int) "same length" (String.length per_frame)
+          (String.length coalesced);
+        Alcotest.(check bool) "byte for byte" true (coalesced = per_frame);
+        (* an encoder that raises leaves no partial frame behind *)
+        let w = Server.Wire.writer () in
+        Server.Wire.add_reply w Server.Wire.Overloaded;
+        (match Server.Wire.add_reply w (Server.Wire.Done { rows = -1; elapsed_s = 0. }) with
+        | () -> Alcotest.fail "expected Invalid_argument"
+        | exception Invalid_argument _ -> ());
+        Alcotest.(check int) "only the first frame is buffered" 5
+          (Server.Wire.pending w));
+    tc "frames decode the same fed 1 byte per write and many per read" `Quick
+      (fun () ->
+        (* past the sample, ~20 KB of small frames: frames straddle the
+           reader's buffer end many times over *)
+        let stream =
+          sample_replies
+          @ List.init 1000 (fun i ->
+                Server.Wire.Row { degree_bits = Int64.of_int i; values = [ string_of_int i ] })
+        in
+        let raw =
+          bytes_written (fun fd -> List.iter (Server.Wire.write_reply fd) stream)
+        in
+        let n = List.length stream in
+        List.iter
+          (fun chunk ->
+            let got, eof = replies_fed ~chunk raw n in
+            Alcotest.(check bool)
+              (Printf.sprintf "%d-byte writes: every frame decodes" chunk)
+              true (got = stream);
+            Alcotest.(check bool)
+              (Printf.sprintf "%d-byte writes: EOF after the last frame" chunk)
+              true eof)
+          [ 1; 3; 4096; String.length raw ];
+        (* EOF inside a frame's payload, not just its header *)
+        let cut = String.sub raw 0 (String.length raw - 1) in
+        match replies_fed ~chunk:4096 cut (n - 1) with
+        | _, true -> ()
+        | _, false -> Alcotest.fail "a truncated last frame must not decode");
+    tc "a 1 MiB Rep_chunk frame decodes" `Quick (fun () ->
+        let data = String.init (1 lsl 20) (fun i -> Char.chr (i * 7 land 0xff)) in
+        let big = Server.Wire.Rep_chunk { kind = Server.Wire.Data_chunk; off = 8192; data } in
+        let seq = [ Server.Wire.Overloaded; big; Server.Wire.Promoted { epoch = 1 } ] in
+        let raw = bytes_written (fun fd -> List.iter (Server.Wire.write_reply fd) seq) in
+        let got, eof = replies_fed ~chunk:65536 raw 3 in
+        Alcotest.(check bool) "small, 1 MiB, small" true (got = seq);
+        Alcotest.(check bool) "then EOF" true eof);
+    tc "an oversized length raises Protocol_error before allocating" `Quick
+      (fun () ->
+        List.iter
+          (fun hdr ->
+            let r, w = Unix.pipe () in
+            let rd = Server.Wire.reader r in
+            assert (Unix.write_substring w hdr 0 4 = 4);
+            let before = Gc.minor_words () +. (Gc.quick_stat ()).Gc.major_words in
+            (match Server.Wire.read_reply rd with
+            | _ -> Alcotest.fail "expected Protocol_error"
+            | exception Server.Wire.Protocol_error _ -> ());
+            let after = Gc.minor_words () +. (Gc.quick_stat ()).Gc.major_words in
+            (* a few words for the exception and the counters themselves;
+               the frame would have been 8 M words *)
+            Alcotest.(check bool)
+              (Printf.sprintf "allocated %.0f words" (after -. before))
+              true
+              (after -. before < 256.);
+            close_noerr w;
+            close_noerr r)
+          [ "\xff\xff\xff\xff"; "\x04\x00\x00\x01" (* max_frame + 1 *) ]);
   ]
 
 (* Every data socket runs without Nagle: a small reply frame would
@@ -645,7 +885,7 @@ let nodelay_tests =
 
 let suites =
   [
-    ("server wire", wire_tests @ nodelay_tests);
+    ("server wire", wire_tests @ framing_tests @ nodelay_tests);
     ("server queue", queue_tests);
     ("server daemon", daemon_tests);
   ]

@@ -67,6 +67,34 @@ let pool_tests =
            with Buffer_pool.All_frames_pinned { capacity = 1; _ } -> true);
         Buffer_pool.unpin pool p1;
         ignore (Buffer_pool.read pool p2));
+    tc "a fresh page is installed zeroed, with no read, over a stale frame"
+      `Quick (fun () ->
+        let stats = Iostats.create () in
+        let disk = Sim_disk.create ~page_size:16 stats in
+        let pool = Buffer_pool.create (Disk.sim disk) ~capacity:2 in
+        let p = Sim_disk.alloc disk in
+        Buffer_pool.install_fresh pool p;
+        Alcotest.(check int) "no read" 0 (Iostats.page_reads stats);
+        Alcotest.(check int) "not a lookup" 0 (Buffer_pool.hits pool + Buffer_pool.misses pool);
+        Alcotest.(check bytes) "zeroes" (Bytes.make 16 '\000') (Buffer_pool.read pool p);
+        (* the page's owner writes it and frees it; the id comes back *)
+        Buffer_pool.with_write pool p (fun b -> Bytes.fill b 0 16 'x');
+        Sim_disk.free disk [ p ];
+        let p' = Sim_disk.alloc disk in
+        Alcotest.(check int) "same id recycled" p p';
+        Buffer_pool.install_fresh pool p';
+        Alcotest.(check bytes) "the stale frame is replaced" (Bytes.make 16 '\000')
+          (Buffer_pool.read pool p');
+        Buffer_pool.flush pool;
+        Alcotest.(check int) "nothing written back for it" 0 (Iostats.page_writes stats);
+        Alcotest.(check int) "still no read" 0 (Iostats.page_reads stats);
+        (* a full pool makes room like a miss, writing a dirty victim back *)
+        let q = Sim_disk.alloc disk and r = Sim_disk.alloc disk in
+        Buffer_pool.with_write pool q (fun b -> Bytes.set b 0 'q');
+        Buffer_pool.install_fresh pool r;
+        Buffer_pool.install_fresh pool (Sim_disk.alloc disk);
+        Alcotest.(check int) "one write-back" 1 (Iostats.page_writes stats);
+        Alcotest.(check char) "victim on disk" 'q' (Bytes.get (Sim_disk.read disk q) 0));
     tc "sequential scan misses once per page" `Quick (fun () ->
         let stats = Iostats.create () in
         let disk = Sim_disk.create ~page_size:16 stats in
