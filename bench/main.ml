@@ -4,7 +4,7 @@
     Usage: [bench/main.exe [targets] [--full] [--scale N] [--io-latency S]
     [--seed N] [--clients L] [--queries N]
     [--trace PATH]] where targets are any of [table1 table2 table3 table4
-    fig3 fig1 ablation chain load chaos micro kernels
+    fig3 fig1 ablation chain load chaos micro kernels alloc
     telemetry wal recovery failover all] (default: all). [wal] measures WAL
     commit throughput per sync mode and redo-restart time vs log length.
     [chaos], [recovery] and [failover] are the three fault sources of the
@@ -13,7 +13,9 @@
     durable writer then recovery, and SIGKILL of a semi-sync primary then
     replica promotion and fencing. One verdict checks them all and a FAIL
     makes the run exit non-zero; see {!Chaos}. [kernels] times the
-    vectorized inner loops standalone. [--trace PATH]
+    vectorized inner loops standalone. [alloc] counts the minor-heap words
+    of one join-large-shaped type J query (exact in native code; run it
+    with [--seed 1] for join-large's data). [--trace PATH]
     additionally runs the 3-block chain query under the span collector and
     writes a Chrome trace_event file to PATH (bare [--trace PATH] runs only
     that). The [load] target runs closed-loop clients against an in-process
@@ -752,6 +754,86 @@ let kernels cfg =
   note "@.(window sweep examined %d pairs over %d outer rows)@." !pairs rows
 
 (* ------------------------------------------------------------------ *)
+(* Allocation: the minor-heap words of one type J query of the          *)
+(* join-large shape (2 x 32768 tuples x 128 B, C = 7, a 64-page pool).  *)
+(* In native code the count is exact and repeats run to run, so it is   *)
+(* gated like the page I/Os; the traced run splits it over the spans.   *)
+(* ------------------------------------------------------------------ *)
+
+let alloc_bench cfg =
+  section "Allocation - minor-heap words of one join-large type J query";
+  let pool_pages = 64 and n = 32768 in
+  let env = Storage.Env.create ~pool_pages () in
+  let spec =
+    { Workload.Gen.default_spec with n; tuple_bytes = 128; groups = n / 7 }
+  in
+  let r, s = Workload.Gen.join_pair env ~seed:cfg.seed ~outer:spec ~inner:spec in
+  let catalog = Relational.Catalog.create env in
+  Relational.Catalog.add catalog r;
+  Relational.Catalog.add catalog s;
+  let q = Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper bench_sql in
+  let stats = env.Storage.Env.stats in
+  let run ?trace () =
+    Storage.Env.reset_stats env;
+    let w0 = Gc.minor_words () in
+    let answer = Unnest.Planner.run ~mem_pages:pool_pages ?trace q in
+    let words = int_of_float (Gc.minor_words () -. w0) in
+    let counters =
+      ( words,
+        Storage.Iostats.total_ios stats,
+        Storage.Iostats.comparisons stats,
+        Storage.Iostats.fuzzy_ops stats,
+        Relational.Relation.cardinality answer,
+        answer_checksum answer )
+    in
+    Relational.Relation.destroy answer;
+    counters
+  in
+  (* The first query also builds what is built once per process. *)
+  ignore (run ());
+  let ((words, ios, cmps, fuzzy, size, sum) as first) = run () in
+  if run () <> first then failwith "alloc bench: two runs of one query differ";
+  let trace = Storage.Trace.create () in
+  ignore (run ~trace ());
+  (* The root's direct children, summed by name (the sweep has a span per
+     outer batch). *)
+  let by_name = Hashtbl.create 8 and order = ref [] in
+  let line name (k, w, c) =
+    note "%-12s %10d words %10d comparisons%s@." name w c
+      (if k > 1 then Printf.sprintf " in %d spans" k else "")
+  in
+  List.iter
+    (fun root ->
+      List.iter
+        (fun sp ->
+          let name = "  " ^ Storage.Trace.span_name sp in
+          let k, w, c =
+            Option.value (Hashtbl.find_opt by_name name) ~default:(0, 0, 0)
+          in
+          if k = 0 then order := name :: !order;
+          Hashtbl.replace by_name name
+            ( k + 1,
+              w + Storage.Trace.span_minor_words sp,
+              c + Storage.Trace.span_compares sp ))
+        (Storage.Trace.span_children root);
+      line (Storage.Trace.span_name root)
+        (1, Storage.Trace.span_minor_words root, Storage.Trace.span_compares root);
+      List.iter (fun name -> line name (Hashtbl.find by_name name)) (List.rev !order))
+    (Storage.Trace.roots trace);
+  note "seed %d: %d minor words per query (%.1f per input tuple), %d page I/Os,@."
+    cfg.seed words
+    (float_of_int words /. float_of_int (2 * n))
+    ios;
+  note "%d comparisons, %d fuzzy ops, %d answer tuples, checksum %s@." cmps fuzzy
+    size sum;
+  record "alloc"
+    [
+      ("cell", Text "join-large"); ("seed", Int cfg.seed);
+      ("minor_words", Int words); ("ios", Int ios); ("comparisons", Int cmps);
+      ("fuzzy_ops", Int fuzzy); ("answer_size", Int size); ("checksum", Text sum);
+    ]
+
+(* ------------------------------------------------------------------ *)
 
 let all_targets =
   [
@@ -759,7 +841,7 @@ let all_targets =
     ("table4", table4); ("fig3", fig3); ("fig1", fig1); ("ablation", ablation);
     ("chain", chain_bench);
     ("load", load_bench); ("chaos", Chaos.run Chaos.Fault_plane);
-    ("micro", micro); ("kernels", kernels);
+    ("micro", micro); ("kernels", kernels); ("alloc", alloc_bench);
     ("telemetry", telemetry_bench); ("wal", Wal_bench.run);
     ("recovery", Chaos.run Chaos.Crash); ("failover", Chaos.run Chaos.Failover);
   ]

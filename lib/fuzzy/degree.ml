@@ -8,13 +8,13 @@ let of_float d =
   Float.max 0.0 (Float.min 1.0 d)
 
 let is_valid d = (not (Float.is_nan d)) && 0.0 <= d && d <= 1.0
-let conj a b = Float.min a b
-let disj a b = Float.max a b
-let neg d = 1.0 -. d
+let[@inline] conj a b = Float.min a b
+let[@inline] disj a b = Float.max a b
+let[@inline] neg d = 1.0 -. d
 let conj_list l = List.fold_left conj one l
 let disj_list l = List.fold_left disj zero l
 let meets_threshold ~threshold d = d >= threshold
-let positive d = d > 0.0
+let[@inline] positive d = d > 0.0
 let equal ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps
 let compare = Float.compare
 let pp ppf d = Format.fprintf ppf "%.4g" d

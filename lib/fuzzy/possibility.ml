@@ -1,7 +1,7 @@
 type t = Trap of Trapezoid.t | Discrete of (float * Degree.t) list
 
 let trap tr = Trap tr
-let crisp v = Trap (Trapezoid.crisp v)
+let[@inline] crisp v = Trap (Trapezoid.crisp v)
 let triangle a peak d = Trap (Trapezoid.triangle a peak d)
 let about v ~spread = Trap (Trapezoid.about v ~spread)
 

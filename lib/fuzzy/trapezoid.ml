@@ -1,12 +1,16 @@
 type t = { a : float; b : float; c : float; d : float }
 
-let make a b c d =
+(* Out of line, so [make] stays small enough to inline and its bounds
+   need no boxing on the valid path. *)
+let unordered a b c d =
+  invalid_arg
+    (Printf.sprintf "Trapezoid.make: need a <= b <= c <= d, got (%g,%g,%g,%g)"
+       a b c d)
+
+let[@inline] make a b c d =
   if Float.is_nan a || Float.is_nan b || Float.is_nan c || Float.is_nan d then
     invalid_arg "Trapezoid.make: NaN bound";
-  if not (a <= b && b <= c && c <= d) then
-    invalid_arg
-      (Printf.sprintf "Trapezoid.make: need a <= b <= c <= d, got (%g,%g,%g,%g)"
-         a b c d);
+  if not (a <= b && b <= c && c <= d) then unordered a b c d;
   { a; b; c; d }
 
 let triangle a peak d = make a peak peak d
@@ -15,7 +19,7 @@ let about v ~spread =
   if spread < 0.0 then invalid_arg "Trapezoid.about: negative spread";
   triangle (v -. spread) v (v +. spread)
 
-let crisp v = make v v v v
+let[@inline] crisp v = make v v v v
 let is_crisp t = t.a = t.d
 let support t = Interval.make t.a t.d
 let core t = Interval.make t.b t.c

@@ -104,6 +104,21 @@ let suggest_term ctx s =
     (fun t -> Printf.sprintf "did you mean %S?" (prefix ^ t))
     (Diagnostic.suggest ~candidates:(Fuzzy.Term.names ctx.terms) base)
 
+(* The constructors validate a literal (ordered trapezoid bounds, a
+   non-negative spread, a positive-degree point); a literal they refuse is
+   the query's error, not the server's. *)
+let fuzzy_literal ctx ~span make =
+  match make () with
+  | p -> Some (Value.Fuzzy p)
+  | exception Invalid_argument msg ->
+      let reason =
+        match String.index_opt msg ':' with
+        | Some i -> String.trim (String.sub msg (i + 1) (String.length msg - i - 1))
+        | None -> msg
+      in
+      err ctx ~code:"FSQL028" ~span "malformed fuzzy literal: %s" reason;
+      None
+
 let resolve_const ctx ~expected ~span c =
   match (c, expected) with
   | Ast.Num f, Some Schema.TStr ->
@@ -127,10 +142,14 @@ let resolve_const ctx ~expected ~span c =
       err ctx ~code:"FSQL022" ~span "fuzzy literal compared with a string attribute";
       None
   | Ast.Trap (a, b, c, d), _ ->
-      Some (Value.Fuzzy (Fuzzy.Possibility.trap (Fuzzy.Trapezoid.make a b c d)))
-  | Ast.Tri (a, p, d), _ -> Some (Value.Fuzzy (Fuzzy.Possibility.triangle a p d))
-  | Ast.About (v, spread), _ -> Some (Value.Fuzzy (Fuzzy.Possibility.about v ~spread))
-  | Ast.Discrete pts, _ -> Some (Value.Fuzzy (Fuzzy.Possibility.discrete pts))
+      fuzzy_literal ctx ~span (fun () ->
+          Fuzzy.Possibility.trap (Fuzzy.Trapezoid.make a b c d))
+  | Ast.Tri (a, p, d), _ ->
+      fuzzy_literal ctx ~span (fun () -> Fuzzy.Possibility.triangle a p d)
+  | Ast.About (v, spread), _ ->
+      fuzzy_literal ctx ~span (fun () -> Fuzzy.Possibility.about v ~spread)
+  | Ast.Discrete pts, _ ->
+      fuzzy_literal ctx ~span (fun () -> Fuzzy.Possibility.discrete pts)
 
 let rec bind_query ctx ~outer (q : Ast.query) : Bound.query option =
   if q.Ast.select = [] then

@@ -81,6 +81,7 @@ let code_table =
     ("FSQL025", Diagnostic.Error, "negative LIMIT");
     ("FSQL026", Diagnostic.Error, "HAVING aggregate not of this block");
     ("FSQL027", Diagnostic.Error, "unsupported HAVING form");
+    ("FSQL028", Diagnostic.Error, "malformed fuzzy literal");
     ("FSQL030", Diagnostic.Warning, "support disjoint from loaded domain");
     ("FSQL031", Diagnostic.Warning, "threshold above maximum membership height");
     ("FSQL032", Diagnostic.Warning, "contradictory conjunction");

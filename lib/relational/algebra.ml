@@ -21,18 +21,30 @@ let select ?name r ~pred =
 (* The max-fold: tuples equal under [Ftuple.compare_values] collapse into
    the first one added, carrying the max degree. Tuples are kept encoded
    ({!Codec.encode_into}), back to back in one byte buffer, with their
-   degrees in an unboxed column. So a query's answer occupies a few large
-   blocks rather than tens of thousands of small ones promoted among the
-   sweep's short-lived garbage, which would keep that garbage's heap pages
-   resident (join-large's peak RSS was 4.5 MB higher with decoded tuples
-   kept here).
+   degrees, hashes and order keys in unboxed columns. So a query's answer
+   occupies a few large blocks rather than tens of thousands of small ones
+   promoted among the sweep's short-lived garbage, which would keep that
+   garbage's heap pages resident (join-large's peak RSS was 4.5 MB higher
+   with decoded tuples kept here).
 
-   Added tuples form an unsorted tail after a sorted, distinct prefix.
-   Once the tail reaches the prefix's size, both are decoded, the tail is
-   stably sorted and merged after the prefix (the prefix wins ties, so the
-   earliest tuple leads each run of equals), and each run is folded into
-   its leader in a fresh buffer: the buffer holds at most about twice the
-   distinct tuples. *)
+   An added tuple finds its class through an open-addressed hash index
+   (linear probing, at most half full). The hash agrees with
+   [compare_values]: a number hashes by its float value, so [Int 3], a
+   crisp [3.0] and a discrete [{1/3}] collide, and -0.0 hashes as 0.0. A
+   probe whose hash matches is settled by the encodings when they are
+   equal byte for byte (degrees aside), and by decoding the entry and
+   calling [compare_values] otherwise.
+
+   All tuples of one accumulator have one arity, so [compare_values]
+   never decides by arity. The distinct entries are sorted only when the
+   answer is read out ([to_relation], [contents]): by a float key of the
+   first value that [compare_values] never contradicts (strings first,
+   numbers by their lowest support point, discrete distributions last),
+   and within a run of equal keys by [compare_values] on the decoded
+   entries. The order is exactly [compare_values] order wherever that is
+   a total order; a one-point distribution at degree 1 beside numbers
+   makes it intransitive (it equals its number but sorts after every
+   trapezoid), and then no order agrees with it. *)
 module Max_fold = struct
   type t = {
     enc : Buffer.t;  (** reused to encode each added tuple *)
@@ -40,8 +52,13 @@ module Max_fold = struct
     mutable used : int;  (** bytes of [blob] in use *)
     mutable off : int array;  (** entry [i] is encoded at [blob.(off.(i))] *)
     mutable deg : float array;  (** its folded degree *)
+    mutable hash : int array;
+    mutable key : float array;  (** its order key ([order_key]) *)
     mutable n : int;
-    mutable sorted : int;  (** entries [0 .. sorted-1] are sorted, distinct *)
+    mutable arity : int;  (** of every entry *)
+    mutable slots : int array;
+        (** the index: entry + 1 per used slot, 0 for a free one; a power
+            of two, more than twice [n] *)
   }
 
   let create () =
@@ -51,107 +68,180 @@ module Max_fold = struct
       used = 0;
       off = [||];
       deg = [||];
+      hash = [||];
+      key = [||];
       n = 0;
-      sorted = 0;
+      arity = 0;
+      slots = Array.make 16 0;
     }
 
   (* Entries are contiguous in [blob], in entry order. *)
   let length t i = (if i + 1 < t.n then t.off.(i + 1) else t.used) - t.off.(i)
   let decode t i = Codec.decode_at t.blob t.off.(i)
 
-  let compact t =
-    if t.n > t.sorted then begin
-      let np = t.sorted and nt = t.n - t.sorted in
-      let tail = Array.init nt (fun k -> decode t (np + k)) in
-      let order = Array.init nt Fun.id in
-      Array.stable_sort
-        (fun a b -> Ftuple.compare_values tail.(a) tail.(b))
-        order;
-      let blob = Bytes.create t.used in
-      let off = Array.make t.n 0 and deg = Array.make t.n 0.0 in
-      let k = ref 0 and used = ref 0 and last = ref (Ftuple.make [||] 0.0) in
-      let put i x =
-        if !k > 0 && Ftuple.compare_values !last x = 0 then
-          deg.(!k - 1) <- Degree.disj deg.(!k - 1) t.deg.(i)
-        else begin
-          let len = length t i in
-          Bytes.blit t.blob t.off.(i) blob !used len;
-          off.(!k) <- !used;
-          deg.(!k) <- t.deg.(i);
-          used := !used + len;
-          incr k;
-          last := x
-        end
-      in
-      (* The prefix is decoded one entry at a time as the merge reaches
-         it, so its decoded tuples die young. *)
-      let i = ref 0 and j = ref 0 in
-      let head = ref (if np > 0 then decode t 0 else !last) in
-      while !i < np || !j < nt do
-        if
-          !j >= nt
-          || (!i < np && Ftuple.compare_values !head tail.(order.(!j)) <= 0)
-        then begin
-          put !i !head;
-          incr i;
-          if !i < np then head := decode t !i
-        end
-        else begin
-          put (np + order.(!j)) tail.(order.(!j));
-          incr j
-        end
+  let[@inline] mix h =
+    let h = (h lxor (h lsr 31)) * 0x2545F4914F6CDD1D in
+    h lxor (h lsr 29)
+
+  (* -0.0 = 0.0, so both hash as 0.0. *)
+  let[@inline] float_hash (x : float) =
+    mix (if x = 0.0 then 0 else Int64.to_int (Int64.bits_of_float x))
+
+  let value_hash = function
+    | Value.Int i -> float_hash (float_of_int i)
+    | Value.Str s -> Hashtbl.hash s
+    | Value.Fuzzy (Possibility.Trap tr) ->
+        if tr.Trapezoid.a = tr.Trapezoid.d then float_hash tr.Trapezoid.a
+        else
+          mix
+            (float_hash tr.Trapezoid.a
+            + (3 * float_hash tr.Trapezoid.b)
+            + (5 * float_hash tr.Trapezoid.c)
+            + (7 * float_hash tr.Trapezoid.d))
+    | Value.Fuzzy (Possibility.Discrete [ (v, 1.0) ]) -> float_hash v
+    | Value.Fuzzy (Possibility.Discrete pts) ->
+        List.fold_left
+          (fun h (v, d) -> mix (h + float_hash v + (3 * float_hash d)))
+          1 pts
+
+  let tuple_hash (tup : Ftuple.t) =
+    let vs = tup.Ftuple.values in
+    let h = ref (Array.length vs) in
+    for i = 0 to Array.length vs - 1 do
+      h := mix (!h + value_hash vs.(i))
+    done;
+    !h
+
+  (* Non-decreasing along [compare_values] (for tuples of one arity). *)
+  let order_key (tup : Ftuple.t) =
+    if Array.length tup.Ftuple.values = 0 then 0.0
+    else
+      match tup.Ftuple.values.(0) with
+      | Value.Str _ -> neg_infinity
+      | Value.Int i -> float_of_int i
+      | Value.Fuzzy (Possibility.Trap tr) -> tr.Trapezoid.a
+      | Value.Fuzzy (Possibility.Discrete _) -> infinity
+
+  (* Whether [len] bytes at [blob.(pos)] encode the values of entry [i]:
+     the encodings agree except for the trailing 8-byte degree, or they
+     differ but decode to [compare_values]-equal tuples. *)
+  let same_values t i tup pos len =
+    let o = t.off.(i) in
+    let k = ref 0 in
+    if length t i = len then
+      while !k < len - 8 && Bytes.get t.blob (o + !k) = Bytes.get t.blob (pos + !k) do
+        incr k
       done;
-      t.blob <- blob;
-      t.used <- !used;
-      t.off <- off;
-      t.deg <- deg;
-      t.n <- !k;
-      t.sorted <- !k
-    end
+    (length t i = len && !k >= len - 8)
+    || Ftuple.compare_values (decode t i) tup = 0
+
+  let grow_entries t =
+    let cap = Int.max 16 (2 * t.n) in
+    let extend a z =
+      let b = Array.make cap z in
+      Array.blit a 0 b 0 t.n;
+      b
+    in
+    t.off <- extend t.off 0;
+    t.deg <- extend t.deg 0.0;
+    t.hash <- extend t.hash 0;
+    t.key <- extend t.key 0.0
+
+  let grow_index t =
+    let slots = Array.make (2 * Array.length t.slots) 0 in
+    let mask = Array.length slots - 1 in
+    for i = 0 to t.n - 1 do
+      let s = ref (t.hash.(i) land mask) in
+      while slots.(!s) <> 0 do
+        s := (!s + 1) land mask
+      done;
+      slots.(!s) <- i + 1
+    done;
+    t.slots <- slots
 
   let add t tup =
-    if t.n = Array.length t.off then begin
-      let cap = Int.max 16 (2 * t.n) in
-      let off = Array.make cap 0 and deg = Array.make cap 0.0 in
-      Array.blit t.off 0 off 0 t.n;
-      Array.blit t.deg 0 deg 0 t.n;
-      t.off <- off;
-      t.deg <- deg
-    end;
+    let arity = Array.length tup.Ftuple.values in
+    if t.n = 0 then t.arity <- arity
+    else if arity <> t.arity then invalid_arg "Algebra.Max_fold.add: arity differs";
     Buffer.clear t.enc;
     Codec.encode_into t.enc tup;
     let len = Buffer.length t.enc in
+    (* Stage the encoding past the used bytes; it is kept only if new. *)
     if t.used + len > Bytes.length t.blob then begin
       let blob = Bytes.create (Int.max 1024 (2 * (t.used + len))) in
       Bytes.blit t.blob 0 blob 0 t.used;
       t.blob <- blob
     end;
     Buffer.blit t.enc 0 t.blob t.used len;
-    t.off.(t.n) <- t.used;
-    t.deg.(t.n) <- Ftuple.degree tup;
-    t.used <- t.used + len;
-    t.n <- t.n + 1;
-    if t.n - t.sorted >= Int.max 1024 t.sorted then compact t
+    let h = tuple_hash tup in
+    let mask = Array.length t.slots - 1 in
+    let s = ref (h land mask) and found = ref (-1) in
+    while !found < 0 && t.slots.(!s) <> 0 do
+      let e = t.slots.(!s) - 1 in
+      if t.hash.(e) = h && same_values t e tup t.used len then found := e
+      else s := (!s + 1) land mask
+    done;
+    if !found >= 0 then
+      t.deg.(!found) <- Degree.disj t.deg.(!found) (Ftuple.degree tup)
+    else begin
+      if t.n = Array.length t.off then grow_entries t;
+      let i = t.n in
+      t.off.(i) <- t.used;
+      t.deg.(i) <- Ftuple.degree tup;
+      t.hash.(i) <- h;
+      t.key.(i) <- order_key tup;
+      t.used <- t.used + len;
+      t.n <- i + 1;
+      t.slots.(!s) <- i + 1;
+      if 2 * t.n >= Array.length t.slots then grow_index t
+    end
 
-  (* The distinct tuples in [compare_values] order. *)
+  (* The entries in [compare_values] order: sorted by key, then each run
+     of equal keys by [compare_values] on its decoded entries (a run is
+     decoded once). *)
+  let order t =
+    let n = t.n and key = t.key in
+    let perm, _ = Storage.External_sort.sort_index (Array.sub key 0 n) (Array.make n 0.0) in
+    let k = ref 0 in
+    while !k < n do
+      let first = !k in
+      incr k;
+      while !k < n && key.(perm.(!k)) = key.(perm.(first)) do
+        incr k
+      done;
+      if !k - first > 1 then begin
+        let run =
+          Array.init (!k - first) (fun j ->
+              let e = perm.(first + j) in
+              (e, decode t e))
+        in
+        Array.stable_sort (fun (_, x) (_, y) -> Ftuple.compare_values x y) run;
+        Array.iteri (fun j (e, _) -> perm.(first + j) <- e) run
+      end
+    done;
+    perm
+
   let contents t =
-    compact t;
-    Array.init t.n (fun i -> Ftuple.with_degree (decode t i) t.deg.(i))
+    Array.map (fun i -> Ftuple.with_degree (decode t i) t.deg.(i)) (order t)
 
   let to_relation ?name t env schema =
     let schema =
       match name with Some n -> Schema.with_name schema n | None -> schema
     in
     let out = Relation.create env schema in
-    compact t;
+    let perm = order t in
     (* Each encoding is written as it is, its degree field set to the
-       folded degree: no re-encode. *)
-    for i = 0 to t.n - 1 do
-      let len = length t i in
-      let b = Bytes.sub t.blob t.off.(i) len in
-      Bytes.set_int64_le b (len - 8) (Int64.bits_of_float t.deg.(i));
-      Storage.Heap_file.append (Relation.file out) b
+       folded degree first: no re-encode, and a page per pool write. *)
+    let offs = Array.make t.n 0 and lens = Array.make t.n 0 in
+    for k = 0 to t.n - 1 do
+      let i = perm.(k) in
+      let off = t.off.(i) and len = length t i in
+      Bytes.set_int64_le t.blob (off + len - 8) (Int64.bits_of_float t.deg.(i));
+      offs.(k) <- off;
+      lens.(k) <- len
     done;
+    Storage.Heap_file.append_many (Relation.file out)
+      (Array.make t.n t.blob) offs lens t.n;
     out
 end
 

@@ -22,23 +22,33 @@ val project_positions : ?name:string -> Relation.t -> int list -> Relation.t
     accumulator per query, fed straight off the operator that produces
     the tuples, so no pre-dedup relation is written. Tuples equal under
     {!Ftuple.compare_values} collapse into the first one added, carrying
-    the max degree of the group. The answer is written in
-    [compare_values] order; [LIMIT] without [ORDER BY] and wire row order
-    depend on it. Memory stays within about twice the distinct tuples.
-    An accumulator is a plain value with no shared state: concurrent
-    queries each use their own. *)
+    the max degree of the group.
+
+    An added tuple finds its group through an open-addressed hash index
+    whose hash agrees with [compare_values] ([Int 3] and a crisp [3.0]
+    hash alike, -0.0 as 0.0); the distinct tuples are sorted only when
+    the answer is read out, and they come out in [compare_values] order
+    ([LIMIT] without [ORDER BY] and wire row order depend on it).
+
+    Memory: the distinct tuples' encodings in one buffer grown by
+    doubling (at most twice their size), plus four words of columns per
+    distinct tuple (also grown by doubling) and an index of at most four
+    words per distinct tuple. An accumulator is a plain value with no
+    shared state: concurrent queries each use their own. *)
 module Max_fold : sig
   type t
 
   val create : unit -> t
 
   val add : t -> Ftuple.t -> unit
-  (** The caller drops tuples of degree 0 (they are not members). *)
+  (** The caller drops tuples of degree 0 (they are not members).
+      @raise Invalid_argument if the tuple's arity differs from the
+      first tuple's. *)
 
   val to_relation : ?name:string -> t -> Storage.Env.t -> Schema.t -> Relation.t
   (** Write the folded tuples, in [compare_values] order, into a new
-      temporary relation (renamed by [?name]). The accumulator may keep
-      being fed afterwards. *)
+      temporary relation (renamed by [?name]), a page per buffer-pool
+      write. The accumulator may keep being fed afterwards. *)
 end
 
 val dedup_max : ?name:string -> Relation.t -> Relation.t

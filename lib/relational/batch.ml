@@ -40,25 +40,30 @@ let make_col n =
 let set_col c i v =
   (* The support bounds drive the ⪯ window sweep for every value kind,
      exactly like [Value.support] (strings hash to a point, so they sort and
-     window identically). *)
-  let s = Value.support v in
-  c.lo.(i) <- Interval.lo s;
-  c.hi.(i) <- Interval.hi s;
+     window identically); numbers and trapezoids read them off directly,
+     with no interval built. *)
   match v with
   | Value.Int k ->
       let f = float_of_int k in
+      c.lo.(i) <- f;
+      c.hi.(i) <- f;
       c.ta.(i) <- f;
       c.tb.(i) <- f;
       c.tc.(i) <- f;
       c.td.(i) <- f;
       Bytes.set c.ok i '\001'
   | Value.Fuzzy (Possibility.Trap tr) ->
+      c.lo.(i) <- tr.Trapezoid.a;
+      c.hi.(i) <- tr.Trapezoid.d;
       c.ta.(i) <- tr.Trapezoid.a;
       c.tb.(i) <- tr.Trapezoid.b;
       c.tc.(i) <- tr.Trapezoid.c;
       c.td.(i) <- tr.Trapezoid.d;
       Bytes.set c.ok i '\001'
-  | Value.Fuzzy (Possibility.Discrete _) | Value.Str _ -> ()
+  | Value.Fuzzy (Possibility.Discrete _) | Value.Str _ ->
+      let s = Value.support v in
+      c.lo.(i) <- Interval.lo s;
+      c.hi.(i) <- Interval.hi s
 
 let col t attr =
   match List.assoc_opt attr t.cols with

@@ -68,103 +68,92 @@ let encoded_size t = Bytes.length (encode t)
 let get_u16 buf off = Bytes.get_uint8 buf off lor (Bytes.get_uint8 buf (off + 1) lsl 8)
 let get_f64 buf off = Int64.float_of_bits (Bytes.get_int64_le buf off)
 
+(* Offset just past the value whose tag is at [off]. *)
+let skip_value buf off =
+  match Bytes.get_uint8 buf off with
+  | 0 | 2 -> off + 9
+  | 1 -> off + 3 + get_u16 buf (off + 1)
+  | 3 -> off + 33
+  | 4 -> off + 3 + (16 * get_u16 buf (off + 1))
+  | t -> invalid_arg (Printf.sprintf "Codec.decode: bad tag %d" t)
+
+let value_at buf off =
+  match Bytes.get_uint8 buf off with
+  | 0 -> Value.Int (Int64.to_int (Bytes.get_int64_le buf (off + 1)))
+  | 1 -> Value.Str (Bytes.sub_string buf (off + 3) (get_u16 buf (off + 1)))
+  | 2 -> Value.Fuzzy (Possibility.crisp (get_f64 buf (off + 1)))
+  | 3 ->
+      Value.Fuzzy
+        (Possibility.trap
+           (Trapezoid.make (get_f64 buf (off + 1)) (get_f64 buf (off + 9))
+              (get_f64 buf (off + 17)) (get_f64 buf (off + 25))))
+  | 4 ->
+      let rec pts k acc =
+        if k < 0 then acc
+        else
+          let p = off + 3 + (16 * k) in
+          pts (k - 1) ((get_f64 buf p, get_f64 buf (p + 8)) :: acc)
+      in
+      Value.Fuzzy (Possibility.discrete (pts (get_u16 buf (off + 1) - 1) []))
+  | t -> invalid_arg (Printf.sprintf "Codec.decode: bad tag %d" t)
+
+(* The cursor is a local ref no closure captures, so it stays in a
+   register: a decode allocates the tuple and nothing else. *)
 let decode_at buf pos =
-  let off = ref pos in
-  let u16 () =
-    let v = get_u16 buf !off in
-    off := !off + 2;
-    v
-  in
-  let f64 () =
-    let v = get_f64 buf !off in
-    off := !off + 8;
-    v
-  in
-  let value () =
-    let tag = Bytes.get_uint8 buf !off in
-    incr off;
-    match tag with
-    | 0 ->
-        let v = Bytes.get_int64_le buf !off in
-        off := !off + 8;
-        Value.Int (Int64.to_int v)
-    | 1 ->
-        let len = u16 () in
-        let s = Bytes.sub_string buf !off len in
-        off := !off + len;
-        Value.Str s
-    | 2 -> Value.Fuzzy (Possibility.crisp (f64 ()))
-    | 3 ->
-        let a = f64 () in
-        let b = f64 () in
-        let c = f64 () in
-        let d = f64 () in
-        Value.Fuzzy (Possibility.trap (Trapezoid.make a b c d))
-    | 4 ->
-        let n = u16 () in
-        let rec pts i acc =
-          if i >= n then List.rev acc
-          else
-            let v = f64 () in
-            let d = f64 () in
-            pts (i + 1) ((v, d) :: acc)
-        in
-        Value.Fuzzy (Possibility.discrete (pts 0 []))
-    | t -> invalid_arg (Printf.sprintf "Codec.decode: bad tag %d" t)
-  in
-  let n = u16 () in
+  let n = get_u16 buf pos in
   let values = Array.make n (Value.Int 0) in
+  let off = ref (pos + 2) in
   for i = 0 to n - 1 do
-    values.(i) <- value ()
+    values.(i) <- value_at buf !off;
+    off := skip_value buf !off
   done;
-  let degree = f64 () in
-  Ftuple.make values degree
+  Ftuple.make values (get_f64 buf !off)
 
 let decode buf = decode_at buf 0
 
+(* [Interval.make]'s checks, with the bounds stored into columns. *)
+let[@inline] set_support lo hi i a b =
+  if Float.is_nan a || Float.is_nan b then invalid_arg "Interval.make: NaN bound";
+  if a > b then invalid_arg "Interval.make: lo > hi";
+  Array.unsafe_set lo i a;
+  Array.unsafe_set hi i b
+
 (* The support of value [attr], read in place: the values before it are
-   skipped by their tags and lengths, and nothing but the interval is
-   built. Each branch computes exactly what [decode] followed by
-   [Value.support] computes for records [encode] wrote. *)
-let support_at_pos buf ~pos attr =
-  let rec skip off i =
-    if i = 0 then off
-    else
-      let off' =
-        match Bytes.get_uint8 buf off with
-        | 0 -> off + 9
-        | 1 -> off + 3 + get_u16 buf (off + 1)
-        | 2 -> off + 9
-        | 3 -> off + 33
-        | 4 -> off + 3 + (16 * get_u16 buf (off + 1))
-        | t -> invalid_arg (Printf.sprintf "Codec.support_at: bad tag %d" t)
-      in
-      skip off' (i - 1)
-  in
-  if attr < 0 || attr >= get_u16 buf pos then
-    invalid_arg "Codec.support_at: attribute out of range";
-  let off = skip (pos + 2) attr in
+   skipped by their tags and lengths, and the bounds go straight into the
+   caller's columns (no interval is built). Each branch computes exactly
+   what [decode] followed by [Value.support] computes for records
+   [encode] wrote. *)
+let support_into buf ~pos attr ~lo ~hi i =
+  if attr < 0 || attr >= get_u16 buf pos || i < 0 || i >= Array.length lo
+     || i >= Array.length hi
+  then invalid_arg "Codec.support_into: attribute or row out of range";
+  let off = ref (pos + 2) in
+  for _ = 1 to attr do
+    off := skip_value buf !off
+  done;
+  let off = !off in
   match Bytes.get_uint8 buf off with
   | 0 ->
-      Interval.point
-        (float_of_int (Int64.to_int (Bytes.get_int64_le buf (off + 1))))
+      let v = float_of_int (Int64.to_int (Bytes.get_int64_le buf (off + 1))) in
+      set_support lo hi i v v
   | 1 ->
       let s = Bytes.sub_string buf (off + 3) (get_u16 buf (off + 1)) in
-      Interval.point (float_of_int (Hashtbl.hash s))
-  | 2 -> Interval.point (get_f64 buf (off + 1))
-  | 3 -> Interval.make (get_f64 buf (off + 1)) (get_f64 buf (off + 25))
+      let v = float_of_int (Hashtbl.hash s) in
+      set_support lo hi i v v
+  | 2 ->
+      let v = get_f64 buf (off + 1) in
+      set_support lo hi i v v
+  | 3 -> set_support lo hi i (get_f64 buf (off + 1)) (get_f64 buf (off + 25))
   | 4 ->
       (* [Possibility.discrete] keeps only the positive-degree points. *)
-      let lo = ref infinity and hi = ref neg_infinity in
+      let l = ref infinity and h = ref neg_infinity in
       for k = 0 to get_u16 buf (off + 1) - 1 do
         let p = off + 3 + (16 * k) in
         if get_f64 buf (p + 8) > 0.0 then begin
           let v = get_f64 buf p in
-          lo := Float.min !lo v;
-          hi := Float.max !hi v
+          l := Float.min !l v;
+          h := Float.max !h v
         end
       done;
-      Interval.make !lo !hi
-  | t -> invalid_arg (Printf.sprintf "Codec.support_at: bad tag %d" t)
-
-let support_at buf attr = support_at_pos buf ~pos:0 attr
+      set_support lo hi i !l !h
+  | t -> invalid_arg (Printf.sprintf "Codec.support_into: bad tag %d" t)

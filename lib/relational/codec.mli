@@ -21,12 +21,13 @@ val decode_at : bytes -> int -> Ftuple.t
 val encoded_size : Ftuple.t -> int
 (** Size of [encode ?pad_to:None]. *)
 
-val support_at : bytes -> int -> Fuzzy.Interval.t
-(** [support_at buf attr] is [Value.support (Ftuple.value (decode buf) attr)],
-    bit for bit, for every record {!encode} produces, read in place: the
-    values before [attr] are skipped and only the interval is allocated.
-    The merge-join's sort reads its key with it. *)
-
-val support_at_pos : bytes -> pos:int -> int -> Fuzzy.Interval.t
-(** [support_at_pos buf ~pos attr]: {!support_at} of the record encoded
-    at offset [pos] of [buf] (a record in place on its page). *)
+val support_into :
+  bytes -> pos:int -> int -> lo:float array -> hi:float array -> int -> unit
+(** [support_into buf ~pos attr ~lo ~hi i] stores the support of value
+    [attr] of the record encoded at offset [pos] of [buf] (a record in
+    place on its page) into [lo.(i)] and [hi.(i)]: the bounds of
+    [Value.support (Ftuple.value (decode_at buf pos) attr)], bit for bit,
+    for every record {!encode} produces. The values before [attr] are
+    skipped and nothing is allocated for a numeric value. The merge-join's
+    sort reads its key with it. Raises [Invalid_argument] if [attr] or [i]
+    is out of range, or where [Interval.make] would. *)

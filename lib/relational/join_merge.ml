@@ -155,7 +155,7 @@ let sort_sweep ?trace ?cancel ~outer ~inner ~outer_attr ~inner_attr
     {
       External_sort.name = "sort " ^ Schema.name (Relation.schema rel);
       file = Relation.file rel;
-      key = (fun page pos -> Codec.support_at_pos page ~pos attr);
+      key = (fun page pos lo hi i -> Codec.support_into page ~pos attr ~lo ~hi i);
     }
   in
   External_sort.with_sorted ?trace ?cancel ~mem_pages

@@ -40,7 +40,7 @@ val sort_sweep :
     ({!Storage.External_sort.with_sorted}, [mem_pages] shared by both
     inputs' final merges) streams its last merge pass into the sweep, and
     each record is decoded once, as it leaves the merge. The key is read
-    in place ({!Codec.support_at}). Records with equal keys may reach the
+    in place ({!Codec.support_into}). Records with equal keys may reach the
     sweep in either order.
 
     The sweep is columnar: window bounds and pair degrees are computed over

@@ -724,7 +724,14 @@ let conn_loop t conn =
      in
      loop ()
    with
-  | Wire.Connection_closed | Unix.Unix_error _ | Wire.Protocol_error _ -> ());
+  | Wire.Connection_closed | Unix.Unix_error _ | Wire.Protocol_error _ -> ()
+  | e ->
+      (* Anything else is a fault in a request handler. The client gets an
+         answer rather than a silent hang, the event is counted, and the
+         connection still goes through the cleanup below. *)
+      count t "connection_errors";
+      (try send conn (Wire.Error ("internal error: " ^ Printexc.to_string e))
+       with _ -> ()));
   (match (t.sender, !rep_sub) with
   | Some s, Some id -> Replication.Sender.drop s ~id
   | _ -> ());

@@ -1,59 +1,3 @@
-(* Binary min-heap of cursor heads for the k-way merge. *)
-module Heap = struct
-  type 'a t = { mutable data : 'a array; mutable size : int; le : 'a -> 'a -> bool }
-
-  let create le = { data = [||]; size = 0; le }
-  let is_empty h = h.size = 0
-
-  let swap h i j =
-    let tmp = h.data.(i) in
-    h.data.(i) <- h.data.(j);
-    h.data.(j) <- tmp
-
-  let rec sift_up h i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if h.le h.data.(i) h.data.(parent) then begin
-        swap h i parent;
-        sift_up h parent
-      end
-    end
-
-  let rec sift_down h i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let smallest = ref i in
-    if l < h.size && h.le h.data.(l) h.data.(!smallest) then smallest := l;
-    if r < h.size && h.le h.data.(r) h.data.(!smallest) then smallest := r;
-    if !smallest <> i then begin
-      swap h i !smallest;
-      sift_down h !smallest
-    end
-
-  let push h x =
-    if h.size = Array.length h.data then begin
-      let bigger = Array.make (Int.max 4 (2 * h.size)) x in
-      Array.blit h.data 0 bigger 0 h.size;
-      h.data <- bigger
-    end;
-    h.data.(h.size) <- x;
-    h.size <- h.size + 1;
-    sift_up h (h.size - 1)
-
-  let top h =
-    if h.size = 0 then invalid_arg "Heap.top: empty";
-    h.data.(0)
-
-  let pop h =
-    if h.size = 0 then invalid_arg "Heap.pop: empty";
-    let top = h.data.(0) in
-    h.size <- h.size - 1;
-    if h.size > 0 then begin
-      h.data.(0) <- h.data.(h.size);
-      sift_down h 0
-    end;
-    top
-end
-
 (* ------------------------------------------------------------------ *)
 (* Sorted streams.
 
@@ -72,7 +16,7 @@ end
 type spec = {
   name : string;
   file : Heap_file.t;
-  key : bytes -> int -> Fuzzy.Interval.t;
+  key : bytes -> int -> float array -> float array -> int -> unit;
 }
 
 let batch_poll = 1024
@@ -109,32 +53,75 @@ let recs_push r page off len =
 let write_recs env r =
   let run = Heap_file.create env in
   try
-    for k = 0 to r.n - 1 do
-      Heap_file.append_sub run r.pages.(k) r.offs.(k) r.lens.(k)
-    done;
+    Heap_file.append_many run r.pages r.offs r.lens r.n;
     run
   with e ->
     Heap_file.destroy run;
     raise e
 
-(* [r]'s records in key order, as a new batch: one key read per record,
-   an index permutation sorted over the key columns, one comparison
-   charged per comparator call. [r] is emptied. *)
+(* The (lo, hi) key order on row indices, over unboxed key columns. Keys
+   are never NaN ([Interval.make] refuses one), so [<] and [=] order them
+   as [Float.compare] does. *)
+let[@inline] key_le (klo : float array) (khi : float array) a b =
+  let la = Array.unsafe_get klo a and lb = Array.unsafe_get klo b in
+  la < lb || (la = lb && Array.unsafe_get khi a <= Array.unsafe_get khi b)
+
+let[@inline] key_lt (klo : float array) (khi : float array) a b =
+  let la = Array.unsafe_get klo a and lb = Array.unsafe_get klo b in
+  la < lb || (la = lb && Array.unsafe_get khi a < Array.unsafe_get khi b)
+
+(* Merge the sorted [src.(lo .. mid-1)] and [src.(mid .. hi-1)] into
+   [dst.(lo .. hi-1)], left first on equal keys; returns the comparisons
+   made. *)
+let merge_halves klo khi src dst lo mid hi =
+  let i = ref lo and j = ref mid and k = ref lo and cmps = ref 0 in
+  while !i < mid && !j < hi do
+    incr cmps;
+    let a = Array.unsafe_get src !i and b = Array.unsafe_get src !j in
+    if key_le klo khi a b then begin
+      Array.unsafe_set dst !k a;
+      incr i
+    end
+    else begin
+      Array.unsafe_set dst !k b;
+      incr j
+    end;
+    incr k
+  done;
+  Array.blit src !i dst !k (mid - !i);
+  Array.blit src !j dst (!k + mid - !i) (hi - !j);
+  !cmps
+
+(* A stable top-down merge sort of [dst.(lo .. hi-1)], row indices ordered
+   by key; [src] holds the same indices there on entry and is scratch.
+   Returns the comparisons made. *)
+let rec sort_range klo khi src dst lo hi =
+  if hi - lo < 2 then 0
+  else begin
+    let mid = (lo + hi) lsr 1 in
+    let c =
+      sort_range klo khi dst src lo mid + sort_range klo khi dst src mid hi
+    in
+    c + merge_halves klo khi src dst lo mid hi
+  end
+
+let sort_index klo khi =
+  let n = Array.length klo in
+  if Array.length khi <> n then invalid_arg "External_sort.sort_index: column lengths differ";
+  let idx = Array.init n Fun.id in
+  let cmps = sort_range klo khi (Array.copy idx) idx 0 n in
+  (idx, cmps)
+
+(* [r]'s records in key order, as a new batch: one key read per record
+   into unboxed columns, then {!sort_index}. [r] is emptied. *)
 let sort_by_key stats key r =
   let n = r.n in
   let klo = Array.make n 0.0 and khi = Array.make n 0.0 in
   for i = 0 to n - 1 do
-    let k = key r.pages.(i) r.offs.(i) in
-    klo.(i) <- Fuzzy.Interval.lo k;
-    khi.(i) <- Fuzzy.Interval.hi k
+    key r.pages.(i) r.offs.(i) klo khi i
   done;
-  let idx = Array.init n (fun i -> i) in
-  Array.sort
-    (fun i j ->
-      Iostats.record_comparison stats;
-      let c = Float.compare klo.(i) klo.(j) in
-      if c <> 0 then c else Float.compare khi.(i) khi.(j))
-    idx;
+  let idx, cmps = sort_index klo khi in
+  Iostats.record_comparisons stats cmps;
   let sorted =
     {
       pages = Array.map (Array.get r.pages) idx;
@@ -188,66 +175,111 @@ let form_side ?cancel env ~budget ~live ~held_bytes ~spill_held spec =
     Runs (List.rev !runs)
   end
 
-(* The k-way merge of run scans [cs]: a binary heap of run indices ordered
-   by their current record's key, kept in unboxed columns. *)
+(* The k-way merge of run scans [cs]: a binary min-heap of run indices
+   ([heap.(0 .. size-1)]) ordered by their current record's key, which is
+   kept in unboxed columns and compared inline. A pop emits the top run's
+   record and replaces it by that run's next one with a single sift-down.
+   Comparisons accumulate in [cmps] until {!charge} moves them to the
+   statistics. *)
 type merger = {
-  heap : int Heap.t;
   cs : Heap_file.Slices.t array;
+  heap : int array;
+  mutable size : int;
   klo : float array;
   khi : float array;
-  mkey : bytes -> int -> Fuzzy.Interval.t;
+  mkey : bytes -> int -> float array -> float array -> int -> unit;
+  mutable cmps : int;
 }
 
-let advance m i =
-  let c = m.cs.(i) in
-  if Heap_file.Slices.advance c then begin
-    let k = m.mkey (Heap_file.Slices.page c) (Heap_file.Slices.off c) in
-    m.klo.(i) <- Fuzzy.Interval.lo k;
-    m.khi.(i) <- Fuzzy.Interval.hi k;
-    Heap.push m.heap i
+let charge stats m =
+  Iostats.record_comparisons stats m.cmps;
+  m.cmps <- 0
+
+(* Restore the heap below slot [i]: one comparison between two children,
+   one between the smaller child and the parent. *)
+let rec sift_down m i =
+  let l = (2 * i) + 1 in
+  if l < m.size then begin
+    let h = m.heap and klo = m.klo and khi = m.khi in
+    let r = l + 1 in
+    let c =
+      if r < m.size then begin
+        m.cmps <- m.cmps + 1;
+        if key_lt klo khi h.(r) h.(l) then r else l
+      end
+      else l
+    in
+    m.cmps <- m.cmps + 1;
+    let hc = h.(c) and hi = h.(i) in
+    if key_lt klo khi hc hi then begin
+      h.(i) <- hc;
+      h.(c) <- hi;
+      sift_down m c
+    end
   end
 
-let merger stats ~key cs =
+(* Move run [i]'s scan to its next record and read its key; [false] at the
+   end of the run. *)
+let advance m i =
+  let c = m.cs.(i) in
+  Heap_file.Slices.advance c
+  && begin
+       m.mkey (Heap_file.Slices.page c) (Heap_file.Slices.off c) m.klo m.khi i;
+       true
+     end
+
+let merger ~key cs =
   let k = Array.length cs in
-  let klo = Array.make k 0.0 and khi = Array.make k 0.0 in
-  let le i j =
-    Iostats.record_comparison stats;
-    let c = Float.compare klo.(i) klo.(j) in
-    (if c <> 0 then c else Float.compare khi.(i) khi.(j)) <= 0
+  let m =
+    { cs; heap = Array.make k 0; size = 0; klo = Array.make k 0.0;
+      khi = Array.make k 0.0; mkey = key; cmps = 0 }
   in
-  let m = { heap = Heap.create le; cs; klo; khi; mkey = key } in
   for i = 0 to k - 1 do
-    advance m i
+    if advance m i then begin
+      m.heap.(m.size) <- i;
+      m.size <- m.size + 1
+    end
+  done;
+  for i = (m.size / 2) - 1 downto 0 do
+    sift_down m i
   done;
   m
 
 (* [f] over the least record; its run's next record takes its place. *)
 let pop m f =
-  let i = Heap.pop m.heap in
+  let i = m.heap.(0) in
   let c = m.cs.(i) in
   let page = Heap_file.Slices.page c
   and off = Heap_file.Slices.off c
   and len = Heap_file.Slices.len c in
-  advance m i;
+  if not (advance m i) then begin
+    m.size <- m.size - 1;
+    m.heap.(0) <- m.heap.(m.size)
+  end;
+  sift_down m 0;
   f page off len
 
 (* An intermediate pass: merge [group] into one new run and destroy the
    group. On abort the partial output is destroyed and the group is left
    to the caller. *)
-let merge_group ?cancel env ~key group =
+let merge_runs ?cancel env ~key group =
   let out = Heap_file.create env in
   try
     let m =
-      merger env.Env.stats ~key
+      merger ~key
         (Array.of_list (List.map (fun r -> Heap_file.Slices.of_file r) group))
     in
+    (* One record at a time: the output's tail page is touched per record,
+       so it is never the pool's LRU victim while the group's pages are
+       read, and the pass's page I/Os stay what they were. *)
     let append page off len = Heap_file.append_sub out page off len in
     let popped = ref 0 in
-    while not (Heap.is_empty m.heap) do
+    while m.size > 0 do
       if !popped land (batch_poll - 1) = 0 then Cancel.check cancel;
       incr popped;
       pop m append
     done;
+    charge env.Env.stats m;
     List.iter Heap_file.destroy group;
     out
   with e ->
@@ -257,22 +289,21 @@ let merge_group ?cancel env ~key group =
 (* The final merge as a chunk source. A page-bound chunk stops before the
    pop that would make a run scan read its next page, so the consumer is
    never ahead of its need by more than one page per run. *)
-let runs_next ~decode m =
+let runs_next ~decode stats m =
   fun ~max ~page_bound ->
-    if Heap.is_empty m.heap then [||]
+    if m.size = 0 then [||]
     else begin
       let rows = Array.make max (pop m decode) in
       let n = ref 1 in
       while
-        !n < max
-        && (not (Heap.is_empty m.heap))
+        !n < max && m.size > 0
         && not
-             (page_bound
-             && Heap_file.Slices.buffered m.cs.(Heap.top m.heap) = 0)
+             (page_bound && Heap_file.Slices.buffered m.cs.(m.heap.(0)) = 0)
       do
         rows.(!n) <- pop m decode;
         incr n
       done;
+      charge stats m;
       if !n = max then rows else Array.sub rows 0 !n
     end
 
@@ -357,7 +388,7 @@ let with_sorted ?trace ?cancel ~mem_pages ~decode outer inner f =
               in
               let group = List.filteri (fun j _ -> j < g) runs
               and rest = List.filteri (fun j _ -> j >= g) runs in
-              let out = merge_group ?cancel env ~key:specs.(i).key group in
+              let out = merge_runs ?cancel env ~key:specs.(i).key group in
               live := out :: List.filter (fun r -> not (List.memq r group)) !live;
               sides.(i) <- Runs (rest @ [ out ])
           | Rows _ -> assert false));
@@ -374,8 +405,8 @@ let with_sorted ?trace ?cancel ~mem_pages ~decode outer inner f =
           let pool =
             Buffer_pool.create (Heap_file.disk first) ~capacity:(List.length runs)
           in
-          runs_next ~decode
-            (merger stats ~key:specs.(i).key
+          runs_next ~decode stats
+            (merger ~key:specs.(i).key
                (Array.of_list
                   (List.map (fun r -> Heap_file.Slices.of_file ~pool r) runs)))
     in

@@ -12,9 +12,10 @@
 type spec = {
   name : string;  (** the span the input's run formation is recorded in *)
   file : Heap_file.t;
-  key : bytes -> int -> Fuzzy.Interval.t;
-      (** [key page off]: the sort key, ordered by (lo, hi), of the
-          record at [off] of [page]; read without decoding the record *)
+  key : bytes -> int -> float array -> float array -> int -> unit;
+      (** [key page off lo hi i]: store the sort key, ordered by (lo, hi),
+          of the record at [off] of [page] into [lo.(i)] and [hi.(i)];
+          read without decoding the record. Keys must not be NaN. *)
 }
 
 type 'a stream
@@ -29,23 +30,30 @@ val with_sorted :
     key and calls [f] with their sorted streams; the merge-join engine's
     sort. No sorted file is written:
     - Run formation reads each record's key once into unboxed float
-      columns and sorts an index permutation over them. An input that
-      fits in one run ([mem_pages] pages) stays in memory and no run file
-      is written for it, as long as the records both inputs keep in
-      memory stay within [mem_pages] pages; past that the held input is
-      written out as one run.
+      columns and sorts an index permutation over them with a stable
+      top-down merge sort that compares the columns inline (no closure
+      call per comparison). An input that fits in one run ([mem_pages]
+      pages) stays in memory and no run file is written for it, as long
+      as the records both inputs keep in memory stay within [mem_pages]
+      pages; past that the held input is written out as one run. A run
+      is written a page at a time ({!Heap_file.append_many}).
     - The two final merges share [mem_pages]: an in-memory input costs
       its pages, a spilled one a page per run cursor, read through a
       scoped pool per input. Intermediate passes run only while the two
       together exceed [mem_pages]; each merges just enough runs of the
       input with more runs into one to fit.
+    - A k-way merge is a binary heap of run indices over the runs' current
+      keys, kept in unboxed columns; a pop replaces the top by its run's
+      next record with one sift-down.
     - No record is copied out of its page ({!Heap_file.Slices}): a run
       formation batch holds slices of its input pages, and the merges
       read keys in place. Each record is decoded once
       ([decode page off len]), as it leaves the final merge.
     Each stream yields its input's record multiset in non-decreasing
-    (lo, hi) key order; equal-key ties carry no order. One comparison is
-    charged per comparator call.
+    (lo, hi) key order; equal-key ties carry no order. The
+    [storage.comparisons] counter is charged one per key comparison: in
+    the run-formation merge sort, and in each heap sift-down (one between
+    two children, one between the smaller child and its parent).
 
     Accounting: run formation, intermediate passes and every {!pull} are
     charged to the [Sort] phase (nested phases are exclusive, so a
@@ -67,6 +75,25 @@ val pull : 'a stream -> max:int -> page_bound:bool -> 'a array
     make a run cursor read its next page, so a consumer that pulls only
     what it needs reads no page ahead of that need.
     @raise Invalid_argument if [max < 1], before any record is taken. *)
+
+val sort_index : float array -> float array -> int array * int
+(** [sort_index lo hi]: the row indices [0 .. n-1] stably sorted by the
+    key [(lo.(i), hi.(i))] (keys must not be NaN), and the key comparisons
+    made. Run formation's sort: a top-down merge sort (left half
+    [n / 2] rows) that stops comparing once either half is used up.
+    @raise Invalid_argument if the columns differ in length. *)
+
+val merge_runs :
+  ?cancel:Cancel.t ->
+  Env.t ->
+  key:(bytes -> int -> float array -> float array -> int -> unit) ->
+  Heap_file.t list ->
+  Heap_file.t
+(** [merge_runs env ~key runs]: one intermediate pass, the k-way heap
+    merge of the key-sorted [runs] into one new temporary run, after which
+    [runs] are destroyed. Its comparisons are charged to [env]'s
+    statistics. On a raise the partial output is destroyed and [runs] are
+    left to the caller. *)
 
 val add_merge_span : Trace.t option -> 'a stream -> unit
 (** Attach the stream's summed pull time as a [k-way-merge] span under

@@ -80,11 +80,14 @@ let add_page t =
      [destroy] to free. *)
   Buffer_pool.install_fresh t.pool id
 
+let check_len t len =
+  if len + 2 + header_size > Env.page_size t.env then
+    invalid_arg "Heap_file.append: record larger than a page";
+  if len > 0xffff then invalid_arg "Heap_file.append: record longer than 65535"
+
 let append_sub t record pos len =
   let page_size = Env.page_size t.env in
-  if len + 2 + header_size > page_size then
-    invalid_arg "Heap_file.append: record larger than a page";
-  if len > 0xffff then invalid_arg "Heap_file.append: record longer than 65535";
+  check_len t len;
   if t.npages = 0 || t.tail_free + 2 + len > page_size then add_page t;
   let pi = t.npages - 1 in
   let off = t.tail_free in
@@ -113,6 +116,40 @@ let append_sub t record pos len =
   t.nrecords <- t.nrecords + 1
 
 let append t record = append_sub t record 0 (Bytes.length record)
+
+(* The records that fit on the last page are laid out under one pool
+   write, so a page costs one buffer-pool lookup rather than one per
+   record. Only for unlogged files: a durable append needs its own WAL
+   record. How many fit is settled before the write, so a record that
+   cannot fit anywhere raises ([check_len]) with every earlier record
+   appended and no page half-written. *)
+let append_many t bufs offs lens n =
+  if t.log <> None then invalid_arg "Heap_file.append_many: durable file";
+  let page_size = Env.page_size t.env in
+  let k = ref 0 in
+  while !k < n do
+    check_len t lens.(!k);
+    if t.npages = 0 || t.tail_free + 2 + lens.(!k) > page_size then add_page t;
+    let first = !k and used = ref t.tail_free in
+    while !k < n && !used + 2 + lens.(!k) <= page_size do
+      used := !used + 2 + lens.(!k);
+      incr k
+    done;
+    let last = !k and pi = t.npages - 1 in
+    let count = t.recs_per_page.(pi) + (last - first) in
+    Buffer_pool.with_write t.pool t.page_ids.(pi) (fun data ->
+        let off = ref t.tail_free in
+        for j = first to last - 1 do
+          let len = lens.(j) in
+          set_u16 data !off len;
+          Bytes.blit bufs.(j) offs.(j) data (!off + 2) len;
+          off := !off + 2 + len
+        done;
+        set_u16 data 0 count);
+    t.recs_per_page.(pi) <- count;
+    t.tail_free <- !used;
+    t.nrecords <- t.nrecords + (last - first)
+  done
 
 let num_records t = t.nrecords
 let num_pages t = t.npages

@@ -55,6 +55,16 @@ val append_sub : t -> bytes -> int -> int -> unit
 (** [append_sub t buf pos len] appends the record [buf.(pos .. pos+len-1)]
     as {!append} would. *)
 
+val append_many : t -> bytes array -> int array -> int array -> int -> unit
+(** [append_many t bufs offs lens n] appends records [0 .. n-1] in order,
+    record [k] being [bufs.(k)] from [offs.(k)], [lens.(k)] bytes long,
+    as [n] {!append_sub} calls would, and lays them out in the same
+    pages, but fills each page under one buffer-pool write (one lookup
+    per page, not per record). Temporary files only: [Invalid_argument]
+    on a durable file, whose appends each need a WAL record. A record
+    that cannot fit in a page raises [Invalid_argument] with every
+    earlier record appended. *)
+
 val num_records : t -> int
 val num_pages : t -> int
 

@@ -8,6 +8,7 @@ type span = {
   mutable fuzzy : int;
   mutable pool_hits : int;
   mutable pool_misses : int;
+  mutable minor_words : int;
   mutable rows : int;
   mutable est_rows : float;
   mutable rev_children : span list;
@@ -20,6 +21,10 @@ type t = {
 }
 
 let now () = Unix.gettimeofday ()
+
+(* Words allocated on this domain's minor heap so far: exact in native
+   code, and the same count on every run of the same work. *)
+let minor_words () = int_of_float (Gc.minor_words ())
 
 let create () = { t0 = now (); stack = []; rev_roots = [] }
 
@@ -40,6 +45,7 @@ let open_span t ?stats ?pool name =
       fuzzy = (match stats with Some s -> -Iostats.fuzzy_ops s | None -> 0);
       pool_hits = (match pool with Some p -> -Buffer_pool.hits p | None -> 0);
       pool_misses = (match pool with Some p -> -Buffer_pool.misses p | None -> 0);
+      minor_words = 0;
       rows = -1;
       est_rows = Float.nan;
       rev_children = [];
@@ -47,9 +53,12 @@ let open_span t ?stats ?pool name =
   in
   attach t sp;
   t.stack <- sp :: t.stack;
+  (* Last, so the span's own bookkeeping is not charged to it. *)
+  sp.minor_words <- -minor_words ();
   sp
 
 let close_span t ?stats ?pool sp =
+  sp.minor_words <- sp.minor_words + minor_words ();
   sp.dur_s <- now () -. t.t0 -. sp.start_s;
   (match stats with
   | Some s ->
@@ -105,6 +114,7 @@ let add_timed_span trace name ~start_s ~dur_s =
           fuzzy = 0;
           pool_hits = 0;
           pool_misses = 0;
+          minor_words = 0;
           rows = -1;
           est_rows = Float.nan;
           rev_children = [];
@@ -132,6 +142,7 @@ let span_reads sp = sp.reads
 let span_writes sp = sp.writes
 let span_compares sp = sp.compares
 let span_fuzzy_ops sp = sp.fuzzy
+let span_minor_words sp = sp.minor_words
 let span_rows sp = if sp.rows < 0 then None else Some sp.rows
 
 let span_est_rows sp =
@@ -158,6 +169,11 @@ let str_ms s =
   if s >= 1.0 then Printf.sprintf "%.2f s" s
   else Printf.sprintf "%.2f ms" (1000.0 *. s)
 
+let str_words w =
+  if w >= 1_000_000 then Printf.sprintf "%.2fMw" (float_of_int w /. 1e6)
+  else if w >= 1_000 then Printf.sprintf "%.1fkw" (float_of_int w /. 1e3)
+  else Printf.sprintf "%dw" w
+
 let span_line buf sp =
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "%s  %s" sp.name (str_ms sp.dur_s);
@@ -166,6 +182,7 @@ let span_line buf sp =
   if sp.fuzzy > 0 then add "  fuzzy=%d" sp.fuzzy;
   if sp.pool_hits + sp.pool_misses > 0 then
     add "  cache=%d/%d" sp.pool_hits (sp.pool_hits + sp.pool_misses);
+  if sp.minor_words > 0 then add "  alloc=%s" (str_words sp.minor_words);
   if sp.rows >= 0 then add "  rows=%d" sp.rows;
   if not (Float.is_nan sp.est_rows) then begin
     add "  est~%.0f" sp.est_rows;
@@ -210,8 +227,10 @@ let json_escape s =
 
 let span_args_json buf sp =
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\"reads\": %d, \"writes\": %d, \"compares\": %d, \"fuzzy_ops\": %d"
-    sp.reads sp.writes sp.compares sp.fuzzy;
+  add
+    "{\"reads\": %d, \"writes\": %d, \"compares\": %d, \"fuzzy_ops\": %d, \
+     \"minor_words\": %d"
+    sp.reads sp.writes sp.compares sp.fuzzy sp.minor_words;
   if sp.pool_hits + sp.pool_misses > 0 then
     add ", \"cache_hits\": %d, \"cache_misses\": %d" sp.pool_hits
       sp.pool_misses;

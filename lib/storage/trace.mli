@@ -4,8 +4,10 @@
     reduce, sort run-formation, k-way merge, sweep, join, dedup, ...). Each
     span carries wall-clock start/duration and a delta snapshot of the
     {!Iostats} counters (page reads/writes, tuple comparisons, fuzzy-library
-    calls) — and optionally {!Buffer_pool} hit/miss deltas and output /
-    estimated cardinalities.
+    calls) and the words it allocated on the minor heap ([Gc.minor_words]:
+    exact and repeatable in native code, so an allocation change can be
+    pinned on a layer) — and optionally {!Buffer_pool} hit/miss deltas and
+    output / estimated cardinalities.
 
     The whole engine threads a [Trace.t option]: [None] is the no-op sink —
     every entry point short-circuits to the traced function with no
@@ -58,6 +60,11 @@ val span_reads : span -> int
 val span_writes : span -> int
 val span_compares : span -> int
 val span_fuzzy_ops : span -> int
+
+val span_minor_words : span -> int
+(** Words the span allocated on the minor heap, its children's included;
+    0 for a pre-measured span ({!add_timed_span}). *)
+
 val span_rows : span -> int option
 val span_est_rows : span -> float option
 
@@ -74,7 +81,7 @@ val span_count : t -> int
 
 val pp_tree : Format.formatter -> t -> unit
 (** Human-readable tree: per-span time, I/Os, comparisons, fuzzy ops, cache
-    hits, rows, estimate error. *)
+    hits, minor-heap allocation ([alloc=]), rows, estimate error. *)
 
 val to_json : t -> string
 (** Hierarchical JSON of the span tree. Every span carries ["lane": 0], a

@@ -41,7 +41,8 @@ let expected_codes =
     ("FSQL021", Diagnostic.Error); ("FSQL022", Diagnostic.Error);
     ("FSQL023", Diagnostic.Error); ("FSQL024", Diagnostic.Error);
     ("FSQL025", Diagnostic.Error); ("FSQL026", Diagnostic.Error);
-    ("FSQL027", Diagnostic.Error); ("FSQL030", Diagnostic.Warning);
+    ("FSQL027", Diagnostic.Error); ("FSQL028", Diagnostic.Error);
+    ("FSQL030", Diagnostic.Warning);
     ("FSQL031", Diagnostic.Warning); ("FSQL032", Diagnostic.Warning);
     ("FSQL033", Diagnostic.Warning);
   ]
@@ -52,7 +53,7 @@ let table_tests =
         let actual =
           List.map (fun (c, sev, _) -> (c, sev)) Check.code_table
         in
-        Alcotest.(check int) "23 codes" 23 (List.length actual);
+        Alcotest.(check int) "24 codes" 24 (List.length actual);
         List.iter2
           (fun (ec, esev) (ac, asev) ->
             Alcotest.(check string) "code" ec ac;
@@ -184,6 +185,28 @@ let code_tests =
                       d.Diagnostic.code sql)
               (diags_of env sql))
           rejected_queries);
+    tc "FSQL028: a malformed fuzzy literal is an Error at its span, not a raise"
+      `Quick (fun () ->
+        let env = Test_util.fresh_env () in
+        List.iter
+          (fun lit ->
+            let sql = "SELECT F.NAME FROM F WHERE F.AGE = " ^ lit in
+            match Check.check_string (ctx env) sql with
+            | exception e ->
+                Alcotest.failf "check_string raised %s on %s" (Printexc.to_string e) sql
+            | q, ds -> (
+                Alcotest.(check bool) (lit ^ ": no bound query") true (q = None);
+                match List.filter (fun d -> d.Diagnostic.code = "FSQL028") ds with
+                | [ d ] ->
+                    Alcotest.(check bool) (lit ^ ": an Error") true
+                      (d.Diagnostic.severity = Diagnostic.Error);
+                    let { Ast.sp_lo; sp_hi } = d.Diagnostic.span in
+                    Alcotest.(check string) (lit ^ ": span") lit
+                      (String.sub sql sp_lo (sp_hi - sp_lo))
+                | _ ->
+                    Alcotest.failf "expected one FSQL028 for %s, got %s" sql
+                      (String.concat "," (codes ds))))
+          [ "TRAP(1,2,30, 2)"; "DIST(1:0.0)" ]);
   ]
 
 (* ---------- suggestions and accumulation ---------- *)

@@ -122,6 +122,30 @@ let trace_tests =
           (Storage.Iostats.comparisons s2);
         Alcotest.(check int) "fuzzy ops" (Storage.Iostats.fuzzy_ops s1)
           (Storage.Iostats.fuzzy_ops s2));
+    tc "per-span minor-heap allocation repeats exactly across runs" `Quick
+      (fun () ->
+        let words () =
+          let t = Storage.Trace.create () in
+          let _env, answer = traced_run ~trace:t () in
+          Relation.destroy answer;
+          let ws = ref [] in
+          Storage.Trace.iter_spans t (fun sp ->
+              ws := (Storage.Trace.span_name sp, Storage.Trace.span_minor_words sp) :: !ws);
+          List.rev !ws
+        in
+        (* The first run also fills lazily built tables; compare the next two. *)
+        ignore (words ());
+        let a = words () in
+        let b = words () in
+        Alcotest.(check (list (pair string int))) "same words per span" a b;
+        (match a with
+        | ("query", w) :: _ ->
+            Alcotest.(check bool) "the query allocates" true (w > 0);
+            List.iter
+              (fun (name, c) ->
+                Alcotest.(check bool) (name ^ " within the query") true (c <= w))
+              a
+        | _ -> Alcotest.fail "expected the query span first"));
   ]
 
 let exporter_tests =
@@ -137,7 +161,7 @@ let exporter_tests =
           (fun needle ->
             Alcotest.(check bool) ("pp_tree has " ^ needle) true
               (contains text needle))
-          [ "query"; "sweep"; "est~10"; "rows" ]);
+          [ "query"; "sweep"; "est~10"; "rows"; "alloc=" ]);
     tc "to_json nests children under their parent" `Quick (fun () ->
         let t = Storage.Trace.create () in
         Storage.Trace.with_span (Some t) "parent" (fun () ->
@@ -148,7 +172,7 @@ let exporter_tests =
             Alcotest.(check bool) ("json has " ^ needle) true
               (contains json needle))
           [ {json|"name": "parent"|json}; {json|"name": "kid"|json};
-            {json|"children"|json} ]);
+            {json|"children"|json}; {json|"minor_words": |json} ]);
     tc "to_json writes lane 0 on every span" `Quick (fun () ->
         let t = Storage.Trace.create () in
         let _env, _answer = traced_run ~trace:t () in

@@ -377,6 +377,16 @@ let env_tests =
     tc "checkpoint bounds replay" `Quick checkpoint_bounds_replay;
     tc "read-only worker opens" `Quick readonly_worker_open;
     tc "flush / reset_stats contract" `Quick flush_and_reset_stats_contract;
+    tc "append_many refuses a durable file" `Quick (fun () ->
+        with_dir (fun dir ->
+            let env = Env.open_durable ~dir ~page_size:512 ~pool_pages:8 () in
+            let f = Heap_file.create ~durable:true env in
+            let r = Bytes.of_string "record" in
+            Alcotest.(check bool) "raises" true
+              (try Heap_file.append_many f [| r |] [| 0 |] [| 6 |] 1; false
+               with Invalid_argument _ -> true);
+            Alcotest.(check int) "nothing appended" 0 (Heap_file.num_records f);
+            Env.crash env));
   ]
 
 (* ------------------------------------------------------------------ *)

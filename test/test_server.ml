@@ -682,6 +682,49 @@ let daemon_tests =
               (name ^ ": same rows and degree bits at domains 0 and 4")
               true (zero = four))
           [ "J"; "chain" ]);
+    tc "a malformed fuzzy literal is Rejected and the connection serves on" `Quick
+      (fun () ->
+        let daemon = Server.Daemon.start ~workers:1 ~setup () in
+        Fun.protect ~finally:(fun () -> Server.Daemon.stop daemon) @@ fun () ->
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Fun.protect ~finally:(fun () -> close_noerr fd) @@ fun () ->
+        Unix.connect fd
+          (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.Daemon.port daemon));
+        let rd = Server.Wire.reader fd in
+        let query sql =
+          Server.Wire.write_request fd
+            (Server.Wire.Query { request_id = ""; deadline_ms = 0; domains = 0; sql });
+          let rec frames acc =
+            match Server.Wire.read_reply rd with
+            | (Server.Wire.Header _ | Server.Wire.Row _) as f -> frames (f :: acc)
+            | f -> (f, List.length acc)
+          in
+          frames []
+        in
+        let good = List.assoc "N" shapes in
+        let want_rows =
+          match query good with
+          | Server.Wire.Done { rows; _ }, _ -> rows
+          | _ -> Alcotest.fail "expected Done for the good query"
+        in
+        List.iter
+          (fun lit ->
+            (match query ("SELECT R.ID FROM R WHERE R.Y = " ^ lit) with
+            | Server.Wire.Rejected { code; diagnostics }, 0 ->
+                Alcotest.(check string) (lit ^ ": code") "FSQL028" code;
+                Alcotest.(check bool) (lit ^ ": caret render") true
+                  (contains diagnostics "error[FSQL028]")
+            | _ -> Alcotest.failf "%s: expected one Rejected frame" lit);
+            match query good with
+            | Server.Wire.Done { rows; _ }, n ->
+                Alcotest.(check int) (lit ^ ": then a whole answer") want_rows rows;
+                Alcotest.(check int) (lit ^ ": header + rows") (rows + 1) n
+            | _ -> Alcotest.failf "%s: the connection stopped serving" lit)
+          [ "TRAP(1,2,30, 2)"; "DIST(1:0.0)" ];
+        Alcotest.(check int) "rejected statically" 2
+          (Server.Daemon.counter_value daemon "requests_rejected_static");
+        Alcotest.(check int) "no connection error" 0
+          (Server.Daemon.counter_value daemon "connection_errors"));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -389,6 +389,129 @@ let prop_sort_support =
       && Test_util.sorted_like other sb
       && Disk.live_pages env.Env.disk = live)
 
+(* Run formation's sort against a list model of the same top-down merge
+   sort (left half n / 2 rows, one comparison per merge step until a half
+   runs out): the permutation must be [List.stable_sort]'s, and the
+   comparison count the model's. Keys come from a small domain, with
+   -0.0 next to 0.0, so ties are common. *)
+let rec model_merge_sort le = function
+  | ([] | [ _ ]) as xs -> (xs, 0)
+  | xs ->
+      let half = List.length xs / 2 in
+      let l, cl = model_merge_sort le (List.filteri (fun i _ -> i < half) xs)
+      and r, cr = model_merge_sort le (List.filteri (fun i _ -> i >= half) xs) in
+      let rec merge a b acc c =
+        match (a, b) with
+        | [], rest | rest, [] -> (List.rev_append acc rest, c)
+        | x :: a', y :: b' ->
+            if le x y then merge a' b (x :: acc) (c + 1) else merge a b' (y :: acc) (c + 1)
+      in
+      let m, cm = merge l r [] 0 in
+      (m, cl + cr + cm)
+
+let prop_sort_index =
+  let key = QCheck.Gen.(oneofl [ -0.0; 0.0; 1.0; 2.5; 3.0; -4.0 ]) in
+  QCheck.Test.make ~count:300
+    ~name:"sort_index = List.stable_sort on (lo, hi), comparisons = the model's"
+    QCheck.(make Gen.(list_size (int_bound 300) (pair key key)))
+    (fun keys ->
+      let lo = Array.of_list (List.map fst keys) and hi = Array.of_list (List.map snd keys) in
+      let idx, cmps = External_sort.sort_index lo hi in
+      let rows = List.mapi (fun i k -> (i, k)) keys in
+      let le (_, (la, ha)) (_, (lb, hb)) = la < lb || (la = lb && ha <= hb) in
+      let want, want_cmps = model_merge_sort le rows in
+      Array.to_list idx = List.map fst (List.stable_sort (fun (_, a) (_, b) -> compare a b) rows)
+      && Array.to_list idx = List.map fst want
+      && cmps = want_cmps)
+
+(* The k-way heap merge of k sorted runs against the sorted concatenation
+   of their records: same key sequence, same multiset; the runs are
+   destroyed and the comparisons stay within two per record per heap
+   level. *)
+let prop_merge_runs =
+  QCheck.Test.make ~count:100 ~name:"merge_runs = sorted concatenation of its runs"
+    QCheck.(pair (int_bound 10_000) (list_of_size (Gen.int_range 1 9) (int_bound 120)))
+    (fun (seed, sizes) ->
+      let rng = Random.State.make [| seed |] in
+      let env = Env.create ~page_size:64 ~pool_pages:8 () in
+      let live = Disk.live_pages env.Env.disk in
+      let runs =
+        List.map
+          (fun n ->
+            random_records rng n ~lo_range:20 ~width_range:4
+            |> List.stable_sort (fun a b ->
+                   compare (Test_util.sort_key_pair a) (Test_util.sort_key_pair b)))
+          sizes
+      in
+      let files = List.map (Test_util.heap_file env) runs in
+      Iostats.reset env.Env.stats;
+      let out = External_sort.merge_runs env ~key:Test_util.sort_record_key files in
+      let merged = List.rev (Heap_file.fold out ~init:[] ~f:(fun acc r -> r :: acc)) in
+      let n = List.length merged and k = List.length sizes in
+      let levels = if k = 1 then 0 else int_of_float (Float.ceil (Float.log2 (float_of_int k))) in
+      let cmps = Iostats.comparisons env.Env.stats in
+      let out_pages = Heap_file.num_pages out in
+      Heap_file.destroy out;
+      Test_util.sorted_like (List.concat runs) merged
+      && cmps <= 2 * levels * n
+      && Disk.live_pages env.Env.disk = live
+      && out_pages > 0 = (n > 0))
+
+(* [append_many] against one [append_sub] per record: the same pages byte
+   for byte, starting on a part-filled page, with records that fill pages
+   exactly, empty records, and (when [big] is set) a record too big for
+   any page that raises with every earlier record appended. *)
+let prop_append_many =
+  QCheck.Test.make ~count:200 ~name:"append_many = repeated append_sub, byte for byte"
+    QCheck.(triple (int_bound 10_000) (list_of_size (Gen.int_bound 80) (int_bound 60)) (option small_nat))
+    (fun (seed, lens, big) ->
+      let rng = Random.State.make [| seed |] in
+      let lens =
+        match big with
+        | Some at ->
+            let at = at mod (List.length lens + 1) in
+            List.filteri (fun i _ -> i < at) lens @ [ 61 + (seed mod 40) ]
+            @ List.filteri (fun i _ -> i >= at) lens
+        | None -> lens
+      in
+      (* Records are slices of a few shared source buffers, at odd offsets. *)
+      let srcs = Array.init 3 (fun _ -> Bytes.init 200 (fun _ -> Char.chr (Random.State.int rng 256))) in
+      let recs =
+        Array.of_list
+          (List.mapi (fun i len -> (srcs.(i mod 3), Random.State.int rng (200 - len), len)) lens)
+      in
+      let env = Env.create ~page_size:64 ~pool_pages:8 () in
+      let fill f =
+        Heap_file.append f (Bytes.of_string "part-filled");
+        f
+      in
+      let a = fill (Heap_file.create env) and b = fill (Heap_file.create env) in
+      let raised f = try f (); false with Invalid_argument _ -> true in
+      let ra =
+        raised (fun () -> Array.iter (fun (buf, off, len) -> Heap_file.append_sub a buf off len) recs)
+      and rb =
+        raised (fun () ->
+            Heap_file.append_many b (Array.map (fun (buf, _, _) -> buf) recs)
+              (Array.map (fun (_, off, _) -> off) recs)
+              (Array.map (fun (_, _, len) -> len) recs)
+              (Array.length recs))
+      in
+      let pages f =
+        let c = Heap_file.Slices.of_file f and acc = ref [] and last = ref Bytes.empty in
+        while Heap_file.Slices.advance c do
+          if Heap_file.Slices.page c != !last then begin
+            last := Heap_file.Slices.page c;
+            acc := Bytes.to_string !last :: !acc
+          end
+        done;
+        List.rev !acc
+      in
+      ra = (big <> None)
+      && rb = ra
+      && Heap_file.num_records a = Heap_file.num_records b
+      && Heap_file.num_pages a = Heap_file.num_pages b
+      && pages a = pages b)
+
 let with_pool ~domains f =
   let pool = Task_pool.create ~domains in
   Fun.protect ~finally:(fun () -> Task_pool.shutdown pool) (fun () -> f pool)
@@ -537,10 +660,12 @@ let suites =
   [
     ("storage.disk", disk_tests);
     ("storage.pool", pool_tests @ [ QCheck_alcotest.to_alcotest prop_pool_model ]);
-    ("storage.heap", heap_tests @ [ QCheck_alcotest.to_alcotest prop_slices ]);
+    ( "storage.heap",
+      heap_tests @ List.map QCheck_alcotest.to_alcotest [ prop_slices; prop_append_many ] );
     ( "storage.sort",
       sort_tests @ shaped_tests
-      @ List.map QCheck_alcotest.to_alcotest [ prop_merge_passes; prop_sort_support ] );
+      @ List.map QCheck_alcotest.to_alcotest
+          [ prop_merge_passes; prop_sort_support; prop_sort_index; prop_merge_runs ] );
     ("storage.pool_tasks", task_pool_tests);
     ("storage.stats", stats_tests);
   ]

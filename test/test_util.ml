@@ -108,10 +108,9 @@ let run_all_strategies q =
 let sort_record ~lo ~hi ~tag =
   Bytes.of_string (Printf.sprintf "%03d %03d %04d" lo hi tag)
 
-let sort_record_key page off =
-  Fuzzy.Interval.make
-    (float_of_string (Bytes.sub_string page off 3))
-    (float_of_string (Bytes.sub_string page (off + 4) 3))
+let sort_record_key page off lo hi i =
+  lo.(i) <- float_of_string (Bytes.sub_string page off 3);
+  hi.(i) <- float_of_string (Bytes.sub_string page (off + 4) 3)
 
 let heap_file env records =
   let f = Storage.Heap_file.create env in
@@ -143,8 +142,9 @@ let sort_file ?trace ?cancel ~mem_pages f =
   fst (sort_files ?trace ?cancel ~mem_pages f empty)
 
 let sort_key_pair r =
-  let k = sort_record_key r 0 in
-  (Fuzzy.Interval.lo k, Fuzzy.Interval.hi k)
+  let lo = [| 0.0 |] and hi = [| 0.0 |] in
+  sort_record_key r 0 lo hi 0;
+  (lo.(0), hi.(0))
 
 (* The in-memory oracle: [sorted] holds [records] in key order, its keys
    those of [List.stable_sort] over [records] and its records the same
