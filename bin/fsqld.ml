@@ -240,9 +240,10 @@ let () =
         Printf.printf "fsqld: replica of %s, syncing %s...\n%!" primary dir;
         if not (Server.Replication.Replica.wait_synced ~timeout_s:60.0 replica)
         then
-          Printf.printf
-            "fsqld: warning: initial catch-up has not completed; queries \
-             will be rejected as stale until it does\n%!";
+          Printf.printf "fsqld: warning: initial catch-up has not completed; %s\n%!"
+            (if Option.is_some !max_staleness_ms then
+               "queries will be rejected as stale until it does"
+             else "queries see whatever the replica has applied");
         let make_env ~pool_pages =
           Storage.Env.open_durable ~dir ~readonly:true ~pool_pages ()
         in

@@ -16,7 +16,7 @@
       constraints with positive degree);
     - {b FSQL033} — a nested shape outside the paper's unnestable types
       N/J/JX/JA/JALL, reported through the [?classify] callback (wired
-      to [Unnest.Classify.shape_hint] by the binaries and daemon so this
+      to [Unnest.Classify.shape_hint] by [fsql], not by fsqld, so this
       library does not depend on the planner).
 
     Satisfiability findings are {e warnings}: the query is valid, merely
@@ -29,7 +29,10 @@ type ctx
 val ctx : catalog:Relational.Catalog.t -> terms:Fuzzy.Term.t -> ctx
 (** Scans every catalog relation once, recording per numeric attribute
     the hull of loaded supports and whether all loaded values are crisp.
-    Build it at startup (or after loading) and reuse it per query. *)
+    Build it at startup (or after loading) and reuse it per query. A
+    built context is read-only and checking does no storage I/O (schemas,
+    file identity and the hulls only), so threads may share one with no
+    lock while its catalog is not added to, even after its env closed. *)
 
 val code_table : (string * Diagnostic.severity * string) list
 (** Every stable diagnostic code with its severity and a one-line

@@ -39,12 +39,10 @@ let select ?name r ~pred =
    never decides by arity. The distinct entries are sorted only when the
    answer is read out ([to_relation], [contents]): by a float key of the
    first value that [compare_values] never contradicts (strings first,
-   numbers by their lowest support point, discrete distributions last),
+   numbers by their lowest support point — a one-point distribution at
+   degree 1 by the number it holds — other discrete distributions last),
    and within a run of equal keys by [compare_values] on the decoded
-   entries. The order is exactly [compare_values] order wherever that is
-   a total order; a one-point distribution at degree 1 beside numbers
-   makes it intransitive (it equals its number but sorts after every
-   trapezoid), and then no order agrees with it. *)
+   entries. So the order is exactly [compare_values] order. *)
 module Max_fold = struct
   type t = {
     enc : Buffer.t;  (** reused to encode each added tuple *)
@@ -120,6 +118,7 @@ module Max_fold = struct
       | Value.Str _ -> neg_infinity
       | Value.Int i -> float_of_int i
       | Value.Fuzzy (Possibility.Trap tr) -> tr.Trapezoid.a
+      | Value.Fuzzy (Possibility.Discrete [ (v, 1.0) ]) -> v
       | Value.Fuzzy (Possibility.Discrete _) -> infinity
 
   (* Whether [len] bytes at [blob.(pos)] encode the values of entry [i]:

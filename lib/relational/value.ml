@@ -41,32 +41,29 @@ let compare_degree op v1 v2 =
         | Gt -> c > 0
         | Ge -> c >= 0)
 
+(* The number view of [equal] and [compare_structural]: an [Int] and a
+   one-point distribution at degree 1 are the crisp number they hold. *)
+let numeric = function
+  | Int i -> Possibility.crisp (float_of_int i)
+  | Fuzzy (Possibility.Discrete [ (v, 1.0) ]) -> Possibility.crisp v
+  | Fuzzy p -> p
+  | Str _ -> invalid_arg "Value.numeric: a string"
+
+let rank = function Str _ -> 0 | Int _ | Fuzzy _ -> 1
+
 let equal a b =
   match (a, b) with
   | Int i, Int j -> i = j
   | Str s, Str t -> String.equal s t
-  | Fuzzy p, Fuzzy q -> Possibility.equal p q
-  (* An [Int] and the equivalent crisp [Fuzzy] denote the same value. *)
-  | Int i, Fuzzy p | Fuzzy p, Int i ->
-      (match Possibility.crisp_value p with
-      | Some v -> v = float_of_int i
-      | None -> false)
-  | Str _, (Int _ | Fuzzy _) | (Int _ | Fuzzy _), Str _ -> false
-
-let rank = function Str _ -> 0 | Int _ | Fuzzy _ -> 1
+  | Str _, _ | _, Str _ -> false
+  | _ -> Possibility.equal (numeric a) (numeric b)
 
 let compare_structural a b =
-  if equal a b then 0
-  else
-    match (a, b) with
-    | Str s, Str t -> String.compare s t
-    | Int i, Int j -> Int.compare i j
-    | Fuzzy p, Fuzzy q -> Possibility.compare_structural p q
-    | Int i, Fuzzy q ->
-        Possibility.compare_structural (Possibility.crisp (float_of_int i)) q
-    | Fuzzy p, Int j ->
-        Possibility.compare_structural p (Possibility.crisp (float_of_int j))
-    | (Str _ | Int _ | Fuzzy _), _ -> Int.compare (rank a) (rank b)
+  match (a, b) with
+  | Int i, Int j -> Int.compare i j
+  | Str s, Str t -> String.compare s t
+  | Str _, _ | _, Str _ -> Int.compare (rank a) (rank b)
+  | _ -> Possibility.compare_structural (numeric a) (numeric b)
 
 let support = function
   | Int i -> Interval.point (float_of_int i)

@@ -24,10 +24,12 @@ val compare_degree : Fuzzy.Fuzzy_compare.op -> t -> t -> Fuzzy.Degree.t
 
 val equal : t -> t -> bool
 (** Structural equality, used by duplicate elimination: two fuzzy values are
-    the same answer-value only if their distributions coincide. *)
+    the same answer-value only if their distributions coincide; [Int 3],
+    crisp [3.0] and [DIST(3:1)] are all the number 3. *)
 
 val compare_structural : t -> t -> int
-(** Total order consistent with [equal]; arbitrary across constructors. *)
+(** Total preorder whose classes are [equal]'s; arbitrary across
+    constructors. *)
 
 val support : t -> Fuzzy.Interval.t
 (** Definition 3.1 interval for sorting (strings get a degenerate interval

@@ -4,15 +4,7 @@ module Trace = Storage.Trace
 module Metrics = Storage.Metrics
 module Fault = Storage.Fault
 
-let with_lock m f =
-  Mutex.lock m;
-  match f () with
-  | v ->
-      Mutex.unlock m;
-      v
-  | exception e ->
-      Mutex.unlock m;
-      raise e
+let with_lock = Mutex.protect
 
 type conn = {
   fd : Unix.file_descr;
@@ -39,6 +31,15 @@ type job = {
   conn : conn;
 }
 
+(* One worker's private storage: built for its first query, again on
+   each respawn and, in replica mode, whenever the replica's generation
+   has moved. *)
+type worker_state = {
+  env : Storage.Env.t;
+  check : Fuzzysql.Check.ctx;  (** built before the fault plane attaches *)
+  gen : int;  (** the replica generation the build saw; 0 otherwise *)
+}
+
 type t = {
   listen_fd : Unix.file_descr;
   bound_port : int;
@@ -46,18 +47,12 @@ type t = {
   n_workers : int;
   default_deadline_ms : int option;
   mem_pages : int;
-  terms : Fuzzy.Term.t;
-  make_env : unit -> Storage.Env.t;
-      (** storage factory for worker and admission environments; the
-          default builds simulated envs, [fsqld --data-dir] passes
-          read-only durable opens of a recovered directory *)
-  setup : Storage.Env.t -> Catalog.t -> unit;
-  check : Fuzzysql.Check.ctx;
-      (** admission-side static analysis context, over a private
-          env + catalog built once at [start] with [setup] *)
-  check_lock : Mutex.t;
-      (** the admission catalog's storage is single-threaded; connection
-          threads take this around every static check *)
+  make_state : int -> worker_state;
+      (** build worker [i]'s state with the [setup] callback; in replica
+          mode the caller holds the replica's read lock *)
+  published : (int * Fuzzysql.Check.ctx) Atomic.t;
+      (** the check context of the newest worker build, with the
+          generation it saw: admission checks against it, lock-free *)
   on_trace : (Trace.t -> unit) option;
   queue : job Bounded_queue.t;
   metrics : Metrics.t;
@@ -69,7 +64,6 @@ type t = {
   pool : Storage.Task_pool.t;
   retry : Retry.policy;
   breaker : Breaker.t;
-  fault_spec : Fault.spec option;
   fault_seed : int;
   replica : Replication.Replica.t option;
       (** replica mode: workers serve read-only under the replica's lock
@@ -273,11 +267,24 @@ let deadline_reason reason =
   let rec go i = i + m <= n && (String.sub reason i m = sub || go (i + 1)) in
   go 0
 
-exception Invalid_query of string
-(** rendered diagnostics; raised inside an attempt by the worker-side
-    backstop check (admission normally rejects these queries first) *)
+(* The bound query, or the one rejection frame that admission and the
+   worker's own check both send: the first error's code and every
+   diagnostic rendered. [check_string] returns no query exactly when it
+   found an Error; warnings alone never reject. *)
+let check ctx sql =
+  match Fuzzysql.Check.check_string ctx sql with
+  | Some q, _ -> Ok q
+  | None, diags ->
+      let code = (List.hd (Fuzzysql.Diagnostic.errors diags)).code in
+      Error
+        (Wire.Rejected
+           { code; diagnostics = Fuzzysql.Diagnostic.render_all ~source:sql diags })
 
-let handle_job t ~env ~check ~plane ~rng job =
+exception Bad_query of Wire.reply
+(** the client's mistake, raised inside an attempt *)
+
+let handle_job t ~state ~rng job =
+  let env = state.env and plane = Storage.Env.fault state.env in
   let dequeued = Unix.gettimeofday () in
   let tr = Some job.trace in
   let faults_before = match plane with Some p -> Fault.injected p | None -> 0 in
@@ -291,27 +298,14 @@ let handle_job t ~env ~check ~plane ~rng job =
     Cancel.raise_if_cancelled job.cancel;
     let q =
       Trace.with_span tr "plan" (fun () ->
-          (* The same static analysis that guards admission, against this
-             worker's private catalog. Statically-invalid queries normally
-             never get here; when one does (or the exception backstops
-             below fire), the reply renders the full diagnostics. *)
-          match Fuzzysql.Check.check_string check job.sql with
-          | Some q, _ -> q
-          | None, diags ->
-              let prefix =
-                match Fuzzysql.Diagnostic.errors diags with
-                | { Fuzzysql.Diagnostic.code = "FSQL001"; _ } :: _ ->
-                    "lex error"
-                | { Fuzzysql.Diagnostic.code = "FSQL002"; _ } :: _ ->
-                    "parse error"
-                | _ -> "semantic error"
-              in
-              raise
-                (Invalid_query
-                   (prefix ^ ":\n"
-                   ^ Fuzzysql.Diagnostic.render_all ~source:job.sql diags)))
+          (* The check that guards admission, against this worker's own
+             catalog. Admission skips it in replica mode while the
+             published context is older than the applied data; then this
+             check decides. *)
+          match check state.check job.sql with
+          | Ok q -> q
+          | Error reply -> raise (Bad_query reply))
     in
-    let stats = env.Storage.Env.stats in
     Trace.with_span tr ~stats "exec" (fun () ->
         let answer =
           Unnest.Planner.run ~mem_pages:t.mem_pages ~trace:job.trace
@@ -325,12 +319,9 @@ let handle_job t ~env ~check ~plane ~rng job =
     match attempt () with
     | v -> `Ok v
     | exception Cancel.Cancelled reason -> `Cancelled reason
-    | exception Invalid_query m -> `Bad_query m
-    | exception Fuzzysql.Parser.Error m -> `Bad_query ("parse error: " ^ m)
-    | exception Fuzzysql.Lexer.Error (m, pos) ->
-        `Bad_query (Printf.sprintf "lex error at offset %d: %s" pos m)
-    | exception Fuzzysql.Analyzer.Error m -> `Bad_query ("semantic error: " ^ m)
-    | exception Unnest.Planner.Unsupported m -> `Bad_query ("unsupported: " ^ m)
+    | exception Bad_query reply -> `Bad_query reply
+    | exception Unnest.Planner.Unsupported m ->
+        `Bad_query (Wire.Error ("unsupported: " ^ m))
     | exception (Fault.Injected { severity = Fault.Transient; _ } as e) ->
         let m = Printexc.to_string e in
         Trace.add_timed_span tr ("fault " ^ m) ~start_s:(Unix.gettimeofday ())
@@ -400,12 +391,12 @@ let handle_job t ~env ~check ~plane ~rng job =
             outcome := "cancelled_client"
           end;
           terminal := Some (Wire.Cancelled reason)
-      | `Bad_query m ->
+      | `Bad_query reply ->
           (* The client's mistake, not server health: keep it out of the
              breaker's error budget. *)
           count t "requests_failed";
           outcome := "error";
-          terminal := Some (Wire.Error m)
+          terminal := Some reply
       | `Gave_up m ->
           count t "requests_failed_transient";
           outcome := "failed_transient";
@@ -457,54 +448,50 @@ let handle_job t ~env ~check ~plane ~rng job =
   | None -> ());
   !respawn
 
-let worker_loop t widx () =
-  (* Shared-nothing: a private environment and catalog per worker domain
-     (the storage layer is single-threaded by design). The fault plane is
-     attached only after [setup] has loaded the catalog, so data loading
-     itself never faults; each worker's plane gets its own seed stream. *)
-  let build () =
-    let env = t.make_env () in
-    let catalog = Catalog.create env in
-    t.setup env catalog;
-    (* The static-analysis context scans every relation once; built before
-       the fault plane attaches, so the scan itself never faults. *)
-    let check = Fuzzysql.Check.ctx ~catalog ~terms:t.terms in
-    let plane =
-      Option.map
-        (fun spec -> Fault.create ~seed:(t.fault_seed + widx) spec)
-        t.fault_spec
-    in
-    Storage.Env.set_fault env plane;
-    (env, check, plane)
-  in
+(* In replica mode, [f] under the read side of the replica's lock: the
+   applier swaps no file and writes no page while it runs. *)
+let reading replica f =
+  match replica with
+  | Some r -> Replication.Replica.with_read r f
+  | None -> f ()
+
+(* Generations only grow, so a build that lost the race to a newer one
+   leaves the newer context published. *)
+let rec publish t s =
+  let ((gen, _) as cur) = Atomic.get t.published in
+  if s.gen >= gen && not (Atomic.compare_and_set t.published cur (s.gen, s.check))
+  then publish t s
+
+(* Shared-nothing: a private environment and catalog per worker domain
+   (the storage layer is single-threaded by design). Worker 0's first
+   state is built by [start]; every other build happens here and is
+   published for admission. *)
+let worker_loop t widx first () =
   let rng = Random.State.make [| 0xB0FF; t.fault_seed; widx |] in
-  let state = ref (build ()) in
-  let gen =
-    ref (match t.replica with
-        | Some r -> Replication.Replica.generation r
-        | None -> 0)
+  let build () =
+    let s = t.make_state widx in
+    publish t s;
+    s
+  in
+  let state =
+    ref (match first with Some s -> s | None -> reading t.replica build)
+  in
+  (* The old environment is closed first: in replica mode its fds point
+     at applied-over or renamed-away files. *)
+  let rebuild () =
+    (try Storage.Env.close !state.env with _ -> ());
+    state := build ()
   in
   (* In replica mode a query runs under the read side of the replica's
      lock, so the applier never swaps files or writes pages mid-query;
-     when the apply generation has moved, the worker first rebuilds its
-     environment (closing the old one — its fds point at applied-over or
-     renamed-away files). *)
+     when the apply generation has moved, the worker first rebuilds. *)
   let run_job job =
     match t.replica with
-    | None ->
-        let env, check, plane = !state in
-        handle_job t ~env ~check ~plane ~rng job
+    | None -> handle_job t ~state:!state ~rng job
     | Some r ->
         Replication.Replica.with_read r (fun () ->
-            let g = Replication.Replica.generation r in
-            if g <> !gen then begin
-              let env, _, _ = !state in
-              (try Storage.Env.close env with _ -> ());
-              state := build ();
-              gen := g
-            end;
-            let env, check, plane = !state in
-            handle_job t ~env ~check ~plane ~rng job)
+            if Replication.Replica.generation r <> !state.gen then rebuild ();
+            handle_job t ~state:!state ~rng job)
   in
   let rec loop () =
     match Bounded_queue.pop t.queue with
@@ -526,7 +513,7 @@ let worker_loop t widx () =
         in
         if respawn then begin
           count t "workers_respawned";
-          state := build ()
+          reading t.replica rebuild
         end;
         loop ()
   in
@@ -536,20 +523,17 @@ let worker_loop t widx () =
 (* Connection side *)
 
 (* A statically-invalid query never reaches the worker queue: the check
-   runs on the connection thread against the admission catalog (built
-   once at [start]), and the rejection is terminal and non-retryable —
-   resubmitting the same text cannot succeed. Only Error-severity
-   diagnostics reject; satisfiability warnings ride along in the
-   rendered report of a rejected query but never reject on their own. *)
+   runs on the connection thread against the newest worker-built context
+   (read-only, and checking does no storage I/O, so no lock), and the
+   rejection is terminal and non-retryable. In replica mode a context
+   built before the replica's current generation may miss relations the
+   replica has applied since: the query goes through, and the worker,
+   which rebuilds first, decides. *)
 let static_reject t sql =
-  let diags =
-    with_lock t.check_lock (fun () ->
-        snd (Fuzzysql.Check.check_string t.check sql))
-  in
-  match Fuzzysql.Diagnostic.errors diags with
-  | [] -> None
-  | { Fuzzysql.Diagnostic.code; _ } :: _ ->
-      Some (code, Fuzzysql.Diagnostic.render_all ~source:sql diags)
+  let gen, ctx = Atomic.get t.published in
+  match t.replica with
+  | Some r when gen <> Replication.Replica.generation r -> None
+  | _ -> ( match check ctx sql with Ok _ -> None | Error reply -> Some reply)
 
 let admit t conn ~request_id ~deadline_ms sql =
   let now = Unix.gettimeofday () in
@@ -595,7 +579,7 @@ let admit t conn ~request_id ~deadline_ms sql =
             else "replica has not completed its first catch-up; retry"))
   | `Go -> (
       match static_reject t sql with
-      | Some (code, diagnostics) ->
+      | Some reply ->
           count t "requests_rejected_static";
           (match t.query_log with
           | Some log ->
@@ -615,7 +599,7 @@ let admit t conn ~request_id ~deadline_ms sql =
                   outcome = "rejected_static";
                 }
           | None -> ());
-          send conn (Wire.Rejected { code; diagnostics })
+          send conn reply
       | None -> (
           let deadline_ms =
             if deadline_ms > 0 then Some deadline_ms else t.default_deadline_ms
@@ -818,27 +802,34 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(workers = 2)
     | Unix.ADDR_INET (_, p) -> p
     | _ -> port
   in
-  (* The admission-side static-analysis context: a private environment
-     loaded with the same [setup] the workers use, scanned once. No fault
-     plane is ever attached to it — admission must stay deterministic. *)
   let make_env =
     match make_env with
     | Some f -> fun () -> f ~pool_pages:mem_pages
     | None -> fun () -> Storage.Env.create ~pool_pages:mem_pages ()
   in
-  let build_check () =
+  (* The fault plane attaches only after [setup] has loaded the catalog
+     and the check context has scanned it, so neither ever faults; each
+     worker's plane gets its own seed stream. *)
+  let make_state widx =
+    let gen =
+      match replica with Some r -> Replication.Replica.generation r | None -> 0
+    in
     let env = make_env () in
     let catalog = Catalog.create env in
     setup env catalog;
-    Fuzzysql.Check.ctx ~catalog ~terms
+    let check = Fuzzysql.Check.ctx ~catalog ~terms in
+    Storage.Env.set_fault env
+      (Option.map (fun spec -> Fault.create ~seed:(fault_seed + widx) spec) fault_spec);
+    { env; check; gen }
   in
-  (* In replica mode the admission environment opens the files the
-     applier is writing; take the read side so the open never races a
-     batch apply or a snapshot swap. *)
-  let check =
-    match replica with
-    | Some r -> Replication.Replica.with_read r build_check
-    | None -> build_check ()
+  (* Worker 0's first state, built here so a raising [setup] raises from
+     [start] and admission has a context before the first connection. *)
+  let first =
+    match reading replica (fun () -> make_state 0) with
+    | s -> s
+    | exception e ->
+        Unix.close listen_fd;
+        raise e
   in
   let t =
     {
@@ -848,11 +839,8 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(workers = 2)
       n_workers = workers;
       default_deadline_ms;
       mem_pages;
-      terms;
-      make_env;
-      setup;
-      check;
-      check_lock = Mutex.create ();
+      make_state;
+      published = Atomic.make (first.gen, first.check);
       on_trace;
       queue = Bounded_queue.create ~capacity:queue_capacity;
       metrics = Metrics.create ();
@@ -866,7 +854,6 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(workers = 2)
       pool = Storage.Task_pool.create ~domains:workers;
       retry;
       breaker = (match breaker with Some b -> b | None -> Breaker.create ());
-      fault_spec;
       fault_seed;
       replica;
       max_staleness_ms;
@@ -889,7 +876,8 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(workers = 2)
          (fun () ->
            ignore
              (Storage.Task_pool.run_list t.pool
-                (List.init workers (fun i -> worker_loop t i))))
+                (List.init workers (fun i ->
+                     worker_loop t i (if i = 0 then Some first else None)))))
          ());
   t.acceptor <- Some (Thread.create accept_loop t);
   (match metrics_port with

@@ -19,7 +19,11 @@
     Workers are shared-nothing: each builds a private
     {!Storage.Env} + {!Relational.Catalog} with the [~setup] callback at
     startup, because the storage layer (buffer pool, Iostats) is
-    single-threaded by design. The effective number of parallel workers
+    single-threaded by design. Admission checks each query, lock-free,
+    against the {!Fuzzysql.Check.ctx} of the newest worker build and
+    answers [Rejected] before the queue; in replica mode only while that
+    build saw the replica's current generation, else the rebuilt worker's
+    own check answers the same frame. The effective number of parallel workers
     is capped by the machine
     ([min (workers) (Domain.recommended_domain_count ())]) — the pool
     never oversubscribes cores.
@@ -132,8 +136,9 @@ val start :
     [mem_pages = Unnest.Planner.default_mem_pages],
     the paper's term vocabulary, [retry = Retry.default], a default
     {!Breaker.create}, no fault injection, [fault_seed = 0]. [~setup]
-    runs once per worker on the worker's own domain (and again on each
-    respawn). [?make_env] overrides how worker (and admission)
+    runs once per worker (worker 0's first build in [start], so a raising
+    [setup] raises from it; the others on their own domains), and again
+    on each respawn or replica rebuild. [?make_env] overrides how worker
     environments are built — default simulated
     ([Storage.Env.create ~pool_pages:mem_pages ()]); it receives the
     daemon's [mem_pages] as [~pool_pages] so overriding the backend
@@ -162,7 +167,8 @@ val counter_value : t -> string -> int
 (** Read one metrics counter; 0 when it has not been touched yet.
     Counters: [requests_accepted], [requests_rejected_static] (the
     admission-time static analyzer found errors; the client saw
-    [Rejected] and the query never reached the worker queue),
+    [Rejected] and the query never reached the worker queue; a worker's
+    own rejection counts as [requests_failed]),
     [requests_rejected_overload], [requests_shed_breaker],
     [requests_cancelled], [requests_failed], [requests_failed_transient]
     (gave up on a transient fault; the client saw [Retryable]),

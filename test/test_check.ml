@@ -1,9 +1,12 @@
 (** Tests of the static analyzer: the FSQL0xx code table, caret-underlined
     rendering, stable code assignment for historically-rejected queries,
     nearest-name suggestions, multi-error accumulation, the satisfiability
-    warnings (FSQL030-033), and two qcheck soundness properties: queries
+    warnings (FSQL030-033), two qcheck soundness properties — queries
     with no Error diagnostic execute without raising, and queries the
-    fail-fast binder rejects carry at least one Error with a tabled code. *)
+    fail-fast binder rejects carry at least one Error with a tabled code —
+    and a fixed-seed mutation fuzz of the SQL front end: the checker
+    always returns, and the binder and planner raise only their typed
+    errors. *)
 
 open Frepro
 open Fuzzysql
@@ -444,6 +447,145 @@ let qcheck_tests =
         prop_reject_has_code;
     ]
 
+(* ---------- SQL mutation fuzz ----------
+
+   Mutants of the seven serve shapes, three statements with fuzzy
+   literals and the [examples/queries/] statements: byte flips, token splices, span cuts and truncations, one
+   or two per mutant, 20,000 mutants from a fixed seed. Each runs through
+   [Check.check_string] (which must return: fsqld's admission calls it
+   on the connection thread), [Analyzer.bind_string] and
+   [Planner.run_string], which may raise only their typed errors. The planner runs under a short deadline so a
+   mutant that happens to be an expensive valid query cannot stall the
+   suite. *)
+
+(* Beside the test binary under [dune runtest], or in the source tree
+   when it is run from the project root. *)
+let example_statements () =
+  let dir =
+    List.find Sys.file_exists
+      [
+        Filename.concat (Filename.dirname Sys.executable_name) "../examples/queries";
+        "examples/queries";
+      ]
+  in
+  List.concat_map
+    (fun file ->
+      let ic = open_in_bin (Filename.concat dir file) in
+      let text = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      String.split_on_char '\n' text
+      |> List.filter (fun l -> not (String.starts_with ~prefix:"--" (String.trim l)))
+      |> String.concat "\n" |> String.split_on_char ';' |> List.map String.trim
+      |> List.filter (fun s -> s <> ""))
+    [ "clean.fsql"; "errors.fsql"; "warnings.fsql" ]
+
+let splice_tokens seeds =
+  let words =
+    List.concat_map
+      (fun s -> List.filter (fun w -> w <> "") (String.split_on_char ' ' s))
+      seeds
+  in
+  Array.of_list
+    (words
+    @ [ "("; ")"; ","; "."; ":"; "'"; "\""; "--"; ";"; "-"; "1e308"; "-0";
+        "nan"; "DIST("; "TRAP(1,2,3,4)"; "TRAP(4,3,2,1)"; "ABOUT(3,-1)";
+        "DIST(1:0)"; "WITH D >="; "NOT"; "IN"; "ALL"; "SOME"; "EXISTS";
+        "GROUP BY"; "HAVING"; "ORDER BY D"; "LIMIT -1"; "COUNT(*)"; "MAX(";
+        "SELECT"; "FROM"; "WHERE"; "AND" ])
+
+let mutate rng tokens s =
+  let n = String.length s in
+  let pos () = Random.State.int rng (n + 1) in
+  match Random.State.int rng 4 with
+  | 0 when n > 0 ->
+      (* half the flips pick a character that keeps the text near-valid *)
+      let near = "0123456789-.,:()' eE" in
+      let c =
+        if Random.State.bool rng then Char.chr (Random.State.int rng 256)
+        else near.[Random.State.int rng (String.length near)]
+      in
+      let b = Bytes.of_string s in
+      Bytes.set b (Random.State.int rng n) c;
+      Bytes.to_string b
+  | 0 | 1 ->
+      let i = pos () in
+      let tok = tokens.(Random.State.int rng (Array.length tokens)) in
+      String.sub s 0 i ^ tok ^ String.sub s i (n - i)
+  | 2 ->
+      let i = pos () in
+      let j = i + Random.State.int rng (n - i + 1) in
+      String.sub s 0 i ^ String.sub s j (n - j)
+  | _ -> String.sub s 0 (pos ())
+
+let fuzz_tests =
+  [
+    tc "mutated SQL: check returns, bind and run raise only typed errors" `Quick
+      (fun () ->
+        let catalog setup =
+          let env = Test_util.fresh_env () in
+          let catalog = Relational.Catalog.create env in
+          setup env catalog;
+          catalog
+        in
+        let serve =
+          catalog (Server.Demo.server_setup ~seed:11 ~n_r:30 ~n_s:30 ~n_t:20 ())
+        and examples =
+          catalog (fun env c ->
+              Server.Demo.load_dating env c;
+              Server.Demo.load_generated ~n:40 ~groups:8 env c)
+        in
+        (* fuzzy literals, so flips reach the literal constructors *)
+        let literals =
+          [
+            "SELECT R.ID FROM R WHERE R.Y = TRAP(1,2,3,4) AND R.U >= ABOUT(20,5)";
+            "SELECT R.ID FROM R WHERE R.Y <= TRI(1,5,9) WITH D >= 0.5";
+            "SELECT S.ID FROM S WHERE S.Z IN (SELECT T.W FROM T WHERE T.P = DIST(3:0.5, 4:1))";
+          ]
+        in
+        let seeds =
+          List.map (fun sql -> (serve, sql)) (List.map snd Test_server.shapes @ literals)
+          @ List.map (fun sql -> (examples, sql)) (example_statements ())
+        in
+        let seeds = Array.of_list seeds in
+        let tokens = splice_tokens (Array.to_list (Array.map snd seeds)) in
+        let terms = Fuzzy.Term.paper in
+        let ctxs = List.map (fun c -> (c, Check.ctx ~catalog:c ~terms)) [ serve; examples ] in
+        let rng = Random.State.make [| 0xF022 |] in
+        let bound = ref 0 in
+        for _ = 1 to 20_000 do
+          let catalog, seed = seeds.(Random.State.int rng (Array.length seeds)) in
+          let sql = ref seed in
+          for _ = 0 to Random.State.int rng 2 do
+            sql := mutate rng tokens !sql
+          done;
+          let sql = !sql in
+          let fail what e =
+            Alcotest.failf "%s raised %s on %S" what (Printexc.to_string e) sql
+          in
+          (match Check.check_string ~classify:Unnest.Classify.shape_hint
+                   (List.assq catalog ctxs) sql
+           with
+          | _ -> ()
+          | exception e -> fail "Check.check_string" e);
+          (match Analyzer.bind_string ~catalog ~terms sql with
+          | _ -> incr bound
+          | exception (Analyzer.Error _ | Parser.Error _ | Lexer.Error _) -> ()
+          | exception e -> fail "Analyzer.bind_string" e);
+          let cancel =
+            Storage.Cancel.create ~deadline:(Unix.gettimeofday () +. 0.05) ()
+          in
+          match Unnest.Planner.run_string ~cancel ~catalog ~terms sql with
+          | answer -> Relational.Relation.destroy answer
+          | exception
+              ( Analyzer.Error _ | Parser.Error _ | Lexer.Error _
+              | Unnest.Planner.Unsupported _ | Storage.Cancel.Cancelled _ ) ->
+              ()
+          | exception e -> fail "Planner.run_string" e
+        done;
+        (* the corpus must reach the planner, not only the error paths *)
+        Alcotest.(check bool) "some mutants bind and run" true (!bound > 100));
+  ]
+
 let suites =
   [
     ("check.codes", table_tests);
@@ -452,4 +594,5 @@ let suites =
     ("check.suggest", suggestion_tests);
     ("check.warnings", warning_tests);
     ("check.qcheck", qcheck_tests);
+    ("check.fuzz", fuzz_tests);
   ]

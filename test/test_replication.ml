@@ -340,6 +340,71 @@ let e2e_tests =
             Alcotest.(check bool) "zombie sender fenced the subscriber" true
               (Replication.Sender.fenced zombie >= 1);
             Replication.Sender.stop zombie));
+    tc "a replica daemon checks queries against the data it has applied"
+      `Quick (fun () ->
+        with_dir2 (fun pdir rdir ->
+            let env = open_primary pdir in
+            let rel = Relation.create ~durable:true env schema in
+            List.iter (Relation.insert rel) (batch ~seed:5 ~start:0 10);
+            Env.commit env;
+            let sender = Replication.Sender.create ~env in
+            let port = Replication.Sender.listen ~port:0 sender in
+            let replica =
+              Replication.Replica.create ~dir:rdir ~primary:(addr_of port) ()
+            in
+            Replication.Replica.start replica;
+            Alcotest.(check bool) "synced" true
+              (Replication.Replica.wait_synced ~timeout_s:30.0 replica);
+            let daemon =
+              Server.Daemon.start ~workers:1 ~replica
+                ~make_env:(fun ~pool_pages ->
+                  Env.open_durable ~dir:rdir ~readonly:true ~pool_pages ())
+                ~setup:(fun env catalog ->
+                  let durable = Catalog.load_durable env in
+                  List.iter
+                    (fun name ->
+                      Option.iter (Catalog.add catalog) (Catalog.find durable name))
+                    (Catalog.names durable))
+                ()
+            in
+            Fun.protect
+              ~finally:(fun () ->
+                Server.Daemon.stop daemon;
+                Replication.Replica.stop replica;
+                Replication.Sender.stop sender;
+                Env.crash env)
+            @@ fun () ->
+            (* T is created on the primary after the daemon started. *)
+            let t_rel =
+              Relation.create ~durable:true env
+                (Schema.make ~name:"T" [ ("ID", Schema.TNum); ("X", Schema.TNum) ])
+            in
+            List.iter (Relation.insert t_rel) (batch ~seed:6 ~start:0 10);
+            Env.commit env;
+            let lsn = Wal.committed_end (Option.get (Env.wal env)) in
+            Alcotest.(check bool) "the replica applied T" true
+              (Replication.Sender.wait_applied sender ~lsn ~timeout_s:30.0);
+            let client = Server.Client.connect ~port:(Server.Daemon.port daemon) () in
+            Fun.protect ~finally:(fun () -> Server.Client.close client) @@ fun () ->
+            let c name = Server.Daemon.counter_value daemon name in
+            (match Server.Client.query client "SELECT T.NOPE FROM T" with
+            | Server.Client.Rejected { code; diagnostics } ->
+                Alcotest.(check string) "code" "FSQL011" code;
+                Alcotest.(check bool) "caret render" true
+                  (String.length diagnostics > 0)
+            | _ -> Alcotest.fail "expected Rejected FSQL011");
+            (* admission's context predates T, so the worker's check
+               answered, and the books count it as a failed request *)
+            Alcotest.(check int) "not rejected at admission" 0
+              (c "requests_rejected_static");
+            Alcotest.(check int) "counted as failed" 1 (c "requests_failed");
+            (match Server.Client.query client "SELECT T.ID FROM T" with
+            | Server.Client.Answer { rows; _ } ->
+                Alcotest.(check int) "every row of T" 10 (List.length rows)
+            | _ -> Alcotest.fail "expected an answer over T");
+            Alcotest.(check int) "books balance" (c "requests_accepted")
+              (c "requests_completed" + c "requests_cancelled"
+             + c "requests_failed" + c "requests_failed_transient")));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -580,6 +580,37 @@ let daemon_tests =
           (c "requests_accepted")
           (c "requests_completed" + c "requests_cancelled"
          + c "requests_failed" + c "requests_failed_transient"));
+    tc "start builds one environment per worker; a raising setup raises" `Quick
+      (fun () ->
+        List.iter
+          (fun workers ->
+            let builds = Atomic.make 0 in
+            let make_env ~pool_pages =
+              Atomic.incr builds;
+              Storage.Env.create ~pool_pages ()
+            in
+            let daemon = Server.Daemon.start ~workers ~make_env ~setup () in
+            let client = Server.Client.connect ~port:(Server.Daemon.port daemon) () in
+            (match Server.Client.query client "SELECT R.NOPE FROM R" with
+            | Server.Client.Rejected { code = "FSQL011"; _ } -> ()
+            | _ -> Alcotest.fail "expected Rejected FSQL011 at admission");
+            (match Server.Client.query client (List.assoc "N" shapes) with
+            | Server.Client.Answer _ -> ()
+            | _ -> Alcotest.fail "expected an answer");
+            Server.Client.close client;
+            (* after [stop] every worker has run, so every first build is in *)
+            Server.Daemon.stop daemon;
+            Alcotest.(check int)
+              (Printf.sprintf "make_env calls, %d workers" workers)
+              workers (Atomic.get builds))
+          [ 1; 2; 3 ];
+        match
+          Server.Daemon.start ~workers:2 ~setup:(fun _ _ -> failwith "no data") ()
+        with
+        | exception Failure m -> Alcotest.(check string) "setup's exception" "no data" m
+        | daemon ->
+            Server.Daemon.stop daemon;
+            Alcotest.fail "start returned although setup raised");
     tc "graceful shutdown drains and is idempotent" `Quick (fun () ->
         let daemon = Server.Daemon.start ~workers:2 ~setup () in
         let port = Server.Daemon.port daemon in
