@@ -2,9 +2,9 @@
     membership-function figures and an ablation study.
 
     Usage: [bench/main.exe [targets] [--full] [--scale N] [--io-latency S]
-    [--seed N] [--clients L] [--queries N]
+    [--seed N] [--queries N]
     [--trace PATH]] where targets are any of [table1 table2 table3 table4
-    fig3 fig1 ablation chain load chaos micro kernels alloc
+    fig3 fig1 ablation chain chaos micro kernels alloc
     telemetry wal recovery failover all] (default: all). [wal] measures WAL
     commit throughput per sync mode and redo-restart time vs log length.
     [chaos], [recovery] and [failover] are the three fault sources of the
@@ -18,10 +18,8 @@
     with [--seed 1] for join-large's data). [--trace PATH]
     additionally runs the 3-block chain query under the span collector and
     writes a Chrome trace_event file to PATH (bare [--trace PATH] runs only
-    that). The [load] target runs closed-loop clients against an in-process
-    fsqld with the daemon's default two workers ([--clients] is a comma list
-    of client counts) and reports throughput and exact p50/p99 latency per
-    client count.
+    that). Serving latency under closed-loop clients is measured by the
+    repository benchmark's serve-small workload ([perfbench/]).
     [--full] runs at the paper's absolute sizes (slow); the default scales
     every size by 8, which preserves all relation-size : buffer-size ratios.
     Every measured cell is also dumped to [BENCH_results.json]. *)
@@ -371,99 +369,6 @@ let chain_bench cfg =
         (match naive with Some t -> str_seconds t | None -> "-")
         (str_seconds fixed) (str_seconds dp))
     [ (200, 200, 200); (2000, 2000, 50); (4000, 4000, 25) ]
-
-(* ------------------------------------------------------------------ *)
-(* Server load: closed-loop clients against an in-process fsqld.       *)
-(* ------------------------------------------------------------------ *)
-
-let load_clients = ref [ 1; 2; 4; 8 ]
-let load_duration = 1.5
-
-let load_bench cfg =
-  section "Server load - closed-loop clients vs an in-process fsqld";
-  note "clients loop over the nesting shapes (N J JX JA JALL chain); every@.";
-  note "answer is checked against the in-process engine, exact degrees@.";
-  let setup = Server.Demo.server_setup ~seed:cfg.seed () in
-  let expected = expected_answers setup in
-  let max_clients = List.fold_left Int.max 1 !load_clients in
-  let daemon =
-    Server.Daemon.start ~queue_capacity:(max_clients + 2) ~setup ()
-  in
-  let workers = Server.Daemon.workers daemon in
-  note "(workers = %d parallel queries)@.@." workers;
-  let port = Server.Daemon.port daemon in
-  Format.printf "%-8s | %8s | %8s | %9s | %9s | %6s | %10s@." "clients"
-    "queries" "qps" "p50 (ms)" "p99 (ms)" "wrong" "overloaded";
-  hr Format.std_formatter 72;
-  List.iter
-    (fun c ->
-      let lat_lock = Mutex.create () in
-      let latencies = ref [] in
-      let completed = Atomic.make 0 in
-      let wrong = Atomic.make 0 in
-      let overloaded = Atomic.make 0 in
-      let stop_at = Unix.gettimeofday () +. load_duration in
-      let worker idx () =
-        let client = Server.Client.connect ~port () in
-        let mine = ref [] in
-        let i = ref idx in
-        while Unix.gettimeofday () < stop_at do
-          let name, sql = List.nth shapes (!i mod List.length shapes) in
-          incr i;
-          let t0 = Unix.gettimeofday () in
-          match Server.Client.query client sql with
-          | Server.Client.Answer { rows; _ } ->
-              if normal_rows (wire_rows rows) <> List.assoc name expected then
-                Atomic.incr wrong;
-              Atomic.incr completed;
-              mine := (Unix.gettimeofday () -. t0) :: !mine
-          | Server.Client.Overloaded ->
-              Atomic.incr overloaded;
-              Thread.yield ()
-          | Server.Client.Retryable _ ->
-              (* no fault injection here, so a transient failure is as
-                 wrong as a bad answer *)
-              Atomic.incr wrong
-          | Server.Client.Failed _ | Server.Client.Rejected _
-          | Server.Client.Cancelled _ ->
-              Atomic.incr wrong
-        done;
-        Server.Client.close client;
-        Mutex.lock lat_lock;
-        latencies := !mine @ !latencies;
-        Mutex.unlock lat_lock
-      in
-      let t_start = Unix.gettimeofday () in
-      let threads = List.init c (fun i -> Thread.create (worker i) ()) in
-      List.iter Thread.join threads;
-      let duration = Unix.gettimeofday () -. t_start in
-      let lats = Array.of_list !latencies in
-      Array.sort compare lats;
-      let pct p =
-        if Array.length lats = 0 then 0.0
-        else
-          lats.(Int.min
-                  (Array.length lats - 1)
-                  (int_of_float (p *. float_of_int (Array.length lats))))
-      in
-      let queries = Atomic.get completed in
-      let qps = float_of_int queries /. Float.max 1e-9 duration in
-      let p50 = 1000.0 *. pct 0.50 and p99 = 1000.0 *. pct 0.99 in
-      Format.printf "%-8d | %8d | %8.1f | %9.2f | %9.2f | %6d | %10d@." c
-        queries qps p50 p99 (Atomic.get wrong) (Atomic.get overloaded);
-      (* [queries] answered; [wrong] answers that differ from the sequential
-         truth, or failed; [overloaded] admission rejections (retried);
-         latencies are exact percentiles over every answered query. *)
-      record "load"
-        [
-          ("clients", Int c); ("workers", Int workers);
-          ("queries", Int queries); ("wrong", Int (Atomic.get wrong));
-          ("overloaded", Int (Atomic.get overloaded)); ("qps", Fixed (2, qps));
-          ("p50_ms", Fixed (3, p50)); ("p99_ms", Fixed (3, p99));
-          ("duration_s", Fixed (3, duration));
-        ])
-    !load_clients;
-  Server.Daemon.stop daemon
 
 (* ------------------------------------------------------------------ *)
 (* --trace PATH: run the 3-block chain query once under a trace         *)
@@ -840,7 +745,7 @@ let all_targets =
     ("table1", table1); ("table2", table2); ("table3", table3);
     ("table4", table4); ("fig3", fig3); ("fig1", fig1); ("ablation", ablation);
     ("chain", chain_bench);
-    ("load", load_bench); ("chaos", Chaos.run Chaos.Fault_plane);
+    ("chaos", Chaos.run Chaos.Fault_plane);
     ("micro", micro); ("kernels", kernels); ("alloc", alloc_bench);
     ("telemetry", telemetry_bench); ("wal", Wal_bench.run);
     ("recovery", Chaos.run Chaos.Crash); ("failover", Chaos.run Chaos.Failover);
@@ -875,20 +780,6 @@ let () =
             parse rest
         | _ ->
             Format.eprintf "--queries expects a positive integer@.";
-            exit 2)
-    | "--clients" :: spec :: rest -> (
-        let counts =
-          List.filter_map int_of_string_opt (String.split_on_char ',' spec)
-        in
-        match counts with
-        | [] ->
-            Format.eprintf "--clients expects a comma-separated list, e.g. 2,4,8@.";
-            exit 2
-        | cs when List.for_all (fun c -> c >= 1) cs ->
-            load_clients := cs;
-            parse rest
-        | _ ->
-            Format.eprintf "--clients counts must be positive@.";
             exit 2)
     | "all" :: rest -> parse rest
     | t :: rest when List.mem_assoc t all_targets ->

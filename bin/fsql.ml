@@ -341,9 +341,10 @@ let remote_sql st sql =
         (Server.Client.last_request_id st.client)
         (Server.Client.last_request_id st.client)
   | Server.Client.Rejected { code = _; diagnostics } ->
-      (* The admission-time static analyzer refused the query; the server
-         never queued it. The report is pre-rendered. *)
-      Format.printf "%s@.(rejected at admission, request id %s)@." diagnostics
+      (* The static check refused the query: at admission, before the
+         queue, or on a replica's worker, which checks against the data it
+         has applied. The report is pre-rendered. *)
+      Format.printf "%s@.(rejected by the static check, request id %s)@." diagnostics
         (Server.Client.last_request_id st.client)
   | Server.Client.Retryable msg ->
       Format.printf

@@ -22,9 +22,11 @@
     directory. [--wal-sync] picks the commit durability discipline for
     that initial load (default [group]).
 
-    [--workers] is the number of queries executing in parallel (each on
-    its own domain with a private storage environment; a query runs on
-    one worker). [--deadline-ms] sets a default
+    [--workers N] (default 2) is the number of queries executing in
+    parallel: N workers on any host, each with a private storage
+    environment, worker 0 on the main domain and the others on a domain
+    each; a query runs on one worker. More workers than cores only adds
+    stop-the-world GC synchronisation. [--deadline-ms] sets a default
     deadline for clients that do not send one. [--trace DIR] writes one
     Chrome trace file per request to [DIR/req-N.json]. [--fault-spec]
     arms deterministic fault injection on every worker's storage (syntax

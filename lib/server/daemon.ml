@@ -61,7 +61,6 @@ type t = {
   query_log : Telemetry.Query_log.t option;
   id_rng : Random.State.t;  (** server-assigned request IDs; under mlock *)
   inflight : int ref;  (** jobs between dequeue and terminal; under mlock *)
-  pool : Storage.Task_pool.t;
   retry : Retry.policy;
   breaker : Breaker.t;
   fault_seed : int;
@@ -76,9 +75,12 @@ type t = {
   promote_lock : Mutex.t;
   mutable draining : bool;
   mutable http : Telemetry.Http.t option;
-  mutable runner : Thread.t option;
+  mutable runner : Thread.t option;  (** worker 0, on the calling domain *)
+  mutable domains : unit Domain.t list;  (** workers 1 .. n-1 *)
   mutable acceptor : Thread.t option;
   conns : (conn * Thread.t) list ref;
+      (** live connections: each thread removes its own entry as it closes
+          its descriptor *)
   conns_lock : Mutex.t;
 }
 
@@ -114,6 +116,9 @@ let refresh_gauges t =
   Metrics.set_gauge
     (Metrics.gauge t.metrics "breaker_open")
     (if Breaker.is_open t.breaker ~now then 1.0 else 0.0);
+  Metrics.set_gauge
+    (Metrics.gauge t.metrics "connections")
+    (float_of_int (with_lock t.conns_lock (fun () -> List.length !(t.conns))));
   let g name v = Metrics.set_gauge (Metrics.gauge t.metrics name) v in
   (match t.replica with
   | Some r ->
@@ -732,7 +737,11 @@ let conn_loop t conn =
     Thread.yield ();
     Thread.delay 0.002
   done;
-  try Unix.close conn.fd with Unix.Unix_error _ -> ()
+  (* Close and leave the registry in one section: [stop] shuts down only
+     descriptors still registered, so never a closed (or reused) one. *)
+  with_lock t.conns_lock (fun () ->
+      (try Unix.close conn.fd with Unix.Unix_error _ -> ());
+      t.conns := List.filter (fun (c, _) -> c != conn) !(t.conns))
 
 (* The accept thread must be unkillable short of [stop]: every transient
    accept(2) failure — a signal (EINTR), a connection that died in the
@@ -767,8 +776,10 @@ let accept_loop t =
             { fd; lock = Mutex.create (); out = Wire.writer (); busy = false;
               current = None; alive = true }
           in
-          let th = Thread.create (conn_loop t) conn in
-          with_lock t.conns_lock (fun () -> t.conns := (conn, th) :: !(t.conns));
+          (* Registered under the lock the thread's own removal takes, so
+             a connection that ends at once is still removed. *)
+          with_lock t.conns_lock (fun () ->
+              t.conns := (conn, Thread.create (conn_loop t) conn) :: !(t.conns));
           loop ()
         end
   in
@@ -851,7 +862,6 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(workers = 2)
           query_log;
       id_rng = Random.State.make [| 0x5EED; fault_seed; bound_port |];
       inflight = ref 0;
-      pool = Storage.Task_pool.create ~domains:workers;
       retry;
       breaker = (match breaker with Some b -> b | None -> Breaker.create ());
       fault_seed;
@@ -862,23 +872,27 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(workers = 2)
       draining = false;
       http = None;
       runner = None;
+      domains = [];
       acceptor = None;
       conns = ref [];
       conns_lock = Mutex.create ();
     }
   in
-  (* The worker pool: [workers] long-running jobs on the task pool. The
-     dispatcher thread is the pool's coordinator (it runs job 0 itself),
-     so a 1-worker server spawns no domain at all. *)
-  t.runner <-
-    Some
-      (Thread.create
-         (fun () ->
-           ignore
-             (Storage.Task_pool.run_list t.pool
-                (List.init workers (fun i ->
-                     worker_loop t i (if i = 0 then Some first else None)))))
-         ());
+  (* Worker 0 runs on a thread of the calling domain, so a 1-worker
+     server spawns no domain; workers 1 .. n-1 get a domain each. A
+     failed spawn undoes what started, as a raising [setup] does. *)
+  t.runner <- Some (Thread.create (worker_loop t 0 (Some first)) ());
+  (try
+     for i = 1 to workers - 1 do
+       t.domains <- Domain.spawn (worker_loop t i None) :: t.domains
+     done
+   with e ->
+     Bounded_queue.close t.queue;
+     Option.iter Thread.join t.runner;
+     List.iter (fun d -> try Domain.join d with _ -> ()) t.domains;
+     Unix.close listen_fd;
+     Option.iter Telemetry.Query_log.close t.query_log;
+     raise e);
   t.acceptor <- Some (Thread.create accept_loop t);
   (match metrics_port with
   | None -> ()
@@ -906,22 +920,27 @@ let stop t =
        Unix.close fd
      with Unix.Unix_error _ -> ());
     (* Drain: admitted jobs are still popped and answered; then the
-       workers see [None] and exit, and the dispatcher joins. *)
+       workers see [None] and exit. A worker whose rebuild raised has
+       already died; its exception is not the caller's. *)
     Bounded_queue.close t.queue;
     Option.iter Thread.join t.runner;
     t.runner <- None;
-    Storage.Task_pool.shutdown t.pool;
+    List.iter (fun d -> try Domain.join d with _ -> ()) t.domains;
+    t.domains <- [];
     Option.iter Thread.join t.acceptor;
     t.acceptor <- None;
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
     (* Unblock every connection reader and join the threads (each closes
        its own descriptor on the way out). *)
-    let conns = with_lock t.conns_lock (fun () -> !(t.conns)) in
-    List.iter
-      (fun (conn, _) ->
-        try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL
-        with Unix.Unix_error _ -> ())
-      conns;
+    let conns =
+      with_lock t.conns_lock (fun () ->
+          List.iter
+            (fun (conn, _) ->
+              try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL
+              with Unix.Unix_error _ -> ())
+            !(t.conns);
+          !(t.conns))
+    in
     List.iter (fun (_, th) -> Thread.join th) conns;
     (* Telemetry last: the final requests' log records and traces land
        before the log closes and the scrape endpoint disappears. *)

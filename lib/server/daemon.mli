@@ -8,11 +8,12 @@
     {e connection thread} that reads {!Wire} request frames. A [Query]
     frame is admitted into a bounded queue (or rejected with
     [Overloaded] when the queue is full — producers never block) and
-    picked up by one of a fixed set of {e worker domains}, which are run
-    as long-lived jobs on a {!Storage.Task_pool} so queries execute in
-    parallel, not merely concurrently. Each query runs on the one worker
-    that picked it up; parallelism is across queries, not within one.
-    The worker materialises the
+    picked up by one of a fixed set of [workers] {e workers}, which the
+    daemon starts in {!start} and joins in {!stop}: worker 0 runs on a
+    thread of the calling domain, workers 1 to [workers - 1] on a domain
+    each, so queries execute in parallel, not merely concurrently. Each
+    query runs on the one worker that picked it up; parallelism is across
+    queries, not within one. The worker materialises the
     answer, then streams it ([Header], [Row]s, [Done]) to the client's
     socket.
 
@@ -23,10 +24,9 @@
     against the {!Fuzzysql.Check.ctx} of the newest worker build and
     answers [Rejected] before the queue; in replica mode only while that
     build saw the replica's current generation, else the rebuilt worker's
-    own check answers the same frame. The effective number of parallel workers
-    is capped by the machine
-    ([min (workers) (Domain.recommended_domain_count ())]) — the pool
-    never oversubscribes cores.
+    own check answers the same frame. [workers] is honoured on any host:
+    the operator picks it, and more workers than cores only adds
+    stop-the-world GC synchronisation.
 
     {1 Deadlines and cancellation}
 
@@ -88,7 +88,9 @@
       windows} ({!Storage.Metrics.window_histogram}, 12 x 5 s), so
       [\top] and the Prometheus endpoint report last-minute p50/p99/max
       and rates next to lifetime totals, plus point-in-time gauges
-      [queue_depth], [busy_workers], [breaker_open];
+      [queue_depth], [busy_workers], [breaker_open] and [connections]
+      (live client connections: a connection leaves the daemon's
+      registry, with its thread and output buffer, when it closes);
     - with [?metrics_port] a loopback HTTP listener serves [/metrics]
       (Prometheus text) and [/healthz] (JSON; 503 when the breaker is
       open or the server is draining);
@@ -132,12 +134,13 @@ val start :
   t
 (** Bind, listen, spawn the workers, and return immediately. Defaults:
     host ["127.0.0.1"], port [0] (ephemeral — read it back with {!port}),
-    [workers = 2], [queue_capacity = 16], no default deadline,
+    [workers = 2] ([Invalid_argument] below 1), [queue_capacity = 16], no default deadline,
     [mem_pages = Unnest.Planner.default_mem_pages],
     the paper's term vocabulary, [retry = Retry.default], a default
     {!Breaker.create}, no fault injection, [fault_seed = 0]. [~setup]
     runs once per worker (worker 0's first build in [start], so a raising
-    [setup] raises from it; the others on their own domains), and again
+    [setup] raises from it, as does a failed [Domain.spawn], each after
+    undoing what had started; the others on their own domains), and again
     on each respawn or replica rebuild. [?make_env] overrides how worker
     environments are built — default simulated
     ([Storage.Env.create ~pool_pages:mem_pages ()]); it receives the

@@ -776,8 +776,10 @@ module Replica = struct
 
   (* Apply one drained batch under the write lock: log bytes first
      (append + fsync — the durability point the ack reports), then the
-     page effects. A crash between the two is safe: local recovery
-     replays the freshly-appended records. *)
+     page effects, then [applied] and [generation], so a reader never
+     sees the new data under the old generation. A crash between the
+     first two is safe: local recovery replays the freshly-appended
+     records. *)
   let apply_batch t (d : Wal_stream.Tail.drained) =
     let disk =
       match t.disk with
@@ -795,11 +797,11 @@ module Replica = struct
         Wal_stream.Appender.fsync appender;
         List.iter
           (fun (_, r) -> apply_record t disk psize r)
-          d.Wal_stream.Tail.records);
-    with_lock t.lock (fun () ->
-        t.applied <- d.Wal_stream.Tail.new_end;
-        t.generation <- t.generation + 1;
-        t.synced <- true);
+          d.Wal_stream.Tail.records;
+        with_lock t.lock (fun () ->
+            t.applied <- d.Wal_stream.Tail.new_end;
+            t.generation <- t.generation + 1;
+            t.synced <- true));
     Eventcount.notify t.events
 
   (* Snapshot reception state: the two .sync files being filled. *)
@@ -825,9 +827,10 @@ module Replica = struct
         (try Unix.close fd with Unix.Unix_error _ -> ())
     | exception Unix.Unix_error _ -> ()
 
-  (* Swap the received snapshot into place and replay it. Under the
-     write lock so no reader sees the directory mid-swap; readers hold
-     fds on the old files, which rename leaves intact. *)
+  (* Swap the received snapshot into place, replay it and move the
+     generation, all under the write lock, so no reader sees the
+     directory mid-swap or the new files under the old generation;
+     readers hold fds on the old files, which rename leaves intact. *)
   let finish_snapshot t snap ~tail_start =
     let data_path = Real_disk.path_of t.dir in
     let wal_path = Recovery.wal_path_of t.dir in
@@ -842,13 +845,15 @@ module Replica = struct
         close_handles t;
         Unix.rename (data_path ^ ".sync") data_path;
         Unix.rename (wal_path ^ ".sync") wal_path;
-        fsync_dir t.dir);
-    let boundary = open_local t in
-    if boundary <> tail_start then raise Resync;
-    with_lock t.lock (fun () ->
-        t.generation <- t.generation + 1;
-        t.synced <- true;
-        t.snapshots <- t.snapshots + 1);
+        fsync_dir t.dir;
+        let boundary = open_local t in
+        with_lock t.lock (fun () ->
+            t.generation <- t.generation + 1;
+            if boundary = tail_start then begin
+              t.synced <- true;
+              t.snapshots <- t.snapshots + 1
+            end);
+        if boundary <> tail_start then raise Resync);
     Eventcount.notify t.events
 
   let send_ack t client =
@@ -1088,13 +1093,13 @@ module Replica = struct
             Wal.commit wal;
             Wal.close wal;
             Real_disk.close disk;
+            with_lock t.lock (fun () ->
+                t.epoch <- e;
+                t.promoted <- true;
+                t.synced <- true;
+                t.generation <- t.generation + 1);
             e)
       in
-      with_lock t.lock (fun () ->
-          t.epoch <- new_epoch;
-          t.promoted <- true;
-          t.synced <- true;
-          t.generation <- t.generation + 1);
       Eventcount.notify t.events;
       new_epoch
     end

@@ -476,6 +476,65 @@ let read_raw_frame fd =
   in
   Bytes.to_string (read_exact fd len)
 
+(* A worker that takes the read lock between a batch's page writes and
+   its bookkeeping would see new data under the old generation and skip
+   its rebuild; under the read lock the applied LSN must always equal the
+   replica's log size (LSNs are byte offsets into the shipped log). *)
+let generation_tests =
+  [
+    tc "under the read lock the applied LSN always equals the log size"
+      `Quick (fun () ->
+        with_dir2 (fun pdir rdir ->
+            let env = open_primary pdir in
+            let rel = Relation.create ~durable:true env schema in
+            List.iter (Relation.insert rel) (batch ~seed:3 ~start:0 10);
+            Env.commit env;
+            let sender = Replication.Sender.create ~env in
+            let port = Replication.Sender.listen ~port:0 sender in
+            let replica =
+              Replication.Replica.create ~dir:rdir ~primary:(addr_of port) ()
+            in
+            Replication.Replica.start replica;
+            Alcotest.(check bool) "initial catch-up" true
+              (Replication.Replica.wait_synced ~timeout_s:30.0 replica);
+            let wal_path = Recovery.wal_path_of rdir in
+            let stop = Atomic.make false in
+            let samples = Atomic.make 0 and torn = Atomic.make 0 in
+            let sampler =
+              Domain.spawn (fun () ->
+                  while not (Atomic.get stop) do
+                    Replication.Replica.with_read replica (fun () ->
+                        let applied = Replication.Replica.applied_lsn replica in
+                        if applied <> (Unix.stat wal_path).Unix.st_size then
+                          Atomic.incr torn;
+                        Atomic.incr samples)
+                  done)
+            in
+            let gen0 = Replication.Replica.generation replica in
+            let wal = Option.get (Env.wal env) in
+            Fun.protect
+              ~finally:(fun () ->
+                Atomic.set stop true;
+                Domain.join sampler)
+              (fun () ->
+                (* one semi-sync commit per batch *)
+                for k = 1 to 110 do
+                  Relation.insert rel (List.hd (batch ~seed:k ~start:(10 + k) 1));
+                  Env.commit env;
+                  Alcotest.(check bool) "commit applied" true
+                    (Replication.Sender.wait_applied sender
+                       ~lsn:(Wal.committed_end wal) ~timeout_s:30.0)
+                done);
+            Alcotest.(check bool) ">= 100 batches applied" true
+              (Replication.Replica.generation replica - gen0 >= 100);
+            Alcotest.(check bool) "sampled" true (Atomic.get samples > 0);
+            Alcotest.(check int) "samples with applied LSN <> log size" 0
+              (Atomic.get torn);
+            Replication.Replica.stop replica;
+            Replication.Sender.stop sender;
+            Env.close env));
+  ]
+
 let wire_tests =
   [
     tc "rev-3 replication frames round-trip exactly" `Quick (fun () ->
@@ -796,4 +855,5 @@ let suites =
     ("replication.e2e", e2e_tests);
     ("replication.wire", wire_tests);
     ("replication.wakeups", wakeup_tests);
+    ("replication.generation", generation_tests);
   ]

@@ -377,6 +377,22 @@ let raw_rev2_query ~port ~domains sql =
   in
   read []
 
+(* One gauge's value in a [Metrics.to_json] dump. *)
+let gauge_value json name =
+  let key = Printf.sprintf "\"%s\": " name in
+  let nk = String.length key and nj = String.length json in
+  let rec find i =
+    if i + nk > nj then Alcotest.failf "no gauge %s in %s" name json
+    else if String.sub json i nk = key then i + nk
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let stop = ref start in
+  while !stop < nj && not (String.contains ",}" json.[!stop]) do
+    incr stop
+  done;
+  float_of_string (String.sub json start (!stop - start))
+
 let daemon_tests =
   [
     tc "concurrent clients match the sequential engine bit-for-bit" `Slow
@@ -598,11 +614,16 @@ let daemon_tests =
             | Server.Client.Answer _ -> ()
             | _ -> Alcotest.fail "expected an answer");
             Server.Client.close client;
-            (* after [stop] every worker has run, so every first build is in *)
-            Server.Daemon.stop daemon;
+            (* every worker builds its environment as it starts, while
+               the daemon serves; none is left for [stop] *)
+            wait_for ~timeout:5.0
+              (Printf.sprintf "%d make_env calls" workers)
+              (fun () -> Atomic.get builds >= workers);
             Alcotest.(check int)
               (Printf.sprintf "make_env calls, %d workers" workers)
-              workers (Atomic.get builds))
+              workers (Atomic.get builds);
+            Server.Daemon.stop daemon;
+            Alcotest.(check int) "no build in stop" workers (Atomic.get builds))
           [ 1; 2; 3 ];
         match
           Server.Daemon.start ~workers:2 ~setup:(fun _ _ -> failwith "no data") ()
@@ -756,6 +777,79 @@ let daemon_tests =
           (Server.Daemon.counter_value daemon "requests_rejected_static");
         Alcotest.(check int) "no connection error" 0
           (Server.Daemon.counter_value daemon "connection_errors"));
+    tc "start runs every worker it is asked for, on any host" `Quick
+      (fun () ->
+        (* one worker more than the host's recommended domain count: a
+           core cap would leave the last worker to run only in [stop] *)
+        let workers = min (Domain.recommended_domain_count () + 1) 8 in
+        let builds = Atomic.make 0 in
+        let make_env ~pool_pages =
+          Atomic.incr builds;
+          Storage.Env.create ~pool_pages ()
+        in
+        let daemon = Server.Daemon.start ~workers ~make_env ~setup () in
+        Fun.protect ~finally:(fun () -> Server.Daemon.stop daemon) (fun () ->
+            wait_for ~timeout:5.0
+              (Printf.sprintf "%d make_env calls" workers)
+              (fun () -> Atomic.get builds >= workers);
+            Alcotest.(check int) "one build per worker" workers (Atomic.get builds);
+            Alcotest.(check int) "Daemon.workers" workers
+              (Server.Daemon.workers daemon));
+        match Server.Daemon.start ~workers:0 ~setup () with
+        | exception Invalid_argument _ -> ()
+        | daemon ->
+            Server.Daemon.stop daemon;
+            Alcotest.fail "start accepted ~workers:0");
+    tc "every worker runs a query at once, more workers than cores included"
+      `Slow (fun () ->
+        let workers = min (Domain.recommended_domain_count () + 1) 8 in
+        let daemon =
+          Server.Daemon.start ~workers ~queue_capacity:workers
+            ~fault_spec:stalled_disk ~setup:slow_setup ()
+        in
+        let port = Server.Daemon.port daemon in
+        let clients = List.init workers (fun _ -> Server.Client.connect ~port ()) in
+        let threads =
+          List.map
+            (fun c -> Thread.create (fun () -> ignore (Server.Client.query c slow_sql)) ())
+            clients
+        in
+        let busy () =
+          gauge_value (Server.Daemon.metrics_json daemon) "busy_workers"
+        in
+        Fun.protect
+          ~finally:(fun () ->
+            List.iter Server.Client.cancel clients;
+            List.iter Thread.join threads;
+            List.iter Server.Client.close clients;
+            Server.Daemon.stop daemon)
+          (fun () ->
+            wait_for ~timeout:5.0
+              (Printf.sprintf "%d busy workers" workers)
+              (fun () -> busy () = float_of_int workers)));
+    tc "finished connections leave the daemon; the connections gauge reads 0"
+      `Quick (fun () ->
+        let daemon = Server.Daemon.start ~workers:2 ~setup () in
+        let port = Server.Daemon.port daemon in
+        let connections () =
+          gauge_value (Server.Daemon.metrics_json daemon) "connections"
+        in
+        let cycle () =
+          let client = Server.Client.connect ~port () in
+          (match Server.Client.query client (List.assoc "N" shapes) with
+          | Server.Client.Answer _ -> ()
+          | _ -> Alcotest.fail "expected an answer");
+          client
+        in
+        let open_client = cycle () in
+        Alcotest.(check (float 0.0)) "one live connection" 1.0 (connections ());
+        Server.Client.close open_client;
+        for _ = 1 to 50 do
+          Server.Client.close (cycle ())
+        done;
+        wait_for ~timeout:5.0 "the connections gauge to read 0" (fun () ->
+            connections () = 0.0);
+        Server.Daemon.stop daemon);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -957,9 +1051,100 @@ let nodelay_tests =
           (Unix.getsockopt afd Unix.TCP_NODELAY));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Fuzzing the decoders: bytes from a peer fail only with a typed error. *)
+
+(* One valid request of every constructor, both query tags included. *)
+let sample_requests =
+  [
+    Server.Wire.Query { request_id = ""; deadline_ms = 0; domains = 0; sql = "SELECT T.ID FROM T" };
+    Server.Wire.Query
+      { request_id = "req-1"; deadline_ms = 250; domains = 4; sql = "SELECT R.ID FROM R" };
+    Server.Wire.Cancel;
+    Server.Wire.Metrics;
+    Server.Wire.Trace_get "req-1";
+    Server.Wire.Top;
+    Server.Wire.Rep_subscribe { epoch = 2; stream_id = 7L; from_lsn = 4096 };
+    Server.Wire.Rep_ack { epoch = 2; applied_lsn = 8192 };
+    Server.Wire.Promote;
+  ]
+
+(* 1-5 changed bytes, a cut tail, or a rewritten length prefix. *)
+let mutate rng raw =
+  let n = String.length raw in
+  let b = Bytes.of_string raw in
+  match Random.State.int rng 3 with
+  | 0 ->
+      for _ = 1 to 1 + Random.State.int rng 5 do
+        let i = Random.State.int rng n in
+        Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor (1 + Random.State.int rng 255))
+      done;
+      Bytes.to_string b
+  | 1 -> String.sub raw 0 (Random.State.int rng n)
+  | _ ->
+      let len = n - 4 in
+      let lens =
+        [| 0; 1; len - 1; len + 1; 2 * len; 8193; Server.Wire.max_frame + 1;
+           0xFFFF_FFFF; Random.State.int rng ((2 * len) + 16) |]
+      in
+      Bytes.set_int32_be b 0
+        (Int32.of_int lens.(Random.State.int rng (Array.length lens)));
+      Bytes.to_string b
+
+(* Decode frames from [raw], then EOF, through a fresh reader until the
+   first exception; [Some e] when it is not one of the wire's own. *)
+let decode_until_error read raw =
+  let r, w = Unix.pipe () in
+  Fun.protect ~finally:(fun () -> close_noerr r) @@ fun () ->
+  let n = String.length raw in
+  assert (Unix.write_substring w raw 0 n = n);
+  close_noerr w;
+  let rd = Server.Wire.reader r in
+  let rec go () : exn option =
+    ignore (read rd);
+    go ()
+  in
+  try go () with
+  | Server.Wire.Protocol_error _ | Server.Wire.Connection_closed -> None
+  | e -> Some e
+
+let fuzz_tests =
+  [
+    tc "20,000 mutated frames: the decoders raise only their typed errors"
+      `Quick (fun () ->
+        let encodings =
+          Array.of_list
+            (List.map
+               (fun q ->
+                 ( "request",
+                   (fun rd -> ignore (Server.Wire.read_request rd)),
+                   bytes_written (fun fd -> Server.Wire.write_request fd q) ))
+               sample_requests
+            @ List.map
+                (fun r ->
+                  ( "reply",
+                    (fun rd -> ignore (Server.Wire.read_reply rd)),
+                    bytes_written (fun fd -> Server.Wire.write_reply fd r) ))
+                sample_replies)
+        in
+        let rng = Random.State.make [| 0xF022 |] in
+        for i = 1 to 20_000 do
+          let what, read, raw =
+            encodings.(Random.State.int rng (Array.length encodings))
+          in
+          let m = mutate rng raw in
+          match decode_until_error read m with
+          | None -> ()
+          | Some e ->
+              Alcotest.failf "mutant %d of a %s frame raised %s: %S" i what
+                (Printexc.to_string e)
+                (if String.length m > 64 then String.sub m 0 64 else m)
+        done);
+  ]
+
 let suites =
   [
-    ("server wire", wire_tests @ framing_tests @ nodelay_tests);
+    ("server wire", wire_tests @ framing_tests @ nodelay_tests @ fuzz_tests);
     ("server queue", queue_tests);
     ("server daemon", daemon_tests);
   ]

@@ -512,46 +512,6 @@ let prop_append_many =
       && Heap_file.num_pages a = Heap_file.num_pages b
       && pages a = pages b)
 
-let with_pool ~domains f =
-  let pool = Task_pool.create ~domains in
-  Fun.protect ~finally:(fun () -> Task_pool.shutdown pool) (fun () -> f pool)
-
-let task_pool_tests =
-  [
-    tc "run_list returns results in order" `Quick (fun () ->
-        with_pool ~domains:4 (fun pool ->
-            let jobs = List.init 20 (fun i () -> i * i) in
-            Alcotest.(check (list int)) "ordered"
-              (List.init 20 (fun i -> i * i))
-              (Task_pool.run_list pool jobs)));
-    tc "run_list with one domain runs on the caller" `Quick (fun () ->
-        with_pool ~domains:1 (fun pool ->
-            Alcotest.(check (list int)) "ordered" [ 1; 2; 3 ]
-              (Task_pool.run_list pool [ (fun () -> 1); (fun () -> 2); (fun () -> 3) ])));
-    tc "exceptions propagate after the batch completes" `Quick (fun () ->
-        with_pool ~domains:2 (fun pool ->
-            Alcotest.(check bool) "raises" true
-              (try
-                 ignore
-                   (Task_pool.run_list pool
-                      [ (fun () -> 1); (fun () -> failwith "boom"); (fun () -> 3) ]);
-                 false
-               with Failure msg -> msg = "boom")));
-    tc "pool survives across batches" `Quick (fun () ->
-        with_pool ~domains:3 (fun pool ->
-            for i = 1 to 5 do
-              let n = i * 4 in
-              Alcotest.(check int) "sum"
-                (n * (n - 1) / 2)
-                (List.fold_left ( + ) 0
-                   (Task_pool.run_list pool (List.init n (fun j () -> j))))
-            done));
-    tc "domains < 1 rejected" `Quick (fun () ->
-        Alcotest.(check bool) "raises" true
-          (try ignore (Task_pool.create ~domains:0); false
-           with Invalid_argument _ -> true));
-  ]
-
 (* Model-based property test of the buffer pool: random reads/writes against
    a trivial in-memory reference model must agree on contents; the pool must
    never hold more frames than its capacity allows (observable through the
@@ -666,6 +626,5 @@ let suites =
       sort_tests @ shaped_tests
       @ List.map QCheck_alcotest.to_alcotest
           [ prop_merge_passes; prop_sort_support; prop_sort_index; prop_merge_runs ] );
-    ("storage.pool_tasks", task_pool_tests);
     ("storage.stats", stats_tests);
   ]
