@@ -14,8 +14,9 @@
     replica promotion and fencing. One verdict checks them all and a FAIL
     makes the run exit non-zero; see {!Chaos}. [kernels] times the
     vectorized inner loops standalone. [alloc] counts the minor-heap words
-    of one join-large-shaped type J query (exact in native code; run it
-    with [--seed 1] for join-large's data). [--trace PATH]
+    of one query, exact in native code, for a join-large-shaped type J
+    query and serve-small's 3-block chain (run it with [--seed 1] for the
+    benchmark's data). [--trace PATH]
     additionally runs the 3-block chain query under the span collector and
     writes a Chrome trace_event file to PATH (bare [--trace PATH] runs only
     that). Serving latency under closed-loop clients is measured by the
@@ -659,29 +660,20 @@ let kernels cfg =
   note "@.(window sweep examined %d pairs over %d outer rows)@." !pairs rows
 
 (* ------------------------------------------------------------------ *)
-(* Allocation: the minor-heap words of one type J query of the          *)
-(* join-large shape (2 x 32768 tuples x 128 B, C = 7, a 64-page pool).  *)
-(* In native code the count is exact and repeats run to run, so it is   *)
-(* gated like the page I/Os; the traced run splits it over the spans.   *)
+(* Allocation: the minor-heap words of one query, for two queries: type *)
+(* J of the join-large shape (2 x 32768 tuples x 128 B, C = 7, a        *)
+(* 64-page pool) and serve-small's 3-block chain over                   *)
+(* [Server.Demo.server_setup]. In native code the count is exact and    *)
+(* repeats run to run, so it is gated like the page I/Os; the traced    *)
+(* run splits it over the spans.                                        *)
 (* ------------------------------------------------------------------ *)
 
-let alloc_bench cfg =
-  section "Allocation - minor-heap words of one join-large type J query";
-  let pool_pages = 64 and n = 32768 in
-  let env = Storage.Env.create ~pool_pages () in
-  let spec =
-    { Workload.Gen.default_spec with n; tuple_bytes = 128; groups = n / 7 }
-  in
-  let r, s = Workload.Gen.join_pair env ~seed:cfg.seed ~outer:spec ~inner:spec in
-  let catalog = Relational.Catalog.create env in
-  Relational.Catalog.add catalog r;
-  Relational.Catalog.add catalog s;
-  let q = Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper bench_sql in
+let alloc_query ~cell ~seed ~mem_pages ~inputs env q =
   let stats = env.Storage.Env.stats in
   let run ?trace () =
     Storage.Env.reset_stats env;
     let w0 = Gc.minor_words () in
-    let answer = Unnest.Planner.run ~mem_pages:pool_pages ?trace q in
+    let answer = Unnest.Planner.run ~mem_pages ?trace q in
     let words = int_of_float (Gc.minor_words () -. w0) in
     let counters =
       ( words,
@@ -704,7 +696,7 @@ let alloc_bench cfg =
      outer batch). *)
   let by_name = Hashtbl.create 8 and order = ref [] in
   let line name (k, w, c) =
-    note "%-12s %10d words %10d comparisons%s@." name w c
+    note "%-20s %10d words %10d comparisons%s@." name w c
       (if k > 1 then Printf.sprintf " in %d spans" k else "")
   in
   List.iter
@@ -725,18 +717,49 @@ let alloc_bench cfg =
         (1, Storage.Trace.span_minor_words root, Storage.Trace.span_compares root);
       List.iter (fun name -> line name (Hashtbl.find by_name name)) (List.rev !order))
     (Storage.Trace.roots trace);
-  note "seed %d: %d minor words per query (%.1f per input tuple), %d page I/Os,@."
-    cfg.seed words
-    (float_of_int words /. float_of_int (2 * n))
+  note "%s, seed %d: %d minor words per query (%.1f per input tuple), %d page I/Os,@."
+    cell seed words
+    (float_of_int words /. float_of_int inputs)
     ios;
-  note "%d comparisons, %d fuzzy ops, %d answer tuples, checksum %s@." cmps fuzzy
+  note "%d comparisons, %d fuzzy ops, %d answer tuples, checksum %s@.@." cmps fuzzy
     size sum;
   record "alloc"
     [
-      ("cell", Text "join-large"); ("seed", Int cfg.seed);
+      ("cell", Text cell); ("seed", Int seed);
       ("minor_words", Int words); ("ios", Int ios); ("comparisons", Int cmps);
       ("fuzzy_ops", Int fuzzy); ("answer_size", Int size); ("checksum", Text sum);
     ]
+
+let alloc_bench cfg =
+  section "Allocation - minor-heap words of one query";
+  let pool_pages = 64 and n = 32768 in
+  let env = Storage.Env.create ~pool_pages () in
+  let spec =
+    { Workload.Gen.default_spec with n; tuple_bytes = 128; groups = n / 7 }
+  in
+  let r, s = Workload.Gen.join_pair env ~seed:cfg.seed ~outer:spec ~inner:spec in
+  let catalog = Relational.Catalog.create env in
+  Relational.Catalog.add catalog r;
+  Relational.Catalog.add catalog s;
+  let q = Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper bench_sql in
+  alloc_query ~cell:"join-large" ~seed:cfg.seed ~mem_pages:pool_pages
+    ~inputs:(2 * n) env q;
+  (* serve-small's chain shape, on the data and buffer a daemon serves. *)
+  let env = Storage.Env.create () in
+  let catalog = Relational.Catalog.create env in
+  Server.Demo.server_setup ~seed:cfg.seed () env catalog;
+  let q =
+    Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper
+      (List.assoc "chain" shapes)
+  in
+  let inputs =
+    List.fold_left
+      (fun acc name ->
+        acc + Relational.Relation.cardinality (Option.get (Relational.Catalog.find catalog name)))
+      0 [ "R"; "S"; "T" ]
+  in
+  alloc_query ~cell:"serve-small-chain" ~seed:cfg.seed
+    ~mem_pages:Unnest.Planner.default_mem_pages ~inputs env q
 
 (* ------------------------------------------------------------------ *)
 

@@ -9,31 +9,36 @@ type t = {
 let center itv = (Fuzzy.Interval.lo itv +. Fuzzy.Interval.hi itv) /. 2.0
 
 let build ?(buckets = 64) rel ~attr =
-  let centers = ref [] and lo = ref infinity and hi = ref neg_infinity in
-  let wsum = ref 0.0 and n = ref 0 in
-  Relation.iter rel (fun tup ->
-      let sup = Value.support (Ftuple.value tup attr) in
-      let c = center sup in
-      centers := c :: !centers;
-      lo := Float.min !lo c;
-      hi := Float.max !hi c;
-      wsum := !wsum +. Fuzzy.Interval.width sup;
-      incr n);
-  if !n = 0 then
+  let n = Relation.cardinality rel in
+  let lo_s = Array.make n 0.0 and hi_s = Array.make n 0.0 in
+  let cur = Storage.Heap_file.Slices.of_file (Relation.file rel) in
+  let i = ref 0 in
+  while Storage.Heap_file.Slices.advance cur do
+    Codec.support_into (Storage.Heap_file.Slices.page cur)
+      ~pos:(Storage.Heap_file.Slices.off cur) attr ~lo:lo_s ~hi:hi_s !i;
+    incr i
+  done;
+  if n = 0 then
     { lo = 0.0; width = 1.0; counts = Array.make 1 0.0; total = 0; avg_width = 0.0 }
   else begin
+    let lo = ref infinity and hi = ref neg_infinity and wsum = ref 0.0 in
+    for i = 0 to n - 1 do
+      let c = (lo_s.(i) +. hi_s.(i)) /. 2.0 in
+      lo := Float.min !lo c;
+      hi := Float.max !hi c;
+      wsum := !wsum +. (hi_s.(i) -. lo_s.(i))
+    done;
     let span = Float.max (!hi -. !lo) 1e-9 in
     let width = span /. float_of_int buckets in
     let counts = Array.make buckets 0.0 in
-    List.iter
-      (fun c ->
-        let b =
-          Int.min (buckets - 1)
-            (Int.max 0 (int_of_float ((c -. !lo) /. width)))
-        in
-        counts.(b) <- counts.(b) +. 1.0)
-      !centers;
-    { lo = !lo; width; counts; total = !n; avg_width = !wsum /. float_of_int !n }
+    for i = 0 to n - 1 do
+      let c = (lo_s.(i) +. hi_s.(i)) /. 2.0 in
+      let b =
+        Int.min (buckets - 1) (Int.max 0 (int_of_float ((c -. !lo) /. width)))
+      in
+      counts.(b) <- counts.(b) +. 1.0
+    done;
+    { lo = !lo; width; counts; total = n; avg_width = !wsum /. float_of_int n }
   end
 
 let cardinality t = t.total

@@ -8,12 +8,20 @@
     may be determined by using, say, a dynamic programming method") and the
     planner's EXPLAIN output. *)
 
-type t
+type t = private {
+  lo : float;  (** left edge of the first bucket *)
+  width : float;  (** bucket width; > 0 *)
+  counts : float array;  (** tuples per bucket *)
+  total : int;
+  avg_width : float;  (** mean support width of the summarised values *)
+}
 
 val build : ?buckets:int -> Relation.t -> attr:int -> t
 (** Scan the relation once and histogram the support centers of the given
-    attribute (default 64 buckets). String attributes hash to their support
-    stand-ins, so equality estimation still works. *)
+    attribute (default 64 buckets). The supports are read in place off the
+    pages ({!Codec.support_into}), so no tuple is decoded. String
+    attributes hash to their support stand-ins, so equality estimation
+    still works. *)
 
 val cardinality : t -> int
 val avg_support_width : t -> float

@@ -216,17 +216,24 @@ let read_frame r =
   end
   else begin
     (* Larger than the buffer: what is buffered starts the frame, the
-       rest is read straight into the frame's own bytes. *)
-    let payload = Bytes.create n in
+       rest is read straight into the frame's own bytes. Those grow as
+       bytes arrive, doubling from the reader's size, so what a frame
+       holds follows what its peer has sent, not the length it declared. *)
+    let payload = ref (Bytes.create reader_size) in
     let have = r.rlen - r.rpos in
-    Bytes.blit r.rbuf r.rpos payload 0 have;
+    Bytes.blit r.rbuf r.rpos !payload 0 have;
     r.rpos <- 0;
     r.rlen <- 0;
     let got = ref have in
     while !got < n do
-      got := !got + read_some r.rfd payload !got (n - !got)
+      if !got = Bytes.length !payload then begin
+        let bigger = Bytes.create (Int.min n (2 * !got)) in
+        Bytes.blit !payload 0 bigger 0 !got;
+        payload := bigger
+      end;
+      got := !got + read_some r.rfd !payload !got (Bytes.length !payload - !got)
     done;
-    Bytes.unsafe_to_string payload
+    Bytes.unsafe_to_string !payload
   end
 
 (* ------------------------------------------------------------------ *)

@@ -211,8 +211,10 @@ val reader : Unix.file_descr -> reader
 val read_request : reader -> request
 (** Blocks for a full frame. A frame that fits the buffer is served from
     it (refilled by one [read] of whatever is available); a larger one
-    is read straight into its own bytes. The length prefix is checked
-    against {!max_frame} before anything is allocated. Raises
+    is read straight into its own bytes, which grow as the bytes arrive,
+    doubling from the buffer's 8 KiB: what a frame allocates follows the
+    bytes received, not the length it declares. The length prefix is
+    checked against {!max_frame} before anything is allocated. Raises
     {!Connection_closed} on EOF or a short read mid-frame,
     {!Protocol_error} on garbage. *)
 

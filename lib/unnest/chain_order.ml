@@ -90,11 +90,13 @@ let adjacent_pairs (blocks : Classify.chain_block array) k =
       let h2 = Histogram.build b'.Classify.rel ~attr:b'.Classify.out_attr in
       Histogram.estimate_eq_join h1 h2
 
-let plan (chain : Classify.chain) : order =
+let plan ?trace (chain : Classify.chain) : order =
   let blocks = Array.of_list chain.Classify.blocks in
   let k = Array.length blocks in
   if k < 2 then { start = 0; steps = []; estimated_cost = 0.0 }
-  else begin
+  else
+    let stats = (Relation.env blocks.(0).Classify.rel).Storage.Env.stats in
+    Storage.Trace.with_span trace ~stats "chain-order" @@ fun () ->
     let card = Array.map (fun b -> float_of_int (Relation.cardinality b.Classify.rel)) blocks in
     let pairs = Array.init (k - 1) (adjacent_pairs blocks) in
     (* fan.(i): expected matches in block i+1 per tuple of a set containing
@@ -141,4 +143,3 @@ let plan (chain : Classify.chain) : order =
     match best.(0).(k - 1) with
     | Some (cost, _, ord) -> { ord with estimated_cost = cost }
     | None -> left_to_right k
-  end

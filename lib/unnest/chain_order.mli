@@ -35,5 +35,7 @@ val cascade : Classify.chain -> order -> step list
     yet. Raises [Invalid_argument] when a step is not adjacent to the
     interval joined so far. *)
 
-val plan : Classify.chain -> order
-(** The DP-optimal order under the histogram estimates. *)
+val plan : ?trace:Storage.Trace.t -> Classify.chain -> order
+(** The DP-optimal order under the histogram estimates. Each link's two
+    histograms read their supports in place ({!Relational.Histogram.build}).
+    With [?trace], the planning runs inside a [chain-order] span. *)

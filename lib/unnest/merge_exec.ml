@@ -17,6 +17,8 @@
       predicates evaluated as residuals on the accumulated intermediate
       tuples, each step projected onto its live attributes and max-folded.
 
+    Every handler folds its window through {!window_fold}.
+
     Prerequisite: the sweep needs one equality predicate linking outer and
     inner (the IN attribute pair or an equality correlation). [Not_unnestable]
     is raised otherwise and the planner falls back to the nested-loop
@@ -47,16 +49,6 @@ module Vals_map = Map.Make (struct
     in
     go 0
 end)
-
-let residual_degree stats (corr : Classify.corr list) r s =
-  List.fold_left
-    (fun acc (c : Classify.corr) ->
-      Storage.Iostats.record_fuzzy_op stats;
-      Degree.conj acc
-        (Value.compare_degree c.Classify.op
-           (Ftuple.value s c.Classify.local_attr)
-           (Ftuple.value r c.Classify.outer_attr)))
-    Degree.one corr
 
 (* Split off one equality correlation predicate to sweep on. *)
 let split_eq_corr corr =
@@ -151,34 +143,106 @@ let is_constant_inner = function
   | Classify.Agg_link _ | Classify.Quant_link _ ->
       false
 
-(* The per-window fold of each link type, straight off the window's
-   selection vector: [r] is outer row [i] of chunk [ob], the window is
-   [idx.(0 .. n-1)] into [ib] with equality degrees [d_eq]. Each fold
-   visits the window in insertion order and keeps the operation order
-   (and so the degree bits and fuzzy-op counts) of a fold over the
-   window as a list. *)
+(* One term of a window pair's degree: [op] applied to attribute [left] of
+   one side of the pair and attribute [right] of the other, where
+   [left_outer] says whether [left] is read from the outer row; [negated]
+   takes the complement, the ALL quantifier's [1 - d(y op z)]. *)
+type term = {
+  op : Fuzzy_compare.op;
+  left_outer : bool;
+  left : int;
+  right : int;
+  negated : bool;
+}
 
-(* The max over the window of min(mu_s, d_eq, d_rest), over the pairs
-   with a positive d_eq: EXISTS, and the ALL / SOME quantifiers with
-   [term] the quantified comparison. *)
-let window_max ~stats ~rest ~term r ~inner:ib ~idx ~n ~d_eq =
-  let m = ref Degree.zero in
-  for j = 0 to n - 1 do
-    let dq = Array.unsafe_get d_eq j in
-    if Degree.positive dq then begin
-      let s = Batch.row ib (Array.unsafe_get idx j) in
-      let t = term s in
-      let d =
-        Degree.conj
-          (Degree.conj
-             (Degree.conj (Degree.conj Degree.one (Ftuple.degree s)) dq)
-             (residual_degree stats rest r s))
-          t
-      in
-      m := Degree.disj !m d
-    end
-  done;
-  !m
+(* The correlation predicate [s.local op r.outer], with [s] the inner row. *)
+let corr_term (c : Classify.corr) =
+  {
+    op = c.Classify.op;
+    left_outer = false;
+    left = c.Classify.local_attr;
+    right = c.Classify.outer_attr;
+    negated = false;
+  }
+
+(* The window fold of every sweep handler. For outer row [i] of chunk [ob]
+   and its window [idx.(0 .. n-1)] into [ib] with equality degrees [d_eq],
+   each examined pair's degree min(mu_s, d_eq, term_1, ..., term_k) goes
+   into [pairs ()].(j), and the fold returns their max (0 over an empty
+   window). A pair is examined where its d_eq is positive, or everywhere
+   with [~all_pairs]; unexamined pairs read 0, the neutral value of the
+   max. A term goes through the trapezoid kernels where both operands are
+   columnar and through [Value.compare_degree] where they are not.
+   [Degree.conj]/[disj] are Float.min/max, exact in any order, so the bits
+   equal a fold over the window as a list; the loops allocate nothing,
+   and the fuzzy-op counter is charged in bulk, one op per term per
+   examined pair. *)
+let window_fold ~stats ?(all_pairs = false) terms =
+  let terms = Array.of_list terms in
+  let nt = Array.length terms in
+  (* The kernels take each term with the outer operand first, as
+     [v op' u] for [u op v]: [Batch_kernels.cmp] computes [u <= v] as
+     [v >= u] and [u < v] as [v > u], and its = and <> are symmetric, so
+     the bits do not change. *)
+  let mirror = function
+    | Fuzzy_compare.Le -> Fuzzy_compare.Ge
+    | Fuzzy_compare.Ge -> Fuzzy_compare.Le
+    | Fuzzy_compare.Lt -> Fuzzy_compare.Gt
+    | Fuzzy_compare.Gt -> Fuzzy_compare.Lt
+    | (Fuzzy_compare.Eq | Fuzzy_compare.Ne) as op -> op
+  in
+  let ops = Array.map (fun t -> if t.left_outer then t.op else mirror t.op) terms in
+  let negs = Array.map (fun t -> t.negated) terms in
+  (* The term columns depend only on the batches: extract them once per
+     (outer chunk, inner buffer) pair. The sweep builds a fresh batch per
+     chunk and per refill, so physical identity is a sound cache key. *)
+  let no_batch = Batch.of_rows [||] in
+  let cached_ob = ref no_batch and cached_ib = ref no_batch in
+  let us = ref [||] and vs = ref [||] in
+  let pairs = ref (Array.make Batch.batch_rows 0.0) in
+  let fold ob i ~inner:ib ~idx ~n ~d_eq =
+    if not (!cached_ob == ob && !cached_ib == ib) then begin
+      let attr outer t = if outer = t.left_outer then t.left else t.right in
+      us := Array.map (fun t -> Batch.col ob (attr true t)) terms;
+      vs := Array.map (fun t -> Batch.col ib (attr false t)) terms;
+      cached_ob := ob;
+      cached_ib := ib
+    end;
+    if Array.length !pairs < n then
+      pairs := Array.make (Int.max n (2 * Array.length !pairs)) 0.0;
+    let us = !us and vs = !vs and dst = !pairs in
+    let deg = Batch.degrees ib in
+    let m = ref Degree.zero in
+    let fz = ref 0 in
+    for j = 0 to n - 1 do
+      let dq = Array.unsafe_get d_eq j in
+      if all_pairs || dq > 0.0 then begin
+        let s_i = Array.unsafe_get idx j in
+        let d = ref (Float.min (Array.unsafe_get deg s_i) dq) in
+        for c = 0 to nt - 1 do
+          let u = Array.unsafe_get us c and v = Array.unsafe_get vs c in
+          let dd =
+            if Batch.ok u i && Batch.ok v s_i then
+              Batch_kernels.cmp_at (Array.unsafe_get ops c) u i v s_i
+            else
+              let t = Array.unsafe_get terms c in
+              let r = Batch.row ob i and s = Batch.row ib s_i in
+              Value.compare_degree t.op
+                (Ftuple.value (if t.left_outer then r else s) t.left)
+                (Ftuple.value (if t.left_outer then s else r) t.right)
+          in
+          d := Float.min !d (if Array.unsafe_get negs c then Degree.neg dd else dd)
+        done;
+        fz := !fz + nt;
+        Array.unsafe_set dst j !d;
+        m := Float.max !m !d
+      end
+      else Array.unsafe_set dst j 0.0
+    done;
+    if !fz > 0 then Storage.Iostats.record_fuzzy_ops stats !fz;
+    !m
+  in
+  (fold, fun () -> !pairs)
 
 let run ?(name = "answer") ?trace ?cancel (shape : Classify.two_level)
     ~mem_pages : Relation.t =
@@ -245,73 +309,6 @@ let run ?(name = "answer") ?trace ?cancel (shape : Classify.two_level)
     Semantics.apply_threshold (dedup_project ()) threshold
   end
   else begin
-  (* The IN / NOT IN handler: the max over the window of
-     min(mu_s, d_eq, d_corr), negated for NOT IN (inner tuples outside the
-     window have d_eq = 0 and contribute the neutral 1), with the
-     correlation residuals going through the trapezoid kernels where both
-     operands are columnar. *)
-  let in_batch ~negated corr =
-    let corr = Array.of_list corr in
-    let nc = Array.length corr in
-    let ops = Array.map (fun (c : Classify.corr) -> c.Classify.op) corr in
-    (* The correlation columns depend only on the batches: extract them
-       once per (outer chunk, inner buffer) pair instead of once per window
-       pair. The sweep builds a fresh batch per chunk and per refill, so
-       physical identity is a sound cache key. *)
-    let no_batch = Batch.of_rows [||] in
-    let cached_ob = ref no_batch and cached_ib = ref no_batch in
-    let us = ref [||] and vs = ref [||] in
-    fun ob i ~inner:ib ~idx ~n ~d_eq ->
-      if not (!cached_ob == ob && !cached_ib == ib) then begin
-        us :=
-          Array.map
-            (fun (c : Classify.corr) -> Batch.col ib c.Classify.local_attr)
-            corr;
-        vs :=
-          Array.map
-            (fun (c : Classify.corr) -> Batch.col ob c.Classify.outer_attr)
-            corr;
-        cached_ob := ob;
-        cached_ib := ib
-      end;
-      let us = !us and vs = !vs in
-      let r = Batch.row ob i in
-      let deg = Batch.degrees ib in
-      (* [Degree.conj]/[disj] are Float.min/max; inlining them keeps the
-         exact operation sequence (and bits) of a fold over the window
-         while the loops allocate nothing. The fuzzy-op counter is charged
-         in bulk after the loop, the same total as per pair. *)
-      let m = ref Degree.zero in
-      let fz = ref 0 in
-      for j = 0 to n - 1 do
-        let dq = Array.unsafe_get d_eq j in
-        if negated || dq > 0.0 then begin
-          let s_i = Array.unsafe_get idx j in
-          let d =
-            ref (Float.min (Float.min Degree.one (Array.unsafe_get deg s_i)) dq)
-          in
-          for c = 0 to nc - 1 do
-            let u = Array.unsafe_get us c and v = Array.unsafe_get vs c in
-            let op = Array.unsafe_get ops c in
-            let dd =
-              if Batch.ok u s_i && Batch.ok v i then
-                Batch_kernels.cmp_at op u s_i v i
-              else
-                let cr = Array.unsafe_get corr c in
-                Value.compare_degree op
-                  (Ftuple.value (Batch.row ib s_i) cr.Classify.local_attr)
-                  (Ftuple.value r cr.Classify.outer_attr)
-            in
-            d := Float.min !d dd
-          done;
-          fz := !fz + nc;
-          m := Float.max !m !d
-        end
-      done;
-      if !fz > 0 then Storage.Iostats.record_fuzzy_ops stats !fz;
-      let d_link = if negated then Degree.neg !m else !m in
-      project_insert acc select r (Degree.conj (Ftuple.degree r) d_link)
-  in
   let need_eq what corr =
     match split_eq_corr corr with
     | Some eq_rest -> eq_rest
@@ -320,61 +317,56 @@ let run ?(name = "answer") ?trace ?cancel (shape : Classify.two_level)
           (Not_unnestable
              (what ^ " subquery without an equality correlation predicate"))
   in
+  (* IN, NOT IN, EXISTS and the quantifiers: d_link is the window fold's
+     max, negated for NOT IN, NOT EXISTS and ALL (inner tuples outside the
+     window have d_eq = 0 and contribute the neutral value). *)
+  let max_link ?all_pairs ~negated terms =
+    let fold, _ = window_fold ~stats ?all_pairs terms in
+    fun ob i ~inner ~idx ~n ~d_eq ->
+      let m = fold ob i ~inner ~idx ~n ~d_eq in
+      let r = Batch.row ob i in
+      project_insert acc select r
+        (Degree.conj (Ftuple.degree r) (if negated then Degree.neg m else m))
+  in
   (* Pick the sweep equality and the window handler. *)
   let sweep_y, sweep_z, (emit : Join_merge.emit) =
     match link with
-    | Classify.In_link { y; z; corr } -> (y, z, in_batch ~negated:false corr)
-    | Classify.Not_in_link { y; z; corr } -> (y, z, in_batch ~negated:true corr)
+    | Classify.In_link { y; z; corr } ->
+        (y, z, max_link ~negated:false (List.map corr_term corr))
+    | Classify.Not_in_link { y; z; corr } ->
+        (* Every window member is examined, dangling ones included: their
+           min is 0, the max's neutral value, but each is charged. *)
+        (y, z, max_link ~all_pairs:true ~negated:true (List.map corr_term corr))
     | Classify.Quant_link { y; op; quant; z; corr } ->
+        (* d(r.y op ALL T) = 1 - max_s min(mu_s, d_eq, 1 - d(y op s.z)), and
+           SOME without the complements. *)
         let eq, rest = need_eq "quantified" corr in
+        let all = quant = Ast.All in
+        let cmp = { op; left_outer = true; left = y; right = z; negated = all } in
         ( eq.Classify.outer_attr, eq.Classify.local_attr,
-          fun ob i ~inner ~idx ~n ~d_eq ->
-            let r = Batch.row ob i in
-            let ry = Ftuple.value r y in
-            let term s =
-              Storage.Iostats.record_fuzzy_op stats;
-              let d_cmp = Value.compare_degree op ry (Ftuple.value s z) in
-              match quant with Ast.All -> Degree.neg d_cmp | Ast.Some_ -> d_cmp
-            in
-            let m = window_max ~stats ~rest ~term r ~inner ~idx ~n ~d_eq in
-            let d_link =
-              match quant with Ast.All -> Degree.neg m | Ast.Some_ -> m
-            in
-            project_insert acc select r (Degree.conj (Ftuple.degree r) d_link) )
+          max_link ~negated:all (List.map corr_term rest @ [ cmp ]) )
     | Classify.Exists_link { negated; corr } ->
-        (* Fuzzy semi-join (anti-join when negated): d(EXISTS) is the max
-           over the window of min(mu_s, d_eq, d_rest); tuples outside the
-           window have d_eq = 0 and cannot raise the max. *)
+        (* Fuzzy semi-join (anti-join when negated). *)
         let eq, rest = need_eq "EXISTS" corr in
         ( eq.Classify.outer_attr, eq.Classify.local_attr,
-          fun ob i ~inner ~idx ~n ~d_eq ->
-            let r = Batch.row ob i in
-            let m =
-              window_max ~stats ~rest ~term:(fun _ -> Degree.one) r ~inner ~idx
-                ~n ~d_eq
-            in
-            let d_link = if negated then Degree.neg m else m in
-            project_insert acc select r (Degree.conj (Ftuple.degree r) d_link) )
+          max_link ~negated (List.map corr_term rest) )
     | Classify.Agg_link { y; op1; agg; z; corr } ->
         let eq, rest = need_eq "aggregate" corr in
+        let fold, pairs = window_fold ~stats ~all_pairs:true (List.map corr_term rest) in
         ( eq.Classify.outer_attr, eq.Classify.local_attr,
           fun ob i ~inner:ib ~idx ~n ~d_eq ->
             let r = Batch.row ob i in
             (* T'(u): the fuzzy value set of the group for u = r.U; every
                window member is weighed, dangling ones included. *)
+            ignore (fold ob i ~inner:ib ~idx ~n ~d_eq : float);
+            let pairs = pairs () in
             let set = ref Vmap.empty in
             for j = 0 to n - 1 do
-              let s = Batch.row ib (Array.unsafe_get idx j) in
-              let d =
-                Degree.conj
-                  (Degree.conj
-                     (Degree.conj Degree.one (Ftuple.degree s))
-                     (Array.unsafe_get d_eq j))
-                  (residual_degree stats rest r s)
-              in
+              let d = Array.unsafe_get pairs j in
               if Degree.positive d then
                 set :=
-                  Vmap.update (Ftuple.value s z)
+                  Vmap.update
+                    (Ftuple.value (Batch.row ib (Array.unsafe_get idx j)) z)
                     (function
                       | None -> Some d | Some d' -> Some (Degree.disj d d'))
                     !set
@@ -477,7 +469,7 @@ let run_chain ?(name = "answer") ?order ?trace ?cancel
     in
     (* The equality linking block [b] to the set: the link between b and
        b+1 when extending left, between b-1 and b when extending right. *)
-    let outer_attr, inner_attr =
+    let acc_attr, b_attr =
       if b = !hi + 1 then
         ( pos_r (b - 1, link blocks_arr.(b - 1).Classify.link_attr),
           blk_b.Classify.out_attr )
@@ -508,73 +500,87 @@ let run_chain ?(name = "answer") ?order ?trace ?cancel
                  blocks_arr.(blk).Classify.corr
              else []))
     in
-    let residual r s =
-      let d1 =
-        List.fold_left
-          (fun acc ((c : Classify.corr), p) ->
-            Storage.Iostats.record_fuzzy_op stats;
-            Degree.conj acc
-              (Value.compare_degree c.Classify.op
-                 (Ftuple.value s c.Classify.local_attr)
-                 (Ftuple.value r p)))
-          Degree.one of_new
-      in
-      List.fold_left
-        (fun acc ((c : Classify.corr), p) ->
-          Storage.Iostats.record_fuzzy_op stats;
-          Degree.conj acc
-            (Value.compare_degree c.Classify.op (Ftuple.value r p)
-               (Ftuple.value s c.Classify.outer_attr)))
-        d1 onto_new
-    in
     (* [carried] lists the accumulated side's attributes first, then
        block [b]'s. *)
     let from_r, from_s = List.partition (fun (blk, _) -> blk <> b) carried in
     let r_pos = Array.of_list (List.map pos_r from_r) in
     let s_attrs = Array.of_list (List.map snd from_s) in
+    (* A step where only one side carries attributes sweeps that side as
+       the outer: block [b] when it alone carries, the accumulated side
+       otherwise. The sweep's pairs are the same either way (a pair joins
+       iff the supports overlap), and each predicate keeps its operand
+       order, so only the roles change. *)
+    let swap = from_r = [] && from_s <> [] in
+    let terms =
+      List.map
+        (fun ((c : Classify.corr), p) ->
+          { op = c.Classify.op; left_outer = swap; left = c.Classify.local_attr;
+            right = p; negated = false })
+        of_new
+      @ List.map
+          (fun ((c : Classify.corr), p) ->
+            { op = c.Classify.op; left_outer = not swap; left = p;
+              right = c.Classify.outer_attr; negated = false })
+          onto_new
+    in
+    let fold, pairs = window_fold ~stats terms in
     let step = if semi_join then "semi-join" else "join" in
     Trace.with_span trace ~stats (step ^ " " ^ Schema.name (schema_of b)) (fun () ->
-        (* Per outer tuple, one max per distinct projection of the window
-           onto block [b]'s carried attributes, then one max-fold across
-           the step; a semi-join step has the empty projection, so it
-           emits at most one tuple per [r]. *)
-        let fold = Algebra.Max_fold.create () in
-        let window = ref Vals_map.empty in
-        let pair r s d_eq =
-          if Degree.positive d_eq then begin
-            let d =
-              Degree.conj_list
-                [ Ftuple.degree r; Ftuple.degree s; d_eq; residual r s ]
-            in
-            if Degree.positive d then
-              window :=
-                Vals_map.update
-                  (Array.map (Ftuple.value s) s_attrs)
-                  (function None -> Some d | Some d' -> Some (Degree.disj d d'))
-                  !window
+        let out = Algebra.Max_fold.create () in
+        let emit : Join_merge.emit =
+          if from_r = [] || from_s = [] then begin
+            (* One side carries: one tuple per outer row, its carried
+               attributes with min(mu_r, the window fold's max). *)
+            let proj = if swap then s_attrs else r_pos in
+            fun ob i ~inner ~idx ~n ~d_eq ->
+              let r = Batch.row ob i in
+              let d =
+                Degree.conj (Ftuple.degree r) (fold ob i ~inner ~idx ~n ~d_eq)
+              in
+              if Degree.positive d then
+                Algebra.Max_fold.add out
+                  (Ftuple.make (Array.map (Ftuple.value r) proj) d)
+          end
+          else begin
+            (* Both sides carry: per outer row, one max per distinct
+               projection of the window onto block [b]'s carried
+               attributes, then one max-fold across the step. *)
+            let window = ref Vals_map.empty in
+            fun ob i ~inner:ib ~idx ~n ~d_eq ->
+              let r = Batch.row ob i in
+              ignore (fold ob i ~inner:ib ~idx ~n ~d_eq : float);
+              let pairs = pairs () in
+              for j = 0 to n - 1 do
+                let d = Degree.conj (Ftuple.degree r) (Array.unsafe_get pairs j) in
+                if Degree.positive d then
+                  window :=
+                    Vals_map.update
+                      (Array.map
+                         (Ftuple.value (Batch.row ib (Array.unsafe_get idx j)))
+                         s_attrs)
+                      (function
+                        | None -> Some d | Some d' -> Some (Degree.disj d d'))
+                      !window
+              done;
+              if not (Vals_map.is_empty !window) then begin
+                let r_vals = Array.map (Ftuple.value r) r_pos in
+                Vals_map.iter
+                  (fun s_vals d ->
+                    Algebra.Max_fold.add out
+                      (Ftuple.make (Array.append r_vals s_vals) d))
+                  !window;
+                window := Vals_map.empty
+              end
           end
         in
-        let flush r =
-          if not (Vals_map.is_empty !window) then begin
-            let r_vals = Array.map (Ftuple.value r) r_pos in
-            Vals_map.iter
-              (fun s_vals d ->
-                Algebra.Max_fold.add fold (Ftuple.make (Array.append r_vals s_vals) d))
-              !window;
-            window := Vals_map.empty
-          end
+        let outer, inner, outer_attr, inner_attr =
+          if swap then (reduced.(b), !acc, b_attr, acc_attr)
+          else (!acc, reduced.(b), acc_attr, b_attr)
         in
-        Join_merge.sort_sweep ?trace ?cancel ~outer:!acc ~inner:reduced.(b)
-          ~outer_attr ~inner_attr ~mem_pages
-          ~emit:(fun ob i ~inner:ib ~idx ~n ~d_eq ->
-            let r = Batch.row ob i in
-            for j = 0 to n - 1 do
-              pair r (Batch.row ib idx.(j)) d_eq.(j)
-            done;
-            flush r)
-          ();
+        Join_merge.sort_sweep ?trace ?cancel ~outer ~inner ~outer_attr
+          ~inner_attr ~mem_pages ~emit ();
         let folded =
-          Algebra.Max_fold.to_relation fold env
+          Algebra.Max_fold.to_relation out env
             (Schema.make ~name:"join" (List.map attr_of carried))
         in
         temps := folded :: !temps;

@@ -56,15 +56,22 @@ val run_chain :
     only the live attributes ({!Chain_order.cascade}): the answer columns,
     the link attribute towards each block not joined yet, and the joined
     endpoint of each correlation predicate still missing a block. Tuples
-    that agree on those are max-folded per outer tuple and then across the
-    step ({!Relational.Algebra.Max_fold}, fed off the sweep); a step whose new block adds no
-    live attribute is a fuzzy semi-join, at most one tuple per accumulated
-    tuple. Later degrees read only live attributes and
+    that agree on those are max-folded across the step
+    ({!Relational.Algebra.Max_fold}, fed off the sweep). When only one
+    side carries live attributes, that side is swept as the outer (the new
+    block and the accumulated relation swap roles when only the new block
+    carries) and the step emits one tuple per outer tuple; a step whose
+    new block adds no live attribute is a fuzzy semi-join, at most one
+    tuple per accumulated tuple. Otherwise the accumulated side is the
+    outer and each outer tuple's window is first max-folded per distinct
+    projection onto the new block's attributes. Later degrees read only
+    live attributes and
     [max_i min(d_i, f(x)) = min(max_i d_i, f(x))] holds exactly in floating
     point, so answers and degree bits equal the unprojected cascade's.
     [?trace] and [?cancel] as for {!run}. Spans:
     [reduce block-i], then per step a [join B] or [semi-join B] span (rows =
     the folded intermediate) wrapping its two sorts and its sweep, then
-    [project]. The cancel token is additionally polled before each cascade
+    [project]; {!Planner.run} adds the [chain-order] span of
+    {!Chain_order.plan} before them. The cancel token is additionally polled before each cascade
     step, and the cascade's intermediates are freed on cancellation.
     Ownership as for {!run}: only the answer stays live. *)

@@ -79,7 +79,7 @@ let run_unranked ?(name = "answer") ?(strategy = Auto)
         with Merge_exec.Not_unnestable _ ->
           Nl_exec.run ~name ?trace ?cancel two ~mem_pages)
     | Classify.Chain_query chain -> (
-        let order = if chain_dp then Some (Chain_order.plan chain) else None in
+        let order = if chain_dp then Some (Chain_order.plan ?trace chain) else None in
         try Merge_exec.run_chain ~name ?order ?trace ?cancel chain ~mem_pages
         with Merge_exec.Not_unnestable _ -> fallback ())
     | Classify.Flat | Classify.General -> fallback ()

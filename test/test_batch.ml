@@ -54,6 +54,17 @@ let kernel_cmp_prop =
           else true)
         all_ops)
 
+(* The window fold reads every term with the outer operand first, so a
+   comparison must give the same bits with its operands swapped and the
+   operator mirrored. *)
+let kernel_mirror_prop =
+  QCheck.Test.make ~count:500 ~name:"cmp kernels: u op v = v op' u bits"
+    arb_trap_pair (fun (u, v) ->
+      let open Fuzzy.Fuzzy_compare in
+      List.for_all
+        (fun (op, op') -> bits (cmp_of_traps op u v) = bits (cmp_of_traps op' v u))
+        [ (Eq, Eq); (Ne, Ne); (Le, Ge); (Ge, Le); (Lt, Gt); (Gt, Lt) ])
+
 (* Crisp numbers travel through the kernels as degenerate trapezoids; the
    crisp/crisp and crisp/trap cases must match the boxed dispatch too. *)
 let kernel_crisp_prop =
@@ -199,6 +210,30 @@ let string_prop =
            R.N AND S.V <= R.U)";
         ])
 
+(* Correlation terms the kernels cannot take: a string equality or a
+   discrete operand (one-point [DIST] included) that is not the sweep's
+   equality goes through the window fold's boxed [Value.compare_degree];
+   so does a quantified comparison over discrete operands. *)
+let boxed_term_prop =
+  QCheck.Test.make ~count:40
+    ~name:"string and DIST correlation operands: JALL, JSOME, EXISTS = naive bits"
+    QCheck.(triple (int_bound 1_000_000) (int_bound 30) (int_bound 30))
+    (fun (seed, n_r, n_s) ->
+      let catalog = string_db seed ~n_r ~n_s in
+      List.for_all (check_oracle catalog)
+        [
+          "SELECT R.ID FROM R WHERE R.U <= ALL (SELECT S.V FROM S WHERE S.N = \
+           R.N)";
+          "SELECT R.ID FROM R WHERE R.U < ALL (SELECT S.V FROM S WHERE S.V = \
+           R.U AND S.N = R.N)";
+          "SELECT R.ID FROM R WHERE R.U > SOME (SELECT S.V FROM S WHERE S.V = \
+           R.U AND S.N = R.N)";
+          "SELECT R.ID FROM R WHERE EXISTS (SELECT S.ID FROM S WHERE S.V = \
+           R.U AND S.N = R.N)";
+          "SELECT R.ID FROM R WHERE NOT EXISTS (SELECT S.ID FROM S WHERE S.N \
+           = R.N AND S.V >= R.U)";
+        ])
+
 let shape_props =
   [
     shape_prop "merge-join = naive bits: type N" `N ();
@@ -209,7 +244,12 @@ let shape_props =
     shape_prop "merge-join = naive bits: type JA" `JA ~discrete_ok:false ();
     shape_prop "merge-join = naive bits: chain" `Chain ();
     shape_prop "merge-join = naive bits: EXISTS" `Exists ();
+    shape_prop "merge-join = naive bits: uncorrelated 3-block chain"
+      `Chain_uncorrelated ();
+    shape_prop "merge-join = naive bits: 4-block chain, small middle"
+      `Chain_mid ();
     string_prop;
+    boxed_term_prop;
   ]
 
 (* ---------- the sweep and the sort ---------- *)
@@ -394,18 +434,20 @@ let sweep_cases =
 (* The shape properties above draw at most 20 rows per relation, so every
    sweep fits in one outer chunk and one inner buffer. These draw R and S
    past [Batch.batch_rows]: the sweep cuts the outer side into several
-   chunks and carries the inner buffer forward mid-window. *)
-let arb_chunked_spec ?(discrete_ok = true) () =
+   chunks and carries the inner buffer forward mid-window. [max_t] bounds
+   T and Q: the interpreter evaluates a 4-block chain in time
+   n_R x n_T x n_Q x n_S. *)
+let arb_chunked_spec ?(discrete_ok = true) ?(max_t = 20) () =
   let n = QCheck.Gen.int_range (Batch.batch_rows + 1) ((2 * Batch.batch_rows) + 40) in
   QCheck.make ~print:Test_equivalence.pp_spec
     QCheck.Gen.(
       map3
         (fun seed (n_r, n_s) n_t ->
           { Test_equivalence.seed; n_r; n_s; n_t; discrete_ok })
-        (int_bound 1_000_000) (pair n n) (int_bound 20))
+        (int_bound 1_000_000) (pair n n) (int_bound max_t))
 
-let chunked_prop name kind ?discrete_ok () =
-  QCheck.Test.make ~count:4 ~name (arb_chunked_spec ?discrete_ok ())
+let chunked_prop name kind ?discrete_ok ?max_t () =
+  QCheck.Test.make ~count:4 ~name (arb_chunked_spec ?discrete_ok ?max_t ())
     (check_shape kind)
 
 (* One wide inner row sorts near the front and overlaps every outer row:
@@ -451,6 +493,55 @@ let wide_row_case =
       if List.sort compare !acc <> expect then
         Alcotest.fail "windows differ from the nested-loop pairs")
 
+(* The two chain templates reach every kind of chain step the window
+   fold distinguishes: a step where only the accumulated side carries
+   attributes (swept as the outer), one where only the new block carries
+   (the roles swap), a two-sided one, and a DP order that starts in the
+   middle of the chain. *)
+let chain_step_kinds_case =
+  tc "the chain templates reach one-sided, swapped and mid-chain plans" `Quick
+    (fun () ->
+      let seen = Hashtbl.create 8 in
+      let note k = Hashtbl.replace seen k () in
+      for seed = 1 to 10 do
+        let spec =
+          { Test_equivalence.seed; n_r = 200; n_s = 200; n_t = 10; discrete_ok = true }
+        in
+        let catalog = Test_equivalence.make_db spec in
+        List.iter
+          (fun kind ->
+            let sql =
+              Test_equivalence.template (Random.State.make [| seed |]) kind
+            in
+            match
+              Unnest.Classify.classify
+                (Fuzzysql.Analyzer.bind_string ~catalog ~terms:Fuzzy.Term.paper sql)
+            with
+            | Unnest.Classify.Chain_query c ->
+                let order = Unnest.Chain_order.plan c in
+                let k = List.length c.Unnest.Classify.blocks in
+                let start = order.Unnest.Chain_order.start in
+                if start > 0 && start < k - 1 then note "mid-chain start";
+                List.iter
+                  (fun (st : Unnest.Chain_order.step) ->
+                    let acc, added =
+                      List.partition
+                        (fun (b, _) -> b <> st.Unnest.Chain_order.block)
+                        st.Unnest.Chain_order.carried
+                    in
+                    note
+                      (match (acc, added) with
+                      | [], _ :: _ -> "new block outer"
+                      | _, [] -> "accumulated side outer"
+                      | _ -> "two-sided"))
+                  (Unnest.Chain_order.cascade c order)
+            | _ -> Alcotest.failf "%s is not a chain" sql)
+          [ `Chain_uncorrelated; `Chain_mid ]
+      done;
+      List.iter
+        (fun k -> Alcotest.(check bool) k true (Hashtbl.mem seen k))
+        [ "mid-chain start"; "new block outer"; "accumulated side outer"; "two-sided" ])
+
 let chunk_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -460,8 +551,12 @@ let chunk_cases =
       chunked_prop "chunk boundaries: type JA = naive bits" `JA ~discrete_ok:false ();
       chunked_prop "chunk boundaries: type JALL = naive bits" `JALL ();
       chunked_prop "chunk boundaries: chain = naive bits" `Chain ();
+      chunked_prop "chunk boundaries: uncorrelated 3-block chain = naive bits"
+        `Chain_uncorrelated ();
+      chunked_prop "chunk boundaries: 4-block chain, small middle = naive bits"
+        `Chain_mid ~max_t:4 ();
     ]
-  @ [ wide_row_case ]
+  @ [ wide_row_case; chain_step_kinds_case ]
 
 (* ---------- answer order, shared budget, abort safety ---------- *)
 
@@ -491,8 +586,9 @@ let check_order catalog sql =
     QCheck.Test.fail_reportf "LIMIT %d is not the naive prefix for %s" k sql;
   true
 
-let order_prop name kind ?discrete_ok () =
-  QCheck.Test.make ~count:25 ~name (Test_equivalence.arb_spec ?discrete_ok ())
+let order_prop ?(count = 25) ?arb name kind =
+  let arb = Option.value arb ~default:(Test_equivalence.arb_spec ()) in
+  QCheck.Test.make ~count ~name arb
     (fun spec ->
       let rng = Random.State.make [| spec.Test_equivalence.seed + 31 |] in
       let sql = Test_equivalence.template rng kind in
@@ -505,13 +601,20 @@ let order_prop name kind ?discrete_ok () =
 let order_props =
   List.map QCheck_alcotest.to_alcotest
     [
-      order_prop "answer order = naive order: type N" `N ();
-      order_prop "answer order = naive order: type J" `J ();
-      order_prop "answer order = naive order: type JX" `JX ();
-      order_prop "answer order = naive order: type JA" `JA ~discrete_ok:false ();
-      order_prop "answer order = naive order: type JALL" `JALL ();
-      order_prop "answer order = naive order: EXISTS" `Exists ();
-      order_prop "answer order = naive order: chain" `Chain ();
+      order_prop "answer order = naive order: type N" `N;
+      order_prop "answer order = naive order: type J" `J;
+      order_prop "answer order = naive order: type JX" `JX;
+      order_prop "answer order = naive order: type JA" `JA
+        ~arb:(Test_equivalence.arb_spec ~discrete_ok:false ());
+      order_prop "answer order = naive order: type JALL" `JALL;
+      order_prop "answer order = naive order: EXISTS" `Exists;
+      order_prop "answer order = naive order: chain" `Chain;
+      (* past [Batch.batch_rows], as the chunk-boundary properties *)
+      order_prop ~count:4 ~arb:(arb_chunked_spec ())
+        "answer order = naive order: uncorrelated 3-block chain"
+        `Chain_uncorrelated;
+      order_prop ~count:4 ~arb:(arb_chunked_spec ~max_t:4 ())
+        "answer order = naive order: 4-block chain, small middle" `Chain_mid;
     ]
 
 (* A type J query over two relations of 1000 x 128 B tuples: with 3 pages
@@ -610,7 +713,7 @@ let suites =
   [
     ( "batch.kernels",
       List.map QCheck_alcotest.to_alcotest
-        [ kernel_cmp_prop; kernel_crisp_prop; mem_prop; tnorm_prop ] );
+        [ kernel_cmp_prop; kernel_mirror_prop; kernel_crisp_prop; mem_prop; tnorm_prop ] );
     ("batch.engines", List.map QCheck_alcotest.to_alcotest shape_props);
     ("batch.regressions", sweep_cases);
     ("batch.chunks", chunk_cases);

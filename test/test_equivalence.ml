@@ -118,6 +118,22 @@ let template rng kind =
         "SELECT R.ID FROM R WHERE R.Y IN (SELECT S.Z FROM S WHERE S.V %s R.U \
          AND S.Z IN (SELECT T.W FROM T WHERE T.P = S.V AND T.W %s R.Y))%s%s"
         corr_op (pick rng [| "<="; ">=" |]) p1 with_d
+  | `Chain_uncorrelated ->
+      (* serve-small's chain shape: no correlation predicate, so whatever
+         the join order, a step carries attributes of one side only. *)
+      Printf.sprintf
+        "SELECT R.ID FROM R WHERE R.Y IN (SELECT S.Z FROM S WHERE S.Z IN \
+         (SELECT T.W FROM T)%s)%s%s"
+        p2 p1 with_d
+  | `Chain_mid ->
+      (* A 4-block chain whose two small relations, T and Q, sit in the
+         middle, so the join-order DP starts there; the correlation
+         predicates reach across the middle blocks. *)
+      Printf.sprintf
+        "SELECT R.ID FROM R WHERE R.Y IN (SELECT T.W FROM T WHERE T.P %s R.U \
+         AND T.W IN (SELECT Q.X FROM Q WHERE Q.X IN (SELECT S.Z FROM S \
+         WHERE S.V %s T.P%s)))%s%s"
+        corr_op (pick rng [| "<="; ">=" |]) p2 p1 with_d
   | `Exists ->
       Printf.sprintf
         "SELECT R.ID FROM R WHERE %s (SELECT S.ID FROM S WHERE S.V = R.U AND \

@@ -149,6 +149,66 @@ let histogram_tests =
             (Fuzzy.Possibility.about 0.0 ~spread:30.0)
         in
         Alcotest.(check bool) "selectivity in [0,1]" true (sel >= 0.0 && sel <= 1.0));
+    tc "histograms read in place equal the decoded build, field for field"
+      `Quick (fun () ->
+        let env = Test_util.fresh_env () in
+        let rng = Random.State.make [| 41 |] in
+        let schema =
+          Schema.make ~name:"H"
+            [ ("ID", Schema.TNum); ("X", Schema.TNum); ("N", Schema.TStr) ]
+        in
+        let names = [| "ann"; "bob"; "cy" |] in
+        (* crisp, trapezoid and discrete values (one-point ones included),
+           over enough pages that the scan crosses page boundaries *)
+        let r =
+          Relation.of_list env schema
+            (List.init 700 (fun i ->
+                 Test_util.tuple
+                   [
+                     Value.Int i;
+                     Test_equivalence.rand_value rng ~discrete_ok:true;
+                     Value.Str names.(i mod Array.length names);
+                   ]
+                   1.0))
+        in
+        Alcotest.(check bool) "several pages" true (Relation.num_pages r > 1);
+        (* The histogram as it is built from decoded tuples. *)
+        let decoded attr buckets =
+          let sups =
+            List.map (fun t -> Value.support (Ftuple.value t attr)) (Relation.to_list r)
+          in
+          let center i = (Fuzzy.Interval.lo i +. Fuzzy.Interval.hi i) /. 2.0 in
+          let lo = List.fold_left (fun m i -> Float.min m (center i)) infinity sups in
+          let hi = List.fold_left (fun m i -> Float.max m (center i)) neg_infinity sups in
+          let width = Float.max (hi -. lo) 1e-9 /. float_of_int buckets in
+          let counts = Array.make buckets 0.0 in
+          List.iter
+            (fun i ->
+              let b =
+                Int.min (buckets - 1)
+                  (Int.max 0 (int_of_float ((center i -. lo) /. width)))
+              in
+              counts.(b) <- counts.(b) +. 1.0)
+            sups;
+          let wsum =
+            List.fold_left (fun acc i -> acc +. Fuzzy.Interval.width i) 0.0 sups
+          in
+          (lo, width, counts, List.length sups, wsum /. float_of_int (List.length sups))
+        in
+        let bits = Int64.bits_of_float in
+        List.iter
+          (fun (attr, buckets) ->
+            let h = Histogram.build ~buckets r ~attr in
+            let lo, width, counts, total, avg_width = decoded attr buckets in
+            let what f = Printf.sprintf "attr %d, %d buckets: %s" attr buckets f in
+            Alcotest.(check int64) (what "lo") (bits lo) (bits h.Histogram.lo);
+            Alcotest.(check int64) (what "width") (bits width) (bits h.Histogram.width);
+            Alcotest.(check (array int64)) (what "counts")
+              (Array.map bits counts) (Array.map bits h.Histogram.counts);
+            Alcotest.(check int) (what "total") total h.Histogram.total;
+            Alcotest.(check int64) (what "avg_width") (bits avg_width)
+              (bits h.Histogram.avg_width))
+          [ (0, 64); (1, 64); (1, 7); (2, 64) ]);
     tc "empty relation histogram" `Quick (fun () ->
         let env = Test_util.fresh_env () in
         let schema = Workload.Gen.schema ~name:"E" in

@@ -850,6 +850,39 @@ let daemon_tests =
         wait_for ~timeout:5.0 "the connections gauge to read 0" (fun () ->
             connections () = 0.0);
         Server.Daemon.stop daemon);
+    tc "stalled peers declaring 64 MB frames do not grow the daemon's heap"
+      `Quick (fun () ->
+        let daemon = Server.Daemon.start ~workers:1 ~setup () in
+        let port = Server.Daemon.port daemon in
+        let heap_mb () =
+          float_of_int ((Gc.quick_stat ()).Gc.heap_words * (Sys.word_size / 8))
+          /. 1048576.0
+        in
+        let before = heap_mb () in
+        (* Each peer sends a length prefix of max_frame (64 MB), then
+           nothing: its connection thread waits for the payload. *)
+        let peers =
+          List.init 8 (fun _ ->
+              let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+              Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+              assert (Unix.write_substring fd "\x04\x00\x00\x00" 0 4 = 4);
+              fd)
+        in
+        wait_for ~timeout:5.0 "8 connections" (fun () ->
+            gauge_value (Server.Daemon.metrics_json daemon) "connections" = 8.0);
+        (* time for every connection thread to read its prefix *)
+        Thread.delay 0.3;
+        let grown = heap_mb () -. before in
+        Alcotest.(check bool)
+          (Printf.sprintf "major heap grew %.1f MB, under 1 MB per connection" grown)
+          true (grown < 8.0);
+        let client = Server.Client.connect ~port () in
+        (match Server.Client.query client (List.assoc "N" shapes) with
+        | Server.Client.Answer _ -> ()
+        | _ -> Alcotest.fail "expected an answer beside the stalled peers");
+        Server.Client.close client;
+        List.iter close_noerr peers;
+        Server.Daemon.stop daemon);
   ]
 
 (* ------------------------------------------------------------------ *)
