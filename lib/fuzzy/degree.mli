@@ -19,10 +19,10 @@ val of_float : float -> t
 val is_valid : t -> bool
 
 val conj : t -> t -> t
-(** Fuzzy AND: [min]. *)
+(** Fuzzy AND: [min]; the bits of [Float.min] on any two floats. *)
 
 val disj : t -> t -> t
-(** Fuzzy OR: [max]. *)
+(** Fuzzy OR: [max]; the bits of [Float.max] on any two floats. *)
 
 val neg : t -> t
 (** Fuzzy NOT: [1 - d]. *)

@@ -26,22 +26,25 @@ let numeric agg v =
         (Printf.sprintf "Aggregate.%s: non-numeric value %s" (to_string agg)
            (Value.to_string v))
 
+(* MIN / MAX keep the extreme value by [Defuzz.compare_by_core_center];
+   where that ties, the value that sorts last under
+   [Value.compare_structural] wins, and a value equal to [best] under it
+   leaves [best] in place. *)
+let extreme agg best v =
+  match Value.compare_structural v best with
+  | 0 -> best
+  | s ->
+      let c = Defuzz.compare_by_core_center (numeric agg v) (numeric agg best) in
+      let c = match agg with Min -> -c | Count | Sum | Avg | Max -> c in
+      if c > 0 || (c = 0 && s > 0) then v else best
+
 let apply agg values =
   match (agg, values) with
   | Count, vs -> Some (Value.Int (List.length vs))
   | _, [] -> None
   | Sum, vs -> Option.map (fun p -> Value.Fuzzy p) (Fuzzy_arith.sum (List.map (numeric Sum) vs))
   | Avg, vs -> Option.map (fun p -> Value.Fuzzy p) (Fuzzy_arith.avg (List.map (numeric Avg) vs))
-  | Min, first :: rest ->
-      let le v w =
-        Defuzz.compare_by_core_center (numeric Min v) (numeric Min w) <= 0
-      in
-      Some (List.fold_left (fun best v -> if le v best then v else best) first rest)
-  | Max, first :: rest ->
-      let ge v w =
-        Defuzz.compare_by_core_center (numeric Max v) (numeric Max w) >= 0
-      in
-      Some (List.fold_left (fun best v -> if ge v best then v else best) first rest)
+  | (Min | Max), first :: rest -> Some (List.fold_left (extreme agg) first rest)
 
 type degree_strategy = Always_one | Average_membership | Weighted_membership
 

@@ -18,7 +18,21 @@ val to_string : t -> string
 
 val apply : t -> Value.t list -> Value.t option
 (** Raises [Invalid_argument] when SUM/AVG/MIN/MAX meet a non-numeric
-    value. *)
+    value. The caller passes distinct values (under
+    {!Value.compare_structural}) in ascending order; MIN and MAX fold them
+    with {!extreme}. *)
+
+val extreme : t -> Value.t -> Value.t -> Value.t
+(** [extreme agg best v] for [agg] MIN or MAX: the group's result once [v]
+    joins a group whose result so far is [best]. The more extreme value
+    under [Defuzz.compare_by_core_center] wins; on a tie, the one that
+    sorts last under {!Value.compare_structural}; a [v] equal to [best]
+    under it leaves [best]. So folding a group's values in any order
+    gives {!apply}'s result over the distinct values (a class of
+    [compare_structural]-equal values is represented by its first
+    member), and a running MIN / MAX needs no value set.
+    Raises [Invalid_argument] where {!apply} would, for two distinct
+    values one of which is non-numeric. *)
 
 type degree_strategy = Always_one | Average_membership | Weighted_membership
 

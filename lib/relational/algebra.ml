@@ -27,36 +27,37 @@ let select ?name r ~pred =
    garbage's heap pages resident (join-large's peak RSS was 4.5 MB higher
    with decoded tuples kept here).
 
+   Every tuple arrives as an encoding: [add] encodes a decoded tuple,
+   [add_record] copies the projected values' bytes out of a record in
+   place on its page, and both go through [insert]. So an answer the
+   sweep produces is never decoded, and there is one hashing path.
+
    An added tuple finds its class through an open-addressed hash index
-   (linear probing, at most half full). The hash agrees with
-   [compare_values]: a number hashes by its float value, so [Int 3], a
-   crisp [3.0] and a discrete [{1/3}] collide, and -0.0 hashes as 0.0. A
-   probe whose hash matches is settled by the encodings when they are
-   equal byte for byte (degrees aside), and by decoding the entry and
-   calling [compare_values] otherwise.
+   (linear probing, at most half full) keyed by {!Codec.values_hash},
+   which agrees with [compare_values]. A probe whose hash matches is
+   settled by the encodings when they are equal byte for byte (degrees
+   aside), and by decoding both and calling [compare_values] otherwise.
 
    All tuples of one accumulator have one arity, so [compare_values]
    never decides by arity. The distinct entries are sorted only when the
-   answer is read out ([to_relation], [contents]): by a float key of the
-   first value that [compare_values] never contradicts (strings first,
-   numbers by their lowest support point — a one-point distribution at
-   degree 1 by the number it holds — other discrete distributions last),
-   and within a run of equal keys by [compare_values] on the decoded
+   answer is read out ([to_relation], [contents]): by
+   {!Codec.order_key}, which [compare_values] never contradicts, and
+   within a run of equal keys by [compare_values] on the decoded
    entries. So the order is exactly [compare_values] order. *)
 module Max_fold = struct
   type t = {
-    enc : Buffer.t;  (** reused to encode each added tuple *)
+    enc : Buffer.t;  (** encodes a decoded tuple before it is staged *)
     mutable blob : bytes;
-    mutable used : int;  (** bytes of [blob] in use *)
+    mutable used : int;  (** bytes of [blob] in use; a tuple is staged past them *)
     mutable off : int array;  (** entry [i] is encoded at [blob.(off.(i))] *)
     mutable deg : float array;  (** its folded degree *)
-    mutable hash : int array;
-    mutable key : float array;  (** its order key ([order_key]) *)
+    mutable key : float array;  (** its {!Codec.order_key} *)
     mutable n : int;
     mutable arity : int;  (** of every entry *)
     mutable slots : int array;
-        (** the index: entry + 1 per used slot, 0 for a free one; a power
-            of two, more than twice [n] *)
+        (** the index, a power of two of slots, more than twice [n]: 0 for
+            a free slot, else an entry + 1 in the low 31 bits and the low
+            31 bits of its hash above them, so a probe reads one word *)
   }
 
   let create () =
@@ -66,7 +67,6 @@ module Max_fold = struct
       used = 0;
       off = [||];
       deg = [||];
-      hash = [||];
       key = [||];
       n = 0;
       arity = 0;
@@ -77,62 +77,26 @@ module Max_fold = struct
   let length t i = (if i + 1 < t.n then t.off.(i + 1) else t.used) - t.off.(i)
   let decode t i = Codec.decode_at t.blob t.off.(i)
 
-  let[@inline] mix h =
-    let h = (h lxor (h lsr 31)) * 0x2545F4914F6CDD1D in
-    h lxor (h lsr 29)
+  (* Room for [len] more bytes past the used ones. *)
+  let reserve t len =
+    if t.used + len > Bytes.length t.blob then begin
+      let blob = Bytes.create (Int.max 1024 (2 * (t.used + len))) in
+      Bytes.blit t.blob 0 blob 0 t.used;
+      t.blob <- blob
+    end
 
-  (* -0.0 = 0.0, so both hash as 0.0. *)
-  let[@inline] float_hash (x : float) =
-    mix (if x = 0.0 then 0 else Int64.to_int (Int64.bits_of_float x))
-
-  let value_hash = function
-    | Value.Int i -> float_hash (float_of_int i)
-    | Value.Str s -> Hashtbl.hash s
-    | Value.Fuzzy (Possibility.Trap tr) ->
-        if tr.Trapezoid.a = tr.Trapezoid.d then float_hash tr.Trapezoid.a
-        else
-          mix
-            (float_hash tr.Trapezoid.a
-            + (3 * float_hash tr.Trapezoid.b)
-            + (5 * float_hash tr.Trapezoid.c)
-            + (7 * float_hash tr.Trapezoid.d))
-    | Value.Fuzzy (Possibility.Discrete [ (v, 1.0) ]) -> float_hash v
-    | Value.Fuzzy (Possibility.Discrete pts) ->
-        List.fold_left
-          (fun h (v, d) -> mix (h + float_hash v + (3 * float_hash d)))
-          1 pts
-
-  let tuple_hash (tup : Ftuple.t) =
-    let vs = tup.Ftuple.values in
-    let h = ref (Array.length vs) in
-    for i = 0 to Array.length vs - 1 do
-      h := mix (!h + value_hash vs.(i))
-    done;
-    !h
-
-  (* Non-decreasing along [compare_values] (for tuples of one arity). *)
-  let order_key (tup : Ftuple.t) =
-    if Array.length tup.Ftuple.values = 0 then 0.0
-    else
-      match tup.Ftuple.values.(0) with
-      | Value.Str _ -> neg_infinity
-      | Value.Int i -> float_of_int i
-      | Value.Fuzzy (Possibility.Trap tr) -> tr.Trapezoid.a
-      | Value.Fuzzy (Possibility.Discrete [ (v, 1.0) ]) -> v
-      | Value.Fuzzy (Possibility.Discrete _) -> infinity
-
-  (* Whether [len] bytes at [blob.(pos)] encode the values of entry [i]:
-     the encodings agree except for the trailing 8-byte degree, or they
-     differ but decode to [compare_values]-equal tuples. *)
-  let same_values t i tup pos len =
-    let o = t.off.(i) in
+  (* Whether the [len] bytes staged at [blob.(used)] encode the values of
+     entry [i]: the encodings agree except for the trailing 8-byte degree,
+     or they differ but decode to [compare_values]-equal tuples. *)
+  let same_values t i len =
+    let o = t.off.(i) and pos = t.used in
     let k = ref 0 in
     if length t i = len then
       while !k < len - 8 && Bytes.get t.blob (o + !k) = Bytes.get t.blob (pos + !k) do
         incr k
       done;
     (length t i = len && !k >= len - 8)
-    || Ftuple.compare_values (decode t i) tup = 0
+    || Ftuple.compare_values (decode t i) (Codec.decode_at t.blob pos) = 0
 
   let grow_entries t =
     let cap = Int.max 16 (2 * t.n) in
@@ -143,64 +107,111 @@ module Max_fold = struct
     in
     t.off <- extend t.off 0;
     t.deg <- extend t.deg 0.0;
-    t.hash <- extend t.hash 0;
     t.key <- extend t.key 0.0
+
+  let low31 = 0x7FFF_FFFF
 
   let grow_index t =
     let slots = Array.make (2 * Array.length t.slots) 0 in
     let mask = Array.length slots - 1 in
-    for i = 0 to t.n - 1 do
-      let s = ref (t.hash.(i) land mask) in
-      while slots.(!s) <> 0 do
-        s := (!s + 1) land mask
-      done;
-      slots.(!s) <- i + 1
-    done;
+    Array.iter
+      (fun v ->
+        if v <> 0 then begin
+          let s = ref ((v lsr 31) land mask) in
+          while slots.(!s) <> 0 do
+            s := (!s + 1) land mask
+          done;
+          slots.(!s) <- v
+        end)
+      t.slots;
     t.slots <- slots
 
-  let add t tup =
-    let arity = Array.length tup.Ftuple.values in
+  (* Fold the [len]-byte encoding staged at [blob.(used)]. *)
+  let insert t len =
+    let pos = t.used in
+    let arity = Bytes.get_uint16_le t.blob pos in
     if t.n = 0 then t.arity <- arity
     else if arity <> t.arity then invalid_arg "Algebra.Max_fold.add: arity differs";
-    Buffer.clear t.enc;
-    Codec.encode_into t.enc tup;
-    let len = Buffer.length t.enc in
-    (* Stage the encoding past the used bytes; it is kept only if new. *)
-    if t.used + len > Bytes.length t.blob then begin
-      let blob = Bytes.create (Int.max 1024 (2 * (t.used + len))) in
-      Bytes.blit t.blob 0 blob 0 t.used;
-      t.blob <- blob
-    end;
-    Buffer.blit t.enc 0 t.blob t.used len;
-    let h = tuple_hash tup in
-    let mask = Array.length t.slots - 1 in
+    let d = Int64.float_of_bits (Bytes.get_int64_le t.blob (pos + len - 8)) in
+    let h = Codec.values_hash t.blob ~pos land low31 in
+    let slots = t.slots in
+    let mask = Array.length slots - 1 in
     let s = ref (h land mask) and found = ref (-1) in
-    while !found < 0 && t.slots.(!s) <> 0 do
-      let e = t.slots.(!s) - 1 in
-      if t.hash.(e) = h && same_values t e tup t.used len then found := e
+    while !found < 0 && slots.(!s) <> 0 do
+      let v = slots.(!s) in
+      if v lsr 31 = h && same_values t ((v land low31) - 1) len then
+        found := (v land low31) - 1
       else s := (!s + 1) land mask
     done;
-    if !found >= 0 then
-      t.deg.(!found) <- Degree.disj t.deg.(!found) (Ftuple.degree tup)
+    if !found >= 0 then t.deg.(!found) <- Degree.disj t.deg.(!found) d
     else begin
       if t.n = Array.length t.off then grow_entries t;
       let i = t.n in
-      t.off.(i) <- t.used;
-      t.deg.(i) <- Ftuple.degree tup;
-      t.hash.(i) <- h;
-      t.key.(i) <- order_key tup;
-      t.used <- t.used + len;
+      t.off.(i) <- pos;
+      t.deg.(i) <- d;
+      t.key.(i) <- Codec.order_key t.blob ~pos;
+      t.used <- pos + len;
       t.n <- i + 1;
-      t.slots.(!s) <- i + 1;
-      if 2 * t.n >= Array.length t.slots then grow_index t
+      slots.(!s) <- (h lsl 31) lor (i + 1);
+      if 2 * t.n >= Array.length slots then grow_index t
     end
 
-  (* The entries in [compare_values] order: sorted by key, then each run
-     of equal keys by [compare_values] on its decoded entries (a run is
-     decoded once). *)
+  let add t tup =
+    Buffer.clear t.enc;
+    Codec.encode_into t.enc tup;
+    let len = Buffer.length t.enc in
+    reserve t len;
+    Buffer.blit t.enc 0 t.blob t.used len;
+    insert t len
+
+  let add_record t buf ~pos select d =
+    let len = Codec.projected_size buf ~pos select in
+    reserve t len;
+    Codec.project_at buf ~pos select d t.blob t.used;
+    insert t len
+
+  (* The entries [0 .. n-1] stably sorted by [key], as a least
+     significant digit radix sort, a byte per pass, over each key's bits
+     mapped so that unsigned order is float order (-0.0 is read as 0.0,
+     which it equals). A pass whose byte is the same for every key is
+     skipped: small integers as floats differ only in their high bytes.
+     Answers arrive in sweep order, not key order, so a comparison sort
+     here mispredicts about every other comparison. *)
+  let sort_by_key key n =
+    let bits = Bytes.create (8 * n) in
+    for e = 0 to n - 1 do
+      let b = Int64.bits_of_float (key.(e) +. 0.0) in
+      Bytes.set_int64_le bits (8 * e)
+        (if Int64.compare b 0L < 0 then Int64.lognot b else Int64.logxor b Int64.min_int)
+    done;
+    let src = ref (Array.init n Fun.id) and dst = ref (Array.make n 0) in
+    let count = Array.make 257 0 in
+    for byte = 0 to 7 do
+      Array.fill count 0 257 0;
+      for e = 0 to n - 1 do
+        let d = Bytes.get_uint8 bits ((8 * e) + byte) + 1 in
+        count.(d) <- count.(d) + 1
+      done;
+      if not (Array.exists (fun c -> c = n) count) then begin
+        for d = 1 to 256 do
+          count.(d) <- count.(d) + count.(d - 1)
+        done;
+        let s = !src and t = !dst in
+        for i = 0 to n - 1 do
+          let e = s.(i) in
+          let d = Bytes.get_uint8 bits ((8 * e) + byte) in
+          t.(count.(d)) <- e;
+          count.(d) <- count.(d) + 1
+        done;
+        src := t;
+        dst := s
+      end
+    done;
+    !src
+
   let order t =
     let n = t.n and key = t.key in
-    let perm, _ = Storage.External_sort.sort_index (Array.sub key 0 n) (Array.make n 0.0) in
+    let perm = sort_by_key key n in
     let k = ref 0 in
     while !k < n do
       let first = !k in

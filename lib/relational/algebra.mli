@@ -24,24 +24,41 @@ val project_positions : ?name:string -> Relation.t -> int list -> Relation.t
     {!Ftuple.compare_values} collapse into the first one added, carrying
     the max degree of the group.
 
-    An added tuple finds its group through an open-addressed hash index
-    whose hash agrees with [compare_values] ([Int 3] and a crisp [3.0]
-    hash alike, -0.0 as 0.0); the distinct tuples are sorted only when
-    the answer is read out, and they come out in [compare_values] order
+    Every tuple is folded as its encoding ({!Codec.encode_into}'s
+    format). {!add_record} copies an answer's projected values out of a
+    record in place on its page, so the merge-join's answers are never
+    decoded; {!add} encodes a decoded tuple and folds the bytes the same
+    way. An added tuple finds its group through an open-addressed hash
+    index keyed by {!Codec.values_hash}, computed from the bytes and
+    agreeing with [compare_values] ([Int 3], crisp [3.0] and
+    [DIST(3:1)] hash alike, -0.0 as 0.0); the distinct tuples are sorted
+    only when the answer is read out (by {!Codec.order_key}, then
+    [compare_values]), and they come out in [compare_values] order
     ([LIMIT] without [ORDER BY] and wire row order depend on it).
 
     Memory: the distinct tuples' encodings in one buffer grown by
-    doubling (at most twice their size), plus four words of columns per
+    doubling (at most twice their size), plus three words of columns per
     distinct tuple (also grown by doubling) and an index of at most four
-    words per distinct tuple. An accumulator is a plain value with no
+    words per distinct tuple (a slot is one word: an entry and 31 bits of
+    its hash). An accumulator is a plain value with no
     shared state: concurrent queries each use their own. *)
 module Max_fold : sig
   type t
 
   val create : unit -> t
 
+  val add_record : t -> bytes -> pos:int -> int array -> float -> unit
+  (** [add_record t buf ~pos select d] folds the tuple made of the values
+      at positions [select] (in that order) of the record encoded at
+      [pos] of [buf], with degree [d]; the values' bytes are copied, not
+      decoded ({!Codec.project_at}). The caller drops degree 0 (such
+      tuples are not members).
+      @raise Invalid_argument if the projected arity differs from the
+      first tuple's, or a position is out of range. *)
+
   val add : t -> Ftuple.t -> unit
-  (** The caller drops tuples of degree 0 (they are not members).
+  (** [add t tup] encodes [tup] and folds it as {!add_record} does. The
+      caller drops tuples of degree 0.
       @raise Invalid_argument if the tuple's arity differs from the
       first tuple's. *)
 

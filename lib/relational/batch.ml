@@ -1,5 +1,3 @@
-open Fuzzy
-
 let batch_rows = 128
 
 type col = {
@@ -12,76 +10,105 @@ type col = {
   td : float array;
 }
 
+(* Row [i] is the record encoded at [pages.(i)] from [offs.(i)]. [rows]
+   holds the rows decoded so far: [[||]] until the first {!row}, then
+   [unread] where a row is not decoded yet. *)
 type t = {
-  rows : Ftuple.t array;
+  pages : bytes array;
+  offs : int array;
   deg : float array;
   mutable cols : (int * col) list;
+  mutable rows : Ftuple.t array;
 }
 
-let length t = Array.length t.rows
-let row t i = t.rows.(i)
+let unread = Ftuple.make [||] 0.0
+let length t = Array.length t.offs
 let degrees t = t.deg
+let page t i = t.pages.(i)
+let pos t i = t.offs.(i)
 let ok c i = Bytes.unsafe_get c.ok i <> '\000'
 
-let of_rows rows =
-  { rows; deg = Array.map Ftuple.degree rows; cols = [] }
+let value t i attr =
+  let page = t.pages.(i) in
+  Codec.value_at page (Codec.value_offset page ~pos:t.offs.(i) attr)
 
+let row t i =
+  if Array.length t.rows = 0 then t.rows <- Array.make (length t) unread;
+  let r = t.rows.(i) in
+  if r != unread then r
+  else begin
+    let r = Codec.decode_at t.pages.(i) t.offs.(i) in
+    t.rows.(i) <- r;
+    r
+  end
+
+(* The degrees of rows [from ..] into [deg], read from the records. *)
+let read_degrees deg pages offs from =
+  for i = from to Array.length offs - 1 do
+    Codec.degree_into pages.(i) ~pos:offs.(i) deg i
+  done
+
+let make pages offs =
+  let deg = Array.make (Array.length offs) 0.0 in
+  read_degrees deg pages offs 0;
+  { pages; offs; deg; cols = []; rows = [||] }
+
+let of_views (v : Storage.External_sort.views) = make v.pages v.offs
+let empty () = make [||] [||]
+
+(* A trapezoid's support is [a, d], so [ta] and [td] share [lo]'s and
+   [hi]'s storage. *)
 let make_col n =
+  let lo = Array.make n 0.0 and hi = Array.make n 0.0 in
   {
     ok = Bytes.make n '\000';
-    lo = Array.make n 0.0;
-    hi = Array.make n 0.0;
-    ta = Array.make n 0.0;
+    lo;
+    hi;
+    ta = lo;
     tb = Array.make n 0.0;
     tc = Array.make n 0.0;
-    td = Array.make n 0.0;
+    td = hi;
   }
 
-let set_col c i v =
-  (* The support bounds drive the ⪯ window sweep for every value kind,
-     exactly like [Value.support] (strings hash to a point, so they sort and
-     window identically); numbers and trapezoids read them off directly,
-     with no interval built. *)
-  match v with
-  | Value.Int k ->
-      let f = float_of_int k in
-      c.lo.(i) <- f;
-      c.hi.(i) <- f;
-      c.ta.(i) <- f;
-      c.tb.(i) <- f;
-      c.tc.(i) <- f;
-      c.td.(i) <- f;
-      Bytes.set c.ok i '\001'
-  | Value.Fuzzy (Possibility.Trap tr) ->
-      c.lo.(i) <- tr.Trapezoid.a;
-      c.hi.(i) <- tr.Trapezoid.d;
-      c.ta.(i) <- tr.Trapezoid.a;
-      c.tb.(i) <- tr.Trapezoid.b;
-      c.tc.(i) <- tr.Trapezoid.c;
-      c.td.(i) <- tr.Trapezoid.d;
-      Bytes.set c.ok i '\001'
-  | Value.Fuzzy (Possibility.Discrete _) | Value.Str _ ->
-      let s = Value.support v in
-      c.lo.(i) <- Interval.lo s;
-      c.hi.(i) <- Interval.hi s
+(* Row [i]'s value of [attr], read from its record's bytes into row [j]
+   of [c]. *)
+let fill c j t i attr =
+  let page = t.pages.(i) in
+  if
+    Codec.trapezoid_into page (Codec.value_offset page ~pos:t.offs.(i) attr)
+      ~lo:c.lo ~hi:c.hi ~ta:c.ta ~tb:c.tb ~tc:c.tc ~td:c.td j
+  then Bytes.unsafe_set c.ok j '\001'
 
 let col t attr =
   match List.assoc_opt attr t.cols with
   | Some c -> c
   | None ->
-      let n = Array.length t.rows in
+      let n = length t in
       let c = make_col n in
       for i = 0 to n - 1 do
-        set_col c i (Ftuple.value t.rows.(i) attr)
+        fill c i t i attr
       done;
       t.cols <- (attr, c) :: t.cols;
       c
 
-let carry t ~idx ~n rows =
-  let m = Array.length rows in
-  let b = of_rows (Array.append (Array.init n (fun j -> t.rows.(idx.(j)))) rows) in
+let carry t ~idx ~n (v : Storage.External_sort.views) =
+  let m = Array.length v.offs in
+  let pages = Array.make (n + m) Bytes.empty
+  and offs = Array.make (n + m) 0
+  and deg = Array.make (n + m) 0.0 in
+  for j = 0 to n - 1 do
+    let s = idx.(j) in
+    pages.(j) <- t.pages.(s);
+    offs.(j) <- t.offs.(s);
+    deg.(j) <- t.deg.(s)
+  done;
+  Array.blit v.pages 0 pages n m;
+  Array.blit v.offs 0 offs n m;
+  read_degrees deg pages offs n;
+  let b = { pages; offs; deg; cols = []; rows = [||] } in
   (* Every column extracted on [t] is carried: kept rows are copied, new
-     rows extracted, so no row's value is decoded into a column twice. *)
+     rows read, so no row's value is read into a column twice. Rows
+     already decoded are carried too. *)
   b.cols <-
     List.map
       (fun (attr, c) ->
@@ -91,14 +118,18 @@ let carry t ~idx ~n rows =
           Bytes.set c'.ok j (Bytes.get c.ok s);
           c'.lo.(j) <- c.lo.(s);
           c'.hi.(j) <- c.hi.(s);
-          c'.ta.(j) <- c.ta.(s);
           c'.tb.(j) <- c.tb.(s);
-          c'.tc.(j) <- c.tc.(s);
-          c'.td.(j) <- c.td.(s)
+          c'.tc.(j) <- c.tc.(s)
         done;
-        for i = 0 to m - 1 do
-          set_col c' (n + i) (Ftuple.value rows.(i) attr)
+        for i = n to n + m - 1 do
+          fill c' i b i attr
         done;
         (attr, c'))
       t.cols;
+  if Array.length t.rows > 0 then begin
+    b.rows <- Array.make (n + m) unread;
+    for j = 0 to n - 1 do
+      b.rows.(j) <- t.rows.(idx.(j))
+    done
+  end;
   b

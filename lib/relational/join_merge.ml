@@ -2,14 +2,15 @@ open Storage
 open Fuzzy
 
 (* The window sweep of Section 3 over unboxed support and parameter
-   columns. Both inputs arrive in chunks from [next_outer] / [next_inner]
-   ([[||]] at the end). The outer side is swept one chunk at a time. The
+   columns. Both inputs arrive in chunks of record views from
+   [next_outer] / [next_inner] (an empty chunk at the end); no record is
+   decoded to sweep it. The outer side is swept one chunk at a time. The
    inner side is a sliding buffer: a batch holding the window's members
    followed by the last chunk read ahead. When the sweep needs an inner row
    past the buffer, {!Batch.carry} builds a fresh batch from the window and
    the next chunk, so rows the window evicted (or never admitted) are
-   dropped and the rows kept decoded are the window plus one chunk, however
-   long the inputs are.
+   dropped and the rows kept are the window plus one chunk, however long
+   the inputs are.
 
    Accounting per outer row r: one comparison per window member to evict
    it (it ends before b(r.X)), one per inner row looked at to extend the
@@ -17,7 +18,8 @@ open Fuzzy
    per window member for the pair degree, and one fuzzy op per pair whose
    supports overlap. The pair degree takes the trapezoid fast path of
    [Batch_kernels.cmp_at], which replicates the boxed float operations
-   exactly; string / discrete operands fall back to [Value.compare_degree].
+   exactly; string / discrete operands fall back to [Value.compare_degree]
+   on the two values, decoded for that pair ({!Batch.value}).
    Cancellation is polled once per outer chunk and once per inner refill;
    with [?trace] each outer chunk records a [batch] child span carrying its
    row count.
@@ -28,7 +30,7 @@ open Fuzzy
    The arrays are reused, so handlers must not retain them. *)
 let sweep_chunks ?cancel ?trace ~stats ~next_outer ~next_inner ~outer_attr
     ~inner_attr ~emit () =
-  let buf = ref (Batch.of_rows [||]) in
+  let buf = ref (Batch.empty ()) in
   let icol = ref (Batch.col !buf inner_attr) in
   let next_inner_row = ref 0 in
   let inner_done = ref false in
@@ -54,11 +56,11 @@ let sweep_chunks ?cancel ?trace ~stats ~next_outer ~next_inner ~outer_attr
        &&
        (Cancel.check cancel;
         match next_inner () with
-        | [||] ->
+        | { External_sort.offs = [||]; _ } ->
             inner_done := true;
             false
-        | rows ->
-            let b = Batch.carry !buf ~idx:!win ~n:!win_n rows in
+        | v ->
+            let b = Batch.carry !buf ~idx:!win ~n:!win_n v in
             for j = 0 to !win_n - 1 do
               !win.(j) <- j
             done;
@@ -70,13 +72,13 @@ let sweep_chunks ?cancel ?trace ~stats ~next_outer ~next_inner ~outer_attr
   let rec chunks () =
     Cancel.check cancel;
     match next_outer () with
-    | [||] -> ()
-    | rows ->
-        let outer_b = Batch.of_rows rows in
+    | { External_sort.offs = [||]; _ } -> ()
+    | v ->
+        let outer_b = Batch.of_views v in
         let ocol = Batch.col outer_b outer_attr in
         let o_lo = ocol.Batch.lo and o_hi = ocol.Batch.hi in
         Trace.with_span trace ~stats "batch" (fun () ->
-            for i = 0 to Array.length rows - 1 do
+            for i = 0 to Batch.length outer_b - 1 do
               let b_r = Array.unsafe_get o_lo i
               and e_r = Array.unsafe_get o_hi i in
               (* 1. Evict window members ending before b(r.X). *)
@@ -129,8 +131,8 @@ let sweep_chunks ?cancel ?trace ~stats ~next_outer ~next_inner ~outer_attr
                        Batch_kernels.cmp_at Fuzzy_compare.Eq ocol i ic s
                      else
                        Value.compare_degree Fuzzy_compare.Eq
-                         (Ftuple.value rows.(i) outer_attr)
-                         (Ftuple.value (Batch.row inner_b s) inner_attr))
+                         (Batch.value outer_b i outer_attr)
+                         (Batch.value inner_b s inner_attr))
                 end
                 else Array.unsafe_set dq j 0.0
               done;
@@ -138,7 +140,7 @@ let sweep_chunks ?cancel ?trace ~stats ~next_outer ~next_inner ~outer_attr
               Iostats.record_fuzzy_ops stats !fuzz;
               emit outer_b i ~inner:inner_b ~idx:w ~n:wn ~d_eq:dq
             done;
-            Trace.set_rows trace (Array.length rows));
+            Trace.set_rows trace (Batch.length outer_b));
         chunks ()
   in
   chunks ()
@@ -158,9 +160,8 @@ let sort_sweep ?trace ?cancel ~outer ~inner ~outer_attr ~inner_attr
       key = (fun page pos lo hi i -> Codec.support_into page ~pos attr ~lo ~hi i);
     }
   in
-  External_sort.with_sorted ?trace ?cancel ~mem_pages
-    ~decode:(fun page pos _ -> Codec.decode_at page pos)
-    (spec outer outer_attr) (spec inner inner_attr) (fun so si ->
+  External_sort.with_sorted ?trace ?cancel ~mem_pages (spec outer outer_attr)
+    (spec inner inner_attr) (fun so si ->
       (* The pulls time themselves as [Sort], so [Merge] keeps the sweep's
          own time. The inner side is pulled page-bound: the sweep never
          makes a run cursor read a page before it needs a row there. *)
@@ -172,7 +173,7 @@ let sort_sweep ?trace ?cancel ~outer ~inner ~outer_attr ~inner_attr
                   let c =
                     External_sort.pull so ~max:Batch.batch_rows ~page_bound:false
                   in
-                  rows := !rows + Array.length c;
+                  rows := !rows + Array.length c.External_sort.offs;
                   c)
                 ~next_inner:(fun () ->
                   External_sort.pull si ~max:Batch.batch_rows ~page_bound:true)

@@ -38,17 +38,19 @@ val sort_sweep :
     per outer tuple in sort order with its window and the equality degrees
     [d(r.X = s.X)]. No sorted file is written: the sort
     ({!Storage.External_sort.with_sorted}, [mem_pages] shared by both
-    inputs' final merges) streams its last merge pass into the sweep, and
-    each record is decoded once, as it leaves the merge. The key is read
-    in place ({!Codec.support_into}). Records with equal keys may reach the
-    sweep in either order.
+    inputs' final merges) streams its last merge pass into the sweep as
+    record views, and no record is decoded to sweep it: the key is read
+    in place ({!Codec.support_into}), and the sweep's degrees and columns
+    straight from the record bytes ({!Batch}). A handler decodes only
+    what it asks for ({!Batch.value}, {!Batch.row}). Records with equal
+    keys may reach the sweep in either order.
 
     The sweep is columnar: window bounds and pair degrees are computed over
     unboxed columns ({!Batch}, {!Batch_kernels}). The outer side is pulled
     in chunks of at most {!Batch.batch_rows} rows. The inner side is pulled
     page-bound into a sliding buffer that holds the window's members plus
     the chunk read last; rows the window evicts are dropped at the next
-    pull. So the rows kept decoded number at most the largest window plus
+    pull. So the rows kept number at most the largest window plus
     2 x {!Batch.batch_rows}, whatever the input sizes. Every examined pair
     with overlapping supports counts one fuzzy op.
 

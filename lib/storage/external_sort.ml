@@ -5,10 +5,10 @@
    once into two unboxed float columns and sorts an index permutation
    over them, so the comparator never touches record bytes. Records are
    never copied out of their pages ({!Heap_file.Slices}): a run-formation
-   batch holds slices of its input pages, and the merges read keys and
-   decode records in place. The last merge pass is not written: it is a
-   pull stream that the consumer (the merge-join sweep) reads in chunks,
-   decoding each record exactly once as it leaves the merge. Both inputs'
+   batch holds slices of its input pages, and the merges read keys in
+   place. The last merge pass is not written: it is a pull stream that
+   the consumer (the merge-join sweep) reads in chunks of record views
+   (page, offset, length), so no record is decoded here. Both inputs'
    final merges share the memory budget, one page per run cursor. Every
    run file is destroyed on return and on abort, so an injected fault or
    a cancellation leaves [Disk.live_pages] at its baseline. *)
@@ -88,15 +88,33 @@ let merge_halves klo khi src dst lo mid hi =
     end;
     incr k
   done;
-  Array.blit src !i dst !k (mid - !i);
-  Array.blit src !j dst (!k + mid - !i) (hi - !j);
+  (* The tail left over is short on average: copied inline, not through
+     a blit call per merge. *)
+  for p = !i to mid - 1 do
+    Array.unsafe_set dst !k (Array.unsafe_get src p);
+    incr k
+  done;
+  for p = !j to hi - 1 do
+    Array.unsafe_set dst !k (Array.unsafe_get src p);
+    incr k
+  done;
   !cmps
 
 (* A stable top-down merge sort of [dst.(lo .. hi-1)], row indices ordered
    by key; [src] holds the same indices there on entry and is scratch.
-   Returns the comparisons made. *)
+   Returns the comparisons made. Two rows are ordered in place, with the
+   one comparison their merge would make. *)
 let rec sort_range klo khi src dst lo hi =
-  if hi - lo < 2 then 0
+  let n = hi - lo in
+  if n < 2 then 0
+  else if n = 2 then begin
+    let a = Array.unsafe_get dst lo and b = Array.unsafe_get dst (lo + 1) in
+    if not (key_le klo khi a b) then begin
+      Array.unsafe_set dst lo b;
+      Array.unsafe_set dst (lo + 1) a
+    end;
+    1
+  end
   else begin
     let mid = (lo + hi) lsr 1 in
     let c =
@@ -123,13 +141,14 @@ let sort_by_key stats key r =
   let idx, cmps = sort_index klo khi in
   Iostats.record_comparisons stats cmps;
   let sorted =
-    {
-      pages = Array.map (Array.get r.pages) idx;
-      offs = Array.map (Array.get r.offs) idx;
-      lens = Array.map (Array.get r.lens) idx;
-      n;
-    }
+    { pages = Array.make n Bytes.empty; offs = Array.make n 0; lens = Array.make n 0; n }
   in
+  for k = 0 to n - 1 do
+    let i = idx.(k) in
+    sorted.pages.(k) <- r.pages.(i);
+    sorted.offs.(k) <- r.offs.(i);
+    sorted.lens.(k) <- r.lens.(i)
+  done;
   Array.fill r.pages 0 n Bytes.empty;
   r.n <- 0;
   sorted
@@ -138,9 +157,13 @@ let sort_by_key stats key r =
    in one run, so nothing was written), or its sorted run files. *)
 type side = Rows of { recs : recs; bytes : int } | Runs of Heap_file.t list
 
-type 'a stream = {
+type views = { pages : bytes array; offs : int array; lens : int array }
+
+let no_views = { pages = [||]; offs = [||]; lens = [||] }
+
+type stream = {
   stats : Iostats.t;
-  next : max:int -> page_bound:bool -> 'a array;
+  next : max:int -> page_bound:bool -> views;
   mutable pull_s : float;  (** summed wall time of the pulls *)
   mutable first_s : float;  (** instant of the first pull; nan before *)
 }
@@ -245,19 +268,18 @@ let merger ~key cs =
   done;
   m
 
-(* [f] over the least record; its run's next record takes its place. *)
-let pop m f =
+(* The least record's scan; its page, offset and length are read before
+   the {!pop} that moves it on. *)
+let top m = m.cs.(m.heap.(0))
+
+(* Replace the least record by its run's next one. *)
+let pop m =
   let i = m.heap.(0) in
-  let c = m.cs.(i) in
-  let page = Heap_file.Slices.page c
-  and off = Heap_file.Slices.off c
-  and len = Heap_file.Slices.len c in
   if not (advance m i) then begin
     m.size <- m.size - 1;
     m.heap.(0) <- m.heap.(m.size)
   end;
-  sift_down m 0;
-  f page off len
+  sift_down m 0
 
 (* An intermediate pass: merge [group] into one new run and destroy the
    group. On abort the partial output is destroyed and the group is left
@@ -272,12 +294,16 @@ let merge_runs ?cancel env ~key group =
     (* One record at a time: the output's tail page is touched per record,
        so it is never the pool's LRU victim while the group's pages are
        read, and the pass's page I/Os stay what they were. *)
-    let append page off len = Heap_file.append_sub out page off len in
     let popped = ref 0 in
     while m.size > 0 do
       if !popped land (batch_poll - 1) = 0 then Cancel.check cancel;
       incr popped;
-      pop m append
+      let c = top m in
+      let page = Heap_file.Slices.page c
+      and off = Heap_file.Slices.off c
+      and len = Heap_file.Slices.len c in
+      pop m;
+      Heap_file.append_sub out page off len
     done;
     charge env.Env.stats m;
     List.iter Heap_file.destroy group;
@@ -286,39 +312,58 @@ let merge_runs ?cancel env ~key group =
     Heap_file.destroy out;
     raise e
 
-(* The final merge as a chunk source. A page-bound chunk stops before the
-   pop that would make a run scan read its next page, so the consumer is
-   never ahead of its need by more than one page per run. *)
-let runs_next ~decode stats m =
+(* The final merge as a chunk source: each pop's record goes into the
+   chunk as a view, staged in scratch columns and copied out at the
+   chunk's length, so nothing is allocated per record. A page-bound chunk
+   stops before the pop that would make a run scan read its next page, so
+   the consumer is never ahead of its need by more than one page per
+   run. *)
+let runs_next stats m =
+  let scratch = ref no_views in
   fun ~max ~page_bound ->
-    if m.size = 0 then [||]
+    if m.size = 0 then no_views
     else begin
-      let rows = Array.make max (pop m decode) in
-      let n = ref 1 in
+      if Array.length !scratch.offs < max then
+        scratch :=
+          { pages = Array.make max Bytes.empty; offs = Array.make max 0;
+            lens = Array.make max 0 };
+      let { pages; offs; lens } = !scratch in
+      let n = ref 0 in
       while
-        !n < max && m.size > 0
-        && not
-             (page_bound && Heap_file.Slices.buffered m.cs.(m.heap.(0)) = 0)
+        !n = 0
+        || !n < max && m.size > 0
+           && not (page_bound && Heap_file.Slices.buffered (top m) = 0)
       do
-        rows.(!n) <- pop m decode;
+        let c = top m in
+        Array.unsafe_set pages !n (Heap_file.Slices.page c);
+        Array.unsafe_set offs !n (Heap_file.Slices.off c);
+        Array.unsafe_set lens !n (Heap_file.Slices.len c);
+        pop m;
         incr n
       done;
       charge stats m;
-      if !n = max then rows else Array.sub rows 0 !n
+      let v =
+        { pages = Array.sub pages 0 !n; offs = Array.sub offs 0 !n;
+          lens = Array.sub lens 0 !n }
+      in
+      Array.fill pages 0 !n Bytes.empty;
+      v
     end
 
-(* An input kept in memory, decoded as it is pulled; each page is let go
-   once its records are decoded. *)
-let rows_next ~decode r =
+(* An input kept in memory, handed out as views; the stream lets go of
+   each page once its records are handed out. *)
+let rows_next r =
   let pos = ref 0 in
   fun ~max ~page_bound:_ ->
     let p = !pos in
     let n = Int.min max (r.n - p) in
     pos := p + n;
-    Array.init n (fun k ->
-        let v = decode r.pages.(p + k) r.offs.(p + k) r.lens.(p + k) in
-        r.pages.(p + k) <- Bytes.empty;
-        v)
+    let v =
+      { pages = Array.sub r.pages p n; offs = Array.sub r.offs p n;
+        lens = Array.sub r.lens p n }
+    in
+    Array.fill r.pages p n Bytes.empty;
+    v
 
 let pull s ~max ~page_bound =
   if max < 1 then invalid_arg "External_sort.pull: max < 1";
@@ -334,7 +379,7 @@ let add_merge_span trace s =
   if not (Float.is_nan s.first_s) then
     Trace.add_timed_span trace "k-way-merge" ~start_s:s.first_s ~dur_s:s.pull_s
 
-let with_sorted ?trace ?cancel ~mem_pages ~decode outer inner f =
+let with_sorted ?trace ?cancel ~mem_pages outer inner f =
   if mem_pages < 3 then invalid_arg "External_sort.with_sorted: mem_pages < 3";
   let env = Heap_file.env outer.file in
   let stats = env.Env.stats in
@@ -398,14 +443,14 @@ let with_sorted ?trace ?cancel ~mem_pages ~decode outer inner f =
   let open_stream i =
     let next =
       match sides.(i) with
-      | Rows { recs; _ } -> rows_next ~decode recs
-      | Runs [] -> fun ~max:_ ~page_bound:_ -> [||]
+      | Rows { recs; _ } -> rows_next recs
+      | Runs [] -> fun ~max:_ ~page_bound:_ -> no_views
       | Runs (first :: _ as runs) ->
           Buffer_pool.flush (Heap_file.pool first);
           let pool =
             Buffer_pool.create (Heap_file.disk first) ~capacity:(List.length runs)
           in
-          runs_next ~decode stats
+          runs_next stats
             (merger ~key:specs.(i).key
                (Array.of_list
                   (List.map (fun r -> Heap_file.Slices.of_file ~pool r) runs)))

@@ -18,15 +18,20 @@ type spec = {
           read without decoding the record. Keys must not be NaN. *)
 }
 
-type 'a stream
+type views = { pages : bytes array; offs : int array; lens : int array }
+(** A chunk of record views: record [k] is [pages.(k)] from [offs.(k)],
+    [lens.(k)] bytes long, in place on the page it was read from
+    ({!Heap_file.Slices.page}: the bytes stay valid after the scan moves
+    on). The three arrays have one length, the chunk's record count. *)
+
+type stream
 (** An input's last merge pass, pulled by its consumer in chunks of
-    decoded records in key order. *)
+    record views in key order. *)
 
 val with_sorted :
-  ?trace:Trace.t -> ?cancel:Cancel.t -> mem_pages:int ->
-  decode:(bytes -> int -> int -> 'a) -> spec -> spec ->
-  ('a stream -> 'a stream -> 'b) -> 'b
-(** [with_sorted ~mem_pages ~decode outer inner f] sorts both inputs by
+  ?trace:Trace.t -> ?cancel:Cancel.t -> mem_pages:int -> spec -> spec ->
+  (stream -> stream -> 'b) -> 'b
+(** [with_sorted ~mem_pages outer inner f] sorts both inputs by
     key and calls [f] with their sorted streams; the merge-join engine's
     sort. No sorted file is written:
     - Run formation reads each record's key once into unboxed float
@@ -46,9 +51,10 @@ val with_sorted :
       keys, kept in unboxed columns; a pop replaces the top by its run's
       next record with one sift-down.
     - No record is copied out of its page ({!Heap_file.Slices}): a run
-      formation batch holds slices of its input pages, and the merges
-      read keys in place. Each record is decoded once
-      ([decode page off len]), as it leaves the final merge.
+      formation batch holds slices of its input pages, the merges read
+      keys in place, and the final merge hands its records out as
+      {!views} with nothing allocated per record; decoding them is the
+      consumer's business.
     Each stream yields its input's record multiset in non-decreasing
     (lo, hi) key order; equal-key ties carry no order. The
     [storage.comparisons] counter is charged one per key comparison: in
@@ -69,8 +75,9 @@ val with_sorted :
     a fault in [f]), so [Sim_disk.live_pages] returns to its baseline.
     The streams must not be used after [f] returns. *)
 
-val pull : 'a stream -> max:int -> page_bound:bool -> 'a array
-(** The next at most [max] records in key order ([[||]] at the end). With
+val pull : stream -> max:int -> page_bound:bool -> views
+(** The next at most [max] records in key order (an empty chunk at the
+    end). With
     [~page_bound:true] the chunk stops before a record whose pop would
     make a run cursor read its next page, so a consumer that pulls only
     what it needs reads no page ahead of that need.
@@ -95,6 +102,6 @@ val merge_runs :
     statistics. On a raise the partial output is destroyed and [runs] are
     left to the caller. *)
 
-val add_merge_span : Trace.t option -> 'a stream -> unit
+val add_merge_span : Trace.t option -> stream -> unit
 (** Attach the stream's summed pull time as a [k-way-merge] span under
     the innermost open span (nothing if it was never pulled). *)

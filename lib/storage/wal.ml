@@ -231,6 +231,9 @@ let decode_body tag body =
               pos := !pos + 8 + mlen;
               let npages = get_u32 body !pos in
               pos := !pos + 4;
+              (* A count the body cannot hold would size the array
+                 before any page number is read. *)
+              if npages > (len - !pos) / 4 then invalid_arg "Wal.decode_body: page count";
               let pages =
                 Array.init npages (fun i -> get_u32 body (!pos + (4 * i)))
               in

@@ -66,6 +66,12 @@ let project_insert acc select r d =
   if Degree.positive d then
     Algebra.Max_fold.add acc (Ftuple.make (Array.map (Ftuple.value r) select) d)
 
+(* The same for row [i] of a sweep batch: the projected values' bytes are
+   copied out of the record, none is decoded. *)
+let insert_row acc select b i d =
+  if Degree.positive d then
+    Algebra.Max_fold.add_record acc (Batch.page b i) ~pos:(Batch.pos b i) select d
+
 (* "Notice that if no join predicate exists in the inner block, the inner
    block produces the same single value for every tuple of R and no
    unnesting is needed" (Section 6). For uncorrelated quantifier, aggregate,
@@ -172,10 +178,11 @@ let corr_term (c : Classify.corr) =
    window). A pair is examined where its d_eq is positive, or everywhere
    with [~all_pairs]; unexamined pairs read 0, the neutral value of the
    max. A term goes through the trapezoid kernels where both operands are
-   columnar and through [Value.compare_degree] where they are not.
-   [Degree.conj]/[disj] are Float.min/max, exact in any order, so the bits
-   equal a fold over the window as a list; the loops allocate nothing,
-   and the fuzzy-op counter is charged in bulk, one op per term per
+   columnar and through [Value.compare_degree] where they are not, on the
+   two values decoded for that pair ({!Batch.value}).
+   [Degree.conj]/[disj] are min/max, exact in any order, so the bits
+   equal a fold over the window as a list; the columnar path allocates
+   nothing, and the fuzzy-op counter is charged in bulk, one op per term per
    examined pair. *)
 let window_fold ~stats ?(all_pairs = false) terms =
   let terms = Array.of_list terms in
@@ -196,7 +203,7 @@ let window_fold ~stats ?(all_pairs = false) terms =
   (* The term columns depend only on the batches: extract them once per
      (outer chunk, inner buffer) pair. The sweep builds a fresh batch per
      chunk and per refill, so physical identity is a sound cache key. *)
-  let no_batch = Batch.of_rows [||] in
+  let no_batch = Batch.empty () in
   let cached_ob = ref no_batch and cached_ib = ref no_batch in
   let us = ref [||] and vs = ref [||] in
   let pairs = ref (Array.make Batch.batch_rows 0.0) in
@@ -218,7 +225,7 @@ let window_fold ~stats ?(all_pairs = false) terms =
       let dq = Array.unsafe_get d_eq j in
       if all_pairs || dq > 0.0 then begin
         let s_i = Array.unsafe_get idx j in
-        let d = ref (Float.min (Array.unsafe_get deg s_i) dq) in
+        let d = ref (Degree.conj (Array.unsafe_get deg s_i) dq) in
         for c = 0 to nt - 1 do
           let u = Array.unsafe_get us c and v = Array.unsafe_get vs c in
           let dd =
@@ -226,16 +233,15 @@ let window_fold ~stats ?(all_pairs = false) terms =
               Batch_kernels.cmp_at (Array.unsafe_get ops c) u i v s_i
             else
               let t = Array.unsafe_get terms c in
-              let r = Batch.row ob i and s = Batch.row ib s_i in
-              Value.compare_degree t.op
-                (Ftuple.value (if t.left_outer then r else s) t.left)
-                (Ftuple.value (if t.left_outer then s else r) t.right)
+              let side outer = if outer then Batch.value ob i else Batch.value ib s_i in
+              Value.compare_degree t.op (side t.left_outer t.left)
+                (side (not t.left_outer) t.right)
           in
-          d := Float.min !d (if Array.unsafe_get negs c then Degree.neg dd else dd)
+          d := Degree.conj !d (if Array.unsafe_get negs c then Degree.neg dd else dd)
         done;
         fz := !fz + nt;
         Array.unsafe_set dst j !d;
-        m := Float.max !m !d
+        m := Degree.disj !m !d
       end
       else Array.unsafe_set dst j 0.0
     done;
@@ -324,9 +330,8 @@ let run ?(name = "answer") ?trace ?cancel (shape : Classify.two_level)
     let fold, _ = window_fold ~stats ?all_pairs terms in
     fun ob i ~inner ~idx ~n ~d_eq ->
       let m = fold ob i ~inner ~idx ~n ~d_eq in
-      let r = Batch.row ob i in
-      project_insert acc select r
-        (Degree.conj (Ftuple.degree r) (if negated then Degree.neg m else m))
+      insert_row acc select ob i
+        (Degree.conj (Batch.degrees ob).(i) (if negated then Degree.neg m else m))
   in
   (* Pick the sweep equality and the window handler. *)
   let sweep_y, sweep_z, (emit : Join_merge.emit) =
@@ -353,41 +358,56 @@ let run ?(name = "answer") ?trace ?cancel (shape : Classify.two_level)
     | Classify.Agg_link { y; op1; agg; z; corr } ->
         let eq, rest = need_eq "aggregate" corr in
         let fold, pairs = window_fold ~stats ~all_pairs:true (List.map corr_term rest) in
-        ( eq.Classify.outer_attr, eq.Classify.local_attr,
-          fun ob i ~inner:ib ~idx ~n ~d_eq ->
-            let r = Batch.row ob i in
-            (* T'(u): the fuzzy value set of the group for u = r.U; every
-               window member is weighed, dangling ones included. *)
-            ignore (fold ob i ~inner:ib ~idx ~n ~d_eq : float);
-            let pairs = pairs () in
-            let set = ref Vmap.empty in
-            for j = 0 to n - 1 do
-              let d = Array.unsafe_get pairs j in
-              if Degree.positive d then
-                set :=
-                  Vmap.update
-                    (Ftuple.value (Batch.row ib (Array.unsafe_get idx j)) z)
-                    (function
-                      | None -> Some d | Some d' -> Some (Degree.disj d d'))
-                    !set
-            done;
-            let vs = List.map fst (Vmap.bindings !set) in
-            let result =
+        (* A(T'(u)) over the group for u = r.U: the window members whose
+           pair degree is positive, dangling ones included. MIN and MAX keep
+           a running extreme ({!Aggregate.extreme}); COUNT, SUM and AVG
+           need the group's fuzzy value set. *)
+        let aggregate ib ~idx ~n pairs =
+          match agg with
+          | Aggregate.Min | Aggregate.Max ->
+              let best = ref None in
+              for j = 0 to n - 1 do
+                if Degree.positive (Array.unsafe_get pairs j) then begin
+                  let v = Batch.value ib (Array.unsafe_get idx j) z in
+                  best :=
+                    Some
+                      (match !best with
+                      | None -> v
+                      | Some b -> Aggregate.extreme agg b v)
+                end
+              done;
+              !best
+          | Aggregate.Count | Aggregate.Sum | Aggregate.Avg -> (
+              let set = ref Vmap.empty in
+              for j = 0 to n - 1 do
+                let d = Array.unsafe_get pairs j in
+                if Degree.positive d then
+                  set :=
+                    Vmap.update
+                      (Batch.value ib (Array.unsafe_get idx j) z)
+                      (function
+                        | None -> Some d | Some d' -> Some (Degree.disj d d'))
+                      !set
+              done;
+              let vs = List.map fst (Vmap.bindings !set) in
               match (Aggregate.apply agg vs, agg) with
               | (Some _ as res), _ -> res
               | None, Aggregate.Count ->
                   (* COUNT over an empty group: the left outer join branch
                      of Query COUNT' compares with 0. *)
                   Some (Value.Int 0)
-              | None, _ -> None
-            in
-            match result with
+              | None, _ -> None)
+        in
+        ( eq.Classify.outer_attr, eq.Classify.local_attr,
+          fun ob i ~inner:ib ~idx ~n ~d_eq ->
+            ignore (fold ob i ~inner:ib ~idx ~n ~d_eq : float);
+            match aggregate ib ~idx ~n (pairs ()) with
             | None -> ()
             | Some a ->
                 Storage.Iostats.record_fuzzy_op stats;
-                let d_link = Value.compare_degree op1 (Ftuple.value r y) a in
-                project_insert acc select r
-                  (Degree.conj (Ftuple.degree r) d_link) )
+                let d_link = Value.compare_degree op1 (Batch.value ob i y) a in
+                insert_row acc select ob i
+                  (Degree.conj (Batch.degrees ob).(i) d_link) )
   in
   Join_merge.sort_sweep ?trace ?cancel ~outer:outer' ~inner:inner'
     ~outer_attr:sweep_y ~inner_attr:sweep_z ~mem_pages ~emit ();
@@ -533,13 +553,8 @@ let run_chain ?(name = "answer") ?order ?trace ?cancel
                attributes with min(mu_r, the window fold's max). *)
             let proj = if swap then s_attrs else r_pos in
             fun ob i ~inner ~idx ~n ~d_eq ->
-              let r = Batch.row ob i in
-              let d =
-                Degree.conj (Ftuple.degree r) (fold ob i ~inner ~idx ~n ~d_eq)
-              in
-              if Degree.positive d then
-                Algebra.Max_fold.add out
-                  (Ftuple.make (Array.map (Ftuple.value r) proj) d)
+              insert_row out proj ob i
+                (Degree.conj (Batch.degrees ob).(i) (fold ob i ~inner ~idx ~n ~d_eq))
           end
           else begin
             (* Both sides carry: per outer row, one max per distinct
@@ -547,23 +562,21 @@ let run_chain ?(name = "answer") ?order ?trace ?cancel
                attributes, then one max-fold across the step. *)
             let window = ref Vals_map.empty in
             fun ob i ~inner:ib ~idx ~n ~d_eq ->
-              let r = Batch.row ob i in
+              let d_r = (Batch.degrees ob).(i) in
               ignore (fold ob i ~inner:ib ~idx ~n ~d_eq : float);
               let pairs = pairs () in
               for j = 0 to n - 1 do
-                let d = Degree.conj (Ftuple.degree r) (Array.unsafe_get pairs j) in
+                let d = Degree.conj d_r (Array.unsafe_get pairs j) in
                 if Degree.positive d then
                   window :=
                     Vals_map.update
-                      (Array.map
-                         (Ftuple.value (Batch.row ib (Array.unsafe_get idx j)))
-                         s_attrs)
+                      (Array.map (Batch.value ib (Array.unsafe_get idx j)) s_attrs)
                       (function
                         | None -> Some d | Some d' -> Some (Degree.disj d d'))
                       !window
               done;
               if not (Vals_map.is_empty !window) then begin
-                let r_vals = Array.map (Ftuple.value r) r_pos in
+                let r_vals = Array.map (Batch.value ob i) r_pos in
                 Vals_map.iter
                   (fun s_vals d ->
                     Algebra.Max_fold.add out

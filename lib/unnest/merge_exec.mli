@@ -32,6 +32,14 @@ val run :
     straight off the window's selection vector, and each answer tuple goes
     straight into the query's {!Relational.Algebra.Max_fold}, which writes
     the answer once. No sorted file and no pre-dedup relation is written.
+    Records are read where they sit on their pages
+    ({!Relational.Batch}): an answer's projected values are copied out of
+    the outer record as bytes ({!Relational.Algebra.Max_fold.add_record}),
+    and a value is decoded only where a handler needs it: a term operand
+    with no trapezoid form (a string, a [DIST]), the aggregated attribute
+    of a JA group and the compared outer value. JA's MIN and MAX keep a
+    running extreme per outer row ({!Relational.Aggregate.extreme});
+    COUNT, SUM and AVG build the group's fuzzy value set.
     With [?trace], one span per operator is recorded (reduce,
     sort/run-formation, sweep with its k-way-merge children, dedup — or
     constant-inner for uncorrelated subqueries); [None] costs nothing.
@@ -57,7 +65,8 @@ val run_chain :
     the link attribute towards each block not joined yet, and the joined
     endpoint of each correlation predicate still missing a block. Tuples
     that agree on those are max-folded across the step
-    ({!Relational.Algebra.Max_fold}, fed off the sweep). When only one
+    ({!Relational.Algebra.Max_fold}, fed off the sweep: a one-sided step
+    copies the carried values' bytes, a two-sided one decodes them). When only one
     side carries live attributes, that side is swept as the outer (the new
     block and the accumulated relation swap roles when only the new block
     carries) and the step emits one tuple per outer tuple; a step whose

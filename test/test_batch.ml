@@ -78,7 +78,7 @@ let kernel_crisp_prop =
           Ftuple.make [| Value.Fuzzy (Fuzzy.Possibility.trap t) |] 1.0;
         |]
       in
-      let batch = Batch.of_rows rows in
+      let batch = Test_util.batch_of_tuples rows in
       let col = Batch.col batch 0 in
       List.for_all
         (fun (op, name) ->
@@ -129,6 +129,164 @@ let tnorm_prop =
       Array.for_all (fun i -> bits acc.(i) = bits expect.(i))
         (Array.init n Fun.id)
       && bits (Batch_kernels.disj_reduce ~xs:acc ~n) = bits expect_max)
+
+(* ---------- reading batches from record bytes ---------- *)
+
+(* Values of every kind the codec writes: integers, strings, crisp numbers
+   (signed zeros included), trapezoids, degenerate trapezoids (a = b,
+   b = c, c = d) and one-point and multi-point distributions. *)
+let gen_value =
+  let open QCheck.Gen in
+  let f = map (fun k -> float_of_int k /. 4.0) (int_range (-40) 40) in
+  let trap a b c d = Value.Fuzzy (Fuzzy.Possibility.trap (Fuzzy.Trapezoid.make a b c d)) in
+  let sorted4 a b c d =
+    match List.sort Float.compare [ a; b; c; d ] with
+    | [ a; b; c; d ] -> (a, b, c, d)
+    | _ -> assert false
+  in
+  frequency
+    [
+      (2, map (fun i -> Value.Int i) (int_range (-1000) 1000));
+      (1, map (fun s -> Value.Str s) (string_size ~gen:printable (int_range 0 12)));
+      (2, map Value.crisp_num (oneof [ f; return (-0.0); return 0.0 ]));
+      (3, map (fun (a, b, c, d) -> let a, b, c, d = sorted4 a b c d in trap a b c d) (quad f f f f));
+      ( 2,
+        map
+          (fun (a, b, c, k) ->
+            let a, b, c, _ = sorted4 a b c c in
+            match k with 0 -> trap a a b c | 1 -> trap a b b c | _ -> trap a b c c)
+          (quad f f f (int_bound 2)) );
+      ( 1,
+        map
+          (fun (v, d) -> Value.Fuzzy (Fuzzy.Possibility.discrete [ (v, d) ]))
+          (pair f (oneofl [ 1.0; 0.5 ])) );
+      ( 1,
+        map
+          (fun pts -> Value.Fuzzy (Fuzzy.Possibility.discrete pts))
+          (list_size (int_range 2 4) (pair f (map (fun k -> float_of_int k /. 8.0) (int_range 1 8))))
+      );
+    ]
+
+(* Rows of one arity, a pad and a second chunk for [Batch.carry]. *)
+let arb_rows =
+  let open QCheck.Gen in
+  let rows arity n =
+    array_size (return n)
+      (map2
+         (fun vs d -> Ftuple.make (Array.of_list vs) d)
+         (list_size (return arity) gen_value)
+         (oneof [ return 1.0; map (fun k -> float_of_int k /. 16.0) (int_range 1 16) ]))
+  in
+  QCheck.make
+    ~print:(fun (a, b, pad) ->
+      Printf.sprintf "pad %d\n%s" pad
+        (String.concat "\n"
+           (List.map (Format.asprintf "%a" Ftuple.pp) (Array.to_list (Array.append a b)))))
+    (int_range 1 4 >>= fun arity ->
+     triple (int_range 1 12 >>= rows arity) (int_range 0 12 >>= rows arity) (int_bound 40))
+
+let enc_tuple t = Bytes.to_string (Codec.encode t)
+let enc v = enc_tuple (Ftuple.make [| v |] 0.0)
+
+(* Row [i] of [b] against [t], the decoded row it holds, field by field:
+   each column as the batch built it from decoded values before it read
+   record bytes ([ok] where the value has a trapezoid form, the support
+   bounds, the abscissae where [ok]; [tb], [tc] 0 elsewhere), the degree
+   bits, [Batch.value] and [Batch.row]. *)
+let same_row b i (t : Ftuple.t) =
+  let fail fmt = QCheck.Test.fail_reportf ("row %d %a: " ^^ fmt) i Ftuple.pp t in
+  if bits (Batch.degrees b).(i) <> bits (Ftuple.degree t) then fail "degree";
+  if enc_tuple (Batch.row b i) <> enc_tuple t then fail "row";
+  Array.iteri
+    (fun a v ->
+      let c = Batch.col b a in
+      let want_ok, (lo, hi), abscissae =
+        match v with
+        | Value.Int k ->
+            let f = float_of_int k in
+            (true, (f, f), (f, f, f, f))
+        | Value.Fuzzy (Fuzzy.Possibility.Trap tr) ->
+            let open Fuzzy.Trapezoid in
+            (true, (tr.a, tr.d), (tr.a, tr.b, tr.c, tr.d))
+        | Value.Fuzzy (Fuzzy.Possibility.Discrete _) | Value.Str _ ->
+            let s = Value.support v in
+            (false, (Fuzzy.Interval.lo s, Fuzzy.Interval.hi s), (0.0, 0.0, 0.0, 0.0))
+      in
+      let ta, tb, tc, td = abscissae in
+      if Batch.ok c i <> want_ok then fail "attr %d: ok" a;
+      if bits c.Batch.lo.(i) <> bits lo || bits c.Batch.hi.(i) <> bits hi then
+        fail "attr %d: support" a;
+      if want_ok then begin
+        if
+          bits c.Batch.ta.(i) <> bits ta || bits c.Batch.tb.(i) <> bits tb
+          || bits c.Batch.tc.(i) <> bits tc || bits c.Batch.td.(i) <> bits td
+        then fail "attr %d: abscissae" a
+      end
+      else if bits c.Batch.tb.(i) <> 0L || bits c.Batch.tc.(i) <> 0L then
+        fail "attr %d: tb/tc of a value with no trapezoid form" a;
+      if enc (Batch.value b i a) <> enc v then fail "attr %d: value" a)
+    t.Ftuple.values;
+  true
+
+let reader_prop =
+  QCheck.Test.make ~count:300
+    ~name:"a batch read from encoded pages = one built from decoded rows, field by field"
+    arb_rows (fun (rows, more, pad) ->
+      (* the rows as the sweep saw them before: decoded from their records *)
+      let decoded a = Array.map (fun t -> Codec.decode (Codec.encode t)) a in
+      let b = Test_util.batch_of_tuples ~pad rows in
+      (* Column 0 and row 0 exist before the carry, so the carried batch
+         copies them and reads the other columns itself. *)
+      ignore (Batch.col b 0);
+      ignore (Batch.row b 0);
+      let idx =
+        Array.of_list (List.filter (fun i -> i mod 2 = 0) (List.init (Array.length rows) Fun.id))
+      in
+      let b' =
+        Batch.carry b ~idx ~n:(Array.length idx) (Test_util.views_of_tuples ~pad more)
+      in
+      let kept = Array.append (Array.map (fun i -> rows.(i)) idx) more in
+      Batch.length b' = Array.length kept
+      && Array.for_all Fun.id (Array.mapi (same_row b') (decoded kept))
+      && Array.for_all Fun.id (Array.mapi (same_row b) (decoded rows)))
+
+(* A malformed value raises from a column read what decoding it raises. *)
+let malformed_case =
+  Alcotest.test_case "a malformed value raises decoding's error from a column read" `Quick
+    (fun () ->
+      (* one record: a value (tag, then its body) and degree 1 *)
+      let record tag body =
+        let b = Buffer.create 64 in
+        Buffer.add_uint16_le b 1;
+        Buffer.add_uint8 b tag;
+        body b;
+        Buffer.add_int64_le b (Int64.bits_of_float 1.0);
+        Buffer.to_bytes b
+      in
+      let floats l b = List.iter (fun f -> Buffer.add_int64_le b (Int64.bits_of_float f)) l in
+      let points l b =
+        Buffer.add_uint16_le b (List.length l);
+        List.iter (fun (v, d) -> floats [ v; d ] b) l
+      in
+      let outcome f = match f () with _ -> "ok" | exception Invalid_argument m -> m in
+      List.iter
+        (fun (name, r) ->
+          let views =
+            { Storage.External_sort.pages = [| r |]; offs = [| 0 |]; lens = [| Bytes.length r |] }
+          in
+          Alcotest.(check string) name
+            (outcome (fun () -> ignore (Codec.decode r)))
+            (outcome (fun () -> ignore (Batch.col (Batch.of_views views) 0))))
+        [
+          ("unordered trapezoid", record 3 (floats [ 5.; 4.; 3.; 1. ]));
+          ("NaN trapezoid", record 3 (floats [ 0.; nan; 1.; 2. ]));
+          ("NaN crisp", record 2 (floats [ nan ]));
+          ("discrete, invalid degree", record 4 (points [ (1., 0.5); (2., 1.5) ]));
+          ("discrete, NaN point", record 4 (points [ (nan, 0.5) ]));
+          ("discrete, no positive degree", record 4 (points [ (1., 0.0) ]));
+          ("bad tag", record 9 (floats [ 1. ]));
+          ("ordered trapezoid", record 3 (floats [ 1.; 2.; 3.; 4. ]));
+        ])
 
 (* ---------- whole plans against the interpreter ---------- *)
 
@@ -234,6 +392,54 @@ let boxed_term_prop =
            = R.N AND S.V >= R.U)";
         ])
 
+(* MIN and MAX over groups whose values tie on the core centre in
+   different shapes: crisp numbers, trapezoids and discrete distributions
+   centred on 5 or 10. The sweep keeps a running extreme, the interpreter
+   folds the group's value set; [Aggregate.extreme]'s tie rule must make
+   them agree to the bit. *)
+let tied_db seed ~n_r ~n_s =
+  let env = Test_util.fresh_env () in
+  let catalog = Catalog.create env in
+  let rng = Random.State.make [| seed |] in
+  let trap a b c d = Value.Fuzzy (Fuzzy.Possibility.trap (Fuzzy.Trapezoid.make a b c d)) in
+  let dist pts = Value.Fuzzy (Fuzzy.Possibility.discrete pts) in
+  let tied =
+    [|
+      Value.crisp_num 5.0; trap 3. 4. 6. 7.; trap 1. 5. 5. 9.; trap 4. 4. 6. 6.;
+      dist [ (4., 1.0); (6., 1.0) ]; dist [ (2., 1.0); (8., 1.0); (5., 0.5) ];
+      Value.Int 10; trap 8. 9. 11. 12.; dist [ (9., 1.0); (11., 1.0) ];
+    |]
+  in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let rel name n (join, other) values =
+    let schema =
+      Schema.make ~name [ ("ID", Schema.TNum); (other, Schema.TNum); (join, Schema.TNum) ]
+    in
+    Catalog.add catalog
+      (Relation.of_list env schema
+         (List.init n (fun i ->
+              Test_util.tuple
+                [ Value.Int i; pick values; Value.Int (Random.State.int rng 3) ]
+                (Test_equivalence.rand_degree rng))))
+  in
+  rel "R" n_r ("U", "Y") (Array.append tied [| Value.crisp_num 7.0; trap 0. 5. 6. 12. |]);
+  rel "S" n_s ("V", "Z") tied;
+  catalog
+
+let tied_prop =
+  QCheck.Test.make ~count:40 ~name:"MIN/MAX over tied core centres = naive bits"
+    QCheck.(triple (int_bound 1_000_000) (int_bound 25) (int_bound 25))
+    (fun (seed, n_r, n_s) ->
+      let catalog = tied_db seed ~n_r ~n_s in
+      List.for_all
+        (fun (agg, op) ->
+          check_oracle catalog
+            (Printf.sprintf
+               "SELECT R.ID FROM R WHERE R.Y %s (SELECT %s(S.Z) FROM S WHERE S.V = R.U)"
+               op agg))
+        [ ("MAX", "="); ("MAX", ">="); ("MAX", "<"); ("MIN", "="); ("MIN", "<=");
+          ("MIN", ">") ])
+
 let shape_props =
   [
     shape_prop "merge-join = naive bits: type N" `N ();
@@ -250,6 +456,7 @@ let shape_props =
       `Chain_mid ();
     string_prop;
     boxed_term_prop;
+    tied_prop;
   ]
 
 (* ---------- the sweep and the sort ---------- *)
@@ -714,6 +921,7 @@ let suites =
     ( "batch.kernels",
       List.map QCheck_alcotest.to_alcotest
         [ kernel_cmp_prop; kernel_mirror_prop; kernel_crisp_prop; mem_prop; tnorm_prop ] );
+    ("batch.readers", List.map QCheck_alcotest.to_alcotest [ reader_prop ] @ [ malformed_case ]);
     ("batch.engines", List.map QCheck_alcotest.to_alcotest shape_props);
     ("batch.regressions", sweep_cases);
     ("batch.chunks", chunk_cases);

@@ -457,6 +457,20 @@ let plot_cases =
       Alcotest.(check bool) "mentions label" true (contains s "medium young");
       Alcotest.(check bool) "has axis" true (contains s "0.5 |"))
 
+(* [Degree.conj] / [disj] skip [Float.min] / [max]'s sign-bit test where
+   the operands differ; on any floats (signed zeros, infinities, NaNs of
+   either sign included) the bits must still be theirs. *)
+let prop_conj_disj_bits =
+  let specials = [ 0.0; -0.0; 1.0; -1.0; 0.5; infinity; neg_infinity; nan; -.nan; 1e-310 ] in
+  QCheck.Test.make ~count:1000 ~name:"Degree.conj / disj = Float.min / max bits"
+    QCheck.(pair
+              (make Gen.(oneof [ oneofl specials; float ]))
+              (make Gen.(oneof [ oneofl specials; float ])))
+    (fun (x, y) ->
+      let bits = Int64.bits_of_float in
+      bits (Degree.conj x y) = bits (Float.min x y)
+      && bits (Degree.disj x y) = bits (Float.max x y))
+
 let suites =
   [
     ("fuzzy.interval", interval_tests);
@@ -470,7 +484,7 @@ let suites =
           prop_ge_le_dual; prop_total_order_covers; prop_eq_le_min_ge;
           prop_add_support; prop_alpha_cut_nested; prop_mem_interpolates;
           prop_shift_scale; prop_hedges_bracket; prop_degree_lattice;
-          prop_degree_negation;
+          prop_degree_negation; prop_conj_disj_bits;
         ] );
     ( "fuzzy.distributions",
       [ discrete_cases; discrete_invalid; subnormal_cases; similarity_cases;

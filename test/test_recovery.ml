@@ -839,12 +839,135 @@ let catalog_tests =
               (intact = Schema.attrs schema)));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Fuzzing the log decoders past the checksum *)
+
+(* One frame of every record kind, as [Wal] writes them: the log's bytes
+   cut at the records' end LSNs. *)
+let sample_frames () =
+  with_dir (fun dir ->
+      Unix.mkdir dir 0o755;
+      let path = Recovery.wal_path_of dir in
+      let wal = Wal.create ~path ~mode:Wal.Never in
+      List.iter
+        (fun r -> ignore (Wal.append wal r))
+        [
+          Wal.Alloc { fid = 3; page = 17 };
+          Wal.Page_image { page = 17; data = Bytes.init 48 (fun i -> Char.chr (i * 7 land 0xff)) };
+          Wal.Heap_append { page = 17; off = 12; count = 2; data = Bytes.of_string "record bytes" };
+          Wal.Free { fid = 4 };
+          Wal.Define { fid = 3; meta = Bytes.of_string "schema K(ID, X)" };
+          Wal.Checkpoint
+            { next_fid = 9; files = [ (3, Bytes.of_string "meta", [| 17; 18; 40 |]);
+                                      (5, Bytes.empty, [||]) ]; epoch = 2 };
+          Wal.Epoch { epoch = 3 };
+        ];
+      Wal.commit wal;
+      Wal.close wal;
+      let ic = open_in_bin path in
+      let data = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let records, _, _ =
+        Wal.parse_stream (Bytes.of_string data) ~off:Wal.header_size ~base:Wal.header_size
+      in
+      let start = ref Wal.header_size in
+      List.map
+        (fun (end_lsn, _) ->
+          let f = String.sub data !start (end_lsn - !start) in
+          start := end_lsn;
+          f)
+        records)
+
+(* The frame layout: [u32 body_len][u8 tag][u64 start][body][u32 crc],
+   the CRC over tag, start and body. [reframe] stamps a (mutated) tag and
+   body at [start] with a length and a CRC that match, so the frame passes
+   every check before the body decoder. *)
+let reframe ~start tag body =
+  let protected = Buffer.create (9 + String.length body) in
+  Buffer.add_uint8 protected tag;
+  Buffer.add_int64_le protected (Int64.of_int start);
+  Buffer.add_string protected body;
+  let protected = Buffer.to_bytes protected in
+  let b = Buffer.create (Bytes.length protected + 8) in
+  Buffer.add_int32_le b (Int32.of_int (String.length body));
+  Buffer.add_bytes b protected;
+  Buffer.add_int32_le b (Crc32.bytes protected);
+  Buffer.contents b
+
+(* 1-5 changed bytes, a cut or grown body, a 32-bit field set to an
+   extreme, or (rarely) another tag. *)
+let mutate_body rng tag body =
+  let n = String.length body in
+  let b = Bytes.of_string body in
+  match Random.State.int rng 10 with
+  | 0 | 1 | 2 when n > 0 ->
+      for _ = 1 to 1 + Random.State.int rng 5 do
+        let i = Random.State.int rng n in
+        Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor (1 + Random.State.int rng 255))
+      done;
+      (tag, Bytes.to_string b)
+  | 3 | 4 -> (tag, String.sub body 0 (Random.State.int rng (n + 1)))
+  | 5 -> (tag, body ^ String.init (1 + Random.State.int rng 12) (fun _ -> Char.chr (Random.State.int rng 256)))
+  | 6 | 7 | 8 when n >= 4 ->
+      let extremes = [| 0; 1; 2; 0xFFFF; 0xFFFF_FFFF; 0x7FFF_FFFF; n; n / 4; Random.State.bits rng |] in
+      Bytes.set_int32_le b
+        (4 * Random.State.int rng (n / 4))
+        (Int32.of_int extremes.(Random.State.int rng (Array.length extremes)));
+      (tag, Bytes.to_string b)
+  | _ -> ((if Random.State.bool rng then Random.State.int rng 256 else 1 + Random.State.int rng 8), body)
+
+let wal_fuzz_tests =
+  [
+    tc "20,000 mutants per record kind past the CRC: parse_stream and Tail never raise" `Quick
+      (fun () ->
+        let frames = Array.of_list (sample_frames ()) in
+        Alcotest.(check int) "one frame per record kind" 8 (Array.length frames);
+        let base = Wal.header_size in
+        let rng = Random.State.make [| 0x3A1 |] in
+        let bad = ref 0 and decoded = ref 0 in
+        let commit_at start = reframe ~start 6 "" in
+        Array.iter
+          (fun f ->
+            let tag = Char.code f.[4] and body = String.sub f 13 (String.length f - 17) in
+            for i = 1 to 20_000 do
+              let tag', body' = mutate_body rng tag body in
+              let m = reframe ~start:base tag' body' in
+              (match Wal.parse_stream (Bytes.of_string m) ~base with
+              | [], 0, Wal.Stream_bad -> incr bad
+              | [ _ ], n, Wal.Stream_ok when n = String.length m -> incr decoded
+              | _, _, (Wal.Stream_ok | Wal.Stream_bad) ->
+                  Alcotest.failf "mutant %d of tag %d: a lone complete frame parsed partly" i tag
+              | exception e ->
+                  Alcotest.failf "mutant %d of tag %d: parse_stream raised %s" i tag
+                    (Printexc.to_string e));
+              (* The replica's tail: the mutant then a commit, fed in two
+                 pieces and drained after each. *)
+              let stream = m ^ commit_at (base + String.length m) in
+              let cut = Random.State.int rng (String.length stream + 1) in
+              let tail = Wal_stream.Tail.create ~start_lsn:base in
+              List.iter
+                (fun piece ->
+                  Wal_stream.Tail.feed tail (Bytes.of_string piece);
+                  match Wal_stream.Tail.drain tail with
+                  | Ok _ | Error _ -> ()
+                  | exception e ->
+                      Alcotest.failf "mutant %d of tag %d: Tail.drain raised %s" i tag
+                        (Printexc.to_string e))
+                [ String.sub stream 0 cut; String.sub stream cut (String.length stream - cut) ]
+            done)
+          frames;
+        (* Both outcomes occur, so the decoder was reached and refused. *)
+        Alcotest.(check bool) "some mutants refused" true (!bad > 0);
+        Alcotest.(check bool) "some mutants decoded" true (!decoded > 0));
+  ]
+
 let suites =
   [
     ("recovery.real-disk", real_disk_tests);
     ("recovery.env", env_tests);
     ("recovery.catalog", catalog_tests);
     ("recovery.wal", wal_tests);
+    ("recovery.wal-fuzz", wal_fuzz_tests);
     ( "recovery.qcheck",
       [
         QCheck_alcotest.to_alcotest prop_corruption_detected;

@@ -257,6 +257,67 @@ let prop_max_fold =
     arb_fold_input (fun tuples ->
       ordered_rows (fold_relation tuples) = reference_fold tuples)
 
+(* The max-fold's hash and order key are computed from encodings
+   ([Codec.values_hash], [Codec.order_key]); here are the same rules read
+   off decoded values. *)
+let mix h =
+  let h = (h lxor (h lsr 31)) * 0x2545F4914F6CDD1D in
+  h lxor (h lsr 29)
+
+let float_hash x = mix (if x = 0.0 then 0 else Int64.to_int (Int64.bits_of_float x))
+
+let value_hash = function
+  | Value.Int i -> float_hash (float_of_int i)
+  | Value.Str s -> mix (String.fold_left (fun h c -> (31 * h) + Char.code c) (String.length s) s)
+  | Value.Fuzzy (Fuzzy.Possibility.Trap { a; b; c; d }) ->
+      if a = d then float_hash a
+      else mix (float_hash a + (3 * float_hash b) + (5 * float_hash c) + (7 * float_hash d))
+  | Value.Fuzzy (Fuzzy.Possibility.Discrete [ (v, 1.0) ]) -> float_hash v
+  | Value.Fuzzy (Fuzzy.Possibility.Discrete pts) ->
+      List.fold_left (fun h (v, d) -> mix (h + float_hash v + (3 * float_hash d))) 1 pts
+
+let tuple_hash (t : Ftuple.t) =
+  Array.fold_left (fun h v -> mix (h + value_hash v)) (Array.length t.values) t.values
+
+let order_key (t : Ftuple.t) =
+  if Array.length t.values = 0 then 0.0
+  else
+    match t.values.(0) with
+    | Value.Str _ -> neg_infinity
+    | Value.Int i -> float_of_int i
+    | Value.Fuzzy (Fuzzy.Possibility.Trap tr) -> tr.Fuzzy.Trapezoid.a
+    | Value.Fuzzy (Fuzzy.Possibility.Discrete [ (v, 1.0) ]) -> v
+    | Value.Fuzzy (Fuzzy.Possibility.Discrete _) -> infinity
+
+(* The encoding in place on a page, [pos] bytes in. *)
+let on_page t =
+  let pos = 5 in
+  (Bytes.cat (Bytes.make pos '\255') (Codec.encode ~pad_to:(Codec.encoded_size t + 7) t), pos)
+
+let same_hash_and_key t =
+  let page, pos = on_page t in
+  Codec.values_hash page ~pos = tuple_hash t
+  && Int64.bits_of_float (Codec.order_key page ~pos) = Int64.bits_of_float (order_key t)
+
+let prop_hash_from_bytes =
+  QCheck.Test.make ~count:500
+    ~name:"Codec.values_hash / order_key from bytes = the value-level rules" arb_tuple
+    same_hash_and_key
+
+(* On the max-fold's collision-prone values (Int and crisp numbers, signed
+   zeros, one-point distributions): the same, and tuples that
+   [compare_values] equates hash alike. *)
+let prop_hash_classes =
+  QCheck.Test.make ~count:100
+    ~name:"values_hash on colliding values: the value-level rules, classes hash alike"
+    arb_fold_input (fun tuples ->
+      let some = List.filteri (fun i _ -> i < 60) tuples in
+      let hash t = let page, pos = on_page t in Codec.values_hash page ~pos in
+      List.for_all same_hash_and_key some
+      && List.for_all
+           (fun a -> List.for_all (fun b -> Ftuple.compare_values a b <> 0 || hash a = hash b) some)
+           some)
+
 let fold_tests =
   [
     tc "Max_fold: Int 3 and crisp 3.0 are one key, the first is kept" `Quick
@@ -284,6 +345,16 @@ let fold_tests =
         Alcotest.(check bool) "dedup_max agrees" true
           (ordered_rows (fold_relation [ neg; pos ])
            = reference_fold [ neg; pos ]));
+    tc "values_hash: Int 3, crisp 3.0 and DIST(3:1) collide; -0.0 hashes as 0.0" `Quick
+      (fun () ->
+        let hash v = let page, pos = on_page (Ftuple.make [| v; Value.Int 1 |] 0.5) in
+          Codec.values_hash page ~pos in
+        let three = hash (Value.Int 3) in
+        Alcotest.(check int) "crisp 3.0" three (hash (Value.crisp_num 3.0));
+        Alcotest.(check int) "DIST(3:1)" three
+          (hash (Value.Fuzzy (Fuzzy.Possibility.discrete [ (3.0, 1.0) ])));
+        Alcotest.(check int) "-0.0" (hash (Value.crisp_num 0.0)) (hash (Value.crisp_num (-0.0)));
+        Alcotest.(check int) "Int 0" (hash (Value.Int 0)) (hash (Value.crisp_num (-0.0))));
   ]
 
 let codec_tests =
@@ -443,6 +514,51 @@ let aggregate_tests =
           (Aggregate.result_degree ~strategy:Aggregate.Average_membership [ 0.2; 0.4 ]);
         Test_util.check_degree "weighted on empty" 1.0
           (Aggregate.result_degree ~strategy:Aggregate.Weighted_membership []));
+    tc "MIN/MAX: Aggregate.extreme in any order = apply on the sorted distinct values" `Quick
+      (fun () ->
+        let trap a b c d = Value.Fuzzy (Fuzzy.Possibility.trap (Fuzzy.Trapezoid.make a b c d)) in
+        let dist pts = Value.Fuzzy (Fuzzy.Possibility.discrete pts) in
+        (* tied core centres in several shapes, and two integers one float
+           apart only past 2^53, which tie on every numeric reading *)
+        let big = 1 lsl 53 in
+        let values =
+          [ Value.crisp_num 5.0; trap 3. 4. 6. 7.; trap 1. 5. 5. 9.; dist [ (4., 1.); (6., 1.) ];
+            Value.Int 2; trap 0. 1. 2. 3.; Value.Int big; Value.Int (big + 1); Value.Int 7 ]
+        in
+        let rng = Random.State.make [| 7 |] in
+        for _ = 1 to 200 do
+          let group = List.filter (fun _ -> Random.State.bool rng) values in
+          let shuffled =
+            List.map snd (List.sort compare (List.map (fun v -> (Random.State.bits rng, v)) group))
+          in
+          let sorted = List.sort_uniq Value.compare_structural group in
+          List.iter
+            (fun agg ->
+              (* MIN / MAX as a fold over the ascending distinct values
+                 where a value that ties with the best so far replaces it *)
+              let oracle =
+                let num v = Option.get (Value.to_possibility v) in
+                let keep v best =
+                  let c = Fuzzy.Defuzz.compare_by_core_center (num v) (num best) in
+                  if agg = Aggregate.Min then c <= 0 else c >= 0
+                in
+                match sorted with
+                | [] -> None
+                | v :: rest ->
+                    Some (List.fold_left (fun best v -> if keep v best then v else best) v rest)
+              in
+              let running =
+                match shuffled with
+                | [] -> None
+                | v :: rest -> Some (List.fold_left (Aggregate.extreme agg) v rest)
+              in
+              let show = Option.fold ~none:"NULL" ~some:Value.to_string in
+              let name = Aggregate.to_string agg in
+              Alcotest.(check string) (name ^ " apply") (show oracle)
+                (show (Aggregate.apply agg sorted));
+              Alcotest.(check string) (name ^ " running") (show oracle) (show running))
+            [ Aggregate.Min; Aggregate.Max ]
+        done);
   ]
 
 let suites =
@@ -456,6 +572,7 @@ let suites =
     ("relational.relation", relation_tests);
     ("relational.algebra", algebra_tests);
     ( "relational.max_fold",
-      QCheck_alcotest.to_alcotest prop_max_fold :: fold_tests );
+      (QCheck_alcotest.to_alcotest prop_max_fold :: fold_tests)
+      @ List.map QCheck_alcotest.to_alcotest [ prop_hash_from_bytes; prop_hash_classes ] );
     ("relational.aggregate", aggregate_tests);
   ]

@@ -230,7 +230,7 @@ let sort_tests =
             Env.flush env;
             Iostats.reset env.Env.stats;
             let raised, rest =
-              External_sort.with_sorted ~mem_pages:3 ~decode:Bytes.sub
+              External_sort.with_sorted ~mem_pages:3
                 (Test_util.sort_spec "f" f)
                 (Test_util.sort_spec "empty" (Heap_file.create env))
                 (fun s _ ->
@@ -312,26 +312,26 @@ let shaped_tests =
         and fb = Test_util.heap_file env input in
         let reads () = Iostats.page_reads env.Env.stats in
         let bounded, unbounded, most, total, one_pull =
-          External_sort.with_sorted ~mem_pages:8 ~decode:Bytes.sub
+          External_sort.with_sorted ~mem_pages:8
             (Test_util.sort_spec "a" fa) (Test_util.sort_spec "b" fb)
             (fun sa sb ->
               let most = ref 0 and total = ref 0 and acc = ref [] in
               let rec go () =
                 let before = reads () in
-                match External_sort.pull sa ~max:50 ~page_bound:true with
-                | [||] -> ()
+                match Test_util.pull sa ~max:50 ~page_bound:true with
+                | [] -> ()
                 | rows ->
                     let r = reads () - before in
                     most := Int.max !most r;
                     total := !total + r;
-                    acc := List.rev_append (Array.to_list rows) !acc;
+                    acc := List.rev_append rows !acc;
                     go ()
               in
               go ();
               let before = reads () in
-              let all = External_sort.pull sb ~max:300 ~page_bound:false in
+              let all = Test_util.pull sb ~max:300 ~page_bound:false in
               let one_pull = reads () - before in
-              (List.rev !acc, Array.to_list all, !most, !total, one_pull))
+              (List.rev !acc, all, !most, !total, one_pull))
         in
         Alcotest.(check int) "at most one page per bounded pull" 1 most;
         Alcotest.(check bool) "run pages were read while pulling" true (total > 1);

@@ -120,18 +120,42 @@ let heap_file env records =
 let sort_spec name file =
   { Storage.External_sort.name; file; key = sort_record_key }
 
+(* [rows] encoded back to back on one page, each padded by [pad] bytes
+   and preceded by a 3-byte gap, as views of that page. *)
+let views_of_tuples ?(pad = 0) rows : Storage.External_sort.views =
+  let encs = Array.map (fun t -> Codec.encode ~pad_to:(Codec.encoded_size t + pad) t) rows in
+  let page = Buffer.create 256 and offs = Array.make (Array.length rows) 0 in
+  Array.iteri
+    (fun k e ->
+      Buffer.add_string page "\255\255\255";
+      offs.(k) <- Buffer.length page;
+      Buffer.add_bytes page e)
+    encs;
+  let page = Buffer.to_bytes page in
+  { pages = Array.map (fun _ -> page) rows; offs; lens = Array.map Bytes.length encs }
+
+(* A sweep batch over [rows], read from their encodings. *)
+let batch_of_tuples ?pad rows = Batch.of_views (views_of_tuples ?pad rows)
+
+(* The records a chunk of views points at, copied out of their pages. *)
+let view_records (v : Storage.External_sort.views) =
+  Array.to_list (Array.mapi (fun k page -> Bytes.sub page v.offs.(k) v.lens.(k)) v.pages)
+
+(* The next chunk of a sorted stream, as records. *)
+let pull s ~max ~page_bound = view_records (Storage.External_sort.pull s ~max ~page_bound)
+
 (* The rest of a sorted stream, pulled in chunks of at most [chunk]. *)
 let drain ?(chunk = 7) ?(page_bound = false) s =
   let rec go acc =
-    match Storage.External_sort.pull s ~max:chunk ~page_bound with
-    | [||] -> List.rev acc
-    | rows -> go (List.rev_append (Array.to_list rows) acc)
+    match pull s ~max:chunk ~page_bound with
+    | [] -> List.rev acc
+    | rows -> go (List.rev_append rows acc)
   in
   go []
 
 (* [External_sort.with_sorted] over [outer] and [inner], both drained. *)
 let sort_files ?trace ?cancel ?page_bound ~mem_pages outer inner =
-  Storage.External_sort.with_sorted ?trace ?cancel ~mem_pages ~decode:Bytes.sub
+  Storage.External_sort.with_sorted ?trace ?cancel ~mem_pages
     (sort_spec "outer" outer) (sort_spec "inner" inner) (fun so si ->
       let a = drain ?page_bound so in
       (a, drain ?page_bound si))
