@@ -4,7 +4,7 @@
     Usage: [bench/main.exe [targets] [--full] [--scale N] [--io-latency S]
     [--seed N] [--queries N]
     [--trace PATH]] where targets are any of [table1 table2 table3 table4
-    fig3 fig1 ablation chain chaos micro kernels alloc
+    fig3 fig1 ablation chain chaos kernels alloc
     telemetry wal recovery failover all] (default: all). [wal] measures WAL
     commit throughput per sync mode and redo-restart time vs log length.
     [chaos], [recovery] and [failover] are the three fault sources of the
@@ -248,8 +248,7 @@ let ablation cfg =
   section "Ablation - unnesting vs join algorithm";
   note "naive       : inner block re-evaluated per outer tuple (execution semantics)@.";
   note "nested loop : blocked NL, the paper's baseline@.";
-  note "merge-join  : unnesting + extended merge-join (the paper's method)@.";
-  note "indicator   : merge-join + fuzzy-equality-indicator prefilter [42]@.@.";
+  note "merge-join  : unnesting + extended merge-join (the paper's method)@.@.";
   let spec = spec_of ~paper_mb:2 ~tuple_bytes:128 ~fanout:7.0 cfg in
   let n = Int.min spec.Workload.Gen.n 1024 in
   let tiny = { spec with Workload.Gen.n; groups = Int.max 1 (n / 7) } in
@@ -277,17 +276,10 @@ let ablation cfg =
     measure (fun () ->
         Unnest.Planner.run ~strategy:Unnest.Planner.Unnest_merge ~mem_pages:mp q)
   in
-  let ind_t =
-    measure (fun () ->
-        ignore
-          (Relational.Join_merge.with_indicator ~outer:r ~inner:s ~outer_attr:1
-             ~inner_attr:1 ~mem_pages:mp ()))
-  in
   Format.printf "(%d-tuple relations, C = 7)@." n;
   Format.printf "  %-28s %10s s@." "naive per-tuple rescan" (str_seconds naive_t);
   Format.printf "  %-28s %10s s@." "blocked nested loop" (str_seconds nl_t);
-  Format.printf "  %-28s %10s s@." "unnest + merge-join" (str_seconds mj_t);
-  Format.printf "  %-28s %10s s  (join only)@." "merge-join + indicator" (str_seconds ind_t)
+  Format.printf "  %-28s %10s s@." "unnest + merge-join" (str_seconds mj_t)
 
 (* ------------------------------------------------------------------ *)
 (* Chain queries (Section 8): naive vs merge cascade vs DP ordering.   *)
@@ -403,56 +395,6 @@ let trace_run cfg path =
   note "answer rows: %d@." (Relational.Relation.cardinality answer);
   note "wrote %s (%d spans) - open in chrome://tracing@." path
     (Storage.Trace.span_count trace)
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the kernel operations.                 *)
-(* ------------------------------------------------------------------ *)
-
-let micro _cfg =
-  section "Micro-benchmarks (Bechamel): fuzzy kernel operations";
-  let open Bechamel in
-  let g n = Option.get (Fuzzy.Term.lookup Fuzzy.Term.paper n) in
-  let my = g "medium young" and ma = g "middle age" in
-  let tup =
-    Relational.Ftuple.make
-      [| Relational.Value.Int 7; Relational.Value.Fuzzy my;
-         Relational.Value.Str "padding" |]
-      0.75
-  in
-  let encoded = Relational.Codec.encode ~pad_to:128 tup in
-  let tests =
-    Test.make_grouped ~name:"kernel"
-      [
-        Test.make ~name:"eq_height (trap/trap)"
-          (Staged.stage (fun () ->
-               Sys.opaque_identity
-                 (Fuzzy.Fuzzy_compare.degree Fuzzy.Fuzzy_compare.Eq my ma)));
-        Test.make ~name:"ge_height (trap/trap)"
-          (Staged.stage (fun () ->
-               Sys.opaque_identity
-                 (Fuzzy.Fuzzy_compare.degree Fuzzy.Fuzzy_compare.Ge my ma)));
-        Test.make ~name:"codec encode (128B)"
-          (Staged.stage (fun () ->
-               Sys.opaque_identity (Relational.Codec.encode ~pad_to:128 tup)));
-        Test.make ~name:"codec decode (128B)"
-          (Staged.stage (fun () ->
-               Sys.opaque_identity (Relational.Codec.decode encoded)));
-        Test.make ~name:"interval-order compare"
-          (Staged.stage (fun () ->
-               Sys.opaque_identity (Fuzzy.Interval_order.compare my ma)));
-      ]
-  in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let bcfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all bcfg [ instance ] tests in
-  let results = Analyze.all ols instance raw in
-  Hashtbl.iter
-    (fun name res ->
-      match Analyze.OLS.estimates res with
-      | Some [ est ] -> Format.printf "  %-40s %12.1f ns/op@." name est
-      | _ -> Format.printf "  %-40s (no estimate)@." name)
-    results
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry overhead: the 16 MB Table-1 cell served by an in-process  *)
@@ -769,7 +711,7 @@ let all_targets =
     ("table4", table4); ("fig3", fig3); ("fig1", fig1); ("ablation", ablation);
     ("chain", chain_bench);
     ("chaos", Chaos.run Chaos.Fault_plane);
-    ("micro", micro); ("kernels", kernels); ("alloc", alloc_bench);
+    ("kernels", kernels); ("alloc", alloc_bench);
     ("telemetry", telemetry_bench); ("wal", Wal_bench.run);
     ("recovery", Chaos.run Chaos.Crash); ("failover", Chaos.run Chaos.Failover);
   ]

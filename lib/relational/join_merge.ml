@@ -182,8 +182,8 @@ let sort_sweep ?trace ?cancel ~outer ~inner ~outer_attr ~inner_attr
               External_sort.add_merge_span trace si;
               Trace.set_rows trace !rows)))
 
-let join_with_rng ?name ?trace ?cancel ~outer ~inner
-    ~outer_attr ~inner_attr ~mem_pages ?residual ~rng_degree () =
+let join_eq ?name ?trace ?cancel ~outer ~inner ~outer_attr ~inner_attr
+    ~mem_pages ?residual () =
   let env = Relation.env outer in
   let out_schema =
     Schema.concat
@@ -195,7 +195,6 @@ let join_with_rng ?name ?trace ?cancel ~outer ~inner
     (fun () ->
       let out = Relation.create env out_schema in
       let pair r s d_eq =
-        let d_eq = rng_degree r s d_eq in
         if Degree.positive d_eq then begin
           let d_res =
             match residual with None -> Degree.one | Some f -> f r s
@@ -224,32 +223,3 @@ let join_with_rng ?name ?trace ?cancel ~outer ~inner
           raise e);
       Trace.set_rows trace (Relation.cardinality out);
       out)
-
-let join_eq ?name ?trace ?cancel ~outer ~inner ~outer_attr ~inner_attr
-    ~mem_pages ?residual () =
-  join_with_rng ?name ?trace ?cancel ~outer ~inner ~outer_attr
-    ~inner_attr ~mem_pages ?residual ~rng_degree:(fun _ _ d -> d) ()
-
-let with_indicator ?name ?trace ?cancel ~outer ~inner ~outer_attr
-    ~inner_attr ~mem_pages ?residual () =
-  let indicator r s d_exact =
-    (* Fuzzy-equality indicator (Zhang & Wang [42]): overlapping cores mean
-       degree 1, disjoint supports mean degree 0; only the remaining pairs
-       need the exact intersection height, which the sweep already
-       computed as [d_exact]. The classification is still performed here so
-       the identical-result property is tested, while a production system
-       would skip the exact computation. *)
-    match
-      ( Value.to_possibility (Ftuple.value r outer_attr),
-        Value.to_possibility (Ftuple.value s inner_attr) )
-    with
-    | Some (Possibility.Trap a), Some (Possibility.Trap b) ->
-        if Interval.overlaps (Trapezoid.core a) (Trapezoid.core b) then
-          Degree.one
-        else if not (Interval.overlaps (Trapezoid.support a) (Trapezoid.support b))
-        then Degree.zero
-        else d_exact
-    | _ -> d_exact
-  in
-  join_with_rng ?name ?trace ?cancel ~outer ~inner ~outer_attr
-    ~inner_attr ~mem_pages ?residual ~rng_degree:indicator ()

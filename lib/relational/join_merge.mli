@@ -15,7 +15,7 @@
     Every entry point takes an optional [?cancel] token
     ({!Storage.Cancel}): the sorters and the sweep poll it, so a deadline or client cancellation unwinds with
     {!Storage.Cancel.Cancelled} within one poll period. The sort's run
-    files, and the output of {!join_eq}/{!with_indicator}, are destroyed
+    files, and the output of {!join_eq}, are destroyed
     on that path too. [None] costs one branch per poll site. *)
 
 type emit =
@@ -70,14 +70,3 @@ val join_eq :
 (** Full extended merge-join: sort both inputs, sweep, and materialise
     matches with degree [min(D_r, D_s, d(r.X = s.X), residual r s)]
     ({!sort_sweep}, then one insert per positive pair). *)
-
-val with_indicator :
-  ?name:string -> ?trace:Storage.Trace.t -> ?cancel:Storage.Cancel.t ->
-  outer:Relation.t -> inner:Relation.t -> outer_attr:int ->
-  inner_attr:int -> mem_pages:int ->
-  ?residual:(Ftuple.t -> Ftuple.t -> Fuzzy.Degree.t) -> unit -> Relation.t
-(** Variant with the fuzzy-equality-indicator prefilter of Zhang & Wang
-    (reference [42] of the paper): before computing the exact intersection
-    height of a candidate pair, a cheap core/support test classifies pairs
-    whose degree is certainly 1 or certainly 0, skipping the full
-    computation. Results are identical to {!join_eq}. *)

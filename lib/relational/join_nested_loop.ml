@@ -18,24 +18,25 @@ let iter_blocks ~outer ~inner ~mem_pages ~f =
       let inner_pool =
         Buffer_pool.create (Heap_file.disk (Relation.file inner)) ~capacity:1
       in
-      let n_outer_pages = Heap_file.num_pages outer_file in
-      let rec blocks start =
-        if start < n_outer_pages then begin
-          let stop = Int.min n_outer_pages (start + outer_block) in
-          (* Load and decode the current outer block. *)
-          let block = ref [] in
-          for p = start to stop - 1 do
-            List.iter
-              (fun r -> block := Codec.decode r :: !block)
-              (Heap_file.page_records_via outer_pool outer_file p)
-          done;
-          let block = Array.of_list (List.rev !block) in
-          let scan_inner g = Relation.iter_via inner_pool inner g in
-          f block scan_inner;
-          blocks stop
+      let scan_inner g = Relation.iter_via inner_pool inner g in
+      let c = Heap_file.Slices.of_file ~pool:outer_pool outer_file in
+      (* A block is [outer_block] pages' records, decoded in place. It
+         ends on a page's last record, so the next block's first page is
+         read only after the inner scan. *)
+      let rec blocks () =
+        let block = ref [] and pages = ref 0 in
+        while !pages < outer_block && Heap_file.Slices.advance c do
+          block :=
+            Codec.decode_at (Heap_file.Slices.page c) (Heap_file.Slices.off c)
+            :: !block;
+          if Heap_file.Slices.buffered c = 0 then incr pages
+        done;
+        if !block <> [] then begin
+          f (Array.of_list (List.rev !block)) scan_inner;
+          blocks ()
         end
       in
-      blocks 0)
+      blocks ())
 
 let iter_pairs ~outer ~inner ~mem_pages ~f =
   iter_blocks ~outer ~inner ~mem_pages ~f:(fun block scan_inner ->

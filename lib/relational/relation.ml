@@ -100,14 +100,21 @@ let open_durable env ~fid ~meta ~pages =
 
 let cardinality t = Heap_file.num_records t.file
 let num_pages t = Heap_file.num_pages t.file
-let iter t f = Heap_file.iter t.file (fun r -> f (Codec.decode r))
-let fold t ~init ~f = Heap_file.fold t.file ~init ~f:(fun acc r -> f acc (Codec.decode r))
-let to_list t = List.rev (fold t ~init:[] ~f:(fun acc tup -> tup :: acc))
-
+(* Each record is decoded where it sits on its page. *)
 let iter_via pool t f =
-  for i = 0 to Heap_file.num_pages t.file - 1 do
-    List.iter (fun r -> f (Codec.decode r)) (Heap_file.page_records_via pool t.file i)
+  let c = Heap_file.Slices.of_file ~pool t.file in
+  while Heap_file.Slices.advance c do
+    f (Codec.decode_at (Heap_file.Slices.page c) (Heap_file.Slices.off c))
   done
+
+let iter t f = iter_via (Heap_file.pool t.file) t f
+
+let fold t ~init ~f =
+  let acc = ref init in
+  iter t (fun tup -> acc := f !acc tup);
+  !acc
+
+let to_list t = List.rev (fold t ~init:[] ~f:(fun acc tup -> tup :: acc))
 
 let destroy t = Heap_file.destroy t.file
 

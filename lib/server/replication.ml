@@ -746,33 +746,18 @@ module Replica = struct
         t.applied <- boundary);
     boundary
 
-  let zero_page psize = Bytes.make psize '\000'
-
-  (* Redo one shipped record against the replica's data file. Identical
-     in spirit to {!Recovery.redo}, but incremental: pages already
-     reflect every earlier record, so deltas apply in place. *)
+  (* Redo one shipped record against the replica's data file, through
+     recovery's own record-to-page function: pages already reflect every
+     earlier record, so an append reads the page from disk. *)
   let apply_record t disk psize = function
-    | Wal.Alloc { page; _ } ->
-        Real_disk.ensure_pages disk (page + 1);
-        Real_disk.write ~lsn:0 disk page (zero_page psize)
-    | Wal.Page_image { page; data } ->
-        Real_disk.ensure_pages disk (page + 1);
-        let b = zero_page psize in
-        Bytes.blit data 0 b 0 (min (Bytes.length data) psize);
-        Real_disk.write ~lsn:0 disk page b
-    | Wal.Heap_append { page; off; count; data } ->
-        let len = Bytes.length data in
-        if off < 2 || off + len > psize then
-          failwith
-            (Printf.sprintf "replica: heap append outside page (page %d)" page);
-        let img = Real_disk.read disk page in
-        Bytes.blit data 0 img off len;
-        Bytes.set_uint8 img 0 (count land 0xff);
-        Bytes.set_uint8 img 1 ((count lsr 8) land 0xff);
-        Real_disk.write ~lsn:0 disk page img
     | Wal.Epoch { epoch } ->
         with_lock t.lock (fun () -> if epoch > t.epoch then t.epoch <- epoch)
-    | Wal.Free _ | Wal.Define _ | Wal.Commit | Wal.Checkpoint _ -> ()
+    | r -> (
+        match Recovery.redo_record ~psize ~image:(Real_disk.read disk) r with
+        | Some (page, img) ->
+            Real_disk.ensure_pages disk (page + 1);
+            Real_disk.write ~lsn:0 disk page img
+        | None -> ())
 
   (* Apply one drained batch under the write lock: log bytes first
      (append + fsync — the durability point the ack reports), then the
@@ -820,13 +805,6 @@ module Replica = struct
     | Some fd -> ( (try Unix.close fd with Unix.Unix_error _ -> ()); s.w_fd <- None)
     | None -> ()
 
-  let fsync_dir dir =
-    match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-    | fd ->
-        (try Unix.fsync fd with Unix.Unix_error _ -> ());
-        (try Unix.close fd with Unix.Unix_error _ -> ())
-    | exception Unix.Unix_error _ -> ()
-
   (* Swap the received snapshot into place, replay it and move the
      generation, all under the write lock, so no reader sees the
      directory mid-swap or the new files under the old generation;
@@ -845,7 +823,7 @@ module Replica = struct
         close_handles t;
         Unix.rename (data_path ^ ".sync") data_path;
         Unix.rename (wal_path ^ ".sync") wal_path;
-        fsync_dir t.dir;
+        Storage.Fd_io.fsync_dir t.dir;
         let boundary = open_local t in
         with_lock t.lock (fun () ->
             t.generation <- t.generation + 1;
@@ -930,17 +908,8 @@ module Replica = struct
                     let write fd_opt expected =
                       match fd_opt with
                       | Some fd when off = expected ->
-                          let b = Bytes.unsafe_of_string data in
-                          let rec w pos len =
-                            if len > 0 then begin
-                              let n =
-                                try Unix.write fd b pos len
-                                with Unix.Unix_error (Unix.EINTR, _, _) -> 0
-                              in
-                              w (pos + n) (len - n)
-                            end
-                          in
-                          w 0 (String.length data)
+                          Storage.Fd_io.write_all fd
+                            (Bytes.unsafe_of_string data) 0 (String.length data)
                       | _ -> raise Resync
                     in
                     match kind with
@@ -1006,7 +975,7 @@ module Replica = struct
       | exception
           ( Wire.Connection_closed | Wire.Protocol_error _
           | Unix.Unix_error _ | Client.Connect_timeout | Sys_error _
-          | Failure _ ) ->
+          | Failure _ | Recovery.Corrupt _ ) ->
           backoff := min 1.0 (!backoff *. 2.0));
       with_lock t.lock (fun () -> t.connected <- false);
       if not (t.stopping || t.promoted) then begin

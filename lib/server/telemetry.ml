@@ -459,13 +459,7 @@ module Http = struct
         status reason content_type (String.length body)
     in
     let payload = Bytes.of_string (head ^ body) in
-    let rec write off len =
-      if len > 0 then
-        match Unix.write fd payload off len with
-        | n -> write (off + n) (len - n)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> write off len
-    in
-    try write 0 (Bytes.length payload)
+    try Storage.Fd_io.write_all fd payload 0 (Bytes.length payload)
     with Unix.Unix_error _ -> ()
 
   let read_request_path fd =
@@ -573,13 +567,7 @@ module Http = struct
           Printf.sprintf "GET %s HTTP/1.0\r\nHost: localhost\r\n\r\n" path
         in
         let payload = Bytes.of_string req in
-        let rec write off len =
-          if len > 0 then
-            match Unix.write fd payload off len with
-            | n -> write (off + n) (len - n)
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> write off len
-        in
-        write 0 (Bytes.length payload);
+        Storage.Fd_io.write_all fd payload 0 (Bytes.length payload);
         let buf = Buffer.create 1024 in
         let chunk = Bytes.create 4096 in
         let rec read () =

@@ -147,13 +147,10 @@ let get_strs s pos =
    short read mid-frame, EPIPE/ECONNRESET on write — maps to the single
    [Connection_closed] exception so callers have one case to handle. *)
 
-let rec write_all fd buf off len =
-  if len > 0 then
-    match Unix.write fd buf off len with
-    | n -> write_all fd buf (off + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd buf off len
-    | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-        raise Connection_closed
+let write_all fd buf off len =
+  try Storage.Fd_io.write_all fd buf off len
+  with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+    raise Connection_closed
 
 (* One [read] of whatever the kernel has, up to [len] bytes. *)
 let rec read_some fd buf off len =

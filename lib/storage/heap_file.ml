@@ -59,12 +59,6 @@ let grow t =
     t.recs_per_page <- rp
   end
 
-let set_u16 buf off v =
-  Bytes.set_uint8 buf off (v land 0xff);
-  Bytes.set_uint8 buf (off + 1) ((v lsr 8) land 0xff)
-
-let get_u16 buf off = Bytes.get_uint8 buf off lor (Bytes.get_uint8 buf (off + 1) lsl 8)
-
 let add_page t =
   grow t;
   let id = Disk.alloc t.disk in
@@ -101,16 +95,16 @@ let append_sub t record pos len =
            len-prefixed bytes; [image] captures the page's pre-append
            content if this is its first post-checkpoint touch. *)
         let data = Bytes.create (2 + len) in
-        set_u16 data 0 len;
+        Bytes.set_uint16_le data 0 len;
         Bytes.blit record pos data 2 len;
         Some
           (Wal.log_heap_append wal ~page:pid ~off ~count ~data
              ~image:(fun () -> Bytes.copy (Buffer_pool.read t.pool pid)))
   in
   Buffer_pool.with_write ?lsn t.pool pid (fun data ->
-      set_u16 data off len;
+      Bytes.set_uint16_le data off len;
       Bytes.blit record pos data (off + 2) len;
-      set_u16 data 0 count);
+      Bytes.set_uint16_le data 0 count);
   t.recs_per_page.(pi) <- count;
   t.tail_free <- off + 2 + len;
   t.nrecords <- t.nrecords + 1
@@ -141,11 +135,11 @@ let append_many t bufs offs lens n =
         let off = ref t.tail_free in
         for j = first to last - 1 do
           let len = lens.(j) in
-          set_u16 data !off len;
+          Bytes.set_uint16_le data !off len;
           Bytes.blit bufs.(j) offs.(j) data (!off + 2) len;
           off := !off + 2 + len
         done;
-        set_u16 data 0 count);
+        Bytes.set_uint16_le data 0 count);
     t.recs_per_page.(pi) <- count;
     t.tail_free <- !used;
     t.nrecords <- t.nrecords + (last - first)
@@ -153,41 +147,6 @@ let append_many t bufs offs lens n =
 
 let num_records t = t.nrecords
 let num_pages t = t.npages
-
-let parse_page data =
-  let count = get_u16 data 0 in
-  let rec go acc off i =
-    if i >= count then List.rev acc
-    else
-      let len = get_u16 data off in
-      let record = Bytes.sub data (off + 2) len in
-      go (record :: acc) (off + 2 + len) (i + 1)
-  in
-  go [] header_size 0
-
-let page_records_via pool t i =
-  if i < 0 || i >= t.npages then invalid_arg "Heap_file.page_records";
-  parse_page (Buffer_pool.read pool t.page_ids.(i))
-
-let page_records t i = page_records_via t.pool t i
-
-let iter t f =
-  for i = 0 to t.npages - 1 do
-    List.iter f (page_records t i)
-  done
-
-let fold t ~init ~f =
-  let acc = ref init in
-  iter t (fun r -> acc := f !acc r);
-  !acc
-
-let pin_page t i =
-  if i < 0 || i >= t.npages then invalid_arg "Heap_file.pin_page";
-  Buffer_pool.pin t.pool t.page_ids.(i)
-
-let unpin_page t i =
-  if i < 0 || i >= t.npages then invalid_arg "Heap_file.unpin_page";
-  Buffer_pool.unpin t.pool t.page_ids.(i)
 
 let destroy t =
   (match t.log with
@@ -221,14 +180,14 @@ let open_durable env ~fid ~pages =
       in
       for i = 0 to npages - 1 do
         let data = Buffer_pool.read t.pool pages.(i) in
-        let count = get_u16 data 0 in
+        let count = Bytes.get_uint16_le data 0 in
         t.recs_per_page.(i) <- count;
         t.nrecords <- t.nrecords + count;
         if i = npages - 1 then begin
           (* Walk the last page to find the append point. *)
           let off = ref header_size in
           for _ = 1 to count do
-            off := !off + 2 + get_u16 data !off
+            off := !off + 2 + Bytes.get_uint16_le data !off
           done;
           t.tail_free <- !off
         end
@@ -265,7 +224,7 @@ module Slices = struct
 
   let rec advance c =
     if c.left > 0 then begin
-      c.len <- get_u16 c.page c.next;
+      c.len <- Bytes.get_uint16_le c.page c.next;
       c.off <- c.next + 2;
       c.next <- c.off + c.len;
       c.left <- c.left - 1;
@@ -274,7 +233,7 @@ module Slices = struct
     else if c.page_i + 1 < c.file.npages then begin
       c.page_i <- c.page_i + 1;
       c.page <- Buffer_pool.read c.pool c.file.page_ids.(c.page_i);
-      c.left <- get_u16 c.page 0;
+      c.left <- Bytes.get_uint16_le c.page 0;
       c.next <- header_size;
       advance c
     end

@@ -68,30 +68,16 @@ val append_many : t -> bytes array -> int array -> int array -> int -> unit
 val num_records : t -> int
 val num_pages : t -> int
 
-val iter : t -> (bytes -> unit) -> unit
-val fold : t -> init:'a -> f:('a -> bytes -> 'a) -> 'a
-
-val page_records : t -> int -> bytes list
-(** Records of the [i]-th page (0-based); one pool read. *)
-
-val page_records_via : Buffer_pool.t -> t -> int -> bytes list
-(** Same, but reading through a caller-supplied pool — used by operators that
-    manage their own buffer allocation (e.g. "one page for the inner
-    relation" in the paper's nested-loop join). The pool must sit over
-    {!disk}. *)
-
-val pin_page : t -> int -> unit
-val unpin_page : t -> int -> unit
-
 val destroy : t -> unit
 (** Return the file's pages to its disk's free list; logs the file's
     destruction first when durable. *)
 
-(** A scan that copies no record: each record is a slice of the page it
-    sits on, as the pool holds it. The external sort reads records this
-    way, so a record costs no allocation until it is decoded. The page
-    must not be mutated, and the file must not be appended to while the
-    scan runs. *)
+(** The one reader of the page format: a scan that copies no record,
+    each record being a slice of the page it sits on, as the pool holds
+    it. Every scan reads records this way (relation scans, the blocked
+    nested loop, the external sort, histograms), so a record costs no
+    allocation until it is decoded. The page must not be mutated, and
+    the file must not be appended to while the scan runs. *)
 module Slices : sig
   type file = t
   type t

@@ -57,37 +57,14 @@ let fault t = t.fault
 let fd_exn t =
   match t.fd with Some fd -> fd | None -> invalid_arg "Real_disk: closed"
 
-let set_u32 b off v =
-  for k = 0 to 3 do
-    Bytes.set_uint8 b (off + k) ((v lsr (8 * k)) land 0xff)
-  done
-
-let set_u64 = Bytes.set_int64_le
-
-let get_u32 b off =
-  let v = ref 0 in
-  for k = 3 downto 0 do
-    v := (!v lsl 8) lor Bytes.get_uint8 b (off + k)
-  done;
-  !v
-
 (* CRC over payload ++ LE64(page) ++ LE64(lsn): binds content to slot. *)
 let slot_crc ~page ~lsn payload =
   let aux = Bytes.create 16 in
-  set_u64 aux 0 (Int64.of_int page);
-  set_u64 aux 8 (Int64.of_int lsn);
+  Bytes.set_int64_le aux 0 (Int64.of_int page);
+  Bytes.set_int64_le aux 8 (Int64.of_int lsn);
   Crc32.update (Crc32.bytes payload) aux ~pos:0 ~len:16
 
 let slot_off t page = header_size + (page * t.slot)
-
-let rec write_all fd buf pos len =
-  if len > 0 then begin
-    let n =
-      try Unix.write fd buf pos len
-      with Unix.Unix_error (Unix.EINTR, _, _) -> 0
-    in
-    write_all fd buf (pos + n) (len - n)
-  end
 
 let rec read_all fd buf pos len =
   if len > 0 then
@@ -105,7 +82,7 @@ let pwrite t ~off buf pos len =
     (fun () ->
       let fd = fd_exn t in
       ignore (Unix.lseek fd off Unix.SEEK_SET);
-      write_all fd buf pos len)
+      Fd_io.write_all fd buf pos len)
 
 let pread t ~off buf pos len =
   Mutex.lock t.lock;
@@ -125,9 +102,9 @@ let encode_slot t ~page ~lsn payload =
   let slot = Bytes.create t.slot in
   Bytes.blit payload 0 slot 0 t.page_size;
   let crc = slot_crc ~page ~lsn payload in
-  set_u32 slot t.page_size (Int32.to_int crc land 0xffffffff);
-  set_u64 slot (t.page_size + 4) (Int64.of_int lsn);
-  set_u32 slot (t.page_size + 12) trailer_magic;
+  Bytes.set_int32_le slot t.page_size crc;
+  Bytes.set_int64_le slot (t.page_size + 4) (Int64.of_int lsn);
+  Bytes.set_int32_le slot (t.page_size + 12) (Int32.of_int trailer_magic);
   slot
 
 let write_slot t ~page ~lsn payload =
@@ -156,9 +133,9 @@ let read_with_lsn t page =
   pread t ~off:(slot_off t page) slot 0 t.slot;
   Iostats.record_read t.stats;
   let payload = Bytes.sub slot 0 t.page_size in
-  let stored = Int32.of_int (get_u32 slot t.page_size) in
+  let stored = Bytes.get_int32_le slot t.page_size in
   let lsn = Int64.to_int (Bytes.get_int64_le slot (t.page_size + 4)) in
-  let tmagic = get_u32 slot (t.page_size + 12) in
+  let tmagic = Int32.to_int (Bytes.get_int32_le slot (t.page_size + 12)) in
   let computed = slot_crc ~page ~lsn payload in
   if tmagic <> trailer_magic || stored <> computed then
     raise (Checksum_mismatch { page; stored; computed });
@@ -182,12 +159,14 @@ let verify t page =
    Used on alloc growth and by recovery before redo. Uncounted I/O. *)
 let extend_to t n =
   if t.readonly then invalid_arg "Real_disk.extend: read-only handle";
-  let zero = Bytes.make t.page_size '\000' in
-  for page = t.pages to n - 1 do
-    let slot = encode_slot t ~page ~lsn:0 zero in
-    pwrite t ~off:(slot_off t page) slot 0 t.slot
-  done;
-  if n > t.pages then t.pages <- n
+  if n > t.pages then begin
+    let zero = Bytes.make t.page_size '\000' in
+    for page = t.pages to n - 1 do
+      let slot = encode_slot t ~page ~lsn:0 zero in
+      pwrite t ~off:(slot_off t page) slot 0 t.slot
+    done;
+    t.pages <- n
+  end
 
 let ensure_pages t n = extend_to t n
 
@@ -238,9 +217,9 @@ let path_of dir = Filename.concat dir data_file
 let write_header fd page_size =
   let h = Bytes.make header_size '\000' in
   Bytes.blit_string file_magic 0 h 0 (String.length file_magic);
-  set_u32 h 8 page_size;
+  Bytes.set_int32_le h 8 (Int32.of_int page_size);
   ignore (Unix.lseek fd 0 Unix.SEEK_SET);
-  write_all fd h 0 header_size;
+  Fd_io.write_all fd h 0 header_size;
   Unix.fsync fd
 
 let make ~dir ~fd ~readonly ~page_size stats =
@@ -288,7 +267,7 @@ let open_existing ?(readonly = false) ~dir stats =
         ignore (Unix.lseek fd 0 Unix.SEEK_SET);
         read_all fd h 0 header_size;
         let m = Bytes.sub_string h 0 (String.length file_magic) in
-        (m = file_magic, get_u32 h 8, len)
+        (m = file_magic, Int32.to_int (Bytes.get_int32_le h 8) land 0xffff_ffff, len)
       end
     with e ->
       Unix.close fd;

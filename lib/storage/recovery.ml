@@ -81,51 +81,53 @@ let truncate_to path len =
       Unix.ftruncate fd len;
       Unix.fsync fd)
 
+(* The page image one log record produces: zeroes for [Alloc], the
+   logged image for [Page_image], and for [Heap_append] the page's
+   current image ([image page], changed in place) with the record's
+   bytes and count written in. [None] for records that touch no page.
+   Crash recovery and the replica's apply both redo through here. *)
+let redo_record ~psize ~image = function
+  | Wal.Alloc { page; _ } -> Some (page, Bytes.make psize '\000')
+  | Wal.Page_image { page; data } ->
+      let b = Bytes.make psize '\000' in
+      Bytes.blit data 0 b 0 (min (Bytes.length data) psize);
+      Some (page, b)
+  | Wal.Heap_append { page; off; count; data } ->
+      (* A CRC-valid record can still be logically bad (e.g. the WAL
+         was paired with a data file of a different page size): bounds
+         must hold against THIS file's page size or the blit below
+         would fail with an untyped Invalid_argument. *)
+      let len = Bytes.length data in
+      if off < 2 || off + len > psize then
+        raise
+          (Corrupt
+             (Printf.sprintf
+                "heap append on page %d spans [%d, %d) outside page size %d"
+                page off (off + len) psize));
+      let img = image page in
+      Bytes.blit data 0 img off len;
+      Bytes.set_uint16_le img 0 count;
+      Some (page, img)
+  | Wal.Free _ | Wal.Define _ | Wal.Commit | Wal.Checkpoint _ | Wal.Epoch _ ->
+      None
+
 (* Replay committed records into page-size images. Every replayed page
    begins life as zeroes (Alloc) or a logged full image, never as bytes
    read from the possibly-torn data file. *)
 let redo ~psize records boundary =
   let images : (int, bytes) Hashtbl.t = Hashtbl.create 64 in
-  let replayed = ref 0 in
-  let image_of page =
+  let image page =
     match Hashtbl.find_opt images page with
     | Some b -> b
-    | None ->
-        let b = Bytes.make psize '\000' in
-        Hashtbl.replace images page b;
-        b
+    | None -> Bytes.make psize '\000'
   in
-  let apply = function
-    | Wal.Alloc { page; _ } ->
-        Hashtbl.replace images page (Bytes.make psize '\000')
-    | Wal.Page_image { page; data } ->
-        let b = Bytes.make psize '\000' in
-        Bytes.blit data 0 b 0 (min (Bytes.length data) psize);
-        Hashtbl.replace images page b
-    | Wal.Heap_append { page; off; count; data } ->
-        (* A CRC-valid record can still be logically bad (e.g. the WAL
-           was paired with a data file of a different page size): bounds
-           must hold against THIS file's page size or the blit below
-           would abort recovery with an untyped Invalid_argument. *)
-        let len = Bytes.length data in
-        if off < 2 || off + len > psize then
-          raise
-            (Corrupt
-               (Printf.sprintf
-                  "heap append on page %d spans [%d, %d) outside page size %d"
-                  page off (off + len) psize));
-        let img = image_of page in
-        Bytes.blit data 0 img off len;
-        Bytes.set_uint8 img 0 (count land 0xff);
-        Bytes.set_uint8 img 1 ((count lsr 8) land 0xff)
-    | Wal.Free _ | Wal.Define _ | Wal.Commit | Wal.Checkpoint _ | Wal.Epoch _
-      ->
-        ()
-  in
+  let replayed = ref 0 in
   List.iter
     (fun (end_lsn, r) ->
       if end_lsn <= boundary then begin
-        apply r;
+        (match redo_record ~psize ~image r with
+        | Some (page, img) -> Hashtbl.replace images page img
+        | None -> ());
         incr replayed
       end)
     records;

@@ -30,6 +30,16 @@ type report = {
 
 val pp_report : Format.formatter -> report -> unit
 
+val redo_record :
+  psize:int -> image:(int -> bytes) -> Wal.record -> (int * bytes) option
+(** [redo_record ~psize ~image r] is [Some (page, img)], the image of
+    [page] after [r], or [None] if [r] touches no page. [Alloc] gives
+    zeroes and [Page_image] the logged image padded to [psize];
+    [Heap_append] writes its bytes and record count into [image page],
+    the page's current image, in place. {!Corrupt} if the append falls
+    outside the page. Recovery's redo and the replica's apply both
+    redo through this one function. *)
+
 val wal_path_of : string -> string
 (** The WAL's path inside a data directory ([<dir>/wal.fsql]). *)
 

@@ -121,35 +121,8 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Little-endian scratch encoding *)
 
-let add_u16 b v =
-  Buffer.add_uint8 b (v land 0xff);
-  Buffer.add_uint8 b ((v lsr 8) land 0xff)
-
-let add_u32 b v =
-  for k = 0 to 3 do
-    Buffer.add_uint8 b ((v lsr (8 * k)) land 0xff)
-  done
-
-let add_u64 b v =
-  for k = 0 to 7 do
-    Buffer.add_uint8 b ((v lsr (8 * k)) land 0xff)
-  done
-
-let get_u16 s off = Bytes.get_uint8 s off lor (Bytes.get_uint8 s (off + 1) lsl 8)
-
-let get_u32 s off =
-  let v = ref 0 in
-  for k = 3 downto 0 do
-    v := (!v lsl 8) lor Bytes.get_uint8 s (off + k)
-  done;
-  !v
-
-let get_u64 s off =
-  let v = ref 0 in
-  for k = 7 downto 0 do
-    v := (!v lsl 8) lor Bytes.get_uint8 s (off + k)
-  done;
-  !v
+let add_u32 b v = Buffer.add_int32_le b (Int32.of_int v)
+let get_u32 s off = Int32.to_int (Bytes.get_int32_le s off) land 0xffff_ffff
 
 (* ------------------------------------------------------------------ *)
 (* Record frames: [u32 body_len][u8 tag][u64 start_off][body][u32 crc],
@@ -175,8 +148,8 @@ let encode_body b = function
       Buffer.add_bytes b data
   | Heap_append { page; off; count; data } ->
       add_u32 b page;
-      add_u16 b off;
-      add_u16 b count;
+      Buffer.add_uint16_le b off;
+      Buffer.add_uint16_le b count;
       Buffer.add_bytes b data
   | Free { fid } -> add_u32 b fid
   | Define { fid; meta } ->
@@ -210,8 +183,8 @@ let decode_body tag body =
         (Heap_append
            {
              page = get_u32 body 0;
-             off = get_u16 body 4;
-             count = get_u16 body 6;
+             off = Bytes.get_uint16_le body 4;
+             count = Bytes.get_uint16_le body 6;
              data = Bytes.sub body 8 (len - 8);
            })
   | 4 when len = 4 -> Some (Free { fid = get_u32 body 0 })
@@ -255,13 +228,13 @@ let add_frame out ~start record =
   let body = Buffer.to_bytes body in
   let protected = Buffer.create (Bytes.length body + 16) in
   Buffer.add_uint8 protected (tag_of record);
-  add_u64 protected start;
+  Buffer.add_int64_le protected (Int64.of_int start);
   Buffer.add_bytes protected body;
   let protected = Buffer.to_bytes protected in
   let crc = Crc32.bytes protected in
   add_u32 out (Bytes.length body);
   Buffer.add_bytes out protected;
-  add_u32 out (Int32.to_int crc land 0xffffffff);
+  Buffer.add_int32_le out crc;
   4 + Bytes.length protected + 4
 
 (* ------------------------------------------------------------------ *)
@@ -307,14 +280,14 @@ let parse_stream ?(off = 0) ?len data ~base =
       if !pos + frame_len > avail then stop := true
       else begin
         let protected = Bytes.sub data (off + !pos + 4) (9 + body_len) in
-        let crc = get_u32 data (off + !pos + 13 + body_len) in
-        if Int32.to_int (Crc32.bytes protected) land 0xffffffff <> crc then begin
+        let crc = Bytes.get_int32_le data (off + !pos + 13 + body_len) in
+        if not (Int32.equal (Crc32.bytes protected) crc) then begin
           status := Stream_bad;
           stop := true
         end
         else begin
           let tag = Bytes.get_uint8 protected 0 in
-          let start = get_u64 protected 1 in
+          let start = Int64.to_int (Bytes.get_int64_le protected 1) in
           if start <> base + !pos then begin
             status := Stream_bad;
             stop := true
@@ -428,15 +401,6 @@ let fd_exn t op =
   | Some fd -> fd
   | None -> invalid_arg ("Wal." ^ op ^ ": closed")
 
-let rec write_all fd buf pos len =
-  if len > 0 then begin
-    let n =
-      try Unix.write fd buf pos len with
-      | Unix.Unix_error (Unix.EINTR, _, _) -> 0
-    in
-    write_all fd buf (pos + n) (len - n)
-  end
-
 let set_shippable_locked t lsn =
   if t.shippable <> lsn then begin
     t.shippable <- lsn;
@@ -450,7 +414,7 @@ let write_out_locked t =
   if Buffer.length t.buf > 0 then begin
     if t.readonly then raise (Read_only "write");
     let data = Buffer.to_bytes t.buf in
-    write_all (fd_exn t "write") data 0 (Bytes.length data);
+    Fd_io.write_all (fd_exn t "write") data 0 (Bytes.length data);
     Buffer.clear t.buf;
     t.written_lsn <- t.next_lsn
   end;
@@ -604,13 +568,6 @@ let log_free t ~fid = ignore (append t (Free { fid }))
    complete new one — never a torn log in front of an already-advanced
    data file. *)
 
-let fsync_dir path =
-  match Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 with
-  | dfd ->
-      Fun.protect ~finally:(fun () -> Unix.close dfd) (fun () ->
-          try Unix.fsync dfd with Unix.Unix_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
-
 let checkpoint t =
   Mutex.lock t.lock;
   Fun.protect
@@ -628,14 +585,14 @@ let checkpoint t =
         Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
       in
       (try
-         write_all tfd data 0 (Bytes.length data);
+         Fd_io.write_all tfd data 0 (Bytes.length data);
          Unix.fsync tfd;
          Unix.close tfd
        with e ->
          Unix.close tfd;
          raise e);
       Unix.rename tmp t.path;
-      fsync_dir t.path;
+      Fd_io.fsync_dir (Filename.dirname t.path);
       (match t.fd with Some fd -> Unix.close fd | None -> ());
       t.fd <- Some (Unix.openfile t.path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644);
       t.fsyncs <- t.fsyncs + 1;
@@ -688,7 +645,7 @@ let create ~path ~mode =
     Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_APPEND ] 0o644
   in
   let t = make ~path ~mode ~readonly:false ~fd in
-  write_all fd (Bytes.of_string magic) 0 header_size;
+  Fd_io.write_all fd (Bytes.of_string magic) 0 header_size;
   Unix.fsync fd;
   t
 

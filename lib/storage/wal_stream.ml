@@ -11,15 +11,6 @@
    all times and a read-only [Wal.open_existing] succeeds whenever the
    applier is between batches. *)
 
-let rec write_all fd buf pos len =
-  if len > 0 then begin
-    let n =
-      try Unix.write fd buf pos len
-      with Unix.Unix_error (Unix.EINTR, _, _) -> 0
-    in
-    write_all fd buf (pos + n) (len - n)
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Cursor: primary-side reader *)
 
@@ -164,7 +155,7 @@ module Appender = struct
   let end_lsn t = t.end_lsn
 
   let append t data =
-    write_all t.fd data 0 (Bytes.length data);
+    Fd_io.write_all t.fd data 0 (Bytes.length data);
     t.end_lsn <- t.end_lsn + Bytes.length data
 
   let fsync t = Unix.fsync t.fd

@@ -52,23 +52,6 @@ let prop_merge_equals_nl =
   materialised_join (fun ~outer ~inner ~outer_attr ~inner_attr ~mem_pages () ->
       Join_merge.join_eq ~outer ~inner ~outer_attr ~inner_attr ~mem_pages ())
 
-let prop_indicator_equals_plain =
-  QCheck.Test.make ~count:100 ~name:"equality-indicator variant is identical"
-    arb_join (fun (rs, ss) ->
-      let env = Test_util.fresh_env () in
-      let r = rel_of_values env "R" rs and s = rel_of_values env "S" ss in
-      let plain =
-        Join_merge.join_eq ~outer:r ~inner:s ~outer_attr:1 ~inner_attr:1
-          ~mem_pages:8 ()
-      in
-      let fast =
-        Join_merge.with_indicator ~outer:r ~inner:s ~outer_attr:1 ~inner_attr:1
-          ~mem_pages:8 ()
-      in
-      Test_util.answers_equal
-        (Test_util.answer_of_relation (Algebra.dedup_max plain))
-        (Test_util.answer_of_relation (Algebra.dedup_max fast)))
-
 let hand_case =
   tc "hand-checked fuzzy equi-join degrees" `Quick (fun () ->
       let env = Test_util.fresh_env () in
@@ -235,7 +218,7 @@ let suites =
   [
     ( "joins.equivalence",
       List.map QCheck_alcotest.to_alcotest
-        [ prop_merge_equals_nl; prop_indicator_equals_plain ]
+        [ prop_merge_equals_nl ]
       @ [ hand_case; dangling_window_case; residual_case; empty_inputs ] );
     ("joins.io", [ nl_io_formula; merge_io_linear; sorted_order_check; fanout_sanity ]);
   ]

@@ -46,10 +46,7 @@ let batch ~seed ~start n =
         (0.125 *. float_of_int (1 + ((start + k + seed) mod 8))))
 
 (* Bit-exact state of a relation: the raw heap records in scan order. *)
-let raw_records rel =
-  List.rev
-    (Frepro.Storage.Heap_file.fold (Relation.file rel) ~init:[]
-       ~f:(fun acc r -> r :: acc))
+let raw_records rel = Test_util.records (Relation.file rel)
 
 let check_raw msg expected actual =
   Alcotest.(check (list bytes)) msg expected actual

@@ -51,10 +51,7 @@ let batch ~seed ~start n =
         (Random.State.int rng 1000)
         (0.125 *. float_of_int (1 + ((start + k + seed) mod 8))))
 
-let raw_records rel =
-  List.rev
-    (Frepro.Storage.Heap_file.fold (Relation.file rel) ~init:[]
-       ~f:(fun acc r -> r :: acc))
+let raw_records rel = Test_util.records (Relation.file rel)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -282,6 +279,96 @@ let e2e_tests =
                   (raw_records rel2)
             | None -> Alcotest.fail "replicated catalog lost K");
             Env.close env2));
+    tc "the replica's apply writes the pages recovery's redo writes" `Quick
+      (fun () ->
+        with_dir2 (fun pdir rdir ->
+            let env = open_primary pdir in
+            let rel = Relation.create ~durable:true env schema in
+            Env.commit env;
+            let sender = Replication.Sender.create ~env in
+            let port = Replication.Sender.listen ~port:0 sender in
+            let replica =
+              Replication.Replica.create ~dir:rdir ~primary:(addr_of port) ()
+            in
+            Replication.Replica.start replica;
+            Alcotest.(check bool) "synced before any page exists" true
+              (Replication.Replica.wait_synced ~timeout_s:30.0 replica);
+            (* Every page now reaches the replica through its apply: the
+               first batch allocates a page, the second appends onto it,
+               the third spills onto new pages. *)
+            let wal = Option.get (Env.wal env) in
+            List.iter
+              (fun (seed, start, n) ->
+                List.iter (Relation.insert rel) (batch ~seed ~start n);
+                Env.commit env;
+                Alcotest.(check bool) "batch applied" true
+                  (Replication.Sender.wait_applied sender
+                     ~lsn:(Wal.committed_end wal) ~timeout_s:30.0))
+              [ (11, 0, 4); (12, 4, 3); (13, 7, 30) ];
+            Alcotest.(check bool) "several pages" true (Relation.num_pages rel > 2);
+            Replication.Replica.stop replica;
+            Replication.Sender.stop sender;
+            Env.crash env;
+            (* Redo the replica's log from nothing, in a third directory. *)
+            with_dir (fun xdir ->
+                Unix.mkdir xdir 0o755;
+                let log = read_file (Recovery.wal_path_of rdir) in
+                Out_channel.with_open_bin (Recovery.wal_path_of xdir) (fun oc ->
+                    Out_channel.output_string oc log);
+                let redone, xwal, _ =
+                  Recovery.recover ~page_size:512 ~checkpoint:false ~dir:xdir
+                    (Iostats.create ())
+                in
+                Wal.close xwal;
+                let applied =
+                  Real_disk.open_existing ~readonly:true ~dir:rdir (Iostats.create ())
+                in
+                let n = Real_disk.num_pages applied in
+                Alcotest.(check int) "same page count" (Real_disk.num_pages redone) n;
+                for p = 0 to n - 1 do
+                  Alcotest.(check bytes)
+                    (Printf.sprintf "page %d" p)
+                    (Real_disk.read redone p) (Real_disk.read applied p)
+                done;
+                Real_disk.close applied;
+                Real_disk.close redone)));
+    tc "a shipped append outside its page ends the session as a retried one"
+      `Quick (fun () ->
+        with_dir2 (fun pdir rdir ->
+            let env = open_primary pdir in
+            let rel = Relation.create ~durable:true env schema in
+            List.iter (Relation.insert rel) (batch ~seed:21 ~start:0 5);
+            Env.commit env;
+            let sender = Replication.Sender.create ~env in
+            let port = Replication.Sender.listen ~port:0 sender in
+            let replica =
+              Replication.Replica.create ~dir:rdir ~primary:(addr_of port) ()
+            in
+            Replication.Replica.start replica;
+            Alcotest.(check bool) "synced" true
+              (Replication.Replica.wait_synced ~timeout_s:30.0 replica);
+            let wal = Option.get (Env.wal env) in
+            let good = Wal.committed_end wal in
+            (* A CRC-valid record whose bytes land past a 512-byte page. *)
+            ignore
+              (Wal.log_heap_append wal ~page:0 ~off:600 ~count:1
+                 ~data:(Bytes.make 8 'x') ~image:(fun () -> Bytes.make 512 '\000'));
+            Env.commit env;
+            (* The applier clears [connected] only after it caught the
+               session's exception; a thread that died would leave it set. *)
+            let deadline = Unix.gettimeofday () +. 10.0 in
+            while
+              Replication.Replica.connected replica && Unix.gettimeofday () < deadline
+            do
+              Thread.delay 0.02
+            done;
+            Alcotest.(check bool) "session ended and was caught" false
+              (Replication.Replica.connected replica);
+            Alcotest.(check int) "nothing past the good prefix applied" good
+              (Replication.Replica.applied_lsn replica);
+            Replication.Replica.stop replica;
+            Replication.Sender.stop sender;
+            Env.crash env));
     tc "promotion bumps and persists the epoch; idempotent; fences both ways"
       `Quick (fun () ->
         with_dir2 (fun pdir rdir ->

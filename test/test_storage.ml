@@ -106,18 +106,45 @@ let pool_tests =
 
 let heap_tests =
   [
-    tc "append / iter roundtrip across pages" `Quick (fun () ->
-        let env = Env.create ~page_size:64 ~pool_pages:8 () in
+    tc "append / slices roundtrip across pages through a smaller pool" `Quick
+      (fun () ->
+        let env = Env.create ~page_size:64 ~pool_pages:2 () in
         let f = Heap_file.create env in
         let records =
           List.init 50 (fun i -> Bytes.of_string (Printf.sprintf "rec-%03d" i))
         in
         List.iter (Heap_file.append f) records;
         Alcotest.(check int) "record count" 50 (Heap_file.num_records f);
-        Alcotest.(check bool) "multiple pages" true (Heap_file.num_pages f > 1);
-        let back = ref [] in
-        Heap_file.iter f (fun r -> back := r :: !back);
-        Alcotest.(check (list bytes)) "order preserved" records (List.rev !back));
+        Alcotest.(check bool) "more pages than frames" true (Heap_file.num_pages f > 2);
+        Alcotest.(check (list bytes)) "order preserved" records (Test_util.records f));
+    tc "relation scans decode the appended tuples through a smaller pool"
+      `Quick (fun () ->
+        let open Frepro.Relational in
+        let env = Env.create ~page_size:128 ~pool_pages:2 () in
+        let schema = Schema.make ~name:"P" [ ("ID", Schema.TNum); ("S", Schema.TStr) ] in
+        let tuples =
+          List.init 40 (fun i ->
+              Ftuple.make
+                [| Value.Int i; Value.Str (String.make (i mod 7) 'x') |]
+                (0.125 *. float_of_int (1 + (i mod 8))))
+        in
+        let rel = Relation.of_list env schema tuples in
+        Alcotest.(check bool) "more pages than frames" true (Relation.num_pages rel > 2);
+        let same a b =
+          List.length a = List.length b
+          && List.for_all2
+               (fun x y -> Ftuple.values_equal x y && Ftuple.degree x = Ftuple.degree y)
+               a b
+        in
+        let seen = ref [] in
+        Relation.iter rel (fun t -> seen := t :: !seen);
+        Alcotest.(check bool) "iter: every tuple, in order" true (same tuples (List.rev !seen));
+        Alcotest.(check bool) "to_list: every tuple, in order" true
+          (same tuples (Relation.to_list rel));
+        let one = Buffer_pool.create env.Env.disk ~capacity:1 in
+        let via = ref [] in
+        Relation.iter_via one rel (fun t -> via := t :: !via);
+        Alcotest.(check bool) "iter_via a one-frame pool" true (same tuples (List.rev !via)));
     tc "oversized record rejected" `Quick (fun () ->
         let env = Env.create ~page_size:64 ~pool_pages:4 () in
         let f = Heap_file.create env in
@@ -446,7 +473,7 @@ let prop_merge_runs =
       let files = List.map (Test_util.heap_file env) runs in
       Iostats.reset env.Env.stats;
       let out = External_sort.merge_runs env ~key:Test_util.sort_record_key files in
-      let merged = List.rev (Heap_file.fold out ~init:[] ~f:(fun acc r -> r :: acc)) in
+      let merged = Test_util.records out in
       let n = List.length merged and k = List.length sizes in
       let levels = if k = 1 then 0 else int_of_float (Float.ceil (Float.log2 (float_of_int k))) in
       let cmps = Iostats.comparisons env.Env.stats in
@@ -548,18 +575,16 @@ let prop_pool_model =
         pages;
       true)
 
-(* A slice scan returns what [Heap_file.iter] returns, and [buffered] is
-   0 exactly before the advances that read a page. *)
+(* A slice scan returns the appended records, and [buffered] is 0
+   exactly before the advances that read a page. *)
 let prop_slices =
-  QCheck.Test.make ~count:100 ~name:"slices scan = iter; buffered predicts page reads"
+  QCheck.Test.make ~count:100 ~name:"slices scan = appended records; buffered predicts page reads"
     QCheck.(pair (int_bound 200) (int_bound 12))
     (fun (n, w) ->
       let env = Env.create ~page_size:64 ~pool_pages:8 () in
       let f = Heap_file.create env in
-      for i = 0 to n - 1 do
-        Heap_file.append f (Bytes.of_string (Printf.sprintf "%0*d" (w + 1) i))
-      done;
-      let expected = Heap_file.fold f ~init:[] ~f:(fun acc r -> Bytes.to_string r :: acc) in
+      let expected = List.init n (Printf.sprintf "%0*d" (w + 1)) in
+      List.iter (fun r -> Heap_file.append f (Bytes.of_string r)) expected;
       (* A one-frame pool: every new page is a read. *)
       Buffer_pool.flush env.Env.pool;
       let pool = Buffer_pool.create env.Env.disk ~capacity:1 in
@@ -581,7 +606,7 @@ let prop_slices =
         end
       in
       go ();
-      !ok && !got = expected)
+      !ok && List.rev !got = expected)
 
 let stats_tests =
   [

@@ -117,6 +117,15 @@ let heap_file env records =
   List.iter (Storage.Heap_file.append f) records;
   f
 
+(* Every record of [f] in scan order, copied out of its page. *)
+let records f =
+  let module S = Storage.Heap_file.Slices in
+  let c = S.of_file f and acc = ref [] in
+  while S.advance c do
+    acc := Bytes.sub (S.page c) (S.off c) (S.len c) :: !acc
+  done;
+  List.rev !acc
+
 let sort_spec name file =
   { Storage.External_sort.name; file; key = sort_record_key }
 
