@@ -13,7 +13,8 @@
     durable writer then recovery, and SIGKILL of a semi-sync primary then
     replica promotion and fencing. One verdict checks them all and a FAIL
     makes the run exit non-zero; see {!Chaos}. [kernels] times the
-    vectorized inner loops standalone. [alloc] counts the minor-heap words
+    vectorized inner loops standalone, and CRC-32 over an 8 KiB page and
+    a 150-byte WAL frame. [alloc] counts the minor-heap words
     of one query, exact in native code, for a join-large-shaped type J
     query and serve-small's 3-block chain (run it with [--seed 1] for the
     benchmark's data). [--trace PATH]
@@ -493,22 +494,25 @@ let telemetry_bench cfg =
 
 (* ------------------------------------------------------------------ *)
 (* Kernels: the engine's vectorized inner loops standalone (two of     *)
-(* them against their scalar loops), in rows (elements) per second.    *)
+(* them against their scalar loops), in rows (elements) per second,    *)
+(* and the storage layer's CRC-32 in bytes per second.                 *)
 (* ------------------------------------------------------------------ *)
 
 let kernels cfg =
-  section "Kernels - scalar vs vectorized inner loops (rows/sec)";
+  section "Kernels - scalar vs vectorized inner loops (rows/sec), CRC-32 (bytes/sec)";
   note "the three loops the merge-join engine vectorizes: trapezoid@.";
   note "membership over a column, min/max degree combination, and the@.";
-  note "merge-join window sweep over sorted runs@.@.";
+  note "merge-join window sweep over sorted runs; then the checksum of@.";
+  note "every durable page slot and WAL frame@.@.";
   let rng = Random.State.make [| cfg.seed; 97 |] in
   let n = 200_000 in
-  let record cell variant rows secs =
+  (* [rows] counts elements, or bytes for the CRC cells *)
+  let record ?(unit = "rows") cell variant rows secs =
     record_measurement ~bench:"kernels" ~cell:(cell ^ "/" ^ variant)
       ~method_:"kernel" ~scale:cfg.scale ~wall:secs ~response:secs
       ~cpu:secs ~ios:0 ~fuzzy_ops:rows ~answer_size:rows ~checksum:"";
-    Format.printf "  %-24s %-10s %12.2f M rows/s@." cell variant
-      (float_of_int rows /. Float.max 1e-9 secs /. 1e6)
+    Format.printf "  %-24s %-10s %12.2f M %s/s@." cell variant
+      (float_of_int rows /. Float.max 1e-9 secs /. 1e6) unit
   in
   (* best of five: the minimum is the standard estimator of the undisturbed
      run, and these loops are short enough for scheduler noise to dominate
@@ -599,7 +603,21 @@ let kernels cfg =
   in
   let rows = Relational.Relation.cardinality r in
   record "window-sweep" "vectorized" rows secs;
-  note "@.(window sweep examined %d pairs over %d outer rows)@." !pairs rows
+  note "@.(window sweep examined %d pairs over %d outer rows)@.@." !pairs rows;
+  (* 4. CRC-32 over a data-file page and over a small WAL frame, about
+     16 MB per timed run *)
+  List.iter
+    (fun (variant, len) ->
+      let buf = Bytes.init len (fun _ -> Char.chr (Random.State.int rng 256)) in
+      let reps = (16 lsl 20) / len in
+      let secs =
+        time (fun () ->
+            for _ = 1 to reps do
+              ignore (Sys.opaque_identity (Storage.Crc32.bytes buf))
+            done)
+      in
+      record ~unit:"bytes" "crc32" variant (reps * len) secs)
+    [ ("page-8KiB", 8192); ("frame-150B", 150) ]
 
 (* ------------------------------------------------------------------ *)
 (* Allocation: the minor-heap words of one query, for two queries: type *)

@@ -67,7 +67,10 @@ let decode_meta meta =
         incr pos;
         (aname, ty))
   in
-  (Schema.make ~name attrs, pad_to)
+  (* [Schema.make] refuses a repeated attribute name *)
+  match Schema.make ~name attrs with
+  | schema -> (schema, pad_to)
+  | exception Invalid_argument msg -> fail msg
 
 let create ?pad_to ?(durable = false) env schema =
   let file = Heap_file.create ~durable env in

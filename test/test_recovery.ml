@@ -121,6 +121,90 @@ let real_disk_tests =
                  false
                with Real_disk.Checksum_mismatch { page; _ } -> page = p);
             Real_disk.close d));
+    tc "20,000 mutants of a data file: only Bad_header, Checksum_mismatch or Bad_page" `Quick
+      (fun () ->
+        with_dir (fun dir ->
+            (* The layout in real_disk.mli: a 4 KiB header (8-byte magic,
+               u32 page size at 8), then slots of payload + 16-byte trailer. *)
+            let header = 4096 and page_size = 256 and pages = 4 in
+            let slot = page_size + 16 in
+            let payload p = Bytes.init page_size (fun i -> Char.chr ((i * (p + 3)) land 0xff)) in
+            let d = Real_disk.create ~page_size ~dir (Iostats.create ()) in
+            for p = 0 to pages - 1 do
+              ignore (Real_disk.alloc d);
+              Real_disk.write ~lsn:(100 + p) d p (payload p)
+            done;
+            Real_disk.close d;
+            let path = Real_disk.path_of dir in
+            let original = In_channel.with_open_bin path In_channel.input_all in
+            Alcotest.(check int) "file size" (header + (pages * slot)) (String.length original);
+            let rng = Random.State.make [| 0xD15C |] in
+            let flip b lo n =
+              for _ = 1 to 1 + Random.State.int rng 5 do
+                let i = lo + Random.State.int rng n in
+                Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor (1 + Random.State.int rng 255))
+              done
+            in
+            let refused = ref 0 and opened = ref 0 in
+            for i = 1 to 20_000 do
+              let m = Bytes.of_string original in
+              (* [damaged]: the one page whose slot changed, if any;
+                 [misaligned]: the header's page size no longer fits *)
+              let m, damaged, misaligned =
+                match Random.State.int rng 10 with
+                | 0 | 1 | 2 | 3 | 4 | 5 ->
+                    let p = Random.State.int rng pages in
+                    let lo = header + (p * slot) in
+                    flip m lo slot;
+                    (* two flips of one byte may cancel *)
+                    let changed = Bytes.sub_string m lo slot <> String.sub original lo slot in
+                    (m, (if changed then Some p else None), false)
+                | 6 | 7 -> (Bytes.sub m 0 (Random.State.int rng (Bytes.length m)), None, false)
+                | 8 ->
+                    flip m 0 8;
+                    (m, None, false)
+                | _ ->
+                    let sizes = [| 0; 1; 255; 257; 512; slot; 65536; 65537; 0xFFFF_FFFF |] in
+                    let v =
+                      if Random.State.bool rng then sizes.(Random.State.int rng (Array.length sizes))
+                      else Random.State.bits rng land 0xFFFF_FFFF
+                    in
+                    let v = if v = page_size then page_size + 1 else v in
+                    Bytes.set_int32_le m 8 (Int32.of_int v);
+                    (m, None, true)
+              in
+              Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc m);
+              match Real_disk.open_existing ~readonly:true ~dir (Iostats.create ()) with
+              | exception Real_disk.Bad_header _ -> incr refused
+              | exception e ->
+                  Alcotest.failf "mutant %d: open_existing raised %s" i (Printexc.to_string e)
+              | d ->
+                  incr opened;
+                  (* one id past the original end as well *)
+                  for p = 0 to pages do
+                    let in_range = p < Real_disk.num_pages d in
+                    let valid = in_range && (not misaligned) && damaged <> Some p in
+                    (match Real_disk.read d p with
+                    | got ->
+                        if not valid then Alcotest.failf "mutant %d: page %d read back" i p;
+                        if not (Bytes.equal got (payload p)) then
+                          Alcotest.failf "mutant %d: page %d read back other bytes" i p
+                    | exception Real_disk.Checksum_mismatch _ when in_range && not valid -> ()
+                    | exception Sim_disk.Bad_page _ when not in_range -> ()
+                    | exception e ->
+                        Alcotest.failf "mutant %d: read %d raised %s" i p (Printexc.to_string e));
+                    match Real_disk.verify d p with
+                    | Ok () when valid -> ()
+                    | Error _ when in_range && not valid -> ()
+                    | exception Sim_disk.Bad_page _ when not in_range -> ()
+                    | Ok () | Error _ -> Alcotest.failf "mutant %d: verify %d disagrees with read" i p
+                    | exception e ->
+                        Alcotest.failf "mutant %d: verify %d raised %s" i p (Printexc.to_string e)
+                  done;
+                  Real_disk.close d
+            done;
+            Alcotest.(check bool) "some mutants refused at open" true (!refused > 0);
+            Alcotest.(check bool) "some mutants opened" true (!opened > 0)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -830,6 +914,10 @@ let catalog_tests =
             let bad_tag = Bytes.copy meta in
             Bytes.set_uint8 bad_tag (Bytes.length meta - 1) 7;
             rejects "bad type tag" bad_tag;
+            (* shrunk from a mutant of the fuzzer below: P(B, B) raised
+               Schema.make's Invalid_argument *)
+            rejects "repeated attribute name"
+              (Bytes.of_string "\001\000P\255\255\002\000\001\000B\000\001\000B\000");
             let intact = Schema.attrs (Relation.schema (open_with meta)) in
             Env.close env;
             Alcotest.(check bool) "the intact blob decodes" true
@@ -956,6 +1044,35 @@ let wal_fuzz_tests =
         (* Both outcomes occur, so the decoder was reached and refused. *)
         Alcotest.(check bool) "some mutants refused" true (!bad > 0);
         Alcotest.(check bool) "some mutants decoded" true (!decoded > 0));
+    (* The catalog metadata blob is the body of a Define record and of
+       each Checkpoint entry, read back by [Relation.open_durable]. *)
+    tc "20,000 mutants of a metadata blob: open_durable raises only Bad_meta" `Quick (fun () ->
+        with_dir (fun dir ->
+            let env = Env.open_durable ~dir ~page_size:512 ~pool_pages:8 () in
+            let s =
+              Schema.make ~name:"P"
+                [ ("A", Schema.TStr); ("B", Schema.TNum); ("C", Schema.TNum) ]
+            in
+            ignore (Relation.create ~pad_to:48 ~durable:true env s);
+            let fid, meta, pages =
+              match Env.manifest env with
+              | [ entry ] -> entry
+              | l -> Alcotest.failf "%d manifest entries" (List.length l)
+            in
+            let meta = Bytes.to_string meta in
+            let rng = Random.State.make [| 0x3E7A |] in
+            let bad = ref 0 and decoded = ref 0 in
+            for i = 1 to 20_000 do
+              let _, m = mutate_body rng 0 meta in
+              match Relation.open_durable env ~fid ~meta:(Bytes.of_string m) ~pages with
+              | _ -> incr decoded
+              | exception Relation.Bad_meta _ -> incr bad
+              | exception e ->
+                  Alcotest.failf "mutant %d %S: open_durable raised %s" i m (Printexc.to_string e)
+            done;
+            Env.close env;
+            Alcotest.(check bool) "some mutants refused" true (!bad > 0);
+            Alcotest.(check bool) "some mutants decoded" true (!decoded > 0)));
   ]
 
 let suites =

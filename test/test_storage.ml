@@ -641,8 +641,93 @@ let stats_tests =
         Alcotest.(check int) "total" 5 (Iostats.total_ios s));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* CRC-32 *)
+
+(* The bytewise definition: one lookup per byte through [Int32] ops. The
+   slicing-by-8 kernel must equal it bit for bit. *)
+let crc_oracle =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref (Int32.of_int n) in
+        for _ = 0 to 7 do
+          if Int32.logand !c 1l <> 0l then
+            c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else c := Int32.shift_right_logical !c 1
+        done;
+        !c)
+  in
+  fun crc buf ~pos ~len ->
+    let c = ref (Int32.lognot crc) in
+    for i = pos to pos + len - 1 do
+      let idx =
+        Int32.to_int
+          (Int32.logand (Int32.logxor !c (Int32.of_int (Bytes.get_uint8 buf i))) 0xffl)
+      in
+      c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
+    done;
+    Int32.lognot !c
+
+let crc_page = Bytes.init 8192 (fun i -> Char.chr (((i * 131) + (i lsr 8)) land 0xff))
+
+let crc_tests =
+  [
+    tc "known answers" `Quick (fun () ->
+        let check msg want got = Alcotest.(check int32) msg want got in
+        check "empty" 0l (Crc32.bytes Bytes.empty);
+        check "empty slice" 0l (Crc32.digest crc_page ~pos:100 ~len:0);
+        check "123456789" 0xCBF43926l (Crc32.string "123456789");
+        (* computed by the bytewise kernel this one replaced *)
+        check "8 KiB pattern" 0x768C1FD9l (Crc32.bytes crc_page);
+        check "8 KiB pattern = oracle" (crc_oracle 0l crc_page ~pos:0 ~len:8192)
+          (Crc32.bytes crc_page));
+    tc "out-of-bounds slices raise Invalid_argument" `Quick (fun () ->
+        let b = Bytes.make 16 'x' in
+        List.iter
+          (fun (pos, len) ->
+            Alcotest.check_raises
+              (Printf.sprintf "pos %d len %d" pos len)
+              (Invalid_argument "Crc32.update")
+              (fun () -> ignore (Crc32.update 0l b ~pos ~len));
+            Alcotest.check_raises
+              (Printf.sprintf "digest pos %d len %d" pos len)
+              (Invalid_argument "Crc32.update")
+              (fun () -> ignore (Crc32.digest b ~pos ~len)))
+          [ (-1, 4); (0, -1); (0, 17); (9, 8); (16, 1); (17, 0); (max_int, 1) ]);
+  ]
+
+(* Random buffers, random slices and a random running digest: lengths
+   0-40 mostly (every tail length, a few 8-byte steps), some 8 KiB pages,
+   starts up to 9 bytes off alignment; and a chained digest at a random
+   split equals the one-shot digest of the whole slice. *)
+let prop_crc_oracle =
+  QCheck.Test.make ~count:2000 ~name:"Crc32 = the bytewise oracle on any slice, chained or not"
+    QCheck.(pair (int_bound 1_000_000) (int_bound 9))
+    (fun (seed, pos) ->
+      let rng = Random.State.make [| seed |] in
+      let len =
+        match Random.State.int rng 10 with
+        | 0 -> 8192
+        | 1 -> Random.State.int rng 300
+        | _ -> Random.State.int rng 41
+      in
+      let buf =
+        Bytes.init (pos + len + Random.State.int rng 10) (fun _ ->
+            Char.chr (Random.State.int rng 256))
+      in
+      let crc = Random.State.bits32 rng in
+      let whole = crc_oracle 0l buf ~pos ~len in
+      let split = Random.State.int rng (len + 1) in
+      Crc32.update crc buf ~pos ~len = crc_oracle crc buf ~pos ~len
+      && Crc32.digest buf ~pos ~len = whole
+      && Crc32.bytes (Bytes.sub buf pos len) = whole
+      && Crc32.update (Crc32.digest buf ~pos ~len:split) buf ~pos:(pos + split)
+           ~len:(len - split)
+         = whole)
+
 let suites =
   [
+    ("storage.crc32", crc_tests @ [ QCheck_alcotest.to_alcotest prop_crc_oracle ]);
     ("storage.disk", disk_tests);
     ("storage.pool", pool_tests @ [ QCheck_alcotest.to_alcotest prop_pool_model ]);
     ( "storage.heap",
