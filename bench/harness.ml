@@ -150,25 +150,11 @@ let peak_rss_mb () =
 (* Normal form for exact answer comparison: rows sorted, degrees as bits. *)
 let normal_rows rows = List.sort compare rows
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let field_json = function
   | Int i -> string_of_int i
   | Fixed (decimals, x) -> Printf.sprintf "%.*f" decimals x
   | Float x -> Printf.sprintf "%g" x
-  | Text s -> "\"" ^ json_escape s ^ "\""
+  | Text s -> "\"" ^ Storage.Metrics.json_escape s ^ "\""
   | Flag b -> string_of_bool b
   | Json j -> j
 
@@ -176,7 +162,9 @@ let json_object fields =
   "{"
   ^ String.concat ", "
       (List.map
-         (fun (k, v) -> Printf.sprintf "\"%s\": %s" (json_escape k) (field_json v))
+         (fun (k, v) ->
+           Printf.sprintf "\"%s\": %s" (Storage.Metrics.json_escape k)
+             (field_json v))
          fields)
   ^ "}"
 

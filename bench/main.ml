@@ -493,19 +493,15 @@ let telemetry_bench cfg =
     failwith "telemetry bench: answers differ with telemetry on"
 
 (* ------------------------------------------------------------------ *)
-(* Kernels: the engine's vectorized inner loops standalone (two of     *)
-(* them against their scalar loops), in rows (elements) per second,    *)
-(* and the storage layer's CRC-32 in bytes per second.                 *)
+(* Kernels: the merge-join window sweep standalone, in rows per       *)
+(* second, and the storage layer's CRC-32 in bytes per second.        *)
 (* ------------------------------------------------------------------ *)
 
 let kernels cfg =
-  section "Kernels - scalar vs vectorized inner loops (rows/sec), CRC-32 (bytes/sec)";
-  note "the three loops the merge-join engine vectorizes: trapezoid@.";
-  note "membership over a column, min/max degree combination, and the@.";
-  note "merge-join window sweep over sorted runs; then the checksum of@.";
-  note "every durable page slot and WAL frame@.@.";
+  section "Kernels - window sweep (rows/sec), CRC-32 (bytes/sec)";
+  note "the merge-join window sweep over sorted runs, then the checksum@.";
+  note "of every durable page slot and WAL frame@.@.";
   let rng = Random.State.make [| cfg.seed; 97 |] in
-  let n = 200_000 in
   (* [rows] counts elements, or bytes for the CRC cells *)
   let record ?(unit = "rows") cell variant rows secs =
     record_measurement ~bench:"kernels" ~cell:(cell ^ "/" ^ variant)
@@ -525,58 +521,7 @@ let kernels cfg =
         Float.min best (Unix.gettimeofday () -. t0))
       infinity [ 1; 2; 3; 4; 5 ]
   in
-  (* 1. trapezoid membership over a column *)
-  let tr = Workload.Gen.random_trapezoid rng ~lo:0.0 ~hi:1000.0 in
-  let xs = Array.init n (fun _ -> Random.State.float rng 1000.0) in
-  let dst = Array.make n 0.0 in
-  let reps = 20 in
-  let s =
-    time (fun () ->
-        for _ = 1 to reps do
-          for i = 0 to n - 1 do
-            dst.(i) <- Fuzzy.Trapezoid.mem tr xs.(i)
-          done
-        done)
-  in
-  record "membership" "scalar" (reps * n) s;
-  let b =
-    time (fun () ->
-        for _ = 1 to reps do
-          Relational.Batch_kernels.mem_into tr ~xs ~n ~dst
-        done)
-  in
-  record "membership" "vectorized" (reps * n) b;
-  (* 2. min/max t-norm / co-norm passes *)
-  let src = Array.init n (fun _ -> Random.State.float rng 1.0) in
-  let acc = Array.init n (fun _ -> Random.State.float rng 1.0) in
-  let acc0 = Array.copy acc in
-  let sink = ref 0.0 in
-  let s =
-    time (fun () ->
-        for _ = 1 to reps do
-          Array.blit acc0 0 acc 0 n;
-          for i = 0 to n - 1 do
-            acc.(i) <- Fuzzy.Degree.conj acc.(i) src.(i)
-          done;
-          let m = ref 0.0 in
-          for i = 0 to n - 1 do
-            m := Fuzzy.Degree.disj !m acc.(i)
-          done;
-          sink := !m
-        done)
-  in
-  record "tnorm-pass" "scalar" (reps * n) s;
-  let b =
-    time (fun () ->
-        for _ = 1 to reps do
-          Array.blit acc0 0 acc 0 n;
-          Relational.Batch_kernels.conj_into ~src ~dst:acc ~n;
-          sink := Relational.Batch_kernels.disj_reduce ~xs:acc ~n
-        done)
-  in
-  record "tnorm-pass" "vectorized" (reps * n) b;
-  ignore !sink;
-  (* 3. the window sweep of the pipelined merge-join: the [Merge] phase
+  (* 1. the window sweep of the pipelined merge-join: the [Merge] phase
      time of a sort-and-sweep, which excludes sorting and the pulls of
      the sorted inputs (they are charged to [Sort]) *)
   let env = Storage.Env.create ~pool_pages:(mem_pages cfg) () in
@@ -604,7 +549,7 @@ let kernels cfg =
   let rows = Relational.Relation.cardinality r in
   record "window-sweep" "vectorized" rows secs;
   note "@.(window sweep examined %d pairs over %d outer rows)@.@." !pairs rows;
-  (* 4. CRC-32 over a data-file page and over a small WAL frame, about
+  (* 2. CRC-32 over a data-file page and over a small WAL frame, about
      16 MB per timed run *)
   List.iter
     (fun (variant, len) ->

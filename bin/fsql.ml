@@ -424,6 +424,34 @@ let remote_meta st line =
   | _ ->
       Format.printf "unknown meta command in --connect mode (try \\help)@."
 
+(* The shell's read loop, local or remote: outside a statement, a line
+   starting with a backslash is a meta command; other lines accumulate
+   until one ends with ';'. [\q] and the end of input end the loop. *)
+let repl ~interactive ~meta ~sql =
+  let buf = Buffer.create 256 in
+  try
+    while true do
+      if interactive then begin
+        print_string (if Buffer.length buf = 0 then "fsql> " else "  ..> ");
+        flush stdout
+      end;
+      let line = try input_line stdin with End_of_file -> raise Exit in
+      let trimmed = String.trim line in
+      if Buffer.length buf = 0 && String.length trimmed > 0 && trimmed.[0] = '\\'
+      then meta trimmed
+      else begin
+        Buffer.add_string buf line;
+        Buffer.add_char buf ' ';
+        let acc = String.trim (Buffer.contents buf) in
+        if String.length acc > 0 && acc.[String.length acc - 1] = ';' then begin
+          Buffer.clear buf;
+          let stmt = String.sub acc 0 (String.length acc - 1) in
+          if String.trim stmt <> "" then sql stmt
+        end
+      end
+    done
+  with Exit -> ()
+
 let remote_repl addr =
   let client =
     (* Bounded connect: an unreachable server fails in 5 s instead of
@@ -447,31 +475,7 @@ let remote_repl addr =
   if interactive then
     Printf.printf "fsql - connected to %s (\\help for help, \\q to quit)\n%!"
       addr;
-  let buf = Buffer.create 256 in
-  (try
-     while true do
-       if interactive then begin
-         if Buffer.length buf = 0 then print_string "fsql> "
-         else print_string "  ..> ";
-         flush stdout
-       end;
-       let line = try input_line stdin with End_of_file -> raise Exit in
-       let trimmed = String.trim line in
-       if Buffer.length buf = 0 && String.length trimmed > 0 && trimmed.[0] = '\\'
-       then remote_meta st trimmed
-       else begin
-         Buffer.add_string buf line;
-         Buffer.add_char buf ' ';
-         let acc = String.trim (Buffer.contents buf) in
-         if String.length acc > 0 && acc.[String.length acc - 1] = ';' then begin
-           Buffer.clear buf;
-           let sql = String.sub acc 0 (String.length acc - 1) in
-           if String.trim sql <> "" then remote_sql st sql
-         end
-       end
-     done
-   with
-  | Exit -> ()
+  (try repl ~interactive ~meta:(remote_meta st) ~sql:(remote_sql st) with
   | End_of_file | Sys_error _ | Server.Wire.Connection_closed ->
       prerr_endline "fsql: server closed the connection"
   | Server.Wire.Protocol_error msg ->
@@ -525,26 +529,5 @@ let () =
     print_endline "fsql - nested fuzzy SQL shell (\\help for help, \\q to quit)";
     print_endline "loaded: F, M (the paper's Example 4.1), R, S (generated, 500 tuples)"
   end;
-  let buf = Buffer.create 256 in
-  (try
-     while true do
-       if interactive then
-         if Buffer.length buf = 0 then print_string "fsql> " else print_string "  ..> ";
-       if interactive then flush stdout;
-       let line = try input_line stdin with End_of_file -> raise Exit in
-       let trimmed = String.trim line in
-       if Buffer.length buf = 0 && String.length trimmed > 0 && trimmed.[0] = '\\'
-       then meta st trimmed
-       else begin
-         Buffer.add_string buf line;
-         Buffer.add_char buf ' ';
-         let acc = String.trim (Buffer.contents buf) in
-         if String.length acc > 0 && acc.[String.length acc - 1] = ';' then begin
-           Buffer.clear buf;
-           let sql = String.sub acc 0 (String.length acc - 1) in
-           if String.trim sql <> "" then run_sql st sql
-         end
-       end
-     done
-   with Exit -> ());
+  repl ~interactive ~meta:(meta st) ~sql:(run_sql st);
   if interactive then print_endline "bye"

@@ -2,7 +2,7 @@ open Fuzzy
 
 (* Scalar-parameter replicas of the [Trapezoid] height arithmetic: same
    expressions, same branch structure, same IEEE-754 operations — only the
-   record indirection is gone, so the batch loops below stay allocation-free.
+   record indirection is gone, so the window sweep stays allocation-free.
    Bit-identity with the boxed path is enforced by the qcheck suite. *)
 
 let[@inline] mem_s a b c d x =
@@ -60,35 +60,3 @@ let[@inline] cmp_at op (u : Batch.col) i (v : Batch.col) j =
     (Array.unsafe_get v.Batch.tb j)
     (Array.unsafe_get v.Batch.tc j)
     (Array.unsafe_get v.Batch.td j)
-
-(* ---- column passes ---- *)
-
-let mem_into (tr : Trapezoid.t) ~xs ~n ~dst =
-  let a = tr.Trapezoid.a and b = tr.Trapezoid.b in
-  let c = tr.Trapezoid.c and d = tr.Trapezoid.d in
-  for i = 0 to n - 1 do
-    Array.unsafe_set dst i (mem_s a b c d (Array.unsafe_get xs i))
-  done
-
-let conj_into ~src ~dst ~n =
-  for i = 0 to n - 1 do
-    Array.unsafe_set dst i
-      (Float.min (Array.unsafe_get dst i) (Array.unsafe_get src i))
-  done
-
-let disj_reduce ~xs ~n =
-  let m = ref 0.0 in
-  for i = 0 to n - 1 do
-    m := Float.max !m (Array.unsafe_get xs i)
-  done;
-  !m
-
-let select_positive ~xs ~n ~sel =
-  let k = ref 0 in
-  for i = 0 to n - 1 do
-    if Array.unsafe_get xs i > 0.0 then begin
-      Array.unsafe_set sel !k i;
-      incr k
-    end
-  done;
-  !k

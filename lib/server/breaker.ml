@@ -28,21 +28,17 @@ let create ?(window = 32) ?(threshold = 0.5) ?(min_samples = 8)
     opened = 0;
   }
 
-let with_lock t fn =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) fn
-
-let allow t ~now = with_lock t (fun () -> now >= t.open_until)
+let allow t ~now = Mutex.protect t.lock (fun () -> now >= t.open_until)
 let is_open t ~now = not (allow t ~now)
-let opened_count t = with_lock t (fun () -> t.opened)
+let opened_count t = Mutex.protect t.lock (fun () -> t.opened)
 
 let failure_rate t =
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       if t.filled = 0 then 0.0
       else float_of_int t.failures /. float_of_int t.filled)
 
 let record t ~now ~ok =
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let window = Array.length t.outcomes in
       if t.filled = window then begin
         if not t.outcomes.(t.idx) then t.failures <- t.failures - 1

@@ -17,12 +17,6 @@ type reply =
   | Rejected of { code : string; diagnostics : string }
   | Cancelled of string
 
-let resolve host =
-  try Unix.inet_addr_of_string host
-  with Failure _ -> (
-    try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    with Not_found -> invalid_arg ("Client.connect: unknown host " ^ host))
-
 exception Connect_timeout
 
 let () =
@@ -65,7 +59,7 @@ let connect ?(host = "127.0.0.1") ?timeout_ms ~port () =
    with Invalid_argument _ -> ());
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
-     let addr = Unix.ADDR_INET (resolve host, port) in
+     let addr = Unix.ADDR_INET (Listener.resolve host, port) in
      match timeout_ms with
      | Some ms when ms > 0 -> connect_deadline fd addr ms
      | _ -> Unix.connect fd addr

@@ -4,8 +4,6 @@ module Trace = Storage.Trace
 module Metrics = Storage.Metrics
 module Fault = Storage.Fault
 
-let with_lock = Mutex.protect
-
 type conn = {
   fd : Unix.file_descr;
   lock : Mutex.t;  (** guards [out], [fd] writes and the mutable fields *)
@@ -41,9 +39,7 @@ type worker_state = {
 }
 
 type t = {
-  listen_fd : Unix.file_descr;
-  bound_port : int;
-  host : string;
+  listener : Listener.t;
   n_workers : int;
   default_deadline_ms : int option;
   mem_pages : int;
@@ -77,29 +73,24 @@ type t = {
   mutable http : Telemetry.Http.t option;
   mutable runner : Thread.t option;  (** worker 0, on the calling domain *)
   mutable domains : unit Domain.t list;  (** workers 1 .. n-1 *)
-  mutable acceptor : Thread.t option;
-  conns : (conn * Thread.t) list ref;
-      (** live connections: each thread removes its own entry as it closes
-          its descriptor *)
-  conns_lock : Mutex.t;
 }
 
-let port t = t.bound_port
+let port t = Listener.port t.listener
 let workers t = t.n_workers
 let queue_length t = Bounded_queue.length t.queue
 
 let count ?(by = 1) t name =
-  with_lock t.mlock (fun () -> Metrics.incr ~by (Metrics.counter t.metrics name))
+  Mutex.protect t.mlock (fun () -> Metrics.incr ~by (Metrics.counter t.metrics name))
 
 let observe t name v =
-  with_lock t.mlock (fun () -> Metrics.observe (Metrics.histogram t.metrics name) v)
+  Mutex.protect t.mlock (fun () -> Metrics.observe (Metrics.histogram t.metrics name) v)
 
 let counter_value t name =
-  with_lock t.mlock (fun () -> Metrics.counter_value (Metrics.counter t.metrics name))
+  Mutex.protect t.mlock (fun () -> Metrics.counter_value (Metrics.counter t.metrics name))
 
 let observe_window t name v =
   let now = Unix.gettimeofday () in
-  with_lock t.mlock (fun () ->
+  Mutex.protect t.mlock (fun () ->
       Metrics.observe_window (Metrics.window_histogram t.metrics name) ~now v)
 
 (* Gauges are point-in-time: refresh them at every snapshot (metrics
@@ -118,7 +109,7 @@ let refresh_gauges t =
     (if Breaker.is_open t.breaker ~now then 1.0 else 0.0);
   Metrics.set_gauge
     (Metrics.gauge t.metrics "connections")
-    (float_of_int (with_lock t.conns_lock (fun () -> List.length !(t.conns))));
+    (float_of_int (Listener.connections t.listener));
   let g name v = Metrics.set_gauge (Metrics.gauge t.metrics name) v in
   (match t.replica with
   | Some r ->
@@ -151,19 +142,19 @@ let refresh_gauges t =
   | None -> ()
 
 let metrics_json t =
-  with_lock t.mlock (fun () ->
+  Mutex.protect t.mlock (fun () ->
       refresh_gauges t;
       Metrics.to_json t.metrics)
 
 let top_text t =
   let now = Unix.gettimeofday () in
-  with_lock t.mlock (fun () ->
+  Mutex.protect t.mlock (fun () ->
       refresh_gauges t;
       Telemetry.render_top t.metrics ~now)
 
 let prometheus_text t =
   let now = Unix.gettimeofday () in
-  with_lock t.mlock (fun () ->
+  Mutex.protect t.mlock (fun () ->
       refresh_gauges t;
       Telemetry.render_prometheus t.metrics ~now)
 
@@ -180,7 +171,7 @@ let healthz_json t =
   let now = Unix.gettimeofday () in
   let open_ = Breaker.is_open t.breaker ~now in
   let depth = Bounded_queue.length t.queue in
-  let busy = with_lock t.mlock (fun () -> !(t.inflight)) in
+  let busy = Mutex.protect t.mlock (fun () -> !(t.inflight)) in
   let ok = (not open_) && not t.draining in
   ( ok,
     Printf.sprintf
@@ -204,7 +195,7 @@ let write_now conn reply =
       Wire.add_reply conn.out reply;
       Wire.flush conn.out conn.fd)
 
-let send conn reply = with_lock conn.lock (fun () -> write_now conn reply)
+let send conn reply = Mutex.protect conn.lock (fun () -> write_now conn reply)
 
 (* ------------------------------------------------------------------ *)
 (* Worker side *)
@@ -216,7 +207,7 @@ let send conn reply = with_lock conn.lock (fun () -> write_now conn reply)
 let flush_bytes = 64 * 1024
 
 let send_answer conn cols rows =
-  with_lock conn.lock (fun () ->
+  Mutex.protect conn.lock (fun () ->
       guarded conn (fun () ->
           Wire.add_reply conn.out (Wire.Header cols);
           List.iter
@@ -232,7 +223,7 @@ let send_answer conn cols rows =
    after the write the connection thread could reject that query as
    still-in-flight. The write carries whatever rows are still buffered. *)
 let send_terminal conn reply =
-  with_lock conn.lock (fun () ->
+  Mutex.protect conn.lock (fun () ->
       conn.busy <- false;
       conn.current <- None;
       write_now conn reply)
@@ -358,9 +349,9 @@ let handle_job t ~state ~rng job =
     | exception (Fault.Injected { severity = Fault.Fatal; _ } as e) ->
         `Fatal ("fatal storage fault: " ^ Printexc.to_string e)
     | exception e ->
-        (* Typed storage errors (Sim_disk.Bad_page, Write_size,
-           Buffer_pool.All_frames_pinned) and anything unclassified: the
-           environment is suspect, answer and respawn. *)
+        (* Typed storage errors (Sim_disk.Bad_page, Write_size) and
+           anything unclassified: the environment is suspect, answer and
+           respawn. *)
         `Fatal ("internal error: " ^ Printexc.to_string e)
   in
   let respawn = ref false in
@@ -502,8 +493,8 @@ let worker_loop t widx first () =
     match Bounded_queue.pop t.queue with
     | None -> ()
     | Some job ->
-        with_lock t.mlock (fun () -> incr t.inflight);
-        let finally () = with_lock t.mlock (fun () -> decr t.inflight) in
+        Mutex.protect t.mlock (fun () -> incr t.inflight);
+        let finally () = Mutex.protect t.mlock (fun () -> decr t.inflight) in
         let respawn =
           try Fun.protect ~finally (fun () -> run_job job)
           with e ->
@@ -548,14 +539,14 @@ let admit t conn ~request_id ~deadline_ms sql =
        the provenance visible in the log. *)
     if request_id <> "" then request_id
     else
-      "srv-" ^ with_lock t.mlock (fun () -> Telemetry.gen_request_id t.id_rng)
+      "srv-" ^ Mutex.protect t.mlock (fun () -> Telemetry.gen_request_id t.id_rng)
   in
   (* Cheap connection-state verdicts first; the static check (a parse
      plus catalog lookups) runs only for queries that could be admitted.
      [admit] is the only writer of [busy] and runs on the one connection
      thread, so the state cannot flip between these sections. *)
   let pre =
-    with_lock conn.lock (fun () ->
+    Mutex.protect conn.lock (fun () ->
         if conn.busy then `Busy else if t.draining then `Draining else `Go)
   in
   let pre =
@@ -626,7 +617,7 @@ let admit t conn ~request_id ~deadline_ms sql =
             }
           in
           let verdict =
-            with_lock conn.lock (fun () ->
+            Mutex.protect conn.lock (fun () ->
                 if t.draining then `Draining
                 else if not (Breaker.allow t.breaker ~now) then `Shed
                 else if Bounded_queue.try_push t.queue job then begin
@@ -652,7 +643,7 @@ let admit t conn ~request_id ~deadline_ms sql =
    must fail loudly (ending the stream) when the peer is gone, unlike
    [send] which drops silently on behalf of workers. *)
 let rep_send conn reply =
-  with_lock conn.lock (fun () ->
+  Mutex.protect conn.lock (fun () ->
       if not conn.alive then raise Wire.Connection_closed;
       Wire.add_reply conn.out reply;
       Wire.flush conn.out conn.fd)
@@ -665,7 +656,7 @@ let promote t =
   | None -> Error "this server is not a replica"
   | Some r ->
       let epoch =
-        with_lock t.promote_lock (fun () ->
+        Mutex.protect t.promote_lock (fun () ->
             let e = Replication.Replica.promote r in
             (match t.sender with
             | None ->
@@ -679,16 +670,20 @@ let promote t =
       count t "promotions";
       Ok epoch
 
-let conn_loop t conn =
-  let rep_sub = ref None in
-  let rd = Wire.reader conn.fd in
+let conn_loop t fd =
+  let conn =
+    { fd; lock = Mutex.create (); out = Wire.writer (); busy = false;
+      current = None; alive = true }
+  in
+  let rep = Replication.Sender.peer ~send:(rep_send conn) in
+  let rd = Wire.reader fd in
   (try
      let rec loop () =
        (match Wire.read_request rd with
        | Wire.Query { request_id; deadline_ms; domains = _; sql } ->
            admit t conn ~request_id ~deadline_ms sql
        | Wire.Cancel -> (
-           match with_lock conn.lock (fun () -> conn.current) with
+           match Mutex.protect conn.lock (fun () -> conn.current) with
            | Some c -> Cancel.cancel ~reason:"cancelled by client" c
            | None -> ())
        | Wire.Metrics -> send conn (Wire.Metrics_json (metrics_json t))
@@ -698,17 +693,10 @@ let conn_loop t conn =
            match promote t with
            | Ok epoch -> send conn (Wire.Promoted { epoch })
            | Error m -> send conn (Wire.Error m))
-       | Wire.Rep_subscribe { epoch; stream_id; from_lsn } -> (
-           match t.sender with
-           | None -> send conn (Wire.Error "replication is not enabled")
-           | Some s ->
-               rep_sub :=
-                 Replication.Sender.serve s ~epoch ~stream_id ~from_lsn
-                   ~send:(rep_send conn))
-       | Wire.Rep_ack { epoch = _; applied_lsn } -> (
-           match (t.sender, !rep_sub) with
-           | Some s, Some id -> Replication.Sender.ack s ~id ~applied_lsn
-           | _ -> ()));
+       | Wire.Rep_subscribe _ when Option.is_none t.sender ->
+           send conn (Wire.Error "replication is not enabled")
+       | (Wire.Rep_subscribe _ | Wire.Rep_ack _) as r ->
+           Option.iter (fun s -> Replication.Sender.handle s rep r) t.sender);
        loop ()
      in
      loop ()
@@ -721,78 +709,23 @@ let conn_loop t conn =
       count t "connection_errors";
       (try send conn (Wire.Error ("internal error: " ^ Printexc.to_string e))
        with _ -> ()));
-  (match (t.sender, !rep_sub) with
-  | Some s, Some id -> Replication.Sender.drop s ~id
-  | _ -> ());
+  Option.iter (fun s -> Replication.Sender.disconnect s rep) t.sender;
   (* Peer gone (or the daemon shut the socket down): cancel any in-flight
-     query so its worker frees up, wait for the terminal no-op send, and
-     only then close the descriptor — closing while a worker still writes
-     would race the fd number. *)
-  with_lock conn.lock (fun () ->
+     query so its worker frees up and wait for the terminal no-op send;
+     only then may the listener close the descriptor — closing while a
+     worker still writes would race the fd number. *)
+  Mutex.protect conn.lock (fun () ->
       conn.alive <- false;
       match conn.current with
       | Some c -> Cancel.cancel ~reason:"client disconnected" c
       | None -> ());
-  while with_lock conn.lock (fun () -> conn.busy) do
+  while Mutex.protect conn.lock (fun () -> conn.busy) do
     Thread.yield ();
     Thread.delay 0.002
-  done;
-  (* Close and leave the registry in one section: [stop] shuts down only
-     descriptors still registered, so never a closed (or reused) one. *)
-  with_lock t.conns_lock (fun () ->
-      (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-      t.conns := List.filter (fun (c, _) -> c != conn) !(t.conns))
-
-(* The accept thread must be unkillable short of [stop]: every transient
-   accept(2) failure — a signal (EINTR), a connection that died in the
-   backlog (ECONNABORTED), fd exhaustion (EMFILE/ENFILE) or a spurious
-   wakeup (EAGAIN) — is counted and retried, with a bounded sleep when
-   the failure is resource exhaustion so the retry doesn't spin while
-   the situation persists. Anything else (EBADF after [stop] closes the
-   socket, EINVAL) is terminal for the loop. *)
-let accept_loop t =
-  let rec loop () =
-    match Unix.accept t.listen_fd with
-    | exception Unix.Unix_error ((EINTR | ECONNABORTED), _, _) ->
-        if t.draining then ()
-        else begin
-          count t "accept_errors";
-          loop ()
-        end
-    | exception
-        Unix.Unix_error ((EMFILE | ENFILE | EAGAIN | EWOULDBLOCK), _, _) ->
-        if t.draining then ()
-        else begin
-          count t "accept_errors";
-          Thread.delay 0.05;
-          loop ()
-        end
-    | exception Unix.Unix_error (_, _, _) -> ()
-    | fd, _addr ->
-        if t.draining then Unix.close fd (* the stop wake-up; exit *)
-        else begin
-          Wire.set_nodelay fd;
-          let conn =
-            { fd; lock = Mutex.create (); out = Wire.writer (); busy = false;
-              current = None; alive = true }
-          in
-          (* Registered under the lock the thread's own removal takes, so
-             a connection that ends at once is still removed. *)
-          with_lock t.conns_lock (fun () ->
-              t.conns := (conn, Thread.create (conn_loop t) conn) :: !(t.conns));
-          loop ()
-        end
-  in
-  loop ()
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle *)
-
-let resolve host =
-  try Unix.inet_addr_of_string host
-  with Failure _ -> (
-    try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    with Not_found -> invalid_arg ("Daemon.start: unknown host " ^ host))
 
 let start ?(host = "127.0.0.1") ?(port = 0) ?(workers = 2)
     ?(queue_capacity = 16) ?default_deadline_ms
@@ -804,15 +737,7 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(workers = 2)
   if workers < 1 then invalid_arg "Daemon.start: workers < 1";
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-  Unix.bind listen_fd (Unix.ADDR_INET (resolve host, port));
-  Unix.listen listen_fd 64;
-  let bound_port =
-    match Unix.getsockname listen_fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> port
-  in
+  let listener = Listener.bind ~host ~port () in
   let make_env =
     match make_env with
     | Some f -> fun () -> f ~pool_pages:mem_pages
@@ -839,14 +764,12 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(workers = 2)
     match reading replica (fun () -> make_state 0) with
     | s -> s
     | exception e ->
-        Unix.close listen_fd;
+        Listener.stop listener;
         raise e
   in
   let t =
     {
-      listen_fd;
-      bound_port;
-      host;
+      listener;
       n_workers = workers;
       default_deadline_ms;
       mem_pages;
@@ -860,7 +783,7 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(workers = 2)
       query_log =
         Option.map (fun path -> Telemetry.Query_log.create ?slow_ms path)
           query_log;
-      id_rng = Random.State.make [| 0x5EED; fault_seed; bound_port |];
+      id_rng = Random.State.make [| 0x5EED; fault_seed; Listener.port listener |];
       inflight = ref 0;
       retry;
       breaker = (match breaker with Some b -> b | None -> Breaker.create ());
@@ -873,9 +796,6 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(workers = 2)
       http = None;
       runner = None;
       domains = [];
-      acceptor = None;
-      conns = ref [];
-      conns_lock = Mutex.create ();
     }
   in
   (* Worker 0 runs on a thread of the calling domain, so a 1-worker
@@ -890,10 +810,11 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(workers = 2)
      Bounded_queue.close t.queue;
      Option.iter Thread.join t.runner;
      List.iter (fun d -> try Domain.join d with _ -> ()) t.domains;
-     Unix.close listen_fd;
+     Listener.stop listener;
      Option.iter Telemetry.Query_log.close t.query_log;
      raise e);
-  t.acceptor <- Some (Thread.create accept_loop t);
+  Listener.serve listener (conn_loop t) ~on_retry:(fun () ->
+      count t "accept_errors");
   (match metrics_port with
   | None -> ()
   | Some mport ->
@@ -912,13 +833,7 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(workers = 2)
 let stop t =
   if not t.draining then begin
     t.draining <- true;
-    (* Wake the accept thread with a throw-away connection. *)
-    (try
-       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-       (try Unix.connect fd (Unix.ADDR_INET (resolve t.host, t.bound_port))
-        with Unix.Unix_error _ -> ());
-       Unix.close fd
-     with Unix.Unix_error _ -> ());
+    Listener.stop_accepting t.listener;
     (* Drain: admitted jobs are still popped and answered; then the
        workers see [None] and exit. A worker whose rebuild raised has
        already died; its exception is not the caller's. *)
@@ -927,21 +842,8 @@ let stop t =
     t.runner <- None;
     List.iter (fun d -> try Domain.join d with _ -> ()) t.domains;
     t.domains <- [];
-    Option.iter Thread.join t.acceptor;
-    t.acceptor <- None;
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    (* Unblock every connection reader and join the threads (each closes
-       its own descriptor on the way out). *)
-    let conns =
-      with_lock t.conns_lock (fun () ->
-          List.iter
-            (fun (conn, _) ->
-              try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL
-              with Unix.Unix_error _ -> ())
-            !(t.conns);
-          !(t.conns))
-    in
-    List.iter (fun (_, th) -> Thread.join th) conns;
+    (* Unblock every connection reader and join the threads. *)
+    Listener.close_connections t.listener;
     (* Telemetry last: the final requests' log records and traces land
        before the log closes and the scrape endpoint disappears. *)
     (match t.http with

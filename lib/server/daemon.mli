@@ -4,8 +4,8 @@
 
     {1 Architecture}
 
-    One {e accept thread} takes connections; each connection gets a
-    {e connection thread} that reads {!Wire} request frames. A [Query]
+    A {!Listener} takes connections and gives each one a {e connection
+    thread} that reads {!Wire} request frames. A [Query]
     frame is admitted into a bounded queue (or rejected with
     [Overloaded] when the queue is full — producers never block) and
     picked up by one of a fixed set of [workers] {e workers}, which the
@@ -89,9 +89,10 @@
       [\top] and the Prometheus endpoint report last-minute p50/p99/max
       and rates next to lifetime totals, plus point-in-time gauges
       [queue_depth], [busy_workers], [breaker_open] and [connections]
-      (live client connections: a connection leaves the daemon's
+      (live client connections: a connection leaves the listener's
       registry, with its thread and output buffer, when it closes);
-    - with [?metrics_port] a loopback HTTP listener serves [/metrics]
+    - with [?metrics_port] a loopback {!Telemetry.Http} endpoint, a
+      {!Listener} of its own, serves [/metrics]
       (Prometheus text) and [/healthz] (JSON; 503 when the breaker is
       open or the server is draining);
     - with [?query_log] every finished request appends one JSONL record
@@ -101,10 +102,10 @@
 
     {1 Shutdown}
 
-    {!stop} drains: no new connections or queries are admitted, queries
-    already in the queue or in flight run to completion and their replies
-    are delivered, then workers, the accept loop, and the connection
-    threads are joined. Idempotent. *)
+    {!stop} drains: it stops accepting connections and admitting
+    queries; queries already in the queue or in flight run to completion
+    and their replies are delivered; then the workers are joined, and
+    the listener shuts down and joins the connection threads. Idempotent. *)
 
 type t
 

@@ -43,16 +43,6 @@ module Eventcount = Storage.Eventcount
 module Recovery = Storage.Recovery
 module Real_disk = Storage.Real_disk
 
-let with_lock m f =
-  Mutex.lock m;
-  match f () with
-  | v ->
-      Mutex.unlock m;
-      v
-  | exception e ->
-      Mutex.unlock m;
-      raise e
-
 (* A writer-preference readers/writer lock: replica query workers read
    while the applier (and promotion) writes. Writer preference keeps a
    steady query load from starving the apply loop. *)
@@ -136,7 +126,7 @@ module Ticker = struct
   let create targets =
     { lock = Mutex.create (); targets; thread = None; stopped = false }
 
-  let stopped t = with_lock t.lock (fun () -> t.stopped)
+  let stopped t = Mutex.protect t.lock (fun () -> t.stopped)
 
   let rec run t =
     Thread.delay heartbeat_s;
@@ -146,14 +136,14 @@ module Ticker = struct
     end
 
   let ensure t =
-    with_lock t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         if t.thread = None && not t.stopped then
           t.thread <- Some (Thread.create run t))
 
   (* The last notify lets every waiter see [stopped]. *)
   let stop t =
     let thread =
-      with_lock t.lock (fun () ->
+      Mutex.protect t.lock (fun () ->
           t.stopped <- true;
           let th = t.thread in
           t.thread <- None;
@@ -210,11 +200,8 @@ module Sender = struct
     mutable stopped : bool;
     events : Eventcount.t;  (** notified by acks, ticks and {!stop} *)
     ticker : Ticker.t;
-    mutable listen_fd : Unix.file_descr option;
-    mutable conns : Unix.file_descr list;
-        (** accepted replication connections — shut down on {!stop} so
-            reader threads blocked on an idle replica unblock *)
-    mutable threads : Thread.t list;
+    mutable listener : Listener.t option;  (** set by {!listen} *)
+    mutable threads : Thread.t list;  (** streaming sessions *)
   }
 
   let epoch t =
@@ -252,8 +239,7 @@ module Sender = struct
       stopped = false;
       events;
       ticker = Ticker.create ticks;
-      listen_fd = None;
-      conns = [];
+      listener = None;
       threads = [];
     }
 
@@ -288,7 +274,7 @@ module Sender = struct
   let stream_id t = stream_id_of_path t.wal_path
 
   let sub_dead t sub =
-    with_lock t.lock (fun () -> sub.sub_alive <- false)
+    Mutex.protect t.lock (fun () -> sub.sub_alive <- false)
 
   (* Stream one file region as snapshot chunks through [send]. *)
   let send_chunks sub ~kind ~path ~upto =
@@ -348,7 +334,7 @@ module Sender = struct
     else snapshot t sub ~sid
 
   and snapshot t sub ~sid =
-    with_lock t.lock (fun () -> t.snapshots_sent <- t.snapshots_sent + 1);
+    Mutex.protect t.lock (fun () -> t.snapshots_sent <- t.snapshots_sent + 1);
     let data_len =
       try (Unix.stat t.data_path).Unix.st_size with Unix.Unix_error _ -> 0
     in
@@ -440,14 +426,14 @@ module Sender = struct
   let serve t ~epoch:sub_epoch ~stream_id:sub_stream ~from_lsn ~send =
     let my_epoch = epoch t in
     if sub_epoch > my_epoch then begin
-      with_lock t.lock (fun () -> t.fenced <- t.fenced + 1);
+      Mutex.protect t.lock (fun () -> t.fenced <- t.fenced + 1);
       (try send (Wire.Rep_fence { epoch = my_epoch })
        with _ -> ());
       None
     end
     else begin
       let sub =
-        with_lock t.lock (fun () ->
+        Mutex.protect t.lock (fun () ->
             let id = t.next_sub in
             t.next_sub <- id + 1;
             let sub =
@@ -473,20 +459,20 @@ module Sender = struct
             sub_dead t sub)
           ()
       in
-      with_lock t.lock (fun () -> t.threads <- th :: t.threads);
+      Mutex.protect t.lock (fun () -> t.threads <- th :: t.threads);
       Ticker.ensure t.ticker;
       Some sub.sub_id
     end
 
   let ack t ~id ~applied_lsn =
-    with_lock t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         match Hashtbl.find_opt t.subs id with
         | Some sub -> if applied_lsn > sub.sub_acked then sub.sub_acked <- applied_lsn
         | None -> ());
     Eventcount.notify t.events
 
   let drop t ~id =
-    with_lock t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         match Hashtbl.find_opt t.subs id with
         | Some sub ->
             sub.sub_alive <- false;
@@ -496,7 +482,7 @@ module Sender = struct
     Eventcount.notify (tail_events t)
 
   let connected t =
-    with_lock t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         Hashtbl.fold
           (fun _ sub n -> if sub.sub_alive then n + 1 else n)
           t.subs 0)
@@ -504,7 +490,7 @@ module Sender = struct
   (* Worst-case acked LSN over live subscribers (min), for the lag
      gauge; [None] with no live subscriber. *)
   let min_acked t =
-    with_lock t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         Hashtbl.fold
           (fun _ sub acc ->
             if not sub.sub_alive then acc
@@ -515,7 +501,7 @@ module Sender = struct
           t.subs None)
 
   let max_acked t =
-    with_lock t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         Hashtbl.fold
           (fun _ sub acc -> max acc sub.sub_acked)
           t.subs 0)
@@ -525,8 +511,8 @@ module Sender = struct
     | None -> 0
     | Some a -> max 0 (shippable_end t - a)
 
-  let fenced t = with_lock t.lock (fun () -> t.fenced)
-  let snapshots_sent t = with_lock t.lock (fun () -> t.snapshots_sent)
+  let fenced t = Mutex.protect t.lock (fun () -> t.fenced)
+  let snapshots_sent t = Mutex.protect t.lock (fun () -> t.snapshots_sent)
 
   (* Semi-synchronous commit: block until some replica has applied (and
      fsynced) through [lsn]. The chaos harness acks its writer's
@@ -546,87 +532,60 @@ module Sender = struct
     in
     go ()
 
-  (* A minimal replication-only accept loop, for primaries that are not
-     full daemons (the chaos harness's forked child). Handles
-     [Rep_subscribe] / [Rep_ack] / [Promote]-free traffic only. *)
-  let listen ?(host = "127.0.0.1") ~port t =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-    Unix.listen fd 16;
-    let actual_port =
-      match Unix.getsockname fd with
-      | Unix.ADDR_INET (_, p) -> p
-      | _ -> port
-    in
-    t.listen_fd <- Some fd;
-    let conn_loop cfd =
-      let wlock = Mutex.create () in
-      let send r = with_lock wlock (fun () -> Wire.write_reply cfd r) in
-      let rd = Wire.reader cfd in
-      let sub = ref None in
-      (try
-         while not t.stopped do
-           match Wire.read_request rd with
-           | Wire.Rep_subscribe { epoch; stream_id; from_lsn } ->
-               sub := serve t ~epoch ~stream_id ~from_lsn ~send
-           | Wire.Rep_ack { epoch = _; applied_lsn } -> (
-               match !sub with
-               | Some id -> ack t ~id ~applied_lsn
-               | None -> ())
-           | _ -> ()
-         done
-       with
-      | Wire.Connection_closed | Wire.Protocol_error _ | Unix.Unix_error _ ->
-          ());
-      (match !sub with Some id -> drop t ~id | None -> ());
-      with_lock t.lock (fun () ->
-          t.conns <- List.filter (fun fd -> fd != cfd) t.conns);
-      try Unix.close cfd with Unix.Unix_error _ -> ()
-    in
-    let accept_loop () =
-      let rec loop () =
-        if not t.stopped then
-          match Unix.accept fd with
-          | cfd, _ ->
-              Wire.set_nodelay cfd;
-              with_lock t.lock (fun () -> t.conns <- cfd :: t.conns);
-              let th = Thread.create conn_loop cfd in
-              with_lock t.lock (fun () -> t.threads <- th :: t.threads);
-              loop ()
-          | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _)
-            ->
-              loop ()
-          | exception Unix.Unix_error _ -> ()
-      in
-      loop ()
-    in
-    let th = Thread.create accept_loop () in
-    with_lock t.lock (fun () -> t.threads <- th :: t.threads);
-    actual_port
+  (* One connection's replication requests: the subscriber it started,
+     if any, and how to write to it. *)
+  type peer = { send : Wire.reply -> unit; mutable peer_sub : int option }
+
+  let peer ~send = { send; peer_sub = None }
+
+  let handle t p = function
+    | Wire.Rep_subscribe { epoch; stream_id; from_lsn } ->
+        p.peer_sub <- serve t ~epoch ~stream_id ~from_lsn ~send:p.send
+    | Wire.Rep_ack { epoch = _; applied_lsn } ->
+        Option.iter (fun id -> ack t ~id ~applied_lsn) p.peer_sub
+    | _ -> ()
+
+  let disconnect t p = Option.iter (fun id -> drop t ~id) p.peer_sub
+
+  (* A replication-only server, for primaries that are not full daemons
+     (the chaos harness's victim process, perfbench's primary). A
+     streaming session writes from its own thread, so once the
+     connection has ended its sends raise instead of reaching a closed
+     (or reused) descriptor. *)
+  let listen ?host ~port t =
+    let l = Listener.bind ?host ~port () in
+    t.listener <- Some l;
+    Listener.serve l (fun fd ->
+        let wlock = Mutex.create () and closed = ref false in
+        let send r =
+          Mutex.protect wlock (fun () ->
+              if !closed then raise Wire.Connection_closed;
+              Wire.write_reply fd r)
+        in
+        let p = peer ~send in
+        let rd = Wire.reader fd in
+        (try
+           while true do
+             handle t p (Wire.read_request rd)
+           done
+         with
+        | Wire.Connection_closed | Wire.Protocol_error _ | Unix.Unix_error _ ->
+            ());
+        Mutex.protect wlock (fun () -> closed := true);
+        disconnect t p);
+    Listener.port l
 
   let stop t =
     t.stopped <- true;
-    (match t.listen_fd with
-    | Some fd ->
-        t.listen_fd <- None;
-        (* unblock accept *)
-        (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-        (try Unix.close fd with Unix.Unix_error _ -> ())
-    | None -> ());
-    let subs = with_lock t.lock (fun () -> Hashtbl.fold (fun _ s acc -> s :: acc) t.subs []) in
+    let subs = Mutex.protect t.lock (fun () -> Hashtbl.fold (fun _ s acc -> s :: acc) t.subs []) in
     List.iter (fun s -> s.sub_alive <- false) subs;
     (* Its last notify wakes idle tails and [wait_applied] callers. *)
     Ticker.stop t.ticker;
-    (* Unblock reader threads parked on idle replicas: without this a
-       stop racing a quiet subscriber would deadlock the join below. *)
-    let conns = with_lock t.lock (fun () -> t.conns) in
-    List.iter
-      (fun fd ->
-        try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-      conns;
-    let threads = with_lock t.lock (fun () -> t.threads) in
-    List.iter (fun th -> try Thread.join th with _ -> ()) threads
+    (* Shutting the connections down unblocks reader threads parked on
+       idle replicas and sessions blocked in a write. *)
+    Option.iter Listener.stop t.listener;
+    let threads = Mutex.protect t.lock (fun () -> t.threads) in
+    List.iter Thread.join threads
 end
 
 (* ------------------------------------------------------------------ *)
@@ -741,7 +700,7 @@ module Replica = struct
     Wal.close wal;
     t.disk <- Some disk;
     t.appender <- Some (Wal_stream.Appender.open_at ~path:(Recovery.wal_path_of t.dir));
-    with_lock t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         if epoch > t.epoch then t.epoch <- epoch;
         t.applied <- boundary);
     boundary
@@ -751,7 +710,7 @@ module Replica = struct
      earlier record, so an append reads the page from disk. *)
   let apply_record t disk psize = function
     | Wal.Epoch { epoch } ->
-        with_lock t.lock (fun () -> if epoch > t.epoch then t.epoch <- epoch)
+        Mutex.protect t.lock (fun () -> if epoch > t.epoch then t.epoch <- epoch)
     | r -> (
         match Recovery.redo_record ~psize ~image:(Real_disk.read disk) r with
         | Some (page, img) ->
@@ -783,7 +742,7 @@ module Replica = struct
         List.iter
           (fun (_, r) -> apply_record t disk psize r)
           d.Wal_stream.Tail.records;
-        with_lock t.lock (fun () ->
+        Mutex.protect t.lock (fun () ->
             t.applied <- d.Wal_stream.Tail.new_end;
             t.generation <- t.generation + 1;
             t.synced <- true));
@@ -825,7 +784,7 @@ module Replica = struct
         Unix.rename (wal_path ^ ".sync") wal_path;
         Storage.Fd_io.fsync_dir t.dir;
         let boundary = open_local t in
-        with_lock t.lock (fun () ->
+        Mutex.protect t.lock (fun () ->
             t.generation <- t.generation + 1;
             if boundary = tail_start then begin
               t.synced <- true;
@@ -835,11 +794,11 @@ module Replica = struct
     Eventcount.notify t.events
 
   let send_ack t client =
-    let epoch, applied = with_lock t.lock (fun () -> (t.epoch, t.applied)) in
+    let epoch, applied = Mutex.protect t.lock (fun () -> (t.epoch, t.applied)) in
     Client.send client (Wire.Rep_ack { epoch; applied_lsn = applied })
 
   let note_progress t ~primary_end =
-    with_lock t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         t.primary_end <- max t.primary_end primary_end;
         t.connected <- true;
         if t.applied >= t.primary_end then t.last_caught_up <- Unix.gettimeofday ())
@@ -860,7 +819,7 @@ module Replica = struct
         t.client <- None;
         Client.close client)
       (fun () ->
-        let epoch, stream = with_lock t.lock (fun () -> (t.epoch, t.stream)) in
+        let epoch, stream = Mutex.protect t.lock (fun () -> (t.epoch, t.stream)) in
         Client.send client
           (Wire.Rep_subscribe
              { epoch; stream_id = stream; from_lsn = (if have_local then boundary else 0) });
@@ -871,16 +830,16 @@ module Replica = struct
           else begin
             (match Client.recv client with
             | Wire.Rep_fence { epoch = their_epoch } ->
-                with_lock t.lock (fun () ->
+                Mutex.protect t.lock (fun () ->
                     t.fenced_rejects <- t.fenced_rejects + 1);
                 raise (Fenced their_epoch)
             | Wire.Rep_hello { epoch; stream_id; snapshot; _ } ->
-                if epoch < with_lock t.lock (fun () -> t.epoch) then begin
-                  with_lock t.lock (fun () ->
+                if epoch < Mutex.protect t.lock (fun () -> t.epoch) then begin
+                  Mutex.protect t.lock (fun () ->
                       t.fenced_rejects <- t.fenced_rejects + 1);
                   raise (Fenced epoch)
                 end;
-                with_lock t.lock (fun () ->
+                Mutex.protect t.lock (fun () ->
                     if epoch > t.epoch then t.epoch <- epoch;
                     t.stream <- stream_id);
                 if snapshot then begin
@@ -921,12 +880,12 @@ module Replica = struct
                         s.w_off <- s.w_off + String.length data)
                 | _ -> raise Resync)
             | Wire.Rep_wal { epoch; start_lsn; primary_end; data } ->
-                if epoch < with_lock t.lock (fun () -> t.epoch) then begin
-                  with_lock t.lock (fun () ->
+                if epoch < Mutex.protect t.lock (fun () -> t.epoch) then begin
+                  Mutex.protect t.lock (fun () ->
                       t.fenced_rejects <- t.fenced_rejects + 1);
                   raise (Fenced epoch)
                 end;
-                with_lock t.lock (fun () ->
+                Mutex.protect t.lock (fun () ->
                     if epoch > t.epoch then t.epoch <- epoch);
                 (match !mode with
                 | `Snap s ->
@@ -970,21 +929,21 @@ module Replica = struct
           backoff := 1.0
       | exception Resync ->
           (* force a snapshot next time *)
-          with_lock t.lock (fun () -> t.stream <- 0L);
+          Mutex.protect t.lock (fun () -> t.stream <- 0L);
           backoff := min 1.0 (!backoff *. 2.0)
       | exception
           ( Wire.Connection_closed | Wire.Protocol_error _
           | Unix.Unix_error _ | Client.Connect_timeout | Sys_error _
           | Failure _ | Recovery.Corrupt _ ) ->
           backoff := min 1.0 (!backoff *. 2.0));
-      with_lock t.lock (fun () -> t.connected <- false);
+      Mutex.protect t.lock (fun () -> t.connected <- false);
       if not (t.stopping || t.promoted) then begin
         Unix.sleepf !backoff;
         (* successful sessions reset the backoff on next connect *)
         if !backoff > 0.8 then backoff := 0.5
       end
     done;
-    with_lock t.lock (fun () -> t.connected <- false)
+    Mutex.protect t.lock (fun () -> t.connected <- false)
 
   let start t =
     match t.thread with
@@ -996,7 +955,7 @@ module Replica = struct
     let deadline = Unix.gettimeofday () +. timeout_s in
     let rec go () =
       let seen = Eventcount.current t.events in
-      if with_lock t.lock (fun () -> t.synced) then true
+      if Mutex.protect t.lock (fun () -> t.synced) then true
       else if Unix.gettimeofday () >= deadline || Ticker.stopped t.ticker then
         false
       else begin
@@ -1007,22 +966,22 @@ module Replica = struct
     go ()
 
   let dir t = t.dir
-  let generation t = with_lock t.lock (fun () -> t.generation)
-  let applied_lsn t = with_lock t.lock (fun () -> t.applied)
-  let epoch t = with_lock t.lock (fun () -> t.epoch)
-  let connected t = with_lock t.lock (fun () -> t.connected)
-  let fenced_rejects t = with_lock t.lock (fun () -> t.fenced_rejects)
-  let snapshots t = with_lock t.lock (fun () -> t.snapshots)
+  let generation t = Mutex.protect t.lock (fun () -> t.generation)
+  let applied_lsn t = Mutex.protect t.lock (fun () -> t.applied)
+  let epoch t = Mutex.protect t.lock (fun () -> t.epoch)
+  let connected t = Mutex.protect t.lock (fun () -> t.connected)
+  let fenced_rejects t = Mutex.protect t.lock (fun () -> t.fenced_rejects)
+  let snapshots t = Mutex.protect t.lock (fun () -> t.snapshots)
 
   let lag_bytes t =
-    with_lock t.lock (fun () -> max 0 (t.primary_end - t.applied))
+    Mutex.protect t.lock (fun () -> max 0 (t.primary_end - t.applied))
 
   (* Milliseconds since the replica last observed itself caught up to
      the primary's shippable end. Heartbeats refresh it every ~200 ms
      while connected and idle, so a healthy replica reads near zero;
      infinity before the first catch-up. *)
   let stale_ms t =
-    with_lock t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         if t.promoted then 0.0
         else if t.last_caught_up = 0.0 then infinity
         else (Unix.gettimeofday () -. t.last_caught_up) *. 1000.0)
@@ -1049,8 +1008,8 @@ module Replica = struct
      the old primary's frames carry a stale epoch and are rejected
      everywhere — it is fenced. *)
   let promote t =
-    let already = with_lock t.lock (fun () -> t.promoted) in
-    if already then with_lock t.lock (fun () -> t.epoch)
+    let already = Mutex.protect t.lock (fun () -> t.promoted) in
+    if already then Mutex.protect t.lock (fun () -> t.epoch)
     else begin
       stop_applier t;
       let new_epoch =
@@ -1062,7 +1021,7 @@ module Replica = struct
             Wal.commit wal;
             Wal.close wal;
             Real_disk.close disk;
-            with_lock t.lock (fun () ->
+            Mutex.protect t.lock (fun () ->
                 t.epoch <- e;
                 t.promoted <- true;
                 t.synced <- true;
@@ -1073,7 +1032,7 @@ module Replica = struct
       new_epoch
     end
 
-  let promoted t = with_lock t.lock (fun () -> t.promoted)
+  let promoted t = Mutex.protect t.lock (fun () -> t.promoted)
 
   let stop t =
     stop_applier t;

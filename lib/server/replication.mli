@@ -105,11 +105,26 @@ module Sender : sig
       the timeout passes, or the sender stops. [false] on timeout,
       returned at most one ticker period (0.2 s) after [timeout_s]. *)
 
+  type peer
+  (** One connection's replication requests: the subscriber it started,
+      if any, and how to write to it. *)
+
+  val peer : send:(Wire.reply -> unit) -> peer
+  (** [send] as for {!serve}. *)
+
+  val handle : t -> peer -> Wire.request -> unit
+  (** Dispatch one request read from the peer's connection:
+      [Rep_subscribe] goes to {!serve}, [Rep_ack] to {!ack} for the
+      peer's subscriber; every other request is ignored. *)
+
+  val disconnect : t -> peer -> unit
+  (** The peer's connection closed: {!drop} its subscriber. *)
+
   val listen : ?host:string -> port:int -> t -> int
-  (** Start a minimal replication-only accept loop (subscribe/ack
-      frames) — for primaries that are not full daemons, like the chaos
-      harness's forked child. [port = 0] binds an ephemeral port; the
-      bound port is returned. *)
+  (** Serve replication only (subscribe/ack frames) on a {!Listener} at
+      [host] (default ["127.0.0.1"]) — for primaries that are not full
+      daemons, like the chaos harness's victim process. [port = 0] binds
+      an ephemeral port; the bound port is returned. *)
 
   val stop : t -> unit
   (** Stop the listener, the ticker and all streaming threads; joins

@@ -1,13 +1,9 @@
 (* Production telemetry for the serving path: request IDs, a bounded ring
    of recent request traces, SQL shape normalization, a rotating JSONL
-   query log, Prometheus text exposition, and the tiny HTTP listener that
+   query log, Prometheus text exposition, and the tiny HTTP endpoint that
    serves it. Pure plumbing — no engine types leak in here, so the
    subsystem is reusable by any later serving tier (scatter-gather,
    caches) that wants the same observability spine. *)
-
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
 (* ------------------------------------------------------------------ *)
 (* Request IDs *)
@@ -49,13 +45,13 @@ module Ring = struct
   let capacity t = Array.length t.slots
 
   let add t ~id ~json =
-    with_lock t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         t.slots.(t.next) <- Some { e_id = id; e_json = json };
         t.next <- (t.next + 1) mod Array.length t.slots;
         t.stored <- t.stored + 1)
 
   let find t id =
-    with_lock t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         (* Scan backwards from the most recent insert so a duplicated ID
            (client retry reusing one) resolves to the latest trace. *)
         let n = Array.length t.slots in
@@ -70,7 +66,7 @@ module Ring = struct
         go 0)
 
   let ids t =
-    with_lock t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         let n = Array.length t.slots in
         let acc = ref [] in
         for i = 0 to n - 1 do
@@ -84,12 +80,12 @@ module Ring = struct
         !acc)
 
   let length t =
-    with_lock t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         Array.fold_left
           (fun n -> function Some _ -> n + 1 | None -> n)
           0 t.slots)
 
-  let stored t = with_lock t.lock (fun () -> t.stored)
+  let stored t = Mutex.protect t.lock (fun () -> t.stored)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -247,31 +243,16 @@ module Query_log = struct
       closed = false;
     }
 
-  let json_escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
   let render r =
+    let esc = Storage.Metrics.json_escape in
     Printf.sprintf
       "{\"ts\":%.6f,\"request_id\":\"%s\",\"shape\":\"%s\",\
        \"queue_wait_s\":%.6f,\"exec_s\":%.6f,\"page_reads\":%d,\
        \"page_writes\":%d,\"comparisons\":%d,\"fuzzy_ops\":%d,\"rows\":%d,\
        \"retries\":%d,\"outcome\":\"%s\"}"
-      r.ts (json_escape r.request_id) (json_escape r.shape) r.queue_wait_s
+      r.ts (esc r.request_id) (esc r.shape) r.queue_wait_s
       r.exec_s r.page_reads r.page_writes r.comparisons r.fuzzy_ops r.rows
-      r.retries (json_escape r.outcome)
+      r.retries (esc r.outcome)
 
   let rotate t =
     (* fsync the outgoing file before it becomes [.1]: rotation must not
@@ -289,7 +270,7 @@ module Query_log = struct
      configured path starts a fresh file; records keep flowing with none
      lost in between (the swap happens under the log's lock). *)
   let reopen t =
-    with_lock t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         if not t.closed then begin
           flush t.oc;
           close_out_noerr t.oc;
@@ -299,7 +280,7 @@ module Query_log = struct
 
   let log t r =
     if r.exec_s *. 1000.0 >= t.slow_ms then
-      with_lock t.lock (fun () ->
+      Mutex.protect t.lock (fun () ->
           if not t.closed then begin
             if t.bytes >= t.max_bytes then rotate t;
             let line = render r in
@@ -310,10 +291,10 @@ module Query_log = struct
             t.written <- t.written + 1
           end)
 
-  let written t = with_lock t.lock (fun () -> t.written)
+  let written t = Mutex.protect t.lock (fun () -> t.written)
 
   let close t =
-    with_lock t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         if not t.closed then begin
           t.closed <- true;
           close_out_noerr t.oc
@@ -438,12 +419,7 @@ let render_top metrics ~now =
    endpoints to a scraper on a trusted port, not the internet. *)
 
 module Http = struct
-  type t = {
-    fd : Unix.file_descr;
-    port : int;
-    mutable alive : bool;
-    mutable thread : Thread.t option;
-  }
+  type t = Listener.t
 
   let respond fd status content_type body =
     let reason = match status with
@@ -498,63 +474,23 @@ module Http = struct
             Some path
         | _ -> None)
 
+  (* The listener closes [fd] once this returns. *)
   let serve_conn handler fd =
-    (match read_request_path fd with
+    match read_request_path fd with
     | Some path -> (
         match handler path with
         | Some (status, content_type, body) ->
             respond fd status content_type body
         | None -> respond fd 404 "text/plain" "not found\n")
-    | None -> ());
-    (try Unix.close fd with Unix.Unix_error _ -> ())
+    | None -> ()
 
   let start ~port handler =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-    Unix.listen fd 16;
-    let port =
-      match Unix.getsockname fd with
-      | Unix.ADDR_INET (_, p) -> p
-      | _ -> port
-    in
-    let t = { fd; port; alive = true; thread = None } in
-    let loop () =
-      let rec go () =
-        match Unix.accept t.fd with
-        | conn, _ ->
-            if t.alive then begin
-              serve_conn handler conn;
-              go ()
-            end
-            else (try Unix.close conn with Unix.Unix_error _ -> ())
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> if t.alive then go ()
-        | exception Unix.Unix_error _ -> ()
-      in
-      go ();
-      try Unix.close t.fd with Unix.Unix_error _ -> ()
-    in
-    t.thread <- Some (Thread.create loop ());
-    t
+    let l = Listener.bind ~port () in
+    Listener.serve l (serve_conn handler);
+    l
 
-  let port t = t.port
-
-  let stop t =
-    if t.alive then begin
-      t.alive <- false;
-      (* Wake the accept loop with a throwaway connection so it observes
-         [alive = false] and exits, closing the listener itself. *)
-      (try
-         let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-         (try
-            Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, t.port))
-          with Unix.Unix_error _ -> ());
-         Unix.close fd
-       with Unix.Unix_error _ -> ());
-      match t.thread with
-      | Some th -> Thread.join th
-      | None -> ()
-    end
+  let port = Listener.port
+  let stop = Listener.stop
 
   (* A one-shot GET for tests and tooling: status code and body. *)
   let get ~port path =

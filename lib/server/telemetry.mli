@@ -9,11 +9,11 @@
       requests, keyed by request ID, fetchable over the wire
       ([Wire.Trace_get] / [fsql \trace ID]);
     - {b query log} ({!Query_log}): one JSONL record per finished request
-      — id, normalized SQL shape, engine, queue wait, exec time, I/O and
+      — id, normalized SQL shape, queue wait, exec time, I/O and
       fuzzy-op counts, retries, outcome — with size rotation and a
       slow-query threshold;
     - {b Prometheus exposition} ({!render_prometheus}) over the metrics
-      registry, served by the {!Http} listener on [fsqld --metrics-port]
+      registry, served by the {!Http} endpoint on [fsqld --metrics-port]
       ([/metrics] and [/healthz]);
     - {b top rendering} ({!render_top}): the server-side plain-text
       snapshot behind [fsql \top].
@@ -120,9 +120,10 @@ val render_top : Storage.Metrics.t -> now:float -> string
     count/rate/p50/p99/max per window histogram, lifetime counters.
     Rendered server-side so clients need no JSON parser. *)
 
-(** Minimal single-threaded HTTP/1.0 listener for the metrics port. One
-    request per connection, loopback only, GET only — it serves a
-    scraper on a trusted port, not the internet. *)
+(** Minimal HTTP/1.0 endpoint for the metrics port, over a {!Listener}:
+    one request per connection, each connection on its own thread (an
+    idle client holds up no scrape), loopback only, GET only — it serves
+    a scraper on a trusted port, not the internet. *)
 module Http : sig
   type t
 
@@ -131,7 +132,7 @@ module Http : sig
       ephemeral port — read it back with {!port}) and serves each GET by
       calling [handler path], which returns
       [Some (status, content_type, body)] or [None] for 404. The handler
-      runs on the listener thread; keep it fast. *)
+      runs on the connection's thread. *)
 
   val port : t -> int
   val stop : t -> unit

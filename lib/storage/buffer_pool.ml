@@ -1,22 +1,9 @@
-exception All_frames_pinned of { page : int; capacity : int }
-
-let () =
-  Printexc.register_printer (function
-    | All_frames_pinned { page; capacity } ->
-        Some
-          (Printf.sprintf
-             "Buffer_pool.All_frames_pinned(loading page %d, all %d frames \
-              pinned)"
-             page capacity)
-    | _ -> None)
-
 type frame = {
   page_id : int;
   data : bytes;
   mutable dirty : bool;
   mutable page_lsn : int;
       (* LSN of the last WAL record that touched this page; 0 = unlogged *)
-  mutable pins : int;
   mutable last_use : int;
 }
 
@@ -62,19 +49,18 @@ let write_back t f =
     f.dirty <- false
   end
 
-let evict_one t ~for_page =
+(* Called only on a full pool (capacity >= 1), so a victim exists. *)
+let evict_one t =
   let victim =
     Hashtbl.fold
       (fun _ f best ->
-        if f.pins > 0 then best
-        else
-          match best with
-          | Some b when b.last_use <= f.last_use -> best
-          | _ -> Some f)
+        match best with
+        | Some b when b.last_use <= f.last_use -> best
+        | _ -> Some f)
       t.frames None
   in
   match victim with
-  | None -> raise (All_frames_pinned { page = for_page; capacity = t.capacity })
+  | None -> ()
   | Some f ->
       write_back t f;
       Hashtbl.remove t.frames f.page_id
@@ -87,10 +73,10 @@ let load t page_id =
       f
   | None ->
       t.misses <- t.misses + 1;
-      if Hashtbl.length t.frames >= t.capacity then evict_one t ~for_page:page_id;
+      if Hashtbl.length t.frames >= t.capacity then evict_one t;
       let f =
         { page_id; data = Disk.read t.disk page_id; dirty = false;
-          page_lsn = 0; pins = 0; last_use = 0 }
+          page_lsn = 0; last_use = 0 }
       in
       touch t f;
       Hashtbl.replace t.frames page_id f;
@@ -105,17 +91,16 @@ let read t page_id = (load t page_id).data
    Not a lookup: the hit and miss counters stay as they are. *)
 let install_fresh t page_id =
   match Hashtbl.find_opt t.frames page_id with
-  | Some f when f.pins > 0 -> invalid_arg "Buffer_pool.install_fresh: page is pinned"
   | Some f ->
       Bytes.fill f.data 0 (Bytes.length f.data) '\000';
       f.dirty <- false;
       f.page_lsn <- 0;
       touch t f
   | None ->
-      if Hashtbl.length t.frames >= t.capacity then evict_one t ~for_page:page_id;
+      if Hashtbl.length t.frames >= t.capacity then evict_one t;
       let f =
         { page_id; data = Bytes.make (Disk.page_size t.disk) '\000'; dirty = false;
-          page_lsn = 0; pins = 0; last_use = 0 }
+          page_lsn = 0; last_use = 0 }
       in
       touch t f;
       Hashtbl.replace t.frames page_id f
@@ -127,15 +112,6 @@ let with_write ?lsn t page_id fn =
   match lsn with
   | Some l when l > f.page_lsn -> f.page_lsn <- l
   | _ -> ()
-
-let pin t page_id =
-  let f = load t page_id in
-  f.pins <- f.pins + 1
-
-let unpin t page_id =
-  match Hashtbl.find_opt t.frames page_id with
-  | Some f when f.pins > 0 -> f.pins <- f.pins - 1
-  | Some _ | None -> invalid_arg "Buffer_pool.unpin: page not pinned"
 
 let flush t = Hashtbl.iter (fun _ f -> write_back t f) t.frames
 

@@ -2,10 +2,7 @@
 
     The paper gives both methods a 2 MB buffer (256 pages of 8 KB). Reads go
     through the pool: a hit costs no I/O, a miss reads the page from disk and
-    may evict the least-recently-used unpinned frame (writing it back if
-    dirty). Pinned frames are never evicted — the join algorithms pin the
-    frames of the current merge window, mirroring "the page stays in the main
-    memory" of Section 3.
+    evicts the least-recently-used frame (writing it back if dirty).
 
     On a durable backend the pool also enforces the WAL rule: each frame
     carries the LSN of the last log record that touched it (stamped via
@@ -15,12 +12,6 @@
     effects from beyond a commit point. *)
 
 type t
-
-exception All_frames_pinned of { page : int; capacity : int }
-(** A miss needed to evict a frame but every frame was pinned. [page] is
-    the page whose load failed; [capacity] the pool size in frames. A
-    programming error (pin leak or pool sized below the working set),
-    never injected by {!Fault}. *)
 
 val create : ?wal:Wal.t -> Disk.t -> capacity:int -> t
 (** [capacity] in pages; must be >= 1 ([Invalid_argument] otherwise).
@@ -32,7 +23,10 @@ val disk : t -> Disk.t
 val wal : t -> Wal.t option
 
 val read : t -> int -> bytes
-(** The cached frame (do not mutate; use {!with_write} to modify). *)
+(** The cached frame (do not mutate; use {!with_write} to modify).
+    Reads and write-backs through the pool propagate {!Fault.Injected}
+    from the underlying disk; a failed load leaves the pool unchanged
+    (the frame is only inserted after a successful disk read). *)
 
 val install_fresh : t -> int -> unit
 (** [install_fresh t page] caches a zeroed, clean frame for a page that
@@ -41,22 +35,13 @@ val install_fresh : t -> int -> unit
     frame already cached under that id — the previous owner's, if the id
     was freed and reallocated — is zeroed in place and marked clean, so
     its old bytes are never written back. Otherwise it may evict like a
-    miss. [Invalid_argument] if the cached frame is pinned. *)
+    miss. *)
 
 val with_write : ?lsn:int -> t -> int -> (bytes -> unit) -> unit
 (** Mutate the page through the pool and mark the frame dirty. [?lsn]
     is the WAL position of the record describing this mutation; the
     frame's page-LSN becomes the max of all stamps and rides along on
     write-back (into the durable page trailer). *)
-
-val pin : t -> int -> unit
-val unpin : t -> int -> unit
-(** Pin counts nest. A miss (in {!read}, {!with_write} or {!pin}) raises
-    {!All_frames_pinned} when eviction finds every frame pinned;
-    {!unpin} raises [Invalid_argument] on a page that is not pinned.
-    Reads and write-backs through the pool propagate {!Fault.Injected}
-    from the underlying disk; a failed load leaves the pool unchanged
-    (the frame is only inserted after a successful disk read). *)
 
 val flush : t -> unit
 (** Write back all dirty frames (each obeying the WAL rule). *)

@@ -15,8 +15,8 @@
     recoverable conditions (flaky I/O) that the serving layer may retry;
     [Fatal] faults model conditions after which the worker's environment
     is suspect and must be rebuilt. Genuine programming errors keep
-    their own typed exceptions ({!Sim_disk.Bad_page},
-    {!Buffer_pool.All_frames_pinned}, ...) and are never injected. *)
+    their own typed exceptions ({!Sim_disk.Bad_page}, ...) and are never
+    injected. *)
 
 type severity = Transient | Fatal
 

@@ -107,6 +107,11 @@ val window_histograms : t -> window_histogram list
 
 val pp : Format.formatter -> t -> unit
 
+val json_escape : string -> string
+(** The body of a JSON string literal for [s]: quote, backslash and
+    newline escaped, other control characters as [\uXXXX]. Every JSON
+    writer in the project uses it. *)
+
 val to_json : ?now:float -> t -> string
 (** Counters, gauges, histograms, and window snapshots evaluated at [now]
     (default: the current time). Quantiles of empty (window) histograms are

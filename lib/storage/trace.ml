@@ -211,20 +211,6 @@ let pp_tree ppf t =
   List.iter (fun sp -> go "" "" sp) (roots t);
   Format.pp_print_string ppf (Buffer.contents buf)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let span_args_json buf sp =
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add
@@ -244,7 +230,7 @@ let to_json t =
   let rec go sp =
     add "{\"name\": \"%s\", \"lane\": 0, \"start_s\": %.6f, \"dur_s\": %.6f, \
          \"args\": "
-      (json_escape sp.name) sp.start_s sp.dur_s;
+      (Metrics.json_escape sp.name) sp.start_s sp.dur_s;
     span_args_json buf sp;
     add ", \"children\": [";
     List.iteri
@@ -280,7 +266,7 @@ let to_chrome_json t =
       add
         ",\n  {\"ph\": \"X\", \"pid\": 1, \"tid\": 0, \"name\": \"%s\", \
          \"ts\": %.3f, \"dur\": %.3f, \"args\": "
-        (json_escape sp.name)
+        (Metrics.json_escape sp.name)
         (1e6 *. sp.start_s)
         (1e6 *. sp.dur_s);
       span_args_json buf sp;

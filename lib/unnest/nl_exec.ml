@@ -76,7 +76,12 @@ let run ?(name = "answer") ?trace ?cancel (shape : Classify.two_level)
          linking predicate's satisfaction degree. *)
       let absorb, finalize =
         match link with
-        | Classify.In_link { y; z; corr } ->
+        | Classify.In_link { y; z; corr } | Classify.Not_in_link { y; z; corr }
+          ->
+            (* NOT IN is the negation of IN's degree. *)
+            let negated =
+              match link with Classify.Not_in_link _ -> true | _ -> false
+            in
             let m = Array.make n Degree.zero in
             ( (fun s d2 ->
                 for i = 0 to n - 1 do
@@ -93,25 +98,7 @@ let run ?(name = "answer") ?trace ?cancel (shape : Classify.two_level)
                     if term > m.(i) then m.(i) <- term
                   end
                 done),
-              fun i _ -> m.(i) )
-        | Classify.Not_in_link { y; z; corr } ->
-            let m = Array.make n Degree.zero in
-            ( (fun s d2 ->
-                for i = 0 to n - 1 do
-                  if Degree.positive d1.(i) then begin
-                    let r = block.(i) in
-                    Storage.Iostats.record_fuzzy_op stats;
-                    let term =
-                      Degree.conj d2
-                        (Degree.conj
-                           (Value.compare_degree Fuzzy_compare.Eq
-                              (Ftuple.value r y) (Ftuple.value s z))
-                           (corr_degree stats corr r s))
-                    in
-                    if term > m.(i) then m.(i) <- term
-                  end
-                done),
-              fun i _ -> Degree.neg m.(i) )
+              fun i _ -> if negated then Degree.neg m.(i) else m.(i) )
         | Classify.Quant_link { y; op; quant; z; corr } ->
             let m = Array.make n Degree.zero in
             ( (fun s d2 ->

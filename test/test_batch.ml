@@ -100,36 +100,6 @@ let kernel_crisp_prop =
             [ (0, 1); (1, 0); (0, 2); (2, 0); (0, 0) ])
         all_ops)
 
-let mem_prop =
-  QCheck.Test.make ~count:500 ~name:"mem_into = Trapezoid.mem bits"
-    (QCheck.pair arb_trap (QCheck.list_of_size (QCheck.Gen.return 64)
-                             (QCheck.float_range (-10.0) 60.0)))
-    (fun (t, xs) ->
-      let xs = Array.of_list xs in
-      let n = Array.length xs in
-      let dst = Array.make (Int.max 1 n) 0.0 in
-      Batch_kernels.mem_into t ~xs ~n ~dst;
-      Array.for_all
-        (fun i -> bits dst.(i) = bits (Fuzzy.Trapezoid.mem t xs.(i)))
-        (Array.init n Fun.id))
-
-let tnorm_prop =
-  QCheck.Test.make ~count:500 ~name:"conj_into / disj_reduce = Degree folds"
-    (QCheck.pair
-       (QCheck.list_of_size (QCheck.Gen.return 50) (QCheck.float_range 0.0 1.0))
-       (QCheck.list_of_size (QCheck.Gen.return 50) (QCheck.float_range 0.0 1.0)))
-    (fun (a, b) ->
-      let src = Array.of_list a and acc = Array.of_list b in
-      let n = Array.length src in
-      let expect =
-        Array.init n (fun i -> Fuzzy.Degree.conj acc.(i) src.(i))
-      in
-      let expect_max = Array.fold_left Fuzzy.Degree.disj 0.0 expect in
-      Batch_kernels.conj_into ~src ~dst:acc ~n;
-      Array.for_all (fun i -> bits acc.(i) = bits expect.(i))
-        (Array.init n Fun.id)
-      && bits (Batch_kernels.disj_reduce ~xs:acc ~n) = bits expect_max)
-
 (* ---------- reading batches from record bytes ---------- *)
 
 (* Values of every kind the codec writes: integers, strings, crisp numbers
@@ -920,7 +890,7 @@ let suites =
   [
     ( "batch.kernels",
       List.map QCheck_alcotest.to_alcotest
-        [ kernel_cmp_prop; kernel_mirror_prop; kernel_crisp_prop; mem_prop; tnorm_prop ] );
+        [ kernel_cmp_prop; kernel_mirror_prop; kernel_crisp_prop ] );
     ("batch.readers", List.map QCheck_alcotest.to_alcotest [ reader_prop ] @ [ malformed_case ]);
     ("batch.engines", List.map QCheck_alcotest.to_alcotest shape_props);
     ("batch.regressions", sweep_cases);

@@ -936,6 +936,41 @@ let wakeup_tests =
             | None -> Alcotest.fail "waiter did not finish"));
   ]
 
+let listener_tests =
+  [
+    tc "an idle client on Sender.listen blocks no subscriber and no stop"
+      `Quick (fun () ->
+        with_sender (fun sender _ ->
+            (* a host name, resolved like the daemon's *)
+            let port = Replication.Sender.listen ~host:"localhost" ~port:0 sender in
+            let idle = Test_util.idle_connect port in
+            let closed = ref false in
+            let unblock () =
+              if not !closed then begin
+                closed := true;
+                close_noerr idle
+              end
+            in
+            Fun.protect ~finally:unblock (fun () ->
+                let client = Server.Client.connect ~port () in
+                Fun.protect
+                  ~finally:(fun () -> Server.Client.close client)
+                  (fun () ->
+                    let reply =
+                      Test_util.within ~unblock "a subscribe beside an idle client"
+                        (fun () ->
+                          Server.Client.send client
+                            (Server.Wire.Rep_subscribe
+                               { epoch = 0; stream_id = 0L; from_lsn = 0 });
+                          Server.Client.recv client)
+                    in
+                    (match reply with
+                    | Server.Wire.Rep_hello { snapshot = true; _ } -> ()
+                    | _ -> Alcotest.fail "expected a snapshot hello");
+                    Test_util.within ~unblock "Sender.stop beside an idle client"
+                      (fun () -> Replication.Sender.stop sender)))));
+  ]
+
 let suites =
   [
     ("replication.wal-stream", wal_stream_tests);
@@ -943,4 +978,5 @@ let suites =
     ("replication.wire", wire_tests);
     ("replication.wakeups", wakeup_tests);
     ("replication.generation", generation_tests);
+    ("replication.listener", listener_tests);
   ]

@@ -1175,9 +1175,50 @@ let fuzz_tests =
         done);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The listener: every connection on its own thread, so an idle       *)
+(* client holds up neither another client nor a stop.                 *)
+
+let listener_tests =
+  [
+    tc "an idle client blocks no query, no scrape and no stop" `Quick
+      (fun () ->
+        let daemon = Server.Daemon.start ~workers:1 ~metrics_port:0 ~setup () in
+        let port = Server.Daemon.port daemon in
+        let mport = Option.get (Server.Daemon.metrics_port daemon) in
+        let idle = [ Test_util.idle_connect port; Test_util.idle_connect mport ] in
+        let closed = ref false in
+        let unblock () =
+          if not !closed then begin
+            closed := true;
+            List.iter close_noerr idle
+          end
+        in
+        Fun.protect
+          ~finally:(fun () ->
+            unblock ();
+            Server.Daemon.stop daemon)
+          (fun () ->
+            let name, sql = List.hd shapes in
+            Test_util.within ~unblock "a query beside idle clients" (fun () ->
+                let client = Server.Client.connect ~port () in
+                Fun.protect
+                  ~finally:(fun () -> Server.Client.close client)
+                  (fun () ->
+                    ignore (normal_of_reply name (Server.Client.query client sql))));
+            let status, _ =
+              Test_util.within ~unblock "a scrape beside idle clients" (fun () ->
+                  Server.Telemetry.Http.get ~port:mport "/healthz")
+            in
+            Alcotest.(check int) "healthz answered" 200 status;
+            Test_util.within ~unblock "Daemon.stop beside idle clients" (fun () ->
+                Server.Daemon.stop daemon)));
+  ]
+
 let suites =
   [
     ("server wire", wire_tests @ framing_tests @ nodelay_tests @ fuzz_tests);
     ("server queue", queue_tests);
     ("server daemon", daemon_tests);
+    ("server listener", listener_tests);
   ]

@@ -56,17 +56,6 @@ let pool_tests =
         Buffer_pool.drop pool;
         Alcotest.(check char) "contents survived eviction" 'A'
           (Bytes.get (Sim_disk.read disk p1) 0));
-    tc "pinned frames never evicted" `Quick (fun () ->
-        let stats = Iostats.create () in
-        let disk = Sim_disk.create ~page_size:16 stats in
-        let pool = Buffer_pool.create (Disk.sim disk) ~capacity:1 in
-        let p1 = Sim_disk.alloc disk and p2 = Sim_disk.alloc disk in
-        Buffer_pool.pin pool p1;
-        Alcotest.(check bool) "miss with all pinned fails" true
-          (try ignore (Buffer_pool.read pool p2); false
-           with Buffer_pool.All_frames_pinned { capacity = 1; _ } -> true);
-        Buffer_pool.unpin pool p1;
-        ignore (Buffer_pool.read pool p2));
     tc "a fresh page is installed zeroed, with no read, over a stale frame"
       `Quick (fun () ->
         let stats = Iostats.create () in

@@ -187,3 +187,31 @@ let sorted_like records sorted =
   = List.map sort_key_pair
       (List.stable_sort (fun a b -> compare (sort_key_pair a) (sort_key_pair b)) records)
   && List.sort Bytes.compare sorted = List.sort Bytes.compare records
+
+(* A TCP client that connects to loopback:[port] and sends nothing. *)
+let idle_connect port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  fd
+
+(* [f ()] on a thread of its own, given 2 s. On a timeout [unblock ()]
+   runs, so the thread can finish before the test fails. *)
+let within ~unblock what f =
+  let limit = 2.0 and result = Atomic.make None in
+  let th =
+    Thread.create
+      (fun () -> Atomic.set result (Some (try Ok (f ()) with e -> Error e)))
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. limit in
+  while Option.is_none (Atomic.get result) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  let timed_out = Option.is_none (Atomic.get result) in
+  if timed_out then unblock ();
+  Thread.join th;
+  if timed_out then Alcotest.failf "%s: not done within %.1f s" what limit;
+  match Atomic.get result with
+  | Some (Ok v) -> v
+  | Some (Error e) -> raise e
+  | None -> assert false
