@@ -1213,6 +1213,97 @@ let listener_tests =
             Alcotest.(check int) "healthz answered" 200 status;
             Test_util.within ~unblock "Daemon.stop beside idle clients" (fun () ->
                 Server.Daemon.stop daemon)));
+    tc "stop_accepting keeps live connections; close_connections ends them"
+      `Quick (fun () ->
+        (* An echo handler: one byte back for each byte in, until EOF. *)
+        let echo fd =
+          let b = Bytes.create 1 in
+          let rec go () =
+            match Unix.read fd b 0 1 with
+            | 1 when Unix.write fd b 0 1 = 1 -> go ()
+            | _ | (exception Unix.Unix_error _) -> ()
+          in
+          go ()
+        in
+        let l = Server.Listener.bind ~port:0 () in
+        Server.Listener.serve l echo;
+        let port = Server.Listener.port l in
+        let client = Test_util.idle_connect port in
+        let unblock () =
+          (try Unix.shutdown client Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+          Server.Listener.stop l
+        in
+        Fun.protect
+          ~finally:(fun () ->
+            unblock ();
+            close_noerr client)
+          (fun () ->
+            let round c =
+              Test_util.within ~unblock (Printf.sprintf "echo of %C" c) (fun () ->
+                  ignore (Unix.write_substring client (String.make 1 c) 0 1);
+                  let b = Bytes.create 1 in
+                  match Unix.read client b 0 1 with
+                  | 1 -> Bytes.get b 0
+                  | _ -> Alcotest.fail "connection closed")
+            in
+            Alcotest.(check char) "echo before stop" 'a' (round 'a');
+            Alcotest.(check int) "one live connection" 1
+              (Server.Listener.connections l);
+            Test_util.within ~unblock "stop_accepting" (fun () ->
+                Server.Listener.stop_accepting l);
+            Alcotest.(check char) "echo after stop_accepting" 'b' (round 'b');
+            Alcotest.(check bool) "new connections refused" true
+              (match Test_util.idle_connect port with
+              | fd ->
+                  close_noerr fd;
+                  false
+              | exception Unix.Unix_error (ECONNREFUSED, _, _) -> true);
+            Test_util.within ~unblock "close_connections" (fun () ->
+                Server.Listener.close_connections l);
+            Alcotest.(check int) "no live connection" 0
+              (Server.Listener.connections l);
+            let eof =
+              Test_util.within ~unblock "EOF after close_connections" (fun () ->
+                  match Unix.read client (Bytes.create 1) 0 1 with
+                  | n -> n = 0
+                  | exception Unix.Unix_error _ -> true)
+            in
+            Alcotest.(check bool) "client sees the connection end" true eof));
+    tc "a handler's return closes its connection" `Quick (fun () ->
+        let l = Server.Listener.bind ~port:0 () in
+        let served = Atomic.make 0 in
+        Server.Listener.serve l (fun _ -> Atomic.incr served);
+        let clients = List.init 3 (fun _ -> Test_util.idle_connect (Server.Listener.port l)) in
+        let unblock () = Server.Listener.stop l in
+        Fun.protect
+          ~finally:(fun () ->
+            unblock ();
+            List.iter close_noerr clients)
+          (fun () ->
+            List.iter
+              (fun fd ->
+                let n =
+                  Test_util.within ~unblock "EOF from a finished handler"
+                    (fun () -> Unix.read fd (Bytes.create 1) 0 1)
+                in
+                Alcotest.(check int) "EOF" 0 n)
+              clients;
+            wait_for "the registry to empty" (fun () ->
+                Server.Listener.connections l = 0);
+            Alcotest.(check int) "every connection served" 3 (Atomic.get served)));
+    tc "bind reports a port that is already listening" `Quick (fun () ->
+        let l = Server.Listener.bind ~port:0 () in
+        Fun.protect
+          ~finally:(fun () -> Server.Listener.stop l)
+          (fun () ->
+            Alcotest.(check bool) "EADDRINUSE" true
+              (match Server.Listener.bind ~port:(Server.Listener.port l) () with
+              | l2 ->
+                  Server.Listener.stop l2;
+                  false
+              | exception Unix.Unix_error (EADDRINUSE, _, _) -> true);
+            Alcotest.(check bool) "dotted address resolves" true
+              (Server.Listener.resolve "127.0.0.1" = Unix.inet_addr_loopback)));
   ]
 
 let suites =
